@@ -60,9 +60,7 @@ from .tensor import (
     axis_constant_construction,
     flattening_rank,
     is_semi_diagonal,
-    max_flattening_rank,
     partition_construction,
-    sum_flattening_ranks,
 )
 
 
@@ -115,12 +113,13 @@ def _cmd_rank(args) -> int:
     if args.axis is not None:
         results["axis"] = args.axis
         results["frank"] = flattening_rank(t, args.axis)
-    elif args.max:
-        results["mfrank"] = max_flattening_rank(t)
-        results["franks"] = [flattening_rank(t, i) for i in range(t.ndim)]
     else:
-        results["sum_franks"] = sum_flattening_ranks(t)
-        results["franks"] = [flattening_rank(t, i) for i in range(t.ndim)]
+        franks = [flattening_rank(t, i) for i in range(t.ndim)]
+        if args.max:
+            results["mfrank"] = max(franks)
+        else:
+            results["sum_franks"] = sum(franks)
+        results["franks"] = franks
     _emit(make_report("rank", _read_file_digest(args.tensor), results), args.out)
     return 0
 

@@ -15,15 +15,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import tempfile
+
+import numpy as np
 
 from . import __version__
 from .field import field_from_document
 from .fw import BadBoxFamily, Configuration
 from .rainbow import ColoredHypergraph, SetPairSystem
 from .setfam import SetFamily, TupleFamily
-from .tensor import Tensor
+from .tensor import MAX_ENTRIES, Tensor, integer_array
 
 __all__ = [
     "canonical_json",
@@ -114,40 +117,43 @@ def _mask_from(value, n: int, what: str) -> int:
 def tensor_to_document(t: Tensor, metadata: dict | None = None, sparse: bool = False) -> dict:
     doc: dict = {"dims": list(t.dims), "field": t.field.to_document()}
     if sparse:
-        pairs = []
-        dims = t.dims
-        for flat, v in enumerate(t.entries):
-            if v:
-                idx = []
-                f = flat
-                for a in reversed(dims):
-                    f, r = divmod(f, a)
-                    idx.append(r)
-                pairs.append([idx[::-1], v])
-        doc["sparse"] = pairs
+        flat = np.flatnonzero(t.entries)
+        index = np.stack(np.unravel_index(flat, t.dims), axis=1).tolist()
+        doc["sparse"] = [list(pair) for pair in zip(index, t.entries[flat].tolist())]
     else:
-        doc["entries"] = list(t.entries)
+        doc["entries"] = t.entries.tolist()
     if metadata:
         doc["metadata"] = metadata
     return doc
 
 
 def tensor_from_document(doc: dict) -> Tensor:
+    """Parse a dense or sparse tensor document; non-integer values are rejected.
+
+    A sparse document may name each multi-index once.
+    """
     dims = doc.get("dims")
-    if not isinstance(dims, list) or not dims or any(not isinstance(a, int) or a < 1 for a in dims):
+    if (
+        not isinstance(dims, list)
+        or not dims
+        or any(type(a) is not int or a < 1 for a in dims)
+    ):
         raise ValueError("tensor document needs a list of positive dims")
     field = field_from_document(doc.get("field", {}))
-    size = 1
-    for a in dims:
-        size *= a
+    size = math.prod(dims)
+    if size > MAX_ENTRIES:
+        raise ValueError(f"tensor with {size} entries exceeds the {MAX_ENTRIES} dense cap")
     if "entries" in doc:
         entries = doc["entries"]
         if not isinstance(entries, list) or len(entries) != size:
             raise ValueError(f"expected {size} dense entries")
-        return Tensor(tuple(dims), field, tuple(int(v) for v in entries))
+        return Tensor(tuple(dims), field, entries)
     if "sparse" in doc:
-        flat = [0] * size
-        for pair in doc["sparse"]:
+        pairs = doc["sparse"]
+        if not isinstance(pairs, list):
+            raise ValueError("sparse entries must be a list of [multi-index, value] pairs")
+        positions, values = [], []
+        for pair in pairs:
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValueError("sparse pairs must be [multi-index, value]")
             idx, v = pair
@@ -155,11 +161,16 @@ def tensor_from_document(doc: dict) -> Tensor:
                 raise ValueError(f"sparse index {idx!r} has wrong arity")
             pos = 0
             for m, a in zip(idx, dims):
-                if not isinstance(m, int) or not 0 <= m < a:
+                if type(m) is not int or not 0 <= m < a:
                     raise ValueError(f"sparse index {idx!r} out of range")
                 pos = pos * a + m
-            flat[pos] = int(v)
-        return Tensor(tuple(dims), field, tuple(flat))
+            positions.append(pos)
+            values.append(v)
+        if len(set(positions)) != len(positions):
+            raise ValueError("sparse entries name a multi-index more than once")
+        flat = np.zeros(size, dtype=np.int64)
+        flat[positions] = integer_array(values, "sparse values")
+        return Tensor(tuple(dims), field, flat)
     raise ValueError("tensor document needs 'entries' or 'sparse'")
 
 

@@ -1,16 +1,25 @@
 """Exact rank and determinant kernels over finite fields.
 
-Three elimination paths, dispatched on the field:
+:func:`matrix_rank` is the one exact-rank entry point.  It takes a single
+``(r, c)`` matrix or a batch ``(N, r, c)`` and eliminates along the short side
+(rank is transpose-invariant), so its pivot loop runs ``min(r, c)`` times.
 
-* GF(2): rows are Python ints used as bit-vectors; elimination is word-wide XOR.
-* GF(p), p odd prime: numpy int64 rows reduced mod p (residues stay below
-  2^31, so products of two fit int64 exactly).
-* GF(2^k), k >= 2: numpy rows with multiplication through discrete-log tables
-  (k <= 16), falling back to scalar shift-and-reduce arithmetic for larger k.
+* GF(2): rows packed with numpy into ints used as bit-vectors, reduced per
+  matrix by :func:`rank_gf2_bitrows` (word-wide XOR).
+* GF(p), p odd prime, and GF(2^k), 2 <= k <= 16: :func:`_eliminate` runs on
+  the whole batch at once.  Step k takes row k, already reduced by every
+  earlier pivot row: a zero row is dependent, otherwise its first nonzero
+  column becomes a pivot and is cleared from the rows below it.  GF(p) clears
+  by cross-multiplication mod p (residues stay below 2^31, so products of two
+  fit int64 exactly); GF(2^k) multiplies through the discrete-log tables,
+  converted to numpy once per field.
+* GF(2^k), k > 16: scalar elimination in :func:`_rank_generic`, which is also
+  the oracle the tests compare the vectorized kernels against.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -19,7 +28,6 @@ from .field import FieldDescriptor, discrete_log_tables
 
 __all__ = [
     "rank_gf2_bitrows",
-    "bitrows_from_lists",
     "matrix_rank",
     "determinant",
     "solve_is_independent",
@@ -42,79 +50,69 @@ def rank_gf2_bitrows(rows: Sequence[int]) -> int:
     return rank
 
 
-def bitrows_from_lists(rows: Sequence[Sequence[int]]) -> list[int]:
-    out = []
-    for row in rows:
-        acc = 0
-        for c, v in enumerate(row):
-            if v & 1:
-                acc |= 1 << c
-        out.append(acc)
-    return out
+def _rank_gf2(m: np.ndarray) -> np.ndarray:
+    """Rows packed with numpy into ints (bit c = column c), then XOR-reduced per matrix."""
+    n, r, _ = m.shape
+    packed = np.packbits(m, axis=2, bitorder="little")
+    width = packed.shape[2]
+    data = packed.tobytes()
+    rows = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
+    return np.array([rank_gf2_bitrows(rows[i : i + r]) for i in range(0, n * r, r)], dtype=np.int64)
 
 
-def _rank_mod_p(mat: np.ndarray, p: int) -> int:
-    m = mat.astype(np.int64) % p
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        column = m[rank:, col]
-        nz = np.nonzero(column)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        inv = pow(int(m[rank, col]), p - 2, p)
-        m[rank] = (m[rank] * inv) % p
-        below = m[rank + 1 :, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = rank + 1 + hit
-            m[rows] = (m[rows] - below[hit, None] * m[rank]) % p
-        rank += 1
+def _eliminate(m: np.ndarray, clear) -> np.ndarray:
+    """Ranks of an (N, r, c) batch, eliminated in place row by row.
+
+    ``clear(below, factor, row, pivot)`` zeroes the pivot column of the rows
+    ``below`` (whose entries there are ``factor``) using ``row``, in place,
+    without changing their span; a zero ``row`` comes with ``pivot`` 0 and must
+    leave them as they are.
+    """
+    n, r, _ = m.shape
+    batch = np.arange(n)
+    rank = np.zeros(n, dtype=np.int64)
+    for k in range(r):
+        row = m[:, k]
+        nz = row != 0
+        pc = nz.argmax(axis=1)
+        has = nz[batch, pc]
+        rank += has
+        if k + 1 < r and has.any():
+            below = m[:, k + 1 :]
+            clear(below, below[batch, :, pc], row, row[batch, pc])
     return rank
 
 
-def _table_ops(field: FieldDescriptor):
+def _rank_mod_p(m: np.ndarray, p: int) -> np.ndarray:
+    def clear(below, factor, row, piv):
+        # row_j <- piv * row_j - factor_j * row: scaling by piv != 0 keeps the rank,
+        # and a zero row (piv 0 -> 1) leaves the rows below as they are
+        below *= np.where(piv == 0, 1, piv)[:, None, None]
+        below -= factor[:, :, None] * row[:, None, :]
+        below %= p
+
+    m %= p
+    return _eliminate(m, clear)
+
+
+@lru_cache(maxsize=None)
+def _log_tables_np(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
     exp, log = discrete_log_tables(field)
     return np.asarray(exp, dtype=np.int64), np.asarray(log, dtype=np.int64)
 
 
-def _rank_gf2k(mat: np.ndarray, field: FieldDescriptor) -> int:
-    if field.k > 16:
-        return _rank_generic(mat.tolist(), field)
-    exp, log = _table_ops(field)
-    m = mat.astype(np.int64)
-    nrows, ncols = m.shape
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        column = m[rank:, col]
-        nz = np.nonzero(column)[0]
-        if nz.size == 0:
-            continue
-        piv = rank + int(nz[0])
-        if piv != rank:
-            m[[rank, piv]] = m[[piv, rank]]
-        pivrow = m[rank]
-        inv_log = (field.order - 1 - log[pivrow[col]]) % (field.order - 1)
-        below = m[rank + 1 :, col]
-        hit = np.nonzero(below)[0]
-        if hit.size:
-            rows = rank + 1 + hit
-            # factor[i] * pivrow eliminated from each hit row; exp/log handle
-            # the products, zeros in pivrow masked out explicitly
-            flog = log[below[hit]] + inv_log
-            prod_log = flog[:, None] + log[pivrow][None, :]
-            prod = exp[prod_log % (field.order - 1)]
-            prod[:, pivrow == 0] = 0
-            m[rows] ^= prod
-        rank += 1
-    return rank
+def _rank_gf2k(m: np.ndarray, field: FieldDescriptor) -> np.ndarray:
+    exp, log = _log_tables_np(field)
+    order_m1 = field.order - 1
+
+    def clear(below, factor, row, piv):
+        # log(factor / piv) + log(row entry) < 2 * order_m1 indexes exp directly
+        scale_log = (log[factor] - log[piv][:, None]) % order_m1
+        prod = exp[scale_log[:, :, None] + log[row][:, None, :]]
+        prod *= (factor != 0)[:, :, None] & (row != 0)[:, None, :]
+        below ^= prod
+
+    return _eliminate(m, clear)
 
 
 def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
@@ -140,15 +138,33 @@ def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
     return rank
 
 
-def matrix_rank(rows: Sequence[Sequence[int]], field: FieldDescriptor) -> int:
-    """Exact rank of a dense matrix of representatives over the given field."""
-    if len(rows) == 0 or len(rows[0]) == 0:
+def matrix_rank(mats, field: FieldDescriptor):
+    """Exact rank over ``field`` of one matrix of representatives, or of a batch.
+
+    ``mats`` is an ``(r, c)`` matrix (nested sequences or an array), giving an
+    int, or an ``(N, r, c)`` array, giving an int64 array of N ranks.
+    """
+    m = np.asarray(mats, dtype=np.int64)
+    if m.ndim == 1 and m.size == 0:  # an empty list of rows
         return 0
-    if field.order == 2:
-        return rank_gf2_bitrows(bitrows_from_lists(rows))
-    if field.kind == "prime":
-        return _rank_mod_p(np.asarray(rows, dtype=np.int64), field.p)
-    return _rank_gf2k(np.asarray(rows, dtype=np.int64), field)
+    single = m.ndim == 2
+    if single:
+        m = m[None]
+    elif m.ndim != 3:
+        raise ValueError(f"expected an (r, c) matrix or an (N, r, c) batch, got shape {m.shape}")
+    if m.shape[1] > m.shape[2]:
+        m = m.transpose(0, 2, 1)
+    if m.shape[1] == 0:
+        ranks = np.zeros(m.shape[0], dtype=np.int64)
+    elif field.order == 2:
+        ranks = _rank_gf2(m)
+    elif field.kind == "prime":
+        ranks = _rank_mod_p(np.array(m, order="C"), field.p)  # eliminated in place
+    elif field.k <= 16:
+        ranks = _rank_gf2k(np.array(m, order="C"), field)
+    else:
+        ranks = np.array([_rank_generic(x.tolist(), field) for x in m], dtype=np.int64)
+    return int(ranks[0]) if single else ranks
 
 
 def determinant(rows: Sequence[Sequence[int]], field: FieldDescriptor) -> int:

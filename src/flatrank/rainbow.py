@@ -181,7 +181,7 @@ def rainbow_tensor(h: ColoredHypergraph, field: FieldDescriptor | None = None) -
         for slot, color in enumerate(idx):
             verts.extend(edge_vertices[color][slot])
         entries.append(engine.entry(verts))
-    return Tensor((h.z,) * h.t, field, tuple(entries))
+    return Tensor((h.z,) * h.t, field, entries)
 
 
 def rainbow_bound(r: int, t: int) -> int:
@@ -321,7 +321,7 @@ def bollobas_verify(system: SetPairSystem, field: FieldDescriptor | None = None)
             for slot, pos in enumerate(idx):
                 verts.extend(member_vertices[pos][slot])
             entries.append(engine.entry(verts))
-        tensor = Tensor((m,) * t, field, tuple(entries))
+        tensor = Tensor((m,) * t, field, entries)
         mfrank = max_flattening_rank(tensor)
         report.update(
             {

@@ -23,7 +23,7 @@ import numpy as np
 
 from .field import GF2, FieldDescriptor
 from .fw import Configuration
-from .linalg import rank_gf2_bitrows
+from .linalg import matrix_rank, rank_gf2_bitrows
 from .rainbow import ColoredHypergraph
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
@@ -33,7 +33,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import Tensor, classify_indices, flattening_rank
+from .tensor import Tensor, classify_indices, flattening_rank, index_class_arrays
 
 __all__ = [
     "Rng",
@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 MAX_FREE_ENTRIES = 22
+# Tensor entries held by one sweep block outside the bit-packed path; bounds a
+# block's memory (its int64 entries plus the rank kernels' temporaries).
+BLOCK_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -156,6 +159,15 @@ def _population_tables(a: int, d: int):
     return diag, distinct, mixed, base_rows, mixed_maps
 
 
+def _mixed_bits(words: np.ndarray, f: int) -> np.ndarray:
+    """Bit t of word t // 64, for the first ``f`` bits of each row of ``words``.
+
+    Column-major, because the rank kernels read one bit position at a time.
+    """
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)  # word t // 64, least byte first
+    return np.asfortranarray(np.unpackbits(as_bytes, axis=1, count=f, bitorder="little"))
+
+
 def _tensor_from_mixed_bits(a: int, d: int, mixed: Sequence[int], bits: Sequence[int]) -> Tensor:
     entries = [0] * (a**d)
     for x in range(a):
@@ -165,7 +177,7 @@ def _tensor_from_mixed_bits(a: int, d: int, mixed: Sequence[int], bits: Sequence
         entries[flat] = 1
     for flat, b in zip(mixed, bits):
         entries[flat] = int(b)
-    return Tensor((a,) * d, GF2, tuple(entries))
+    return Tensor((a,) * d, GF2, entries)
 
 
 def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18) -> SearchReport:
@@ -190,10 +202,7 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18
 
     def scan_chunk(start: int, stop: int):
         if use_vector:
-            idx = np.arange(start, stop, dtype=np.uint64)
-            bits = ((idx[:, None] >> np.arange(f, dtype=np.uint64)[None, :]) & np.uint64(1)).astype(
-                np.uint8
-            )
+            bits = _mixed_bits(np.arange(start, stop, dtype=np.uint64)[:, None], f)
             mfrank, sumrank = _vector_population_ranks(a, d, bits, base_rows, mixed_maps)
             i_mf = int(np.argmin(mfrank))
             i_sum = int(np.argmin(sumrank))
@@ -238,7 +247,7 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18
             "tensor": {
                 "dims": list(t.dims),
                 "field": t.field.to_document(),
-                "entries": list(t.entries),
+                "entries": t.entries.tolist(),
             },
             "franks": [flattening_rank(t, i) for i in range(d)],
         }
@@ -281,7 +290,50 @@ def random_semidiagonal(a: int, d: int, field: FieldDescriptor, rng: Rng) -> Ten
                 entries[flat] = 1 + rng.next_below(order - 1)
             elif flat in mixed_set:
                 entries[flat] = rng.next_below(order)
-    return Tensor((a,) * d, field, tuple(entries))
+    return Tensor((a,) * d, field, entries)
+
+
+def _stream_block(seed: int, start: int, stop: int, nwords: int) -> np.ndarray:
+    """First ``nwords`` words of the streams of tensors ``start .. stop-1`` of a sweep."""
+    return stream_words_np(sub_seeds_np(seed, np.arange(start, stop, dtype=np.uint64)), nwords)
+
+
+def _semidiagonal_words(a: int, d: int, field: FieldDescriptor) -> int:
+    """Stream words :func:`random_semidiagonal` consumes for one tensor."""
+    diag, _, mixed = index_class_arrays(a, d)
+    if field.order == 2:
+        return max(1, -(-mixed.size // 64))
+    return diag.size + mixed.size
+
+
+def _semidiagonal_block(a: int, d: int, field: FieldDescriptor, words: np.ndarray) -> np.ndarray:
+    """(N, a^d) entries drawn from N streams exactly as :func:`random_semidiagonal` draws them."""
+    diag, _, mixed = index_class_arrays(a, d)
+    entries = np.zeros((words.shape[0], a**d), dtype=np.int64)
+    if field.order == 2:
+        entries[:, diag] = 1
+        entries[:, mixed] = _mixed_bits(words, mixed.size)
+        return entries
+    drawn = np.sort(np.concatenate((diag, mixed)))  # one word per drawn entry, in flat order
+    on_diag = np.zeros(a**d, dtype=np.uint64)
+    on_diag[diag] = 1
+    shift = on_diag[drawn]  # diagonal: 1 + w % (q-1); mixed: w % q
+    entries[:, drawn] = (words % (np.uint64(field.order) - shift) + shift).astype(np.int64)
+    return entries
+
+
+def _block_ranks(
+    entries: np.ndarray, a: int, d: int, field: FieldDescriptor
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mfrank, sum_franks) of each A^d tensor in an (N, a^d) block, one rank call per axis."""
+    grid = entries.reshape((-1,) + (a,) * d)
+    ranks = np.stack(
+        [
+            matrix_rank(np.moveaxis(grid, ax + 1, 1).reshape(grid.shape[0], a, -1), field)
+            for ax in range(d)
+        ]
+    )
+    return ranks.max(axis=0), ranks.sum(axis=0)
 
 
 def random_semidiagonal_sweep(
@@ -295,63 +347,49 @@ def random_semidiagonal_sweep(
 ) -> SearchReport:
     """Rank statistics over ``count`` random semi-diagonal tensors.
 
-    Tensor j is drawn from ``Rng(Rng.sub_seed(seed, j))``.  Over GF(2) whole
-    blocks are generated and ranked with vectorized bit arithmetic; other
-    fields take the scalar path.  Violations counts tensors with
-    mfrank < ceil(a / (d-1)).
+    Tensor j is drawn from ``Rng(Rng.sub_seed(seed, j))``.  Blocks of up to
+    ``block`` tensors are drawn in bulk and ranked together: over GF(2), when
+    every flattening row fits one word, with the subset-XOR kernel, otherwise
+    with one batched :func:`matrix_rank` call per axis.  Violations counts
+    tensors with mfrank < ceil(a / (d-1)).
     """
     started = time.monotonic()
     lower = -(-a // (d - 1))
-    diag, distinct, mixed, base_rows, mixed_maps = _population_tables(a, d)
-    f = len(mixed)
-    cols = a ** (d - 1)
-    min_mf = None
-    min_sum = None
-    violations = 0
-    first_violation = None
+    nwords = _semidiagonal_words(a, d, field)
+    if field.order == 2 and a ** (d - 1) <= 64 and a <= 6:
+        _, _, mixed, base_rows, mixed_maps = _population_tables(a, d)
 
-    if field.order == 2 and cols <= 64 and a <= 6:
-        nwords = max(1, -(-f // 64))
-        spans = [(s, min(s + block, count)) for s in range(0, count, block)]
+        def block_ranks(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            bits = _mixed_bits(words, len(mixed))
+            return _vector_population_ranks(a, d, bits, base_rows, mixed_maps)
 
-        def scan(span):
-            start, stop = span
-            j = np.arange(start, stop, dtype=np.uint64)
-            subs = sub_seeds_np(seed, j)
-            words = stream_words_np(subs, nwords)
-            t = np.arange(f)
-            bits = ((words[:, t // 64] >> (t % 64).astype(np.uint64)) & np.uint64(1)).astype(np.uint8)
-            mfrank, sumrank = _vector_population_ranks(a, d, bits, base_rows, mixed_maps)
-            bad = np.nonzero(mfrank < lower)[0]
-            return (
-                int(mfrank.min()),
-                int(sumrank.min()),
-                int(bad.size),
-                (start + int(bad[0])) if bad.size else None,
-            )
-
-        if threads > 1 and len(spans) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(scan, spans))
-        else:
-            parts = [scan(sp) for sp in spans]
-        for mf, sm, nbad, first in parts:
-            min_mf = mf if min_mf is None else min(min_mf, mf)
-            min_sum = sm if min_sum is None else min(min_sum, sm)
-            violations += nbad
-            if first is not None and first_violation is None:
-                first_violation = first
     else:
-        for j in range(count):
-            t = random_semidiagonal(a, d, field, Rng(Rng.sub_seed(seed, j)))
-            ranks = [flattening_rank(t, i) for i in range(d)]
-            mf, sm = max(ranks), sum(ranks)
-            min_mf = mf if min_mf is None else min(min_mf, mf)
-            min_sum = sm if min_sum is None else min(min_sum, sm)
-            if mf < lower:
-                violations += 1
-                if first_violation is None:
-                    first_violation = j
+        block = max(1, min(block, BLOCK_ENTRIES // a**d))
+
+        def block_ranks(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            return _block_ranks(_semidiagonal_block(a, d, field, words), a, d, field)
+
+    def scan(span):
+        start, stop = span
+        mfrank, sumrank = block_ranks(_stream_block(seed, start, stop, nwords))
+        bad = np.nonzero(mfrank < lower)[0]
+        return (
+            int(mfrank.min()),
+            int(sumrank.min()),
+            int(bad.size),
+            (start + int(bad[0])) if bad.size else None,
+        )
+
+    spans = [(s, min(s + block, count)) for s in range(0, count, block)]
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            parts = list(pool.map(scan, spans))
+    else:
+        parts = [scan(sp) for sp in spans]
+    min_mf = min((p[0] for p in parts), default=None)
+    min_sum = min((p[1] for p in parts), default=None)
+    violations = sum(p[2] for p in parts)
+    first_violation = next((p[3] for p in parts if p[3] is not None), None)
 
     witnesses = []
     if first_violation is not None:
@@ -363,7 +401,7 @@ def random_semidiagonal_sweep(
                 "tensor": {
                     "dims": list(t.dims),
                     "field": t.field.to_document(),
-                    "entries": list(t.entries),
+                    "entries": t.entries.tolist(),
                 },
             }
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations, product
+from itertools import product
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,30 +43,80 @@ __all__ = [
 MAX_ENTRIES = 1 << 24
 
 
-@dataclass(frozen=True)
+def integer_array(values, what: str) -> np.ndarray:
+    """``values`` as a fresh int64 array; anything but integers is rejected, never coerced.
+
+    Booleans, floats, strings and nulls raise ValueError, as do integers
+    outside the int64 range.
+    """
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind not in "iu":
+            raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
+        if values.dtype.kind == "u" and values.size and values.max() > np.iinfo(np.int64).max:
+            raise ValueError(f"{what} exceed the int64 range")
+    else:
+        bad = {
+            t.__name__
+            for t in set(map(type, values))
+            if t is bool or not issubclass(t, (int, np.integer))
+        }
+        if bad:
+            raise ValueError(f"{what} must be integers, got {', '.join(sorted(bad))}")
+    try:
+        return np.array(values, dtype=np.int64).reshape(-1)
+    except OverflowError:
+        raise ValueError(f"{what} exceed the int64 range") from None
+
+
+@dataclass(frozen=True, eq=False)
 class Tensor:
-    """Immutable dense tensor; ``entries[flat]`` with row-major flat indexing."""
+    """Immutable dense tensor; ``entries[flat]`` with row-major flat indexing.
+
+    ``entries`` is a read-only 1-D int64 array of canonical representatives,
+    validated once at construction.
+    """
 
     dims: tuple[int, ...]
     field: FieldDescriptor
-    entries: tuple[int, ...]
+    entries: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.dims) < 1 or any(a < 1 for a in self.dims):
-            raise ValueError(f"dims must be positive, got {self.dims}")
-        size = math.prod(self.dims)
+        dims = tuple(self.dims)
+        if len(dims) < 1 or any(type(a) is not int or a < 1 for a in dims):
+            raise ValueError(f"dims must be positive integers, got {dims}")
+        size = math.prod(dims)
         if size > MAX_ENTRIES:
             raise ValueError(f"tensor with {size} entries exceeds the {MAX_ENTRIES} dense cap")
-        if len(self.entries) != size:
-            raise ValueError(f"expected {size} entries, got {len(self.entries)}")
-        order = self.field.order
-        for e in self.entries:
-            if not 0 <= e < order:
-                raise ValueError(f"entry {e!r} is not canonical in {self.field}")
+        entries = integer_array(self.entries, "tensor entries")
+        if entries.size != size:
+            raise ValueError(f"expected {size} entries, got {entries.size}")
+        bad = np.flatnonzero((entries < 0) | (entries >= self.field.order))
+        if bad.size:
+            raise ValueError(f"entry {int(entries[bad[0]])} is not canonical in {self.field}")
+        entries.flags.writeable = False
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Tensor):
+            return NotImplemented
+        return (
+            self.dims == other.dims
+            and self.field == other.field
+            and np.array_equal(self.entries, other.entries)
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.dims, self.field, self.entries.tobytes()))
 
     @property
     def ndim(self) -> int:
         return len(self.dims)
+
+    @property
+    def array(self) -> np.ndarray:
+        """Read-only view of the entries with shape ``dims``."""
+        return self.entries.reshape(self.dims)
 
     def flat_index(self, index: Sequence[int]) -> int:
         if len(index) != self.ndim:
@@ -79,28 +129,26 @@ class Tensor:
         return flat
 
     def get(self, index: Sequence[int]) -> int:
-        return self.entries[self.flat_index(index)]
-
-    def to_array(self) -> np.ndarray:
-        return np.asarray(self.entries, dtype=np.int64).reshape(self.dims)
+        return int(self.entries[self.flat_index(index)])
 
     def is_zero(self) -> bool:
-        return all(e == 0 for e in self.entries)
+        return not self.entries.any()
 
     @classmethod
     def from_array(cls, arr: np.ndarray, field: FieldDescriptor) -> "Tensor":
-        return cls(tuple(int(a) for a in arr.shape), field, tuple(int(v) for v in arr.reshape(-1)))
+        return cls(tuple(int(a) for a in arr.shape), field, arr)
 
     @classmethod
     def from_function(
         cls, dims: Sequence[int], field: FieldDescriptor, fn: Callable[[tuple[int, ...]], int]
     ) -> "Tensor":
-        entries = tuple(fn(idx) for idx in product(*(range(a) for a in dims)))
+        entries = [fn(idx) for idx in product(*(range(a) for a in dims))]
         return cls(tuple(dims), field, entries)
 
     @classmethod
     def zeros(cls, dims: Sequence[int], field: FieldDescriptor) -> "Tensor":
-        return cls(tuple(dims), field, (0,) * math.prod(dims))
+        # a broadcast zero allocates nothing before the entry cap is checked
+        return cls(tuple(dims), field, np.broadcast_to(np.int64(0), (math.prod(dims),)))
 
 
 @dataclass(frozen=True)
@@ -134,28 +182,25 @@ def decode_column(col: int, dims: Sequence[int], axis: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def flatten(t: Tensor, axis: int) -> FlatteningMatrix:
+def _flattening(t: Tensor, axis: int) -> np.ndarray:
     _check_axis(t, axis)
-    arr = t.to_array()
-    mat = np.moveaxis(arr, axis, 0).reshape(t.dims[axis], -1)
+    return np.moveaxis(t.array, axis, 0).reshape(t.dims[axis], -1)
+
+
+def flatten(t: Tensor, axis: int) -> FlatteningMatrix:
+    mat = _flattening(t, axis)
     return FlatteningMatrix(
         rows=int(mat.shape[0]),
         cols=int(mat.shape[1]),
         axis=axis,
         field=t.field,
-        entries=tuple(tuple(int(v) for v in row) for row in mat),
+        entries=tuple(map(tuple, mat.tolist())),
     )
-
-
-def _flattening_rows(t: Tensor, axis: int) -> list[list[int]]:
-    arr = t.to_array()
-    return np.moveaxis(arr, axis, 0).reshape(t.dims[axis], -1).tolist()
 
 
 def flattening_rank(t: Tensor, axis: int) -> int:
     """Exact rank of the axis-``axis`` flattening over the tensor's field."""
-    _check_axis(t, axis)
-    return matrix_rank(_flattening_rows(t, axis), t.field)
+    return matrix_rank(_flattening(t, axis), t.field)
 
 
 def max_flattening_rank(t: Tensor) -> int:
@@ -179,15 +224,8 @@ def is_semi_diagonal(t: Tensor) -> bool:
     Mixed multi-indices are unconstrained.  When d exceeds the axis size there
     are no all-distinct tuples, so only the diagonal is checked.
     """
-    a = _require_cubical(t)
-    d = t.ndim
-    for x in range(a):
-        if t.entries[t.flat_index((x,) * d)] == 0:
-            return False
-    for idx in permutations(range(a), d):
-        if t.entries[t.flat_index(idx)] != 0:
-            return False
-    return True
+    diag, distinct, _ = index_class_arrays(_require_cubical(t), t.ndim)
+    return bool(t.entries[diag].all()) and not t.entries[distinct].any()
 
 
 def subtensor(t: Tensor, subsets: Sequence[Sequence[int]]) -> Tensor:
@@ -204,8 +242,7 @@ def subtensor(t: Tensor, subsets: Sequence[Sequence[int]]) -> Tensor:
         if any(not 0 <= v < t.dims[ax] for v in sub):
             raise IndexError(f"axis {ax}: subset out of range")
         cleaned.append(sub)
-    arr = t.to_array()[np.ix_(*cleaned)]
-    return Tensor.from_array(arr, t.field)
+    return Tensor.from_array(t.array[np.ix_(*cleaned)], t.field)
 
 
 def add_tensors(s: Tensor, t: Tensor) -> Tensor:
@@ -215,16 +252,35 @@ def add_tensors(s: Tensor, t: Tensor) -> Tensor:
         raise ValueError(f"field mismatch: {s.field} vs {t.field}")
     f = s.field
     if f.kind == "binary":
-        entries = tuple(a ^ b for a, b in zip(s.entries, t.entries))
+        entries = s.entries ^ t.entries
     else:
-        p = f.p
-        entries = tuple((a + b) % p for a, b in zip(s.entries, t.entries))
+        entries = (s.entries + t.entries) % f.p
     return Tensor(s.dims, f, entries)
 
 
 def negate_tensor(t: Tensor) -> Tensor:
     f = t.field
-    return Tensor(t.dims, f, tuple(f.neg(e) for e in t.entries))
+    return Tensor(t.dims, f, t.entries if f.kind == "binary" else -t.entries % f.p)
+
+
+def _coordinate(a: int, d: int, axis: int) -> np.ndarray:
+    """Coordinate ``axis`` of the A^d grid, shaped to broadcast along that axis only."""
+    return np.arange(a).reshape([a if j == axis else 1 for j in range(d)])
+
+
+def _all_equal(coords: list[np.ndarray], a: int, d: int) -> np.ndarray:
+    """Boolean A^d grid, True where the broadcast ``coords`` all agree."""
+    grid = np.ones((a,) * d, dtype=bool)
+    for c in coords[1:]:
+        grid &= coords[0] == c
+    return grid
+
+
+def _check_construction(a: int, d: int) -> None:
+    if a < 1 or d < 2:
+        raise ValueError("need a >= 1 and d >= 2")
+    if a**d > MAX_ENTRIES:
+        raise ValueError("construction exceeds the dense entry cap")
 
 
 def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:
@@ -234,20 +290,9 @@ def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:
     be shorter), giving ceil(a/(d-1)) parts; every flattening rank equals the
     number of parts, which is the minimum any semi-diagonal tensor can attain.
     """
-    if a < 1 or d < 2:
-        raise ValueError("need a >= 1 and d >= 2")
-    size = a**d
-    if size > MAX_ENTRIES:
-        raise ValueError("construction exceeds the dense entry cap")
-    entries = [0] * size
-    for start in range(0, a, d - 1):
-        block = range(start, min(start + d - 1, a))
-        for idx in product(block, repeat=d):
-            flat = 0
-            for m in idx:
-                flat = flat * a + m
-            entries[flat] = 1
-    return Tensor((a,) * d, field, tuple(entries))
+    _check_construction(a, d)
+    blocks = [_coordinate(a, d, j) // (d - 1) for j in range(d)]
+    return Tensor.from_array(_all_equal(blocks, a, d).astype(np.int64), field)
 
 
 def num_partition_parts(a: int, d: int) -> int:
@@ -261,35 +306,36 @@ def axis_constant_construction(a: int, d: int, axis: int, field: FieldDescriptor
     a == 1) it is semi-diagonal; for d == 2 and a >= 2 it degenerates to the
     all-ones matrix, which is not.
     """
-    if a < 1 or d < 2:
-        raise ValueError("need a >= 1 and d >= 2")
+    _check_construction(a, d)
     if not 0 <= axis < d:
         raise IndexError(f"axis {axis} out of range")
-    size = a**d
-    if size > MAX_ENTRIES:
-        raise ValueError("construction exceeds the dense entry cap")
-    entries = [0] * size
-    for c in range(a):
-        for x in range(a):
-            idx = [c] * d
-            idx[axis] = x
-            flat = 0
-            for m in idx:
-                flat = flat * a + m
-            entries[flat] = 1
-    return Tensor((a,) * d, field, tuple(entries))
+    rest = [_coordinate(a, d, j) for j in range(d) if j != axis]
+    return Tensor.from_array(_all_equal(rest, a, d).astype(np.int64), field)
+
+
+@lru_cache(maxsize=None)
+def index_class_arrays(a: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of an A^d tensor: (constant, pairwise distinct, neither), as arrays.
+
+    At d == 1 every index is both constant and pairwise distinct.
+    """
+    coords = [_coordinate(a, d, j) for j in range(d)]
+    diag = _all_equal(coords, a, d)
+    distinct = np.ones((a,) * d, dtype=bool)
+    for i in range(d):
+        for j in range(i + 1, d):
+            distinct &= coords[i] != coords[j]
+    classes = tuple(np.flatnonzero(c) for c in (diag, distinct, ~(diag | distinct)))
+    for c in classes:
+        c.flags.writeable = False
+    return classes
 
 
 @lru_cache(maxsize=None)
 def classify_indices(a: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Flat indices of an A^d tensor split into (diagonal, all-distinct, mixed)."""
-    diag, distinct, mixed = [], [], []
-    for flat, idx in enumerate(product(range(a), repeat=d)):
-        s = set(idx)
-        if len(s) == 1:
-            diag.append(flat)
-        elif len(s) == d:
-            distinct.append(flat)
-        else:
-            mixed.append(flat)
-    return tuple(diag), tuple(distinct), tuple(mixed)
+    """Flat indices of an A^d tensor split into (diagonal, all-distinct, mixed).
+
+    At d == 1 every index counts as diagonal.
+    """
+    diag, distinct, mixed = index_class_arrays(a, d)
+    return tuple(tuple(c.tolist()) for c in (diag, distinct if d > 1 else distinct[:0], mixed))

@@ -40,6 +40,27 @@ def test_rank_missing_file_exit_two():
     assert run(["rank", FIXTURES / "no_such_file.json", "--max"]) == 2
 
 
+GF2_DOC = {"dims": [2, 2], "field": {"kind": "prime", "p": 2}}
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        {"entries": [1.9, 0, 0, 1]},
+        {"entries": ["1", 0, 0, 1]},
+        {"entries": [True, 0, 0, 1]},
+        {"entries": [None, 0, 0, 1]},
+        {"sparse": [[[0, 0], 1], [[1, 1], 1], [[0, 0], 0]]},
+    ],
+    ids=["float", "string", "bool", "null", "duplicate-sparse-index"],
+)
+def test_rank_rejects_malformed_entries_exit_two(tmp_path, capsys, body):
+    doc = tmp_path / "t.json"
+    doc.write_text(json.dumps({**GF2_DOC, **body}))
+    assert run(["rank", doc, "--max"]) == 2
+    assert "flatrank: error:" in capsys.readouterr().err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         run(["rank", FIXTURES / "partition_4_3.json"])  # no mode flag
@@ -53,6 +74,21 @@ def test_usage_error_exit_two():
         (["verify", "oddtown", FIXTURES / "oddtown_singletons.json"], "verify_oddtown.json"),
         (["verify", "rainbow", FIXTURES / "k4_hypergraph.json"], "verify_rainbow_k4.json"),
         (["experiment", "exhaustive", "--a", "2", "--d", "3"], "experiment_exhaustive_2_3.json"),
+        (
+            ["experiment", "random-semidiagonal", "--field", "prime:3", "--a", "3", "--d", "3"]
+            + ["--count", "2000", "--seed", "11"],
+            "experiment_random_gf3_3_3.json",
+        ),
+        (
+            ["experiment", "random-semidiagonal", "--field", "binary:2", "--a", "3", "--d", "3"]
+            + ["--count", "500", "--seed", "12"],
+            "experiment_random_gf4_3_3.json",
+        ),
+        (
+            ["experiment", "random-semidiagonal", "--field", "gf2", "--a", "8", "--d", "3"]
+            + ["--count", "40", "--seed", "13"],
+            "experiment_random_gf2_8_3.json",
+        ),
     ],
 )
 def test_golden_reports(tmp_path, args, golden):

@@ -123,7 +123,7 @@ def test_symmetric_c_detected():
 def test_fw_tensor_diagonal_and_identity():
     fam = SetFamily(n=4, members=tuple(1 << i for i in range(4)))
     t = fw_tensor(fam, FW_CFG)
-    assert t.entries == tuple(1 if i == j else 0 for i in range(4) for j in range(4))
+    assert t.entries.tolist() == [1 if i == j else 0 for i in range(4) for j in range(4)]
     assert is_semi_diagonal(t)
 
 

@@ -1,12 +1,13 @@
 """Rank/determinant kernels cross-checked against enumeration oracles."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatrank.field import make_binary_field, make_prime_field
 from flatrank.linalg import (
-    bitrows_from_lists,
+    _rank_generic,
     determinant,
     matrix_rank,
     rank_gf2_bitrows,
@@ -100,8 +101,6 @@ def test_rank_wide_matrix_mod_p():
 def test_gf2k_rank_matches_generic_elimination():
     f = make_binary_field(8)
     rng = Rng(77)
-    from flatrank.linalg import _rank_generic
-
     for _ in range(30):
         nrows = 2 + rng.next_below(4)
         ncols = 2 + rng.next_below(5)
@@ -116,5 +115,79 @@ def test_solve_is_independent():
     assert solve_is_independent([], f)
 
 
-def test_bitrows_from_lists():
-    assert bitrows_from_lists([[1, 0, 1], [0, 1, 1]]) == [0b101, 0b110]
+RANK_FIELDS = [
+    make_prime_field(2),
+    make_prime_field(3),
+    make_prime_field(5),
+    make_binary_field(3),
+    make_binary_field(8),
+    make_binary_field(17),  # beyond the log tables: the scalar fallback
+]
+
+
+def _combine(field, coeffs, rows):
+    """sum_i coeffs[i] * rows[i] over the field."""
+    out = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
+    return out
+
+
+@st.composite
+def field_matrices(draw, field, nrows, ncols):
+    """All-zero, uniformly random, or rank-deficient (rows from a smaller basis)."""
+    kind = draw(st.sampled_from(["zero", "random", "deficient"]))
+    if kind == "zero":
+        return [[0] * ncols for _ in range(nrows)]
+    entry = st.integers(0, field.order - 1)
+    if kind == "random":
+        return [[draw(entry) for _ in range(ncols)] for _ in range(nrows)]
+    k = draw(st.integers(1, max(1, min(nrows, ncols) - 1)))
+    basis = [[draw(entry) for _ in range(ncols)] for _ in range(k)]
+    return [_combine(field, [draw(entry) for _ in range(k)], basis) for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_matrix_rank_matches_generic(field, data):
+    nrows = data.draw(st.integers(1, 7), label="rows")
+    ncols = data.draw(st.integers(1, 7), label="cols")
+    rows = data.draw(field_matrices(field, nrows, ncols))
+    assert matrix_rank(rows, field) == _rank_generic([list(r) for r in rows], field)
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=str)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_batched_rank_matches_generic(field, data):
+    count = data.draw(st.sampled_from([1, 2, 5]), label="N")
+    nrows = data.draw(st.integers(1, 6), label="rows")
+    ncols = data.draw(st.integers(1, 6), label="cols")
+    mats = [data.draw(field_matrices(field, nrows, ncols)) for _ in range(count)]
+    ranks = matrix_rank(np.array(mats, dtype=np.int64), field)
+    assert ranks.shape == (count,)
+    assert ranks.tolist() == [_rank_generic([list(r) for r in m], field) for m in mats]
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=str)
+def test_wide_and_tall_rank_deficient(field):
+    # the 8 x a^(d-1) shape of a flattening, rank 3 by construction, and its transpose
+    rng = Rng(field.order)
+    basis = [[rng.next_below(field.order) for _ in range(4096)] for _ in range(3)]
+    rows = basis + [
+        _combine(field, [rng.next_below(field.order) for _ in range(3)], basis) for _ in range(5)
+    ]
+    expected = _rank_generic([list(r) for r in rows], field)
+    assert expected == 3
+    wide = np.array(rows, dtype=np.int64)
+    assert matrix_rank(wide, field) == expected
+    assert matrix_rank(wide.T, field) == expected
+    assert matrix_rank(np.stack([wide, np.zeros_like(wide)]), field).tolist() == [expected, 0]
+
+
+def test_matrix_rank_empty_shapes():
+    f = make_prime_field(3)
+    assert matrix_rank([], f) == 0
+    assert matrix_rank(np.zeros((3, 0), dtype=np.int64), f) == 0
+    assert matrix_rank(np.zeros((0, 2, 2), dtype=np.int64), f).tolist() == []

@@ -5,9 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from flatrank.field import GF2, make_prime_field
+from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import GOLDEN, MASK64, Rng, mix64, stream_words_np, sub_seeds_np
 from flatrank.search import (
+    _semidiagonal_block,
+    _semidiagonal_words,
+    _stream_block,
     exhaustive_min_mfrank,
     random_cross_oddtown_search,
     random_semidiagonal,
@@ -99,13 +102,42 @@ def test_random_semidiagonal_always_semidiagonal():
             assert is_semi_diagonal(t)
 
 
+@pytest.mark.parametrize(
+    "field,a,d",
+    [
+        (GF2, 8, 3),
+        (GF2, 3, 2),
+        (make_prime_field(3), 3, 3),
+        (make_prime_field(5), 4, 3),
+        (make_binary_field(2), 3, 3),
+        (make_binary_field(8), 2, 4),
+    ],
+    ids=str,
+)
+def test_bulk_block_matches_scalar_sampler(field, a, d):
+    words = _stream_block(77, 0, 50, _semidiagonal_words(a, d, field))
+    block = _semidiagonal_block(a, d, field, words)
+    for j in range(50):
+        t = random_semidiagonal(a, d, field, Rng(Rng.sub_seed(77, j)))
+        assert block[j].tolist() == t.entries.tolist(), j
+
+
 def test_sweep_matches_scalar_path():
-    for a, d in [(4, 3), (5, 3), (4, 4)]:
-        sweep = random_semidiagonal_sweep(a, d, 64, seed=2024)
+    # bit-packed GF(2) shapes, then batched-rank shapes: GF(2) rows wider than
+    # 64 columns, and larger fields with several blocks and with one
+    for field, a, d, block in [
+        (GF2, 4, 3, 1 << 15),
+        (GF2, 5, 3, 1 << 15),
+        (GF2, 4, 4, 1 << 15),
+        (GF2, 8, 3, 1 << 15),
+        (make_prime_field(3), 3, 3, 7),
+        (make_binary_field(2), 4, 3, 1 << 15),
+    ]:
+        sweep = random_semidiagonal_sweep(a, d, 64, seed=2024, field=field, block=block)
         scalar_mf = []
         scalar_sum = []
         for j in range(64):
-            t = random_semidiagonal(a, d, GF2, Rng(Rng.sub_seed(2024, j)))
+            t = random_semidiagonal(a, d, field, Rng(Rng.sub_seed(2024, j)))
             franks = [flattening_rank(t, i) for i in range(d)]
             scalar_mf.append(max(franks))
             scalar_sum.append(sum(franks))

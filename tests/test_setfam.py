@@ -69,7 +69,7 @@ def test_repeat_same_pair_violates_d2():
 def test_oddtown_tensor_identity_for_singletons():
     fam = singleton_diagonal_family(3, 2)
     t = oddtown_tensor(fam)
-    assert t.entries == (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    assert t.entries.tolist() == [1, 0, 0, 0, 1, 0, 0, 0, 1]
     assert t.field == GF2
 
 
@@ -160,6 +160,17 @@ def test_fast_chain_check_matches_full_chain():
         assert fast["semi_diagonal"] and fast["certificate_reconstructs"]
         assert fast["mfrank"] == full["mfrank"]
         assert fast["mfrank_le_n"] and fast["mfrank_lower_ok"]
+
+
+def test_fast_chain_check_wide_flattenings_match_full_chain():
+    # 18 members: each flattening has 324 columns, more than one 64-bit word
+    fam = repeated_singleton_family(9, 3)
+    full = verify_oddtown_chain(fam)
+    fast = fast_chain_check(fam.members, 9, 3)
+    assert full["verified"] and full["franks"] == [9, 9, 9]
+    assert fast["mfrank"] == full["mfrank"] == 9
+    assert fast["mfrank_lower_ok"] and fast["mfrank_le_n"]
+    assert fast["semi_diagonal"] and fast["certificate_reconstructs"]
 
 
 def test_chain_flags_non_oddtown_family():

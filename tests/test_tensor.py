@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -128,6 +129,8 @@ def test_is_semi_diagonal():
             assert is_semi_diagonal(partition_construction(a, d, GF3))
     with pytest.raises(ValueError, match="cubical"):
         is_semi_diagonal(Tensor.zeros((2, 3), GF2))
+    # at d == 1 each index is both constant and all-distinct, so nothing qualifies
+    assert not is_semi_diagonal(Tensor((3,), GF2, (1, 1, 1)))
 
 
 def test_semi_diagonal_when_d_exceeds_axis():
@@ -200,7 +203,7 @@ def test_partition_construction_tightness(field):
 
 def test_partition_construction_d2_is_identity():
     t = partition_construction(2, 2, GF2)
-    assert t.entries == (1, 0, 0, 1)
+    assert t.entries.tolist() == [1, 0, 0, 1]
 
 
 def test_partition_rejects_bad_params():
@@ -215,7 +218,7 @@ def test_axis_constant_construction():
     assert flattening_rank(t, 1) == 1
     assert is_semi_diagonal(t)
     tiny = axis_constant_construction(1, 4, 2, GF2)
-    assert tiny.entries == (1,)
+    assert tiny.entries.tolist() == [1]
     assert max_flattening_rank(axis_constant_construction(3, 3, 0, GF2)) == 3
     with pytest.raises(IndexError):
         axis_constant_construction(3, 3, 3, GF2)
@@ -279,3 +282,12 @@ def test_document_cap_and_validation():
         Tensor((2, 2), GF5, (0, 1, 2, 5))
     with pytest.raises(ValueError):
         Tensor((2, 2), GF5, (0, 1, 2))
+    for bad in (True, 1.0, None, "1", 2**70):
+        with pytest.raises(ValueError):
+            Tensor((2, 2), GF5, (0, 1, 2, bad))
+    with pytest.raises(ValueError):
+        Tensor((2, 2), GF5, np.array([0.0, 1.0, 2.0, 3.0]))
+    t = Tensor((2, 2), GF5, np.array([0, 1, 2, 3], dtype=np.uint8))
+    with pytest.raises(ValueError):
+        t.entries[0] = 4  # entries are read-only
+    assert t.entries.dtype == np.int64 and t.get((1, 1)) == 3
