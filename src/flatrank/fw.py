@@ -26,7 +26,7 @@ import numpy as np
 from .field import FieldDescriptor, make_prime_field
 from .rng import Rng
 from .setfam import SetFamily
-from .tensor import Tensor
+from .tensor import MAX_ENTRIES, Tensor
 
 __all__ = [
     "Configuration",
@@ -132,17 +132,31 @@ def _h_table_np(cfg: Configuration) -> np.ndarray:
     return np.asarray(poly.table(), dtype=np.int64)
 
 
-def _grid_sizes(masks: np.ndarray, cfg: Configuration, x: int) -> np.ndarray:
+def _mask_limbs(masks: Sequence[int]) -> np.ndarray:
+    """(m, w) uint64: each mask split into w 64-bit limbs, least significant first."""
+    w = max(1, -(-max((x.bit_length() for x in masks), default=0) // 64))
+    data = b"".join(x.to_bytes(8 * w, "little") for x in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), w)
+
+
+def _grid_shape(m: int, k: int) -> tuple[int, ...]:
+    """(m,) * k, once the m^k cells are known to fit the dense cap."""
+    if m**k > MAX_ENTRIES:
+        raise ValueError(f"grid of {m}^{k} = {m**k} cells exceeds the {MAX_ENTRIES} dense cap")
+    return (m,) * k
+
+
+def _grid_sizes(limbs: np.ndarray, cfg: Configuration, x: int) -> np.ndarray:
     """Intersection-size grid of the slot subset ``x`` broadcast over F^k."""
-    m = masks.shape[0]
-    slots = cfg.slots_of(x)
+    m, w = limbs.shape
     acc = None
-    for s in slots:
-        shape = [1] * cfg.k
+    for s in cfg.slots_of(x):
+        shape = [1] * cfg.k + [w]
         shape[s] = m
-        piece = masks.reshape(shape)
+        piece = limbs.reshape(shape)
         acc = piece if acc is None else acc & piece
-    return np.bitwise_count(np.broadcast_to(acc, (m,) * cfg.k).astype(np.uint64)).astype(np.int64)
+    counts = np.bitwise_count(np.broadcast_to(acc, (m,) * cfg.k + (w,)))
+    return counts.sum(axis=-1, dtype=np.int64)
 
 
 def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:
@@ -150,11 +164,11 @@ def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:
     m = len(fam.members)
     if m < 1:
         raise ValueError("fw_tensor needs a nonempty family")
-    masks = np.asarray(fam.members, dtype=np.int64)
+    limbs = _mask_limbs(fam.members)
     h = _h_table_np(cfg)
-    grid = np.ones((m,) * cfg.k, dtype=np.int64)
+    grid = np.ones(_grid_shape(m, cfg.k), dtype=np.int64)
     for x in cfg.C:
-        sizes = _grid_sizes(masks, cfg, x)
+        sizes = _grid_sizes(limbs, cfg, x)
         grid = (grid * h[sizes % cfg.p]) % cfg.p
     return Tensor.from_array(grid, cfg.field)
 
@@ -166,7 +180,7 @@ def _distinct_tuple_mask(m: int, k: int, sorted_only: bool = False) -> np.ndarra
     increasing) per unordered tuple; valid whenever the predicate being
     searched is invariant under slot permutation.
     """
-    ok = np.ones((m,) * k, dtype=bool)
+    ok = np.ones(_grid_shape(m, k), dtype=bool)
     idx = [np.arange(m).reshape([m if j == i else 1 for j in range(k)]) for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
@@ -174,13 +188,12 @@ def _distinct_tuple_mask(m: int, k: int, sorted_only: bool = False) -> np.ndarra
     return ok
 
 
-def _violation_grid(masks: np.ndarray, cfg: Configuration) -> np.ndarray:
+def _violation_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
     """Grid of assignments where every C-indexed intersection avoids L."""
-    m = masks.shape[0]
     h = _h_table_np(cfg)
-    ok = np.ones((m,) * cfg.k, dtype=bool)
+    ok = np.ones(_grid_shape(limbs.shape[0], cfg.k), dtype=bool)
     for x in cfg.C:
-        sizes = _grid_sizes(masks, cfg, x)
+        sizes = _grid_sizes(limbs, cfg, x)
         ok &= h[sizes % cfg.p] != 0
     return ok
 
@@ -210,11 +223,11 @@ def find_config_witness(
         positions = list(range(len(fam.members)))
     if len(positions) < cfg.k:
         return None
-    masks = np.asarray([fam.members[p] for p in positions], dtype=np.int64)
+    limbs = _mask_limbs([fam.members[p] for p in positions])
     # a slot-symmetric C cannot distinguish orderings, so one sorted
     # representative per unordered tuple suffices
     tuple_mask = _distinct_tuple_mask(len(positions), cfg.k, sorted_only=cfg.is_slot_symmetric())
-    ok = _violation_grid(masks, cfg) & tuple_mask
+    ok = _violation_grid(limbs, cfg) & tuple_mask
     hits = np.argwhere(ok)
     if hits.size == 0:
         return None
@@ -424,8 +437,7 @@ def grow_config_satisfying_family(
             continue
         trial = members + [cand]
         if len(trial) >= cfg.k:
-            masks = np.asarray(trial, dtype=np.int64)
-            ok = _violation_grid(masks, cfg) & _distinct_tuple_mask(len(trial), cfg.k)
+            ok = _violation_grid(_mask_limbs(trial), cfg) & _distinct_tuple_mask(len(trial), cfg.k)
             # only assignments using the new member can be newly violating
             uses_new = np.zeros((len(trial),) * cfg.k, dtype=bool)
             for slot in range(cfg.k):

@@ -1,10 +1,16 @@
 """Brute-force and randomized verification harnesses.
 
-Exhaustive sweeps enumerate whole semi-diagonal populations over GF(2) with
-bit-packed vector arithmetic; randomized sweeps and instance generators run
-off the documented splitmix64 streams in :mod:`flatrank.rng`, so every report
-is reproducible from its seed.
+GF(2) populations whose flattening rows fit one 64-bit word (a^(d-1) <= 64,
+any a) are ranked by one packed kernel, for the exhaustive sweep and the
+random sweeps alike.  Each row of every flattening is a machine word with
+one bit per column.  The rows of a block of tensors are assembled from byte
+tables, one per byte of the mixed bits: XOR the unit-diagonal rows with the
+table entry of each byte.  They are then eliminated all at once with min-XOR
+steps, ``min(x, x ^ p)`` per pivot row p.  Wider rows and larger fields go
+through the batched :func:`flatrank.linalg.matrix_rank`.
 
+Randomized sweeps and instance generators run off the documented splitmix64
+streams in :mod:`flatrank.rng`, so every report is reproducible from its seed.
 Random semi-diagonal tensors over a field of order 2 consume whole 64-bit
 words, one bit per mixed entry in flat-index order (bit t of word t // 64);
 over larger fields they consume one draw per diagonal entry (uniform nonzero)
@@ -17,13 +23,12 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Sequence
 
 import numpy as np
 
 from .field import GF2, FieldDescriptor
 from .fw import Configuration
-from .linalg import matrix_rank, rank_gf2_bitrows
+from .linalg import matrix_rank
 from .rainbow import ColoredHypergraph
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
@@ -33,7 +38,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import Tensor, classify_indices, flattening_rank, index_class_arrays
+from .tensor import MAX_ENTRIES, Tensor, classify_indices, flattening_rank, index_class_arrays
 
 __all__ = [
     "Rng",
@@ -47,9 +52,14 @@ __all__ = [
 ]
 
 MAX_FREE_ENTRIES = 22
-# Tensor entries held by one sweep block outside the bit-packed path; bounds a
-# block's memory (its int64 entries plus the rank kernels' temporaries).
+# Tensor entries (packed flattening rows on the GF(2) path) held by one sweep
+# block; bounds a block's memory with the rank kernels' temporaries.
 BLOCK_ENTRIES = 1 << 20
+# Byte tables up to this size stay cached once built.  The 64-column shapes
+# reach about 1 MB ((4,4), (8,3)); they are rebuilt per call, in about a
+# millisecond, rather than held for the life of the process.
+TABLE_CACHE_BYTES = 1 << 19
+_ROW_TABLES: dict[tuple[int, int], tuple[np.ndarray, list[np.ndarray]]] = {}
 
 
 @dataclass
@@ -80,104 +90,77 @@ class SearchReport:
         return doc
 
 
-def _axis_contributions(a: int, d: int) -> list[list[tuple[int, int]]]:
-    """Per-axis (row, column) coordinates of every flat entry of an A^d tensor."""
-    maps: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for flat in range(a**d):
-        idx = []
-        f = flat
-        for _ in range(d):
-            f, r = divmod(f, a)
-            idx.append(r)
-        idx.reverse()
+def _row_tables(a: int, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(base, tables): the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
+
+    Needs ``a ** (d-1) <= 64``.  Row ``r * d + axis`` holds row r of the
+    flattening along ``axis``, one bit per column.  ``base`` is those rows for
+    the unit diagonal alone.  ``tables[k][v]`` XORs in the mixed entries
+    8k .. 8k+7 whose bits are set in the byte v.  Built on first use; tables of
+    at most :data:`TABLE_CACHE_BYTES` are then kept, read-only.
+    """
+    cached = _ROW_TABLES.get((a, d))
+    if cached is not None:
+        return cached
+    diag, _, mixed = index_class_arrays(a, d)
+    cols = a ** (d - 1)
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= cols)
+
+    def entry_rows(flat: np.ndarray) -> np.ndarray:
+        """(len(flat), a*d): the rows with only entry ``flat[i]`` set, for each i."""
+        idx = np.unravel_index(flat, (a,) * d)
+        out = np.zeros((flat.size, a * d), dtype=dtype)
         for ax in range(d):
-            col = 0
-            for j in range(d):
-                if j != ax:
-                    col = col * a + idx[j]
-            maps[ax].append((idx[ax], col))
-    return maps
+            col = np.ravel_multi_index(idx[:ax] + idx[ax + 1 :], (a,) * (d - 1)).astype(np.uint64)
+            out[np.arange(flat.size), idx[ax] * d + ax] = np.uint64(1) << col
+        return out
+
+    base = np.bitwise_xor.reduce(entry_rows(diag), axis=0)
+    nbytes = -(-mixed.size // 8)
+    bits = np.zeros((8 * nbytes, a * d), dtype=dtype)
+    bits[: mixed.size] = entry_rows(mixed)
+    tables = []
+    for k in range(nbytes):
+        table = np.zeros((256, a * d), dtype=dtype)
+        for b in range(8):  # bytes with highest set bit b: the bytes below, XOR bit b's rows
+            table[1 << b : 2 << b] = table[: 1 << b] ^ bits[8 * k + b]
+        table.flags.writeable = False
+        tables.append(table)
+    base.flags.writeable = False
+    if nbytes * 256 * a * d * base.itemsize <= TABLE_CACHE_BYTES:
+        _ROW_TABLES[(a, d)] = base, tables
+    return base, tables
 
 
-def _ranks_by_subset_xor(rows: np.ndarray, a: int) -> np.ndarray:
-    """Vectorized GF(2) rank of an (N, a) block of bit-packed rows.
+def _packed_population_ranks(a: int, d: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 64``.
 
-    Counts the zero subset-XORs: the row-space kernel has 2^(a - rank)
-    coefficient vectors, so rank = a - log2(#zero subsets).
+    Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
+    of word t // 64 for mixed entry t; that is byte t // 8 of the row's
+    little-endian bytes, which indexes the byte tables of :func:`_row_tables`.
+    Elimination runs on all N * d flattenings at once: after each pivot row p,
+    ``min(x, x ^ p)`` clears p's leading bit from every row x below that has
+    it, so the nonzero pivots are independent and their count is the rank.
     """
-    n = rows.shape[0]
-    zeros = np.ones(n, dtype=np.int32)  # empty subset
-    table: list[np.ndarray] = [np.zeros(n, dtype=np.uint64)]
-    for s in range(1, 1 << a):
-        low = s & -s
-        x = table[s ^ low] ^ rows[:, low.bit_length() - 1]
-        table.append(x)
-        zeros += (x == 0).astype(np.int32)
-    log2 = np.zeros(n, dtype=np.int64)
-    z = zeros.astype(np.int64)
-    while True:
-        half = z >> 1
-        if not half.any():
-            break
-        log2 += z > 1
-        z = np.where(z > 1, half, z)
-    return a - log2
-
-
-def _vector_population_ranks(
-    a: int, d: int, bits: np.ndarray, base_rows: list[list[int]], mixed_maps: list[list[tuple[int, int]]]
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mfrank, sum_franks) for a block of GF(2) semi-diagonal tensors.
-
-    ``bits``: (N, n_mixed) 0/1 values of the mixed entries; fixed entries are
-    encoded in ``base_rows``.
-    """
-    n = bits.shape[0]
-    mfrank = np.zeros(n, dtype=np.int64)
-    sumrank = np.zeros(n, dtype=np.int64)
-    for ax in range(d):
-        rows = np.empty((n, a), dtype=np.uint64)
-        for r in range(a):
-            rows[:, r] = base_rows[ax][r]
-        for t, (r, c) in enumerate(mixed_maps[ax]):
-            rows[:, r] += bits[:, t].astype(np.uint64) << np.uint64(c)
-        ranks = _ranks_by_subset_xor(rows, a)
-        mfrank = np.maximum(mfrank, ranks)
-        sumrank += ranks
-    return mfrank, sumrank
-
-
-def _population_tables(a: int, d: int):
-    diag, distinct, mixed = classify_indices(a, d)
-    maps = _axis_contributions(a, d)
-    base_rows = [[0] * a for _ in range(d)]
-    for flat in diag:
-        for ax in range(d):
-            r, c = maps[ax][flat]
-            base_rows[ax][r] |= 1 << c
-    mixed_maps = [[maps[ax][flat] for flat in mixed] for ax in range(d)]
-    return diag, distinct, mixed, base_rows, mixed_maps
-
-
-def _mixed_bits(words: np.ndarray, f: int) -> np.ndarray:
-    """Bit t of word t // 64, for the first ``f`` bits of each row of ``words``.
-
-    Column-major, because the rank kernels read one bit position at a time.
-    """
-    as_bytes = words.astype("<u8", copy=False).view(np.uint8)  # word t // 64, least byte first
-    return np.asfortranarray(np.unpackbits(as_bytes, axis=1, count=f, bitorder="little"))
-
-
-def _tensor_from_mixed_bits(a: int, d: int, mixed: Sequence[int], bits: Sequence[int]) -> Tensor:
-    entries = [0] * (a**d)
-    for x in range(a):
-        flat = 0
-        for _ in range(d):
-            flat = flat * a + x
-        entries[flat] = 1
-    for flat, b in zip(mixed, bits):
-        entries[flat] = int(b)
-    return Tensor((a,) * d, GF2, entries)
+    base, tables = _row_tables(a, d)
+    n = words.shape[0]
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
+    rows = np.empty((n, a * d), dtype=base.dtype)
+    rows[:] = base
+    buf = np.empty_like(rows)
+    for k, table in enumerate(tables):  # a byte always indexes one of the 256 rows: no bounds check
+        np.take(table, as_bytes[:, k], axis=0, out=buf, mode="clip")
+        rows ^= buf
+    rows = np.ascontiguousarray(rows.T).reshape(a, d * n)  # [r, axis * n + j]
+    scratch = buf.reshape(a, d * n)
+    rank = np.zeros(d * n, dtype=np.uint8)
+    for i in range(a):
+        rank += rows[i] != 0
+        below, tmp = rows[i + 1 :], scratch[i + 1 :]
+        np.bitwise_xor(below, rows[i], out=tmp)
+        np.minimum(below, tmp, out=below)
+    rank = rank.reshape(d, n)
+    return rank.max(axis=0).astype(np.int64), rank.sum(axis=0, dtype=np.int64)
 
 
 def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18) -> SearchReport:
@@ -185,49 +168,30 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18
 
     Mixed entries range over {0,1}; all-distinct entries are 0 and diagonal
     entries 1 (over GF(2) a nonzero diagonal entry is 1, so this loses no
-    generality).  Refuses populations with more than 2^22 members.
+    generality).  Assignment v sets mixed entry t to bit t of v.  Refuses
+    populations with more than 2^22 members and tensors over the dense cap.
     """
     started = time.monotonic()
     if a < 1 or d < 2:
         raise ValueError("need a >= 1 and d >= 2")
-    diag, distinct, mixed, base_rows, mixed_maps = _population_tables(a, d)
-    f = len(mixed)
+    if a**d > MAX_ENTRIES:
+        raise ValueError(f"tensors on A^d with a={a}, d={d} exceed the {MAX_ENTRIES} dense cap")
+    f = index_class_arrays(a, d)[2].size
     if f > MAX_FREE_ENTRIES:
         raise ValueError(
             f"population too large: {f} free entries at (a={a}, d={d}) exceeds cap {MAX_FREE_ENTRIES}"
         )
     total = 1 << f
-    cols = a ** (d - 1)
-    use_vector = cols <= 64 and a <= 6 and f > 0
 
     def scan_chunk(start: int, stop: int):
-        if use_vector:
-            bits = _mixed_bits(np.arange(start, stop, dtype=np.uint64)[:, None], f)
-            mfrank, sumrank = _vector_population_ranks(a, d, bits, base_rows, mixed_maps)
-            i_mf = int(np.argmin(mfrank))
-            i_sum = int(np.argmin(sumrank))
-            return (
-                int(mfrank[i_mf]),
-                start + i_mf,
-                int(sumrank[i_sum]),
-                start + i_sum,
-            )
-        best_mf = best_sum = None
-        at_mf = at_sum = -1
-        for v in range(start, stop):
-            rows_by_axis = [list(base_rows[ax]) for ax in range(d)]
-            for t in range(f):
-                if (v >> t) & 1:
-                    for ax in range(d):
-                        r, c = mixed_maps[ax][t]
-                        rows_by_axis[ax][r] ^= 1 << c
-            ranks = [rank_gf2_bitrows(rows) for rows in rows_by_axis]
-            mf, sm = max(ranks), sum(ranks)
-            if best_mf is None or mf < best_mf:
-                best_mf, at_mf = mf, v
-            if best_sum is None or sm < best_sum:
-                best_sum, at_sum = sm, v
-        return best_mf, at_mf, best_sum, at_sum
+        words = np.arange(start, stop, dtype=np.uint64)[:, None]
+        if a ** (d - 1) <= 64:
+            mfrank, sumrank = _packed_population_ranks(a, d, words)
+        else:  # d == 2: the identity matrix alone, rows wider than a word
+            mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+        i_mf = int(np.argmin(mfrank))
+        i_sum = int(np.argmin(sumrank))
+        return int(mfrank[i_mf]), start + i_mf, int(sumrank[i_sum]), start + i_sum
 
     chunk = 1 << chunk_bits
     spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
@@ -240,7 +204,8 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18
     best_sum, at_sum = min((p[2], p[3]) for p in parts)
 
     def witness(v: int, label: str) -> dict:
-        t = _tensor_from_mixed_bits(a, d, mixed, [(v >> t) & 1 for t in range(f)])
+        entries = _semidiagonal_block(a, d, GF2, np.array([[v]], dtype=np.uint64))[0]
+        t = Tensor((a,) * d, GF2, entries)
         return {
             "kind": label,
             "assignment": v,
@@ -306,6 +271,12 @@ def _semidiagonal_words(a: int, d: int, field: FieldDescriptor) -> int:
     return diag.size + mixed.size
 
 
+def _mixed_bits(words: np.ndarray, f: int) -> np.ndarray:
+    """Bit t of word t // 64, for the first ``f`` bits of each row of ``words``."""
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)  # word t // 64, least byte first
+    return np.unpackbits(as_bytes, axis=1, count=f, bitorder="little")
+
+
 def _semidiagonal_block(a: int, d: int, field: FieldDescriptor, words: np.ndarray) -> np.ndarray:
     """(N, a^d) entries drawn from N streams exactly as :func:`random_semidiagonal` draws them."""
     diag, _, mixed = index_class_arrays(a, d)
@@ -349,29 +320,24 @@ def random_semidiagonal_sweep(
 
     Tensor j is drawn from ``Rng(Rng.sub_seed(seed, j))``.  Blocks of up to
     ``block`` tensors are drawn in bulk and ranked together: over GF(2), when
-    every flattening row fits one word, with the subset-XOR kernel, otherwise
-    with one batched :func:`matrix_rank` call per axis.  Violations counts
+    every flattening row fits one word, with the packed kernel
+    :func:`_packed_population_ranks`, otherwise with one batched
+    :func:`matrix_rank` call per axis.  Violations counts
     tensors with mfrank < ceil(a / (d-1)).
     """
     started = time.monotonic()
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
-    if field.order == 2 and a ** (d - 1) <= 64 and a <= 6:
-        _, _, mixed, base_rows, mixed_maps = _population_tables(a, d)
-
-        def block_ranks(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            bits = _mixed_bits(words, len(mixed))
-            return _vector_population_ranks(a, d, bits, base_rows, mixed_maps)
-
-    else:
-        block = max(1, min(block, BLOCK_ENTRIES // a**d))
-
-        def block_ranks(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            return _block_ranks(_semidiagonal_block(a, d, field, words), a, d, field)
+    packed = field.order == 2 and a ** (d - 1) <= 64
+    block = max(1, min(block, BLOCK_ENTRIES // (a * d if packed else a**d)))
 
     def scan(span):
         start, stop = span
-        mfrank, sumrank = block_ranks(_stream_block(seed, start, stop, nwords))
+        words = _stream_block(seed, start, stop, nwords)
+        if packed:
+            mfrank, sumrank = _packed_population_ranks(a, d, words)
+        else:
+            mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, field, words), a, d, field)
         bad = np.nonzero(mfrank < lower)[0]
         return (
             int(mfrank.min()),

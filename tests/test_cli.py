@@ -1,6 +1,7 @@
 """Exit-code contract, golden reports, and round-trips through the CLI."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,32 @@ def test_verify_fw_ok_and_bad(capsys):
     )
     out = json.loads(capsys.readouterr().out)
     assert out["results"]["witness"] is not None
+
+
+def test_verify_fw_masks_wider_than_a_word(tmp_path, capsys):
+    # 70 singletons: each mask spans two 64-bit limbs; the fw tensor is I_70
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"members": [1 << i for i in range(70)], "n": 70}))
+    assert run(["verify", "fw", fam, "--config", FIXTURES / "fw_config.json"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["verified"] and results["franks"] == [70, 70]
+
+
+def test_verify_fw_grid_cap_before_allocation(tmp_path, capsys):
+    # 17 members at k = 6: the assignment grids would hold 17^6 = 24.1 M cells
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"members": [1 << i for i in range(17)], "n": 17}))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"C": [[0, 1]], "L": [0], "k": 6, "p": 2}))
+    tracemalloc.start()
+    try:
+        code = run(["verify", "fw", fam, "--config", cfg])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "16777216 dense cap" in capsys.readouterr().err
+    assert peak < 17**6 // 8
 
 
 def test_verify_fw_requires_config():

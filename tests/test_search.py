@@ -8,6 +8,8 @@ import pytest
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import GOLDEN, MASK64, Rng, mix64, stream_words_np, sub_seeds_np
 from flatrank.search import (
+    _block_ranks,
+    _packed_population_ranks,
     _semidiagonal_block,
     _semidiagonal_words,
     _stream_block,
@@ -16,7 +18,14 @@ from flatrank.search import (
     random_semidiagonal,
     random_semidiagonal_sweep,
 )
-from flatrank.tensor import Tensor, flattening_rank, is_semi_diagonal
+from flatrank.tensor import (
+    Tensor,
+    axis_constant_construction,
+    classify_indices,
+    flattening_rank,
+    is_semi_diagonal,
+    partition_construction,
+)
 
 
 def reference_splitmix(seed, count):
@@ -66,6 +75,18 @@ def test_exhaustive_small_populations():
     assert rep.min_sum_franks >= math.ceil(3 / 2 * 2)
     rep = exhaustive_min_mfrank(2, 4)
     assert rep.count == 1 << 14 and rep.min_mfrank == 1
+
+
+@pytest.mark.parametrize("a", [7, 65])
+def test_exhaustive_identity_population(a):
+    # at d = 2 no entry is mixed, so the population is the identity alone;
+    # at a = 65 its flattening rows are wider than one 64-bit word
+    rep = exhaustive_min_mfrank(a, 2)
+    assert (rep.count, rep.min_mfrank, rep.min_sum_franks) == (1, a, 2 * a)
+    assert rep.extra == {"free_entries": 0}
+    for witness in rep.witnesses:
+        assert witness["assignment"] == 0 and witness["franks"] == [a, a]
+        assert witness["tensor"]["entries"] == np.eye(a, dtype=np.int64).ravel().tolist()
 
 
 def test_exhaustive_refuses_oversized():
@@ -122,13 +143,58 @@ def test_bulk_block_matches_scalar_sampler(field, a, d):
         assert block[j].tolist() == t.entries.tolist(), j
 
 
+def _assert_packed_matches_matrix_rank(a, d, words):
+    packed = _packed_population_ranks(a, d, words)
+    oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    for got, want in zip(packed, oracle):
+        assert got.tolist() == want.tolist()
+
+
+def _mixed_words(a, d, tensors):
+    """Stream words carrying the mixed entries of ``tensors``, bit t of word t // 64."""
+    mixed = np.asarray(classify_indices(a, d)[2], dtype=np.int64)
+    bits = np.array([t.entries[mixed] for t in tensors], dtype=np.uint8).reshape(len(tensors), -1)
+    packed = np.packbits(bits, axis=1, bitorder="little")
+    out = np.zeros((len(tensors), 8 * _semidiagonal_words(a, d, GF2)), dtype=np.uint8)
+    out[:, : packed.shape[1]] = packed
+    return out.view("<u8")
+
+
+# every row dtype boundary: a^(d-1) = 1, 8, 9, 16, 25, 32, 36, 64, 49, 64, 64
+@pytest.mark.parametrize(
+    "a,d",
+    [(1, 3), (2, 4), (3, 3), (4, 3), (5, 3), (2, 6), (6, 3), (4, 4), (7, 3), (8, 3), (64, 2)],
+    ids=str,
+)
+def test_packed_ranks_match_matrix_rank(a, d):
+    # random tensors are nearly all of full rank; the extremal constructions,
+    # and low-weight changes to them, reach the ranks in between
+    gen = np.random.default_rng(a * 100 + d)
+    shape = (6, 200, _semidiagonal_words(a, d, GF2))
+    noise = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    extremal = [partition_construction(a, d, GF2)]
+    extremal += [axis_constant_construction(a, d, ax, GF2) for ax in range(d)]
+    extremal = _mixed_words(a, d, extremal)
+    sparse = np.bitwise_and.reduce(noise, axis=0)  # about one bit in 64 set
+    near = extremal[gen.integers(0, len(extremal), size=200)] ^ sparse
+    _assert_packed_matches_matrix_rank(a, d, np.concatenate((noise[0], near, extremal)))
+
+
+@pytest.mark.parametrize("a,d", [(2, 3), (2, 4)], ids=str)
+def test_packed_ranks_match_matrix_rank_whole_population(a, d):
+    free = len(classify_indices(a, d)[2])
+    _assert_packed_matches_matrix_rank(a, d, np.arange(1 << free, dtype=np.uint64)[:, None])
+
+
 def test_sweep_matches_scalar_path():
-    # bit-packed GF(2) shapes, then batched-rank shapes: GF(2) rows wider than
-    # 64 columns, and larger fields with several blocks and with one
+    # packed GF(2) shapes, in one block and in several, then batched-rank
+    # shapes: larger fields with several blocks and with one
     for field, a, d, block in [
         (GF2, 4, 3, 1 << 15),
         (GF2, 5, 3, 1 << 15),
         (GF2, 4, 4, 1 << 15),
+        (GF2, 7, 3, 1 << 15),
+        (GF2, 5, 3, 7),
         (GF2, 8, 3, 1 << 15),
         (make_prime_field(3), 3, 3, 7),
         (make_binary_field(2), 4, 3, 1 << 15),
