@@ -310,7 +310,7 @@ class FieldElement:
 
 def make_prime_field(p: int) -> FieldDescriptor:
     """Descriptor for GF(p).  Rejects composite or oversized moduli."""
-    if not isinstance(p, int) or p < 2 or p >= MAX_PRIME:
+    if type(p) is not int or p < 2 or p >= MAX_PRIME:
         raise ValueError(f"prime modulus must satisfy 2 <= p < 2^31, got {p!r}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -319,7 +319,7 @@ def make_prime_field(p: int) -> FieldDescriptor:
 
 def make_binary_field(k: int) -> FieldDescriptor:
     """Descriptor for GF(2^k), 1 <= k <= 63, with the built-in reduction polynomial."""
-    if not isinstance(k, int) or not 1 <= k <= 63:
+    if type(k) is not int or not 1 <= k <= 63:
         raise ValueError(f"extension degree must satisfy 1 <= k <= 63, got {k!r}")
     poly = IRREDUCIBLE_POLY[k]
     if not _is_irreducible(poly, k):

@@ -96,6 +96,14 @@ def make_report(command: str, inputs_digest: str, results: dict, seed: int | Non
     }
 
 
+def _json_int(value, what: str, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer (never a boolean) of at least ``minimum``."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
+
+
 def _mask_from(value, n: int, what: str) -> int:
     """Accept an int mask or a list of 0-based elements."""
     if isinstance(value, bool):
@@ -107,7 +115,7 @@ def _mask_from(value, n: int, what: str) -> int:
     if isinstance(value, list):
         mask = 0
         for v in value:
-            if not isinstance(v, int) or not 0 <= v < n:
+            if type(v) is not int or not 0 <= v < n:
                 raise ValueError(f"{what}: element {v!r} out of range(0, {n})")
             mask |= 1 << v
         return mask
@@ -179,14 +187,14 @@ def tuple_family_to_document(fam: TupleFamily) -> dict:
 
 
 def tuple_family_from_document(doc: dict) -> TupleFamily:
-    n, d = doc.get("n"), doc.get("d")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("tuple-family document needs a positive n")
+    n = _json_int(doc.get("n"), "tuple-family n", 1)
+    d = doc.get("d")
     members_raw = doc.get("members", [])
     if d is None:
         if not members_raw:
             raise ValueError("cannot infer d from an empty family; provide 'd'")
         d = len(members_raw[0])
+    d = _json_int(d, "tuple-family d", 2)
     members = []
     for i, tup in enumerate(members_raw):
         if not isinstance(tup, list) or len(tup) != d:
@@ -200,9 +208,7 @@ def set_family_to_document(fam: SetFamily) -> dict:
 
 
 def set_family_from_document(doc: dict) -> SetFamily:
-    n = doc.get("n")
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("set-family document needs a positive n")
+    n = _json_int(doc.get("n"), "set-family n", 1)
     members = tuple(
         _mask_from(m, n, f"member {i}") for i, m in enumerate(doc.get("members", []))
     )
@@ -219,16 +225,15 @@ def configuration_to_document(cfg: Configuration) -> dict:
 
 
 def configuration_from_document(doc: dict) -> Configuration:
-    k, p = doc.get("k"), doc.get("p")
-    if not isinstance(k, int) or not isinstance(p, int):
-        raise ValueError("configuration document needs integer k and p")
+    k = _json_int(doc.get("k"), "configuration k")
+    p = _json_int(doc.get("p"), "configuration p")
     c_masks = tuple(
         _mask_from(x, k, f"C[{i}]") for i, x in enumerate(doc.get("C", []))
     )
     L = doc.get("L", [])
     if not isinstance(L, list):
         raise ValueError("L must be a list of residues")
-    return Configuration(k=k, p=p, C=c_masks, L=tuple(int(r) for r in L))
+    return Configuration(k=k, p=p, C=c_masks, L=tuple(_json_int(r, "residue in L") for r in L))
 
 
 def hypergraph_to_document(h: ColoredHypergraph) -> dict:
@@ -243,10 +248,7 @@ def hypergraph_to_document(h: ColoredHypergraph) -> dict:
 
 
 def hypergraph_from_document(doc: dict) -> ColoredHypergraph:
-    n, r, t = doc.get("N"), doc.get("r"), doc.get("t")
-    for name, v in (("N", n), ("r", r), ("t", t)):
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"hypergraph document needs a positive integer {name}")
+    n, r, t = (_json_int(doc.get(name), f"hypergraph {name}", 1) for name in ("N", "r", "t"))
     colors = []
     for ci, cls in enumerate(doc.get("colors", [])):
         if not isinstance(cls, list):
@@ -264,18 +266,17 @@ def setpair_to_document(s: SetPairSystem) -> dict:
 
 
 def setpair_from_document(doc: dict) -> SetPairSystem:
-    base = doc.get("base")
+    base = _json_int(doc.get("base"), "set-pair base size", 1)
     sizes = doc.get("sizes")
-    if not isinstance(base, int) or base < 1:
-        raise ValueError("set-pair document needs a positive base size")
     if not isinstance(sizes, list) or not sizes:
         raise ValueError("set-pair document needs slot sizes")
+    sizes = tuple(_json_int(x, "set-pair slot size", 1) for x in sizes)
     members = []
     for i, tup in enumerate(doc.get("members", [])):
         if not isinstance(tup, list) or len(tup) != len(sizes):
             raise ValueError(f"member {i} has the wrong arity")
         members.append(tuple(_mask_from(slot, base, f"member {i}") for slot in tup))
-    return SetPairSystem(base_size=base, sizes=tuple(int(x) for x in sizes), members=tuple(members))
+    return SetPairSystem(base_size=base, sizes=sizes, members=tuple(members))
 
 
 def badbox_to_document(fam: BadBoxFamily) -> dict:
@@ -290,10 +291,7 @@ def badbox_to_document(fam: BadBoxFamily) -> dict:
 
 
 def badbox_from_document(doc: dict) -> BadBoxFamily:
-    t, s, k = doc.get("t"), doc.get("s"), doc.get("k")
-    for name, v in (("t", t), ("s", s), ("k", k)):
-        if not isinstance(v, int) or v < 1:
-            raise ValueError(f"bad-box document needs a positive integer {name}")
+    t, s, k = (_json_int(doc.get(name), f"bad-box {name}", 1) for name in ("t", "s", "k"))
     members = []
     for i, factors in enumerate(doc.get("members_factors", [])):
         if not isinstance(factors, list) or len(factors) != s:
@@ -304,6 +302,6 @@ def badbox_from_document(doc: dict) -> BadBoxFamily:
         s=s,
         k=k,
         members_factors=tuple(members),
-        attempts=int(doc.get("attempts", 0)),
-        seed=int(doc.get("seed", 0)),
+        attempts=_json_int(doc.get("attempts", 0), "bad-box attempts"),
+        seed=_json_int(doc.get("seed", 0), "bad-box seed"),
     )

@@ -25,8 +25,8 @@ import numpy as np
 
 from .field import FieldDescriptor, make_prime_field
 from .rng import Rng
-from .setfam import SetFamily
-from .tensor import MAX_ENTRIES, Tensor
+from .setfam import SetFamily, _grid_shape, _intersection_sizes, _mask_limbs
+from .tensor import Tensor
 
 __all__ = [
     "Configuration",
@@ -132,31 +132,9 @@ def _h_table_np(cfg: Configuration) -> np.ndarray:
     return np.asarray(poly.table(), dtype=np.int64)
 
 
-def _mask_limbs(masks: Sequence[int]) -> np.ndarray:
-    """(m, w) uint64: each mask split into w 64-bit limbs, least significant first."""
-    w = max(1, -(-max((x.bit_length() for x in masks), default=0) // 64))
-    data = b"".join(x.to_bytes(8 * w, "little") for x in masks)
-    return np.frombuffer(data, dtype="<u8").reshape(len(masks), w)
-
-
-def _grid_shape(m: int, k: int) -> tuple[int, ...]:
-    """(m,) * k, once the m^k cells are known to fit the dense cap."""
-    if m**k > MAX_ENTRIES:
-        raise ValueError(f"grid of {m}^{k} = {m**k} cells exceeds the {MAX_ENTRIES} dense cap")
-    return (m,) * k
-
-
 def _grid_sizes(limbs: np.ndarray, cfg: Configuration, x: int) -> np.ndarray:
-    """Intersection-size grid of the slot subset ``x`` broadcast over F^k."""
-    m, w = limbs.shape
-    acc = None
-    for s in cfg.slots_of(x):
-        shape = [1] * cfg.k + [w]
-        shape[s] = m
-        piece = limbs.reshape(shape)
-        acc = piece if acc is None else acc & piece
-    counts = np.bitwise_count(np.broadcast_to(acc, (m,) * cfg.k + (w,)))
-    return counts.sum(axis=-1, dtype=np.int64)
+    """Intersection sizes of the slot subset ``x``, broadcastable over F^k."""
+    return _intersection_sizes([limbs if (x >> s) & 1 else None for s in range(cfg.k)])
 
 
 def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:

@@ -5,8 +5,15 @@ are multisets: "distinct members" always means distinct list positions, so a
 tuple repeated twice counts as two members.  That convention is what makes the
 size bound (d-1)*n attainable (each singleton tuple repeated d-1 times).
 
-The cross-Oddtown tensor of a family lives over GF(2); its explicit rank-1
-decomposition (one factor per ground element) certifies tensor rank <= n and
+Every stage of the cross-Oddtown chain reads one array, the family's m^d
+intersection-parity grid: cell (i_0, ..., i_{d-1}) is the parity of the
+intersection of member i_j's slot-j set over all j.  It is built once with
+numpy from the masks' 64-bit limbs, so masks of any width work, and m^d is
+checked against the dense-entry cap before anything is allocated.  The family
+is cross-Oddtown exactly when the grid is semi-diagonal (odd diagonal, even
+all-distinct cells); as a GF(2) tensor the grid carries the flattening ranks;
+and its explicit rank-1 decomposition (one factor per ground element), summed
+independently from slot-membership matrices, certifies tensor rank <= n and
 hence caps every flattening rank at n.
 """
 
@@ -19,8 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .field import GF2
-from .linalg import matrix_rank
-from .tensor import Tensor, flattening_rank, is_semi_diagonal
+from .tensor import MAX_ENTRIES, Tensor, flattening_rank, is_semi_diagonal
 
 __all__ = [
     "SetFamily",
@@ -36,7 +42,6 @@ __all__ = [
     "enumerate_cross_oddtown",
     "odd_tuple_candidates",
     "verify_oddtown_chain",
-    "fast_chain_check",
 ]
 
 
@@ -92,25 +97,54 @@ def intersection_size(masks: Sequence[int]) -> int:
     return acc.bit_count()
 
 
-def _slot_intersection(members: Sequence[tuple[int, ...]], positions: Sequence[int]) -> int:
-    acc = members[positions[0]][0]
-    for slot in range(1, len(positions)):
-        acc &= members[positions[slot]][slot]
-    return acc
+def _mask_limbs(masks: Sequence[int]) -> np.ndarray:
+    """(m, w) uint64: each mask split into w 64-bit limbs, least significant first."""
+    w = max(1, -(-max((x.bit_length() for x in masks), default=0) // 64))
+    data = b"".join(x.to_bytes(8 * w, "little") for x in masks)
+    return np.frombuffer(data, dtype="<u8").reshape(len(masks), w)
+
+
+def _grid_shape(m: int, k: int) -> tuple[int, ...]:
+    """(m,) * k, once the m^k cells are known to fit the dense cap."""
+    if m**k > MAX_ENTRIES:
+        raise ValueError(f"grid of {m}^{k} = {m**k} cells exceeds the {MAX_ENTRIES} dense cap")
+    return (m,) * k
+
+
+def _intersection_sizes(axis_limbs: Sequence[np.ndarray | None]) -> np.ndarray:
+    """Intersection sizes broadcast over a k-axis grid of index tuples.
+
+    ``axis_limbs[j]`` holds the (m_j, w) limbs of the sets indexed along axis
+    j, or None for an axis outside the intersection, which keeps size 1 and
+    broadcasts over the rest.  Cell (i_0, ..., i_{k-1}) is the popcount of the
+    AND of row i_j of every given axis; all axes share one limb width w.
+    Callers check the grid against the dense cap first.
+    """
+    k = len(axis_limbs)
+    given = [(j, limbs) for j, limbs in enumerate(axis_limbs) if limbs is not None]
+    sizes = np.int64(0)
+    for limb in range(given[0][1].shape[1]):
+        acc = None
+        for j, limbs in given:
+            piece = limbs[:, limb].reshape([limbs.shape[0] if i == j else 1 for i in range(k)])
+            acc = piece if acc is None else acc & piece
+        sizes = sizes + np.bitwise_count(acc).astype(np.int64)
+    return sizes
+
+
+def _slot_limbs(fam: TupleFamily) -> np.ndarray:
+    """(m, d, w) uint64 limbs of every member's slot masks."""
+    limbs = _mask_limbs([x for tup in fam.members for x in tup])
+    return limbs.reshape(len(fam), fam.d, limbs.shape[1])
 
 
 def is_cross_oddtown(fam: TupleFamily) -> bool:
-    """Odd within-tuple intersections; even across any d distinct positions."""
-    members = fam.members
-    for tup in members:
-        if intersection_size(tup) % 2 == 0:
-            return False
-    m = len(members)
-    if m >= fam.d:
-        for positions in permutations(range(m), fam.d):
-            if _slot_intersection(members, positions).bit_count() % 2 != 0:
-                return False
-    return True
+    """Odd within-tuple intersections; even across any d distinct positions.
+
+    These are the diagonal and the all-distinct cells of the parity grid, so
+    the family is cross-Oddtown exactly when its tensor is semi-diagonal.
+    """
+    return not fam.members or is_semi_diagonal(oddtown_tensor(fam))
 
 
 def oddtown_tensor(fam: TupleFamily) -> Tensor:
@@ -118,43 +152,43 @@ def oddtown_tensor(fam: TupleFamily) -> Tensor:
     m = len(fam.members)
     if m == 0:
         raise ValueError("tensor of an empty family is undefined")
-    members = fam.members
-    d = fam.d
-    entries = []
-    for positions in product(range(m), repeat=d):
-        entries.append(_slot_intersection(members, positions).bit_count() & 1)
-    return Tensor((m,) * d, GF2, entries)
+    _grid_shape(m, fam.d)  # raises over the dense cap, before any allocation
+    limbs = _slot_limbs(fam)
+    parity = _intersection_sizes([limbs[:, j] for j in range(fam.d)]) & 1
+    return Tensor.from_array(parity, GF2)
 
 
-def oddtown_rank1_certificate(fam: TupleFamily) -> list[tuple[list[int], ...]]:
-    """One rank-1 factor tuple per ground element.
+def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:
+    """(n, d, m) 0/1 array: ``cert[k, j, i]`` is 1 when slot j of member i contains k.
 
-    Element k contributes the outer product of the d indicator vectors
-    "member's slot-j set contains k"; summing all n of them over GF(2)
-    reproduces the intersection-parity tensor exactly, which certifies tensor
-    rank (and hence every flattening rank) at most n.
+    Element k contributes the rank-1 term ``cert[k, 0] ⊗ ... ⊗ cert[k, d-1]``
+    (the d indicator vectors "member's slot-j set contains k"); summing all n
+    of them over GF(2) reproduces the intersection-parity tensor exactly,
+    which certifies tensor rank (and hence every flattening rank) at most n.
     """
-    cert = []
-    for k in range(fam.n):
-        bit = 1 << k
-        factors = tuple(
-            [1 if (tup[j] & bit) else 0 for tup in fam.members] for j in range(fam.d)
-        )
-        cert.append(factors)
-    return cert
+    bits = np.unpackbits(
+        _slot_limbs(fam).view(np.uint8), axis=-1, count=fam.n, bitorder="little"
+    )
+    return bits.transpose(2, 1, 0)
 
 
-def reconstruct_from_certificate(
-    cert: Sequence[tuple[list[int], ...]], m: int, d: int
-) -> Tensor:
-    """Sum of the certificate's outer products, as a GF(2) tensor."""
-    acc = np.zeros((m,) * d, dtype=np.int64)
-    for factors in cert:
-        term = np.asarray(factors[0], dtype=np.int64)
-        for j in range(1, d):
-            term = np.multiply.outer(term, np.asarray(factors[j], dtype=np.int64))
-        acc += term
-    return Tensor.from_array(acc % 2, GF2)
+def reconstruct_from_certificate(cert: np.ndarray) -> Tensor:
+    """Sum over GF(2) of the certificate's rank-1 terms, as a tensor.
+
+    The sum over elements is one integer matrix product: the Khatri-Rao
+    product of the first half of the slots' factors against that of the rest.
+    """
+    n, d, m = cert.shape
+
+    def khatri_rao(slots: range) -> np.ndarray:
+        acc = np.ones((n, 1), dtype=np.int64)
+        for j in slots:
+            acc = (acc[:, :, None] * cert[:, j, None, :]).reshape(n, -1)
+        return acc
+
+    half = (d + 1) // 2
+    counts = khatri_rao(range(half)).T @ khatri_rao(range(half, d))
+    return Tensor.from_array(counts.reshape((m,) * d) % 2, GF2)
 
 
 def cross_oddtown_bound(n: int, d: int) -> int:
@@ -279,25 +313,30 @@ def enumerate_cross_oddtown(n: int, d: int, max_size: int) -> Iterator[tuple[tup
 
 
 def verify_oddtown_chain(fam: TupleFamily) -> dict:
-    """Full bound chain for one family: hypothesis, tensor, certificate, bounds."""
+    """Full bound chain for one family: hypothesis, tensor, certificate, bounds.
+
+    The hypothesis is read off the parity tensor, which is built once; the
+    certificate is summed independently from the slot-membership matrices.
+    """
     m = len(fam)
     d = fam.d
     report: dict = {"size": m, "n": fam.n, "d": d, "bound": cross_oddtown_bound(fam.n, d)}
-    hypothesis = is_cross_oddtown(fam)
-    report["is_cross_oddtown"] = hypothesis
     report["size_bound_ok"] = m <= report["bound"]
     if m == 0:
-        report["verified"] = hypothesis and report["size_bound_ok"]
+        report["is_cross_oddtown"] = True
+        report["verified"] = report["size_bound_ok"]
         return report
     t = oddtown_tensor(fam)
+    hypothesis = is_semi_diagonal(t)
     franks = [flattening_rank(t, i) for i in range(d)]
     mfrank = max(franks)
-    recon = reconstruct_from_certificate(oddtown_rank1_certificate(fam), m, d)
+    recon = reconstruct_from_certificate(oddtown_rank1_certificate(fam))
     report.update(
         {
+            "is_cross_oddtown": hypothesis,
             "franks": franks,
             "mfrank": mfrank,
-            "semi_diagonal": is_semi_diagonal(t),
+            "semi_diagonal": hypothesis,
             "certificate_reconstructs": recon == t,
             "mfrank_le_n": mfrank <= fam.n,
         }
@@ -317,60 +356,3 @@ def verify_oddtown_chain(fam: TupleFamily) -> dict:
         )
     )
     return report
-
-
-_DISTINCT_IDX_CACHE: dict[tuple[int, int], tuple[np.ndarray, ...]] = {}
-
-
-def _distinct_index_arrays(m: int, d: int) -> tuple[np.ndarray, ...]:
-    key = (m, d)
-    hit = _DISTINCT_IDX_CACHE.get(key)
-    if hit is None:
-        perms = list(permutations(range(m), d)) if m >= d else []
-        if perms:
-            arr = np.asarray(perms, dtype=np.intp)
-            hit = tuple(arr[:, j] for j in range(d))
-        else:
-            hit = tuple(np.empty(0, dtype=np.intp) for _ in range(d))
-        _DISTINCT_IDX_CACHE[key] = hit
-    return hit
-
-
-_EINSUM_SPEC = {2: "ak,bk->ab", 3: "ak,bk,ck->abc", 4: "ak,bk,ck,dk->abcd"}
-
-
-def fast_chain_check(members: Sequence[tuple[int, ...]], n: int, d: int) -> dict:
-    """Vectorized per-family chain check for enumeration sweeps.
-
-    Equivalent to :func:`verify_oddtown_chain` on a cross-Oddtown family
-    (minus the hypothesis re-test); kept separate so exhaustive populations
-    stay cheap.  Cross-validated against the full path in the test suite.
-    """
-    m = len(members)
-    slot_masks = [
-        np.asarray([tup[j] for tup in members], dtype=np.int64) for j in range(d)
-    ]
-    acc = None
-    for j in range(d):
-        shape = [1] * d
-        shape[j] = m
-        piece = slot_masks[j].reshape(shape)
-        acc = piece if acc is None else acc & piece
-    grid = (np.bitwise_count(np.broadcast_to(acc, (m,) * d).astype(np.uint64)) & 1).astype(
-        np.int64
-    )
-    diag_ok = bool((np.einsum(f"{'i' * d}->i", grid) == 1).all())
-    idx = _distinct_index_arrays(m, d)
-    distinct_ok = bool((grid[idx] == 0).all()) if idx[0].size else True
-    mfrank = max(matrix_rank(np.moveaxis(grid, ax, 0).reshape(m, -1), GF2) for ax in range(d))
-    bit_mats = [((sm[:, None] >> np.arange(n)) & 1).astype(np.int64) for sm in slot_masks]
-    recon = np.einsum(_EINSUM_SPEC[d], *bit_mats) % 2
-    cert_ok = bool((recon == grid).all())
-    return {
-        "size": m,
-        "mfrank": mfrank,
-        "semi_diagonal": diag_ok and distinct_ok,
-        "certificate_reconstructs": cert_ok,
-        "mfrank_le_n": mfrank <= n,
-        "mfrank_lower_ok": mfrank * (d - 1) >= m,
-    }

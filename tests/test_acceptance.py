@@ -45,8 +45,6 @@ from flatrank.setfam import (
     TupleFamily,
     cross_oddtown_bound,
     enumerate_cross_oddtown,
-    fast_chain_check,
-    is_cross_oddtown,
     repeated_singleton_family,
     verify_oddtown_chain,
 )
@@ -115,17 +113,14 @@ def test_criterion_4_cross_oddtown_chain():
         bound = cross_oddtown_bound(n, d)
         cap = min(7, max(6, bound + 1))
         best = 0
-        for i, members in enumerate(enumerate_cross_oddtown(n, d, cap)):
+        for members in enumerate_cross_oddtown(n, d, cap):
             assert len(members) <= bound, (n, d, members)
             best = max(best, len(members))
-            chain = fast_chain_check(members, n, d)
-            assert chain["semi_diagonal"], (n, d, members)
+            chain = verify_oddtown_chain(TupleFamily(n=n, d=d, members=members))
+            assert chain["is_cross_oddtown"] and chain["semi_diagonal"], (n, d, members)
             assert chain["certificate_reconstructs"], (n, d, members)
             assert chain["mfrank_le_n"] and chain["mfrank_lower_ok"], (n, d, members)
-            if i % 101 == 0:
-                fam = TupleFamily(n=n, d=d, members=members)
-                assert is_cross_oddtown(fam)
-                assert verify_oddtown_chain(fam)["verified"]
+            assert chain["verified"], (n, d, members)
             families += 1
         assert best == bound, (n, d, best)
     # (4, 3): the bound (d-1)n = 8 exceeds the size-6 enumeration cap, so no
@@ -138,9 +133,9 @@ def test_criterion_4_cross_oddtown_chain():
         rep = random_cross_oddtown_search(4, 3, 120, Rng(seed))
         assert rep.extra["largest_size"] <= 8
         members = tuple(tuple(t) for t in rep.witnesses[0]["members"])
-        chain = fast_chain_check(members, 4, 3)
+        chain = verify_oddtown_chain(TupleFamily(n=4, d=3, members=members))
         assert chain["semi_diagonal"] and chain["certificate_reconstructs"]
-        assert chain["mfrank_le_n"] and chain["mfrank_lower_ok"]
+        assert chain["mfrank_le_n"] and chain["mfrank_lower_ok"] and chain["verified"]
         families += 1
     report(4, f"{families} families verified, bounds attained", started, 60)
 

@@ -52,8 +52,9 @@ GF2_DOC = {"dims": [2, 2], "field": {"kind": "prime", "p": 2}}
         {"entries": [True, 0, 0, 1]},
         {"entries": [None, 0, 0, 1]},
         {"sparse": [[[0, 0], 1], [[1, 1], 1], [[0, 0], 0]]},
+        {"entries": [1, 0, 0, 1], "field": {"kind": "binary", "k": True}},
     ],
-    ids=["float", "string", "bool", "null", "duplicate-sparse-index"],
+    ids=["float", "string", "bool", "null", "duplicate-sparse-index", "bool-field-degree"],
 )
 def test_rank_rejects_malformed_entries_exit_two(tmp_path, capsys, body):
     doc = tmp_path / "t.json"
@@ -132,6 +133,85 @@ def test_verify_oddtown_failure_exit_one(capsys):
     assert run(["verify", "oddtown", FIXTURES / "oddtown_bad.json"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert out["results"]["is_cross_oddtown"] is False
+
+
+def test_verify_oddtown_failure_golden(tmp_path):
+    # a non-cross-Oddtown family: the report still carries the derived
+    # semi_diagonal, certificate_reconstructs and franks fields
+    out = tmp_path / "report.json"
+    assert run(["verify", "oddtown", FIXTURES / "oddtown_bad.json", "--out", out]) == 1
+    assert out.read_bytes() == (GOLDEN / "verify_oddtown_bad.json").read_bytes()
+
+
+def test_verify_oddtown_masks_wider_than_a_word(tmp_path, capsys):
+    # 70 singletons: each mask spans two 64-bit limbs; the parity tensor is I_70
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"d": 2, "members": [[1 << i, 1 << i] for i in range(70)], "n": 70}))
+    assert run(["verify", "oddtown", fam]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["verified"] and results["franks"] == [70, 70]
+
+
+def test_verify_oddtown_grid_cap_before_allocation(tmp_path, capsys):
+    # 70 members at d = 4: the parity grid would hold 70^4 = 24.0 M cells
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"d": 4, "members": [[1 << (i % 8)] * 4 for i in range(70)], "n": 8}))
+    tracemalloc.start()
+    try:
+        code = run(["verify", "oddtown", fam])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "16777216 dense cap" in capsys.readouterr().err
+    assert peak < 3 << 20
+
+
+FW_FAMILY = {"members": [1, 2], "n": 3}
+FW_CONFIG = {"C": [[0, 1]], "L": [0], "k": 2, "p": 2}
+BOLLOBAS = {"base": 2, "members": [[1, 2], [2, 1]], "sizes": [1, 1]}
+BADBOX = {"attempts": 1, "k": 8, "members_factors": [[4, 1], [4, 7]], "s": 2, "seed": 7, "t": 3}
+
+
+@pytest.mark.parametrize(
+    "target,doc,config",
+    [
+        ("oddtown", {"d": 2, "members": [[[True], [True]]], "n": 2}, None),
+        ("oddtown", {"d": 2, "members": [[1, 1]], "n": True}, None),
+        ("oddtown", {"d": 2.0, "members": [[1, 1]], "n": 3}, None),
+        ("fw", {"members": [[True]], "n": 2}, FW_CONFIG),
+        ("fw", {"members": [1], "n": True}, FW_CONFIG),
+        ("fw", FW_FAMILY, {**FW_CONFIG, "L": ["0"]}),
+        ("fw", FW_FAMILY, {**FW_CONFIG, "L": [0.7]}),
+        ("bollobas", {**BOLLOBAS, "sizes": ["1", 1]}, None),
+        ("bollobas", {**BOLLOBAS, "sizes": [1.0, 1]}, None),
+        ("badbox", {**BADBOX, "attempts": "1"}, None),
+        ("badbox", {**BADBOX, "seed": 7.5}, None),
+    ],
+    ids=[
+        "oddtown-bool-element",
+        "oddtown-bool-n",
+        "oddtown-float-d",
+        "fw-bool-element",
+        "fw-bool-n",
+        "fw-string-residue",
+        "fw-float-residue",
+        "bollobas-string-size",
+        "bollobas-float-size",
+        "badbox-string-attempts",
+        "badbox-float-seed",
+    ],
+)
+def test_verify_rejects_coercible_values_exit_two(tmp_path, capsys, target, doc, config):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = ["verify", target, path]
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", cfg]
+    assert run(args) == 2
+    assert "flatrank: error:" in capsys.readouterr().err
 
 
 def test_verify_fw_ok_and_bad(capsys):

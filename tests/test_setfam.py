@@ -1,17 +1,19 @@
 """Cross-Oddtown families: verifiers, tensors, certificates, enumeration."""
 
 import itertools
+import random
 
+import numpy as np
 import pytest
 
 from flatrank.field import GF2
+from flatrank.linalg import _rank_generic
 from flatrank.rng import Rng
 from flatrank.setfam import (
     SetFamily,
     TupleFamily,
     cross_oddtown_bound,
     enumerate_cross_oddtown,
-    fast_chain_check,
     intersection_size,
     is_cross_oddtown,
     odd_tuple_candidates,
@@ -100,7 +102,7 @@ def test_certificate_reconstructs_any_family():
         fam = TupleFamily(n=n, d=d, members=members)
         cert = oddtown_rank1_certificate(fam)
         assert len(cert) == n
-        assert reconstruct_from_certificate(cert, m, d) == oddtown_tensor(fam)
+        assert reconstruct_from_certificate(cert) == oddtown_tensor(fam)
 
 
 def test_certificate_caps_mfrank_at_n():
@@ -151,26 +153,85 @@ def test_enumeration_max_sizes_match_bound():
         assert best == cross_oddtown_bound(n, d)
 
 
-def test_fast_chain_check_matches_full_chain():
+def _parity_oracle(fam):
+    """Slow oracle: the parity grid from a product loop over intersection_size."""
+    m, d = len(fam.members), fam.d
+    grid = np.zeros((m,) * d, dtype=np.int64)
+    for idx in itertools.product(range(m), repeat=d):
+        grid[idx] = intersection_size([fam.members[idx[j]][j] for j in range(d)]) % 2
+    return grid
+
+
+def _cross_oddtown_oracle(fam):
+    """Slow oracle: odd within each tuple, even across every d distinct positions."""
+    if any(intersection_size(tup) % 2 == 0 for tup in fam.members):
+        return False
+    return all(
+        intersection_size([fam.members[pos[j]][j] for j in range(fam.d)]) % 2 == 0
+        for pos in itertools.permutations(range(len(fam.members)), fam.d)
+    )
+
+
+def _oracle_mfrank(fam):
+    grid = _parity_oracle(fam)
+    return max(
+        _rank_generic(np.moveaxis(grid, ax, 0).reshape(len(fam), -1).tolist(), GF2)
+        for ax in range(fam.d)
+    )
+
+
+def test_chain_verifies_enumerated_families():
     for members in itertools.islice(enumerate_cross_oddtown(3, 2, 4), 0, 500, 11):
         fam = TupleFamily(n=3, d=2, members=members)
         full = verify_oddtown_chain(fam)
-        fast = fast_chain_check(members, 3, 2)
-        assert full["verified"]
-        assert fast["semi_diagonal"] and fast["certificate_reconstructs"]
-        assert fast["mfrank"] == full["mfrank"]
-        assert fast["mfrank_le_n"] and fast["mfrank_lower_ok"]
+        assert full["verified"] and full["is_cross_oddtown"]
+        assert full["semi_diagonal"] and full["certificate_reconstructs"]
+        assert full["mfrank"] == _oracle_mfrank(fam)
+        assert full["mfrank_le_n"] and full["mfrank_lower_ok"]
 
 
-def test_fast_chain_check_wide_flattenings_match_full_chain():
+def test_chain_wide_flattenings():
     # 18 members: each flattening has 324 columns, more than one 64-bit word
     fam = repeated_singleton_family(9, 3)
     full = verify_oddtown_chain(fam)
-    fast = fast_chain_check(fam.members, 9, 3)
     assert full["verified"] and full["franks"] == [9, 9, 9]
-    assert fast["mfrank"] == full["mfrank"] == 9
-    assert fast["mfrank_lower_ok"] and fast["mfrank_le_n"]
-    assert fast["semi_diagonal"] and fast["certificate_reconstructs"]
+    assert full["mfrank"] == _oracle_mfrank(fam) == 9
+    assert full["mfrank_lower_ok"] and full["mfrank_le_n"]
+    assert full["semi_diagonal"] and full["certificate_reconstructs"]
+
+
+def _random_families():
+    """Random families: d = 2..5, m < d, m = 1, repeated members, up to three limbs."""
+    rnd = random.Random(2024)
+    for trial in range(60):
+        d = 2 + trial % 4
+        n = rnd.choice([1, 3, 7, 63, 64, 65, 100, 130])
+        m = rnd.choice([1, d - 1, d, d + 1, 2 * d]) if d < 5 else rnd.choice([1, 3, 4, 5])
+        pool = [tuple(rnd.getrandbits(n) for _ in range(d)) for _ in range(max(1, m // 2))]
+        members = tuple(rnd.choice(pool) for _ in range(m))
+        yield TupleFamily(n=n, d=d, members=members)
+    for n, d in ((130, 2), (65, 3), (70, 2)):
+        yield singleton_diagonal_family(n, d)
+    for n, d in ((3, 5), (2, 4), (66, 2)):
+        yield repeated_singleton_family(n, d)
+    # high bits only: the low limbs are all zero
+    yield TupleFamily(n=130, d=3, members=(((1 << 129) | (1 << 64),) * 3,) * 2)
+
+
+def test_parity_grid_matches_slow_oracle():
+    for fam in _random_families():
+        case = (fam.n, fam.d, fam.members)
+        assert oddtown_tensor(fam).array.tolist() == _parity_oracle(fam).tolist(), case
+        assert is_cross_oddtown(fam) == _cross_oddtown_oracle(fam), case
+        cert = oddtown_rank1_certificate(fam)
+        assert cert.shape == (fam.n, fam.d, len(fam)), case
+        assert reconstruct_from_certificate(cert) == oddtown_tensor(fam), case
+
+
+def test_empty_family_is_cross_oddtown():
+    fam = TupleFamily(n=2, d=3, members=())
+    assert is_cross_oddtown(fam)
+    assert verify_oddtown_chain(fam)["verified"]
 
 
 def test_chain_flags_non_oddtown_family():
