@@ -4,15 +4,18 @@ Subcommands: rank, construct, verify {oddtown,fw,rainbow,bollobas,badbox},
 experiment {exhaustive,random-semidiagonal,badbox-sample,oddtown-search}.
 
 Exit codes: 0 = success / verified; 1 = hypothesis fails or a bound check is
-violated; 2 = usage, parse, or cap errors.  Reports go to stdout as JSON and,
-with --out, to a file in canonical bytes (atomic write).  FLATRANK_THREADS
-caps chunk-level parallelism of the experiment sweeps.
+violated; 2 = usage, parse, or cap errors.  Each report is serialized once,
+in canonical bytes (sorted keys, no whitespace, trailing newline); the same
+bytes go to stdout and, with --out, to a file (atomic write).  Each input file
+is read once, and its digest is taken of the bytes that were parsed.
+FLATRANK_THREADS caps chunk-level parallelism of the experiment sweeps.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -22,18 +25,18 @@ from .field import FieldDescriptor, GF2, make_binary_field, make_prime_field
 from .formats import (
     badbox_from_document,
     badbox_to_document,
+    canonical_json,
     configuration_from_document,
-    digest_bytes,
     digest_params,
     hypergraph_from_document,
     load_document,
     make_report,
-    save_document,
     set_family_from_document,
     setpair_from_document,
     tensor_from_document,
     tensor_to_document,
     tuple_family_from_document,
+    write_atomic,
 )
 from .fw import (
     IntersectionPolynomial,
@@ -87,16 +90,11 @@ def _parse_field(spec: str) -> FieldDescriptor:
     raise ValueError(f"unknown field spec {spec!r}; use gf2, prime:P, or binary:K")
 
 
-def _read_file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return digest_bytes(fh.read())
-
-
 def _emit(report: dict, out: str | None, csv_path: str | None = None) -> None:
-    json.dump(report, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    text = canonical_json(report)
+    sys.stdout.write(text)
     if out:
-        save_document(out, report)
+        write_atomic(out, text)
     if csv_path:
         results = report.get("results", {})
         flat = {k: v for k, v in results.items() if isinstance(v, (int, float, str, bool)) or v is None}
@@ -107,7 +105,7 @@ def _emit(report: dict, out: str | None, csv_path: str | None = None) -> None:
 
 
 def _cmd_rank(args) -> int:
-    doc = load_document(args.tensor)
+    doc, digest = load_document(args.tensor)
     t = tensor_from_document(doc)
     results: dict = {"dims": list(t.dims), "field": t.field.to_document()}
     if args.axis is not None:
@@ -120,7 +118,7 @@ def _cmd_rank(args) -> int:
         else:
             results["sum_franks"] = sum(franks)
         results["franks"] = franks
-    _emit(make_report("rank", _read_file_digest(args.tensor), results), args.out)
+    _emit(make_report("rank", digest, results), args.out)
     return 0
 
 
@@ -134,106 +132,69 @@ def _cmd_construct(args) -> int:
             raise ValueError("axis-constant construction needs --axis")
         t = axis_constant_construction(args.a, args.d, args.axis, field)
         meta = {"construction": "axis-constant", "a": args.a, "d": args.d, "axis": args.axis}
-    doc = tensor_to_document(t, metadata=meta, sparse=args.sparse)
+    text = canonical_json(tensor_to_document(t, metadata=meta, sparse=args.sparse))
     if args.out:
-        save_document(args.out, doc)
+        write_atomic(args.out, text)
     else:
-        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        sys.stdout.write(text)
     return 0
 
 
-def _cmd_verify(args) -> int:
-    if args.target == "oddtown":
-        fam = tuple_family_from_document(load_document(args.input))
-        results = verify_oddtown_chain(fam)
-        report = make_report("verify oddtown", _read_file_digest(args.input), results)
-        _emit(report, args.out)
-        if not results["verified"]:
-            raise VerificationFailed("cross-Oddtown chain failed; see report")
-        return 0
+def _verify_fw(doc: dict, args) -> tuple[dict, str | None]:
+    fam = set_family_from_document(doc)
+    cfg = configuration_from_document(load_document(args.config)[0])
+    distinct = args.distinct
+    results: dict = {
+        "size": len(fam.members),
+        "k": cfg.k,
+        "p": cfg.p,
+        "size_bound": fw_size_bound(cfg, fam.n),
+        "flattening_bounds": [fw_flattening_bound(cfg, fam.n, j) for j in range(cfg.k)],
+    }
+    satisfying = is_config_satisfying(fam, cfg, distinct=distinct)
+    results["satisfying"] = satisfying
+    if not satisfying:
+        poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
+        results["size_violations"] = [
+            pos
+            for pos, mask in enumerate(fam.members)
+            if eval_h(poly, mask.bit_count() % cfg.p) == 0
+        ]
+        witness = find_config_witness(fam, cfg, distinct=distinct)
+        results["witness"] = list(witness) if witness else None
+        return results, "family is not configuration-satisfying"
+    if fam.members:
+        t = fw_tensor(fam, cfg)
+        franks = [flattening_rank(t, j) for j in range(cfg.k)]
+        results.update(
+            {
+                "semi_diagonal": is_semi_diagonal(t),
+                "franks": franks,
+                "franks_within_bounds": all(
+                    fr <= b for fr, b in zip(franks, results["flattening_bounds"])
+                ),
+                "size_bound_ok": len(fam.members) <= results["size_bound"],
+            }
+        )
+        ok = (
+            results["semi_diagonal"]
+            and results["franks_within_bounds"]
+            and results["size_bound_ok"]
+        )
+    else:
+        ok = True
+    results["verified"] = ok
+    return results, None if ok else "configuration bound chain failed; see report"
 
-    if args.target == "fw":
-        fam = set_family_from_document(load_document(args.input))
-        cfg = configuration_from_document(load_document(args.config))
-        distinct = args.distinct
-        results: dict = {
-            "size": len(fam.members),
-            "k": cfg.k,
-            "p": cfg.p,
-            "size_bound": fw_size_bound(cfg, fam.n),
-            "flattening_bounds": [fw_flattening_bound(cfg, fam.n, j) for j in range(cfg.k)],
-        }
-        satisfying = is_config_satisfying(fam, cfg, distinct=distinct)
-        results["satisfying"] = satisfying
-        if not satisfying:
-            poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
-            results["size_violations"] = [
-                pos
-                for pos, mask in enumerate(fam.members)
-                if eval_h(poly, mask.bit_count() % cfg.p) == 0
-            ]
-            witness = find_config_witness(fam, cfg, distinct=distinct)
-            results["witness"] = list(witness) if witness else None
-            report = make_report("verify fw", _read_file_digest(args.input), results)
-            _emit(report, args.out)
-            raise VerificationFailed("family is not configuration-satisfying")
-        if fam.members:
-            t = fw_tensor(fam, cfg)
-            franks = [flattening_rank(t, j) for j in range(cfg.k)]
-            results.update(
-                {
-                    "semi_diagonal": is_semi_diagonal(t),
-                    "franks": franks,
-                    "franks_within_bounds": all(
-                        fr <= b for fr, b in zip(franks, results["flattening_bounds"])
-                    ),
-                    "size_bound_ok": len(fam.members) <= results["size_bound"],
-                }
-            )
-            ok = (
-                results["semi_diagonal"]
-                and results["franks_within_bounds"]
-                and results["size_bound_ok"]
-            )
-        else:
-            ok = True
-        results["verified"] = ok
-        report = make_report("verify fw", _read_file_digest(args.input), results)
-        _emit(report, args.out)
-        if not ok:
-            raise VerificationFailed("configuration bound chain failed; see report")
-        return 0
 
-    if args.target == "rainbow":
-        h = hypergraph_from_document(load_document(args.input))
-        field = make_binary_field(args.field_k) if args.field_k else None
-        results = certify_no_rainbow_bound(h, field)
-        report = make_report("verify rainbow", _read_file_digest(args.input), results)
-        _emit(report, args.out)
-        if not results["verified"]:
-            if results.get("rainbow_matching"):
-                raise VerificationFailed("hypergraph contains a full-size rainbow matching")
-            raise VerificationFailed("rainbow bound chain failed; see report")
-        return 0
-
-    if args.target == "bollobas":
-        system = setpair_from_document(load_document(args.input))
-        results = bollobas_verify(system)
-        report = make_report("verify bollobas", _read_file_digest(args.input), results)
-        _emit(report, args.out)
-        if not results["verified"]:
-            raise VerificationFailed("set-pair verification failed; see report")
-        return 0
-
-    # badbox
-    fam = badbox_from_document(load_document(args.input))
+def _verify_badbox(doc: dict, args) -> dict:
+    fam = badbox_from_document(doc)
     k = args.k if args.k else fam.k
     free = verify_badbox_free(fam.members_factors, k)
-    flat = fam.flat_family()
-    cfg = complete_graph_config(k)
-    satisfying = is_config_satisfying(flat, cfg, distinct="positions")
-    results = {
+    satisfying = is_config_satisfying(
+        fam.flat_family(), complete_graph_config(k), distinct="positions"
+    )
+    return {
         "t": fam.t,
         "s": fam.s,
         "k": k,
@@ -242,88 +203,86 @@ def _cmd_verify(args) -> int:
         "config_satisfying": satisfying,
         "verified": free and satisfying,
     }
-    report = make_report("verify badbox", _read_file_digest(args.input), results)
-    _emit(report, args.out)
-    if not results["verified"]:
-        raise VerificationFailed("bad-box family failed verification")
+
+
+def _cmd_verify(args) -> int:
+    doc, digest = load_document(args.input)
+    if args.target == "fw":
+        results, failure = _verify_fw(doc, args)
+    else:
+        if args.target == "oddtown":
+            results = verify_oddtown_chain(tuple_family_from_document(doc))
+            failure = "cross-Oddtown chain failed; see report"
+        elif args.target == "rainbow":
+            field = make_binary_field(args.field_k) if args.field_k else None
+            results = certify_no_rainbow_bound(hypergraph_from_document(doc), field)
+            failure = (
+                "hypergraph contains a full-size rainbow matching"
+                if results.get("rainbow_matching")
+                else "rainbow bound chain failed; see report"
+            )
+        elif args.target == "bollobas":
+            results = bollobas_verify(setpair_from_document(doc))
+            failure = "set-pair verification failed; see report"
+        else:
+            results = _verify_badbox(doc, args)
+            failure = "bad-box family failed verification"
+        if results["verified"]:
+            failure = None
+    _emit(make_report(f"verify {args.target}", digest, results), args.out)
+    if failure:
+        raise VerificationFailed(failure)
     return 0
 
 
 def _cmd_experiment(args) -> int:
     threads = _threads()
+    seed, failure = args.seed, None
     if args.kind == "exhaustive":
+        params = {"a": args.a, "d": args.d}
         rep = exhaustive_min_mfrank(args.a, args.d, threads=threads)
         predicted = -(-args.a // (args.d - 1))
         results = rep.to_document()
         results["predicted_min_mfrank"] = predicted
         results["matches_prediction"] = rep.min_mfrank == predicted
-        report = make_report(
-            "experiment exhaustive",
-            digest_params({"a": args.a, "d": args.d}),
-            results,
-        )
-        _emit(report, args.out, args.csv)
+        seed = None
         if not results["matches_prediction"]:
-            raise VerificationFailed("exhaustive minimum disagrees with the predicted bound")
-        return 0
-
-    if args.kind == "random-semidiagonal":
+            failure = "exhaustive minimum disagrees with the predicted bound"
+    elif args.kind == "random-semidiagonal":
         field = _parse_field(args.field)
+        params = {"a": args.a, "d": args.d, "count": args.count, "field": field.to_document()}
         rep = random_semidiagonal_sweep(
             args.a, args.d, args.count, args.seed, field=field, threads=threads
         )
-        report = make_report(
-            "experiment random-semidiagonal",
-            digest_params(
-                {"a": args.a, "d": args.d, "count": args.count, "field": field.to_document()}
-            ),
-            rep.to_document(),
-            seed=args.seed,
-        )
-        _emit(report, args.out, args.csv)
+        results = rep.to_document()
         if rep.violations:
-            raise VerificationFailed(f"{rep.violations} tensors violated the rank bound")
-        return 0
-
-    if args.kind == "badbox-sample":
+            failure = f"{rep.violations} tensors violated the rank bound"
+    elif args.kind == "badbox-sample":
+        params = {"t": args.t, "s": args.s}
         try:
             fam = sample_badbox_family(args.t, args.s, args.seed, max_attempts=args.max_attempts)
         except SamplerExhausted as exc:
-            report = make_report(
-                "experiment badbox-sample",
-                digest_params({"t": args.t, "s": args.s}),
-                {"failed_attempts": exc.attempts, "family": None},
-                seed=args.seed,
-            )
-            _emit(report, args.out, args.csv)
-            raise VerificationFailed(str(exc))
-        results = {
-            "family": badbox_to_document(fam),
-            "size": len(fam.members_factors),
-            "k": fam.k,
-            "attempts": fam.attempts,
-        }
-        report = make_report(
-            "experiment badbox-sample",
-            digest_params({"t": args.t, "s": args.s}),
-            results,
-            seed=args.seed,
-        )
-        _emit(report, args.out, args.csv)
-        return 0
-
-    # oddtown-search
-    rep = random_cross_oddtown_search(args.n, args.d, args.budget, Rng(args.seed))
-    report = make_report(
-        "experiment oddtown-search",
-        digest_params({"n": args.n, "d": args.d, "budget": args.budget}),
-        rep.to_document(),
-        seed=args.seed,
-    )
+            results = {"failed_attempts": exc.attempts, "family": None}
+            failure = str(exc)
+        else:
+            results = {
+                "family": badbox_to_document(fam),
+                "size": len(fam.members_factors),
+                "k": fam.k,
+                "attempts": fam.attempts,
+            }
+    else:  # oddtown-search
+        params = {"n": args.n, "d": args.d, "budget": args.budget}
+        rep = random_cross_oddtown_search(args.n, args.d, args.budget, Rng(args.seed))
+        results = rep.to_document()
+    report = make_report(f"experiment {args.kind}", digest_params(params), results, seed=seed)
     _emit(report, args.out, args.csv)
+    if failure:
+        raise VerificationFailed(failure)
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="flatrank", description=__doc__)
     parser.add_argument("--version", action="version", version=f"flatrank {__version__}")
@@ -399,8 +358,7 @@ def _validate_experiment_args(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "experiment":
             _validate_experiment_args(args)

@@ -329,6 +329,8 @@ def make_binary_field(k: int) -> FieldDescriptor:
 
 def field_from_document(doc: dict) -> FieldDescriptor:
     """Inverse of :meth:`FieldDescriptor.to_document`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"field must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "prime":
         return make_prime_field(doc["p"])

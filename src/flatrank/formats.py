@@ -32,7 +32,7 @@ __all__ = [
     "canonical_json",
     "digest_bytes",
     "digest_params",
-    "save_document",
+    "write_atomic",
     "load_document",
     "make_report",
     "tensor_to_document",
@@ -64,13 +64,13 @@ def digest_params(params: dict) -> str:
     return digest_bytes(canonical_json(params).encode())
 
 
-def save_document(path: str, doc: dict) -> None:
-    """Atomic write: temp file in the target directory, then rename."""
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` atomically: temp file in the target directory, then rename."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".flatrank-", dir=directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(canonical_json(doc))
+            fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -78,12 +78,14 @@ def save_document(path: str, doc: dict) -> None:
         raise
 
 
-def load_document(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
+def load_document(path: str) -> tuple[dict, str]:
+    """The JSON object in ``path`` and the SHA-256 digest of the bytes parsed."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    doc = json.loads(data.decode("utf-8"))
     if not isinstance(doc, dict):
         raise ValueError("document root must be a JSON object")
-    return doc
+    return doc, digest_bytes(data)
 
 
 def make_report(command: str, inputs_digest: str, results: dict, seed: int | None = None) -> dict:

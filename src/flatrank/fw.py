@@ -25,7 +25,13 @@ import numpy as np
 
 from .field import FieldDescriptor, make_prime_field
 from .rng import Rng
-from .setfam import SetFamily, _grid_shape, _intersection_sizes, _mask_limbs
+from .setfam import (
+    SetFamily,
+    _distinct_tuple_mask,
+    _grid_shape,
+    _intersection_sizes,
+    _mask_limbs,
+)
 from .tensor import Tensor
 
 __all__ = [
@@ -149,21 +155,6 @@ def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:
         sizes = _grid_sizes(limbs, cfg, x)
         grid = (grid * h[sizes % cfg.p]) % cfg.p
     return Tensor.from_array(grid, cfg.field)
-
-
-def _distinct_tuple_mask(m: int, k: int, sorted_only: bool = False) -> np.ndarray:
-    """Boolean grid marking index tuples with pairwise-distinct positions.
-
-    With ``sorted_only`` the grid keeps one representative (strictly
-    increasing) per unordered tuple; valid whenever the predicate being
-    searched is invariant under slot permutation.
-    """
-    ok = np.ones(_grid_shape(m, k), dtype=bool)
-    idx = [np.arange(m).reshape([m if j == i else 1 for j in range(k)]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            ok &= (idx[i] < idx[j]) if sorted_only else (idx[i] != idx[j])
-    return ok
 
 
 def _violation_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:

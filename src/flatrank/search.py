@@ -326,6 +326,10 @@ def random_semidiagonal_sweep(
     tensors with mfrank < ceil(a / (d-1)).
     """
     started = time.monotonic()
+    if a < 1 or d < 2:
+        raise ValueError("need a >= 1 and d >= 2")
+    if count < 1:
+        raise ValueError("need count >= 1")
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
     packed = field.order == 2 and a ** (d - 1) <= 64

@@ -111,6 +111,21 @@ def _grid_shape(m: int, k: int) -> tuple[int, ...]:
     return (m,) * k
 
 
+def _distinct_tuple_mask(m: int, k: int, sorted_only: bool = False) -> np.ndarray:
+    """Boolean grid marking index tuples with pairwise-distinct positions.
+
+    With ``sorted_only`` the grid keeps one representative (strictly
+    increasing) per unordered tuple; valid whenever the predicate being
+    searched is invariant under slot permutation.
+    """
+    ok = np.ones(_grid_shape(m, k), dtype=bool)
+    idx = [np.arange(m).reshape([m if j == i else 1 for j in range(k)]) for i in range(k)]
+    for i in range(k):
+        for j in range(i + 1, k):
+            ok &= (idx[i] < idx[j]) if sorted_only else (idx[i] != idx[j])
+    return ok
+
+
 def _intersection_sizes(axis_limbs: Sequence[np.ndarray | None]) -> np.ndarray:
     """Intersection sizes broadcast over a k-axis grid of index tuples.
 
@@ -220,21 +235,23 @@ def odd_tuple_candidates(n: int, d: int) -> list[tuple[int, ...]]:
 
 
 def _cross_even_with(members: list[tuple[int, ...]], new: tuple[int, ...], d: int) -> bool:
-    """Can ``new`` join ``members`` keeping all distinct-position d-tuples even?"""
+    """Can ``new`` join ``members`` keeping all distinct-position d-tuples even?
+
+    For each slot of ``new``, one broadcast intersects it with every
+    arrangement of d-1 members over the other slots; only arrangements of
+    pairwise-distinct members count.  The c^(d-1) grid is checked against the
+    dense cap before anything is allocated.
+    """
     c = len(members)
     if c + 1 < d:
         return True
+    distinct = _distinct_tuple_mask(c, d - 1)
+    limbs = _mask_limbs([x for tup in (*members, new) for x in tup]).reshape(c + 1, d, -1)
     for slot in range(d):
-        for arrangement in permutations(range(c), d - 1):
-            acc = new[slot]
-            pos = 0
-            for j in range(d):
-                if j == slot:
-                    continue
-                acc &= members[arrangement[pos]][j]
-                pos += 1
-            if acc.bit_count() % 2 != 0:
-                return False
+        others = [limbs[:c, j] for j in range(d) if j != slot]
+        odd = (_intersection_sizes([limbs[c:, slot], *others])[0] & 1).astype(bool)
+        if (odd & distinct).any():
+            return False
     return True
 
 

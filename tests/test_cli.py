@@ -1,6 +1,9 @@
 """Exit-code contract, golden reports, and round-trips through the CLI."""
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -10,10 +13,22 @@ from flatrank.cli import main
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(args):
     return main([str(a) for a in args])
+
+
+def run_process(args):
+    """One ``python -m flatrank.cli`` process on ``args``, with the package from ``src/``."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "flatrank.cli", *map(str, args)],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
 
 
 def test_rank_max_exit_zero(capsys):
@@ -53,8 +68,19 @@ GF2_DOC = {"dims": [2, 2], "field": {"kind": "prime", "p": 2}}
         {"entries": [None, 0, 0, 1]},
         {"sparse": [[[0, 0], 1], [[1, 1], 1], [[0, 0], 0]]},
         {"entries": [1, 0, 0, 1], "field": {"kind": "binary", "k": True}},
+        {"entries": [1, 0, 0, 1], "field": [1]},
+        {"entries": [1, 0, 0, 1], "field": "gf2"},
     ],
-    ids=["float", "string", "bool", "null", "duplicate-sparse-index", "bool-field-degree"],
+    ids=[
+        "float",
+        "string",
+        "bool",
+        "null",
+        "duplicate-sparse-index",
+        "bool-field-degree",
+        "list-field",
+        "string-field",
+    ],
 )
 def test_rank_rejects_malformed_entries_exit_two(tmp_path, capsys, body):
     doc = tmp_path / "t.json"
@@ -93,10 +119,65 @@ def test_usage_error_exit_two():
         ),
     ],
 )
-def test_golden_reports(tmp_path, args, golden):
+def test_golden_reports(tmp_path, capsys, args, golden):
     out = tmp_path / "report.json"
     assert run(list(args) + ["--out", out]) == 0
-    assert out.read_bytes() == (GOLDEN / golden).read_bytes()
+    want = (GOLDEN / golden).read_bytes()
+    assert out.read_bytes() == want
+    assert capsys.readouterr().out.encode() == want
+
+
+def test_repeated_calls_match_fresh_processes(tmp_path, capsys):
+    # the parser is built once per process; no call may see another's options
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({"members": [1, 1], "n": 3}))  # a witness only with positions
+    csv_path = tmp_path / "sum.csv"
+    sweep = ["experiment", "random-semidiagonal", "--a", "3", "--d", "3", "--count", "50"]
+    calls = [
+        ["rank", FIXTURES / "partition_4_3.json", "--axis", "1"],
+        ["rank", FIXTURES / "partition_4_3.json", "--max"],
+        ["verify", "fw", fam, "--config", FIXTURES / "fw_config.json", "--distinct", "positions"],
+        ["verify", "fw", fam, "--config", FIXTURES / "fw_config.json"],
+        sweep + ["--seed", "4", "--csv", csv_path],
+        sweep + ["--seed", "4"],
+    ]
+
+    def csv_written():
+        if not csv_path.exists():
+            return None
+        text = csv_path.read_text()
+        csv_path.unlink()
+        return text
+
+    results = []
+    for args in calls:
+        code = run(args)
+        captured = capsys.readouterr()
+        got = (code, captured.out.encode(), captured.err.encode(), csv_written())
+        fresh = run_process(args)
+        assert got == (fresh.returncode, fresh.stdout, fresh.stderr, csv_written()), args
+        results.append(got)
+    # each option changes the outcome, so a leaked option would show above
+    assert "frank" in json.loads(results[0][1])["results"]
+    assert "witness" in json.loads(results[2][1])["results"]
+    assert "franks" in json.loads(results[3][1])["results"]
+    assert results[4][3] is not None and results[5][3] is None
+
+
+def test_cli_process_smoke():
+    version = run_process(["--version"])
+    assert version.returncode == 0 and version.stdout.startswith(b"flatrank ")
+    ok = run_process(["rank", FIXTURES / "partition_4_3.json", "--max"])
+    assert ok.returncode == 0
+    assert ok.stdout == (GOLDEN / "rank_partition_max.json").read_bytes()
+    failed = run_process(["verify", "oddtown", FIXTURES / "oddtown_bad.json"])
+    assert failed.returncode == 1
+    assert failed.stdout == (GOLDEN / "verify_oddtown_bad.json").read_bytes()
+    assert failed.stderr.startswith(b"flatrank: verification failed:")
+    for args in (["rank", FIXTURES / "corrupt.json", "--max"], ["rank", FIXTURES / "zero_2x2.json"]):
+        bad = run_process(args)
+        assert bad.returncode == 2 and bad.stdout == b"", args
+        assert b"Traceback" not in bad.stderr, args
 
 
 def test_construct_rank_round_trip(tmp_path, capsys):
@@ -119,8 +200,8 @@ def test_construct_sparse_equals_dense(tmp_path, capsys):
     assert run(["construct", "partition", "--a", "4", "--d", "2", "--sparse", "--out", sparse]) == 0
     from flatrank.formats import load_document, tensor_from_document
 
-    assert tensor_from_document(load_document(str(dense))) == tensor_from_document(
-        load_document(str(sparse))
+    assert tensor_from_document(load_document(str(dense))[0]) == tensor_from_document(
+        load_document(str(sparse))[0]
     )
 
 
@@ -135,12 +216,14 @@ def test_verify_oddtown_failure_exit_one(capsys):
     assert out["results"]["is_cross_oddtown"] is False
 
 
-def test_verify_oddtown_failure_golden(tmp_path):
+def test_verify_oddtown_failure_golden(tmp_path, capsys):
     # a non-cross-Oddtown family: the report still carries the derived
     # semi_diagonal, certificate_reconstructs and franks fields
     out = tmp_path / "report.json"
     assert run(["verify", "oddtown", FIXTURES / "oddtown_bad.json", "--out", out]) == 1
-    assert out.read_bytes() == (GOLDEN / "verify_oddtown_bad.json").read_bytes()
+    want = (GOLDEN / "verify_oddtown_bad.json").read_bytes()
+    assert out.read_bytes() == want
+    assert capsys.readouterr().out.encode() == want
 
 
 def test_verify_oddtown_masks_wider_than_a_word(tmp_path, capsys):
@@ -299,6 +382,21 @@ def test_experiment_cap_exceeded_exit_two():
     assert run(["experiment", "exhaustive", "--a", "4", "--d", "3"]) == 2
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--a", "0", "--d", "3", "--count", "5"],
+        ["--a", "3", "--d", "1", "--count", "5"],
+        ["--a", "3", "--d", "3", "--count", "-3"],
+    ],
+    ids=["a-zero", "d-one", "negative-count"],
+)
+def test_random_semidiagonal_rejects_bad_arguments_exit_two(capsys, flags):
+    assert run(["experiment", "random-semidiagonal", *flags, "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("flatrank: error: need ")
+
+
 def test_experiment_seeded_determinism(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
@@ -322,6 +420,21 @@ def test_experiment_oddtown_search(capsys):
     ) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["results"]["largest_size"] == 3
+
+
+def test_oddtown_search_grid_cap_before_allocation(capsys):
+    # at d = 10 the first greedy step that needs a grid has 9 members: 9^9 = 387 M cells
+    tracemalloc.start()
+    try:
+        code = run(
+            ["experiment", "oddtown-search", "--n", "2", "--d", "10", "--budget", "10", "--seed", "1"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "16777216 dense cap" in capsys.readouterr().err
+    assert peak < 3 << 20
 
 
 def test_experiment_csv_summary(tmp_path):

@@ -11,11 +11,11 @@ from flatrank.formats import (
     canonical_json,
     configuration_from_document,
     configuration_to_document,
+    digest_bytes,
     digest_params,
     hypergraph_from_document,
     hypergraph_to_document,
     load_document,
-    save_document,
     set_family_from_document,
     set_family_to_document,
     setpair_from_document,
@@ -24,6 +24,7 @@ from flatrank.formats import (
     tensor_to_document,
     tuple_family_from_document,
     tuple_family_to_document,
+    write_atomic,
 )
 from flatrank.fw import Configuration, sample_badbox_family
 from flatrank.rainbow import SetPairSystem, hypergraph_from_vertex_lists
@@ -111,10 +112,12 @@ def test_badbox_round_trip():
 def test_save_load_atomic(tmp_path):
     doc = {"b": 2, "a": [1, 2, 3]}
     path = tmp_path / "doc.json"
-    save_document(str(path), doc)
-    assert load_document(str(path)) == doc
+    write_atomic(str(path), canonical_json(doc))
+    loaded, digest = load_document(str(path))
+    assert loaded == doc
     raw = path.read_bytes()
     assert raw == canonical_json(doc).encode()
+    assert digest == digest_bytes(raw)
     # canonical bytes are key-sorted and newline-terminated
     assert raw.startswith(b'{"a":') and raw.endswith(b"}\n")
 

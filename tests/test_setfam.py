@@ -11,6 +11,7 @@ from flatrank.linalg import _rank_generic
 from flatrank.rng import Rng
 from flatrank.setfam import (
     SetFamily,
+    _cross_even_with,
     TupleFamily,
     cross_oddtown_bound,
     enumerate_cross_oddtown,
@@ -226,6 +227,42 @@ def test_parity_grid_matches_slow_oracle():
         cert = oddtown_rank1_certificate(fam)
         assert cert.shape == (fam.n, fam.d, len(fam)), case
         assert reconstruct_from_certificate(cert) == oddtown_tensor(fam), case
+
+
+def _cross_even_with_loop(members, new, d):
+    """The greedy step as a loop over slot arrangements of d - 1 distinct members."""
+    if len(members) + 1 < d:
+        return True
+    for slot in range(d):
+        for arrangement in itertools.permutations(range(len(members)), d - 1):
+            acc = new[slot]
+            others = iter(arrangement)
+            for j in range(d):
+                if j != slot:
+                    acc &= members[next(others)][j]
+            if acc.bit_count() % 2:
+                return False
+    return True
+
+
+def test_greedy_step_matches_arrangement_loop():
+    rnd = random.Random(11)
+    cases = []
+    for members in itertools.islice(enumerate_cross_oddtown(2, 3, 4), 0, 4000, 13):
+        cases.append((members[:-1], members[-1], 3))  # joins: True
+    for d, n in ((2, 3), (3, 2), (4, 2)):
+        cands = odd_tuple_candidates(n, d)
+        for _ in range(40):
+            members = tuple(rnd.choice(cands) for _ in range(rnd.randrange(2 * d)))
+            cases.append((members, rnd.choice(cands), d))
+    for fam in _random_families():
+        cases.append((fam.members[:-1], fam.members[-1], fam.d))
+    answers = []
+    for members, new, d in cases:
+        want = _cross_even_with_loop(list(members), new, d)
+        assert _cross_even_with(list(members), new, d) == want, (members, new, d)
+        answers.append(want)
+    assert answers.count(True) > 50 and answers.count(False) > 50
 
 
 def test_empty_family_is_cross_oddtown():
