@@ -62,6 +62,7 @@ from .setfam import verify_oddtown_chain
 from .tensor import (
     axis_constant_construction,
     flattening_rank,
+    flattening_ranks,
     is_semi_diagonal,
     partition_construction,
 )
@@ -112,7 +113,7 @@ def _cmd_rank(args) -> int:
         results["axis"] = args.axis
         results["frank"] = flattening_rank(t, args.axis)
     else:
-        franks = [flattening_rank(t, i) for i in range(t.ndim)]
+        franks = flattening_ranks(t)
         if args.max:
             results["mfrank"] = max(franks)
         else:
@@ -165,7 +166,7 @@ def _verify_fw(doc: dict, args) -> tuple[dict, str | None]:
         return results, "family is not configuration-satisfying"
     if fam.members:
         t = fw_tensor(fam, cfg)
-        franks = [flattening_rank(t, j) for j in range(cfg.k)]
+        franks = flattening_ranks(t)
         results.update(
             {
                 "semi_diagonal": is_semi_diagonal(t),
@@ -214,7 +215,7 @@ def _cmd_verify(args) -> int:
             results = verify_oddtown_chain(tuple_family_from_document(doc))
             failure = "cross-Oddtown chain failed; see report"
         elif args.target == "rainbow":
-            field = make_binary_field(args.field_k) if args.field_k else None
+            field = make_binary_field(args.field_k) if args.field_k is not None else None
             results = certify_no_rainbow_bound(hypergraph_from_document(doc), field)
             failure = (
                 "hypergraph contains a full-size rainbow matching"

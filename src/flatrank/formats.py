@@ -106,6 +106,13 @@ def _json_int(value, what: str, minimum: int | None = None) -> int:
     return value
 
 
+def _json_list(value, what: str) -> list:
+    """``value`` if it is a JSON array."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
 def _mask_from(value, n: int, what: str) -> int:
     """Accept an int mask or a list of 0-based elements."""
     if isinstance(value, bool):
@@ -191,7 +198,7 @@ def tuple_family_to_document(fam: TupleFamily) -> dict:
 def tuple_family_from_document(doc: dict) -> TupleFamily:
     n = _json_int(doc.get("n"), "tuple-family n", 1)
     d = doc.get("d")
-    members_raw = doc.get("members", [])
+    members_raw = _json_list(doc.get("members", []), "tuple-family members")
     if d is None:
         if not members_raw:
             raise ValueError("cannot infer d from an empty family; provide 'd'")
@@ -212,7 +219,8 @@ def set_family_to_document(fam: SetFamily) -> dict:
 def set_family_from_document(doc: dict) -> SetFamily:
     n = _json_int(doc.get("n"), "set-family n", 1)
     members = tuple(
-        _mask_from(m, n, f"member {i}") for i, m in enumerate(doc.get("members", []))
+        _mask_from(m, n, f"member {i}")
+        for i, m in enumerate(_json_list(doc.get("members", []), "set-family members"))
     )
     return SetFamily(n=n, members=members)
 
@@ -230,7 +238,8 @@ def configuration_from_document(doc: dict) -> Configuration:
     k = _json_int(doc.get("k"), "configuration k")
     p = _json_int(doc.get("p"), "configuration p")
     c_masks = tuple(
-        _mask_from(x, k, f"C[{i}]") for i, x in enumerate(doc.get("C", []))
+        _mask_from(x, k, f"C[{i}]")
+        for i, x in enumerate(_json_list(doc.get("C", []), "configuration C"))
     )
     L = doc.get("L", [])
     if not isinstance(L, list):
@@ -252,7 +261,7 @@ def hypergraph_to_document(h: ColoredHypergraph) -> dict:
 def hypergraph_from_document(doc: dict) -> ColoredHypergraph:
     n, r, t = (_json_int(doc.get(name), f"hypergraph {name}", 1) for name in ("N", "r", "t"))
     colors = []
-    for ci, cls in enumerate(doc.get("colors", [])):
+    for ci, cls in enumerate(_json_list(doc.get("colors", []), "hypergraph colors")):
         if not isinstance(cls, list):
             raise ValueError(f"color {ci} must be a list of edges")
         colors.append(tuple(_mask_from(e, n, f"color {ci}") for e in cls))
@@ -274,7 +283,7 @@ def setpair_from_document(doc: dict) -> SetPairSystem:
         raise ValueError("set-pair document needs slot sizes")
     sizes = tuple(_json_int(x, "set-pair slot size", 1) for x in sizes)
     members = []
-    for i, tup in enumerate(doc.get("members", [])):
+    for i, tup in enumerate(_json_list(doc.get("members", []), "set-pair members")):
         if not isinstance(tup, list) or len(tup) != len(sizes):
             raise ValueError(f"member {i} has the wrong arity")
         members.append(tuple(_mask_from(slot, base, f"member {i}") for slot in tup))
@@ -295,7 +304,8 @@ def badbox_to_document(fam: BadBoxFamily) -> dict:
 def badbox_from_document(doc: dict) -> BadBoxFamily:
     t, s, k = (_json_int(doc.get(name), f"bad-box {name}", 1) for name in ("t", "s", "k"))
     members = []
-    for i, factors in enumerate(doc.get("members_factors", [])):
+    factors_raw = _json_list(doc.get("members_factors", []), "bad-box members_factors")
+    for i, factors in enumerate(factors_raw):
         if not isinstance(factors, list) or len(factors) != s:
             raise ValueError(f"member {i} needs {s} factors")
         members.append(tuple(_mask_from(f, t, f"member {i}") for f in factors))

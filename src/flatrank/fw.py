@@ -370,6 +370,8 @@ def sample_badbox_family(t: int, s: int, seed: int, max_attempts: int = 1000) ->
     """
     if t < 2 or s < 1:
         raise ValueError("need t >= 2 and s >= 1")
+    if max_attempts < 1:
+        raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
     if t**s > MAX_BADBOX_GROUND:
         raise ValueError(f"ground set t^s = {t ** s} exceeds desk-scale cap {MAX_BADBOX_GROUND}")
     pool = odd_subsets(t)

@@ -1,4 +1,4 @@
-"""Exact rank and determinant kernels over finite fields.
+"""Exact rank kernels over finite fields.
 
 :func:`matrix_rank` is the one exact-rank entry point.  It takes a single
 ``(r, c)`` matrix or a batch ``(N, r, c)`` and eliminates along the short side
@@ -29,7 +29,6 @@ from .field import FieldDescriptor, discrete_log_tables
 __all__ = [
     "rank_gf2_bitrows",
     "matrix_rank",
-    "determinant",
     "solve_is_independent",
 ]
 
@@ -165,65 +164,6 @@ def matrix_rank(mats, field: FieldDescriptor):
     else:
         ranks = np.array([_rank_generic(x.tolist(), field) for x in m], dtype=np.int64)
     return int(ranks[0]) if single else ranks
-
-
-def determinant(rows: Sequence[Sequence[int]], field: FieldDescriptor) -> int:
-    """Determinant of a square matrix by elimination; returns a representative."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant requires a square matrix")
-    if field.kind == "binary" and 2 <= field.k <= 16:
-        return _det_gf2k_tables(rows, field)
-    m = [list(r) for r in rows]
-    det = 1
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            det = field.neg(det)
-        pivval = m[col][col]
-        det = field.mul(det, pivval)
-        inv = field.inv(pivval)
-        for r in range(col + 1, n):
-            f = m[r][col]
-            if f:
-                scale = field.mul(f, inv)
-                mr = m[r]
-                mc = m[col]
-                for c in range(col, n):
-                    mr[c] = field.sub(mr[c], field.mul(scale, mc[c]))
-    return det
-
-
-def _det_gf2k_tables(rows: Sequence[Sequence[int]], field: FieldDescriptor) -> int:
-    """Elimination determinant with discrete-log multiplication (binary field)."""
-    exp, log = discrete_log_tables(field)
-    order_m1 = field.order - 1
-    n = len(rows)
-    m = [list(r) for r in rows]
-    det_log = 0
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return 0
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]  # char 2: swaps do not flip sign
-        mc = m[col]
-        pivval = mc[col]
-        det_log = (det_log + log[pivval]) % order_m1
-        inv_log = (order_m1 - log[pivval]) % order_m1
-        for r in range(col + 1, n):
-            f = m[r][col]
-            if f:
-                scale_log = (log[f] + inv_log) % order_m1
-                mr = m[r]
-                for c in range(col, n):
-                    v = mc[c]
-                    if v:
-                        mr[c] ^= exp[scale_log + log[v]]
-    return exp[det_log]
 
 
 def solve_is_independent(vectors: Sequence[Sequence[int]], field: FieldDescriptor) -> bool:

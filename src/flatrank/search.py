@@ -38,7 +38,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import MAX_ENTRIES, Tensor, classify_indices, flattening_rank, index_class_arrays
+from .tensor import MAX_ENTRIES, Tensor, classify_indices, flattening_ranks, index_class_arrays
 
 __all__ = [
     "Rng",
@@ -214,7 +214,7 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18
                 "field": t.field.to_document(),
                 "entries": t.entries.tolist(),
             },
-            "franks": [flattening_rank(t, i) for i in range(d)],
+            "franks": flattening_ranks(t),
         }
 
     report = SearchReport(
@@ -395,6 +395,8 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
     extremal family), the remaining budget proposes uniform random tuples.
     The reported size can therefore reach, and never exceeds, (d-1)*n.
     """
+    if budget < 0:
+        raise ValueError(f"need budget >= 0, got {budget}")
     started = time.monotonic()
     bound = cross_oddtown_bound(n, d)
     best: list[tuple[int, ...]] = []

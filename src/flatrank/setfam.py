@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .field import GF2
-from .tensor import MAX_ENTRIES, Tensor, flattening_rank, is_semi_diagonal
+from .tensor import MAX_ENTRIES, Tensor, flattening_ranks, is_semi_diagonal
 
 __all__ = [
     "SetFamily",
@@ -147,10 +147,10 @@ def _intersection_sizes(axis_limbs: Sequence[np.ndarray | None]) -> np.ndarray:
     return sizes
 
 
-def _slot_limbs(fam: TupleFamily) -> np.ndarray:
-    """(m, d, w) uint64 limbs of every member's slot masks."""
-    limbs = _mask_limbs([x for tup in fam.members for x in tup])
-    return limbs.reshape(len(fam), fam.d, limbs.shape[1])
+def _slot_limbs(members: Sequence[Sequence[int]], d: int) -> np.ndarray:
+    """(m, d, w) uint64 limbs of the d slot masks of each of m members."""
+    limbs = _mask_limbs([x for tup in members for x in tup])
+    return limbs.reshape(len(members), d, limbs.shape[1])
 
 
 def is_cross_oddtown(fam: TupleFamily) -> bool:
@@ -168,7 +168,7 @@ def oddtown_tensor(fam: TupleFamily) -> Tensor:
     if m == 0:
         raise ValueError("tensor of an empty family is undefined")
     _grid_shape(m, fam.d)  # raises over the dense cap, before any allocation
-    limbs = _slot_limbs(fam)
+    limbs = _slot_limbs(fam.members, fam.d)
     parity = _intersection_sizes([limbs[:, j] for j in range(fam.d)]) & 1
     return Tensor.from_array(parity, GF2)
 
@@ -182,7 +182,7 @@ def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:
     which certifies tensor rank (and hence every flattening rank) at most n.
     """
     bits = np.unpackbits(
-        _slot_limbs(fam).view(np.uint8), axis=-1, count=fam.n, bitorder="little"
+        _slot_limbs(fam.members, fam.d).view(np.uint8), axis=-1, count=fam.n, bitorder="little"
     )
     return bits.transpose(2, 1, 0)
 
@@ -246,7 +246,7 @@ def _cross_even_with(members: list[tuple[int, ...]], new: tuple[int, ...], d: in
     if c + 1 < d:
         return True
     distinct = _distinct_tuple_mask(c, d - 1)
-    limbs = _mask_limbs([x for tup in (*members, new) for x in tup]).reshape(c + 1, d, -1)
+    limbs = _slot_limbs((*members, new), d)
     for slot in range(d):
         others = [limbs[:c, j] for j in range(d) if j != slot]
         odd = (_intersection_sizes([limbs[c:, slot], *others])[0] & 1).astype(bool)
@@ -345,7 +345,7 @@ def verify_oddtown_chain(fam: TupleFamily) -> dict:
         return report
     t = oddtown_tensor(fam)
     hypothesis = is_semi_diagonal(t)
-    franks = [flattening_rank(t, i) for i in range(d)]
+    franks = flattening_ranks(t)
     mfrank = max(franks)
     recon = reconstruct_from_certificate(oddtown_rank1_certificate(fam))
     report.update(

@@ -30,6 +30,7 @@ __all__ = [
     "FlatteningMatrix",
     "flatten",
     "flattening_rank",
+    "flattening_ranks",
     "max_flattening_rank",
     "sum_flattening_ranks",
     "is_semi_diagonal",
@@ -203,12 +204,19 @@ def flattening_rank(t: Tensor, axis: int) -> int:
     return matrix_rank(_flattening(t, axis), t.field)
 
 
+def flattening_ranks(t: Tensor) -> list[int]:
+    """Rank of every flattening, in axis order; a matrix's two are transposes, so one is ranked."""
+    if t.ndim == 2:
+        return [flattening_rank(t, 0)] * 2
+    return [flattening_rank(t, i) for i in range(t.ndim)]
+
+
 def max_flattening_rank(t: Tensor) -> int:
-    return max(flattening_rank(t, i) for i in range(t.ndim))
+    return max(flattening_ranks(t))
 
 
 def sum_flattening_ranks(t: Tensor) -> int:
-    return sum(flattening_rank(t, i) for i in range(t.ndim))
+    return sum(flattening_ranks(t))
 
 
 def _require_cubical(t: Tensor) -> int:

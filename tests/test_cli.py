@@ -1,5 +1,6 @@
 """Exit-code contract, golden reports, and round-trips through the CLI."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flatrank.cli import main
@@ -117,6 +119,10 @@ def test_usage_error_exit_two():
             + ["--count", "40", "--seed", "13"],
             "experiment_random_gf2_8_3.json",
         ),
+        (
+            ["verify", "bollobas", FIXTURES / "bollobas_classic.json"],
+            "verify_bollobas_classic.json",
+        ),
     ],
 )
 def test_golden_reports(tmp_path, capsys, args, golden):
@@ -226,6 +232,15 @@ def test_verify_oddtown_failure_golden(tmp_path, capsys):
     assert capsys.readouterr().out.encode() == want
 
 
+def test_verify_bollobas_failure_golden(tmp_path, capsys):
+    # three copies of one member: the report carries the first violating assignment
+    out = tmp_path / "report.json"
+    assert run(["verify", "bollobas", FIXTURES / "bollobas_bad.json", "--out", out]) == 1
+    want = (GOLDEN / "verify_bollobas_bad.json").read_bytes()
+    assert out.read_bytes() == want
+    assert capsys.readouterr().out.encode() == want
+
+
 def test_verify_oddtown_masks_wider_than_a_word(tmp_path, capsys):
     # 70 singletons: each mask spans two 64-bit limbs; the parity tensor is I_70
     fam = tmp_path / "family.json"
@@ -270,6 +285,12 @@ BADBOX = {"attempts": 1, "k": 8, "members_factors": [[4, 1], [4, 7]], "s": 2, "s
         ("bollobas", {**BOLLOBAS, "sizes": [1.0, 1]}, None),
         ("badbox", {**BADBOX, "attempts": "1"}, None),
         ("badbox", {**BADBOX, "seed": 7.5}, None),
+        ("rainbow", {"N": 4, "colors": 5, "r": 2, "t": 2}, None),
+        ("bollobas", {**BOLLOBAS, "members": 3}, None),
+        ("oddtown", {"d": 2, "members": 3, "n": 2}, None),
+        ("fw", {"members": 3, "n": 2}, FW_CONFIG),
+        ("fw", FW_FAMILY, {**FW_CONFIG, "C": 5}),
+        ("badbox", {**BADBOX, "members_factors": 5}, None),
     ],
     ids=[
         "oddtown-bool-element",
@@ -283,6 +304,12 @@ BADBOX = {"attempts": 1, "k": 8, "members_factors": [[4, 1], [4, 7]], "s": 2, "s
         "bollobas-float-size",
         "badbox-string-attempts",
         "badbox-float-seed",
+        "rainbow-int-colors",
+        "bollobas-int-members",
+        "oddtown-int-members",
+        "fw-int-members",
+        "fw-int-C",
+        "badbox-int-factors",
     ],
 )
 def test_verify_rejects_coercible_values_exit_two(tmp_path, capsys, target, doc, config):
@@ -363,6 +390,45 @@ def test_verify_rainbow_matching_exit_one(capsys):
     assert out["results"]["rainbow_matching"] is not None
 
 
+def test_verify_rainbow_rejects_field_degree_zero(capsys):
+    assert run(["verify", "rainbow", FIXTURES / "k4_hypergraph.json", "--field-k", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "extension degree" in captured.err
+
+
+def hyperplane_colors(dim, count):
+    """``count`` parallel classes of hyperplanes of AG(dim, 3), as point masks.
+
+    Each class is 3 disjoint hyperplanes covering the 3^dim points, and
+    hyperplanes of different classes always meet, so no two disjoint edges
+    have distinct colors: there is no rainbow matching, and the matching
+    search fails after one pass over pairs of edges.
+    """
+    points = np.array(list(itertools.product(range(3), repeat=dim)))
+    normals = [a for a in itertools.product(range(3), repeat=dim) if any(a)]
+    normals = [a for a in normals if a[next(i for i, x in enumerate(a) if x)] == 1][:count]
+    values = np.array(normals) @ points.T % 3
+    def mask(bits):
+        return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+    return [[mask(row == s) for s in range(3)] for row in values]
+
+
+def test_verify_rainbow_grid_cap_before_allocation(tmp_path, capsys):
+    # 257 colors at t = 3: the wedge grid would hold 257^3 = 16.97 M cells
+    doc = tmp_path / "hypergraph.json"
+    doc.write_text(json.dumps({"N": 729, "colors": hyperplane_colors(6, 257), "r": 243, "t": 3}))
+    tracemalloc.start()
+    try:
+        code = run(["verify", "rainbow", doc])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "257^3 = 16974593 cells exceeds the 16777216 dense cap" in capsys.readouterr().err
+    assert peak < 3 << 20
+
+
 def test_verify_bollobas(capsys):
     assert run(["verify", "bollobas", FIXTURES / "bollobas_classic.json"]) == 0
     capsys.readouterr()
@@ -435,6 +501,21 @@ def test_oddtown_search_grid_cap_before_allocation(capsys):
     assert code == 2
     assert "16777216 dense cap" in capsys.readouterr().err
     assert peak < 3 << 20
+
+
+def test_oddtown_search_rejects_negative_budget_exit_two(capsys):
+    args = ["experiment", "oddtown-search", "--n", "4", "--d", "2", "--budget", "-5", "--seed", "1"]
+    assert run(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("flatrank: error: need budget >= 0")
+
+
+@pytest.mark.parametrize("attempts", ["0", "-4"])
+def test_badbox_sample_rejects_nonpositive_attempts_exit_two(capsys, attempts):
+    args = ["experiment", "badbox-sample", "--t", "3", "--s", "1", "--seed", "1"]
+    assert run(args + ["--max-attempts", attempts]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("flatrank: error: need max_attempts >= 1")
 
 
 def test_experiment_csv_summary(tmp_path):

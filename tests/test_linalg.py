@@ -1,4 +1,4 @@
-"""Rank/determinant kernels cross-checked against enumeration oracles."""
+"""Rank kernels cross-checked against enumeration oracles."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from flatrank.field import make_binary_field, make_prime_field
 from flatrank.linalg import (
     _rank_generic,
-    determinant,
     matrix_rank,
     rank_gf2_bitrows,
     solve_is_independent,
@@ -37,18 +36,6 @@ def span_size_rank(rows, field):
     return rank
 
 
-def cofactor_det(rows, field):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = 0
-    for j in range(n):
-        minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
-        term = field.mul(rows[0][j], cofactor_det(minor, field))
-        acc = field.add(acc, term) if j % 2 == 0 else field.sub(acc, term)
-    return acc
-
-
 def test_rank_gf2_bitrows_basics():
     assert rank_gf2_bitrows([]) == 0
     assert rank_gf2_bitrows([0, 0]) == 0
@@ -70,25 +57,6 @@ def test_matrix_rank_matches_span_oracle(field, data):
         [data.draw(st.integers(0, field.order - 1)) for _ in range(ncols)] for _ in range(nrows)
     ]
     assert matrix_rank(rows, field) == span_size_rank(rows, field)
-
-
-@pytest.mark.parametrize(
-    "field",
-    [make_prime_field(3), make_binary_field(3), make_binary_field(8)],
-    ids=str,
-)
-def test_determinant_matches_cofactor_oracle(field):
-    rng = Rng(2024)
-    for n in (1, 2, 3, 4):
-        for _ in range(25):
-            rows = [[rng.next_below(field.order) for _ in range(n)] for _ in range(n)]
-            assert determinant(rows, field) == cofactor_det(rows, field)
-
-
-def test_determinant_repeated_rows_is_zero():
-    f = make_binary_field(8)
-    row = [3, 7, 250]
-    assert determinant([row, [9, 1, 2], row], f) == 0
 
 
 def test_rank_wide_matrix_mod_p():

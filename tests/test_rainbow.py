@@ -3,11 +3,15 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 
+from flatrank.extalg import moment_curve_vectors, top_coefficient, wedge_of_vectors
 from flatrank.field import make_binary_field
 from flatrank.rainbow import (
     SetPairSystem,
+    _disjoint_grid,
+    _wedge_grid,
     bollobas_bound,
     bollobas_verify,
     certify_no_rainbow_bound,
@@ -19,6 +23,7 @@ from flatrank.rainbow import (
 )
 from flatrank.rng import Rng
 from flatrank.search import random_colored_hypergraph
+from flatrank.setfam import _slot_limbs
 
 
 def k4_factorization():
@@ -213,3 +218,123 @@ def test_bollobas_empty_family():
     s = SetPairSystem(base_size=2, sizes=(1, 1), members=())
     rep = bollobas_verify(s)
     assert rep["verified"]
+
+
+def wedge_oracle(slots, num_vertices, field):
+    """Entries by exterior algebra: the top coefficient of the wedge of the
+    picked vertices' moment-curve vectors, cell by cell in row-major order."""
+    n = sum(slot[0].bit_count() for slot in slots)
+    vectors = moment_curve_vectors(num_vertices, n, field)
+    out = []
+    for idx in itertools.product(range(len(slots[0])), repeat=len(slots)):
+        masks = [slots[j][i] for j, i in enumerate(idx)]
+        picked = [vectors[v] for mask in masks for v in range(num_vertices) if mask >> v & 1]
+        out.append(top_coefficient(wedge_of_vectors(picked, field)))
+    return out
+
+
+def hypothesis_loop(system):
+    """The set-pair hypothesis by direct enumeration, witnesses included."""
+    for pos, tup in enumerate(system.members):
+        used = 0
+        for mask in tup:
+            if mask & used:
+                return {"violating_member": pos}
+            used |= mask
+    for positions in itertools.permutations(range(len(system.members)), system.t):
+        used = 0
+        for slot, pos in enumerate(positions):
+            mask = system.members[pos][slot]
+            if mask & used:
+                break
+            used |= mask
+        else:
+            return {"violating_assignment": list(positions)}
+    return {}
+
+
+def random_setpair_system(rng, t, sizes, base, m, skew):
+    """Members of pairwise-disjoint slots; ``skew`` systems pair a-subsets of a
+    core with their complements (plus fixed extra slots), so they satisfy the
+    hypothesis until a member repeats, and others overlap a slot now and then."""
+    members = []
+    if skew:
+        core = sizes[0] + sizes[1]
+        full = (1 << core) - 1
+        extra, free = [], core
+        for size in sizes[2:]:
+            extra.append(((1 << size) - 1) << free)
+            free += size
+        pool = [sum(1 << v for v in c) for c in itertools.combinations(range(core), sizes[0])]
+        for _ in range(m):
+            a = pool[rng.next_below(len(pool))]
+            members.append((a, full ^ a, *extra))
+    else:
+        for _ in range(m):
+            verts = rng.sample_without_replacement(base, sum(sizes))
+            tup, at = [], 0
+            for size in sizes:
+                tup.append(sum(1 << v for v in verts[at : at + size]))
+                at += size
+            if rng.next_below(6) == 0:
+                j = rng.next_below(t)
+                tup[j] = sum(1 << v for v in rng.sample_without_replacement(base, sizes[j]))
+            members.append(tuple(tup))
+    return SetPairSystem(base_size=base, sizes=sizes, members=tuple(members))
+
+
+@pytest.mark.parametrize("k", [8, 17])
+def test_rainbow_tensor_matches_exterior_algebra(k):
+    field = make_binary_field(k)
+    rng = Rng(60 + k)
+    for _ in range(40):
+        r = 1 + rng.next_below(3)
+        t = 1 + rng.next_below(3)
+        z = 1 + rng.next_below(4)
+        n = r * t + rng.next_below(4)
+        h = random_colored_hypergraph(n, r, t, z, rng)
+        slots = [[cls[j] for cls in h.colors] for j in range(t)]
+        assert rainbow_tensor(h, field).entries.tolist() == wedge_oracle(slots, n, field)
+
+
+@pytest.mark.parametrize("k", [8, 17])
+def test_setpair_wedge_grid_matches_exterior_algebra(k):
+    # mixed grades, slots that meet, repeated members: every cell against the oracle
+    field = make_binary_field(k)
+    rng = Rng(70 + k)
+    for _ in range(40):
+        t = 2 + rng.next_below(2)
+        sizes = tuple(1 + rng.next_below(3) for _ in range(t))
+        base = sum(sizes) + rng.next_below(3)
+        system = random_setpair_system(rng, t, sizes, base, 1 + rng.next_below(4), skew=False)
+        slots = [[tup[j] for tup in system.members] for j in range(t)]
+        limbs = _slot_limbs(system.members, t)
+        disjoint = _disjoint_grid(limbs)
+        entries = _wedge_grid(limbs, sizes, disjoint, base, field)
+        assert entries.reshape(-1).tolist() == wedge_oracle(slots, base, field)
+        assert np.array_equal(entries != 0, disjoint)
+
+
+def test_bollobas_witnesses_match_enumeration():
+    rng = Rng(91)
+    seen = {"violating_member": 0, "violating_assignment": 0, "holds": 0}
+    for case in range(400):
+        t = 2 + rng.next_below(3)
+        sizes = tuple(1 + rng.next_below(2) for _ in range(t))
+        base = sum(sizes) + rng.next_below(4)
+        m = rng.next_below(7)
+        system = random_setpair_system(rng, t, sizes, base, m, skew=case % 3 == 0)
+        want = hypothesis_loop(system)
+        rep = bollobas_verify(system)
+        got = {key: rep[key] for key in ("violating_member", "violating_assignment") if key in rep}
+        assert got == want, system
+        assert rep["hypothesis_ok"] == (not want)
+        seen[next(iter(want), "holds")] += 1
+    assert min(seen.values()) >= 40, seen
+
+
+def test_wedge_grid_cap_before_allocation():
+    # 257 members of three singleton slots: the grid would hold 257^3 = 16.97 M cells
+    system = SetPairSystem(base_size=3, sizes=(1, 1, 1), members=((1, 2, 4),) * 257)
+    with pytest.raises(ValueError, match="16777216 dense cap"):
+        bollobas_verify(system)

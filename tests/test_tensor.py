@@ -16,6 +16,7 @@ from flatrank.tensor import (
     decode_column,
     flatten,
     flattening_rank,
+    flattening_ranks,
     is_semi_diagonal,
     max_flattening_rank,
     negate_tensor,
@@ -117,6 +118,25 @@ def test_sum_flattening_ranks_examples():
     part = partition_construction(4, 3, GF2)
     assert sum_flattening_ranks(part) == 6  # tight at (3/2)*4
     assert sum_flattening_ranks(Tensor((2, 2, 2), GF2, (1,) * 8)) == 3
+
+
+def test_flattening_ranks_match_per_axis(monkeypatch):
+    import flatrank.tensor as tensor_mod
+
+    calls = []
+    rank = tensor_mod.matrix_rank
+    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: calls.append(m.shape) or rank(m, f))
+    rng = Rng(8)
+    for dims in [(5,), (2, 3), (4, 4), (3, 1), (2, 3, 2), (3, 3, 3, 2)]:
+        for field in (GF2, GF3):
+            entries = [rng.next_below(field.order) for _ in range(math.prod(dims))]
+            t = Tensor(dims, field, entries)
+            calls.clear()
+            want = [flattening_rank(t, ax) for ax in range(len(dims))]
+            calls.clear()
+            assert flattening_ranks(t) == want
+            # a matrix's second flattening is the transpose of its first: one rank call
+            assert len(calls) == (1 if len(dims) == 2 else len(dims))
 
 
 def test_is_semi_diagonal():
