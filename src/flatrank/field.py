@@ -321,10 +321,19 @@ def make_binary_field(k: int) -> FieldDescriptor:
     """Descriptor for GF(2^k), 1 <= k <= 63, with the built-in reduction polynomial."""
     if type(k) is not int or not 1 <= k <= 63:
         raise ValueError(f"extension degree must satisfy 1 <= k <= 63, got {k!r}")
+    return FieldDescriptor(kind="binary", k=k, reduction_poly=_checked_poly(k))
+
+
+@lru_cache(maxsize=None)
+def _checked_poly(k: int) -> int:
+    """The built-in reduction polynomial for GF(2^k), checked irreducible once per k.
+
+    Called only with an int ``k``: ``True == 1`` would share GF(2)'s entry.
+    """
     poly = IRREDUCIBLE_POLY[k]
     if not _is_irreducible(poly, k):
         raise AssertionError(f"built-in polynomial for k={k} failed irreducibility check")
-    return FieldDescriptor(kind="binary", k=k, reduction_poly=poly)
+    return poly
 
 
 def field_from_document(doc: dict) -> FieldDescriptor:

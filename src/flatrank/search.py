@@ -3,11 +3,16 @@
 GF(2) populations whose flattening rows fit one 64-bit word (a^(d-1) <= 64,
 any a) are ranked by one packed kernel, for the exhaustive sweep and the
 random sweeps alike.  Each row of every flattening is a machine word with
-one bit per column.  The rows of a block of tensors are assembled from byte
-tables, one per byte of the mixed bits: XOR the unit-diagonal rows with the
-table entry of each byte.  They are then eliminated all at once with min-XOR
-steps, ``min(x, x ^ p)`` per pivot row p.  Wider rows and larger fields go
-through the batched :func:`flatrank.linalg.matrix_rank`.
+one bit per column.  The rows of a tensor are the XOR of one entry of each
+byte table, one table per byte of the mixed bits; the tables are built once
+per sweep call.  Blocks are sized by the bytes of their packed rows
+(:data:`PACKED_BLOCK_BYTES`), so rows and scratch stay in cache.  A random
+block gathers one table entry per byte of each tensor; an exhaustive chunk,
+whose assignments are consecutive, gathers only its high bytes once per 256
+assignments and XORs in the low-byte table by broadcasting.  All rows of a
+block are then eliminated at once with min-XOR steps, ``min(x, x ^ p)`` per
+pivot row p.  Wider rows and larger fields go through the batched
+:func:`flatrank.linalg.matrix_rank`.
 
 Randomized sweeps and instance generators run off the documented splitmix64
 streams in :mod:`flatrank.rng`, so every report is reproducible from its seed.
@@ -52,14 +57,17 @@ __all__ = [
 ]
 
 MAX_FREE_ENTRIES = 22
-# Tensor entries (packed flattening rows on the GF(2) path) held by one sweep
-# block; bounds a block's memory with the rank kernels' temporaries.
+# Tensor entries held by one batched-rank sweep block; bounds a block's memory
+# with the rank kernels' temporaries.
 BLOCK_ENTRIES = 1 << 20
+# Bytes of packed flattening rows in one block of the packed GF(2) kernel, so
+# that the rows and their elimination scratch stay in the L2 cache.
+PACKED_BLOCK_BYTES = 1 << 19
 # Byte tables up to this size stay cached once built.  The 64-column shapes
 # reach about 1 MB ((4,4), (8,3)); they are rebuilt per call, in about a
 # millisecond, rather than held for the life of the process.
 TABLE_CACHE_BYTES = 1 << 19
-_ROW_TABLES: dict[tuple[int, int], tuple[np.ndarray, list[np.ndarray]]] = {}
+_ROW_TABLES: dict[tuple[int, int], list[np.ndarray]] = {}
 
 
 @dataclass
@@ -90,14 +98,16 @@ class SearchReport:
         return doc
 
 
-def _row_tables(a: int, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
-    """(base, tables): the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
+def _row_tables(a: int, d: int) -> list[np.ndarray]:
+    """Byte tables of the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
 
     Needs ``a ** (d-1) <= 64``.  Row ``r * d + axis`` holds row r of the
-    flattening along ``axis``, one bit per column.  ``base`` is those rows for
-    the unit diagonal alone.  ``tables[k][v]`` XORs in the mixed entries
-    8k .. 8k+7 whose bits are set in the byte v.  Built on first use; tables of
-    at most :data:`TABLE_CACHE_BYTES` are then kept, read-only.
+    flattening along ``axis``, one bit per column.  ``tables[k][v]`` XORs in
+    the mixed entries 8k .. 8k+7 whose bits are set in the byte v, and
+    ``tables[0]`` also holds the rows of the unit diagonal, so the rows of a
+    tensor are the XOR of one entry per table.  There is always at least one
+    table.  Built by each sweep call; tables of at most
+    :data:`TABLE_CACHE_BYTES` are then kept, read-only.
     """
     cached = _ROW_TABLES.get((a, d))
     if cached is not None:
@@ -115,61 +125,100 @@ def _row_tables(a: int, d: int) -> tuple[np.ndarray, list[np.ndarray]]:
             out[np.arange(flat.size), idx[ax] * d + ax] = np.uint64(1) << col
         return out
 
-    base = np.bitwise_xor.reduce(entry_rows(diag), axis=0)
-    nbytes = -(-mixed.size // 8)
+    nbytes = max(1, -(-mixed.size // 8))
     bits = np.zeros((8 * nbytes, a * d), dtype=dtype)
     bits[: mixed.size] = entry_rows(mixed)
     tables = []
     for k in range(nbytes):
         table = np.zeros((256, a * d), dtype=dtype)
+        if k == 0:
+            table[0] = np.bitwise_xor.reduce(entry_rows(diag), axis=0)
         for b in range(8):  # bytes with highest set bit b: the bytes below, XOR bit b's rows
             table[1 << b : 2 << b] = table[: 1 << b] ^ bits[8 * k + b]
         table.flags.writeable = False
         tables.append(table)
-    base.flags.writeable = False
-    if nbytes * 256 * a * d * base.itemsize <= TABLE_CACHE_BYTES:
-        _ROW_TABLES[(a, d)] = base, tables
-    return base, tables
+    if nbytes * 256 * a * d * dtype().itemsize <= TABLE_CACHE_BYTES:
+        _ROW_TABLES[(a, d)] = tables
+    return tables
 
 
-def _packed_population_ranks(a: int, d: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 64``.
+def _eliminate(rows: np.ndarray, scratch: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(mfrank, sum_franks) of N tensors from their packed rows, laid out ``[r, axis * N + j]``.
 
-    Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
-    of word t // 64 for mixed entry t; that is byte t // 8 of the row's
-    little-endian bytes, which indexes the byte tables of :func:`_row_tables`.
-    Elimination runs on all N * d flattenings at once: after each pivot row p,
-    ``min(x, x ^ p)`` clears p's leading bit from every row x below that has
-    it, so the nonzero pivots are independent and their count is the rank.
+    Elimination runs on all N * d flattenings at once, in place: after each
+    pivot row p, ``min(x, x ^ p)`` clears p's leading bit from every row x
+    below that has it, so the nonzero pivots are independent and their count
+    is the rank.  ``scratch`` has the shape and dtype of ``rows``.
     """
-    base, tables = _row_tables(a, d)
-    n = words.shape[0]
-    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
-    rows = np.empty((n, a * d), dtype=base.dtype)
-    rows[:] = base
-    buf = np.empty_like(rows)
-    for k, table in enumerate(tables):  # a byte always indexes one of the 256 rows: no bounds check
-        np.take(table, as_bytes[:, k], axis=0, out=buf, mode="clip")
-        rows ^= buf
-    rows = np.ascontiguousarray(rows.T).reshape(a, d * n)  # [r, axis * n + j]
-    scratch = buf.reshape(a, d * n)
-    rank = np.zeros(d * n, dtype=np.uint8)
-    for i in range(a):
+    rank = np.zeros(rows.shape[1], dtype=np.uint8)
+    for i in range(rows.shape[0]):
         rank += rows[i] != 0
         below, tmp = rows[i + 1 :], scratch[i + 1 :]
         np.bitwise_xor(below, rows[i], out=tmp)
         np.minimum(below, tmp, out=below)
-    rank = rank.reshape(d, n)
+    rank = rank.reshape(d, -1)
     return rank.max(axis=0).astype(np.int64), rank.sum(axis=0, dtype=np.int64)
 
 
-def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18) -> SearchReport:
+def _packed_population_ranks(
+    a: int, d: int, words: np.ndarray, tables: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 64``.
+
+    Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
+    of word t // 64 for mixed entry t; that is byte t // 8 of the row's
+    little-endian bytes, which indexes ``tables``, the byte tables of
+    :func:`_row_tables`.
+    """
+    n = words.shape[0]
+    as_bytes = words.astype("<u8", copy=False).view(np.uint8)
+    # a byte always indexes one of the 256 rows: no bounds check
+    rows = np.take(tables[0], as_bytes[:, 0], axis=0, mode="clip")
+    buf = np.empty_like(rows)
+    for k in range(1, len(tables)):
+        np.take(tables[k], as_bytes[:, k], axis=0, out=buf, mode="clip")
+        rows ^= buf
+    np.copyto(buf.reshape(a * d, n), rows.T)  # [r * d + axis, j] is [r, axis * n + j]
+    return _eliminate(buf.reshape(a, d * n), rows.reshape(a, d * n), d)
+
+
+def _exhaustive_ranks(
+    a: int, d: int, tables: list[np.ndarray], start: int, stop: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mfrank, sum_franks) of the GF(2) tensors with assignments ``start .. stop-1``.
+
+    ``stop - start`` is a power of two, and ``start`` a multiple of it.  The
+    assignments then run through every low byte under each of their high
+    bytes: the rows of the high bytes are gathered once per group of (up to)
+    256 assignments, and the low-byte table is XORed in by broadcasting,
+    straight into the layout :func:`_eliminate` reads.
+    """
+    n = stop - start
+    low = min(n, 256)
+    high_bytes = np.arange(start, stop, low, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    hi = np.zeros((n // low, a * d), dtype=tables[0].dtype)
+    for k in range(1, len(tables)):
+        hi ^= tables[k][high_bytes[:, k]]
+    rows = np.empty((a, d, n // low, low), dtype=hi.dtype)
+    low_rows = np.ascontiguousarray(tables[0][:low].T).reshape(a, d, 1, low)
+    np.bitwise_xor(hi.T.reshape(a, d, -1, 1), low_rows, out=rows)
+    rows = rows.reshape(a, d * n)
+    return _eliminate(rows, np.empty_like(rows), d)
+
+
+def exhaustive_min_mfrank(
+    a: int, d: int, threads: int = 1, chunk_bits: int | None = None
+) -> SearchReport:
     """Sweep every GF(2) semi-diagonal tensor on A^d with unit diagonal.
 
     Mixed entries range over {0,1}; all-distinct entries are 0 and diagonal
     entries 1 (over GF(2) a nonzero diagonal entry is 1, so this loses no
     generality).  Assignment v sets mixed entry t to bit t of v.  Refuses
     populations with more than 2^22 members and tensors over the dense cap.
+    The population is ranked in chunks of a power of two assignments, as many
+    as fit :data:`PACKED_BLOCK_BYTES` of packed rows and at least 256 (or the
+    whole population, if smaller); ``chunk_bits`` caps a chunk at
+    ``2 ** chunk_bits`` assignments.
     """
     started = time.monotonic()
     if a < 1 or d < 2:
@@ -182,19 +231,27 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1, chunk_bits: int = 18
             f"population too large: {f} free entries at (a={a}, d={d}) exceeds cap {MAX_FREE_ENTRIES}"
         )
     total = 1 << f
+    packed = a ** (d - 1) <= 64
+    if packed:
+        tables = _row_tables(a, d)
+        cap = PACKED_BLOCK_BYTES // tables[0][0].nbytes
+        if chunk_bits is not None:
+            cap = min(cap, 1 << chunk_bits)
+        chunk = min(total, 1 << max(8, cap.bit_length() - 1))
+    else:  # d == 2: the identity matrix alone, rows wider than a word
+        chunk = total
 
     def scan_chunk(start: int, stop: int):
-        words = np.arange(start, stop, dtype=np.uint64)[:, None]
-        if a ** (d - 1) <= 64:
-            mfrank, sumrank = _packed_population_ranks(a, d, words)
-        else:  # d == 2: the identity matrix alone, rows wider than a word
+        if packed:
+            mfrank, sumrank = _exhaustive_ranks(a, d, tables, start, stop)
+        else:
+            words = np.arange(start, stop, dtype=np.uint64)[:, None]
             mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
         i_mf = int(np.argmin(mfrank))
         i_sum = int(np.argmin(sumrank))
         return int(mfrank[i_mf]), start + i_mf, int(sumrank[i_sum]), start + i_sum
 
-    chunk = 1 << chunk_bits
-    spans = [(s, min(s + chunk, total)) for s in range(0, total, chunk)]
+    spans = [(s, s + chunk) for s in range(0, total, chunk)]
     if threads > 1 and len(spans) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             parts = list(pool.map(lambda sp: scan_chunk(*sp), spans))
@@ -314,16 +371,17 @@ def random_semidiagonal_sweep(
     seed: int,
     field: FieldDescriptor = GF2,
     threads: int = 1,
-    block: int = 1 << 15,
+    block: int | None = None,
 ) -> SearchReport:
     """Rank statistics over ``count`` random semi-diagonal tensors.
 
-    Tensor j is drawn from ``Rng(Rng.sub_seed(seed, j))``.  Blocks of up to
-    ``block`` tensors are drawn in bulk and ranked together: over GF(2), when
-    every flattening row fits one word, with the packed kernel
-    :func:`_packed_population_ranks`, otherwise with one batched
-    :func:`matrix_rank` call per axis.  Violations counts
-    tensors with mfrank < ceil(a / (d-1)).
+    Tensor j is drawn from ``Rng(Rng.sub_seed(seed, j))``.  Blocks of tensors
+    are drawn in bulk and ranked together: over GF(2), when every flattening
+    row fits one word, with the packed kernel :func:`_packed_population_ranks`
+    in blocks of :data:`PACKED_BLOCK_BYTES` of packed rows, otherwise with one
+    batched :func:`matrix_rank` call per axis in blocks of
+    :data:`BLOCK_ENTRIES` entries.  ``block`` caps a block's tensor count.
+    Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
     started = time.monotonic()
     if a < 1 or d < 2:
@@ -333,13 +391,18 @@ def random_semidiagonal_sweep(
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
     packed = field.order == 2 and a ** (d - 1) <= 64
-    block = max(1, min(block, BLOCK_ENTRIES // (a * d if packed else a**d)))
+    if packed:
+        tables = _row_tables(a, d)
+        cap = PACKED_BLOCK_BYTES // tables[0][0].nbytes
+    else:
+        cap = BLOCK_ENTRIES // a**d
+    block = max(1, cap if block is None else min(block, cap))
 
     def scan(span):
         start, stop = span
         words = _stream_block(seed, start, stop, nwords)
         if packed:
-            mfrank, sumrank = _packed_population_ranks(a, d, words)
+            mfrank, sumrank = _packed_population_ranks(a, d, words, tables)
         else:
             mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, field, words), a, d, field)
         bad = np.nonzero(mfrank < lower)[0]

@@ -303,10 +303,6 @@ def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:
     return Tensor.from_array(_all_equal(blocks, a, d).astype(np.int64), field)
 
 
-def num_partition_parts(a: int, d: int) -> int:
-    return -(-a // (d - 1))
-
-
 def axis_constant_construction(a: int, d: int, axis: int, field: FieldDescriptor) -> Tensor:
     """Tensor that is 1 iff all coordinates except ``axis`` agree.
 

@@ -45,6 +45,28 @@ def test_make_binary_field_range():
         make_binary_field(64)
 
 
+
+def test_make_binary_field_checks_each_polynomial_once(monkeypatch):
+    import flatrank.field as field_module
+
+    calls = []
+
+    def counting(f, k):
+        calls.append(k)
+        return _is_irreducible(f, k)
+
+    monkeypatch.setattr(field_module, "_is_irreducible", counting)
+    field_module._checked_poly.cache_clear()
+    for _ in range(3):
+        assert make_binary_field(8).reduction_poly == IRREDUCIBLE_POLY[8]
+    assert make_binary_field(1).order == 2
+    assert calls == [8, 1]
+    # True == 1, but a bool is not an extension degree, cached GF(2) or not
+    for bad in (True, False, 8.0, "8"):
+        with pytest.raises(ValueError, match="extension degree"):
+            make_binary_field(bad)
+    assert calls == [8, 1]
+
 def test_gf8_poly_has_no_roots():
     # irreducibility cross-check for the degree-3 table entry: a cubic with no
     # root in GF(8) viewed via its subfield GF(2) is enough (no linear factor),

@@ -8,8 +8,11 @@ import pytest
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import GOLDEN, MASK64, Rng, mix64, stream_words_np, sub_seeds_np
 from flatrank.search import (
+    PACKED_BLOCK_BYTES,
     _block_ranks,
+    _exhaustive_ranks,
     _packed_population_ranks,
+    _row_tables,
     _semidiagonal_block,
     _semidiagonal_words,
     _stream_block,
@@ -115,6 +118,32 @@ def test_exhaustive_threads_agree():
     assert serial.to_document() == threaded.to_document()
 
 
+
+# every packed shape with at most 2^18 members: the identity alone (a^d with
+# d = 2, or a = 1), and the populations of 2^6, 2^14 and 2^18 tensors
+@pytest.mark.parametrize(
+    "a,d", [(1, 2), (1, 3), (2, 2), (7, 2), (64, 2), (2, 3), (2, 4), (3, 3)], ids=str
+)
+def test_exhaustive_chunks_match_matrix_rank(a, d):
+    total = 1 << len(classify_indices(a, d)[2])
+    tables = _row_tables(a, d)
+    words = np.arange(total, dtype=np.uint64)[:, None]
+    oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    default = 1 << ((PACKED_BLOCK_BYTES // tables[0][0].nbytes).bit_length() - 1)
+    for chunk in {min(total, 256), min(total, default)}:
+        parts = [_exhaustive_ranks(a, d, tables, s, s + chunk) for s in range(0, total, chunk)]
+        for got, want in zip(zip(*parts), oracle):
+            assert np.concatenate(got).tolist() == want.tolist(), chunk
+
+
+@pytest.mark.parametrize("a,d", [(2, 3), (2, 4), (3, 3)], ids=str)
+def test_exhaustive_reports_ignore_chunk_cap_and_threads(a, d):
+    want = exhaustive_min_mfrank(a, d).to_document()
+    for chunk_bits in (4, 8, 10, None):  # caps below 256 assignments are raised to 256
+        for threads in (1, 2):
+            got = exhaustive_min_mfrank(a, d, threads=threads, chunk_bits=chunk_bits)
+            assert got.to_document() == want, (chunk_bits, threads)
+
 def test_random_semidiagonal_always_semidiagonal():
     rng = Rng(5)
     for field in (GF2, make_prime_field(3)):
@@ -144,7 +173,7 @@ def test_bulk_block_matches_scalar_sampler(field, a, d):
 
 
 def _assert_packed_matches_matrix_rank(a, d, words):
-    packed = _packed_population_ranks(a, d, words)
+    packed = _packed_population_ranks(a, d, words, _row_tables(a, d))
     oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
     for got, want in zip(packed, oracle):
         assert got.tolist() == want.tolist()
@@ -211,6 +240,29 @@ def test_sweep_matches_scalar_path():
         assert sweep.min_sum_franks == min(scalar_sum)
         assert sweep.violations == sum(1 for v in scalar_mf if v < math.ceil(a / (d - 1)))
 
+
+
+def test_sweep_builds_row_tables_once(monkeypatch):
+    import flatrank.search as search
+
+    calls = []
+
+    def counting(a, d):
+        calls.append((a, d))
+        return _row_tables(a, d)
+
+    monkeypatch.setattr(search, "_row_tables", counting)
+    for threads in (1, 2):
+        calls.clear()
+        random_semidiagonal_sweep(4, 4, 64, seed=5, threads=threads, block=16)  # 4 blocks
+        assert calls == [(4, 4)]
+
+
+@pytest.mark.parametrize("a,d", [(4, 4), (6, 3), (8, 3)], ids=str)
+def test_sweep_reports_ignore_block_cap(a, d):
+    want = random_semidiagonal_sweep(a, d, 600, seed=17).to_document()
+    for block in (1, 7, 256):
+        assert random_semidiagonal_sweep(a, d, 600, seed=17, block=block).to_document() == want
 
 def test_sweep_gf3_example():
     f3 = make_prime_field(3)
