@@ -1,18 +1,29 @@
 """Exact rank kernels over finite fields.
 
 :func:`matrix_rank` is the one exact-rank entry point.  It takes a single
-``(r, c)`` matrix or a batch ``(N, r, c)`` and eliminates along the short side
-(rank is transpose-invariant), so its pivot loop runs ``min(r, c)`` times.
+``(r, c)`` matrix or a batch ``(N, r, c)`` of integer representatives in any
+integer dtype, never modifies it, and eliminates along the short side (rank is
+transpose-invariant), so its pivot loop runs ``min(r, c)`` times.  A narrow
+input is copied once into the kernel's own dtype, never through int64.
 
-* GF(2): rows packed with numpy into ints used as bit-vectors, reduced per
-  matrix by :func:`rank_gf2_bitrows` (word-wide XOR).
+* GF(2): entries mod 2, rows packed with numpy into ints used as bit-vectors,
+  reduced per matrix by :func:`rank_gf2_bitrows` (word-wide XOR).
 * GF(p), p odd prime, and GF(2^k), 2 <= k <= 16: :func:`_eliminate` runs on
-  the whole batch at once.  Step k takes row k, already reduced by every
+  the whole batch at once.  Step k takes row k, already cleared by every
   earlier pivot row: a zero row is dependent, otherwise its first nonzero
-  column becomes a pivot and is cleared from the rows below it.  GF(p) clears
-  by cross-multiplication mod p (residues stay below 2^31, so products of two
-  fit int64 exactly); GF(2^k) multiplies through the discrete-log tables,
-  converted to numpy once per field.
+  column becomes a pivot and is cleared from the rows below it.
+* GF(p) reduces lazily, in the narrowest unsigned dtype that holds the
+  entries (:func:`_lazy_plan`).  Step k reduces only the pivot row, and the
+  pivot column of the rows below, which it divides by the pivot and negates
+  mod p; adding that multiple of the pivot row then grows an entry by at most
+  (p-1)^2.  The rows below are reduced only when the next step could
+  overflow: for p = 3 or 5 and up to 8 rows never, in uint8; for p near 2^31
+  every fourth step, in uint64.  Reductions use floor division, which numpy
+  vectorises for a scalar divisor where ``%`` is a scalar loop.
+* GF(2^k), k <= 16, stores entries in uint8 (k <= 8) or uint16 and multiplies
+  through the discrete-log tables of :func:`_log_tables_np`: log 0 is a
+  sentinel whose sums land in a zero tail of the extended exp table, so zero
+  factors and entries need no mask.
 * GF(2^k), k > 16: scalar elimination in :func:`_rank_generic`, which is also
   the oracle the tests compare the vectorized kernels against.
 """
@@ -29,8 +40,12 @@ from .field import FieldDescriptor, discrete_log_tables
 __all__ = [
     "rank_gf2_bitrows",
     "matrix_rank",
-    "solve_is_independent",
+    "entry_dtype",
 ]
+
+# Entries of the rows below that one GF(2^k) clearing gather covers: its intp
+# indices take 256 KB.
+GATHER_ENTRIES = 1 << 15
 
 
 def rank_gf2_bitrows(rows: Sequence[int]) -> int:
@@ -49,8 +64,21 @@ def rank_gf2_bitrows(rows: Sequence[int]) -> int:
     return rank
 
 
+def entry_dtype(field: FieldDescriptor) -> np.dtype:
+    """Narrowest unsigned dtype holding the field's canonical representatives."""
+    return np.min_scalar_type(field.order - 1)
+
+
+def _canonical(m: np.ndarray, order: int) -> bool:
+    """True iff every entry of the integer array ``m`` lies in [0, order)."""
+    info = np.iinfo(m.dtype)
+    return m.size == 0 or not (
+        (info.min < 0 and m.min() < 0) or (info.max >= order and m.max() >= order)
+    )
+
+
 def _rank_gf2(m: np.ndarray) -> np.ndarray:
-    """Rows packed with numpy into ints (bit c = column c), then XOR-reduced per matrix."""
+    """0/1 rows packed with numpy into ints (bit c = column c), then XOR-reduced per matrix."""
     n, r, _ = m.shape
     packed = np.packbits(m, axis=2, bitorder="little")
     width = packed.shape[2]
@@ -59,59 +87,139 @@ def _rank_gf2(m: np.ndarray) -> np.ndarray:
     return np.array([rank_gf2_bitrows(rows[i : i + r]) for i in range(0, n * r, r)], dtype=np.int64)
 
 
-def _eliminate(m: np.ndarray, clear) -> np.ndarray:
+def _eliminate(m: np.ndarray, settle, clear) -> np.ndarray:
     """Ranks of an (N, r, c) batch, eliminated in place row by row.
 
-    ``clear(below, factor, row, pivot)`` zeroes the pivot column of the rows
-    ``below`` (whose entries there are ``factor``) using ``row``, in place,
-    without changing their span; a zero ``row`` comes with ``pivot`` 0 and must
-    leave them as they are.
+    Entries are unsigned.  ``settle(row)`` makes row k of every matrix
+    canonical, in place.  ``clear(below, factor, row, pivot)`` then zeroes
+    the pivot column of the rows ``below`` (whose entries there are
+    ``factor``) using ``row``, in place, without changing their span; a zero
+    ``row`` comes with ``pivot`` 0 and must leave them as they are.
     """
     n, r, _ = m.shape
     batch = np.arange(n)
     rank = np.zeros(n, dtype=np.int64)
     for k in range(r):
         row = m[:, k]
-        nz = row != 0
-        pc = nz.argmax(axis=1)
-        has = nz[batch, pc]
+        settle(row)
+        pc = (row > 0).argmax(axis=1)
+        piv = row[batch, pc]
+        has = piv > 0
         rank += has
         if k + 1 < r and has.any():
             below = m[:, k + 1 :]
-            clear(below, below[batch, :, pc], row, row[batch, pc])
+            clear(below, below[batch, :, pc], row, piv)
     return rank
 
 
-def _rank_mod_p(m: np.ndarray, p: int) -> np.ndarray:
-    def clear(below, factor, row, piv):
-        # row_j <- piv * row_j - factor_j * row: scaling by piv != 0 keeps the rank,
-        # and a zero row (piv 0 -> 1) leaves the rows below as they are
-        below *= np.where(piv == 0, 1, piv)[:, None, None]
-        below -= factor[:, :, None] * row[:, None, :]
-        below %= p
+def _reduce(x: np.ndarray, p: int) -> np.ndarray:
+    """``x`` mod p, in place; exact even where ``(x // p) * p`` wraps around."""
+    q = x // p
+    q *= p
+    x -= q
+    return x
 
-    m %= p
-    return _eliminate(m, clear)
+
+def _lazy_plan(p: int, r: int) -> tuple[type, int]:
+    """(dtype, period) of GF(p) elimination with ``r`` pivot steps.
+
+    Entries start in [0, p) and each step adds at most (p-1)^2, so after
+    ``period`` steps without a reduction they stay below p + period (p-1)^2.
+    The dtype is the narrowest unsigned one where that holds for all r-1
+    clearing steps; only uint64 (p near 2^31) needs a reduction every
+    ``period`` steps.
+    """
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        period = (int(np.iinfo(dtype).max) - (p - 1)) // (p - 1) ** 2
+        if period >= r - 1:
+            break
+    return dtype, period
+
+
+def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x^(p-2) mod p elementwise for int64 ``x`` in [0, p): the inverse, and 0 for 0."""
+    out = np.ones_like(x)
+    e = p - 2
+    while e:
+        if e & 1:
+            out = _reduce(out * x, p)
+        x = _reduce(x * x, p)
+        e >>= 1
+    return out
+
+
+def _rank_mod_p(m: np.ndarray, p: int, canonical: bool) -> np.ndarray:
+    n, r, c = m.shape
+    dtype, period = _lazy_plan(p, r)
+    if canonical:
+        work = np.array(m, dtype=dtype, order="C")
+    else:  # reduced in a dtype holding both the entries and p
+        wide = m.dtype if np.iinfo(m.dtype).max >= p else np.promote_types(m.dtype, np.uint32)
+        work = _reduce(np.array(m, dtype=wide, order="C"), p).astype(dtype)
+    scratch = np.empty((n, r - 1, c), dtype=dtype)
+    pending = 0  # clearing steps since the rows below were last reduced
+
+    def clear(below, factor, row, piv):
+        nonlocal pending
+        inv = _inverse_mod(piv.astype(np.int64), p)
+        # row_j += (-factor_j / piv) * row, the multiplier taken mod p: entries
+        # only grow, and stay nonnegative
+        scale = _reduce((p - _reduce(factor, p).astype(np.int64)) * inv[:, None], p)
+        prod = scratch[:, : below.shape[1]]
+        np.multiply(scale.astype(dtype)[:, :, None], row[:, None, :], out=prod)
+        below += prod
+        pending += 1
+        if pending == period and below.shape[1] > 1:
+            _reduce(below, p)
+            pending = 0
+
+    return _eliminate(work, lambda row: _reduce(row, p), clear)
 
 
 @lru_cache(maxsize=None)
 def _log_tables_np(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) of a binary field with k <= 16, for products read at summed logs.
+
+    ``log[0]`` is the sentinel z = 2(q-1) - 1, past every sum of two logs of
+    nonzero elements, and ``exp`` runs on to 2z as zeros, so ``exp[log a +
+    log b] == a * b`` for all a, b including 0.  ``exp[i]`` is g^(i mod (q-1))
+    below z.  ``exp`` is in the elements' dtype, ``log`` in the narrowest
+    unsigned dtype holding 2z.
+    """
     exp, log = discrete_log_tables(field)
-    return np.asarray(exp, dtype=np.int64), np.asarray(log, dtype=np.int64)
+    zero = 2 * (field.order - 1) - 1
+    log_np = np.asarray(log, dtype=np.min_scalar_type(2 * zero))
+    log_np[0] = zero
+    exp_np = np.zeros(2 * zero + 1, dtype=entry_dtype(field))
+    exp_np[:zero] = exp[:zero]
+    for table in (exp_np, log_np):
+        table.flags.writeable = False
+    return exp_np, log_np
 
 
 def _rank_gf2k(m: np.ndarray, field: FieldDescriptor) -> np.ndarray:
     exp, log = _log_tables_np(field)
     order_m1 = field.order - 1
+    n, r, c = m.shape
+    # numpy gathers fast only at intp indices, 8 bytes each: the rows below
+    # are cleared in groups of at most GATHER_ENTRIES entries
+    step = max(1, GATHER_ENTRIES // (n * c))
+    idx_buf = np.empty(n * min(step, r) * c, dtype=np.intp)
+    prod_buf = np.empty(idx_buf.size, dtype=m.dtype)
 
     def clear(below, factor, row, piv):
-        # log(factor / piv) + log(row entry) < 2 * order_m1 indexes exp directly
-        scale_log = (log[factor] - log[piv][:, None]) % order_m1
-        prod = exp[scale_log[:, :, None] + log[row][:, None, :]]
-        prod *= (factor != 0)[:, :, None] & (row != 0)[:, None, :]
-        below ^= prod
+        # log(factor / piv), or the sentinel for a zero factor; a zero pivot
+        # comes with a zero row, whose sentinel logs zero every product
+        scale = (log[factor].astype(np.int64) - log[piv][:, None]) % order_m1
+        scale = np.where(factor > 0, scale, log[0])
+        log_row = log.take(row)[:, None, :]
+        for j in range(0, below.shape[1], step):
+            part = below[:, j : j + step]
+            idx = idx_buf[: part.size].reshape(part.shape)
+            np.add(scale[:, j : j + step, None], log_row, out=idx)
+            part ^= exp.take(idx, out=prod_buf[: part.size].reshape(part.shape), mode="clip")
 
-    return _eliminate(m, clear)
+    return _eliminate(m, lambda row: None, clear)
 
 
 def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
@@ -141,9 +249,15 @@ def matrix_rank(mats, field: FieldDescriptor):
     """Exact rank over ``field`` of one matrix of representatives, or of a batch.
 
     ``mats`` is an ``(r, c)`` matrix (nested sequences or an array), giving an
-    int, or an ``(N, r, c)`` array, giving an int64 array of N ranks.
+    int, or an ``(N, r, c)`` array, giving an int64 array of N ranks.  GF(p)
+    entries may be any integers and are taken mod p; GF(2^k) entries must lie
+    in [0, 2^k).  Integer arrays are used in their own dtype, and ``mats`` is
+    left unmodified.
     """
-    m = np.asarray(mats, dtype=np.int64)
+    if isinstance(mats, np.ndarray) and mats.dtype.kind in "iu":
+        m = mats
+    else:
+        m = np.asarray(mats, dtype=np.int64)
     if m.ndim == 1 and m.size == 0:  # an empty list of rows
         return 0
     single = m.ndim == 2
@@ -153,21 +267,17 @@ def matrix_rank(mats, field: FieldDescriptor):
         raise ValueError(f"expected an (r, c) matrix or an (N, r, c) batch, got shape {m.shape}")
     if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)
+    canonical = _canonical(m, field.order)
+    if field.kind == "binary" and field.order > 2 and not canonical:
+        raise ValueError(f"matrix entries must be canonical in {field}")
     if m.shape[1] == 0:
         ranks = np.zeros(m.shape[0], dtype=np.int64)
     elif field.order == 2:
-        ranks = _rank_gf2(m)
+        ranks = _rank_gf2(m if canonical else _reduce(np.array(m), 2))
     elif field.kind == "prime":
-        ranks = _rank_mod_p(np.array(m, order="C"), field.p)  # eliminated in place
+        ranks = _rank_mod_p(m, field.p, canonical)
     elif field.k <= 16:
-        ranks = _rank_gf2k(np.array(m, order="C"), field)
+        ranks = _rank_gf2k(np.array(m, dtype=entry_dtype(field), order="C"), field)
     else:
         ranks = np.array([_rank_generic(x.tolist(), field) for x in m], dtype=np.int64)
     return int(ranks[0]) if single else ranks
-
-
-def solve_is_independent(vectors: Sequence[Sequence[int]], field: FieldDescriptor) -> bool:
-    """True iff the given vectors are linearly independent over the field."""
-    if len(vectors) == 0:
-        return True
-    return matrix_rank(vectors, field) == len(vectors)

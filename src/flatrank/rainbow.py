@@ -191,7 +191,7 @@ def _wedge_grid(
     num_vertices: int,
     field: FieldDescriptor,
 ) -> np.ndarray:
-    """Wedge-tensor entries over the grid of :func:`_disjoint_grid`, as an int64 array.
+    """Wedge-tensor entries over the grid of :func:`_disjoint_grid`, as an integer array.
 
     A cell's entry is the product of x_u ^ x_v over the pairs of its picked
     vertices (slot j has sizes[j] of them).  Over GF(2^k <= 16) the factors
@@ -211,7 +211,9 @@ def _wedge_grid(
     within, within_runs, cross, cross_runs = _pair_runs(tuple(sizes))
     if field.k <= 16:
         exp, log = _log_tables_np(field)
-        lift, combine = log.__getitem__, np.add  # log 0 = 0 is the neutral log
+        log = log.astype(np.int64)
+        log[0] = 0  # the neutral log, for an (a, a) pair; other 0 factors are masked
+        lift, combine = log.__getitem__, np.add
     else:
         combine = np.frompyfunc(field.mul, 2, 1)
         lift = lambda f: np.where(f == 0, 1, f).astype(object)  # a 0 is an (a, a) pair or masked

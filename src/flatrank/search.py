@@ -33,7 +33,7 @@ import numpy as np
 
 from .field import GF2, FieldDescriptor
 from .fw import Configuration
-from .linalg import matrix_rank
+from .linalg import entry_dtype, matrix_rank
 from .rainbow import ColoredHypergraph
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
@@ -157,7 +157,9 @@ def _eliminate(rows: np.ndarray, scratch: np.ndarray, d: int) -> tuple[np.ndarra
         np.bitwise_xor(below, rows[i], out=tmp)
         np.minimum(below, tmp, out=below)
     rank = rank.reshape(d, -1)
-    return rank.max(axis=0).astype(np.int64), rank.sum(axis=0, dtype=np.int64)
+    # a sum is at most 64 rows times d <= 64 axes (numpy's cap): exact in uint16,
+    # which numpy sums much faster than it casts into int64
+    return rank.max(axis=0).astype(np.int64), rank.sum(axis=0, dtype=np.uint16).astype(np.int64)
 
 
 def _packed_population_ranks(
@@ -335,9 +337,12 @@ def _mixed_bits(words: np.ndarray, f: int) -> np.ndarray:
 
 
 def _semidiagonal_block(a: int, d: int, field: FieldDescriptor, words: np.ndarray) -> np.ndarray:
-    """(N, a^d) entries drawn from N streams exactly as :func:`random_semidiagonal` draws them."""
+    """(N, a^d) entries drawn from N streams exactly as :func:`random_semidiagonal` draws them.
+
+    The entries are in the field's narrowest dtype (:func:`flatrank.linalg.entry_dtype`).
+    """
     diag, _, mixed = index_class_arrays(a, d)
-    entries = np.zeros((words.shape[0], a**d), dtype=np.int64)
+    entries = np.zeros((words.shape[0], a**d), dtype=entry_dtype(field))
     if field.order == 2:
         entries[:, diag] = 1
         entries[:, mixed] = _mixed_bits(words, mixed.size)
@@ -346,21 +351,18 @@ def _semidiagonal_block(a: int, d: int, field: FieldDescriptor, words: np.ndarra
     on_diag = np.zeros(a**d, dtype=np.uint64)
     on_diag[diag] = 1
     shift = on_diag[drawn]  # diagonal: 1 + w % (q-1); mixed: w % q
-    entries[:, drawn] = (words % (np.uint64(field.order) - shift) + shift).astype(np.int64)
+    entries[:, drawn] = words % (np.uint64(field.order) - shift) + shift
     return entries
 
 
 def _block_ranks(
     entries: np.ndarray, a: int, d: int, field: FieldDescriptor
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(mfrank, sum_franks) of each A^d tensor in an (N, a^d) block, one rank call per axis."""
+    """(mfrank, sum_franks) of each A^d tensor in an (N, a^d) block, one rank call for all axes."""
     grid = entries.reshape((-1,) + (a,) * d)
-    ranks = np.stack(
-        [
-            matrix_rank(np.moveaxis(grid, ax + 1, 1).reshape(grid.shape[0], a, -1), field)
-            for ax in range(d)
-        ]
-    )
+    n = grid.shape[0]
+    stack = np.stack([np.moveaxis(grid, ax + 1, 1) for ax in range(d)])  # (d, N, a, ...)
+    ranks = matrix_rank(stack.reshape(d * n, a, -1), field).reshape(d, n)
     return ranks.max(axis=0), ranks.sum(axis=0)
 
 
@@ -379,7 +381,7 @@ def random_semidiagonal_sweep(
     are drawn in bulk and ranked together: over GF(2), when every flattening
     row fits one word, with the packed kernel :func:`_packed_population_ranks`
     in blocks of :data:`PACKED_BLOCK_BYTES` of packed rows, otherwise with one
-    batched :func:`matrix_rank` call per axis in blocks of
+    batched :func:`matrix_rank` call for all axes in blocks of
     :data:`BLOCK_ENTRIES` entries.  ``block`` caps a block's tensor count.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """

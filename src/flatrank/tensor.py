@@ -23,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .field import FieldDescriptor
-from .linalg import matrix_rank
+from .linalg import entry_dtype, matrix_rank
 
 __all__ = [
     "Tensor",
@@ -183,9 +183,14 @@ def decode_column(col: int, dims: Sequence[int], axis: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _narrow_array(t: Tensor) -> np.ndarray:
+    """The entries with shape ``dims``, in the field's narrowest dtype."""
+    return t.array.astype(entry_dtype(t.field))
+
+
 def _flattening(t: Tensor, axis: int) -> np.ndarray:
     _check_axis(t, axis)
-    return np.moveaxis(t.array, axis, 0).reshape(t.dims[axis], -1)
+    return np.moveaxis(_narrow_array(t), axis, 0).reshape(t.dims[axis], -1)
 
 
 def flatten(t: Tensor, axis: int) -> FlatteningMatrix:
@@ -205,10 +210,21 @@ def flattening_rank(t: Tensor, axis: int) -> int:
 
 
 def flattening_ranks(t: Tensor) -> list[int]:
-    """Rank of every flattening, in axis order; a matrix's two are transposes, so one is ranked."""
+    """Rank of every flattening, in axis order.
+
+    A matrix's two flattenings are transposes, so one is ranked.  The d
+    flattenings of a cubical tensor share one shape and are ranked as one
+    ``(d, a, a^(d-1))`` batch, in the field's narrowest dtype.
+    """
     if t.ndim == 2:
         return [flattening_rank(t, 0)] * 2
-    return [flattening_rank(t, i) for i in range(t.ndim)]
+    if any(a != t.dims[0] for a in t.dims):
+        return [flattening_rank(t, i) for i in range(t.ndim)]
+    arr = _narrow_array(t)
+    stack = np.empty((t.ndim, t.dims[0], arr.size // t.dims[0]), dtype=arr.dtype)
+    for i in range(t.ndim):  # copied once, into a view of the flattening's rows
+        np.copyto(stack[i].reshape(t.dims), np.moveaxis(arr, i, 0))
+    return matrix_rank(stack, t.field).tolist()
 
 
 def max_flattening_rank(t: Tensor) -> int:

@@ -10,7 +10,6 @@ from flatrank.linalg import (
     _rank_generic,
     matrix_rank,
     rank_gf2_bitrows,
-    solve_is_independent,
 )
 from flatrank.rng import Rng
 
@@ -74,13 +73,6 @@ def test_gf2k_rank_matches_generic_elimination():
         ncols = 2 + rng.next_below(5)
         rows = [[rng.next_below(f.order) for _ in range(ncols)] for _ in range(nrows)]
         assert matrix_rank(rows, f) == _rank_generic([list(r) for r in rows], f)
-
-
-def test_solve_is_independent():
-    f = make_prime_field(5)
-    assert solve_is_independent([[1, 0], [0, 1]], f)
-    assert not solve_is_independent([[1, 2], [2, 4]], f)
-    assert solve_is_independent([], f)
 
 
 RANK_FIELDS = [
@@ -159,3 +151,145 @@ def test_matrix_rank_empty_shapes():
     assert matrix_rank([], f) == 0
     assert matrix_rank(np.zeros((3, 0), dtype=np.int64), f) == 0
     assert matrix_rank(np.zeros((0, 2, 2), dtype=np.int64), f).tolist() == []
+
+
+DIFF_PRIMES = [3, 5, 7, 11, 13, 127, 251, 257, 65521, 2**31 - 1]
+DTYPE_LIMITS = [np.iinfo(t).max for t in (np.uint8, np.uint16, np.uint32)]
+
+
+def _limits_within_reach(p):
+    """(dtype max, largest r whose bound p-1 + (r-1)(p-1)^2 fits it), for r <= 64."""
+    lasts = [(top, 1 + (top - (p - 1)) // (p - 1) ** 2) for top in DTYPE_LIMITS]
+    return [(top, last) for top, last in lasts if 1 <= last <= 64]
+
+
+def _mod_p_batch(rng, p, count, r, c):
+    """Random, zero and rank-deficient (r, c) matrices, shifted off [0, p) by multiples of p."""
+    mats = rng.integers(0, p, (count, r, c), dtype=np.int64)
+    mats[0] = 0
+    if count > 1 and r > 1:  # matrix 1: every row a combination of two rows, rank <= 2
+        coeffs = rng.integers(0, min(p, 1 << 15), (r, 2))
+        mats[1] = [(int(x) * mats[1, 0] + int(y) * mats[1, -1]) % p for x, y in coeffs]
+    return mats + p * rng.integers(-3, 3, mats.shape)
+
+
+def _worst_case(p, r, c):
+    """Rank r-1: rows R_j + sum of R_i (i < j), R_i = -1 from column i on, the last
+    row repeating the one before.  Every clearing step then multiplies a row of -1s
+    by -1, adding the most, (p-1)^2, to each entry it touches, and only the last row
+    is dependent, so an entry that overflowed would show as rank r."""
+    steps = np.triu(np.full((r, c), p - 1, dtype=object))
+    rows = np.cumsum(steps, axis=0) % p
+    rows[-1] = rows[-2]
+    return rows.astype(np.int64)
+
+
+@pytest.mark.parametrize("p", DIFF_PRIMES)
+def test_mod_p_rank_matches_generic_across_dtype_limits(p):
+    from flatrank.linalg import _lazy_plan
+
+    field = make_prime_field(p)
+    rng = np.random.default_rng(p)
+    limits = _limits_within_reach(p)
+    for r in sorted({1, 2, 3, 5, 6, 7, 8}.union(*({last, last + 1} for _, last in limits))):
+        for c in (r, r + 3):
+            mats = _mod_p_batch(rng, p, 3, r, c)
+            want = [_rank_generic((m % p).tolist(), field) for m in mats]
+            assert matrix_rank(mats, field).tolist() == want, (p, r, c, _lazy_plan(p, r))
+            assert matrix_rank(mats.transpose(0, 2, 1), field).tolist() == want
+            if r > 1:
+                assert matrix_rank(_worst_case(p, r, c), field) == r - 1
+    for top, last in limits:  # the plans really change dtype at the chosen r
+        assert np.iinfo(_lazy_plan(p, last)[0]).max == top
+        assert np.iinfo(_lazy_plan(p, last + 1)[0]).max > top
+
+
+def test_lazy_plan():
+    from flatrank.linalg import _lazy_plan
+
+    assert _lazy_plan(3, 8) == (np.uint8, 63)  # 2 + 63 * 4 <= 255: never reduced
+    assert _lazy_plan(5, 8) == (np.uint8, 15)
+    assert _lazy_plan(5, 17)[0] is np.uint16
+    assert _lazy_plan(65521, 8)[0] is np.uint64
+    assert _lazy_plan(2**31 - 1, 8) == (np.uint64, 4)  # reduced every fourth step
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 127])
+@pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int16, np.uint64])
+def test_mod_p_rank_any_integer_dtype(p, dtype):
+    # arbitrary bit patterns, extremes included: entries are taken mod p in any dtype
+    field = make_prime_field(p)
+    info = np.iinfo(dtype)
+    rng = np.random.default_rng(p)
+    mats = rng.integers(info.min, info.max, (20, 4, 6), dtype=dtype, endpoint=True)
+    mats[0, 0] = info.min
+    mats[0, 1] = info.max
+    want = [_rank_generic([[int(x) % p for x in row] for row in m.tolist()], field) for m in mats]
+    assert matrix_rank(mats, field).tolist() == want
+
+
+@pytest.mark.parametrize("k", range(2, 17))
+def test_gf2k_rank_matches_generic_across_storage_dtypes(k):
+    from flatrank.linalg import entry_dtype
+
+    field = make_binary_field(k)
+    rng = Rng(k)
+    for r, c in [(1, 3), (2, 2), (3, 5), (5, 4), (6, 6)]:
+        mats = []
+        for j in range(4):
+            rows = [[rng.next_below(field.order) for _ in range(c)] for _ in range(r)]
+            if j == 1:  # the last row a combination of the others
+                coeffs = [rng.next_below(field.order) for _ in rows[:-1]]
+                rows[-1] = _combine(field, coeffs, rows[:-1]) if r > 1 else [0] * c
+            if j == 2:
+                rows = [[0] + row[1:] for row in rows]
+            mats.append(rows)
+        want = [_rank_generic([list(row) for row in m], field) for m in mats]
+        arr = np.array(mats, dtype=np.int64)
+        narrow = arr.astype(entry_dtype(field))
+        assert narrow.dtype == (np.uint8 if k <= 8 else np.uint16)
+        assert matrix_rank(arr, field).tolist() == want
+        assert matrix_rank(narrow, field).tolist() == want
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 16])
+def test_log_tables_multiply_with_zero(k):
+    from flatrank.linalg import _log_tables_np
+
+    field = make_binary_field(k)
+    exp, log = _log_tables_np(field)
+    rng = Rng(k)
+    elems = list(range(min(field.order, 64))) + [rng.next_below(field.order) for _ in range(64)]
+    for a in elems:
+        for b in elems:
+            assert int(exp[int(log[a]) + int(log[b])]) == field.mul(a, b)
+
+
+@pytest.mark.parametrize("k", [2, 8, 17])
+def test_gf2k_rank_rejects_noncanonical_entries(k):
+    field = make_binary_field(k)
+    with pytest.raises(ValueError, match="canonical"):
+        matrix_rank([[1, -1], [0, 1]], field)
+    with pytest.raises(ValueError, match="canonical"):
+        matrix_rank([[1, field.order], [0, 1]], field)
+
+
+def test_gf2_rank_takes_entries_mod_2():
+    f = make_prime_field(2)
+    assert matrix_rank([[2, 4], [6, -2]], f) == 0
+    assert matrix_rank([[-1, 3], [1, 1]], f) == 1
+    assert matrix_rank(np.array([[3, 0], [255, 1]], dtype=np.uint8), f) == 2
+
+
+@pytest.mark.parametrize("field", RANK_FIELDS, ids=str)
+@pytest.mark.parametrize("dtype", [np.int64, np.uint8, np.int8])
+def test_matrix_rank_leaves_input_unmodified(field, dtype):
+    rng = np.random.default_rng(field.order)
+    top = min(field.order, 100)
+    low = 0 if field.kind == "binary" or dtype is np.uint8 else -top
+    for shape in [(3, 5), (5, 3), (4, 3, 6), (4, 6, 3)]:
+        mats = rng.integers(low, top, shape).astype(dtype)
+        before = mats.copy()
+        mats.flags.writeable = False  # an in-place write would raise
+        matrix_rank(mats, field)
+        assert np.array_equal(mats, before) and mats.dtype == dtype

@@ -292,3 +292,29 @@ def test_oddtown_search_never_exceeds_bound():
     for seed in range(5):
         rep = random_cross_oddtown_search(4, 3, 300, Rng(seed))
         assert rep.extra["largest_size"] <= rep.extra["bound"]
+
+
+def test_packed_sum_exact_at_numpy_dimension_cap():
+    # a = 1: every flattening has rank 1, so the sum of d = 64 ranks is 64
+    assert exhaustive_min_mfrank(1, 64).min_sum_franks == 64
+    assert random_semidiagonal_sweep(1, 64, 5, 1).min_sum_franks == 64
+
+
+def test_block_ranks_one_rank_call_per_block(monkeypatch):
+    import flatrank.search as search_mod
+
+    calls = []
+    rank = search_mod.matrix_rank
+    monkeypatch.setattr(search_mod, "matrix_rank", lambda m, f: calls.append(m.shape) or rank(m, f))
+    gf3 = make_prime_field(3)
+    rep = random_semidiagonal_sweep(3, 3, 10, 5, field=gf3, block=4)
+    assert calls == [(3 * 4, 3, 9), (3 * 4, 3, 9), (3 * 2, 3, 9)]  # all 3 axes of a block at once
+    calls.clear()
+    words = _stream_block(5, 0, 10, _semidiagonal_words(3, 3, gf3))
+    mfrank, sumrank = _block_ranks(_semidiagonal_block(3, 3, gf3, words), 3, 3, gf3)
+    assert len(calls) == 1
+    assert (int(mfrank.min()), int(sumrank.min())) == (rep.min_mfrank, rep.min_sum_franks)
+    for j in range(10):
+        t = random_semidiagonal(3, 3, gf3, Rng(Rng.sub_seed(5, j)))
+        franks = [flattening_rank(t, ax) for ax in range(3)]
+        assert (mfrank[j], sumrank[j]) == (max(franks), sum(franks))

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatrank.field import GF2, make_prime_field
+from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import Rng
 from flatrank.tensor import (
     Tensor,
@@ -127,16 +127,19 @@ def test_flattening_ranks_match_per_axis(monkeypatch):
     rank = tensor_mod.matrix_rank
     monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: calls.append(m.shape) or rank(m, f))
     rng = Rng(8)
-    for dims in [(5,), (2, 3), (4, 4), (3, 1), (2, 3, 2), (3, 3, 3, 2)]:
-        for field in (GF2, GF3):
+    dims_list = [(5,), (2, 3), (4, 4), (3, 1), (2, 3, 2), (3, 3, 3, 2), (3, 3, 3), (2, 2, 2, 2)]
+    for dims in dims_list:
+        for field in (GF2, GF3, GF5, make_binary_field(8)):
             entries = [rng.next_below(field.order) for _ in range(math.prod(dims))]
             t = Tensor(dims, field, entries)
             calls.clear()
             want = [flattening_rank(t, ax) for ax in range(len(dims))]
             calls.clear()
             assert flattening_ranks(t) == want
-            # a matrix's second flattening is the transpose of its first: one rank call
-            assert len(calls) == (1 if len(dims) == 2 else len(dims))
+            # a matrix's second flattening is the transpose of its first, and the
+            # flattenings of a cubical tensor are ranked as one batch: one rank call
+            cubical = len(set(dims)) == 1
+            assert len(calls) == (1 if len(dims) == 2 or cubical else len(dims))
 
 
 def test_is_semi_diagonal():
