@@ -82,7 +82,10 @@ def load_document(path: str) -> tuple[dict, str]:
     """The JSON object in ``path`` and the SHA-256 digest of the bytes parsed."""
     with open(path, "rb") as fh:
         data = fh.read()
-    doc = json.loads(data.decode("utf-8"))
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("document nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError("document root must be a JSON object")
     return doc, digest_bytes(data)

@@ -1,17 +1,35 @@
 """Brute-force and randomized verification harnesses.
 
-GF(2) populations whose flattening rows fit one 64-bit word (a^(d-1) <= 64,
-any a) are ranked by one packed kernel, for the exhaustive sweep and the
-random sweeps alike.  Each row of every flattening is a machine word with
-one bit per column.  The rows of a tensor are the XOR of one entry of each
-byte table, one table per byte of the mixed bits; the tables are built once
-per sweep call.  Blocks are sized by the bytes of their packed rows
-(:data:`PACKED_BLOCK_BYTES`), so rows and scratch stay in cache.  A random
-block gathers one table entry per byte of each tensor; an exhaustive chunk,
-whose assignments are consecutive, gathers only its high bytes once per 256
-assignments and XORs in the low-byte table by broadcasting.  All rows of a
-block are then eliminated at once with min-XOR steps, ``min(x, x ^ p)`` per
-pivot row p.  Wider rows and larger fields go through the batched
+GF(2) populations, in the exhaustive sweep and the random sweeps alike, are
+ranked by one of two kernels, chosen by the width of the flattening rows,
+a^(d-1) columns.  Blocks of both are sized by the bytes of their rows
+(:data:`PACKED_BLOCK_BYTES`), so rows and scratch stay in cache.
+
+* Rows of at most 32 columns (:data:`TABLE_MAX_COLUMNS`) are packed, one
+  machine word per row with one bit per column.  The rows of a tensor are
+  the XOR of one entry of each byte table, one table per byte of the mixed
+  bits; each shape's tables are built once and kept.  A random block gathers
+  one table entry per byte of each tensor; an exhaustive chunk, whose
+  assignments are consecutive, gathers only its high bytes once per 256
+  assignments and XORs in the low-byte table by broadcasting.  All rows of a
+  block are then eliminated at once with min-XOR steps, ``min(x, x ^ p)``
+  per pivot row p.
+* Wider rows are bit-sliced: bit i of word g of a plane holds one entry of
+  tensor 64g + i, so every word operation works on 64 tensors.  A block's
+  stream words are turned into planes by a 64x64 bit transpose, its rows are
+  one gather from the planes, and its elimination runs on all axes and
+  lanes at once.  In the exhaustive sweep this is only d = 2 with a > 32,
+  whose population is the identity alone.
+
+The split is measured (per tensor, on a 2-vCPU Xeon with numpy 2.4.6): on
+the same stream words the bit-sliced kernel ran at 0.65-0.67x the speed of
+the byte tables at (4,3), with 16 columns, 0.66-0.71x at (2,6), with 32,
+and 0.85-0.92x at (5,3), with 25; the (3,3) exhaustive sweep ran at
+0.38-0.40x.  From 36 columns on it wins: whole 20,000-tensor sweeps at
+(6,3) and (4,4) took 0.27-0.37 and 0.36-0.47 us per tensor, against
+0.44-0.45 and 0.69-0.71 through 64-bit byte tables, and over 64 columns it
+is 14-21x faster than :func:`flatrank.linalg.matrix_rank` ((9,3): 1.24-1.28
+against 18-22 us).  Larger fields keep the batched
 :func:`flatrank.linalg.matrix_rank`.
 
 Randomized sweeps and instance generators run off the documented splitmix64
@@ -28,6 +46,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -63,11 +82,9 @@ BLOCK_ENTRIES = 1 << 20
 # Bytes of packed flattening rows in one block of the packed GF(2) kernel, so
 # that the rows and their elimination scratch stay in the L2 cache.
 PACKED_BLOCK_BYTES = 1 << 19
-# Byte tables up to this size stay cached once built.  The 64-column shapes
-# reach about 1 MB ((4,4), (8,3)); they are rebuilt per call, in about a
-# millisecond, rather than held for the life of the process.
-TABLE_CACHE_BYTES = 1 << 19
-_ROW_TABLES: dict[tuple[int, int], list[np.ndarray]] = {}
+# Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
+# wider rows go bit-sliced (see the module docstring for the measurements).
+TABLE_MAX_COLUMNS = 32
 
 
 @dataclass
@@ -98,23 +115,21 @@ class SearchReport:
         return doc
 
 
-def _row_tables(a: int, d: int) -> list[np.ndarray]:
+@lru_cache(maxsize=None)
+def _row_tables(a: int, d: int) -> tuple[np.ndarray, ...]:
     """Byte tables of the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
 
-    Needs ``a ** (d-1) <= 64``.  Row ``r * d + axis`` holds row r of the
+    Needs ``a ** (d-1) <= 32``.  Row ``r * d + axis`` holds row r of the
     flattening along ``axis``, one bit per column.  ``tables[k][v]`` XORs in
     the mixed entries 8k .. 8k+7 whose bits are set in the byte v, and
     ``tables[0]`` also holds the rows of the unit diagonal, so the rows of a
     tensor are the XOR of one entry per table.  There is always at least one
-    table.  Built by each sweep call; tables of at most
-    :data:`TABLE_CACHE_BYTES` are then kept, read-only.
+    table.  Built once per shape and kept, read-only: the largest sets, at
+    (3,4) and (5,3), take 123 KB.
     """
-    cached = _ROW_TABLES.get((a, d))
-    if cached is not None:
-        return cached
     diag, _, mixed = index_class_arrays(a, d)
     cols = a ** (d - 1)
-    dtype = next(t for t in (np.uint8, np.uint16, np.uint32, np.uint64) if np.iinfo(t).bits >= cols)
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if np.iinfo(t).bits >= cols)
 
     def entry_rows(flat: np.ndarray) -> np.ndarray:
         """(len(flat), a*d): the rows with only entry ``flat[i]`` set, for each i."""
@@ -137,9 +152,7 @@ def _row_tables(a: int, d: int) -> list[np.ndarray]:
             table[1 << b : 2 << b] = table[: 1 << b] ^ bits[8 * k + b]
         table.flags.writeable = False
         tables.append(table)
-    if nbytes * 256 * a * d * dtype().itemsize <= TABLE_CACHE_BYTES:
-        _ROW_TABLES[(a, d)] = tables
-    return tables
+    return tuple(tables)
 
 
 def _eliminate(rows: np.ndarray, scratch: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -157,15 +170,15 @@ def _eliminate(rows: np.ndarray, scratch: np.ndarray, d: int) -> tuple[np.ndarra
         np.bitwise_xor(below, rows[i], out=tmp)
         np.minimum(below, tmp, out=below)
     rank = rank.reshape(d, -1)
-    # a sum is at most 64 rows times d <= 64 axes (numpy's cap): exact in uint16,
+    # a sum is at most 32 rows times d <= 64 axes (numpy's cap): exact in uint16,
     # which numpy sums much faster than it casts into int64
     return rank.max(axis=0).astype(np.int64), rank.sum(axis=0, dtype=np.uint16).astype(np.int64)
 
 
 def _packed_population_ranks(
-    a: int, d: int, words: np.ndarray, tables: list[np.ndarray]
+    a: int, d: int, words: np.ndarray, tables: tuple[np.ndarray, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 64``.
+    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 32``.
 
     Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
     of word t // 64 for mixed entry t; that is byte t // 8 of the row's
@@ -185,7 +198,7 @@ def _packed_population_ranks(
 
 
 def _exhaustive_ranks(
-    a: int, d: int, tables: list[np.ndarray], start: int, stop: int
+    a: int, d: int, tables: tuple[np.ndarray, ...], start: int, stop: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of the GF(2) tensors with assignments ``start .. stop-1``.
 
@@ -208,6 +221,103 @@ def _exhaustive_ranks(
     return _eliminate(rows, np.empty_like(rows), d)
 
 
+# delta-swap rounds of a 64x64 bit transpose: (shift j, mask of the bits whose bit j is clear)
+_TRANSPOSE_ROUNDS = tuple(
+    (j, np.uint64(sum(1 << b for b in range(64) if not b & j)))
+    for j in (32, 16, 8, 4, 2, 1)
+)
+
+
+@lru_cache(maxsize=None)
+def _plane_index(a: int, d: int) -> np.ndarray:
+    """(d, a, a^(d-1)) plane of each flattening entry of a GF(2) semi-diagonal tensor on A^d.
+
+    Entry ``[axis, r, c]`` is entry (r, c) of the flattening along ``axis``.
+    Plane 0 is all zeros (the pairwise-distinct entries), plane 1 all ones
+    (the unit diagonal), and mixed entry t is plane t + 2.
+    """
+    diag, _, mixed = index_class_arrays(a, d)
+    plane = np.zeros(a**d, dtype=np.intp)
+    plane[diag] = 1
+    plane[mixed] = np.arange(2, mixed.size + 2)
+    grid = plane.reshape((a,) * d)
+    index = np.stack([np.moveaxis(grid, ax, 0).reshape(a, -1) for ax in range(d)])
+    index.flags.writeable = False
+    return index
+
+
+def _bit_planes(words: np.ndarray) -> np.ndarray:
+    """(2 + 64 w, W) bit planes of N tensors' mixed entries, ``W = ceil(N / 64)``.
+
+    Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
+    of word t // 64 for mixed entry t.  Bit i of word g of plane t + 2 is then
+    mixed entry t of tensor 64g + i; plane 0 is zero and plane 1 all ones, as
+    :func:`_plane_index` expects.  Lanes past N are zero words.  Each 64x64
+    block of bits is transposed in place by six delta-swap rounds, over the
+    layout ``[stream word, row, group]`` so every round runs over the groups.
+    """
+    n, w = words.shape
+    groups = -(-n // 64)
+    planes = np.zeros((2 + 64 * w, groups), dtype=np.uint64)
+    planes[1] = ~np.uint64(0)
+    if n < 64 * groups:
+        words = np.concatenate((words, np.zeros((64 * groups - n, w), dtype=np.uint64)))
+    bits = planes[2:].reshape(w, 64, groups)  # [stream word, row, group]
+    bits[...] = words.reshape(groups, 64, w).transpose(2, 1, 0)
+    for j, mask in _TRANSPOSE_ROUNDS:
+        pairs = bits.reshape(w, -1, 2, j, groups)
+        lo, hi = pairs[:, :, 0], pairs[:, :, 1]
+        swap = (lo >> j) ^ hi
+        swap &= mask
+        hi ^= swap
+        lo ^= swap << j
+    return planes
+
+
+def _sliced_ranks(a: int, d: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, 64 tensors per word.
+
+    ``words`` is laid out as for :func:`_bit_planes`.  The rows of all d
+    flattenings are one gather from the planes, ``[axis, r, c, group]``.
+    Pivot step k works on every axis and lane at once: a prefix-OR of row k
+    over the columns gives its "row nonzero" plane (the rank bit) and a
+    one-hot pivot column; each row below picks its bit in that column as a
+    lane mask and XORs in row k under it.  The rank of a lane is the count of
+    its rank bits.
+    """
+    n = words.shape[0]
+    rows = np.take(_bit_planes(words), _plane_index(a, d), axis=0, mode="clip")
+    cols = rows.shape[2]
+    scratch = np.empty_like(rows)
+    pivot = np.empty_like(rows[:, 0])
+    nonzero = np.empty((a, d, rows.shape[3]), dtype=np.uint64)
+    for k in range(a):
+        row = rows[:, k]
+        seen = np.bitwise_or.accumulate(row, axis=1)
+        nonzero[k] = seen[:, cols - 1]
+        if k + 1 == a:
+            break
+        pivot[:, 0] = seen[:, 0]
+        np.bitwise_xor(seen[:, 1:], seen[:, :-1], out=pivot[:, 1:])
+        # only columns from the first to the last pivot of any lane can hold a
+        # factor: at d = 2, the identity, that is one column and no factor is set
+        pivoted = np.flatnonzero(np.bitwise_or.reduce(pivot, axis=(0, 2)))
+        if pivoted.size == 0:
+            continue
+        span = slice(pivoted[0], pivoted[-1] + 1)
+        below, tmp = rows[:, k + 1 :], scratch[:, k + 1 :]
+        np.bitwise_and(below[:, :, span], pivot[:, None, span], out=tmp[:, :, span])
+        lanes = np.bitwise_or.reduce(tmp[:, :, span], axis=2)
+        if not lanes.any():
+            continue
+        np.bitwise_and(row[:, None], lanes[:, :, None], out=tmp)
+        below ^= tmp
+    as_bytes = nonzero.astype("<u8", copy=False).view(np.uint8)  # bit i of word g: lane 64g + i
+    bits = np.unpackbits(as_bytes, axis=2, bitorder="little")[:, :, :n]
+    rank = bits.sum(axis=0, dtype=np.int64)  # (d, N)
+    return rank.max(axis=0), rank.sum(axis=0)
+
+
 def exhaustive_min_mfrank(
     a: int, d: int, threads: int = 1, chunk_bits: int | None = None
 ) -> SearchReport:
@@ -220,7 +330,8 @@ def exhaustive_min_mfrank(
     The population is ranked in chunks of a power of two assignments, as many
     as fit :data:`PACKED_BLOCK_BYTES` of packed rows and at least 256 (or the
     whole population, if smaller); ``chunk_bits`` caps a chunk at
-    ``2 ** chunk_bits`` assignments.
+    ``2 ** chunk_bits`` assignments.  Rows over :data:`TABLE_MAX_COLUMNS`
+    columns occur only at d = 2, where the identity alone is bit-sliced.
     """
     started = time.monotonic()
     if a < 1 or d < 2:
@@ -233,22 +344,21 @@ def exhaustive_min_mfrank(
             f"population too large: {f} free entries at (a={a}, d={d}) exceeds cap {MAX_FREE_ENTRIES}"
         )
     total = 1 << f
-    packed = a ** (d - 1) <= 64
-    if packed:
+    tabled = a ** (d - 1) <= TABLE_MAX_COLUMNS
+    if tabled:
         tables = _row_tables(a, d)
         cap = PACKED_BLOCK_BYTES // tables[0][0].nbytes
         if chunk_bits is not None:
             cap = min(cap, 1 << chunk_bits)
         chunk = min(total, 1 << max(8, cap.bit_length() - 1))
-    else:  # d == 2: the identity matrix alone, rows wider than a word
+    else:  # d == 2: the identity matrix alone
         chunk = total
 
     def scan_chunk(start: int, stop: int):
-        if packed:
+        if tabled:
             mfrank, sumrank = _exhaustive_ranks(a, d, tables, start, stop)
         else:
-            words = np.arange(start, stop, dtype=np.uint64)[:, None]
-            mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+            mfrank, sumrank = _sliced_ranks(a, d, np.arange(start, stop, dtype=np.uint64)[:, None])
         i_mf = int(np.argmin(mfrank))
         i_sum = int(np.argmin(sumrank))
         return int(mfrank[i_mf]), start + i_mf, int(sumrank[i_sum]), start + i_sum
@@ -378,11 +488,14 @@ def random_semidiagonal_sweep(
     """Rank statistics over ``count`` random semi-diagonal tensors.
 
     Tensor j is drawn from ``Rng(Rng.sub_seed(seed, j))``.  Blocks of tensors
-    are drawn in bulk and ranked together: over GF(2), when every flattening
-    row fits one word, with the packed kernel :func:`_packed_population_ranks`
-    in blocks of :data:`PACKED_BLOCK_BYTES` of packed rows, otherwise with one
-    batched :func:`matrix_rank` call for all axes in blocks of
-    :data:`BLOCK_ENTRIES` entries.  ``block`` caps a block's tensor count.
+    are drawn in bulk and ranked together.  Over GF(2) a block holds
+    :data:`PACKED_BLOCK_BYTES` of rows: rows of at most
+    :data:`TABLE_MAX_COLUMNS` columns go through the byte tables of
+    :func:`_packed_population_ranks`, wider ones through the bit-sliced
+    :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
+    least one).  Larger fields make one batched :func:`matrix_rank` call for
+    all axes in blocks of :data:`BLOCK_ENTRIES` entries.  ``block`` caps a
+    block's tensor count.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
     started = time.monotonic()
@@ -392,21 +505,21 @@ def random_semidiagonal_sweep(
         raise ValueError("need count >= 1")
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
-    packed = field.order == 2 and a ** (d - 1) <= 64
-    if packed:
+    if field.order != 2:
+        cap = BLOCK_ENTRIES // a**d
+        ranks = lambda words: _block_ranks(_semidiagonal_block(a, d, field, words), a, d, field)
+    elif a ** (d - 1) <= TABLE_MAX_COLUMNS:
         tables = _row_tables(a, d)
         cap = PACKED_BLOCK_BYTES // tables[0][0].nbytes
-    else:
-        cap = BLOCK_ENTRIES // a**d
+        ranks = lambda words: _packed_population_ranks(a, d, words, tables)
+    else:  # whole words of 64 lanes, d * a^d / 8 bytes of gathered rows per tensor
+        cap = max(64, 8 * PACKED_BLOCK_BYTES // (d * a**d) // 64 * 64)
+        ranks = lambda words: _sliced_ranks(a, d, words)
     block = max(1, cap if block is None else min(block, cap))
 
     def scan(span):
         start, stop = span
-        words = _stream_block(seed, start, stop, nwords)
-        if packed:
-            mfrank, sumrank = _packed_population_ranks(a, d, words, tables)
-        else:
-            mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, field, words), a, d, field)
+        mfrank, sumrank = ranks(_stream_block(seed, start, stop, nwords))
         bad = np.nonzero(mfrank < lower)[0]
         return (
             int(mfrank.min()),

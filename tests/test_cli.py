@@ -91,6 +91,17 @@ def test_rank_rejects_malformed_entries_exit_two(tmp_path, capsys, body):
     assert "flatrank: error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["rank"], ["verify", "oddtown"]], ids=" ".join)
+def test_deeply_nested_document_exit_two(tmp_path, capsys, command):
+    # nesting past the interpreter's recursion limit is bad input, not a failed hypothesis
+    doc = tmp_path / "deep.json"
+    doc.write_text('{"a": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    args = command + [doc] + (["--max"] if command == ["rank"] else [])
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert "flatrank: error:" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_two():
     with pytest.raises(SystemExit) as exc:
         run(["rank", FIXTURES / "partition_4_3.json"])  # no mode flag
@@ -122,6 +133,11 @@ def test_usage_error_exit_two():
         (
             ["verify", "bollobas", FIXTURES / "bollobas_classic.json"],
             "verify_bollobas_classic.json",
+        ),
+        (
+            ["experiment", "random-semidiagonal", "--field", "gf2", "--a", "9", "--d", "3"]
+            + ["--count", "300", "--seed", "19"],
+            "experiment_random_gf2_9_3.json",
         ),
     ],
 )

@@ -9,12 +9,14 @@ from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import GOLDEN, MASK64, Rng, mix64, stream_words_np, sub_seeds_np
 from flatrank.search import (
     PACKED_BLOCK_BYTES,
+    TABLE_MAX_COLUMNS,
     _block_ranks,
     _exhaustive_ranks,
     _packed_population_ranks,
     _row_tables,
     _semidiagonal_block,
     _semidiagonal_words,
+    _sliced_ranks,
     _stream_block,
     exhaustive_min_mfrank,
     random_cross_oddtown_search,
@@ -80,10 +82,10 @@ def test_exhaustive_small_populations():
     assert rep.count == 1 << 14 and rep.min_mfrank == 1
 
 
-@pytest.mark.parametrize("a", [7, 65])
+@pytest.mark.parametrize("a", [7, 33, 65])
 def test_exhaustive_identity_population(a):
     # at d = 2 no entry is mixed, so the population is the identity alone;
-    # at a = 65 its flattening rows are wider than one 64-bit word
+    # at a = 33 and 65 its rows are bit-sliced, at 65 wider than one word
     rep = exhaustive_min_mfrank(a, 2)
     assert (rep.count, rep.min_mfrank, rep.min_sum_franks) == (1, a, 2 * a)
     assert rep.extra == {"free_entries": 0}
@@ -119,16 +121,21 @@ def test_exhaustive_threads_agree():
 
 
 
-# every packed shape with at most 2^18 members: the identity alone (a^d with
-# d = 2, or a = 1), and the populations of 2^6, 2^14 and 2^18 tensors
+# every exhaustive shape with at most 2^18 members: the identity alone (a^d
+# with d = 2, or a = 1), and the populations of 2^6, 2^14 and 2^18 tensors;
+# (64, 2) is the one whose rows are too wide for the byte tables
 @pytest.mark.parametrize(
     "a,d", [(1, 2), (1, 3), (2, 2), (7, 2), (64, 2), (2, 3), (2, 4), (3, 3)], ids=str
 )
 def test_exhaustive_chunks_match_matrix_rank(a, d):
     total = 1 << len(classify_indices(a, d)[2])
-    tables = _row_tables(a, d)
     words = np.arange(total, dtype=np.uint64)[:, None]
     oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    if a ** (d - 1) > TABLE_MAX_COLUMNS:
+        for got, want in zip(_sliced_ranks(a, d, words), oracle):
+            assert got.tolist() == want.tolist()
+        return
+    tables = _row_tables(a, d)
     default = 1 << ((PACKED_BLOCK_BYTES // tables[0][0].nbytes).bit_length() - 1)
     for chunk in {min(total, 256), min(total, default)}:
         parts = [_exhaustive_ranks(a, d, tables, s, s + chunk) for s in range(0, total, chunk)]
@@ -173,7 +180,11 @@ def test_bulk_block_matches_scalar_sampler(field, a, d):
 
 
 def _assert_packed_matches_matrix_rank(a, d, words):
-    packed = _packed_population_ranks(a, d, words, _row_tables(a, d))
+    """The GF(2) kernel the sweeps pick by row width against the batched ``matrix_rank``."""
+    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
+        packed = _packed_population_ranks(a, d, words, _row_tables(a, d))
+    else:
+        packed = _sliced_ranks(a, d, words)
     oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
     for got, want in zip(packed, oracle):
         assert got.tolist() == want.tolist()
@@ -189,24 +200,53 @@ def _mixed_words(a, d, tensors):
     return out.view("<u8")
 
 
-# every row dtype boundary: a^(d-1) = 1, 8, 9, 16, 25, 32, 36, 64, 49, 64, 64
+def _hard_words(a, d, n):
+    """n random, n near-extremal and the d + 1 extremal tensors' words, in that order.
+
+    Random tensors are nearly all of full rank; the extremal constructions, and
+    low-weight changes to them, reach the ranks in between.
+    """
+    gen = np.random.default_rng(a * 100 + d)
+    shape = (6, n, _semidiagonal_words(a, d, GF2))
+    noise = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
+    extremal = [partition_construction(a, d, GF2)]
+    extremal += [axis_constant_construction(a, d, ax, GF2) for ax in range(d)]
+    extremal = _mixed_words(a, d, extremal)
+    sparse = np.bitwise_and.reduce(noise, axis=0)  # about one bit in 64 set
+    near = extremal[gen.integers(0, len(extremal), size=n)] ^ sparse
+    return np.concatenate((noise[0], near, extremal))
+
+
+# the byte tables' row dtype boundaries: a^(d-1) = 1, 8, 9, 16, 25, 32; and
+# bit-sliced rows of 36, 64, 49, 64 and 64 columns
 @pytest.mark.parametrize(
     "a,d",
     [(1, 3), (2, 4), (3, 3), (4, 3), (5, 3), (2, 6), (6, 3), (4, 4), (7, 3), (8, 3), (64, 2)],
     ids=str,
 )
 def test_packed_ranks_match_matrix_rank(a, d):
-    # random tensors are nearly all of full rank; the extremal constructions,
-    # and low-weight changes to them, reach the ranks in between
-    gen = np.random.default_rng(a * 100 + d)
-    shape = (6, 200, _semidiagonal_words(a, d, GF2))
-    noise = gen.integers(0, 1 << 64, size=shape, dtype=np.uint64)
-    extremal = [partition_construction(a, d, GF2)]
-    extremal += [axis_constant_construction(a, d, ax, GF2) for ax in range(d)]
-    extremal = _mixed_words(a, d, extremal)
-    sparse = np.bitwise_and.reduce(noise, axis=0)  # about one bit in 64 set
-    near = extremal[gen.integers(0, len(extremal), size=200)] ^ sparse
-    _assert_packed_matches_matrix_rank(a, d, np.concatenate((noise[0], near, extremal)))
+    _assert_packed_matches_matrix_rank(a, d, _hard_words(a, d, 200))
+
+
+# both sides of the 32-column split: a^(d-1) = 32 and 25 take the byte tables;
+# 36, 64, 64, 64, 81, 81 and 125 are bit-sliced, and so are 33 and 65 at d = 2
+@pytest.mark.parametrize(
+    "a,d",
+    [(2, 6), (5, 3), (6, 3), (4, 4), (2, 7), (8, 3), (9, 3), (3, 5), (5, 4), (33, 2), (65, 2)],
+    ids=str,
+)
+def test_population_kernels_match_matrix_rank(a, d):
+    hard = _hard_words(a, d, 70)
+    for n in (1, 63, 64, 65):  # one lane, a short word, a whole word, a word and one lane
+        _assert_packed_matches_matrix_rank(a, d, hard[:n])
+        _assert_packed_matches_matrix_rank(a, d, hard[-n:])  # ends on the extremal tensors
+        _assert_packed_matches_matrix_rank(a, d, np.zeros_like(hard[:n]))
+    # a block cap that is no multiple of 64: every block leaves lanes of its last word empty
+    words = _stream_block(23, 0, 150, _semidiagonal_words(a, d, GF2))
+    mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    rep = random_semidiagonal_sweep(a, d, 150, seed=23, block=100)
+    assert (rep.min_mfrank, rep.min_sum_franks) == (mfrank.min(), sumrank.min())
+    assert rep.violations == int((mfrank < math.ceil(a / (d - 1))).sum())
 
 
 @pytest.mark.parametrize("a,d", [(2, 3), (2, 4)], ids=str)
@@ -254,14 +294,18 @@ def test_sweep_builds_row_tables_once(monkeypatch):
     monkeypatch.setattr(search, "_row_tables", counting)
     for threads in (1, 2):
         calls.clear()
-        random_semidiagonal_sweep(4, 4, 64, seed=5, threads=threads, block=16)  # 4 blocks
-        assert calls == [(4, 4)]
+        random_semidiagonal_sweep(5, 3, 64, seed=5, threads=threads, block=16)  # 4 blocks
+        assert calls == [(5, 3)]
+        calls.clear()
+        random_semidiagonal_sweep(4, 4, 64, seed=5, threads=threads, block=16)  # bit-sliced
+        assert calls == []
 
 
-@pytest.mark.parametrize("a,d", [(4, 4), (6, 3), (8, 3)], ids=str)
+# bit-sliced shapes, with rows of 64 columns and of 81
+@pytest.mark.parametrize("a,d", [(4, 4), (6, 3), (8, 3), (9, 3)], ids=str)
 def test_sweep_reports_ignore_block_cap(a, d):
     want = random_semidiagonal_sweep(a, d, 600, seed=17).to_document()
-    for block in (1, 7, 256):
+    for block in (1, 7, 65, 256):
         assert random_semidiagonal_sweep(a, d, 600, seed=17, block=block).to_document() == want
 
 def test_sweep_gf3_example():
