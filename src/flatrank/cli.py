@@ -34,7 +34,7 @@ from .formats import (
     set_family_from_document,
     setpair_from_document,
     tensor_from_document,
-    tensor_to_document,
+    tensor_text,
     tuple_family_from_document,
     write_atomic,
 )
@@ -133,7 +133,7 @@ def _cmd_construct(args) -> int:
             raise ValueError("axis-constant construction needs --axis")
         t = axis_constant_construction(args.a, args.d, args.axis, field)
         meta = {"construction": "axis-constant", "a": args.a, "d": args.d, "axis": args.axis}
-    text = canonical_json(tensor_to_document(t, metadata=meta, sparse=args.sparse))
+    text = tensor_text(t, meta, args.sparse)
     if args.out:
         write_atomic(args.out, text)
     else:

@@ -9,6 +9,16 @@ slots.  Subsets may be written either as bit-masks (integers) or as lists of
 Canonical serialization (sorted keys, no whitespace, trailing newline) is the
 byte format for reports, so identical inputs and seeds reproduce identical
 bytes.  Timing never enters a report.
+
+Dense entries never pass through one Python int each.  :func:`load_document`
+walks the top-level object of a document that names ``"entries"`` with the
+stdlib decoder, and reads a top-level ``"entries"`` array of integers of at
+most 18 digits straight into an int64 array: boolean byte checks of the JSON
+grammar, then one ``np.fromstring`` conversion.  Any other value goes to the
+stdlib decoder, and any other text to ``json.loads`` whole, so the accepted
+documents, their values and every error are those of ``json.loads``.
+:func:`tensor_text` writes dense entries with numpy digit arithmetic into the
+bytes ``canonical_json`` would give.
 """
 
 from __future__ import annotations
@@ -18,6 +28,7 @@ import json
 import math
 import os
 import tempfile
+from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
 
@@ -36,6 +47,7 @@ __all__ = [
     "load_document",
     "make_report",
     "tensor_to_document",
+    "tensor_text",
     "tensor_from_document",
     "tuple_family_to_document",
     "tuple_family_from_document",
@@ -79,16 +91,114 @@ def write_atomic(path: str, text: str) -> None:
 
 
 def load_document(path: str) -> tuple[dict, str]:
-    """The JSON object in ``path`` and the SHA-256 digest of the bytes parsed."""
+    """The JSON object in ``path`` and the SHA-256 digest of the bytes parsed.
+
+    A top-level ``"entries"`` array of integers is an int64 array; every other
+    value is what ``json.loads`` gives.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
+    text = data.decode("utf-8")
     try:
-        doc = json.loads(data.decode("utf-8"))
+        try:
+            doc = _object_with_entries(text)
+        except json.JSONDecodeError:
+            doc = None
+        if doc is None:  # not an object the walk takes: json.loads gives the verdict
+            doc = json.loads(text)
     except RecursionError:
         raise ValueError("document nested too deeply to parse") from None
     if not isinstance(doc, dict):
         raise ValueError("document root must be a JSON object")
     return doc, digest_bytes(data)
+
+
+_DECODER = json.JSONDecoder()
+
+
+def _skip(text: str, idx: int) -> int:
+    return WHITESPACE.match(text, idx).end()
+
+
+def _object_with_entries(text: str) -> dict | None:
+    """``json.loads(text)`` if it is an object, with its ``"entries"`` read by :func:`_int_array`.
+
+    None when the text is not one well-formed object, or names no
+    ``"entries"``: then one ``json.loads`` call is faster than the walk.
+    """
+    if '"entries"' not in text:
+        return None
+    idx = _skip(text, 0)
+    if text[idx : idx + 1] != "{":
+        return None
+    doc: dict = {}
+    idx = _skip(text, idx + 1)
+    while text[idx : idx + 1] == '"':
+        key, idx = scanstring(text, idx + 1)
+        idx = _skip(text, idx)
+        if text[idx : idx + 1] != ":":
+            return None
+        idx = _skip(text, idx + 1)
+        parsed = _int_array(text, idx) if key == "entries" else None
+        doc[key], idx = parsed or _DECODER.raw_decode(text, idx)
+        idx = _skip(text, idx)
+        sep = text[idx : idx + 1]
+        idx = _skip(text, idx + 1)
+        if sep == "}":
+            return doc if idx == len(text) else None
+        if sep != ",":
+            return None
+    return None
+
+
+def _int_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
+    """The flat array of JSON integers at ``text[start]`` as int64, and the index past it.
+
+    None unless every element is an integer of at most 18 digits, so that
+    the one ``np.fromstring`` call is exact.  The grammar is checked on the
+    bytes with boolean masks only: an index array over the text would cost
+    8 bytes per character.
+    """
+    if text[start : start + 1] != "[" or (stop := text.find("]", start)) < 0:
+        return None
+    body = text[start + 1 : stop]
+    if not body.isascii():
+        return None
+    encoded = body.encode("ascii")
+    raw = np.frombuffer(encoded, dtype=np.uint8)
+    digit, comma, minus = (raw - ord("0")) < 10, raw == ord(","), raw == ord("-")
+    space = (raw == ord(" ")) | (raw == ord("\n")) | (raw == ord("\r")) | (raw == ord("\t"))
+    if not (digit | comma | minus | space).all():
+        return None
+    if space.any():
+        gap = np.zeros_like(space)  # the byte follows whitespace
+        gap[1:] = space[:-1]
+        token = ~space
+        raw, digit, comma, minus, gap = raw[token], digit[token], comma[token], minus[token], gap[token]
+        if (gap[1:] & ~comma[1:] & ~comma[:-1]).any():  # whitespace inside a number
+            return None
+    if not raw.size:
+        return np.zeros(0, dtype=np.int64), stop + 1
+    lead = raw == ord("0")  # a zero that is a number's first digit
+    lead[1:] &= ~digit[:-1]
+    if (
+        comma[0]
+        or not digit[-1]
+        or (minus[:-1] & ~digit[1:]).any()  # "-" not before a digit
+        or (comma[:-1] & comma[1:]).any()
+        or (digit[:-1] & minus[1:]).any()
+        or (lead[:-1] & digit[1:]).any()  # leading zero
+    ):
+        return None
+    run = digit
+    for shift in (1, 2, 4, 8, 3):  # run[i]: digits at i .. i+1, +3, +7, +15, +18
+        run = run[:-shift] & run[shift:]
+    if run.any():  # 19 digits or more may not fit int64
+        return None
+    values = np.fromstring(encoded, dtype=np.int64, sep=",")  # skips whitespace around commas
+    if values.size != np.count_nonzero(comma) + 1:
+        return None
+    return values, stop + 1
 
 
 def make_report(command: str, inputs_digest: str, results: dict, seed: int | None = None) -> dict:
@@ -147,6 +257,31 @@ def tensor_to_document(t: Tensor, metadata: dict | None = None, sparse: bool = F
     return doc
 
 
+def tensor_text(t: Tensor, metadata: dict | None = None, sparse: bool = False) -> str:
+    """``canonical_json(tensor_to_document(t, metadata, sparse))``, dense entries written by numpy."""
+    if sparse:
+        return canonical_json(tensor_to_document(t, metadata, sparse=True))
+    doc: dict = {"dims": list(t.dims), "entries": [], "field": t.field.to_document()}
+    if metadata:
+        doc["metadata"] = metadata
+    # keys sort as dims, entries, ...: the first empty entries list is this one
+    return canonical_json(doc).replace('"entries":[]', f'"entries":[{_decimals(t.entries)}]', 1)
+
+
+def _decimals(values: np.ndarray) -> str:
+    """The non-negative int64 ``values`` in decimal, comma-separated, as ``json.dumps`` writes them."""
+    width = len(str(int(values.max())))
+    cells = np.empty((values.size, width + 1), dtype=np.uint8)  # each value's digits and a comma
+    cells[:, width] = ord(",")
+    keep = np.ones(cells.shape, dtype=bool)
+    for j in range(width):
+        place = 10 ** (width - 1 - j)
+        cells[:, j] = values // place % 10 + ord("0")
+        if place > 1:
+            keep[:, j] = values >= place  # no leading zeros
+    return cells[keep].tobytes()[:-1].decode("ascii")
+
+
 def tensor_from_document(doc: dict) -> Tensor:
     """Parse a dense or sparse tensor document; non-integer values are rejected.
 
@@ -165,31 +300,30 @@ def tensor_from_document(doc: dict) -> Tensor:
         raise ValueError(f"tensor with {size} entries exceeds the {MAX_ENTRIES} dense cap")
     if "entries" in doc:
         entries = doc["entries"]
-        if not isinstance(entries, list) or len(entries) != size:
+        if not isinstance(entries, (list, np.ndarray)) or len(entries) != size:
             raise ValueError(f"expected {size} dense entries")
         return Tensor(tuple(dims), field, entries)
     if "sparse" in doc:
         pairs = doc["sparse"]
         if not isinstance(pairs, list):
             raise ValueError("sparse entries must be a list of [multi-index, value] pairs")
-        positions, values = [], []
-        for pair in pairs:
-            if not (isinstance(pair, list) and len(pair) == 2):
-                raise ValueError("sparse pairs must be [multi-index, value]")
-            idx, v = pair
-            if not isinstance(idx, list) or len(idx) != len(dims):
-                raise ValueError(f"sparse index {idx!r} has wrong arity")
-            pos = 0
-            for m, a in zip(idx, dims):
-                if type(m) is not int or not 0 <= m < a:
-                    raise ValueError(f"sparse index {idx!r} out of range")
-                pos = pos * a + m
-            positions.append(pos)
-            values.append(v)
-        if len(set(positions)) != len(positions):
+        if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+            raise ValueError("sparse pairs must be [multi-index, value]")
+        index, arity = [pair[0] for pair in pairs], len(dims)
+        if set(map(type, index)) - {list} or set(map(len, index)) - {arity}:
+            wrong = next(idx for idx in index if type(idx) is not list or len(idx) != arity)
+            raise ValueError(f"sparse index {wrong!r} has wrong arity")
+        coords = integer_array([m for idx in index for m in idx], "sparse indices").reshape(-1, arity)
+        outside = np.flatnonzero(((coords < 0) | (coords >= dims)).any(axis=1))
+        if outside.size:
+            raise ValueError(f"sparse index {index[outside[0]]!r} out of range")
+        positions = np.ravel_multi_index(tuple(coords.T), dims)
+        named = np.zeros(size, dtype=bool)
+        named[positions] = True
+        if np.count_nonzero(named) != positions.size:
             raise ValueError("sparse entries name a multi-index more than once")
         flat = np.zeros(size, dtype=np.int64)
-        flat[positions] = integer_array(values, "sparse values")
+        flat[positions] = integer_array([pair[1] for pair in pairs], "sparse values")
         return Tensor(tuple(dims), field, flat)
     raise ValueError("tensor document needs 'entries' or 'sparse'")
 

@@ -318,6 +318,14 @@ def _sliced_ranks(a: int, d: int, words: np.ndarray) -> tuple[np.ndarray, np.nda
     return rank.max(axis=0), rank.sum(axis=0)
 
 
+def _check_shape(a: int, d: int) -> None:
+    """Refuse A^d before anything of size a^d is allocated."""
+    if a < 1 or d < 2:
+        raise ValueError("need a >= 1 and d >= 2")
+    if a**d > MAX_ENTRIES:
+        raise ValueError(f"tensors on A^d with a={a}, d={d} exceed the {MAX_ENTRIES} dense cap")
+
+
 def exhaustive_min_mfrank(
     a: int, d: int, threads: int = 1, chunk_bits: int | None = None
 ) -> SearchReport:
@@ -334,10 +342,7 @@ def exhaustive_min_mfrank(
     columns occur only at d = 2, where the identity alone is bit-sliced.
     """
     started = time.monotonic()
-    if a < 1 or d < 2:
-        raise ValueError("need a >= 1 and d >= 2")
-    if a**d > MAX_ENTRIES:
-        raise ValueError(f"tensors on A^d with a={a}, d={d} exceed the {MAX_ENTRIES} dense cap")
+    _check_shape(a, d)
     f = index_class_arrays(a, d)[2].size
     if f > MAX_FREE_ENTRIES:
         raise ValueError(
@@ -495,12 +500,12 @@ def random_semidiagonal_sweep(
     :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
     least one).  Larger fields make one batched :func:`matrix_rank` call for
     all axes in blocks of :data:`BLOCK_ENTRIES` entries.  ``block`` caps a
-    block's tensor count.
+    block's tensor count.  Shapes over the dense cap are refused before
+    anything of size a^d is allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
     started = time.monotonic()
-    if a < 1 or d < 2:
-        raise ValueError("need a >= 1 and d >= 2")
+    _check_shape(a, d)
     if count < 1:
         raise ValueError("need count >= 1")
     lower = -(-a // (d - 1))

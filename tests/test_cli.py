@@ -11,7 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from flatrank.cli import main
+from flatrank.cli import _parse_field, main
+from flatrank.formats import canonical_json, load_document, tensor_text, tensor_to_document
+from flatrank.tensor import Tensor, axis_constant_construction, partition_construction
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -59,6 +61,31 @@ def test_rank_missing_file_exit_two():
 
 
 GF2_DOC = {"dims": [2, 2], "field": {"kind": "prime", "p": 2}}
+MALFORMED_SPARSE = [
+    {"sparse": {"0": 1}},
+    {"sparse": [[[0, 0], 1], 5]},
+    {"sparse": [[[0, 0], 1], [[1, 1]]]},
+    {"sparse": [[[0, 0], 1], [[1, 1], 1, 0]]},
+    {"sparse": [[[0, 0], 1], [7, 1]]},
+    {"sparse": [[[0, 0], 1], [[1], 1]]},
+    {"sparse": [[[0, 0], 1], [[1, 1, 0], 1]]},
+    {"sparse": [[[0], 1], [[1, 1, 0], 1]]},
+    {"sparse": [[[0, True], 1]]},
+    {"sparse": [[[0, 1.0], 1]]},
+    {"sparse": [[[0, "1"], 1]]},
+    {"sparse": [[[0, None], 1]]},
+    {"sparse": [[[0, [1]], 1]]},
+    {"sparse": [[[0, -1], 1]]},
+    {"sparse": [[[0, 2], 1]]},
+    {"sparse": [[[0, 1 << 70], 1]]},
+    {"sparse": [[[1, 0], 1], [[0, 1], 1], [[1, 0], 1]]},
+    {"sparse": [[[0, 0], True]]},
+    {"sparse": [[[0, 0], 1.0]]},
+    {"sparse": [[[0, 0], "1"]]},
+    {"sparse": [[[0, 0], None]]},
+    {"sparse": [[[0, 0], 2]]},
+    {"sparse": [[[0, 0], 1 << 70]]},
+]
 
 
 @pytest.mark.parametrize(
@@ -72,6 +99,7 @@ GF2_DOC = {"dims": [2, 2], "field": {"kind": "prime", "p": 2}}
         {"entries": [1, 0, 0, 1], "field": {"kind": "binary", "k": True}},
         {"entries": [1, 0, 0, 1], "field": [1]},
         {"entries": [1, 0, 0, 1], "field": "gf2"},
+        *MALFORMED_SPARSE,
     ],
     ids=[
         "float",
@@ -82,6 +110,7 @@ GF2_DOC = {"dims": [2, 2], "field": {"kind": "prime", "p": 2}}
         "bool-field-degree",
         "list-field",
         "string-field",
+        *(json.dumps(body["sparse"]) for body in MALFORMED_SPARSE),
     ],
 )
 def test_rank_rejects_malformed_entries_exit_two(tmp_path, capsys, body):
@@ -89,6 +118,113 @@ def test_rank_rejects_malformed_entries_exit_two(tmp_path, capsys, body):
     doc.write_text(json.dumps({**GF2_DOC, **body}))
     assert run(["rank", doc, "--max"]) == 2
     assert "flatrank: error:" in capsys.readouterr().err
+
+
+def test_rank_sparse_empty_and_unordered(tmp_path, capsys):
+    doc = tmp_path / "t.json"
+    doc.write_text(json.dumps({**GF2_DOC, "sparse": [[[1, 1], 1], [[0, 0], 1], [[0, 1], 0]]}))
+    assert run(["rank", doc, "--sum"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["franks"] == [2, 2]
+    doc.write_text(json.dumps({**GF2_DOC, "sparse": []}))
+    assert run(["rank", doc, "--sum"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["franks"] == [0, 0]
+
+
+def dense_document(tmp_path, spec, seed=1):
+    """A canonical 8^5 document of random entries over ``spec``, and its path."""
+    field = _parse_field(spec)
+    values = np.random.default_rng(seed).integers(0, field.order, size=8**5)
+    path = tmp_path / f"dense-{field.order}.json"
+    path.write_text(tensor_text(Tensor((8,) * 5, field, values)))
+    return path
+
+
+@pytest.mark.parametrize("spec", ["gf2", "prime:3", "binary:8"])
+def test_rank_pretty_printed_document_same_results(tmp_path, capsys, spec):
+    canonical = dense_document(tmp_path, spec)
+    pretty = tmp_path / "pretty.json"
+    pretty.write_text(json.dumps(json.loads(canonical.read_text()), indent=2))
+    reports = []
+    for path in (canonical, pretty):
+        assert run(["rank", path, "--sum"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0]["inputs_digest"] != reports[1]["inputs_digest"]
+    del reports[0]["inputs_digest"], reports[1]["inputs_digest"]
+    assert reports[0] == reports[1]
+    assert reports[0]["results"]["franks"] == [8] * 5
+
+
+def largest_step_allocation(fn, *args):
+    """Largest rise of traced memory within one bytecode of ``fn``: a bound on any one allocation.
+
+    The peak is read and reset at every bytecode of every Python frame, so
+    it bounds each numpy temporary that a line of vectorised code makes.
+    """
+    largest = last = 0
+
+    def trace(frame, event, arg):
+        nonlocal largest, last
+        frame.f_trace_opcodes = True
+        largest = max(largest, tracemalloc.get_traced_memory()[1] - last)
+        tracemalloc.reset_peak()
+        last = tracemalloc.get_traced_memory()[0]
+        return trace
+
+    tracemalloc.start()
+    try:
+        last = tracemalloc.get_traced_memory()[0]
+        sys.settrace(trace)
+        try:
+            fn(*args)
+        finally:
+            sys.settrace(None)
+        return max(largest, tracemalloc.get_traced_memory()[1] - last)
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("spec", ["gf2", "prime:3", "binary:8"])
+def test_load_dense_document_allocates_no_large_temporary(tmp_path, spec):
+    # the benchmark scales op times by a kernel whose 512 KB arrays move once
+    # a process frees a block that large, so no load temporary may reach it
+    path = dense_document(tmp_path, spec)
+    text_bytes = path.stat().st_size
+    assert text_bytes >= 64 << 10
+    # the bound sees an intp index over the text, which would be 8 bytes per byte
+    assert largest_step_allocation(lambda: np.flatnonzero(np.ones(text_bytes, bool))) >= 512 << 10
+    assert largest_step_allocation(load_document, str(path)) < 512 << 10
+    assert isinstance(load_document(str(path))[0]["entries"], np.ndarray)
+
+
+@pytest.mark.parametrize("spec", ["gf2", "prime:3", "prime:251", "binary:8"])
+@pytest.mark.parametrize("kind", ["partition", "axis-constant"])
+def test_construct_writes_canonical_json(capsys, spec, kind):
+    field = _parse_field(spec)
+    if kind == "partition":
+        t, args = partition_construction(8, 5, field), []
+        meta = {"construction": "partition", "a": 8, "d": 5}
+    else:
+        t, args = axis_constant_construction(6, 5, 3, field), ["--axis", "3"]
+        meta = {"construction": "axis-constant", "a": 6, "d": 5, "axis": 3}
+    a, d = meta["a"], meta["d"]
+    assert run(["construct", kind, "--a", a, "--d", d, "--field", spec, *args]) == 0
+    out = capsys.readouterr().out
+    assert out == canonical_json(tensor_to_document(t, metadata=meta))
+
+
+def test_sweep_dense_cap_before_allocation(capsys):
+    # a = 4097, d = 2: one tensor would hold 4097^2 = 16.79 M entries
+    tracemalloc.start()
+    try:
+        code = run(
+            ["experiment", "random-semidiagonal", "--a", 4097, "--d", 2, "--count", 1, "--seed", 1]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "16777216 dense cap" in capsys.readouterr().err
+    assert peak < 3 << 20
 
 
 @pytest.mark.parametrize("command", [["rank"], ["verify", "oddtown"]], ids=" ".join)

@@ -1,9 +1,19 @@
-"""Document round-trips and canonical serialization."""
+"""Document round-trips, canonical serialization, and the loader against ``json.loads``."""
 
+import contextlib
+import io
+import json
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flatrank import cli
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.formats import (
     badbox_from_document,
@@ -21,6 +31,7 @@ from flatrank.formats import (
     setpair_from_document,
     setpair_to_document,
     tensor_from_document,
+    tensor_text,
     tensor_to_document,
     tuple_family_from_document,
     tuple_family_to_document,
@@ -46,6 +57,26 @@ def test_tensor_round_trip_dense_and_sparse():
         assert tensor_from_document(dense) == t
         assert tensor_from_document(sparse) == t
         assert canonical_json(dense) == canonical_json(tensor_to_document(tensor_from_document(dense)))
+
+
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+@pytest.mark.parametrize(
+    "field",
+    [GF2, make_prime_field(3), make_prime_field(251), make_prime_field((1 << 31) - 1), make_binary_field(8)],
+    ids=str,
+)
+def test_tensor_text_is_canonical_json(field, sparse):
+    # random entries up to the field order, so every decimal width occurs
+    values = np.random.default_rng(field.order).integers(0, field.order, size=4 * 3 * 5)
+    values[:2] = [0, field.order - 1]
+    t = Tensor((4, 3, 5), field, values)
+    meta = {"construction": "random", "entries": []}
+    for metadata in (None, meta):
+        expected = canonical_json(tensor_to_document(t, metadata=metadata, sparse=sparse))
+        assert tensor_text(t, metadata, sparse) == expected
+    assert tensor_text(Tensor((1,), field, [0])) == canonical_json(
+        tensor_to_document(Tensor((1,), field, [0]))
+    )
 
 
 def test_tensor_document_errors():
@@ -136,3 +167,220 @@ def test_digest_params_stable():
 
 def test_canonical_json_fixed_form():
     assert canonical_json({"b": 1, "a": [True, None]}) == '{"a":[true,null],"b":1}\n'
+
+
+def json_loads_document(path):
+    """``load_document`` as ``json.loads`` alone would make it: the reference loader."""
+    data = Path(path).read_bytes()
+    try:
+        doc = json.loads(data.decode("utf-8"))
+    except RecursionError:
+        raise ValueError("document nested too deeply to parse") from None
+    if not isinstance(doc, dict):
+        raise ValueError("document root must be a JSON object")
+    return doc, digest_bytes(data)
+
+
+def plain(value):
+    """``value`` with every ndarray as a list, for comparison with ``json.loads``."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
+    return value
+
+
+def rank_outcome(path, loader):
+    """(exit code, stdout, stderr) of ``flatrank rank path --max`` with ``loader`` reading documents."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(cli, "load_document", loader), contextlib.redirect_stdout(
+        out
+    ), contextlib.redirect_stderr(err):
+        code = cli.main(["rank", str(path), "--max"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_loads_like_json(text: str):
+    """``load_document`` parses ``text`` as ``json.loads`` does, or ``rank`` rejects it alike."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            expected = json_loads_document(path)
+        except ValueError:
+            expected = None
+        if expected is None:
+            with pytest.raises(ValueError):
+                load_document(str(path))
+        else:
+            doc, digest = load_document(str(path))
+            assert (plain(doc), digest) == expected
+            assert list(doc) == list(expected[0])
+        assert rank_outcome(path, load_document) == rank_outcome(path, json_loads_document)
+
+
+def tensor_document_text(entries: str, size: int = 3, before: str = "", after: str = "") -> str:
+    return (
+        f'{{{before}"dims":[{size}],"field":{{"kind":"prime","p":2}},"entries":{entries}{after}}}'
+    )
+
+
+I64 = 2**63
+LOADER_CASES = [
+    tensor_document_text("[1,0,1]"),
+    tensor_document_text(" [ 1 , 0 ,\n1 ] "),
+    tensor_document_text("[\t1,\r\n0,1\n]"),
+    tensor_document_text("[]"),
+    tensor_document_text("[ ]"),
+    tensor_document_text("[-0,0,1]"),
+    tensor_document_text("[01,0,1]"),
+    tensor_document_text("[-01,0,1]"),
+    tensor_document_text("[00,0,1]"),
+    tensor_document_text("[- 1,0,1]"),
+    tensor_document_text("[1 0,1]"),
+    tensor_document_text("[1,,0,1]"),
+    tensor_document_text("[,1,0,1]"),
+    tensor_document_text("[1,0,1,]"),
+    tensor_document_text("[1,0,-]"),
+    tensor_document_text("[1,0,--1]"),
+    tensor_document_text("[1,0,1-1]"),
+    tensor_document_text("[+1,0,1]"),
+    tensor_document_text("[0x1,0,1]"),
+    tensor_document_text("[999999999999999999,-999999999999999999,0]"),
+    tensor_document_text(f"[{I64 - 1},{-I64},0]"),
+    tensor_document_text(f"[{I64 - 1},{-(I64 - 1)},0]"),
+    tensor_document_text(f"[{I64},0,1]"),
+    tensor_document_text(f"[{-I64 - 1},0,1]"),
+    tensor_document_text("[12345678901234567890,0,1]"),
+    tensor_document_text("[-12345678901234567890,0,1]"),
+    tensor_document_text("[true,0,1]"),
+    tensor_document_text("[1.0,0,1]"),
+    tensor_document_text("[1e3,0,1]"),
+    tensor_document_text("[1E3,0,1]"),
+    tensor_document_text("[NaN,0,1]"),
+    tensor_document_text("[Infinity,0,1]"),
+    tensor_document_text('["]",0,1]'),
+    tensor_document_text("[[1],0,1]"),
+    tensor_document_text("[1,0,1]]"),
+    tensor_document_text("[1,0,1"),
+    tensor_document_text("[1,0,1]", after=',"entries":[0,1,1]'),
+    tensor_document_text("[1,0,1]", after=',"entries":"x"'),
+    tensor_document_text('"x"', after=',"entries":[0,1,1]'),
+    tensor_document_text("[1,0,1]", before='"metadata":{"entries":[7,8]},'),
+    tensor_document_text("[1,0,1]", before='"note":"\u00e9t\u00e9 \u2014",'),
+    tensor_document_text("[1,0,1]", before='"note":"été — ünïcode",'),
+    tensor_document_text("[1,0,1]", after=',"note":"é"'),
+    tensor_document_text("[1,0,1]") + " x",
+    tensor_document_text("[1,0,1]") + "{}",
+    tensor_document_text("[1,0,1]") + "\n\t ",
+    " \n" + tensor_document_text("[1,0,1]"),
+    "\ufeff" + tensor_document_text("[1,0,1]"),
+    tensor_document_text("[1,0,1]").replace(":", " : "),
+    tensor_document_text("[1,0,1]").replace(",", " , "),
+    tensor_document_text("[1,0,1]", after=","),
+    tensor_document_text("[1,0,1]").replace('"dims"', "dims"),
+    tensor_document_text("[1,0,1]").replace('"dims":', '"dims"'),
+    tensor_document_text("[1,0,1]").replace(',"field"', ' "field"'),
+    tensor_document_text("[1\f,0,1]"),
+    tensor_document_text("[1,\u00a00,1]"),
+    tensor_document_text("[1,0,1,1]"),
+    tensor_document_text("[1,0,2]"),
+    tensor_document_text("[1,0,1]").replace('"entries"', '"\\u0065ntries"'),
+    tensor_document_text("[1,0,1]", before='"metadata":{"entries":[]},').replace(
+        '"entries":[1', '"\\u0065ntries":[1'
+    ),
+    "{}",
+    "{ }",
+    '{ } "entries"',
+    "[1,0,1]",
+    "",
+    '{"entries":[1,0,1]}',
+]
+
+
+@pytest.mark.parametrize("text", LOADER_CASES)
+def test_loader_matches_json_loads(text):
+    assert_loads_like_json(text)
+
+
+TOKENS = st.one_of(
+    st.integers(0, 1).map(str),
+    st.integers(-(10**18) + 1, 10**18 - 1).map(str),
+    st.integers(-I64 - 2, I64 + 2).map(str),
+    st.integers(10**19, 10**21).map(str),
+    st.sampled_from(["-0", "01", "-01", "00", "- 1", "+1", "1.0", "1e3", "-", ""]),
+    st.sampled_from(["true", "false", "null", "NaN", "-Infinity", '"]"', '"1"', "[1]", "{}"]),
+)
+SPACE = st.sampled_from(["", "", " ", "\n  ", "\t", "\r\n"])
+
+
+@st.composite
+def entries_texts(draw):
+    tokens = draw(st.lists(TOKENS, max_size=6))
+    body = draw(SPACE)
+    for i, token in enumerate(tokens):
+        if i:
+            body += draw(st.sampled_from([",", ",", ", ", " ,", ",\n", ",,", " ", ""]))
+        body += draw(SPACE) + token + draw(SPACE)
+    return draw(SPACE) + "[" + body + "]" + draw(st.sampled_from(["", " ", "]", ",", " x"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(entries=entries_texts(), size=st.integers(1, 6))
+def test_loader_matches_json_loads_property(entries, size):
+    assert_loads_like_json(tensor_document_text(entries, size))
+
+
+def sparse_tensor_by_loop(doc):
+    """The sparse branch of ``tensor_from_document`` as a per-pair loop: the reference."""
+    dims, size = doc["dims"], math.prod(doc["dims"])
+    positions, values = [], []
+    for pair in doc["sparse"]:
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError("sparse pairs must be [multi-index, value]")
+        idx, v = pair
+        if not isinstance(idx, list) or len(idx) != len(dims):
+            raise ValueError(f"sparse index {idx!r} has wrong arity")
+        pos = 0
+        for m, a in zip(idx, dims):
+            if type(m) is not int or not 0 <= m < a:
+                raise ValueError(f"sparse index {idx!r} out of range")
+            pos = pos * a + m
+        positions.append(pos)
+        values.append(v)
+    if len(set(positions)) != len(positions):
+        raise ValueError("sparse entries name a multi-index more than once")
+    entries = [0] * size
+    for pos, v in zip(positions, values):
+        entries[pos] = v
+    return Tensor(tuple(dims), make_prime_field(doc["field"]["p"]), entries)
+
+
+SPARSE_ODD = st.sampled_from([True, False, 1.0, "1", None, [0], -1, 1 << 70])
+
+
+@st.composite
+def sparse_documents(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    coordinate = st.one_of(st.integers(0, 3), SPARSE_ODD) if draw(st.booleans()) else st.integers(0, 2)
+    index = st.lists(coordinate, min_size=len(dims), max_size=len(dims))
+    if draw(st.integers(0, 9)) == 0:
+        index = st.one_of(index, st.lists(st.integers(0, 2), max_size=4), st.integers(0, 2))
+    value = st.one_of(st.integers(0, 3), SPARSE_ODD) if draw(st.booleans()) else st.integers(0, 2)
+    pair = st.tuples(index, value).map(list)
+    if draw(st.integers(0, 9)) == 0:
+        pair = st.one_of(pair, st.lists(st.integers(0, 1), max_size=3), st.just(7))
+    p = draw(st.sampled_from([2, 3]))
+    return {"dims": dims, "field": {"kind": "prime", "p": p}, "sparse": draw(st.lists(pair, max_size=8))}
+
+
+@settings(max_examples=400, deadline=None)
+@given(doc=sparse_documents())
+def test_sparse_ingest_matches_per_pair_loop(doc):
+    try:
+        expected = sparse_tensor_by_loop(doc)
+    except ValueError:
+        with pytest.raises(ValueError):
+            tensor_from_document(doc)
+    else:
+        assert tensor_from_document(doc) == expected
