@@ -8,7 +8,6 @@ from .tensor import (
     Tensor,
     add_tensors,
     axis_constant_construction,
-    flatten,
     flattening_rank,
     is_semi_diagonal,
     max_flattening_rank,
@@ -24,7 +23,6 @@ __all__ = [
     "make_prime_field",
     "make_binary_field",
     "Tensor",
-    "flatten",
     "flattening_rank",
     "max_flattening_rank",
     "sum_flattening_ranks",

@@ -10,23 +10,28 @@ Canonical serialization (sorted keys, no whitespace, trailing newline) is the
 byte format for reports, so identical inputs and seeds reproduce identical
 bytes.  Timing never enters a report.
 
-Dense entries never pass through one Python int each.  :func:`load_document`
-walks the top-level object of a document that names ``"entries"`` with the
-stdlib decoder, and reads a top-level ``"entries"`` array of integers of at
-most 18 digits straight into an int64 array: boolean byte checks of the JSON
-grammar, then one ``np.fromstring`` conversion.  Any other value goes to the
-stdlib decoder, and any other text to ``json.loads`` whole, so the accepted
-documents, their values and every error are those of ``json.loads``.
-:func:`tensor_text` writes dense entries with numpy digit arithmetic into the
-bytes ``canonical_json`` would give.
+Tensor entries never pass through one Python object each.
+:func:`load_document` walks the top-level object of a document that names
+``"entries"`` or ``"sparse"`` with the stdlib decoder.  A top-level
+``"entries"`` array of integers of at most 18 digits is read straight into an
+int64 array: boolean byte checks of the JSON grammar, then one
+``np.fromstring`` conversion, or ``raw[0::2] - 48`` for a body that is digit,
+comma, digit, ...  A top-level ``"sparse"`` array of same-arity
+``[[i0, ..., i_{k-1}], v]`` integer pairs is read into an (n, k + 1) int64
+array of rows: with whitespace dropped and each number collapsed to one byte,
+the text must be n copies of the pair pattern, and its numbers are converted
+at once.  Any other value goes to the stdlib decoder, and any other text to
+``json.loads`` whole, so the accepted documents, their values and every error
+are those of ``json.loads``.  :func:`tensor_text` writes dense entries with
+numpy digit arithmetic into the bytes ``canonical_json`` would give.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
+import re
 import tempfile
 from json.decoder import WHITESPACE, scanstring
 
@@ -37,7 +42,7 @@ from .field import field_from_document
 from .fw import BadBoxFamily, Configuration
 from .rainbow import ColoredHypergraph, SetPairSystem
 from .setfam import SetFamily, TupleFamily
-from .tensor import MAX_ENTRIES, Tensor, integer_array
+from .tensor import Tensor, dense_size, integer_array
 
 __all__ = [
     "canonical_json",
@@ -93,15 +98,17 @@ def write_atomic(path: str, text: str) -> None:
 def load_document(path: str) -> tuple[dict, str]:
     """The JSON object in ``path`` and the SHA-256 digest of the bytes parsed.
 
-    A top-level ``"entries"`` array of integers is an int64 array; every other
-    value is what ``json.loads`` gives.
+    A top-level ``"entries"`` array of integers is an int64 array, and a
+    top-level ``"sparse"`` array of same-arity ``[[i0, ..., i_{k-1}], v]``
+    integer pairs an (n, k + 1) int64 array of rows ``[i0, ..., i_{k-1}, v]``;
+    every other value is what ``json.loads`` gives.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     text = data.decode("utf-8")
     try:
         try:
-            doc = _object_with_entries(text)
+            doc = _object_with_arrays(text)
         except json.JSONDecodeError:
             doc = None
         if doc is None:  # not an object the walk takes: json.loads gives the verdict
@@ -120,13 +127,13 @@ def _skip(text: str, idx: int) -> int:
     return WHITESPACE.match(text, idx).end()
 
 
-def _object_with_entries(text: str) -> dict | None:
-    """``json.loads(text)`` if it is an object, with its ``"entries"`` read by :func:`_int_array`.
+def _object_with_arrays(text: str) -> dict | None:
+    """``json.loads(text)`` if it is an object, with ``"entries"`` and ``"sparse"`` read as arrays.
 
-    None when the text is not one well-formed object, or names no
-    ``"entries"``: then one ``json.loads`` call is faster than the walk.
+    None when the text is not one well-formed object, or names neither key:
+    then one ``json.loads`` call is faster than the walk.
     """
-    if '"entries"' not in text:
+    if '"entries"' not in text and '"sparse"' not in text:
         return None
     idx = _skip(text, 0)
     if text[idx : idx + 1] != "{":
@@ -139,8 +146,8 @@ def _object_with_entries(text: str) -> dict | None:
         if text[idx : idx + 1] != ":":
             return None
         idx = _skip(text, idx + 1)
-        parsed = _int_array(text, idx) if key == "entries" else None
-        doc[key], idx = parsed or _DECODER.raw_decode(text, idx)
+        reader = _ARRAY_READERS.get(key)
+        doc[key], idx = (reader and reader(text, idx)) or _DECODER.raw_decode(text, idx)
         idx = _skip(text, idx)
         sep = text[idx : idx + 1]
         idx = _skip(text, idx + 1)
@@ -151,41 +158,38 @@ def _object_with_entries(text: str) -> dict | None:
     return None
 
 
-def _int_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
-    """The flat array of JSON integers at ``text[start]`` as int64, and the index past it.
+def _number_mask(raw: np.ndarray, punctuation: bytes) -> np.ndarray | None:
+    """Which bytes of ``raw``, with JSON whitespace dropped, belong to numbers.
 
-    None unless every element is an integer of at most 18 digits, so that
-    the one ``np.fromstring`` call is exact.  The grammar is checked on the
-    bytes with boolean masks only: an index array over the text would cost
-    8 bytes per character.
+    None unless every byte is a digit, ``-``, whitespace or in
+    ``punctuation``, and every run of digits and ``-`` is a JSON integer of
+    at most 18 digits, so that it fits int64.  The checks are boolean masks
+    only: an index array over the text would cost 8 bytes per byte.
     """
-    if text[start : start + 1] != "[" or (stop := text.find("]", start)) < 0:
+    digit, minus = (raw - ord("0")) < 10, raw == ord("-")
+    number = allowed = digit | minus
+    for byte in punctuation:
+        allowed = allowed | (raw == byte)
+    space = None
+    if (raw <= ord(" ")).any():  # whitespace, or a control byte that no text may hold here
+        space = (raw == ord(" ")) | (raw == ord("\n")) | (raw == ord("\r")) | (raw == ord("\t"))
+        allowed = allowed | space
+    if not allowed.all():
         return None
-    body = text[start + 1 : stop]
-    if not body.isascii():
-        return None
-    encoded = body.encode("ascii")
-    raw = np.frombuffer(encoded, dtype=np.uint8)
-    digit, comma, minus = (raw - ord("0")) < 10, raw == ord(","), raw == ord("-")
-    space = (raw == ord(" ")) | (raw == ord("\n")) | (raw == ord("\r")) | (raw == ord("\t"))
-    if not (digit | comma | minus | space).all():
-        return None
-    if space.any():
+    if space is not None:
         gap = np.zeros_like(space)  # the byte follows whitespace
         gap[1:] = space[:-1]
         token = ~space
-        raw, digit, comma, minus, gap = raw[token], digit[token], comma[token], minus[token], gap[token]
-        if (gap[1:] & ~comma[1:] & ~comma[:-1]).any():  # whitespace inside a number
+        raw, digit, minus, number, gap = raw[token], digit[token], minus[token], number[token], gap[token]
+        if (gap[1:] & number[1:] & number[:-1]).any():  # whitespace inside a number
             return None
     if not raw.size:
-        return np.zeros(0, dtype=np.int64), stop + 1
+        return number
     lead = raw == ord("0")  # a zero that is a number's first digit
     lead[1:] &= ~digit[:-1]
     if (
-        comma[0]
-        or not digit[-1]
+        minus[-1]
         or (minus[:-1] & ~digit[1:]).any()  # "-" not before a digit
-        or (comma[:-1] & comma[1:]).any()
         or (digit[:-1] & minus[1:]).any()
         or (lead[:-1] & digit[1:]).any()  # leading zero
     ):
@@ -195,10 +199,98 @@ def _int_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
         run = run[:-shift] & run[shift:]
     if run.any():  # 19 digits or more may not fit int64
         return None
-    values = np.fromstring(encoded, dtype=np.int64, sep=",")  # skips whitespace around commas
-    if values.size != np.count_nonzero(comma) + 1:
+    return number
+
+
+def _one_digit(digits: np.ndarray) -> np.ndarray:
+    """The values of single ASCII digit bytes, as int64."""
+    values = digits.astype(np.int64)
+    values -= ord("0")
+    return values
+
+
+def _int_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
+    """The flat array of JSON integers at ``text[start]`` as int64, and the index past it.
+
+    None unless every element is an integer of at most 18 digits, so that
+    the one ``np.fromstring`` call is exact.  A body that is exactly digit,
+    comma, digit, ... needs no other check and no conversion but ``- 48``.
+    """
+    if text[start : start + 1] != "[" or (stop := text.find("]", start)) < 0:
         return None
-    return values, stop + 1
+    body = text[start + 1 : stop]
+    if not body.isascii():
+        return None
+    encoded = body.encode("ascii")
+    raw = np.frombuffer(encoded, dtype=np.uint8)
+    if raw.size % 2 and (raw[1::2] == ord(",")).all() and ((raw[::2] - ord("0")) < 10).all():
+        return _one_digit(raw[::2]), stop + 1
+    if (count := _flat_count(raw)) is None:
+        return None
+    # the masks are freed by now: np.fromstring grows its result by realloc
+    values = np.fromstring(encoded, dtype=np.int64, sep=",") if count else np.zeros(0, np.int64)
+    return (values, stop + 1) if values.size == count else None
+
+
+def _flat_count(raw: np.ndarray) -> int | None:
+    """The number of integers in the body ``raw`` of a flat array, or None if it is not one."""
+    if (number := _number_mask(raw, b",")) is None:
+        return None
+    if not number.size:
+        return 0
+    comma = ~number
+    if comma[0] or comma[-1] or (comma[:-1] & comma[1:]).any():
+        return None
+    return np.count_nonzero(comma) + 1
+
+
+_PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
+_NUMBER_BYTES = bytes.maketrans(b"-0123456789", b"n" * 11)
+_NUMBER_RUN = re.compile(rb"n+")
+_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+
+
+def _pair_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
+    """The pairs ``[[i0, ..., i_{k-1}], v]`` at ``text[start]`` as (n, k + 1) int64 rows.
+
+    Also returns the index past the array.  None unless n >= 1, every pair
+    has arity k and every number is an integer of at most 18 digits.  The
+    first ``]]`` (whitespace allowed between) closes a well-formed array.
+    With whitespace dropped and each number collapsed to one byte, its bytes
+    must then be exactly n copies of the pair pattern.  Numbers of one digit
+    each need no other check.
+    """
+    if text[start : start + 1] != "[":
+        return None
+    stop = text.find("]]", start) + 2
+    body = text[start:stop]
+    if stop == 1 or any(space in body for space in " \t\n\r"):
+        if (end := _PAIRS_END.search(text, start)) is None:
+            return None
+        stop = end.end()
+        body = text[start:stop]
+    if not body.isascii():
+        return None
+    encoded = body.encode("ascii")
+    skeleton = encoded.translate(_NUMBER_BYTES, b" \t\n\r")
+    one_digit = b"nn" not in skeleton and b"-" not in encoded  # a lone "-" is one byte too
+    if not one_digit:
+        if _number_mask(np.frombuffer(encoded, dtype=np.uint8), b",[]") is None:
+            return None
+        skeleton = _NUMBER_RUN.sub(b"n", skeleton)
+    k = (skeleton.find(b"]") - 1) // 2
+    pair = b"[[" + b",".join([b"n"] * k) + b"],n]"
+    n = (len(skeleton) - 1) // (len(pair) + 1)
+    if skeleton != b"[" + b",".join([pair] * n) + b"]":
+        return None
+    if one_digit:
+        values = _one_digit(np.frombuffer(encoded.translate(None, b"[], \t\n\r"), dtype=np.uint8))
+    else:
+        values = np.fromstring(encoded.translate(_BLANK_BRACKETS), dtype=np.int64, sep=",")
+    return values.reshape(n, k + 1), stop
+
+
+_ARRAY_READERS = {"entries": _int_array, "sparse": _pair_array}
 
 
 def make_report(command: str, inputs_digest: str, results: dict, seed: int | None = None) -> dict:
@@ -295,37 +387,51 @@ def tensor_from_document(doc: dict) -> Tensor:
     ):
         raise ValueError("tensor document needs a list of positive dims")
     field = field_from_document(doc.get("field", {}))
-    size = math.prod(dims)
-    if size > MAX_ENTRIES:
-        raise ValueError(f"tensor with {size} entries exceeds the {MAX_ENTRIES} dense cap")
+    size = dense_size(dims, "tensor size")
     if "entries" in doc:
         entries = doc["entries"]
         if not isinstance(entries, (list, np.ndarray)) or len(entries) != size:
             raise ValueError(f"expected {size} dense entries")
         return Tensor(tuple(dims), field, entries)
     if "sparse" in doc:
-        pairs = doc["sparse"]
-        if not isinstance(pairs, list):
-            raise ValueError("sparse entries must be a list of [multi-index, value] pairs")
-        if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
-            raise ValueError("sparse pairs must be [multi-index, value]")
-        index, arity = [pair[0] for pair in pairs], len(dims)
-        if set(map(type, index)) - {list} or set(map(len, index)) - {arity}:
-            wrong = next(idx for idx in index if type(idx) is not list or len(idx) != arity)
-            raise ValueError(f"sparse index {wrong!r} has wrong arity")
-        coords = integer_array([m for idx in index for m in idx], "sparse indices").reshape(-1, arity)
+        rows = _sparse_rows(doc["sparse"], len(dims))
+        coords = rows[:, :-1]
         outside = np.flatnonzero(((coords < 0) | (coords >= dims)).any(axis=1))
         if outside.size:
-            raise ValueError(f"sparse index {index[outside[0]]!r} out of range")
+            raise ValueError(f"sparse index {coords[outside[0]].tolist()!r} out of range")
         positions = np.ravel_multi_index(tuple(coords.T), dims)
         named = np.zeros(size, dtype=bool)
         named[positions] = True
         if np.count_nonzero(named) != positions.size:
             raise ValueError("sparse entries name a multi-index more than once")
         flat = np.zeros(size, dtype=np.int64)
-        flat[positions] = integer_array([pair[1] for pair in pairs], "sparse values")
+        flat[positions] = rows[:, -1]
         return Tensor(tuple(dims), field, flat)
     raise ValueError("tensor document needs 'entries' or 'sparse'")
+
+
+def _sparse_rows(pairs, arity: int) -> np.ndarray:
+    """A sparse document's pairs as (n, arity + 1) int64 rows ``[i0, ..., i_{arity-1}, v]``.
+
+    :func:`load_document` reads well-formed pair arrays as such rows; a list
+    of pairs is checked and converted.
+    """
+    if isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.dtype == np.int64:
+        if len(pairs) and pairs.shape[1] != arity + 1:
+            raise ValueError(f"sparse index {pairs[0, :-1].tolist()!r} has wrong arity")
+        return pairs.reshape(-1, arity + 1)
+    if not isinstance(pairs, list):
+        raise ValueError("sparse entries must be a list of [multi-index, value] pairs")
+    if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
+        raise ValueError("sparse pairs must be [multi-index, value]")
+    index = [pair[0] for pair in pairs]
+    if set(map(type, index)) - {list} or set(map(len, index)) - {arity}:
+        wrong = next(idx for idx in index if type(idx) is not list or len(idx) != arity)
+        raise ValueError(f"sparse index {wrong!r} has wrong arity")
+    rows = np.empty((len(pairs), arity + 1), dtype=np.int64)
+    rows[:, :-1] = integer_array([m for idx in index for m in idx], "sparse indices").reshape(-1, arity)
+    rows[:, -1] = integer_array([pair[1] for pair in pairs], "sparse values")
+    return rows
 
 
 def tuple_family_to_document(fam: TupleFamily) -> dict:

@@ -47,6 +47,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import repeat
 
 import numpy as np
 
@@ -62,7 +63,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import MAX_ENTRIES, Tensor, classify_indices, flattening_ranks, index_class_arrays
+from .tensor import Tensor, classify_indices, dense_size, flattening_ranks, index_class_arrays
 
 __all__ = [
     "Rng",
@@ -322,8 +323,7 @@ def _check_shape(a: int, d: int) -> None:
     """Refuse A^d before anything of size a^d is allocated."""
     if a < 1 or d < 2:
         raise ValueError("need a >= 1 and d >= 2")
-    if a**d > MAX_ENTRIES:
-        raise ValueError(f"tensors on A^d with a={a}, d={d} exceed the {MAX_ENTRIES} dense cap")
+    dense_size(repeat(a, d), f"tensor on {a}^{d}")
 
 
 def exhaustive_min_mfrank(

@@ -20,13 +20,13 @@ hence caps every flattening rank at n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product
+from itertools import permutations, product, repeat
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .field import GF2
-from .tensor import MAX_ENTRIES, Tensor, flattening_ranks, is_semi_diagonal
+from .tensor import Tensor, dense_size, flattening_ranks, is_semi_diagonal
 
 __all__ = [
     "SetFamily",
@@ -106,8 +106,7 @@ def _mask_limbs(masks: Sequence[int]) -> np.ndarray:
 
 def _grid_shape(m: int, k: int) -> tuple[int, ...]:
     """(m,) * k, once the m^k cells are known to fit the dense cap."""
-    if m**k > MAX_ENTRIES:
-        raise ValueError(f"grid of {m}^{k} = {m**k} cells exceeds the {MAX_ENTRIES} dense cap")
+    dense_size(repeat(m, k), f"grid of {m}^{k}")
     return (m,) * k
 
 
@@ -180,9 +179,16 @@ def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:
     (the d indicator vectors "member's slot-j set contains k"); summing all n
     of them over GF(2) reproduces the intersection-parity tensor exactly,
     which certifies tensor rank (and hence every flattening rank) at most n.
+    The n·d·m cells, and the n·(m^⌈d/2⌉ + m^⌊d/2⌋) of the two Khatri-Rao
+    products :func:`reconstruct_from_certificate` multiplies, are checked
+    against the dense cap before anything is allocated.
     """
+    n, d, m = fam.n, fam.d, len(fam.members)
+    half = (d + 1) // 2
+    row = sum(dense_size(repeat(m, k), f"grid of {m}^{k}") for k in (half, d - half))
+    dense_size((n, d * m + row), f"certificate over {n} elements")
     bits = np.unpackbits(
-        _slot_limbs(fam.members, fam.d).view(np.uint8), axis=-1, count=fam.n, bitorder="little"
+        _slot_limbs(fam.members, d).view(np.uint8), axis=-1, count=n, bitorder="little"
     )
     return bits.transpose(2, 1, 0)
 

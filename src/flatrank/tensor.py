@@ -17,8 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
-from typing import Callable, Sequence
+from itertools import product, repeat
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -27,8 +27,7 @@ from .linalg import entry_dtype, matrix_rank
 
 __all__ = [
     "Tensor",
-    "FlatteningMatrix",
-    "flatten",
+    "dense_size",
     "flattening_rank",
     "flattening_ranks",
     "max_flattening_rank",
@@ -38,10 +37,28 @@ __all__ = [
     "add_tensors",
     "partition_construction",
     "axis_constant_construction",
-    "decode_column",
 ]
 
 MAX_ENTRIES = 1 << 24
+MAX_AXES = 64  # numpy's limit on the dimensions of an array
+
+
+def dense_size(factors: Iterable[int], what: str) -> int:
+    """The product of ``factors``, the axis sizes of an array about to be allocated.
+
+    It is multiplied one factor at a time and refused (ValueError) as soon as
+    it passes :data:`MAX_ENTRIES`, or past :data:`MAX_AXES` factors, so a^d
+    for a huge d (``repeat(a, d)``) costs at most 64 steps, never the power.
+    """
+    size, factors = 1, iter(factors)
+    for axes, f in enumerate(factors, 1):
+        if axes > MAX_AXES:
+            raise ValueError(f"{what} has more than {MAX_AXES} axes")
+        size *= f
+        if size > MAX_ENTRIES:
+            exact = "=" if next(factors, None) is None else ">="
+            raise ValueError(f"{what} {exact} {size} cells exceeds the {MAX_ENTRIES} dense cap")
+    return size
 
 
 def integer_array(values, what: str) -> np.ndarray:
@@ -85,9 +102,7 @@ class Tensor:
         dims = tuple(self.dims)
         if len(dims) < 1 or any(type(a) is not int or a < 1 for a in dims):
             raise ValueError(f"dims must be positive integers, got {dims}")
-        size = math.prod(dims)
-        if size > MAX_ENTRIES:
-            raise ValueError(f"tensor with {size} entries exceeds the {MAX_ENTRIES} dense cap")
+        size = dense_size(dims, "tensor size")
         entries = integer_array(self.entries, "tensor entries")
         if entries.size != size:
             raise ValueError(f"expected {size} entries, got {entries.size}")
@@ -152,35 +167,9 @@ class Tensor:
         return cls(tuple(dims), field, np.broadcast_to(np.int64(0), (math.prod(dims),)))
 
 
-@dataclass(frozen=True)
-class FlatteningMatrix:
-    """Axis-i matrix view of a tensor; rows = axis size, cols = product of the rest."""
-
-    rows: int
-    cols: int
-    axis: int
-    field: FieldDescriptor
-    entries: tuple[tuple[int, ...], ...]
-
-    def entry(self, r: int, c: int) -> int:
-        return self.entries[r][c]
-
-    def row_lists(self) -> list[list[int]]:
-        return [list(r) for r in self.entries]
-
-
 def _check_axis(t: Tensor, axis: int) -> None:
     if not 0 <= axis < t.ndim:
         raise IndexError(f"axis {axis} out of range for a {t.ndim}-dimensional tensor")
-
-
-def decode_column(col: int, dims: Sequence[int], axis: int) -> tuple[int, ...]:
-    """Column index of the axis-``axis`` flattening -> multi-index of the other axes."""
-    rest = [dims[j] for j in range(len(dims)) if j != axis]
-    out = [0] * len(rest)
-    for j in range(len(rest) - 1, -1, -1):
-        col, out[j] = divmod(col, rest[j])
-    return tuple(out)
 
 
 def _narrow_array(t: Tensor) -> np.ndarray:
@@ -191,17 +180,6 @@ def _narrow_array(t: Tensor) -> np.ndarray:
 def _flattening(t: Tensor, axis: int) -> np.ndarray:
     _check_axis(t, axis)
     return np.moveaxis(_narrow_array(t), axis, 0).reshape(t.dims[axis], -1)
-
-
-def flatten(t: Tensor, axis: int) -> FlatteningMatrix:
-    mat = _flattening(t, axis)
-    return FlatteningMatrix(
-        rows=int(mat.shape[0]),
-        cols=int(mat.shape[1]),
-        axis=axis,
-        field=t.field,
-        entries=tuple(map(tuple, mat.tolist())),
-    )
 
 
 def flattening_rank(t: Tensor, axis: int) -> int:
@@ -303,8 +281,7 @@ def _all_equal(coords: list[np.ndarray], a: int, d: int) -> np.ndarray:
 def _check_construction(a: int, d: int) -> None:
     if a < 1 or d < 2:
         raise ValueError("need a >= 1 and d >= 2")
-    if a**d > MAX_ENTRIES:
-        raise ValueError("construction exceeds the dense entry cap")
+    dense_size(repeat(a, d), f"construction on {a}^{d}")
 
 
 def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,7 +13,13 @@ import numpy as np
 import pytest
 
 from flatrank.cli import _parse_field, main
-from flatrank.formats import canonical_json, load_document, tensor_text, tensor_to_document
+from flatrank.formats import (
+    canonical_json,
+    load_document,
+    tensor_from_document,
+    tensor_text,
+    tensor_to_document,
+)
 from flatrank.tensor import Tensor, axis_constant_construction, partition_construction
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -196,6 +203,16 @@ def test_load_dense_document_allocates_no_large_temporary(tmp_path, spec):
     assert isinstance(load_document(str(path))[0]["entries"], np.ndarray)
 
 
+def test_load_sparse_document_allocates_no_large_temporary(tmp_path):
+    # the 8^5 GF(2) partition written sparse: 2,048 pairs of arity 5
+    path = tmp_path / "sparse.json"
+    assert run(["construct", "partition", "--a", 8, "--d", 5, "--sparse", "--out", path]) == 0
+    doc = load_document(str(path))[0]
+    assert isinstance(doc["sparse"], np.ndarray) and doc["sparse"].shape == (2048, 6)
+    assert tensor_from_document(doc) == partition_construction(8, 5, _parse_field("gf2"))
+    assert largest_step_allocation(lambda: tensor_from_document(load_document(str(path))[0])) < 512 << 10
+
+
 @pytest.mark.parametrize("spec", ["gf2", "prime:3", "prime:251", "binary:8"])
 @pytest.mark.parametrize("kind", ["partition", "axis-constant"])
 def test_construct_writes_canonical_json(capsys, spec, kind):
@@ -225,6 +242,17 @@ def test_sweep_dense_cap_before_allocation(capsys):
     assert code == 2
     assert "16777216 dense cap" in capsys.readouterr().err
     assert peak < 3 << 20
+
+
+@pytest.mark.parametrize("command", [["experiment", "exhaustive"], ["construct", "partition"]], ids=" ".join)
+def test_huge_exponent_refused_at_once(capsys, command):
+    # 3^(10^8) would take minutes to compute before the comparison with the cap
+    started = time.perf_counter()
+    code = run([*command, "--a", 3, "--d", 100_000_000])
+    elapsed = time.perf_counter() - started
+    assert code == 2
+    assert "3^100000000 >= 43046721 cells exceeds the 16777216 dense cap" in capsys.readouterr().err
+    assert elapsed < 0.1
 
 
 @pytest.mark.parametrize("command", [["rank"], ["verify", "oddtown"]], ids=" ".join)
@@ -414,6 +442,25 @@ def test_verify_oddtown_grid_cap_before_allocation(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 2
     assert "16777216 dense cap" in capsys.readouterr().err
+    assert peak < 3 << 20
+
+
+@pytest.mark.parametrize("n", [1 << 63, 2_000_000])
+def test_verify_oddtown_certificate_cap_before_allocation(tmp_path, capsys, n):
+    # the 3-member singleton family over a huge ground set: the (n, d, m)
+    # certificate and the Khatri-Rao products that reconstruct it
+    doc = json.loads((FIXTURES / "oddtown_singletons.json").read_text())
+    fam = tmp_path / "family.json"
+    fam.write_text(json.dumps({**doc, "n": n}))
+    tracemalloc.start()
+    try:
+        code = run(["verify", "oddtown", fam])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"certificate over {n} elements" in err and "16777216 dense cap" in err
     assert peak < 3 << 20
 
 

@@ -182,8 +182,13 @@ def json_loads_document(path):
 
 
 def plain(value):
-    """``value`` with every ndarray as a list, for comparison with ``json.loads``."""
+    """``value`` with every ndarray as a list, for comparison with ``json.loads``.
+
+    Sparse rows ``[i0, ..., v]`` become the pairs ``[[i0, ...], v]`` they were read from.
+    """
     if isinstance(value, np.ndarray):
+        if value.ndim == 2:
+            return [[row[:-1], row[-1]] for row in value.tolist()]
         return value.tolist()
     if isinstance(value, dict):
         return {k: plain(v) for k, v in value.items()}
@@ -225,6 +230,10 @@ def tensor_document_text(entries: str, size: int = 3, before: str = "", after: s
     )
 
 
+def sparse_document_text(pairs: str, dims: str = "[2,2]", before: str = "", after: str = "") -> str:
+    return f'{{{before}"dims":{dims},"field":{{"kind":"prime","p":3}},"sparse":{pairs}{after}}}'
+
+
 I64 = 2**63
 LOADER_CASES = [
     tensor_document_text("[1,0,1]"),
@@ -241,6 +250,8 @@ LOADER_CASES = [
     tensor_document_text("[1,,0,1]"),
     tensor_document_text("[,1,0,1]"),
     tensor_document_text("[1,0,1,]"),
+    tensor_document_text("[1,0,1, ]"),  # np.fromstring reads a fourth value, 0
+    tensor_document_text("[1,0, ]"),
     tensor_document_text("[1,0,-]"),
     tensor_document_text("[1,0,--1]"),
     tensor_document_text("[1,0,1-1]"),
@@ -295,12 +306,104 @@ LOADER_CASES = [
     "[1,0,1]",
     "",
     '{"entries":[1,0,1]}',
+    sparse_document_text("[[[0,1],1],[[1,0],2]]"),
+    sparse_document_text(" [ [ [0 , 1] ,1 ] ,\n[[1,0],\t2]\r\n] "),
+    sparse_document_text("[[ [0,1], 1],[[1,0] ,2 ]]"),
+    sparse_document_text("[[[0,1],-1]]"),
+    sparse_document_text("[[[0,-1],1]]"),
+    sparse_document_text("[[[-0,1],-0]]"),
+    sparse_document_text("[[[01,1],1]]"),
+    sparse_document_text("[[[0,1],01]]"),
+    sparse_document_text("[[[0,1],-01]]"),
+    sparse_document_text("[[[0,1],- 1]]"),
+    sparse_document_text("[[[0,1 1],1]]"),
+    sparse_document_text("[[[0,1],1 2]]"),
+    sparse_document_text("[[[0,1],1-1]]"),
+    sparse_document_text("[[[0,1],--1]]"),
+    sparse_document_text("[[[0,1],-]]"),
+    sparse_document_text("[[[0,1],999999999999999999],[[1,1],-999999999999999999]]"),
+    sparse_document_text("[[[0,1],1234567890123456789]]"),
+    sparse_document_text("[[[0,12345678901234567890],1]]"),
+    sparse_document_text(f"[[[0,1],{I64}]]"),
+    sparse_document_text("[[[0,true],1]]"),
+    sparse_document_text("[[[0,1],false]]"),
+    sparse_document_text("[[[0,1],null]]"),
+    sparse_document_text("[[[0,1.0],1]]"),
+    sparse_document_text("[[[0,1],1.0]]"),
+    sparse_document_text("[[[0,1],1e0]]"),
+    sparse_document_text('[[[0,1],"1"]]'),
+    sparse_document_text('[[[0,1],"]]"]]'),
+    sparse_document_text("[[[0],1],[[1],1]]"),
+    sparse_document_text("[[[0,1,1],1]]"),
+    sparse_document_text("[[[0,1],1],[[1],1]]"),
+    sparse_document_text("[[[0],1],[[1,0,1],1]]"),
+    sparse_document_text("[[[0,1],1],[[1,0],1,2]]"),
+    sparse_document_text("[[[0,1]],[[1,0],1]]"),
+    sparse_document_text("[[[0,1],[1]]]"),
+    sparse_document_text("[[0,1],1]"),
+    sparse_document_text("[[[0,1],1][[1,0],1]]"),
+    sparse_document_text("[[[0,1] 1]]"),
+    sparse_document_text("[[[0,1],1],,[[1,0],1]]"),
+    sparse_document_text("[,[[0,1],1]]"),
+    sparse_document_text("[[[0,1],1],]"),
+    sparse_document_text("[[[,0,1],1]]"),
+    sparse_document_text("[[[0,1,],1]]"),
+    sparse_document_text("[[[0,1],1]"),
+    sparse_document_text("[[[0,1],1]]]"),
+    sparse_document_text("[]"),
+    sparse_document_text("[ ]"),
+    sparse_document_text("[[[]],1]"),
+    sparse_document_text("[[[],1]]"),
+    sparse_document_text("[[[],1]]", dims="[1]"),
+    sparse_document_text("[[[0],1]]", dims="[1]"),
+    sparse_document_text("[[[0,0,0],1],[[1,2,3],2]]", dims="[2,3,4]"),
+    sparse_document_text("[[[0,0,0],1],[[1,2,4],2]]", dims="[2,3,4]"),
+    sparse_document_text("[[[0,1],1],[[0,1],2]]"),
+    sparse_document_text("[[[2,0],1]]"),
+    sparse_document_text("[[[0,1],3]]"),
+    sparse_document_text("[[[0,1],12]]"),
+    sparse_document_text("[[[0,1],1]]", after=',"sparse":[[[1,1],2]]'),
+    sparse_document_text("[[[0,1],1]]", after=',"sparse":"x"'),
+    sparse_document_text('"x"', after=',"sparse":[[[1,1],2]]'),
+    sparse_document_text("[[[0,1],1]]", before='"metadata":{"sparse":[[[0,0],1]]},'),
+    sparse_document_text("[[[0,1],1]]", before='"metadata":{"sparse":[[[0,0],1]]]},'),
+    sparse_document_text("[[[0,1],1]]", before='"note":"]]",'),
+    sparse_document_text("[[[0,1],1]]", after=',"note":[[1]]'),
+    sparse_document_text("[[[0,1],1]]", after=',"entries":[1,0,0,1]'),
+    sparse_document_text("[[[0,1],1]]", before='"entries":[1,0,0,2],'),
+    sparse_document_text("[[[0,1],1]]", before='"note":"été",'),
+    sparse_document_text("[[[0,1],1]]").replace('"sparse"', '"\\u0073parse"'),
+    sparse_document_text("[[[0,1],1]]") + " x",
+    sparse_document_text("[[[0,1],1]]") + "]]",
+    sparse_document_text("[[[0,1],1]]") + "\n",
+    sparse_document_text("[[[0,1],1]]", after=","),
+    '{"sparse":[[[0,1],1]]}',
 ]
 
 
 @pytest.mark.parametrize("text", LOADER_CASES)
 def test_loader_matches_json_loads(text):
     assert_loads_like_json(text)
+
+
+@pytest.mark.parametrize(
+    "pairs,dims,rows",
+    [
+        ("[[[0,1],1],[[1,0],2]]", "[2,2]", [[0, 1, 1], [1, 0, 2]]),
+        ("[[[1],2]]", "[2,2]", [[1, 2]]),
+        ("[[[0,1,2],1]]", "[2,2,3]", [[0, 1, 2, 1]]),
+        ("[[[0,10],-7],[[-0,3],123456789012345678]]", "[2,11]", [[0, 10, -7], [0, 3, 123456789012345678]]),
+        ("[\n  [\n    [0, 1],\n    1\n  ],\n  [[1,\t0] , 2 ]\n]", "[2,2]", [[0, 1, 1], [1, 0, 2]]),
+        ("[ [ [0,11], 1] ]", "[2,12]", [[0, 11, 1]]),
+    ],
+)
+def test_sparse_pairs_read_as_rows(tmp_path, pairs, dims, rows):
+    path = tmp_path / "doc.json"
+    path.write_text(sparse_document_text(pairs, dims, after=',"note":[[1]]'))
+    doc = load_document(str(path))[0]
+    assert isinstance(doc["sparse"], np.ndarray) and doc["sparse"].dtype == np.int64
+    assert doc["sparse"].tolist() == rows
+    assert doc["note"] == [[1]]
 
 
 TOKENS = st.one_of(
@@ -329,6 +432,49 @@ def entries_texts(draw):
 @given(entries=entries_texts(), size=st.integers(1, 6))
 def test_loader_matches_json_loads_property(entries, size):
     assert_loads_like_json(tensor_document_text(entries, size))
+
+
+VALID_TOKENS = st.one_of(
+    st.integers(0, 2).map(str),
+    st.integers(0, 2).map(str),
+    st.integers(-(10**18) + 1, 10**18 - 1).map(str),
+    st.just("-0"),
+)
+
+
+@st.composite
+def sparse_texts(draw):
+    """(text of ``[[i0, ...], v]`` pairs, dims): a third of them with malformed tokens or separators."""
+    arity = draw(st.integers(0, 3))
+    fuzzed = draw(st.integers(0, 2)) == 0
+    tokens = st.one_of(VALID_TOKENS, TOKENS) if fuzzed else VALID_TOKENS
+    separators = [",", ", ", " ,\n"] + ([",,", " ", ""] if fuzzed else [])
+
+    def joined(items):
+        body = draw(SPACE)
+        for i, item in enumerate(items):
+            if i:
+                body += draw(st.sampled_from(separators))
+            body += draw(SPACE) + item + draw(SPACE)
+        return "[" + body + "]"
+
+    pairs = []
+    for _ in range(draw(st.integers(0, 5))):
+        k = arity if draw(st.integers(0, 9)) else draw(st.integers(0, 4))  # mostly one arity
+        index = joined([draw(tokens) for _ in range(k)])
+        pairs.append(joined([index, draw(tokens)][: draw(st.sampled_from([2, 2, 2, 2, 2, 1]))]))
+    after = draw(st.sampled_from(["", "", "", " ", "]", ",", " x"]))
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    if arity and draw(st.integers(0, 3)):
+        dims = draw(st.lists(st.integers(2, 3), min_size=arity, max_size=arity))
+    return draw(SPACE) + joined(pairs) + after, dims
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=sparse_texts())
+def test_loader_matches_json_loads_sparse_property(case):
+    pairs, dims = case
+    assert_loads_like_json(sparse_document_text(pairs, json.dumps(dims)))
 
 
 def sparse_tensor_by_loop(doc):

@@ -1,6 +1,7 @@
 """Tensor flattenings, ranks, semi-diagonality, and the two constructions."""
 
 import math
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import Rng
 from flatrank.tensor import (
     Tensor,
+    _flattening,
     add_tensors,
     axis_constant_construction,
-    decode_column,
-    flatten,
+    dense_size,
     flattening_rank,
     flattening_ranks,
     is_semi_diagonal,
@@ -43,47 +44,76 @@ def small_tensors(fields=(GF2, GF3, GF5)):
     )
 
 
+def decode_column(col, dims, axis):
+    """Column index of the axis-``axis`` flattening -> multi-index of the other axes.
+
+    The mixed-radix column encoding of the file-format contract, written out
+    as the index oracle for ``_flattening``.
+    """
+    rest = [dims[j] for j in range(len(dims)) if j != axis]
+    out = [0] * len(rest)
+    for j in range(len(rest) - 1, -1, -1):
+        col, out[j] = divmod(col, rest[j])
+    return tuple(out)
+
+
 def test_flatten_all_ones():
     t = Tensor((2, 2, 2), GF2, (1,) * 8)
-    m = flatten(t, 0)
-    assert (m.rows, m.cols) == (2, 4)
-    assert all(v == 1 for row in m.entries for v in row)
+    m = _flattening(t, 0)
+    assert m.shape == (2, 4)
+    assert (m == 1).all()
     assert flattening_rank(t, 0) == 1
 
 
 def test_flatten_matrix_axes():
     ident = Tensor((3, 3), GF2, tuple(1 if i == j else 0 for i in range(3) for j in range(3)))
-    m = flatten(ident, 1)
-    assert m.entries == tuple(tuple(1 if i == j else 0 for j in range(3)) for i in range(3))
+    m = _flattening(ident, 1)
+    assert m.tolist() == [[1 if i == j else 0 for j in range(3)] for i in range(3)]
 
 
 def test_flatten_matches_index_oracle():
     rng = Rng(11)
     t = random_tensor((2, 3, 2), GF5, rng)
-    m = flatten(t, 1)
-    assert (m.rows, m.cols) == (3, 4)
-    for r in range(m.rows):
-        for c in range(m.cols):
+    m = _flattening(t, 1)
+    assert m.shape == (3, 4)
+    for r in range(3):
+        for c in range(4):
             rest = decode_column(c, t.dims, 1)
             idx = (rest[0], r, rest[1])
-            assert m.entry(r, c) == t.get(idx)
+            assert m[r, c] == t.get(idx)
 
 
 @given(data=st.data(), t=small_tensors())
 @settings(max_examples=60, deadline=None)
 def test_flatten_bijectivity(data, t):
     axis = data.draw(st.integers(0, t.ndim - 1))
-    m = flatten(t, axis)
+    m = _flattening(t, axis)
+    rows, cols = m.shape
+    assert rows == t.dims[axis]
     rebuilt = {}
-    for r in range(m.rows):
-        for c in range(m.cols):
+    for r in range(rows):
+        for c in range(cols):
             rest = decode_column(c, t.dims, axis)
             idx = rest[:axis] + (r,) + rest[axis:]
             assert idx not in rebuilt
-            rebuilt[idx] = m.entry(r, c)
+            rebuilt[idx] = int(m[r, c])
     assert len(rebuilt) == len(t.entries)
     for idx, v in rebuilt.items():
         assert t.get(idx) == v
+
+
+def test_dense_size_stops_at_the_cap():
+    assert dense_size((8, 8, 8), "grid") == 512
+    assert dense_size(repeat(2, 24), "grid") == 1 << 24
+    assert dense_size(repeat(1, 64), "grid") == 1
+    assert dense_size((0, 1 << 80), "grid") == 0
+    with pytest.raises(ValueError, match=r"^grid = 33554432 cells exceeds the 16777216 dense cap$"):
+        dense_size(repeat(2, 25), "grid")
+    # a^d for a huge d is refused after at most 64 factors, never computed
+    with pytest.raises(ValueError, match=r"^grid >= 33554432 cells exceeds"):
+        dense_size(repeat(2, 10**18), "grid")
+    with pytest.raises(ValueError, match="more than 64 axes"):
+        dense_size(repeat(1, 10**18), "grid")
 
 
 def test_flattening_rank_examples():
@@ -98,7 +128,7 @@ def test_flattening_rank_examples():
 def test_axis_out_of_range():
     t = Tensor.zeros((2, 2), GF2)
     with pytest.raises(IndexError):
-        flatten(t, 2)
+        _flattening(t, 2)
     with pytest.raises(IndexError):
         flattening_rank(t, -1)
 
