@@ -10,20 +10,22 @@ Canonical serialization (sorted keys, no whitespace, trailing newline) is the
 byte format for reports, so identical inputs and seeds reproduce identical
 bytes.  Timing never enters a report.
 
-Tensor entries never pass through one Python object each.
+Dense tensor entries, and the sparse pairs of one-digit numbers the CLI
+writes on small axes, never pass through one Python object each.
 :func:`load_document` walks the top-level object of a document that names
 ``"entries"`` or ``"sparse"`` with the stdlib decoder.  A top-level
 ``"entries"`` array of integers of at most 18 digits is read straight into an
 int64 array: boolean byte checks of the JSON grammar, then one
 ``np.fromstring`` conversion, or ``raw[0::2] - 48`` for a body that is digit,
 comma, digit, ...  A top-level ``"sparse"`` array of same-arity
-``[[i0, ..., i_{k-1}], v]`` integer pairs is read into an (n, k + 1) int64
-array of rows: with whitespace dropped and each number collapsed to one byte,
-the text must be n copies of the pair pattern, and its numbers are converted
-at once.  Any other value goes to the stdlib decoder, and any other text to
-``json.loads`` whole, so the accepted documents, their values and every error
-are those of ``json.loads``.  :func:`tensor_text` writes dense entries with
-numpy digit arithmetic into the bytes ``canonical_json`` would give.
+``[[i0, ..., i_{k-1}], v]`` pairs of one-digit integers is read into an
+(n, k + 1) int64 array of rows: with whitespace dropped and each digit mapped
+to ``0``, the text must be n copies of the pair pattern, and its digits are
+converted at once.  Any other value goes to the stdlib decoder, and any other
+text to ``json.loads`` whole, so the accepted documents, their values and
+every error are those of ``json.loads``.  :func:`tensor_text` writes dense
+entries with numpy digit arithmetic into the bytes ``canonical_json`` would
+give.
 """
 
 from __future__ import annotations
@@ -100,8 +102,8 @@ def load_document(path: str) -> tuple[dict, str]:
 
     A top-level ``"entries"`` array of integers is an int64 array, and a
     top-level ``"sparse"`` array of same-arity ``[[i0, ..., i_{k-1}], v]``
-    integer pairs an (n, k + 1) int64 array of rows ``[i0, ..., i_{k-1}, v]``;
-    every other value is what ``json.loads`` gives.
+    pairs of one-digit integers an (n, k + 1) int64 array of rows
+    ``[i0, ..., i_{k-1}, v]``; every other value is what ``json.loads`` gives.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -158,18 +160,17 @@ def _object_with_arrays(text: str) -> dict | None:
     return None
 
 
-def _number_mask(raw: np.ndarray, punctuation: bytes) -> np.ndarray | None:
+def _number_mask(raw: np.ndarray) -> np.ndarray | None:
     """Which bytes of ``raw``, with JSON whitespace dropped, belong to numbers.
 
-    None unless every byte is a digit, ``-``, whitespace or in
-    ``punctuation``, and every run of digits and ``-`` is a JSON integer of
-    at most 18 digits, so that it fits int64.  The checks are boolean masks
+    None unless every byte is a digit, ``-``, a comma or whitespace, and
+    every run of digits and ``-`` is a JSON integer of at most 18 digits, so
+    that it fits int64.  The checks are boolean masks
     only: an index array over the text would cost 8 bytes per byte.
     """
     digit, minus = (raw - ord("0")) < 10, raw == ord("-")
-    number = allowed = digit | minus
-    for byte in punctuation:
-        allowed = allowed | (raw == byte)
+    number = digit | minus
+    allowed = number | (raw == ord(","))
     space = None
     if (raw <= ord(" ")).any():  # whitespace, or a control byte that no text may hold here
         space = (raw == ord(" ")) | (raw == ord("\n")) | (raw == ord("\r")) | (raw == ord("\t"))
@@ -234,7 +235,7 @@ def _int_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
 
 def _flat_count(raw: np.ndarray) -> int | None:
     """The number of integers in the body ``raw`` of a flat array, or None if it is not one."""
-    if (number := _number_mask(raw, b",")) is None:
+    if (number := _number_mask(raw)) is None:
         return None
     if not number.size:
         return 0
@@ -245,20 +246,19 @@ def _flat_count(raw: np.ndarray) -> int | None:
 
 
 _PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
-_NUMBER_BYTES = bytes.maketrans(b"-0123456789", b"n" * 11)
-_NUMBER_RUN = re.compile(rb"n+")
-_BLANK_BRACKETS = bytes.maketrans(b"[]", b"  ")
+_DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
 
 
 def _pair_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     """The pairs ``[[i0, ..., i_{k-1}], v]`` at ``text[start]`` as (n, k + 1) int64 rows.
 
     Also returns the index past the array.  None unless n >= 1, every pair
-    has arity k and every number is an integer of at most 18 digits.  The
-    first ``]]`` (whitespace allowed between) closes a well-formed array.
-    With whitespace dropped and each number collapsed to one byte, its bytes
-    must then be exactly n copies of the pair pattern.  Numbers of one digit
-    each need no other check.
+    has arity k and every number is one digit, as in the GF(2) and GF(3)
+    documents the CLI writes on small axes.  The first ``]]`` (whitespace
+    allowed between) closes a well-formed array.  With whitespace dropped
+    and every digit mapped to ``0``, its bytes must then be exactly n copies
+    of ``[[0,...,0],0]``: a byte there that was not a digit, or ``00`` (a
+    number of two digits), does not match.
     """
     if text[start : start + 1] != "[":
         return None
@@ -269,24 +269,14 @@ def _pair_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
             return None
         stop = end.end()
         body = text[start:stop]
-    if not body.isascii():
-        return None
-    encoded = body.encode("ascii")
-    skeleton = encoded.translate(_NUMBER_BYTES, b" \t\n\r")
-    one_digit = b"nn" not in skeleton and b"-" not in encoded  # a lone "-" is one byte too
-    if not one_digit:
-        if _number_mask(np.frombuffer(encoded, dtype=np.uint8), b",[]") is None:
-            return None
-        skeleton = _NUMBER_RUN.sub(b"n", skeleton)
+    encoded = body.encode("utf-8")
+    skeleton = encoded.translate(_DIGITS_TO_ZERO, b" \t\n\r")
     k = (skeleton.find(b"]") - 1) // 2
-    pair = b"[[" + b",".join([b"n"] * k) + b"],n]"
+    pair = b"[[" + b",".join([b"0"] * k) + b"],0]"
     n = (len(skeleton) - 1) // (len(pair) + 1)
     if skeleton != b"[" + b",".join([pair] * n) + b"]":
         return None
-    if one_digit:
-        values = _one_digit(np.frombuffer(encoded.translate(None, b"[], \t\n\r"), dtype=np.uint8))
-    else:
-        values = np.fromstring(encoded.translate(_BLANK_BRACKETS), dtype=np.int64, sep=",")
+    values = _one_digit(np.frombuffer(encoded.translate(None, b"[], \t\n\r"), dtype=np.uint8))
     return values.reshape(n, k + 1), stop
 
 
@@ -394,8 +384,7 @@ def tensor_from_document(doc: dict) -> Tensor:
             raise ValueError(f"expected {size} dense entries")
         return Tensor(tuple(dims), field, entries)
     if "sparse" in doc:
-        rows = _sparse_rows(doc["sparse"], len(dims))
-        coords = rows[:, :-1]
+        coords, values = _sparse_pairs(doc["sparse"], len(dims))
         outside = np.flatnonzero(((coords < 0) | (coords >= dims)).any(axis=1))
         if outside.size:
             raise ValueError(f"sparse index {coords[outside[0]].tolist()!r} out of range")
@@ -405,21 +394,24 @@ def tensor_from_document(doc: dict) -> Tensor:
         if np.count_nonzero(named) != positions.size:
             raise ValueError("sparse entries name a multi-index more than once")
         flat = np.zeros(size, dtype=np.int64)
-        flat[positions] = rows[:, -1]
+        flat[positions] = integer_array(values, "sparse values")
         return Tensor(tuple(dims), field, flat)
     raise ValueError("tensor document needs 'entries' or 'sparse'")
 
 
-def _sparse_rows(pairs, arity: int) -> np.ndarray:
-    """A sparse document's pairs as (n, arity + 1) int64 rows ``[i0, ..., i_{arity-1}, v]``.
+def _sparse_pairs(pairs, arity: int) -> tuple[np.ndarray, np.ndarray | list]:
+    """A sparse document's (n, arity) int64 multi-indices and its n values.
 
-    :func:`load_document` reads well-formed pair arrays as such rows; a list
-    of pairs is checked and converted.
+    :func:`load_document` reads well-formed pair arrays as int64 rows
+    ``[i0, ..., i_{arity-1}, v]``.  Of a list of pairs, the shape and the
+    indices are checked here; the values are left as they are, to be checked
+    once the indices have been.
     """
     if isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.dtype == np.int64:
         if len(pairs) and pairs.shape[1] != arity + 1:
             raise ValueError(f"sparse index {pairs[0, :-1].tolist()!r} has wrong arity")
-        return pairs.reshape(-1, arity + 1)
+        rows = pairs.reshape(-1, arity + 1)
+        return rows[:, :-1], rows[:, -1]
     if not isinstance(pairs, list):
         raise ValueError("sparse entries must be a list of [multi-index, value] pairs")
     if set(map(type, pairs)) - {list} or set(map(len, pairs)) - {2}:
@@ -428,10 +420,8 @@ def _sparse_rows(pairs, arity: int) -> np.ndarray:
     if set(map(type, index)) - {list} or set(map(len, index)) - {arity}:
         wrong = next(idx for idx in index if type(idx) is not list or len(idx) != arity)
         raise ValueError(f"sparse index {wrong!r} has wrong arity")
-    rows = np.empty((len(pairs), arity + 1), dtype=np.int64)
-    rows[:, :-1] = integer_array([m for idx in index for m in idx], "sparse indices").reshape(-1, arity)
-    rows[:, -1] = integer_array([pair[1] for pair in pairs], "sparse values")
-    return rows
+    coords = integer_array([m for idx in index for m in idx], "sparse indices").reshape(-1, arity)
+    return coords, [pair[1] for pair in pairs]
 
 
 def tuple_family_to_document(fam: TupleFamily) -> dict:

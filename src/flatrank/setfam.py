@@ -179,18 +179,25 @@ def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:
     (the d indicator vectors "member's slot-j set contains k"); summing all n
     of them over GF(2) reproduces the intersection-parity tensor exactly,
     which certifies tensor rank (and hence every flattening rank) at most n.
-    The n·d·m cells, and the n·(m^⌈d/2⌉ + m^⌊d/2⌋) of the two Khatri-Rao
+    The n·d·m cells, and the n·m^|slots| of each of the two Khatri-Rao
     products :func:`reconstruct_from_certificate` multiplies, are checked
     against the dense cap before anything is allocated.
     """
     n, d, m = fam.n, fam.d, len(fam.members)
-    half = (d + 1) // 2
-    row = sum(dense_size(repeat(m, k), f"grid of {m}^{k}") for k in (half, d - half))
+    row = sum(
+        dense_size(repeat(m, len(slots)), f"grid of {m}^{len(slots)}") for slots in _slot_halves(d)
+    )
     dense_size((n, d * m + row), f"certificate over {n} elements")
     bits = np.unpackbits(
         _slot_limbs(fam.members, d).view(np.uint8), axis=-1, count=n, bitorder="little"
     )
     return bits.transpose(2, 1, 0)
+
+
+def _slot_halves(d: int) -> tuple[range, range]:
+    """The slots of the two Khatri-Rao products :func:`reconstruct_from_certificate` multiplies."""
+    half = (d + 1) // 2
+    return range(half), range(half, d)
 
 
 def reconstruct_from_certificate(cert: np.ndarray) -> Tensor:
@@ -207,8 +214,8 @@ def reconstruct_from_certificate(cert: np.ndarray) -> Tensor:
             acc = (acc[:, :, None] * cert[:, j, None, :]).reshape(n, -1)
         return acc
 
-    half = (d + 1) // 2
-    counts = khatri_rao(range(half)).T @ khatri_rao(range(half, d))
+    first, rest = _slot_halves(d)
+    counts = khatri_rao(first).T @ khatri_rao(rest)
     return Tensor.from_array(counts.reshape((m,) * d) % 2, GF2)
 
 

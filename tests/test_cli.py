@@ -246,13 +246,14 @@ def test_sweep_dense_cap_before_allocation(capsys):
 
 @pytest.mark.parametrize("command", [["experiment", "exhaustive"], ["construct", "partition"]], ids=" ".join)
 def test_huge_exponent_refused_at_once(capsys, command):
-    # 3^(10^8) would take minutes to compute before the comparison with the cap
+    # 3^(10^8) would take minutes to compute before the comparison with the cap; the
+    # refusal takes milliseconds, and the bound leaves room for a loaded host
     started = time.perf_counter()
     code = run([*command, "--a", 3, "--d", 100_000_000])
     elapsed = time.perf_counter() - started
     assert code == 2
     assert "3^100000000 >= 43046721 cells exceeds the 16777216 dense cap" in capsys.readouterr().err
-    assert elapsed < 0.1
+    assert elapsed < 5
 
 
 @pytest.mark.parametrize("command", [["rank"], ["verify", "oddtown"]], ids=" ".join)

@@ -112,6 +112,10 @@ def test_dense_size_stops_at_the_cap():
     # a^d for a huge d is refused after at most 64 factors, never computed
     with pytest.raises(ValueError, match=r"^grid >= 33554432 cells exceeds"):
         dense_size(repeat(2, 10**18), "grid")
+    drawn = []
+    with pytest.raises(ValueError, match=r"^grid >= 43046721 cells exceeds"):
+        dense_size(map(lambda f: drawn.append(f) or f, repeat(3, 10**8)), "grid")
+    assert len(drawn) == 17  # 3^16 passes the cap; one more factor tells ">=" from "="
     with pytest.raises(ValueError, match="more than 64 axes"):
         dense_size(repeat(1, 10**18), "grid")
 
