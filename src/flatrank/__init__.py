@@ -3,7 +3,7 @@ extremal-combinatorics application pipelines."""
 
 __version__ = "0.1.0"
 
-from .field import FieldDescriptor, FieldElement, make_binary_field, make_prime_field
+from .field import FieldDescriptor, make_binary_field, make_prime_field
 from .tensor import (
     Tensor,
     add_tensors,
@@ -19,7 +19,6 @@ from .tensor import (
 __all__ = [
     "__version__",
     "FieldDescriptor",
-    "FieldElement",
     "make_prime_field",
     "make_binary_field",
     "Tensor",

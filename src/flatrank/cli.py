@@ -38,19 +38,7 @@ from .formats import (
     tuple_family_from_document,
     write_atomic,
 )
-from .fw import (
-    IntersectionPolynomial,
-    SamplerExhausted,
-    complete_graph_config,
-    eval_h,
-    find_config_witness,
-    fw_flattening_bound,
-    fw_size_bound,
-    fw_tensor,
-    is_config_satisfying,
-    sample_badbox_family,
-    verify_badbox_free,
-)
+from .fw import SamplerExhausted, sample_badbox_family, verify_badbox_chain, verify_fw_chain
 from .rainbow import bollobas_verify, certify_no_rainbow_bound
 from .search import (
     Rng,
@@ -63,7 +51,6 @@ from .tensor import (
     axis_constant_construction,
     flattening_rank,
     flattening_ranks,
-    is_semi_diagonal,
     partition_construction,
 )
 
@@ -141,98 +128,47 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _verify_fw(doc: dict, args) -> tuple[dict, str | None]:
-    fam = set_family_from_document(doc)
-    cfg = configuration_from_document(load_document(args.config)[0])
-    distinct = args.distinct
-    results: dict = {
-        "size": len(fam.members),
-        "k": cfg.k,
-        "p": cfg.p,
-        "size_bound": fw_size_bound(cfg, fam.n),
-        "flattening_bounds": [fw_flattening_bound(cfg, fam.n, j) for j in range(cfg.k)],
-    }
-    satisfying = is_config_satisfying(fam, cfg, distinct=distinct)
-    results["satisfying"] = satisfying
-    if not satisfying:
-        poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
-        results["size_violations"] = [
-            pos
-            for pos, mask in enumerate(fam.members)
-            if eval_h(poly, mask.bit_count() % cfg.p) == 0
-        ]
-        witness = find_config_witness(fam, cfg, distinct=distinct)
-        results["witness"] = list(witness) if witness else None
-        return results, "family is not configuration-satisfying"
-    if fam.members:
-        t = fw_tensor(fam, cfg)
-        franks = flattening_ranks(t)
-        results.update(
-            {
-                "semi_diagonal": is_semi_diagonal(t),
-                "franks": franks,
-                "franks_within_bounds": all(
-                    fr <= b for fr, b in zip(franks, results["flattening_bounds"])
-                ),
-                "size_bound_ok": len(fam.members) <= results["size_bound"],
-            }
-        )
-        ok = (
-            results["semi_diagonal"]
-            and results["franks_within_bounds"]
-            and results["size_bound_ok"]
-        )
-    else:
-        ok = True
-    results["verified"] = ok
-    return results, None if ok else "configuration bound chain failed; see report"
+# stderr message of each failed chain, unless _failure finds a sharper one in its report
+_FAILURES = {
+    "oddtown": "cross-Oddtown chain failed; see report",
+    "fw": "configuration bound chain failed; see report",
+    "rainbow": "rainbow bound chain failed; see report",
+    "bollobas": "set-pair verification failed; see report",
+    "badbox": "bad-box family failed verification",
+}
 
 
-def _verify_badbox(doc: dict, args) -> dict:
+def _run_chain(doc: dict, args) -> dict:
+    """The report of the ``args.target`` chain on the input document."""
+    if args.target == "oddtown":
+        return verify_oddtown_chain(tuple_family_from_document(doc))
+    if args.target == "fw":
+        fam = set_family_from_document(doc)
+        cfg = configuration_from_document(load_document(args.config)[0])
+        return verify_fw_chain(fam, cfg, distinct=args.distinct)
+    if args.target == "rainbow":
+        field = make_binary_field(args.field_k) if args.field_k is not None else None
+        return certify_no_rainbow_bound(hypergraph_from_document(doc), field)
+    if args.target == "bollobas":
+        return bollobas_verify(setpair_from_document(doc))
     fam = badbox_from_document(doc)
-    k = args.k if args.k else fam.k
-    free = verify_badbox_free(fam.members_factors, k)
-    satisfying = is_config_satisfying(
-        fam.flat_family(), complete_graph_config(k), distinct="positions"
-    )
-    return {
-        "t": fam.t,
-        "s": fam.s,
-        "k": k,
-        "size": len(fam.members_factors),
-        "badbox_free": free,
-        "config_satisfying": satisfying,
-        "verified": free and satisfying,
-    }
+    return verify_badbox_chain(fam, args.k or fam.k)
+
+
+def _failure(target: str, results: dict) -> str:
+    if results.get("satisfying") is False:
+        return "family is not configuration-satisfying"
+    if results.get("rainbow_matching"):
+        return "hypergraph contains a full-size rainbow matching"
+    return _FAILURES[target]
 
 
 def _cmd_verify(args) -> int:
     doc, digest = load_document(args.input)
-    if args.target == "fw":
-        results, failure = _verify_fw(doc, args)
-    else:
-        if args.target == "oddtown":
-            results = verify_oddtown_chain(tuple_family_from_document(doc))
-            failure = "cross-Oddtown chain failed; see report"
-        elif args.target == "rainbow":
-            field = make_binary_field(args.field_k) if args.field_k is not None else None
-            results = certify_no_rainbow_bound(hypergraph_from_document(doc), field)
-            failure = (
-                "hypergraph contains a full-size rainbow matching"
-                if results.get("rainbow_matching")
-                else "rainbow bound chain failed; see report"
-            )
-        elif args.target == "bollobas":
-            results = bollobas_verify(setpair_from_document(doc))
-            failure = "set-pair verification failed; see report"
-        else:
-            results = _verify_badbox(doc, args)
-            failure = "bad-box family failed verification"
-        if results["verified"]:
-            failure = None
+    results = _run_chain(doc, args)
     _emit(make_report(f"verify {args.target}", digest, results), args.out)
-    if failure:
-        raise VerificationFailed(failure)
+    if not results.get("verified"):  # an unsatisfying fw family's report has no "verified"
+        raise VerificationFailed(_failure(args.target, results))
     return 0
 
 
@@ -356,6 +292,8 @@ def _validate_experiment_args(args) -> None:
     missing = [name for name in need if getattr(args, name) is None]
     if missing:
         raise ValueError(f"experiment {args.kind} requires --" + ", --".join(missing))
+    if "seed" in need and not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"--seed must be in [0, 2^64), got {args.seed}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,10 +2,9 @@
 
 Elements are plain integers ("representatives"): residues in [0, p) for prime
 fields, polynomial bit-masks of degree < k for binary extension fields.  A
-:class:`FieldDescriptor` owns the arithmetic; :class:`FieldElement` is a thin
-wrapper with operator sugar for code that prefers values over (descriptor,
-int) pairs.  Hot loops elsewhere in the package work on raw representatives
-through the descriptor methods.
+:class:`FieldDescriptor` owns the arithmetic on those representatives; hot
+loops elsewhere in the package work on raw representatives, most of them in
+numpy arrays.
 
 Binary fields reduce modulo a fixed low-weight irreducible (trinomial where
 one exists, else pentanomial) from a built-in table covering k = 1..63; the
@@ -16,11 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
 
 __all__ = [
     "FieldDescriptor",
-    "FieldElement",
     "make_prime_field",
     "make_binary_field",
     "GF2",
@@ -173,7 +170,7 @@ class FieldDescriptor:
     """A finite field: GF(p) for prime p, or GF(2^k) with a fixed reduction polynomial.
 
     All element-level methods take and return integer representatives that are
-    already canonical (reduced); they never allocate wrapper objects.
+    already canonical (reduced).
     """
 
     kind: str  # "prime" or "binary"
@@ -203,11 +200,6 @@ class FieldDescriptor:
         if self.kind == "prime":
             return (a - b) % self.p
         return a ^ b
-
-    def neg(self, a: int) -> int:
-        if self.kind == "prime":
-            return (-a) % self.p
-        return a
 
     def mul(self, a: int, b: int) -> int:
         if self.kind == "prime":
@@ -245,20 +237,6 @@ class FieldDescriptor:
             e >>= 1
         return r
 
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
-
-    def element(self, repr_: int) -> "FieldElement":
-        return FieldElement(self.validate(repr_), self)
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(0, self)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(1, self)
-
     def to_document(self) -> dict:
         if self.kind == "prime":
             return {"kind": "prime", "p": self.p}
@@ -268,44 +246,6 @@ class FieldDescriptor:
         if self.kind == "prime":
             return f"GF({self.p})"
         return f"GF(2^{self.k})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A canonical field value: integer representative plus its descriptor."""
-
-    repr: int
-    field: FieldDescriptor
-
-    def __post_init__(self) -> None:
-        self.field.validate(self.repr)
-
-    def _check(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise ValueError(f"field mismatch: {self.field} vs {other.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.add(self.repr, other.repr), self.field)
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.sub(self.repr, other.repr), self.field)
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._check(other)
-        return FieldElement(self.field.mul(self.repr, other.repr), self.field)
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field.neg(self.repr), self.field)
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field.inv(self.repr), self.field)
-
-    def __bool__(self) -> bool:
-        return self.repr != 0
 
 
 def make_prime_field(p: int) -> FieldDescriptor:

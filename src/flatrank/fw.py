@@ -8,17 +8,19 @@ size also avoids L.  The associated k-dimensional tensor over GF(p) multiplies
 h(|intersection|) over the members of C, with h the monic polynomial whose
 root set is L; for satisfying families it is semi-diagonal, which pins the
 family size below (k-1) * sum_{s <= Delta(C)*|L|} C(n, s).
+:func:`verify_fw_chain` runs that chain for one family.
 
 Also hosts the randomized product-family sampler: families of products of
 odd-sized subsets of [t], resampled until no k members have pairwise odd
-intersections, which certifies the complete-graph configuration mod 2.
+intersections, which certifies the complete-graph configuration mod 2; and
+:func:`verify_badbox_chain`, which checks such a family both ways.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from typing import Sequence
 
 import numpy as np
@@ -32,7 +34,7 @@ from .setfam import (
     _intersection_sizes,
     _mask_limbs,
 )
-from .tensor import Tensor
+from .tensor import Tensor, dense_size, flattening_ranks, is_semi_diagonal
 
 __all__ = [
     "Configuration",
@@ -47,9 +49,11 @@ __all__ = [
     "fw_size_bound",
     "complete_graph_config",
     "odd_subsets",
-    "max_odd_pairwise_odd_family",
+    "verify_fw_chain",
     "BadBoxFamily",
+    "find_odd_clique",
     "verify_badbox_free",
+    "verify_badbox_chain",
     "sample_badbox_family",
     "SamplerExhausted",
     "grow_config_satisfying_family",
@@ -81,9 +85,6 @@ class Configuration:
     def field(self) -> FieldDescriptor:
         return make_prime_field(self.p)
 
-    def slots_of(self, x: int) -> tuple[int, ...]:
-        return tuple(i for i in range(self.k) if (x >> i) & 1)
-
     def is_slot_symmetric(self) -> bool:
         """True when C is invariant under every permutation of the slots."""
         cset = set(self.C)
@@ -105,10 +106,6 @@ class IntersectionPolynomial:
 
     p: int
     L: tuple[int, ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.L)
 
     def table(self) -> list[int]:
         return [eval_h(self, x) for x in range(self.p)]
@@ -211,6 +208,53 @@ def is_config_satisfying(fam: SetFamily, cfg: Configuration, distinct: str = "se
     return find_config_witness(fam, cfg, distinct=distinct) is None
 
 
+def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") -> dict:
+    """Full (C, L) chain for one family: hypothesis, tensor, rank caps, size bound.
+
+    A family that is not (C, L)-satisfying ends the chain: its report lists
+    the positions of members whose sizes fall in L and a ``witness``, the
+    member positions per slot of :func:`find_config_witness` (None when only
+    sizes fail), and has no ``verified`` key.
+    """
+    report: dict = {
+        "size": len(fam.members),
+        "k": cfg.k,
+        "p": cfg.p,
+        "size_bound": fw_size_bound(cfg, fam.n),
+        "flattening_bounds": [fw_flattening_bound(cfg, fam.n, j) for j in range(cfg.k)],
+        "satisfying": is_config_satisfying(fam, cfg, distinct=distinct),
+    }
+    if not report["satisfying"]:
+        poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
+        report["size_violations"] = [
+            pos
+            for pos, mask in enumerate(fam.members)
+            if eval_h(poly, mask.bit_count() % cfg.p) == 0
+        ]
+        witness = find_config_witness(fam, cfg, distinct=distinct)
+        report["witness"] = list(witness) if witness else None
+        return report
+    if not fam.members:
+        report["verified"] = True
+        return report
+    t = fw_tensor(fam, cfg)
+    franks = flattening_ranks(t)
+    report.update(
+        {
+            "semi_diagonal": is_semi_diagonal(t),
+            "franks": franks,
+            "franks_within_bounds": all(
+                fr <= b for fr, b in zip(franks, report["flattening_bounds"])
+            ),
+            "size_bound_ok": len(fam.members) <= report["size_bound"],
+        }
+    )
+    report["verified"] = (
+        report["semi_diagonal"] and report["franks_within_bounds"] and report["size_bound_ok"]
+    )
+    return report
+
+
 def fw_flattening_bound(cfg: Configuration, n: int, j: int) -> int:
     """Axis-j rank cap: sum of C(n, s) for s up to deg_C(j) * |L|."""
     d_j = config_degree(cfg, j) * len(cfg.L)
@@ -233,40 +277,6 @@ def odd_subsets(t: int) -> list[int]:
     return [m for m in range(1 << t) if m.bit_count() % 2 == 1]
 
 
-def max_odd_pairwise_odd_family(t: int) -> int:
-    """Largest family of odd subsets of [t] with all pairwise intersections odd.
-
-    Exhaustive max-clique over the 2^(t-1) candidates; the classical parity
-    argument caps this at 2^((t-1)/2).
-    """
-    cands = odd_subsets(t)
-    nc = len(cands)
-    adj = []
-    for i in range(nc):
-        row = 0
-        for j in range(nc):
-            if j != i and (cands[i] & cands[j]).bit_count() % 2 == 1:
-                row |= 1 << j
-        adj.append(row)
-
-    best = 0
-
-    def grow(size: int, allowed: int, floor: int) -> None:
-        nonlocal best
-        best = max(best, size)
-        avail = allowed >> floor
-        base = floor
-        while avail:
-            low = avail & -avail
-            j = base + low.bit_length() - 1
-            avail >>= low.bit_length()
-            base = j + 1
-            grow(size + 1, allowed & adj[j], j + 1)
-
-    grow(0, (1 << nc) - 1, 0)
-    return best
-
-
 @dataclass(frozen=True)
 class BadBoxFamily:
     """Random product family over [t]^s with its factorization kept."""
@@ -283,33 +293,36 @@ class BadBoxFamily:
         return self.t**self.s
 
     def flat_masks(self) -> tuple[int, ...]:
-        """Members as subsets of [t^s]; cell (x_1..x_s) gets index
-        sum x_i * t^(s-1-i)."""
+        """Members as subsets of [t^s]; cell (x_1..x_s) gets index sum x_i * t^(s-1-i).
+
+        A mask is built from the last factor to the first.  The cells of the
+        factors after j form a block of t^(s-1-j) bits, and factor j places one
+        copy of that block at each of its elements e, shifted by e * t^(s-1-j),
+        so the work is linear in t^s.
+        """
         out = []
         for factors in self.members_factors:
-            cells = [0]
-            for f in factors:
-                elems = [i for i in range(self.t) if (f >> i) & 1]
-                cells = [c * self.t + e for c in cells for e in elems]
-            mask = 0
-            for c in cells:
-                mask |= 1 << c
-            out.append(mask)
+            block, width = 1, 1
+            for f in reversed(factors):
+                # the copies do not overlap, so their sum is their union
+                block = sum(block << e * width for e in range(self.t) if f >> e & 1)
+                width *= self.t
+            out.append(block)
         return tuple(out)
 
     def flat_family(self) -> SetFamily:
         return SetFamily(n=self.ground_size, members=self.flat_masks())
 
 
-def verify_badbox_free(members_factors: Sequence[Sequence[int]], k: int) -> bool:
-    """No k members (by position) have pairwise odd-sized intersections.
+def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[int, ...] | None:
+    """Positions of k members with pairwise odd-sized intersections, or None.
 
     Intersection sizes of product sets multiply across factors, so a pair is
     "odd" exactly when every factor-wise intersection is odd.
     """
     m = len(members_factors)
     if m < k:
-        return True
+        return None
     adj = []
     for i in range(m):
         row = 0
@@ -323,21 +336,56 @@ def verify_badbox_free(members_factors: Sequence[Sequence[int]], k: int) -> bool
                 row |= 1 << j
         adj.append(row)
 
-    def clique(size: int, allowed: int, floor: int) -> bool:
-        if size == k:
-            return True
+    def clique(chosen: tuple[int, ...], allowed: int, floor: int) -> tuple[int, ...] | None:
+        if len(chosen) == k:
+            return chosen
         avail = allowed & (~0 << floor)
         while avail:
             low = avail & -avail
             j = low.bit_length() - 1
             avail ^= low
-            if size + 1 + (allowed & adj[j]).bit_count() >= k and clique(
-                size + 1, allowed & adj[j], j + 1
-            ):
-                return True
-        return False
+            if len(chosen) + 1 + (allowed & adj[j]).bit_count() >= k:
+                found = clique(chosen + (j,), allowed & adj[j], j + 1)
+                if found is not None:
+                    return found
+        return None
 
-    return not clique(0, (1 << m) - 1, 0)
+    return clique((), (1 << m) - 1, 0)
+
+
+def verify_badbox_free(members_factors: Sequence[Sequence[int]], k: int) -> bool:
+    """No k members (by position) have pairwise odd-sized intersections."""
+    return find_odd_clique(members_factors, k) is None
+
+
+def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
+    """Bad-box chain for one family: no k-clique of pairwise odd members, both ways.
+
+    The clique search runs on the factors; independently, the flat family must
+    satisfy the complete-graph configuration of order k mod 2 (by positions).
+    The m * t^s cells of the flat masks are refused over the dense cap before
+    any is built; an empty family builds nothing and verifies.  A failing
+    report's ``witness`` is the k member positions the clique search found
+    (None if it found none: then a member has even size).
+    """
+    cfg = complete_graph_config(k)
+    m = len(fam.members_factors)
+    if m:
+        dense_size(chain((m,), repeat(fam.t, fam.s)), f"{m} bad-box members over [{fam.t}]^{fam.s}")
+    free = verify_badbox_free(fam.members_factors, k)
+    satisfying = m == 0 or is_config_satisfying(fam.flat_family(), cfg, distinct="positions")
+    report = {
+        "t": fam.t,
+        "s": fam.s,
+        "k": k,
+        "size": m,
+        "badbox_free": free,
+        "config_satisfying": satisfying,
+        "verified": free and satisfying,
+    }
+    if not report["verified"]:  # only a failure pays a second search, for its positions
+        report["witness"] = None if free else list(find_odd_clique(fam.members_factors, k))
+    return report
 
 
 class SamplerExhausted(RuntimeError):
@@ -372,8 +420,13 @@ def sample_badbox_family(t: int, s: int, seed: int, max_attempts: int = 1000) ->
         raise ValueError("need t >= 2 and s >= 1")
     if max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
-    if t**s > MAX_BADBOX_GROUND:
-        raise ValueError(f"ground set t^s = {t ** s} exceeds desk-scale cap {MAX_BADBOX_GROUND}")
+    ground = 1
+    for factor in repeat(t, s):  # never t**s: at t >= 2 the cap passes within 5 factors
+        ground *= factor
+        if ground > MAX_BADBOX_GROUND:
+            raise ValueError(
+                f"ground set {t}^{s} exceeds the desk-scale cap of {MAX_BADBOX_GROUND} cells"
+            )
     pool = odd_subsets(t)
     size = badbox_target_size(t, s)
     k = badbox_clique_order(t)

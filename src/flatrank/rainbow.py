@@ -260,7 +260,8 @@ def certify_no_rainbow_bound(
     """Run the full no-rainbow certification chain and report every link.
 
     When a rainbow matching of size t exists the report carries it and the
-    tensor is skipped (it would not be semi-diagonal).  Otherwise reports
+    tensor is skipped (it would not be semi-diagonal), as it is for z = 0,
+    where every bound holds vacuously.  Otherwise reports
     semi-diagonality, mfrank, and the sandwich
     z / (t-1) <= mfrank <= C(rt, r), hence z <= (t-1) * C(rt, r).
     """
@@ -273,6 +274,9 @@ def certify_no_rainbow_bound(
         "flattening_cap": math.comb(h.r * h.t, h.r),
         "color_cap": rainbow_bound(h.r, h.t),
     }
+    if h.z == 0:  # no colors: the bounds hold vacuously, and there is no tensor to build
+        report.update({"rainbow_matching": None, "color_bound_ok": True, "verified": True})
+        return report
     matching = find_rainbow_matching(h, h.t)
     if matching is not None:
         report["rainbow_matching"] = [list(pair) for pair in matching]

@@ -49,9 +49,6 @@ class Rng:
     def sub_seed(seed: int, index: int) -> int:
         return mix64((seed ^ ((index + 1) * GOLDEN)) & MASK64)
 
-    def derive(self, index: int) -> "Rng":
-        return Rng(self.sub_seed(self.seed, index))
-
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates driven by next_below."""
         for i in range(len(items) - 1, 0, -1):

@@ -34,16 +34,19 @@ against 18-22 us).  Larger fields keep the batched
 
 Randomized sweeps and instance generators run off the documented splitmix64
 streams in :mod:`flatrank.rng`, so every report is reproducible from its seed.
-Random semi-diagonal tensors over a field of order 2 consume whole 64-bit
-words, one bit per mixed entry in flat-index order (bit t of word t // 64);
-over larger fields they consume one draw per diagonal entry (uniform nonzero)
-and one per mixed entry (uniform), again in flat-index order.  Tensor j of a
-sweep uses the derived stream ``Rng(Rng.sub_seed(seed, j))``.
+Tensor j of a sweep is drawn from the words of the derived stream
+``Rng(Rng.sub_seed(seed, j))``, which :func:`_stream_block` reads in bulk, by
+:func:`_semidiagonal_block`.  All-distinct entries are 0.  Over a field of
+order 2 the diagonal is 1 and the mixed entries, in flat-index order, are the
+bits of whole 64-bit words (mixed entry t is bit t % 64 of word t // 64).  Over
+a field of order q > 2 each diagonal and mixed entry, in flat-index order,
+takes the next word w: 1 + w % (q-1) on the diagonal (uniform nonzero) and
+w % q off it (uniform).  A sweep's violation witness is redrawn the same way
+from its one stream, ``_stream_block(seed, j, j + 1, nwords)``.
 """
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -52,6 +55,7 @@ from itertools import repeat
 import numpy as np
 
 from .field import GF2, FieldDescriptor
+from .formats import tensor_to_document
 from .fw import Configuration
 from .linalg import entry_dtype, matrix_rank
 from .rainbow import ColoredHypergraph
@@ -63,13 +67,12 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import Tensor, classify_indices, dense_size, flattening_ranks, index_class_arrays
+from .tensor import Tensor, dense_size, flattening_ranks, index_class_arrays
 
 __all__ = [
     "Rng",
     "SearchReport",
     "exhaustive_min_mfrank",
-    "random_semidiagonal",
     "random_semidiagonal_sweep",
     "random_cross_oddtown_search",
     "random_configuration",
@@ -90,7 +93,7 @@ TABLE_MAX_COLUMNS = 32
 
 @dataclass
 class SearchReport:
-    """Outcome of a sweep; ``elapsed_s`` is informational and never serialized."""
+    """Outcome of a sweep or a search, as :meth:`to_document` serializes it."""
 
     population: str
     count: int
@@ -100,7 +103,6 @@ class SearchReport:
     seed: int | None
     violations: int = 0
     extra: dict = dc_field(default_factory=dict)
-    elapsed_s: float = 0.0
 
     def to_document(self) -> dict:
         doc = {
@@ -341,7 +343,6 @@ def exhaustive_min_mfrank(
     ``2 ** chunk_bits`` assignments.  Rows over :data:`TABLE_MAX_COLUMNS`
     columns occur only at d = 2, where the identity alone is bit-sliced.
     """
-    started = time.monotonic()
     _check_shape(a, d)
     f = index_class_arrays(a, d)[2].size
     if f > MAX_FREE_ENTRIES:
@@ -378,20 +379,16 @@ def exhaustive_min_mfrank(
     best_sum, at_sum = min((p[2], p[3]) for p in parts)
 
     def witness(v: int, label: str) -> dict:
-        entries = _semidiagonal_block(a, d, GF2, np.array([[v]], dtype=np.uint64))[0]
-        t = Tensor((a,) * d, GF2, entries)
+        words = np.array([[v]], dtype=np.uint64)
+        t = Tensor((a,) * d, GF2, _semidiagonal_block(a, d, GF2, words)[0])
         return {
             "kind": label,
             "assignment": v,
-            "tensor": {
-                "dims": list(t.dims),
-                "field": t.field.to_document(),
-                "entries": t.entries.tolist(),
-            },
+            "tensor": tensor_to_document(t),
             "franks": flattening_ranks(t),
         }
 
-    report = SearchReport(
+    return SearchReport(
         population=f"semi-diagonal GF(2) tensors, a={a}, d={d}, diagonal fixed to 1",
         count=total,
         min_mfrank=best_mf,
@@ -399,37 +396,7 @@ def exhaustive_min_mfrank(
         witnesses=[witness(at_mf, "min_mfrank"), witness(at_sum, "min_sum_franks")],
         seed=None,
         extra={"free_entries": f},
-        elapsed_s=time.monotonic() - started,
     )
-    return report
-
-
-def random_semidiagonal(a: int, d: int, field: FieldDescriptor, rng: Rng) -> Tensor:
-    """Draw a uniform semi-diagonal tensor (see module docstring for the protocol)."""
-    if a < 1 or d < 1:
-        raise ValueError("need a >= 1 and d >= 1")
-    diag, distinct, mixed = classify_indices(a, d)
-    size = a**d
-    entries = [0] * size
-    order = field.order
-    if order == 2:
-        for flat in diag:
-            entries[flat] = 1
-        word = 0
-        for t, flat in enumerate(mixed):
-            sh = t % 64
-            if sh == 0:
-                word = rng.next_u64()
-            entries[flat] = (word >> sh) & 1
-    else:
-        diag_set = set(diag)
-        mixed_set = set(mixed)
-        for flat in range(size):
-            if flat in diag_set:
-                entries[flat] = 1 + rng.next_below(order - 1)
-            elif flat in mixed_set:
-                entries[flat] = rng.next_below(order)
-    return Tensor((a,) * d, field, entries)
 
 
 def _stream_block(seed: int, start: int, stop: int, nwords: int) -> np.ndarray:
@@ -438,7 +405,7 @@ def _stream_block(seed: int, start: int, stop: int, nwords: int) -> np.ndarray:
 
 
 def _semidiagonal_words(a: int, d: int, field: FieldDescriptor) -> int:
-    """Stream words :func:`random_semidiagonal` consumes for one tensor."""
+    """Stream words :func:`_semidiagonal_block` consumes for one tensor."""
     diag, _, mixed = index_class_arrays(a, d)
     if field.order == 2:
         return max(1, -(-mixed.size // 64))
@@ -452,9 +419,10 @@ def _mixed_bits(words: np.ndarray, f: int) -> np.ndarray:
 
 
 def _semidiagonal_block(a: int, d: int, field: FieldDescriptor, words: np.ndarray) -> np.ndarray:
-    """(N, a^d) entries drawn from N streams exactly as :func:`random_semidiagonal` draws them.
+    """(N, a^d) entries drawn from the (N, nwords) stream ``words``, one tensor per row.
 
-    The entries are in the field's narrowest dtype (:func:`flatrank.linalg.entry_dtype`).
+    The draw is the protocol of the module docstring; the entries are in the
+    field's narrowest dtype (:func:`flatrank.linalg.entry_dtype`).
     """
     diag, _, mixed = index_class_arrays(a, d)
     entries = np.zeros((words.shape[0], a**d), dtype=entry_dtype(field))
@@ -504,7 +472,6 @@ def random_semidiagonal_sweep(
     anything of size a^d is allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
-    started = time.monotonic()
     _check_shape(a, d)
     if count < 1:
         raise ValueError("need count >= 1")
@@ -546,17 +513,10 @@ def random_semidiagonal_sweep(
 
     witnesses = []
     if first_violation is not None:
-        t = random_semidiagonal(a, d, field, Rng(Rng.sub_seed(seed, first_violation)))
+        words = _stream_block(seed, first_violation, first_violation + 1, nwords)
+        t = Tensor((a,) * d, field, _semidiagonal_block(a, d, field, words)[0])
         witnesses.append(
-            {
-                "kind": "violation",
-                "index": first_violation,
-                "tensor": {
-                    "dims": list(t.dims),
-                    "field": t.field.to_document(),
-                    "entries": t.entries.tolist(),
-                },
-            }
+            {"kind": "violation", "index": first_violation, "tensor": tensor_to_document(t)}
         )
     return SearchReport(
         population=f"random semi-diagonal tensors over {field}, a={a}, d={d}",
@@ -567,7 +527,6 @@ def random_semidiagonal_sweep(
         seed=seed,
         violations=violations,
         extra={"required_min_mfrank": lower},
-        elapsed_s=time.monotonic() - started,
     )
 
 
@@ -580,7 +539,6 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
-    started = time.monotonic()
     bound = cross_oddtown_bound(n, d)
     best: list[tuple[int, ...]] = []
     members: list[tuple[int, ...]] = []
@@ -611,7 +569,6 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
         witnesses=[{"kind": "largest_family", "members": [list(t) for t in best]}] if best else [],
         seed=rng.seed,
         extra={"largest_size": len(best), "bound": bound},
-        elapsed_s=time.monotonic() - started,
     )
 
 

@@ -14,11 +14,10 @@ axis-constant tensor whose chosen flattening rank collapses to 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product, repeat
-from typing import Callable, Iterable, Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -134,37 +133,9 @@ class Tensor:
         """Read-only view of the entries with shape ``dims``."""
         return self.entries.reshape(self.dims)
 
-    def flat_index(self, index: Sequence[int]) -> int:
-        if len(index) != self.ndim:
-            raise ValueError("multi-index arity mismatch")
-        flat = 0
-        for m, a in zip(index, self.dims):
-            if not 0 <= m < a:
-                raise IndexError(f"index {tuple(index)} out of range for dims {self.dims}")
-            flat = flat * a + m
-        return flat
-
-    def get(self, index: Sequence[int]) -> int:
-        return int(self.entries[self.flat_index(index)])
-
-    def is_zero(self) -> bool:
-        return not self.entries.any()
-
     @classmethod
     def from_array(cls, arr: np.ndarray, field: FieldDescriptor) -> "Tensor":
         return cls(tuple(int(a) for a in arr.shape), field, arr)
-
-    @classmethod
-    def from_function(
-        cls, dims: Sequence[int], field: FieldDescriptor, fn: Callable[[tuple[int, ...]], int]
-    ) -> "Tensor":
-        entries = [fn(idx) for idx in product(*(range(a) for a in dims))]
-        return cls(tuple(dims), field, entries)
-
-    @classmethod
-    def zeros(cls, dims: Sequence[int], field: FieldDescriptor) -> "Tensor":
-        # a broadcast zero allocates nothing before the entry cap is checked
-        return cls(tuple(dims), field, np.broadcast_to(np.int64(0), (math.prod(dims),)))
 
 
 def _check_axis(t: Tensor, axis: int) -> None:
@@ -260,11 +231,6 @@ def add_tensors(s: Tensor, t: Tensor) -> Tensor:
     return Tensor(s.dims, f, entries)
 
 
-def negate_tensor(t: Tensor) -> Tensor:
-    f = t.field
-    return Tensor(t.dims, f, t.entries if f.kind == "binary" else -t.entries % f.p)
-
-
 def _coordinate(a: int, d: int, axis: int) -> np.ndarray:
     """Coordinate ``axis`` of the A^d grid, shaped to broadcast along that axis only."""
     return np.arange(a).reshape([a if j == axis else 1 for j in range(d)])
@@ -326,13 +292,3 @@ def index_class_arrays(a: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     for c in classes:
         c.flags.writeable = False
     return classes
-
-
-@lru_cache(maxsize=None)
-def classify_indices(a: int, d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """Flat indices of an A^d tensor split into (diagonal, all-distinct, mixed).
-
-    At d == 1 every index counts as diagonal.
-    """
-    diag, distinct, mixed = index_class_arrays(a, d)
-    return tuple(tuple(c.tolist()) for c in (diag, distinct if d > 1 else distinct[:0], mixed))

@@ -639,6 +639,65 @@ def test_verify_badbox(capsys):
     assert run(["verify", "badbox", FIXTURES / "badbox_family.json"]) == 0
 
 
+def test_verify_badbox_failure_carries_the_clique(tmp_path, capsys):
+    doc = tmp_path / "badbox.json"
+    doc.write_text(json.dumps({"t": 3, "s": 1, "k": 2, "members_factors": [[1], [2], [7]]}))
+    assert run(["verify", "badbox", doc]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "flatrank: verification failed: bad-box family failed verification\n"
+    results = json.loads(captured.out)["results"]
+    assert results["witness"] == [0, 2]  # {0} and {0, 1, 2} meet in one element
+    assert not results["badbox_free"] and not results["verified"]
+
+
+def test_verify_badbox_cap_before_the_masks(tmp_path, capsys):
+    # two members on [3]^15: the flat masks would hold 2 * 3^15 = 28.7 M cells
+    doc = tmp_path / "badbox.json"
+    doc.write_text(json.dumps({"t": 3, "s": 15, "k": 8, "members_factors": [[1] * 15] * 2}))
+    tracemalloc.start()
+    try:
+        code = run(["verify", "badbox", doc])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "2 bad-box members over [3]^15 = 28697814 cells exceeds the 16777216 dense cap" in err
+    assert peak < 3 << 20
+
+
+def test_verify_empty_hypergraph_vacuous(tmp_path, capsys):
+    doc = tmp_path / "hypergraph.json"
+    doc.write_text(json.dumps({"N": 4, "colors": [], "r": 2, "t": 2}))
+    assert run(["verify", "rainbow", doc]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["verified"] and results["z"] == 0 and results["rainbow_matching"] is None
+
+
+RANDOMIZED = {
+    "random-semidiagonal": ["--a", "3", "--d", "3", "--count", "5"],
+    "badbox-sample": ["--t", "3", "--s", "1"],
+    "oddtown-search": ["--n", "3", "--d", "2", "--budget", "5"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+@pytest.mark.parametrize("kind", sorted(RANDOMIZED))
+def test_experiment_seed_outside_64_bits_exit_two(capsys, kind, seed):
+    assert run(["experiment", kind, *RANDOMIZED[kind], "--seed", seed]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"flatrank: error: --seed must be in [0, 2^64), got {seed}\n"
+    assert run(["experiment", kind, *RANDOMIZED[kind], "--seed", str((1 << 64) - 1)]) == 0
+
+
+def test_badbox_sample_cap_names_the_cap(capsys):
+    args = ["experiment", "badbox-sample", "--t", "3", "--s", "10000000", "--seed", "1"]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err == "flatrank: error: ground set 3^10000000 exceeds the desk-scale cap of 25 cells\n"
+
+
 def test_experiment_requires_seed():
     assert run(["experiment", "random-semidiagonal", "--a", "3", "--d", "3", "--count", "10"]) == 2
     assert run(["experiment", "badbox-sample", "--t", "3", "--s", "1"]) == 2

@@ -1,0 +1,49 @@
+"""Every exported name resolves, and removed API stays removed."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import flatrank
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(flatrank.__path__))
+
+
+def test_package_exports_resolve():
+    assert [name for name in flatrank.__all__ if not hasattr(flatrank, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_exports_resolve(module):
+    mod = importlib.import_module(f"flatrank.{module}")
+    assert [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)] == []
+    namespace: dict = {}
+    exec(f"from flatrank.{module} import *", namespace)
+    assert set(getattr(mod, "__all__", ())) <= set(namespace)
+
+
+# API that only tests used, deleted; the README's "Removed API" names what to use instead
+REMOVED = {
+    "flatrank": ["FieldElement"],
+    "flatrank.field": ["FieldElement"],
+    "flatrank.search": ["random_semidiagonal"],
+    "flatrank.tensor": ["classify_indices", "negate_tensor"],
+    "flatrank.fw": ["max_odd_pairwise_odd_family"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(REMOVED))
+def test_removed_names_stay_removed(module):
+    mod = importlib.import_module(module)
+    assert [name for name in REMOVED[module] if hasattr(mod, name)] == []
+
+
+def test_removed_methods_stay_removed():
+    from flatrank.field import FieldDescriptor
+    from flatrank.rng import Rng
+    from flatrank.tensor import Tensor
+
+    gone = [(FieldDescriptor, "element"), (FieldDescriptor, "neg"), (Rng, "derive")]
+    gone += [(Tensor, name) for name in ("get", "flat_index", "from_function", "zeros", "is_zero")]
+    assert [f"{cls.__name__}.{name}" for cls, name in gone if hasattr(cls, name)] == []

@@ -2,10 +2,12 @@
 
 import itertools
 import math
+from itertools import repeat
 
 import pytest
 
 from flatrank.fw import (
+    BadBoxFamily,
     Configuration,
     IntersectionPolynomial,
     badbox_clique_order,
@@ -15,14 +17,15 @@ from flatrank.fw import (
     config_max_degree,
     eval_h,
     find_config_witness,
+    find_odd_clique,
     fw_flattening_bound,
     fw_size_bound,
     fw_tensor,
     grow_config_satisfying_family,
     is_config_satisfying,
-    max_odd_pairwise_odd_family,
     odd_subsets,
     sample_badbox_family,
+    verify_badbox_chain,
     verify_badbox_free,
 )
 from flatrank.rng import Rng
@@ -61,7 +64,6 @@ def test_eval_h_examples():
     assert eval_h(h, 3) == 2
     for root in h.L:
         assert eval_h(h, root) == 0
-    assert h.degree == 2
 
 
 def test_is_config_satisfying_singletons():
@@ -149,10 +151,11 @@ def test_fw_tensor_matches_naive_oracle():
             expected = 1
             for x in cfg.C:
                 acc = (1 << n) - 1
-                for slot in cfg.slots_of(x):
-                    acc &= fam.members[idx[slot]]
+                for slot in range(k):
+                    if x >> slot & 1:
+                        acc &= fam.members[idx[slot]]
                 expected = (expected * eval_h(poly, acc.bit_count() % p)) % p
-            assert t.get(idx) == expected
+            assert t.array[idx] == expected
 
 
 def test_fw_bound_formulas():
@@ -185,7 +188,11 @@ def test_odd_subsets_count():
 
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_odd_pairwise_odd_bound(t):
-    assert max_odd_pairwise_odd_family(t) <= 2 ** ((t - 1) / 2)
+    # the parity argument: at most 2^((t-1)/2) odd subsets of [t] meet pairwise oddly
+    bound = math.floor(2 ** ((t - 1) / 2))
+    singles = [(x,) for x in odd_subsets(t)]
+    assert find_odd_clique(singles, bound) is not None  # the bound is attained
+    assert verify_badbox_free(singles, bound + 1)
 
 
 def test_badbox_target_size():
@@ -254,6 +261,75 @@ def test_sampler_output_verifies(t, s):
 def test_sampler_rejects_large_ground_set():
     with pytest.raises(ValueError):
         sample_badbox_family(3, 4, seed=0)
+
+
+def test_sampler_cap_before_the_power(monkeypatch):
+    # 3^(10^7) would take seconds to compute and cannot be printed; the cap
+    # passes at the third factor, 27 > 25
+    import flatrank.fw as fw
+
+    drawn = []
+
+    def counted(t, s):
+        return map(lambda f: drawn.append(f) or f, repeat(t, s))
+
+    class NoPower(int):
+        def __pow__(self, exponent):
+            raise AssertionError("t ** s computed")
+
+    monkeypatch.setattr(fw, "repeat", counted)
+    with pytest.raises(ValueError, match=r"^ground set 3\^10000000 exceeds the desk-scale cap of 25"):
+        sample_badbox_family(NoPower(3), 10**7, seed=1)
+    assert drawn == [3, 3, 3]
+
+
+def cell_masks(fam):
+    """The flat masks of a product family, cell by cell: the oracle of ``flat_masks``."""
+    out = []
+    for factors in fam.members_factors:
+        cells = [0]
+        for f in factors:
+            cells = [c * fam.t + e for c in cells for e in range(fam.t) if f >> e & 1]
+        out.append(sum(1 << c for c in set(cells)))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("t,s", [(2, 1), (3, 1), (3, 2), (3, 3), (5, 2), (4, 5), (7, 4)], ids=str)
+def test_flat_masks_match_cell_oracle(t, s):
+    rng = Rng(t * 10 + s)
+    # any factor masks, the empty one and the full one included
+    members = [tuple(rng.next_below(1 << t) for _ in range(s)) for _ in range(6)]
+    members += [(0,) * s, ((1 << t) - 1,) * s]
+    fam = BadBoxFamily(t=t, s=s, k=3, members_factors=tuple(members), attempts=0, seed=0)
+    assert fam.flat_masks() == cell_masks(fam)
+
+
+def test_badbox_chain_reports_the_clique():
+    # members 0, 2 and 3 meet pairwise in odd sets, factor by factor; member 1 is
+    # disjoint from member 0 in the first factor
+    members = ((0b001, 0b111), (0b010, 0b111), (0b111, 0b001), (0b001, 0b001))
+    fam = BadBoxFamily(t=3, s=2, k=3, members_factors=members, attempts=0, seed=0)
+    report = verify_badbox_chain(fam, 3)
+    assert report["witness"] == [0, 2, 3]
+    assert not report["badbox_free"] and not report["config_satisfying"] and not report["verified"]
+    assert verify_badbox_chain(fam, 4) == {
+        "t": 3, "s": 2, "k": 4, "size": 4,
+        "badbox_free": True, "config_satisfying": True, "verified": True,
+    }
+
+
+def test_badbox_chain_cap_before_the_masks(monkeypatch):
+    def refuse(self):
+        raise AssertionError("flat masks built")
+
+    monkeypatch.setattr(BadBoxFamily, "flat_masks", refuse)
+    # 2 * 3^15 flat cells; the factors are never read
+    fam = BadBoxFamily(t=3, s=15, k=8, members_factors=((1,), (1,)), attempts=0, seed=0)
+    with pytest.raises(ValueError, match=r"^2 bad-box members over \[3\]\^15 = 28697814 cells"):
+        verify_badbox_chain(fam, 8)
+    # an empty family builds nothing, at any s
+    empty = BadBoxFamily(t=3, s=10**7, k=8, members_factors=(), attempts=0, seed=0)
+    assert verify_badbox_chain(empty, 8)["verified"]
 
 
 def test_sampler_determinism():

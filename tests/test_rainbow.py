@@ -99,9 +99,9 @@ def test_rainbow_tensor_shared_vertex_zero():
     h = hypergraph_from_vertex_lists(6, 2, 2, colors)
     t = rainbow_tensor(h)
     # slot 0 from color 0 is {0,1}; slot 1 from color 1 is {0,2}: share vertex 0
-    assert t.get((0, 1)) == 0
+    assert t.array[0, 1] == 0
     # disjoint picks are nonzero
-    assert t.get((0, 0)) != 0 and t.get((1, 1)) != 0
+    assert t.array[0, 0] != 0 and t.array[1, 1] != 0
 
 
 def test_rainbow_tensor_pattern_matches_disjointness():

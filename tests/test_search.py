@@ -20,14 +20,14 @@ from flatrank.search import (
     _stream_block,
     exhaustive_min_mfrank,
     random_cross_oddtown_search,
-    random_semidiagonal,
     random_semidiagonal_sweep,
 )
+from flatrank.formats import tensor_to_document
 from flatrank.tensor import (
     Tensor,
     axis_constant_construction,
-    classify_indices,
     flattening_rank,
+    index_class_arrays,
     is_semi_diagonal,
     partition_construction,
 )
@@ -46,6 +46,31 @@ def reference_splitmix(seed, count):
     return out
 
 
+def scalar_semidiagonal(a, d, field, rng):
+    """One random semi-diagonal tensor, drawn entry by entry from ``rng``.
+
+    The oracle of the sweeps' bulk draw, ``_semidiagonal_block``: a straight
+    transcription of the protocol in the ``flatrank.search`` docstring.
+    """
+    diag, _, mixed = (c.tolist() for c in index_class_arrays(a, d))
+    entries = [0] * a**d
+    if field.order == 2:
+        for flat in diag:
+            entries[flat] = 1
+        for t, flat in enumerate(mixed):
+            if t % 64 == 0:
+                word = rng.next_u64()
+            entries[flat] = (word >> t % 64) & 1
+    else:
+        diag_set, mixed_set = set(diag), set(mixed)
+        for flat in range(a**d):
+            if flat in diag_set:
+                entries[flat] = 1 + rng.next_below(field.order - 1)
+            elif flat in mixed_set:
+                entries[flat] = rng.next_below(field.order)
+    return Tensor((a,) * d, field, entries)
+
+
 def test_rng_matches_reference():
     rng = Rng(0)
     assert [rng.next_u64() for _ in range(5)] == reference_splitmix(0, 5)
@@ -58,7 +83,6 @@ def test_rng_determinism_and_derivation():
     b = Rng(7)
     assert [a.next_u64() for _ in range(10)] == [b.next_u64() for _ in range(10)]
     assert Rng.sub_seed(7, 0) == mix64((7 ^ GOLDEN) & MASK64)
-    assert Rng(7).derive(3).seed == Rng.sub_seed(7, 3)
     with pytest.raises(ValueError):
         Rng(1).next_below(0)
 
@@ -128,7 +152,7 @@ def test_exhaustive_threads_agree():
     "a,d", [(1, 2), (1, 3), (2, 2), (7, 2), (64, 2), (2, 3), (2, 4), (3, 3)], ids=str
 )
 def test_exhaustive_chunks_match_matrix_rank(a, d):
-    total = 1 << len(classify_indices(a, d)[2])
+    total = 1 << len(index_class_arrays(a, d)[2])
     words = np.arange(total, dtype=np.uint64)[:, None]
     oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
     if a ** (d - 1) > TABLE_MAX_COLUMNS:
@@ -152,11 +176,10 @@ def test_exhaustive_reports_ignore_chunk_cap_and_threads(a, d):
             assert got.to_document() == want, (chunk_bits, threads)
 
 def test_random_semidiagonal_always_semidiagonal():
-    rng = Rng(5)
     for field in (GF2, make_prime_field(3)):
-        for _ in range(20):
-            t = random_semidiagonal(3, 3, field, rng)
-            assert is_semi_diagonal(t)
+        words = _stream_block(5, 0, 20, _semidiagonal_words(3, 3, field))
+        for entries in _semidiagonal_block(3, 3, field, words):
+            assert is_semi_diagonal(Tensor((3, 3, 3), field, entries))
 
 
 @pytest.mark.parametrize(
@@ -175,8 +198,36 @@ def test_bulk_block_matches_scalar_sampler(field, a, d):
     words = _stream_block(77, 0, 50, _semidiagonal_words(a, d, field))
     block = _semidiagonal_block(a, d, field, words)
     for j in range(50):
-        t = random_semidiagonal(a, d, field, Rng(Rng.sub_seed(77, j)))
+        t = scalar_semidiagonal(a, d, field, Rng(Rng.sub_seed(77, j)))
         assert block[j].tolist() == t.entries.tolist(), j
+
+
+@pytest.mark.parametrize(
+    "field,a,d,kernel",
+    [
+        (GF2, 4, 3, "_packed_population_ranks"),
+        (GF2, 6, 3, "_sliced_ranks"),
+        (make_prime_field(3), 3, 3, "_block_ranks"),
+    ],
+    ids=str,
+)
+def test_violation_witness_is_the_scalar_draw(monkeypatch, field, a, d, kernel):
+    # the bound never fails, so a kernel that reports mfrank 0 for tensor 5 fakes a violation
+    import flatrank.search as search
+
+    real = getattr(search, kernel)
+
+    def faked(*args):
+        mfrank, sumrank = real(*args)
+        mfrank = mfrank.copy()
+        mfrank[5] = 0
+        return mfrank, sumrank
+
+    monkeypatch.setattr(search, kernel, faked)
+    rep = random_semidiagonal_sweep(a, d, 9, seed=41, field=field)
+    want = scalar_semidiagonal(a, d, field, Rng(Rng.sub_seed(41, 5)))
+    assert rep.violations == 1
+    assert rep.witnesses == [{"kind": "violation", "index": 5, "tensor": tensor_to_document(want)}]
 
 
 def _assert_packed_matches_matrix_rank(a, d, words):
@@ -192,7 +243,7 @@ def _assert_packed_matches_matrix_rank(a, d, words):
 
 def _mixed_words(a, d, tensors):
     """Stream words carrying the mixed entries of ``tensors``, bit t of word t // 64."""
-    mixed = np.asarray(classify_indices(a, d)[2], dtype=np.int64)
+    mixed = np.asarray(index_class_arrays(a, d)[2], dtype=np.int64)
     bits = np.array([t.entries[mixed] for t in tensors], dtype=np.uint8).reshape(len(tensors), -1)
     packed = np.packbits(bits, axis=1, bitorder="little")
     out = np.zeros((len(tensors), 8 * _semidiagonal_words(a, d, GF2)), dtype=np.uint8)
@@ -251,7 +302,7 @@ def test_population_kernels_match_matrix_rank(a, d):
 
 @pytest.mark.parametrize("a,d", [(2, 3), (2, 4)], ids=str)
 def test_packed_ranks_match_matrix_rank_whole_population(a, d):
-    free = len(classify_indices(a, d)[2])
+    free = len(index_class_arrays(a, d)[2])
     _assert_packed_matches_matrix_rank(a, d, np.arange(1 << free, dtype=np.uint64)[:, None])
 
 
@@ -272,7 +323,7 @@ def test_sweep_matches_scalar_path():
         scalar_mf = []
         scalar_sum = []
         for j in range(64):
-            t = random_semidiagonal(a, d, field, Rng(Rng.sub_seed(2024, j)))
+            t = scalar_semidiagonal(a, d, field, Rng(Rng.sub_seed(2024, j)))
             franks = [flattening_rank(t, i) for i in range(d)]
             scalar_mf.append(max(franks))
             scalar_sum.append(sum(franks))
@@ -359,6 +410,6 @@ def test_block_ranks_one_rank_call_per_block(monkeypatch):
     assert len(calls) == 1
     assert (int(mfrank.min()), int(sumrank.min())) == (rep.min_mfrank, rep.min_sum_franks)
     for j in range(10):
-        t = random_semidiagonal(3, 3, gf3, Rng(Rng.sub_seed(5, j)))
+        t = scalar_semidiagonal(3, 3, gf3, Rng(Rng.sub_seed(5, j)))
         franks = [flattening_rank(t, ax) for ax in range(3)]
         assert (mfrank[j], sumrank[j]) == (max(franks), sum(franks))

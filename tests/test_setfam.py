@@ -85,7 +85,7 @@ def test_oddtown_tensor_matches_parity_oracle():
     for idx in itertools.product(range(m), repeat=d):
         masks = [members[idx[j]][j] for j in range(d)]
         parity = intersection_size(masks) % 2
-        assert t.get(idx) == parity
+        assert t.array[idx] == parity
 
 
 def test_oddtown_tensor_semi_diagonal_for_oddtown_families():
