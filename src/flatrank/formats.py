@@ -541,7 +541,11 @@ def badbox_from_document(doc: dict) -> BadBoxFamily:
     for i, factors in enumerate(factors_raw):
         if not isinstance(factors, list) or len(factors) != s:
             raise ValueError(f"member {i} needs {s} factors")
-        members.append(tuple(_mask_from(f, t, f"member {i}") for f in factors))
+        masks = tuple(_mask_from(f, t, f"member {i}") for f in factors)
+        for j, mask in enumerate(masks):
+            if mask.bit_count() % 2 == 0:  # members are products of odd-sized subsets of [t]
+                raise ValueError(f"member {i} factor {j} has even size {mask.bit_count()}")
+        members.append(masks)
     return BadBoxFamily(
         t=t,
         s=s,

@@ -214,15 +214,17 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
     A family that is not (C, L)-satisfying ends the chain: its report lists
     the positions of members whose sizes fall in L and a ``witness``, the
     member positions per slot of :func:`find_config_witness` (None when only
-    sizes fail), and has no ``verified`` key.
+    sizes fail), and has no ``verified`` key.  The witness search runs once,
+    and decides the hypothesis with the size condition.
     """
+    witness = find_config_witness(fam, cfg, distinct=distinct)
     report: dict = {
         "size": len(fam.members),
         "k": cfg.k,
         "p": cfg.p,
         "size_bound": fw_size_bound(cfg, fam.n),
         "flattening_bounds": [fw_flattening_bound(cfg, fam.n, j) for j in range(cfg.k)],
-        "satisfying": is_config_satisfying(fam, cfg, distinct=distinct),
+        "satisfying": witness is None and _size_condition(fam, cfg),
     }
     if not report["satisfying"]:
         poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
@@ -231,7 +233,6 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
             for pos, mask in enumerate(fam.members)
             if eval_h(poly, mask.bit_count() % cfg.p) == 0
         ]
-        witness = find_config_witness(fam, cfg, distinct=distinct)
         report["witness"] = list(witness) if witness else None
         return report
     if not fam.members:
@@ -365,8 +366,11 @@ def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
     satisfy the complete-graph configuration of order k mod 2 (by positions).
     The m * t^s cells of the flat masks are refused over the dense cap before
     any is built; an empty family builds nothing and verifies.  A failing
-    report's ``witness`` is the k member positions the clique search found
-    (None if it found none: then a member has even size).
+    report's ``witness`` is the k member positions the clique search found.
+    Members are products of odd-sized factors (``badbox_from_document``
+    refuses others), so every member has odd size, and the two checks fail
+    together: a failure always has a witness.  Only a family built in code
+    with an even-sized factor can fail with ``witness`` None.
     """
     cfg = complete_graph_config(k)
     m = len(fam.members_factors)

@@ -7,7 +7,8 @@
 
 ``next_below(n)`` is ``next_u64() % n``.  Derived sub-stream j of seed s is
 seeded with ``mix((s ^ ((j + 1) * 0x9E3779B97F4A7C15)) mod 2^64)``; the numpy
-helpers reproduce the exact same words in bulk.
+helpers reproduce the exact same words in bulk, written into buffers the
+caller owns, so a sweep's blocks allocate nothing.
 """
 
 from __future__ import annotations
@@ -68,20 +69,38 @@ class Rng:
         return out
 
 
-def mix64_np(z: np.ndarray) -> np.ndarray:
-    z = z.astype(np.uint64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
+def mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Apply ``mix`` to every word of the uint64 array ``z``, in place.
+
+    ``tmp`` is scratch of z's shape.
+    """
+    for shift, factor in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= np.uint64(factor)  # array products wrap mod 2^64
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
 
 
-def sub_seeds_np(seed: int, indices: np.ndarray) -> np.ndarray:
-    with np.errstate(over="ignore"):
-        return mix64_np(np.uint64(seed) ^ ((indices.astype(np.uint64) + np.uint64(1)) * np.uint64(GOLDEN)))
+def sub_seeds_np(seed: int, start: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``out[j] = Rng.sub_seed(seed, start + j)``, written into the uint64 array ``out``.
+
+    ``tmp`` is scratch of out's shape; nothing else is allocated.
+    """
+    out.fill(GOLDEN)
+    out[0] = (start + 1) * GOLDEN & MASK64
+    np.cumsum(out, out=out)  # (start + 1 + j) * GOLDEN mod 2^64
+    out ^= np.uint64(seed)
+    return mix64_np(out, tmp)
 
 
-def stream_words_np(sub_seeds: np.ndarray, nwords: int) -> np.ndarray:
-    """Row j = the first nwords ``next_u64`` outputs of ``Rng(sub_seeds[j])``."""
-    steps = (np.arange(1, nwords + 1, dtype=np.uint64) * np.uint64(GOLDEN))[None, :]
-    with np.errstate(over="ignore"):
-        return mix64_np(sub_seeds[:, None] + steps)
+def stream_words_np(sub_seeds: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Row j of the (N, nwords) uint64 ``out``: the first outputs of ``Rng(sub_seeds[j])``.
+
+    ``tmp`` is scratch of out's shape.
+    """
+    steps = np.arange(1, out.shape[1] + 1, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)
+    np.add(sub_seeds[:, None], steps, out=out)
+    return mix64_np(out, tmp)

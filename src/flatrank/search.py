@@ -32,6 +32,18 @@ is 14-21x faster than :func:`flatrank.linalg.matrix_rank` ((9,3): 1.24-1.28
 against 18-22 us).  Larger fields keep the batched
 :func:`flatrank.linalg.matrix_rank`.
 
+Both sweeps run one block loop, :func:`_scan_blocks`.  Each worker allocates
+one workspace (:class:`_Workspace`) per call, sized for its largest block,
+and every block writes its stream words, rows, scratch and rank counts into
+it in place; the kernels return views into it.  Allocating per block costs
+more than the arithmetic: glibc trims the heap top after each block's
+frees, so a block that allocates its buffers faults about 250 pages in
+again, at about 1.8 us each on a 2-vCPU Xeon.  What remains is each call's
+first touch of its workspace.  No buffer outlives the call, and none of a
+GF(2) block's is larger than its 512 KB of rows, as before, so glibc's mmap
+threshold does not move.  A block whose workspace would pass
+:data:`MAX_WORKSPACE_BYTES` is refused before anything of it is allocated.
+
 Randomized sweeps and instance generators run off the documented splitmix64
 streams in :mod:`flatrank.rng`, so every report is reproducible from its seed.
 Tensor j of a sweep is drawn from the words of the derived stream
@@ -47,6 +59,8 @@ from its one stream, ``_stream_block(seed, j, j + 1, nwords)``.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -89,6 +103,11 @@ PACKED_BLOCK_BYTES = 1 << 19
 # Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
 # wider rows go bit-sliced (see the module docstring for the measurements).
 TABLE_MAX_COLUMNS = 32
+# Bytes of one block's workspace; more is refused before it is allocated.  The
+# stream words and mixing scratch of a larger field's block of BLOCK_ENTRIES
+# entries fill it at most, and default GF(2) blocks take under 2 MB; a d = 2
+# bit-sliced block needs 32 a^2 bytes even for one tensor.
+MAX_WORKSPACE_BYTES = 16 * BLOCK_ENTRIES
 
 
 @dataclass
@@ -118,6 +137,11 @@ class SearchReport:
         return doc
 
 
+def _row_dtype(a: int, d: int) -> type:
+    """Narrowest unsigned dtype of a packed flattening row of ``a ** (d-1) <= 32`` columns."""
+    return next(t for t in (np.uint8, np.uint16, np.uint32) if np.iinfo(t).bits >= a ** (d - 1))
+
+
 @lru_cache(maxsize=None)
 def _row_tables(a: int, d: int) -> tuple[np.ndarray, ...]:
     """Byte tables of the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
@@ -131,8 +155,7 @@ def _row_tables(a: int, d: int) -> tuple[np.ndarray, ...]:
     (3,4) and (5,3), take 123 KB.
     """
     diag, _, mixed = index_class_arrays(a, d)
-    cols = a ** (d - 1)
-    dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if np.iinfo(t).bits >= cols)
+    dtype = _row_dtype(a, d)
 
     def entry_rows(flat: np.ndarray) -> np.ndarray:
         """(len(flat), a*d): the rows with only entry ``flat[i]`` set, for each i."""
@@ -158,7 +181,102 @@ def _row_tables(a: int, d: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _eliminate(rows: np.ndarray, scratch: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray]:
+class _Workspace:
+    """The buffers one sweep worker's blocks write into, allocated once per sweep call.
+
+    ``sizes`` maps each buffer's name to its item count and dtype at the
+    largest block, as the ``*_sizes`` functions give them; :meth:`take` hands
+    a block a view of a buffer's first items.  A kernel's results are views
+    into its workspace, valid until the next block.
+    """
+
+    def __init__(self, sizes: dict[str, tuple[int, type]]):
+        self._buffers = {name: np.empty(count, dtype) for name, (count, dtype) in sizes.items()}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        """The first ``prod(shape)`` items of buffer ``name``, in that shape."""
+        return self._buffers[name][: math.prod(shape)].reshape(shape)
+
+
+def _check_workspace(sizes: dict[str, tuple[int, type]], what: str) -> None:
+    """Refuse a block whose workspace passes :data:`MAX_WORKSPACE_BYTES`, before it is allocated."""
+    nbytes = sum(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
+    if nbytes > MAX_WORKSPACE_BYTES:
+        raise ValueError(
+            f"{what} needs a {nbytes}-byte workspace, over the {MAX_WORKSPACE_BYTES}-byte block cap"
+        )
+
+
+def _stream_sizes(n: int, nwords: int) -> dict[str, tuple[int, type]]:
+    """Workspace of :func:`_stream_block` for blocks of up to n tensors."""
+    return {"words": (n * nwords, np.uint64), "mix": (n * nwords, np.uint64)}
+
+
+def _rank_sizes(d: int, n: int, dtype: type) -> dict[str, tuple[int, type]]:
+    """Buffers of the d ranks of n tensors, in ``dtype``, and of their (mfrank, sum_franks)."""
+    return {"rank": (d * n, dtype), "mfrank": (n, dtype), "sumrank": (n, np.uint16)}
+
+
+def _table_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
+    """Workspace of :func:`_packed_population_ranks` for blocks of up to n tensors."""
+    rows = (n * a * d, _row_dtype(a, d))
+    return {
+        "index": (n, np.intp),
+        "rows": rows,
+        "buf": rows,
+        "flag": (d * n, np.bool_),
+        **_rank_sizes(d, n, np.uint8),
+    }
+
+
+def _exhaustive_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
+    """Workspace of :func:`_exhaustive_ranks` for chunks of n assignments."""
+    low = min(n, 256)
+    dtype = _row_dtype(a, d)
+    return {
+        "index": (n // low, np.intp),
+        "hi": (n // low * a * d, dtype),
+        "low": (low * a * d, dtype),
+        "rows": (n * a * d, dtype),
+        "buf": (n * a * d, dtype),
+        "flag": (d * n, np.bool_),
+        **_rank_sizes(d, n, np.uint8),
+    }
+
+
+def _sliced_sizes(a: int, d: int, n: int, nwords: int) -> dict[str, tuple[int, type]]:
+    """Workspace of :func:`_sliced_ranks` for blocks of up to n tensors of ``nwords`` words."""
+    groups = -(-n // 64)
+    cols = a ** (d - 1)
+    gathered = (d * a * cols * groups, np.uint64)
+    return {
+        "planes": ((2 + 64 * nwords) * groups, np.uint64),
+        "swap": (32 * nwords * groups, np.uint64),
+        "rows": gathered,
+        "scratch": gathered,
+        "seen": (d * cols * groups, np.uint64),
+        "pivot": (d * cols * groups, np.uint64),
+        "lanes": (d * a * groups, np.uint64),
+        "nonzero": (a * d * groups, np.uint64),
+        "bits": (a * d * 64 * groups, np.uint8),
+        **_rank_sizes(d, n, np.min_scalar_type(a)),
+    }
+
+
+def _rank_summary(rank: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+    """(mfrank, sum_franks) of N tensors from their (d, N) flattening ranks."""
+    n = rank.shape[1]
+    mfrank, sumrank = ws.take("mfrank", n), ws.take("sumrank", n)
+    np.max(rank, axis=0, out=mfrank)
+    # a sum is at most 32 rows times d <= 64 axes (numpy's cap), or a * d <= 2 * 4096
+    # bit-sliced: exact in uint16, which numpy sums much faster than it casts into int64
+    np.sum(rank, axis=0, dtype=np.uint16, out=sumrank)
+    return mfrank, sumrank
+
+
+def _eliminate(
+    rows: np.ndarray, scratch: np.ndarray, d: int, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of N tensors from their packed rows, laid out ``[r, axis * N + j]``.
 
     Elimination runs on all N * d flattenings at once, in place: after each
@@ -166,42 +284,42 @@ def _eliminate(rows: np.ndarray, scratch: np.ndarray, d: int) -> tuple[np.ndarra
     below that has it, so the nonzero pivots are independent and their count
     is the rank.  ``scratch`` has the shape and dtype of ``rows``.
     """
-    rank = np.zeros(rows.shape[1], dtype=np.uint8)
+    rank, flag = ws.take("rank", rows.shape[1]), ws.take("flag", rows.shape[1])
+    rank.fill(0)
     for i in range(rows.shape[0]):
-        rank += rows[i] != 0
+        np.not_equal(rows[i], 0, out=flag)
+        rank += flag
         below, tmp = rows[i + 1 :], scratch[i + 1 :]
         np.bitwise_xor(below, rows[i], out=tmp)
         np.minimum(below, tmp, out=below)
-    rank = rank.reshape(d, -1)
-    # a sum is at most 32 rows times d <= 64 axes (numpy's cap): exact in uint16,
-    # which numpy sums much faster than it casts into int64
-    return rank.max(axis=0).astype(np.int64), rank.sum(axis=0, dtype=np.uint16).astype(np.int64)
+    return _rank_summary(rank.reshape(d, -1), ws)
 
 
 def _packed_population_ranks(
-    a: int, d: int, words: np.ndarray, tables: tuple[np.ndarray, ...]
+    a: int, d: int, words: np.ndarray, tables: tuple[np.ndarray, ...], ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 32``.
 
     Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
     of word t // 64 for mixed entry t; that is byte t // 8 of the row's
     little-endian bytes, which indexes ``tables``, the byte tables of
-    :func:`_row_tables`.
+    :func:`_row_tables`.  ``ws`` holds :func:`_table_sizes` for at least N.
     """
     n = words.shape[0]
     as_bytes = words.astype("<u8", copy=False).view(np.uint8)
-    # a byte always indexes one of the 256 rows: no bounds check
-    rows = np.take(tables[0], as_bytes[:, 0], axis=0, mode="clip")
-    buf = np.empty_like(rows)
-    for k in range(1, len(tables)):
-        np.take(tables[k], as_bytes[:, k], axis=0, out=buf, mode="clip")
-        rows ^= buf
+    index, rows, buf = ws.take("index", n), ws.take("rows", n, a * d), ws.take("buf", n, a * d)
+    for k, table in enumerate(tables):
+        np.copyto(index, as_bytes[:, k])  # intp, or np.take casts a copy of its own
+        # a byte always indexes one of the 256 rows: no bounds check
+        np.take(table, index, axis=0, out=buf if k else rows, mode="clip")
+        if k:
+            rows ^= buf
     np.copyto(buf.reshape(a * d, n), rows.T)  # [r * d + axis, j] is [r, axis * n + j]
-    return _eliminate(buf.reshape(a, d * n), rows.reshape(a, d * n), d)
+    return _eliminate(buf.reshape(a, d * n), rows.reshape(a, d * n), d, ws)
 
 
 def _exhaustive_ranks(
-    a: int, d: int, tables: tuple[np.ndarray, ...], start: int, stop: int
+    a: int, d: int, tables: tuple[np.ndarray, ...], start: int, stop: int, ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of the GF(2) tensors with assignments ``start .. stop-1``.
 
@@ -209,19 +327,25 @@ def _exhaustive_ranks(
     assignments then run through every low byte under each of their high
     bytes: the rows of the high bytes are gathered once per group of (up to)
     256 assignments, and the low-byte table is XORed in by broadcasting,
-    straight into the layout :func:`_eliminate` reads.
+    straight into the layout :func:`_eliminate` reads.  ``ws`` holds
+    :func:`_exhaustive_sizes` for ``stop - start``.
     """
     n = stop - start
     low = min(n, 256)
     high_bytes = np.arange(start, stop, low, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    hi = np.zeros((n // low, a * d), dtype=tables[0].dtype)
+    groups = n // low
+    index, hi = ws.take("index", groups), ws.take("hi", groups, a * d)
+    buf = ws.take("buf", groups, a * d)  # free until the elimination takes it as scratch
+    hi.fill(0)
     for k in range(1, len(tables)):
-        hi ^= tables[k][high_bytes[:, k]]
-    rows = np.empty((a, d, n // low, low), dtype=hi.dtype)
-    low_rows = np.ascontiguousarray(tables[0][:low].T).reshape(a, d, 1, low)
-    np.bitwise_xor(hi.T.reshape(a, d, -1, 1), low_rows, out=rows)
-    rows = rows.reshape(a, d * n)
-    return _eliminate(rows, np.empty_like(rows), d)
+        np.copyto(index, high_bytes[:, k])
+        np.take(tables[k], index, axis=0, out=buf, mode="clip")
+        hi ^= buf
+    low_rows = ws.take("low", a, d, 1, low)
+    np.copyto(low_rows, tables[0][:low].T.reshape(a, d, 1, low))
+    rows = ws.take("rows", a, d, groups, low)
+    np.bitwise_xor(hi.T.reshape(a, d, groups, 1), low_rows, out=rows)
+    return _eliminate(rows.reshape(a, d * n), ws.take("buf", a, d * n), d, ws)
 
 
 # delta-swap rounds of a 64x64 bit transpose: (shift j, mask of the bits whose bit j is clear)
@@ -229,6 +353,7 @@ _TRANSPOSE_ROUNDS = tuple(
     (j, np.uint64(sum(1 << b for b in range(64) if not b & j)))
     for j in (32, 16, 8, 4, 2, 1)
 )
+_BIT_SHIFTS = np.arange(8, dtype=np.uint8)
 
 
 @lru_cache(maxsize=None)
@@ -249,35 +374,42 @@ def _plane_index(a: int, d: int) -> np.ndarray:
     return index
 
 
-def _bit_planes(words: np.ndarray) -> np.ndarray:
+def _bit_planes(words: np.ndarray, ws: _Workspace) -> np.ndarray:
     """(2 + 64 w, W) bit planes of N tensors' mixed entries, ``W = ceil(N / 64)``.
 
     Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
     of word t // 64 for mixed entry t.  Bit i of word g of plane t + 2 is then
     mixed entry t of tensor 64g + i; plane 0 is zero and plane 1 all ones, as
-    :func:`_plane_index` expects.  Lanes past N are zero words.  Each 64x64
-    block of bits is transposed in place by six delta-swap rounds, over the
-    layout ``[stream word, row, group]`` so every round runs over the groups.
+    :func:`_plane_index` expects.  Lanes past N are zero.  Each 64x64 block
+    of bits is transposed in place by six delta-swap rounds, over the layout
+    ``[stream word, row, group]`` so every round runs over the groups.
     """
     n, w = words.shape
-    groups = -(-n // 64)
-    planes = np.zeros((2 + 64 * w, groups), dtype=np.uint64)
+    groups, full = -(-n // 64), n // 64
+    planes = ws.take("planes", 2 + 64 * w, groups)
+    planes[0] = 0
     planes[1] = ~np.uint64(0)
-    if n < 64 * groups:
-        words = np.concatenate((words, np.zeros((64 * groups - n, w), dtype=np.uint64)))
     bits = planes[2:].reshape(w, 64, groups)  # [stream word, row, group]
-    bits[...] = words.reshape(groups, 64, w).transpose(2, 1, 0)
+    bits[:, :, :full] = words[: 64 * full].reshape(full, 64, w).transpose(2, 1, 0)
+    if full < groups:
+        bits[:, :, full] = 0
+        bits[:, : n - 64 * full, full] = words[64 * full :].T
     for j, mask in _TRANSPOSE_ROUNDS:
         pairs = bits.reshape(w, -1, 2, j, groups)
         lo, hi = pairs[:, :, 0], pairs[:, :, 1]
-        swap = (lo >> j) ^ hi
+        swap = ws.take("swap", *lo.shape)
+        np.right_shift(lo, j, out=swap)
+        swap ^= hi
         swap &= mask
         hi ^= swap
-        lo ^= swap << j
+        swap <<= j
+        lo ^= swap
     return planes
 
 
-def _sliced_ranks(a: int, d: int, words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _sliced_ranks(
+    a: int, d: int, words: np.ndarray, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, 64 tensors per word.
 
     ``words`` is laid out as for :func:`_bit_planes`.  The rows of all d
@@ -286,17 +418,19 @@ def _sliced_ranks(a: int, d: int, words: np.ndarray) -> tuple[np.ndarray, np.nda
     over the columns gives its "row nonzero" plane (the rank bit) and a
     one-hot pivot column; each row below picks its bit in that column as a
     lane mask and XORs in row k under it.  The rank of a lane is the count of
-    its rank bits.
+    its rank bits.  ``ws`` holds :func:`_sliced_sizes` for at least N.
     """
     n = words.shape[0]
-    rows = np.take(_bit_planes(words), _plane_index(a, d), axis=0, mode="clip")
-    cols = rows.shape[2]
-    scratch = np.empty_like(rows)
-    pivot = np.empty_like(rows[:, 0])
-    nonzero = np.empty((a, d, rows.shape[3]), dtype=np.uint64)
+    planes = _bit_planes(words, ws)
+    groups, cols = planes.shape[1], a ** (d - 1)
+    rows = ws.take("rows", d, a, cols, groups)
+    np.take(planes, _plane_index(a, d), axis=0, out=rows, mode="clip")
+    scratch = ws.take("scratch", d, a, cols, groups)
+    seen, pivot = ws.take("seen", d, cols, groups), ws.take("pivot", d, cols, groups)
+    nonzero = ws.take("nonzero", a, d, groups)
     for k in range(a):
         row = rows[:, k]
-        seen = np.bitwise_or.accumulate(row, axis=1)
+        np.bitwise_or.accumulate(row, axis=1, out=seen)
         nonzero[k] = seen[:, cols - 1]
         if k + 1 == a:
             break
@@ -310,15 +444,20 @@ def _sliced_ranks(a: int, d: int, words: np.ndarray) -> tuple[np.ndarray, np.nda
         span = slice(pivoted[0], pivoted[-1] + 1)
         below, tmp = rows[:, k + 1 :], scratch[:, k + 1 :]
         np.bitwise_and(below[:, :, span], pivot[:, None, span], out=tmp[:, :, span])
-        lanes = np.bitwise_or.reduce(tmp[:, :, span], axis=2)
+        lanes = ws.take("lanes", d, a - k - 1, groups)
+        np.bitwise_or.reduce(tmp[:, :, span], axis=2, out=lanes)
         if not lanes.any():
             continue
         np.bitwise_and(row[:, None], lanes[:, :, None], out=tmp)
         below ^= tmp
-    as_bytes = nonzero.astype("<u8", copy=False).view(np.uint8)  # bit i of word g: lane 64g + i
-    bits = np.unpackbits(as_bytes, axis=2, bitorder="little")[:, :, :n]
-    rank = bits.sum(axis=0, dtype=np.int64)  # (d, N)
-    return rank.max(axis=0), rank.sum(axis=0)
+    # bit i of word g, lane 64g + i, is bit i % 8 of the word's little-endian byte i // 8
+    as_bytes = nonzero.astype("<u8", copy=False).view(np.uint8)
+    bits = ws.take("bits", a, d, 8 * groups, 8)
+    np.right_shift(as_bytes[..., None], _BIT_SHIFTS, out=bits)
+    bits &= 1
+    rank = ws.take("rank", d, n)
+    np.sum(bits.reshape(a, d, 64 * groups)[:, :, :n], axis=0, dtype=rank.dtype, out=rank)
+    return _rank_summary(rank, ws)
 
 
 def _check_shape(a: int, d: int) -> None:
@@ -326,6 +465,57 @@ def _check_shape(a: int, d: int) -> None:
     if a < 1 or d < 2:
         raise ValueError("need a >= 1 and d >= 2")
     dense_size(repeat(a, d), f"tensor on {a}^{d}")
+
+
+def _mixed_count(a: int, d: int) -> int:
+    """Entries of an A^d tensor that are neither constant nor pairwise distinct, ``d >= 2``."""
+    return a**d - a - math.perm(a, d)
+
+
+def _scan_blocks(
+    total: int,
+    block: int,
+    threads: int,
+    sizes: dict[str, tuple[int, type]],
+    ranks: Callable[[int, int, _Workspace], tuple[np.ndarray, np.ndarray]],
+    lower: int,
+) -> tuple[tuple[int, int], tuple[int, int], int, int | None]:
+    """The block loop of both sweeps, over tensors ``0 .. total-1``.
+
+    Blocks are ``block`` consecutive tensors; ``ranks(start, stop, ws)`` gives
+    the (mfrank, sum_franks) of one.  Each of up to ``threads`` workers scans
+    a contiguous run of blocks in one :class:`_Workspace` of ``sizes``, its
+    own.  Returns (min mfrank, its first index), (min sum_franks, its first
+    index), the count of tensors with mfrank < ``lower`` and the first of
+    them (or None); none of it depends on ``threads`` or ``block``.
+    """
+    spans = [(s, min(s + block, total)) for s in range(0, total, block)]
+    workers = max(1, min(threads, len(spans)))
+    cuts = [len(spans) * i // workers for i in range(workers + 1)]
+
+    def run(lo: int, hi: int) -> list[tuple]:
+        ws = _Workspace(sizes)
+        parts = []
+        for start, stop in spans[lo:hi]:
+            mfrank, sumrank = ranks(start, stop, ws)
+            i_mf, i_sum = int(mfrank.argmin()), int(sumrank.argmin())
+            best = int(mfrank[i_mf])
+            bad = np.flatnonzero(mfrank < lower) if best < lower else ()
+            first = start + int(bad[0]) if len(bad) else None
+            parts.append((best, start + i_mf, int(sumrank[i_sum]), start + i_sum, len(bad), first))
+        return parts
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = [p for run_parts in pool.map(run, cuts, cuts[1:]) for p in run_parts]
+    else:
+        parts = run(0, len(spans))
+    return (
+        min((p[0], p[1]) for p in parts),
+        min((p[2], p[3]) for p in parts),
+        sum(p[4] for p in parts),
+        next((p[5] for p in parts if p[5] is not None), None),
+    )
 
 
 def exhaustive_min_mfrank(
@@ -336,47 +526,38 @@ def exhaustive_min_mfrank(
     Mixed entries range over {0,1}; all-distinct entries are 0 and diagonal
     entries 1 (over GF(2) a nonzero diagonal entry is 1, so this loses no
     generality).  Assignment v sets mixed entry t to bit t of v.  Refuses
-    populations with more than 2^22 members and tensors over the dense cap.
-    The population is ranked in chunks of a power of two assignments, as many
-    as fit :data:`PACKED_BLOCK_BYTES` of packed rows and at least 256 (or the
+    populations with more than 2^22 members, tensors over the dense cap and
+    chunks whose workspace passes :data:`MAX_WORKSPACE_BYTES`.  The
+    population is ranked in chunks of a power of two assignments, as many as
+    fit :data:`PACKED_BLOCK_BYTES` of packed rows and at least 256 (or the
     whole population, if smaller); ``chunk_bits`` caps a chunk at
     ``2 ** chunk_bits`` assignments.  Rows over :data:`TABLE_MAX_COLUMNS`
     columns occur only at d = 2, where the identity alone is bit-sliced.
     """
     _check_shape(a, d)
-    f = index_class_arrays(a, d)[2].size
+    f = _mixed_count(a, d)
     if f > MAX_FREE_ENTRIES:
         raise ValueError(
             f"population too large: {f} free entries at (a={a}, d={d}) exceeds cap {MAX_FREE_ENTRIES}"
         )
     total = 1 << f
-    tabled = a ** (d - 1) <= TABLE_MAX_COLUMNS
-    if tabled:
-        tables = _row_tables(a, d)
-        cap = PACKED_BLOCK_BYTES // tables[0][0].nbytes
+    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
+        cap = PACKED_BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize)
         if chunk_bits is not None:
             cap = min(cap, 1 << chunk_bits)
         chunk = min(total, 1 << max(8, cap.bit_length() - 1))
+        sizes = _exhaustive_sizes(a, d, chunk)
+        tables = _row_tables(a, d)
+        ranks = lambda start, stop, ws: _exhaustive_ranks(a, d, tables, start, stop, ws)
     else:  # d == 2: the identity matrix alone
         chunk = total
-
-    def scan_chunk(start: int, stop: int):
-        if tabled:
-            mfrank, sumrank = _exhaustive_ranks(a, d, tables, start, stop)
-        else:
-            mfrank, sumrank = _sliced_ranks(a, d, np.arange(start, stop, dtype=np.uint64)[:, None])
-        i_mf = int(np.argmin(mfrank))
-        i_sum = int(np.argmin(sumrank))
-        return int(mfrank[i_mf]), start + i_mf, int(sumrank[i_sum]), start + i_sum
-
-    spans = [(s, s + chunk) for s in range(0, total, chunk)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda sp: scan_chunk(*sp), spans))
-    else:
-        parts = [scan_chunk(*sp) for sp in spans]
-    best_mf, at_mf = min((p[0], p[1]) for p in parts)
-    best_sum, at_sum = min((p[2], p[3]) for p in parts)
+        sizes = _sliced_sizes(a, d, chunk, 1)
+        words = lambda start, stop: np.arange(start, stop, dtype=np.uint64)[:, None]
+        ranks = lambda start, stop, ws: _sliced_ranks(a, d, words(start, stop), ws)
+    _check_workspace(sizes, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
+    (best_mf, at_mf), (best_sum, at_sum), _, _ = _scan_blocks(
+        total, chunk, threads, sizes, ranks, -(-a // (d - 1))
+    )
 
     def witness(v: int, label: str) -> dict:
         words = np.array([[v]], dtype=np.uint64)
@@ -399,17 +580,26 @@ def exhaustive_min_mfrank(
     )
 
 
-def _stream_block(seed: int, start: int, stop: int, nwords: int) -> np.ndarray:
-    """First ``nwords`` words of the streams of tensors ``start .. stop-1`` of a sweep."""
-    return stream_words_np(sub_seeds_np(seed, np.arange(start, stop, dtype=np.uint64)), nwords)
+def _stream_block(
+    seed: int, start: int, stop: int, nwords: int, ws: _Workspace | None = None
+) -> np.ndarray:
+    """First ``nwords`` words of the streams of tensors ``start .. stop-1`` of a sweep.
+
+    They are written into ``ws`` (:func:`_stream_sizes`), or a workspace of their own.
+    """
+    n = stop - start
+    ws = ws or _Workspace(_stream_sizes(n, nwords))
+    words, mix = ws.take("words", n, nwords), ws.take("mix", n, nwords)
+    # the sub-seeds sit in mix until the words are drawn from them; then it is their scratch
+    seeds = sub_seeds_np(seed, start, mix[:, 0], words[:, 0])
+    return stream_words_np(seeds, words, mix)
 
 
 def _semidiagonal_words(a: int, d: int, field: FieldDescriptor) -> int:
     """Stream words :func:`_semidiagonal_block` consumes for one tensor."""
-    diag, _, mixed = index_class_arrays(a, d)
     if field.order == 2:
-        return max(1, -(-mixed.size // 64))
-    return diag.size + mixed.size
+        return max(1, -(-_mixed_count(a, d) // 64))
+    return a + _mixed_count(a, d)
 
 
 def _mixed_bits(words: np.ndarray, f: int) -> np.ndarray:
@@ -468,8 +658,9 @@ def random_semidiagonal_sweep(
     :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
     least one).  Larger fields make one batched :func:`matrix_rank` call for
     all axes in blocks of :data:`BLOCK_ENTRIES` entries.  ``block`` caps a
-    block's tensor count.  Shapes over the dense cap are refused before
-    anything of size a^d is allocated.
+    block's tensor count.  Shapes over the dense cap, and blocks whose
+    workspace passes :data:`MAX_WORKSPACE_BYTES`, are refused before anything
+    of their size is allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
     _check_shape(a, d)
@@ -477,39 +668,32 @@ def random_semidiagonal_sweep(
         raise ValueError("need count >= 1")
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
+
+    def tensors(cap: int) -> int:
+        """Tensors in one block: ``cap``, lowered to ``block`` and to ``count``."""
+        return min(count, max(1, cap if block is None else min(block, cap)))
+
     if field.order != 2:
-        cap = BLOCK_ENTRIES // a**d
-        ranks = lambda words: _block_ranks(_semidiagonal_block(a, d, field, words), a, d, field)
-    elif a ** (d - 1) <= TABLE_MAX_COLUMNS:
-        tables = _row_tables(a, d)
-        cap = PACKED_BLOCK_BYTES // tables[0][0].nbytes
-        ranks = lambda words: _packed_population_ranks(a, d, words, tables)
-    else:  # whole words of 64 lanes, d * a^d / 8 bytes of gathered rows per tensor
-        cap = max(64, 8 * PACKED_BLOCK_BYTES // (d * a**d) // 64 * 64)
-        ranks = lambda words: _sliced_ranks(a, d, words)
-    block = max(1, cap if block is None else min(block, cap))
-
-    def scan(span):
-        start, stop = span
-        mfrank, sumrank = ranks(_stream_block(seed, start, stop, nwords))
-        bad = np.nonzero(mfrank < lower)[0]
-        return (
-            int(mfrank.min()),
-            int(sumrank.min()),
-            int(bad.size),
-            (start + int(bad[0])) if bad.size else None,
+        n = tensors(BLOCK_ENTRIES // a**d)
+        sizes = {}
+        kernel = lambda words, ws: _block_ranks(
+            _semidiagonal_block(a, d, field, words), a, d, field
         )
-
-    spans = [(s, min(s + block, count)) for s in range(0, count, block)]
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(scan, spans))
-    else:
-        parts = [scan(sp) for sp in spans]
-    min_mf = min((p[0] for p in parts), default=None)
-    min_sum = min((p[1] for p in parts), default=None)
-    violations = sum(p[2] for p in parts)
-    first_violation = next((p[3] for p in parts if p[3] is not None), None)
+    elif a ** (d - 1) <= TABLE_MAX_COLUMNS:
+        n = tensors(PACKED_BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize))
+        sizes = _table_sizes(a, d, n)
+        tables = _row_tables(a, d)
+        kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
+    else:  # whole words of 64 lanes, d * a^d / 8 bytes of gathered rows per tensor
+        n = tensors(max(64, 8 * PACKED_BLOCK_BYTES // (d * a**d) // 64 * 64))
+        sizes = _sliced_sizes(a, d, n, nwords)
+        kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
+    sizes |= _stream_sizes(n, nwords)
+    _check_workspace(sizes, f"{a}^{d} sweep block of n={n} tensors")
+    ranks = lambda start, stop, ws: kernel(_stream_block(seed, start, stop, nwords, ws), ws)
+    (min_mf, _), (min_sum, _), violations, first_violation = _scan_blocks(
+        count, n, threads, sizes, ranks, lower
+    )
 
     witnesses = []
     if first_violation is not None:

@@ -244,6 +244,26 @@ def test_sweep_dense_cap_before_allocation(capsys):
     assert peak < 3 << 20
 
 
+@pytest.mark.parametrize(
+    "kind,extra",
+    [("random-semidiagonal", ["--count", 1, "--seed", 1]), ("exhaustive", [])],
+    ids=["random-semidiagonal", "exhaustive"],
+)
+def test_sweep_workspace_cap_before_allocation(capsys, kind, extra):
+    # a = 1000, d = 2: a bit-sliced block of even one tensor would gather 2 * 1000^2
+    # words of rows, and as many of scratch: 32 MB
+    tracemalloc.start()
+    try:
+        code = run(["experiment", kind, "--a", 1000, "--d", 2, *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "1000^2" in err and "over the 16777216-byte block cap" in err
+    assert peak < 3 << 20
+
+
 @pytest.mark.parametrize("command", [["experiment", "exhaustive"], ["construct", "partition"]], ids=" ".join)
 def test_huge_exponent_refused_at_once(capsys, command):
     # 3^(10^8) would take minutes to compute before the comparison with the cap; the
@@ -648,6 +668,15 @@ def test_verify_badbox_failure_carries_the_clique(tmp_path, capsys):
     results = json.loads(captured.out)["results"]
     assert results["witness"] == [0, 2]  # {0} and {0, 1, 2} meet in one element
     assert not results["badbox_free"] and not results["verified"]
+
+
+def test_verify_badbox_even_factor_exit_two(tmp_path, capsys):
+    # factor 3 = {0, 1} has even size, so member 0 is no product of odd-sized subsets:
+    # bad input, where it once failed verification with no witness
+    doc = tmp_path / "badbox.json"
+    doc.write_text(json.dumps({"t": 3, "s": 1, "k": 2, "members_factors": [[3], [4]]}))
+    assert run(["verify", "badbox", doc]) == 2
+    assert "member 0 factor 0 has even size 2" in capsys.readouterr().err
 
 
 def test_verify_badbox_cap_before_the_masks(tmp_path, capsys):

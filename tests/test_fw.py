@@ -27,6 +27,7 @@ from flatrank.fw import (
     sample_badbox_family,
     verify_badbox_chain,
     verify_badbox_free,
+    verify_fw_chain,
 )
 from flatrank.rng import Rng
 from flatrank.setfam import SetFamily
@@ -90,6 +91,28 @@ def test_witness_found_for_violating_family():
     w = find_config_witness(fam2, FW_CFG)
     assert w is not None and len(w) == 2
     assert not is_config_satisfying(fam2, FW_CFG)
+
+
+@pytest.mark.parametrize(
+    "members,satisfying,witness",
+    [
+        ((0b111, 0b001), False, [0, 1]),  # sizes 3 and 1 avoid L, but they meet in 1
+        ((0b011, 0b100), False, None),  # only the size 2 of member 0 fails
+        ((0b001, 0b010), True, None),
+    ],
+    ids=["witness", "sizes-only", "satisfying"],
+)
+def test_fw_chain_searches_for_the_witness_once(monkeypatch, members, satisfying, witness):
+    import flatrank.fw as fw
+
+    calls = []
+    real = fw.find_config_witness
+    counting = lambda *args, **kw: calls.append(args) or real(*args, **kw)
+    monkeypatch.setattr(fw, "find_config_witness", counting)
+    report = verify_fw_chain(SetFamily(n=3, members=members), FW_CFG)
+    assert len(calls) == 1
+    assert report["satisfying"] is satisfying
+    assert report.get("witness") == witness and ("witness" in report) is not satisfying
 
 
 def test_witness_distinct_semantics():

@@ -7,17 +7,24 @@ import pytest
 
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import GOLDEN, MASK64, Rng, mix64, stream_words_np, sub_seeds_np
+from flatrank.formats import canonical_json
 from flatrank.search import (
     PACKED_BLOCK_BYTES,
     TABLE_MAX_COLUMNS,
+    _Workspace,
     _block_ranks,
     _exhaustive_ranks,
+    _exhaustive_sizes,
+    _mixed_count,
     _packed_population_ranks,
     _row_tables,
     _semidiagonal_block,
     _semidiagonal_words,
     _sliced_ranks,
+    _sliced_sizes,
     _stream_block,
+    _stream_sizes,
+    _table_sizes,
     exhaustive_min_mfrank,
     random_cross_oddtown_search,
     random_semidiagonal_sweep,
@@ -88,12 +95,25 @@ def test_rng_determinism_and_derivation():
 
 
 def test_numpy_stream_matches_scalar():
-    subs = sub_seeds_np(99, np.arange(6))
+    tmp = np.empty((6, 4), dtype=np.uint64)
+    subs = sub_seeds_np(99, 0, np.empty(6, dtype=np.uint64), tmp[:, 0])
     assert [int(s) for s in subs] == [Rng.sub_seed(99, j) for j in range(6)]
-    words = stream_words_np(subs, 4)
+    words = stream_words_np(subs, np.empty((6, 4), dtype=np.uint64), tmp)
     for j in range(6):
         rng = Rng(Rng.sub_seed(99, j))
         assert [int(w) for w in words[j]] == [rng.next_u64() for _ in range(4)]
+
+
+@pytest.mark.parametrize("seed", [0, MASK64], ids=str)
+def test_stream_block_rewrites_its_workspace(seed):
+    # two blocks through one workspace: 0 .. 4, then the shorter 5 .. 7, whose
+    # stream crosses the boundary and must not read what the first block left
+    ws = _Workspace(_stream_sizes(5, 3))
+    for start, stop in [(0, 5), (5, 8)]:
+        words = _stream_block(seed, start, stop, 3, ws)
+        for j in range(start, stop):
+            rng = Rng(Rng.sub_seed(seed, j))
+            assert words[j - start].tolist() == [rng.next_u64() for _ in range(3)], j
 
 
 def test_exhaustive_small_populations():
@@ -116,6 +136,14 @@ def test_exhaustive_identity_population(a):
     for witness in rep.witnesses:
         assert witness["assignment"] == 0 and witness["franks"] == [a, a]
         assert witness["tensor"]["entries"] == np.eye(a, dtype=np.int64).ravel().tolist()
+
+
+def test_mixed_count_matches_index_classes():
+    # the sweeps size their workspace from this count before any index array exists
+    for a in range(1, 8):
+        for d in range(2, 7):
+            if a**d <= 1 << 16:
+                assert _mixed_count(a, d) == index_class_arrays(a, d)[2].size, (a, d)
 
 
 def test_exhaustive_refuses_oversized():
@@ -156,24 +184,29 @@ def test_exhaustive_chunks_match_matrix_rank(a, d):
     words = np.arange(total, dtype=np.uint64)[:, None]
     oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
     if a ** (d - 1) > TABLE_MAX_COLUMNS:
-        for got, want in zip(_sliced_ranks(a, d, words), oracle):
+        ws = _Workspace(_sliced_sizes(a, d, total, 1))
+        for got, want in zip(_sliced_ranks(a, d, words, ws), oracle):
             assert got.tolist() == want.tolist()
         return
     tables = _row_tables(a, d)
     default = 1 << ((PACKED_BLOCK_BYTES // tables[0][0].nbytes).bit_length() - 1)
     for chunk in {min(total, 256), min(total, default)}:
-        parts = [_exhaustive_ranks(a, d, tables, s, s + chunk) for s in range(0, total, chunk)]
+        ws = _Workspace(_exhaustive_sizes(a, d, chunk))  # one for all chunks, as a sweep's worker
+        parts = [
+            [r.tolist() for r in _exhaustive_ranks(a, d, tables, s, s + chunk, ws)]
+            for s in range(0, total, chunk)
+        ]
         for got, want in zip(zip(*parts), oracle):
-            assert np.concatenate(got).tolist() == want.tolist(), chunk
+            assert sum(got, []) == want.tolist(), chunk
 
 
 @pytest.mark.parametrize("a,d", [(2, 3), (2, 4), (3, 3)], ids=str)
 def test_exhaustive_reports_ignore_chunk_cap_and_threads(a, d):
-    want = exhaustive_min_mfrank(a, d).to_document()
+    want = canonical_json(exhaustive_min_mfrank(a, d).to_document())
     for chunk_bits in (4, 8, 10, None):  # caps below 256 assignments are raised to 256
-        for threads in (1, 2):
+        for threads in (1, 2, 3):
             got = exhaustive_min_mfrank(a, d, threads=threads, chunk_bits=chunk_bits)
-            assert got.to_document() == want, (chunk_bits, threads)
+            assert canonical_json(got.to_document()) == want, (chunk_bits, threads)
 
 def test_random_semidiagonal_always_semidiagonal():
     for field in (GF2, make_prime_field(3)):
@@ -212,7 +245,8 @@ def test_bulk_block_matches_scalar_sampler(field, a, d):
     ids=str,
 )
 def test_violation_witness_is_the_scalar_draw(monkeypatch, field, a, d, kernel):
-    # the bound never fails, so a kernel that reports mfrank 0 for tensor 5 fakes a violation
+    # the bound never fails, so a kernel that reports mfrank one under it for tensor 5
+    # fakes a violation
     import flatrank.search as search
 
     real = getattr(search, kernel)
@@ -220,7 +254,7 @@ def test_violation_witness_is_the_scalar_draw(monkeypatch, field, a, d, kernel):
     def faked(*args):
         mfrank, sumrank = real(*args)
         mfrank = mfrank.copy()
-        mfrank[5] = 0
+        mfrank[5] = -(-a // (d - 1)) - 1
         return mfrank, sumrank
 
     monkeypatch.setattr(search, kernel, faked)
@@ -232,10 +266,13 @@ def test_violation_witness_is_the_scalar_draw(monkeypatch, field, a, d, kernel):
 
 def _assert_packed_matches_matrix_rank(a, d, words):
     """The GF(2) kernel the sweeps pick by row width against the batched ``matrix_rank``."""
+    n = words.shape[0]
     if a ** (d - 1) <= TABLE_MAX_COLUMNS:
-        packed = _packed_population_ranks(a, d, words, _row_tables(a, d))
+        ws = _Workspace(_table_sizes(a, d, n))
+        packed = _packed_population_ranks(a, d, words, _row_tables(a, d), ws)
     else:
-        packed = _sliced_ranks(a, d, words)
+        ws = _Workspace(_sliced_sizes(a, d, n, words.shape[1]))
+        packed = _sliced_ranks(a, d, words, ws)
     oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
     for got, want in zip(packed, oracle):
         assert got.tolist() == want.tolist()
@@ -352,12 +389,38 @@ def test_sweep_builds_row_tables_once(monkeypatch):
         assert calls == []
 
 
-# bit-sliced shapes, with rows of 64 columns and of 81
-@pytest.mark.parametrize("a,d", [(4, 4), (6, 3), (8, 3), (9, 3)], ids=str)
+# a byte-table shape, then bit-sliced shapes with rows of 36, 64 and 81 columns
+@pytest.mark.parametrize("a,d", [(5, 3), (6, 3), (4, 4), (8, 3), (9, 3)], ids=str)
 def test_sweep_reports_ignore_block_cap(a, d):
-    want = random_semidiagonal_sweep(a, d, 600, seed=17).to_document()
-    for block in (1, 7, 65, 256):
-        assert random_semidiagonal_sweep(a, d, 600, seed=17, block=block).to_document() == want
+    want = canonical_json(random_semidiagonal_sweep(a, d, 600, seed=17).to_document())
+    for block in (1, 7, 65, None):
+        for threads in (1, 2, 3):
+            got = random_semidiagonal_sweep(a, d, 600, seed=17, threads=threads, block=block)
+            assert canonical_json(got.to_document()) == want, (block, threads)
+
+
+def test_sweep_builds_one_workspace_per_worker(monkeypatch):
+    import flatrank.search as search
+
+    built = []
+
+    class Counting(search._Workspace):
+        def __init__(self, sizes):
+            built.append(sizes)
+            super().__init__(sizes)
+
+    monkeypatch.setattr(search, "_Workspace", Counting)
+    gf3 = make_prime_field(3)
+    for threads in (1, 2, 3):
+        for sweep in (
+            lambda: random_semidiagonal_sweep(5, 3, 200, seed=5, threads=threads, block=16),
+            lambda: random_semidiagonal_sweep(6, 3, 200, seed=5, threads=threads, block=16),
+            lambda: random_semidiagonal_sweep(3, 3, 60, 5, field=gf3, threads=threads, block=4),
+            lambda: exhaustive_min_mfrank(2, 4, threads=threads, chunk_bits=8),  # 64 chunks
+        ):
+            built.clear()
+            sweep()
+            assert len(built) == threads
 
 def test_sweep_gf3_example():
     f3 = make_prime_field(3)
