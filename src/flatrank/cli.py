@@ -152,7 +152,7 @@ def _run_chain(doc: dict, args) -> dict:
     if args.target == "bollobas":
         return bollobas_verify(setpair_from_document(doc))
     fam = badbox_from_document(doc)
-    return verify_badbox_chain(fam, args.k or fam.k)
+    return verify_badbox_chain(fam, fam.k if args.k is None else args.k)
 
 
 def _failure(target: str, results: dict) -> str:

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import tempfile
@@ -44,7 +45,7 @@ from .field import field_from_document
 from .fw import BadBoxFamily, Configuration
 from .rainbow import ColoredHypergraph, SetPairSystem
 from .setfam import SetFamily, TupleFamily
-from .tensor import Tensor, dense_size, integer_array
+from .tensor import MAX_AXES, Tensor, dense_size, integer_array
 
 __all__ = [
     "canonical_json",
@@ -69,6 +70,9 @@ __all__ = [
     "badbox_to_document",
     "badbox_from_document",
 ]
+
+# Largest n of a report binomial C(n, r): C(8192, 4096) has 2,464 digits, json.dumps at most 4,300.
+MAX_BINOMIAL_TOP = 8192
 
 
 def canonical_json(obj) -> str:
@@ -293,10 +297,11 @@ def make_report(command: str, inputs_digest: str, results: dict, seed: int | Non
     }
 
 
-def _json_int(value, what: str, minimum: int | None = None) -> int:
-    """``value`` if it is a JSON integer (never a boolean) of at least ``minimum``."""
-    if type(value) is not int or (minimum is not None and value < minimum):
-        bound = "" if minimum is None else f" >= {minimum}"
+def _json_int(value, what: str, minimum: float = -math.inf, maximum: float = math.inf) -> int:
+    """``value`` if it is a JSON integer (never a boolean) from ``minimum`` to ``maximum``."""
+    if type(value) is not int or not minimum <= value <= maximum:
+        bounds = ((">=", minimum), ("<=", maximum))
+        bound = " and".join(f" {op} {b}" for op, b in bounds if abs(b) < math.inf)
         raise ValueError(f"{what} must be an integer{bound}, got {value!r}")
     return value
 
@@ -468,7 +473,7 @@ def configuration_to_document(cfg: Configuration) -> dict:
 
 
 def configuration_from_document(doc: dict) -> Configuration:
-    k = _json_int(doc.get("k"), "configuration k")
+    k = _json_int(doc.get("k"), "configuration k", 1, MAX_AXES)  # its tensor has k axes
     p = _json_int(doc.get("p"), "configuration p")
     c_masks = tuple(
         _mask_from(x, k, f"C[{i}]")
@@ -493,6 +498,7 @@ def hypergraph_to_document(h: ColoredHypergraph) -> dict:
 
 def hypergraph_from_document(doc: dict) -> ColoredHypergraph:
     n, r, t = (_json_int(doc.get(name), f"hypergraph {name}", 1) for name in ("N", "r", "t"))
+    _json_int(r * t, "hypergraph r*t", maximum=MAX_BINOMIAL_TOP)
     colors = []
     for ci, cls in enumerate(_json_list(doc.get("colors", []), "hypergraph colors")):
         if not isinstance(cls, list):
@@ -515,6 +521,7 @@ def setpair_from_document(doc: dict) -> SetPairSystem:
     if not isinstance(sizes, list) or not sizes:
         raise ValueError("set-pair document needs slot sizes")
     sizes = tuple(_json_int(x, "set-pair slot size", 1) for x in sizes)
+    _json_int(sum(sizes), "set-pair sum of slot sizes", maximum=MAX_BINOMIAL_TOP)
     members = []
     for i, tup in enumerate(_json_list(doc.get("members", []), "set-pair members")):
         if not isinstance(tup, list) or len(tup) != len(sizes):

@@ -268,9 +268,9 @@ def fw_size_bound(cfg: Configuration, n: int) -> int:
     return (cfg.k - 1) * sum(math.comb(n, s) for s in range(min(cap, n) + 1))
 
 
-def complete_graph_config(k: int, p: int = 2, L: Sequence[int] = (0,)) -> Configuration:
+def complete_graph_config(k: int) -> Configuration:
     pairs = tuple((1 << i) | (1 << j) for i, j in combinations(range(k), 2))
-    return Configuration(k=k, p=p, C=pairs, L=tuple(L))
+    return Configuration(k=k, p=2, C=pairs, L=(0,))
 
 
 def odd_subsets(t: int) -> list[int]:
@@ -365,19 +365,23 @@ def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
     The clique search runs on the factors; independently, the flat family must
     satisfy the complete-graph configuration of order k mod 2 (by positions).
     The m * t^s cells of the flat masks are refused over the dense cap before
-    any is built; an empty family builds nothing and verifies.  A failing
+    any is built; fewer than k members build no configuration.  A failing
     report's ``witness`` is the k member positions the clique search found.
     Members are products of odd-sized factors (``badbox_from_document``
     refuses others), so every member has odd size, and the two checks fail
     together: a failure always has a witness.  Only a family built in code
     with an even-sized factor can fail with ``witness`` None.
     """
-    cfg = complete_graph_config(k)
+    if k < 1:
+        raise ValueError(f"bad-box clique order k must be >= 1, got {k}")
     m = len(fam.members_factors)
     if m:
         dense_size(chain((m,), repeat(fam.t, fam.s)), f"{m} bad-box members over [{fam.t}]^{fam.s}")
+    if m < k:  # no k members to assign: only a size can fail, odd if every factor is
+        satisfying = all(f.bit_count() % 2 for factors in fam.members_factors for f in factors)
+    else:  # first, so that an m^k grid over the cap is refused before the clique search
+        satisfying = is_config_satisfying(fam.flat_family(), complete_graph_config(k), "positions")
     free = verify_badbox_free(fam.members_factors, k)
-    satisfying = m == 0 or is_config_satisfying(fam.flat_family(), cfg, distinct="positions")
     report = {
         "t": fam.t,
         "s": fam.s,

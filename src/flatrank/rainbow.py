@@ -332,7 +332,7 @@ def bollobas_bound(sizes: Sequence[int]) -> int:
     return (len(sizes) - 1) * max(math.comb(n, r) for r in sizes)
 
 
-def bollobas_verify(system: SetPairSystem, field: FieldDescriptor | None = None) -> dict:
+def bollobas_verify(system: SetPairSystem) -> dict:
     """Check the skew set-pair hypothesis and, when it holds, the size bound.
 
     Hypothesis: each member's t sets are pairwise disjoint, and no t distinct
@@ -364,8 +364,7 @@ def bollobas_verify(system: SetPairSystem, field: FieldDescriptor | None = None)
         cell = [int(i) for i in np.unravel_index(cross[0], disjoint.shape)]
         report.update(hypothesis_ok=False, violating_assignment=cell, verified=False)
         return report
-    if field is None:
-        field = default_field_for(system.base_size)
+    field = default_field_for(system.base_size)
     entries = _wedge_grid(limbs, system.sizes, disjoint, system.base_size, field)
     tensor = Tensor.from_array(entries, field)
     mfrank = max_flattening_rank(tensor)

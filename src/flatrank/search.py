@@ -41,8 +41,9 @@ frees, so a block that allocates its buffers faults about 250 pages in
 again, at about 1.8 us each on a 2-vCPU Xeon.  What remains is each call's
 first touch of its workspace.  No buffer outlives the call, and none of a
 GF(2) block's is larger than its 512 KB of rows, as before, so glibc's mmap
-threshold does not move.  A block whose workspace would pass
-:data:`MAX_WORKSPACE_BYTES` is refused before anything of it is allocated.
+threshold does not move.  A sweep whose workspace, with the index arrays its
+shape keeps for the process, would pass :data:`MAX_WORKSPACE_BYTES` is
+refused before any of them is built.
 
 Randomized sweeps and instance generators run off the documented splitmix64
 streams in :mod:`flatrank.rng`, so every report is reproducible from its seed.
@@ -64,7 +65,6 @@ from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import repeat
 
 import numpy as np
 
@@ -81,7 +81,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import Tensor, dense_size, flattening_ranks, index_class_arrays
+from .tensor import Tensor, check_cube, flattening_ranks, index_class_arrays
 
 __all__ = [
     "Rng",
@@ -103,10 +103,11 @@ PACKED_BLOCK_BYTES = 1 << 19
 # Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
 # wider rows go bit-sliced (see the module docstring for the measurements).
 TABLE_MAX_COLUMNS = 32
-# Bytes of one block's workspace; more is refused before it is allocated.  The
-# stream words and mixing scratch of a larger field's block of BLOCK_ENTRIES
-# entries fill it at most, and default GF(2) blocks take under 2 MB; a d = 2
-# bit-sliced block needs 32 a^2 bytes even for one tensor.
+# Bytes of one block's workspace, with a bit-sliced sweep's cached index arrays;
+# more is refused before any of it is allocated.  The stream words and mixing
+# scratch of a larger field's block of BLOCK_ENTRIES entries fill it at most,
+# and default GF(2) blocks take under 2 MB; a d = 2 bit-sliced sweep needs
+# 56 a^2 bytes even for one tensor, so it stops at a = 545.
 MAX_WORKSPACE_BYTES = 16 * BLOCK_ENTRIES
 
 
@@ -198,13 +199,17 @@ class _Workspace:
         return self._buffers[name][: math.prod(shape)].reshape(shape)
 
 
-def _check_workspace(sizes: dict[str, tuple[int, type]], what: str) -> None:
-    """Refuse a block whose workspace passes :data:`MAX_WORKSPACE_BYTES`, before it is allocated."""
+def _check_workspace(sizes: dict[str, tuple[int, type]], a: int, d: int, sliced: bool, what: str) -> None:
+    """Refuse a sweep on A^d whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
+
+    Counted are the workspace of ``sizes`` and, if ``sliced``, the (d+1) a^d intp
+    indices the shape keeps, in :func:`index_class_arrays` and :func:`_plane_index`.
+    """
     nbytes = sum(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
+    if sliced:
+        nbytes += (1 + d) * a**d * np.dtype(np.intp).itemsize
     if nbytes > MAX_WORKSPACE_BYTES:
-        raise ValueError(
-            f"{what} needs a {nbytes}-byte workspace, over the {MAX_WORKSPACE_BYTES}-byte block cap"
-        )
+        raise ValueError(f"{what} needs {nbytes} bytes, over the {MAX_WORKSPACE_BYTES}-byte block cap")
 
 
 def _stream_sizes(n: int, nwords: int) -> dict[str, tuple[int, type]]:
@@ -365,13 +370,13 @@ def _plane_index(a: int, d: int) -> np.ndarray:
     (the unit diagonal), and mixed entry t is plane t + 2.
     """
     diag, _, mixed = index_class_arrays(a, d)
-    plane = np.zeros(a**d, dtype=np.intp)
+    index = np.zeros((d, a, a ** (d - 1)), dtype=np.intp)  # filled in place: no more than counted
+    plane = index[0].reshape(-1)  # axis 0's flattening is the flat order
     plane[diag] = 1
     plane[mixed] = np.arange(2, mixed.size + 2)
-    grid = plane.reshape((a,) * d)
-    index = np.stack([np.moveaxis(grid, ax, 0).reshape(a, -1) for ax in range(d)])
-    index.flags.writeable = False
-    return index
+    for ax in range(1, d):
+        np.copyto(index[ax].reshape((a,) * d), np.moveaxis(plane.reshape((a,) * d), ax, 0))
+    return index  # never written, but writeable: np.take copies a read-only index per call
 
 
 def _bit_planes(words: np.ndarray, ws: _Workspace) -> np.ndarray:
@@ -460,13 +465,6 @@ def _sliced_ranks(
     return _rank_summary(rank, ws)
 
 
-def _check_shape(a: int, d: int) -> None:
-    """Refuse A^d before anything of size a^d is allocated."""
-    if a < 1 or d < 2:
-        raise ValueError("need a >= 1 and d >= 2")
-    dense_size(repeat(a, d), f"tensor on {a}^{d}")
-
-
 def _mixed_count(a: int, d: int) -> int:
     """Entries of an A^d tensor that are neither constant nor pairwise distinct, ``d >= 2``."""
     return a**d - a - math.perm(a, d)
@@ -518,33 +516,29 @@ def _scan_blocks(
     )
 
 
-def exhaustive_min_mfrank(
-    a: int, d: int, threads: int = 1, chunk_bits: int | None = None
-) -> SearchReport:
+def exhaustive_min_mfrank(a: int, d: int, threads: int = 1) -> SearchReport:
     """Sweep every GF(2) semi-diagonal tensor on A^d with unit diagonal.
 
     Mixed entries range over {0,1}; all-distinct entries are 0 and diagonal
     entries 1 (over GF(2) a nonzero diagonal entry is 1, so this loses no
     generality).  Assignment v sets mixed entry t to bit t of v.  Refuses
     populations with more than 2^22 members, tensors over the dense cap and
-    chunks whose workspace passes :data:`MAX_WORKSPACE_BYTES`.  The
-    population is ranked in chunks of a power of two assignments, as many as
-    fit :data:`PACKED_BLOCK_BYTES` of packed rows and at least 256 (or the
-    whole population, if smaller); ``chunk_bits`` caps a chunk at
-    ``2 ** chunk_bits`` assignments.  Rows over :data:`TABLE_MAX_COLUMNS`
-    columns occur only at d = 2, where the identity alone is bit-sliced.
+    chunks whose memory passes :data:`MAX_WORKSPACE_BYTES`.  The population
+    is ranked in chunks of a power of two assignments, as many as fit
+    :data:`PACKED_BLOCK_BYTES` of packed rows and at least 256 (or the whole
+    population, if smaller).  Rows over :data:`TABLE_MAX_COLUMNS` columns
+    occur only at d = 2, where the identity alone is bit-sliced.
     """
-    _check_shape(a, d)
+    check_cube(a, d, "tensor")
     f = _mixed_count(a, d)
     if f > MAX_FREE_ENTRIES:
         raise ValueError(
             f"population too large: {f} free entries at (a={a}, d={d}) exceeds cap {MAX_FREE_ENTRIES}"
         )
     total = 1 << f
-    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
+    sliced = a ** (d - 1) > TABLE_MAX_COLUMNS
+    if not sliced:
         cap = PACKED_BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize)
-        if chunk_bits is not None:
-            cap = min(cap, 1 << chunk_bits)
         chunk = min(total, 1 << max(8, cap.bit_length() - 1))
         sizes = _exhaustive_sizes(a, d, chunk)
         tables = _row_tables(a, d)
@@ -554,7 +548,7 @@ def exhaustive_min_mfrank(
         sizes = _sliced_sizes(a, d, chunk, 1)
         words = lambda start, stop: np.arange(start, stop, dtype=np.uint64)[:, None]
         ranks = lambda start, stop, ws: _sliced_ranks(a, d, words(start, stop), ws)
-    _check_workspace(sizes, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
+    _check_workspace(sizes, a, d, sliced, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
     (best_mf, at_mf), (best_sum, at_sum), _, _ = _scan_blocks(
         total, chunk, threads, sizes, ranks, -(-a // (d - 1))
     )
@@ -646,7 +640,6 @@ def random_semidiagonal_sweep(
     seed: int,
     field: FieldDescriptor = GF2,
     threads: int = 1,
-    block: int | None = None,
 ) -> SearchReport:
     """Rank statistics over ``count`` random semi-diagonal tensors.
 
@@ -657,39 +650,34 @@ def random_semidiagonal_sweep(
     :func:`_packed_population_ranks`, wider ones through the bit-sliced
     :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
     least one).  Larger fields make one batched :func:`matrix_rank` call for
-    all axes in blocks of :data:`BLOCK_ENTRIES` entries.  ``block`` caps a
-    block's tensor count.  Shapes over the dense cap, and blocks whose
-    workspace passes :data:`MAX_WORKSPACE_BYTES`, are refused before anything
-    of their size is allocated.
+    all axes in blocks of :data:`BLOCK_ENTRIES` entries.  Shapes over the
+    dense cap, and sweeps whose memory passes :data:`MAX_WORKSPACE_BYTES`,
+    are refused before anything of their size is allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
-    _check_shape(a, d)
+    check_cube(a, d, "tensor")
     if count < 1:
         raise ValueError("need count >= 1")
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
-
-    def tensors(cap: int) -> int:
-        """Tensors in one block: ``cap``, lowered to ``block`` and to ``count``."""
-        return min(count, max(1, cap if block is None else min(block, cap)))
-
+    sliced = field.order == 2 and a ** (d - 1) > TABLE_MAX_COLUMNS
     if field.order != 2:
-        n = tensors(BLOCK_ENTRIES // a**d)
+        n = min(count, max(1, BLOCK_ENTRIES // a**d))
         sizes = {}
         kernel = lambda words, ws: _block_ranks(
             _semidiagonal_block(a, d, field, words), a, d, field
         )
-    elif a ** (d - 1) <= TABLE_MAX_COLUMNS:
-        n = tensors(PACKED_BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize))
+    elif not sliced:
+        n = min(count, PACKED_BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize))
         sizes = _table_sizes(a, d, n)
         tables = _row_tables(a, d)
         kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
     else:  # whole words of 64 lanes, d * a^d / 8 bytes of gathered rows per tensor
-        n = tensors(max(64, 8 * PACKED_BLOCK_BYTES // (d * a**d) // 64 * 64))
+        n = min(count, max(64, 8 * PACKED_BLOCK_BYTES // (d * a**d) // 64 * 64))
         sizes = _sliced_sizes(a, d, n, nwords)
         kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
     sizes |= _stream_sizes(n, nwords)
-    _check_workspace(sizes, f"{a}^{d} sweep block of n={n} tensors")
+    _check_workspace(sizes, a, d, sliced, f"{a}^{d} sweep block of n={n} tensors")
     ranks = lambda start, stop, ws: kernel(_stream_block(seed, start, stop, nwords, ws), ws)
     (min_mf, _), (min_sum, _), violations, first_violation = _scan_blocks(
         count, n, threads, sizes, ranks, lower

@@ -244,10 +244,11 @@ def _all_equal(coords: list[np.ndarray], a: int, d: int) -> np.ndarray:
     return grid
 
 
-def _check_construction(a: int, d: int) -> None:
+def check_cube(a: int, d: int, what: str) -> None:
+    """Refuse the ``what`` on A^d, before any of it is allocated, unless a >= 1, d >= 2, a^d fits."""
     if a < 1 or d < 2:
         raise ValueError("need a >= 1 and d >= 2")
-    dense_size(repeat(a, d), f"construction on {a}^{d}")
+    dense_size(repeat(a, d), f"{what} on {a}^{d}")
 
 
 def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:
@@ -257,7 +258,7 @@ def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:
     be shorter), giving ceil(a/(d-1)) parts; every flattening rank equals the
     number of parts, which is the minimum any semi-diagonal tensor can attain.
     """
-    _check_construction(a, d)
+    check_cube(a, d, "construction")
     blocks = [_coordinate(a, d, j) // (d - 1) for j in range(d)]
     return Tensor.from_array(_all_equal(blocks, a, d).astype(np.int64), field)
 
@@ -269,7 +270,7 @@ def axis_constant_construction(a: int, d: int, axis: int, field: FieldDescriptor
     a == 1) it is semi-diagonal; for d == 2 and a >= 2 it degenerates to the
     all-ones matrix, which is not.
     """
-    _check_construction(a, d)
+    check_cube(a, d, "construction")
     if not 0 <= axis < d:
         raise IndexError(f"axis {axis} out of range")
     rest = [_coordinate(a, d, j) for j in range(d) if j != axis]

@@ -176,7 +176,7 @@ def test_criterion_6_badbox_sampler(t, s):
     k = badbox_clique_order(t)
     assert fam.k == k
     assert verify_badbox_free(fam.members_factors, k)
-    cfg = complete_graph_config(k, p=2, L=(0,))
+    cfg = complete_graph_config(k)
     assert is_config_satisfying(fam.flat_family(), cfg, distinct="positions")
     report(
         6,

@@ -1,8 +1,12 @@
 """Exit-code contract, golden reports, and round-trips through the CLI."""
 
+import contextlib
 import itertools
 import json
+import math
 import os
+import random
+import signal
 import subprocess
 import sys
 import time
@@ -29,6 +33,26 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 def run(args):
     return main([str(a) for a in args])
+
+
+class Overran(Exception):
+    """A command ran past its deadline."""
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise :class:`Overran` in the block once ``seconds`` pass, so a hang fails the test."""
+
+    def overran(signum, frame):
+        raise Overran(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, overran)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def run_process(args):
@@ -262,6 +286,36 @@ def test_sweep_workspace_cap_before_allocation(capsys, kind, extra):
     err = capsys.readouterr().err
     assert "1000^2" in err and "over the 16777216-byte block cap" in err
     assert peak < 3 << 20
+
+
+@pytest.mark.parametrize(
+    "kind,extra",
+    [("random-semidiagonal", ["--count", 1, "--seed", 1]), ("exhaustive", [])],
+    ids=["random-semidiagonal", "exhaustive"],
+)
+def test_sweep_cap_counts_the_cached_indices(capsys, kind, extra):
+    # a d = 2 sweep keeps 3 a^2 intp indices for the process, on top of its 32 a^2
+    # bytes of rows and scratch: a = 545 is the largest the cap admits
+    from flatrank.search import MAX_WORKSPACE_BYTES, _plane_index
+    from flatrank.tensor import index_class_arrays
+
+    peaks = {}
+    try:
+        for a in (545, 546):
+            _plane_index.cache_clear()
+            index_class_arrays.cache_clear()
+            tracemalloc.start()
+            try:
+                code = run(["experiment", kind, "--a", a, "--d", 2, *extra])
+                peaks[a] = code, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    finally:
+        _plane_index.cache_clear()
+        index_class_arrays.cache_clear()
+    assert peaks[545][0] == 0 and peaks[545][1] < MAX_WORKSPACE_BYTES + (1 << 20)
+    assert peaks[546][0] == 2 and peaks[546][1] < 3 << 20
+    assert "546^2" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", [["experiment", "exhaustive"], ["construct", "partition"]], ids=" ".join)
@@ -839,3 +893,156 @@ def test_threads_env_respected(tmp_path, monkeypatch):
     assert out1.read_bytes() == out4.read_bytes()
     monkeypatch.setenv("FLATRANK_THREADS", "junk")
     assert run(["experiment", "exhaustive", "--a", "2", "--d", "2"]) == 2
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_verify_badbox_k_flag_below_one_exit_two(capsys, k):
+    # --k 0 once fell back to the document's k and verified
+    assert run(["verify", "badbox", FIXTURES / "badbox_family.json", "--k", k]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"k must be >= 1, got {k}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # the size and k of `experiment badbox-sample --t 25 --s 1`: 64 members, k = 2^26 // 24
+        {"t": 25, "s": 1, "k": 2_796_202, "members_factors": [[7]] * 64},
+        {**BADBOX, "k": 1 << 70},
+    ],
+    ids=["sampled-k", "k-2^70"],
+)
+def test_verify_badbox_fewer_members_than_k(tmp_path, capsys, doc):
+    # fewer than k members hold no k-clique and no k distinct members: verified, with
+    # no configuration of C(k, 2) pairs built first
+    path = tmp_path / "badbox.json"
+    path.write_text(json.dumps(doc))
+    with deadline(10):
+        assert run(["verify", "badbox", path]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["k"] == doc["k"] and results["verified"]
+
+
+@pytest.mark.parametrize(
+    "target,doc,config",
+    [
+        ("fw", FW_FAMILY, {**FW_CONFIG, "k": 1 << 40}),
+        ("fw", FW_FAMILY, {**FW_CONFIG, "k": 65}),
+        ("rainbow", {"N": 6, "colors": [], "r": 1 << 35, "t": 1 << 35}, None),
+        ("rainbow", {"N": 6, "colors": [], "r": 4097, "t": 2}, None),
+        ("bollobas", {"base": 2, "members": [], "sizes": [1 << 69] * 2}, None),
+        ("bollobas", {"base": 2, "members": [], "sizes": [4096, 4097]}, None),
+    ],
+    ids=["fw-k-2^40", "fw-k-65", "rainbow-rt-2^70", "rainbow-rt-8194", "bollobas-2^70", "bollobas-8193"],
+)
+def test_verify_header_integers_refused_at_parse(tmp_path, capsys, target, doc, config):
+    # each once hung or escaped with a traceback: k slots looped over, a binomial of
+    # 2^70, or one too long for canonical_json to write
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    args = ["verify", target, path]
+    if config is not None:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        args += ["--config", cfg]
+    with deadline(10):
+        assert run(args) == 2
+    captured = capsys.readouterr()
+    message = {
+        "fw": "configuration k must be an integer >= 1 and <= 64",
+        "rainbow": "hypergraph r*t must be an integer <= 8192",
+        "bollobas": "set-pair sum of slot sizes must be an integer <= 8192",
+    }[target]
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "target,doc",
+    [
+        ("rainbow", {"N": 6, "colors": [], "r": 4096, "t": 2}),
+        ("bollobas", {"base": 2, "members": [], "sizes": [4096, 4096]}),
+    ],
+    ids=["rainbow", "bollobas"],
+)
+def test_verify_binomials_at_the_parse_bound(tmp_path, capsys, target, doc):
+    # C(8192, 4096) has 2,464 digits: the largest binomial a report may carry
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", target, path]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert math.comb(8192, 4096) in results.values()
+
+
+# the command each input fixture is fuzzed under, None standing for the mutated file;
+# fw_config.json is fuzzed as the --config of a fixed family, and corrupt.json, which
+# is no JSON, has no value to swap
+FUZZ_COMMANDS = {
+    "badbox_family.json": ["verify", "badbox", None],
+    "bollobas_bad.json": ["verify", "bollobas", None],
+    "bollobas_classic.json": ["verify", "bollobas", None],
+    "fw_bad_family.json": ["verify", "fw", None, "--config", FIXTURES / "fw_config.json"],
+    "fw_config.json": ["verify", "fw", FIXTURES / "fw_singletons.json", "--config", None],
+    "fw_singletons.json": ["verify", "fw", None, "--config", FIXTURES / "fw_config.json"],
+    "k4_hypergraph.json": ["verify", "rainbow", None],
+    "oddtown_bad.json": ["verify", "oddtown", None],
+    "oddtown_singletons.json": ["verify", "oddtown", None],
+    "partition_4_3.json": ["rank", None, "--max"],
+    "rainbowful.json": ["verify", "rainbow", None],
+    "zero_2x2.json": ["rank", None, "--sum"],
+}
+FUZZ_VALUES = (None, True, False, 1.5, "x", [], {}, -1, 1 << 40, 1 << 70)
+
+
+def test_fuzz_covers_every_fixture():
+    assert sorted([*FUZZ_COMMANDS, "corrupt.json"]) == sorted(p.name for p in FIXTURES.glob("*.json"))
+
+
+def _value_slots(node, path=()):
+    """The path of every value under ``node``: each object member and array element."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _value_slots(value, path + (key,))
+
+
+@pytest.mark.parametrize("fixture", sorted(FUZZ_COMMANDS))
+def test_fuzzed_fixtures_keep_the_exit_code_contract(tmp_path, capsys, fixture):
+    # 400 seeded mutations, each one value swapped: the command exits 0, 1 or 2 with
+    # no exception out of main and no hang, and exits 1 only with a report
+    rng = random.Random(2)
+    original = json.loads((FIXTURES / fixture).read_text())
+    slots = list(_value_slots(original))
+    path = tmp_path / fixture
+    args = [path if a is None else a for a in FUZZ_COMMANDS[fixture]]
+    broken = []
+    for _ in range(400):
+        doc = json.loads(json.dumps(original))
+        *parents, last = rng.choice(slots)
+        value = rng.choice(FUZZ_VALUES)
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        path.write_text(json.dumps(doc))
+        try:
+            with deadline(10):
+                code = run(args)
+        except Exception as exc:  # any exception out of main breaks the contract
+            code = exc
+        out = capsys.readouterr().out
+        if code not in (0, 1, 2) or (code == 1 and "results" not in json.loads(out or "{}")):
+            broken.append(f"{(*parents, last)} = {value!r}: {code!r}")
+    assert broken == []
+
+
+def test_verify_badbox_grid_cap_before_the_clique_search(tmp_path, capsys, monkeypatch):
+    # 30 members at k = 8: the configuration grid would hold 30^8 cells, refused
+    # before the clique search, whose cost has no cap, runs
+    import flatrank.fw as fw
+
+    searches = []
+    monkeypatch.setattr(fw, "find_odd_clique", lambda *args: searches.append(args))
+    doc = tmp_path / "badbox.json"
+    doc.write_text(json.dumps({"t": 3, "s": 1, "k": 8, "members_factors": [[7]] * 30}))
+    assert run(["verify", "badbox", doc]) == 2
+    assert "30^8" in capsys.readouterr().err and searches == []

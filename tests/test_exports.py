@@ -1,6 +1,7 @@
 """Every exported name resolves, and removed API stays removed."""
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -47,3 +48,20 @@ def test_removed_methods_stay_removed():
     gone = [(FieldDescriptor, "element"), (FieldDescriptor, "neg"), (Rng, "derive")]
     gone += [(Tensor, name) for name in ("get", "flat_index", "from_function", "zeros", "is_zero")]
     assert [f"{cls.__name__}.{name}" for cls, name in gone if hasattr(cls, name)] == []
+
+
+# parameters that no caller set, deleted: each function takes exactly these, and the
+# README's "Removed API" names what to use instead
+PARAMETERS = {
+    "flatrank.search.exhaustive_min_mfrank": ["a", "d", "threads"],
+    "flatrank.search.random_semidiagonal_sweep": ["a", "d", "count", "seed", "field", "threads"],
+    "flatrank.rainbow.bollobas_verify": ["system"],
+    "flatrank.fw.complete_graph_config": ["k"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARAMETERS))
+def test_removed_parameters_stay_removed(name):
+    module, function = name.rsplit(".", 1)
+    signature = inspect.signature(getattr(importlib.import_module(module), function))
+    assert list(signature.parameters) == PARAMETERS[name]

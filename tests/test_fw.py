@@ -193,7 +193,7 @@ def test_fw_bound_formulas():
 
 def test_flattening_bound_holds_dynamically():
     rng = Rng(77)
-    cfg = complete_graph_config(3, p=2, L=(0,))
+    cfg = complete_graph_config(3)
     fam = grow_config_satisfying_family(cfg, 5, rng, candidate_budget=80)
     assert is_config_satisfying(fam, cfg)
     if fam.members:

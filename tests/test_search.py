@@ -166,11 +166,28 @@ def test_exhaustive_witnesses_reverify():
             assert sum(franks) == rep.min_sum_franks
 
 
-def test_exhaustive_threads_agree():
-    serial = exhaustive_min_mfrank(2, 4, threads=1, chunk_bits=10)
-    threaded = exhaustive_min_mfrank(2, 4, threads=4, chunk_bits=10)
-    assert serial.to_document() == threaded.to_document()
+def _budget_blocks(monkeypatch, field, a, d, n):
+    """Shrink the block budget that sizes sweeps on A^d over ``field`` to n tensors a block.
 
+    The budget is ``BLOCK_ENTRIES`` for larger fields and ``PACKED_BLOCK_BYTES``
+    over GF(2).  Bit-sliced blocks are whole words of 64 tensors, so there n
+    is a multiple of 64; exhaustive chunks are powers of two of at least 256.
+    """
+    import flatrank.search as search
+
+    if field.order != 2:
+        monkeypatch.setattr(search, "BLOCK_ENTRIES", n * a**d)
+    elif a ** (d - 1) <= TABLE_MAX_COLUMNS:  # a*d packed rows per tensor
+        monkeypatch.setattr(search, "PACKED_BLOCK_BYTES", n * _row_tables(a, d)[0][0].nbytes)
+    else:  # d*a^d gathered bits per tensor
+        monkeypatch.setattr(search, "PACKED_BLOCK_BYTES", n * d * a**d // 8)
+
+
+def test_exhaustive_threads_agree(monkeypatch):
+    _budget_blocks(monkeypatch, GF2, 2, 4, 1024)  # 16 chunks
+    serial = exhaustive_min_mfrank(2, 4, threads=1)
+    threaded = exhaustive_min_mfrank(2, 4, threads=4)
+    assert serial.to_document() == threaded.to_document()
 
 
 # every exhaustive shape with at most 2^18 members: the identity alone (a^d
@@ -201,12 +218,15 @@ def test_exhaustive_chunks_match_matrix_rank(a, d):
 
 
 @pytest.mark.parametrize("a,d", [(2, 3), (2, 4), (3, 3)], ids=str)
-def test_exhaustive_reports_ignore_chunk_cap_and_threads(a, d):
+def test_exhaustive_reports_ignore_chunk_cap_and_threads(monkeypatch, a, d):
     want = canonical_json(exhaustive_min_mfrank(a, d).to_document())
-    for chunk_bits in (4, 8, 10, None):  # caps below 256 assignments are raised to 256
+    for chunk in (1, 256, 1024, None):  # budgets under 256 assignments are raised to 256
         for threads in (1, 2, 3):
-            got = exhaustive_min_mfrank(a, d, threads=threads, chunk_bits=chunk_bits)
-            assert canonical_json(got.to_document()) == want, (chunk_bits, threads)
+            with monkeypatch.context() as mp:
+                if chunk:
+                    _budget_blocks(mp, GF2, a, d, chunk)
+                got = exhaustive_min_mfrank(a, d, threads=threads)
+            assert canonical_json(got.to_document()) == want, (chunk, threads)
 
 def test_random_semidiagonal_always_semidiagonal():
     for field in (GF2, make_prime_field(3)):
@@ -323,16 +343,17 @@ def test_packed_ranks_match_matrix_rank(a, d):
     [(2, 6), (5, 3), (6, 3), (4, 4), (2, 7), (8, 3), (9, 3), (3, 5), (5, 4), (33, 2), (65, 2)],
     ids=str,
 )
-def test_population_kernels_match_matrix_rank(a, d):
+def test_population_kernels_match_matrix_rank(monkeypatch, a, d):
     hard = _hard_words(a, d, 70)
     for n in (1, 63, 64, 65):  # one lane, a short word, a whole word, a word and one lane
         _assert_packed_matches_matrix_rank(a, d, hard[:n])
         _assert_packed_matches_matrix_rank(a, d, hard[-n:])  # ends on the extremal tensors
         _assert_packed_matches_matrix_rank(a, d, np.zeros_like(hard[:n]))
-    # a block cap that is no multiple of 64: every block leaves lanes of its last word empty
+    # blocks of 64 over 150 tensors: the last, of 22, leaves lanes of its word empty
     words = _stream_block(23, 0, 150, _semidiagonal_words(a, d, GF2))
     mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
-    rep = random_semidiagonal_sweep(a, d, 150, seed=23, block=100)
+    _budget_blocks(monkeypatch, GF2, a, d, 64)
+    rep = random_semidiagonal_sweep(a, d, 150, seed=23)
     assert (rep.min_mfrank, rep.min_sum_franks) == (mfrank.min(), sumrank.min())
     assert rep.violations == int((mfrank < math.ceil(a / (d - 1))).sum())
 
@@ -343,20 +364,23 @@ def test_packed_ranks_match_matrix_rank_whole_population(a, d):
     _assert_packed_matches_matrix_rank(a, d, np.arange(1 << free, dtype=np.uint64)[:, None])
 
 
-def test_sweep_matches_scalar_path():
+def test_sweep_matches_scalar_path(monkeypatch):
     # packed GF(2) shapes, in one block and in several, then batched-rank
     # shapes: larger fields with several blocks and with one
     for field, a, d, block in [
-        (GF2, 4, 3, 1 << 15),
-        (GF2, 5, 3, 1 << 15),
-        (GF2, 4, 4, 1 << 15),
-        (GF2, 7, 3, 1 << 15),
+        (GF2, 4, 3, None),
+        (GF2, 5, 3, None),
+        (GF2, 4, 4, None),
+        (GF2, 7, 3, None),
         (GF2, 5, 3, 7),
-        (GF2, 8, 3, 1 << 15),
+        (GF2, 8, 3, None),
         (make_prime_field(3), 3, 3, 7),
-        (make_binary_field(2), 4, 3, 1 << 15),
+        (make_binary_field(2), 4, 3, None),
     ]:
-        sweep = random_semidiagonal_sweep(a, d, 64, seed=2024, field=field, block=block)
+        with monkeypatch.context() as mp:
+            if block:
+                _budget_blocks(mp, field, a, d, block)
+            sweep = random_semidiagonal_sweep(a, d, 64, seed=2024, field=field)
         scalar_mf = []
         scalar_sum = []
         for j in range(64):
@@ -382,20 +406,30 @@ def test_sweep_builds_row_tables_once(monkeypatch):
     monkeypatch.setattr(search, "_row_tables", counting)
     for threads in (1, 2):
         calls.clear()
-        random_semidiagonal_sweep(5, 3, 64, seed=5, threads=threads, block=16)  # 4 blocks
+        with monkeypatch.context() as mp:
+            _budget_blocks(mp, GF2, 5, 3, 16)
+            random_semidiagonal_sweep(5, 3, 64, seed=5, threads=threads)  # 4 blocks
         assert calls == [(5, 3)]
         calls.clear()
-        random_semidiagonal_sweep(4, 4, 64, seed=5, threads=threads, block=16)  # bit-sliced
+        random_semidiagonal_sweep(4, 4, 64, seed=5, threads=threads)  # bit-sliced
         assert calls == []
 
 
-# a byte-table shape, then bit-sliced shapes with rows of 36, 64 and 81 columns
-@pytest.mark.parametrize("a,d", [(5, 3), (6, 3), (4, 4), (8, 3), (9, 3)], ids=str)
-def test_sweep_reports_ignore_block_cap(a, d):
+# a byte-table shape, then bit-sliced shapes with rows of 36, 64 and 81 columns,
+# whose blocks are whole words of 64 tensors
+@pytest.mark.parametrize(
+    "a,d,blocks",
+    [(5, 3, (1, 7, 65)), (6, 3, (64, 128)), (4, 4, (64, 128)), (8, 3, (64, 128)), (9, 3, (64, 128))],
+    ids=str,
+)
+def test_sweep_reports_ignore_block_cap(monkeypatch, a, d, blocks):
     want = canonical_json(random_semidiagonal_sweep(a, d, 600, seed=17).to_document())
-    for block in (1, 7, 65, None):
+    for block in (*blocks, None):
         for threads in (1, 2, 3):
-            got = random_semidiagonal_sweep(a, d, 600, seed=17, threads=threads, block=block)
+            with monkeypatch.context() as mp:
+                if block:
+                    _budget_blocks(mp, GF2, a, d, block)
+                got = random_semidiagonal_sweep(a, d, 600, seed=17, threads=threads)
             assert canonical_json(got.to_document()) == want, (block, threads)
 
 
@@ -412,14 +446,16 @@ def test_sweep_builds_one_workspace_per_worker(monkeypatch):
     monkeypatch.setattr(search, "_Workspace", Counting)
     gf3 = make_prime_field(3)
     for threads in (1, 2, 3):
-        for sweep in (
-            lambda: random_semidiagonal_sweep(5, 3, 200, seed=5, threads=threads, block=16),
-            lambda: random_semidiagonal_sweep(6, 3, 200, seed=5, threads=threads, block=16),
-            lambda: random_semidiagonal_sweep(3, 3, 60, 5, field=gf3, threads=threads, block=4),
-            lambda: exhaustive_min_mfrank(2, 4, threads=threads, chunk_bits=8),  # 64 chunks
+        for field, a, d, n, sweep in (
+            (GF2, 5, 3, 16, lambda: random_semidiagonal_sweep(5, 3, 200, seed=5, threads=threads)),
+            (GF2, 6, 3, 64, lambda: random_semidiagonal_sweep(6, 3, 200, seed=5, threads=threads)),
+            (gf3, 3, 3, 4, lambda: random_semidiagonal_sweep(3, 3, 60, 5, field=gf3, threads=threads)),
+            (GF2, 2, 4, 256, lambda: exhaustive_min_mfrank(2, 4, threads=threads)),  # 64 chunks
         ):
             built.clear()
-            sweep()
+            with monkeypatch.context() as mp:
+                _budget_blocks(mp, field, a, d, n)
+                sweep()
             assert len(built) == threads
 
 def test_sweep_gf3_example():
@@ -465,7 +501,8 @@ def test_block_ranks_one_rank_call_per_block(monkeypatch):
     rank = search_mod.matrix_rank
     monkeypatch.setattr(search_mod, "matrix_rank", lambda m, f: calls.append(m.shape) or rank(m, f))
     gf3 = make_prime_field(3)
-    rep = random_semidiagonal_sweep(3, 3, 10, 5, field=gf3, block=4)
+    _budget_blocks(monkeypatch, gf3, 3, 3, 4)
+    rep = random_semidiagonal_sweep(3, 3, 10, 5, field=gf3)
     assert calls == [(3 * 4, 3, 9), (3 * 4, 3, 9), (3 * 2, 3, 9)]  # all 3 axes of a block at once
     calls.clear()
     words = _stream_block(5, 0, 10, _semidiagonal_words(3, 3, gf3))
