@@ -107,7 +107,8 @@ def load_document(path: str) -> tuple[dict, str]:
     A top-level ``"entries"`` array of integers is an int64 array, and a
     top-level ``"sparse"`` array of same-arity ``[[i0, ..., i_{k-1}], v]``
     pairs of one-digit integers an (n, k + 1) int64 array of rows
-    ``[i0, ..., i_{k-1}, v]``; every other value is what ``json.loads`` gives.
+    ``[i0, ..., i_{k-1}, v]``; both arrays are read-only.  Every other value
+    is what ``json.loads`` gives.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -154,6 +155,8 @@ def _object_with_arrays(text: str) -> dict | None:
         idx = _skip(text, idx + 1)
         reader = _ARRAY_READERS.get(key)
         doc[key], idx = (reader and reader(text, idx)) or _DECODER.raw_decode(text, idx)
+        if isinstance(doc[key], np.ndarray):  # fresh: a Tensor keeps it without a copy
+            doc[key].flags.writeable = False
         idx = _skip(text, idx)
         sep = text[idx : idx + 1]
         idx = _skip(text, idx + 1)
@@ -400,6 +403,7 @@ def tensor_from_document(doc: dict) -> Tensor:
             raise ValueError("sparse entries name a multi-index more than once")
         flat = np.zeros(size, dtype=np.int64)
         flat[positions] = integer_array(values, "sparse values")
+        flat.flags.writeable = False  # the Tensor keeps it without a copy
         return Tensor(tuple(dims), field, flat)
     raise ValueError("tensor document needs 'entries' or 'sparse'")
 

@@ -278,6 +278,15 @@ def odd_subsets(t: int) -> list[int]:
     return [m for m in range(1 << t) if m.bit_count() % 2 == 1]
 
 
+def _odd_subset(i: int) -> int:
+    """``odd_subsets(t)[i]`` for every t with i < 2^(t-1), without the list.
+
+    Of the masks 2i and 2i + 1 exactly one has odd size, and every pair
+    below them holds one odd mask too.
+    """
+    return 2 * i + 1 - i.bit_count() % 2
+
+
 @dataclass(frozen=True)
 class BadBoxFamily:
     """Random product family over [t]^s with its factorization kept."""
@@ -366,11 +375,12 @@ def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
     satisfy the complete-graph configuration of order k mod 2 (by positions).
     The m * t^s cells of the flat masks are refused over the dense cap before
     any is built; fewer than k members build no configuration.  A failing
-    report's ``witness`` is the k member positions the clique search found.
-    Members are products of odd-sized factors (``badbox_from_document``
-    refuses others), so every member has odd size, and the two checks fail
-    together: a failure always has a witness.  Only a family built in code
-    with an even-sized factor can fail with ``witness`` None.
+    report's ``witness`` is the k member positions that the chain's one
+    clique search found.  Members are products of odd-sized factors
+    (``badbox_from_document`` refuses others), so every member has odd size,
+    and the two checks fail together: a failure always has a witness.  Only
+    a family built in code with an even-sized factor can fail with
+    ``witness`` None.
     """
     if k < 1:
         raise ValueError(f"bad-box clique order k must be >= 1, got {k}")
@@ -381,7 +391,8 @@ def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
         satisfying = all(f.bit_count() % 2 for factors in fam.members_factors for f in factors)
     else:  # first, so that an m^k grid over the cap is refused before the clique search
         satisfying = is_config_satisfying(fam.flat_family(), complete_graph_config(k), "positions")
-    free = verify_badbox_free(fam.members_factors, k)
+    clique = find_odd_clique(fam.members_factors, k)
+    free = clique is None
     report = {
         "t": fam.t,
         "s": fam.s,
@@ -391,8 +402,8 @@ def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
         "config_satisfying": satisfying,
         "verified": free and satisfying,
     }
-    if not report["verified"]:  # only a failure pays a second search, for its positions
-        report["witness"] = None if free else list(find_odd_clique(fam.members_factors, k))
+    if not report["verified"]:
+        report["witness"] = None if free else list(clique)
     return report
 
 
@@ -435,13 +446,13 @@ def sample_badbox_family(t: int, s: int, seed: int, max_attempts: int = 1000) ->
             raise ValueError(
                 f"ground set {t}^{s} exceeds the desk-scale cap of {MAX_BADBOX_GROUND} cells"
             )
-    pool = odd_subsets(t)
+    odd = 1 << (t - 1)  # odd-sized subsets of [t], drawn by their rank in mask order
     size = badbox_target_size(t, s)
     k = badbox_clique_order(t)
     for attempt in range(max_attempts):
         rng = Rng(Rng.sub_seed(seed, attempt))
         members = tuple(
-            tuple(pool[rng.next_below(len(pool))] for _ in range(s)) for _ in range(size)
+            tuple(_odd_subset(rng.next_below(odd)) for _ in range(s)) for _ in range(size)
         )
         if verify_badbox_free(members, k):
             return BadBoxFamily(

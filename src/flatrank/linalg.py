@@ -11,14 +11,17 @@ input is copied once into the kernel's own dtype, never through int64.
 * GF(p), p odd prime, and GF(2^k), 2 <= k <= 16: :func:`_eliminate` runs on
   the whole batch at once.  Step k takes row k, already cleared by every
   earlier pivot row: a zero row is dependent, otherwise its first nonzero
-  column becomes a pivot and is cleared from the rows below it.
+  column becomes a pivot and is cleared from the rows below it.  A step where
+  no row below has an entry in its matrix's pivot column clears nothing, so it
+  is skipped; sparse tensors' flattenings skip most steps.
 * GF(p) reduces lazily, in the narrowest unsigned dtype that holds the
   entries (:func:`_lazy_plan`).  Step k reduces only the pivot row, and the
   pivot column of the rows below, which it divides by the pivot and negates
   mod p; adding that multiple of the pivot row then grows an entry by at most
   (p-1)^2.  The rows below are reduced only when the next step could
   overflow: for p = 3 or 5 and up to 8 rows never, in uint8; for p near 2^31
-  every fourth step, in uint64.  Reductions use floor division, which numpy
+  every fourth step, in uint64.  Only steps that clear are counted: a skipped
+  step grows no entry.  Reductions use floor division, which numpy
   vectorises for a scalar divisor where ``%`` is a scalar loop.
 * GF(2^k), k <= 16, stores entries in uint8 (k <= 8) or uint16 and multiplies
   through the discrete-log tables of :func:`_log_tables_np`: log 0 is a
@@ -40,6 +43,7 @@ from .field import FieldDescriptor, discrete_log_tables
 __all__ = [
     "rank_gf2_bitrows",
     "matrix_rank",
+    "rank_bytes",
     "entry_dtype",
 ]
 
@@ -94,7 +98,8 @@ def _eliminate(m: np.ndarray, settle, clear) -> np.ndarray:
     canonical, in place.  ``clear(below, factor, row, pivot)`` then zeroes
     the pivot column of the rows ``below`` (whose entries there are
     ``factor``) using ``row``, in place, without changing their span; a zero
-    ``row`` comes with ``pivot`` 0 and must leave them as they are.
+    ``row`` comes with ``pivot`` 0 and must leave them as they are.  A step
+    whose factors are all zero has nothing to clear and skips ``clear``.
     """
     n, r, _ = m.shape
     batch = np.arange(n)
@@ -108,7 +113,9 @@ def _eliminate(m: np.ndarray, settle, clear) -> np.ndarray:
         rank += has
         if k + 1 < r and has.any():
             below = m[:, k + 1 :]
-            clear(below, below[batch, :, pc], row, piv)
+            factor = below[batch, :, pc]
+            if factor.any():  # else every row below is already clear there
+                clear(below, factor, row, piv)
     return rank
 
 
@@ -120,6 +127,7 @@ def _reduce(x: np.ndarray, p: int) -> np.ndarray:
     return x
 
 
+@lru_cache(maxsize=None)
 def _lazy_plan(p: int, r: int) -> tuple[type, int]:
     """(dtype, period) of GF(p) elimination with ``r`` pivot steps.
 
@@ -243,6 +251,24 @@ def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
                 rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def rank_bytes(n: int, r: int, c: int, field: FieldDescriptor) -> int:
+    """At most the bytes :func:`matrix_rank` allocates for an (n, r, c) batch, order > 2.
+
+    The entries are canonical.  Counted are its working copy and its
+    scratch: GF(p)'s product rows, GF(2^k)'s gather indices and products,
+    or, for k > 16, one matrix at a time as lists of Python ints (about 64
+    bytes an entry).
+    """
+    r, c = min(r, c), max(r, c)
+    if field.kind == "prime":
+        return n * (2 * r - 1) * c * np.dtype(_lazy_plan(field.p, r)[0]).itemsize
+    if field.k > 16:
+        return 64 * r * c
+    item = np.dtype(entry_dtype(field)).itemsize
+    gathered = min(n * r * c, max(n * c, GATHER_ENTRIES))
+    return n * r * c * item + gathered * (np.dtype(np.intp).itemsize + item)
 
 
 def matrix_rank(mats, field: FieldDescriptor):

@@ -60,6 +60,7 @@ from its one stream, ``_stream_block(seed, j, j + 1, nwords)``.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -71,7 +72,7 @@ import numpy as np
 from .field import GF2, FieldDescriptor
 from .formats import tensor_to_document
 from .fw import Configuration
-from .linalg import entry_dtype, matrix_rank
+from .linalg import entry_dtype, matrix_rank, rank_bytes
 from .rainbow import ColoredHypergraph
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
@@ -94,8 +95,8 @@ __all__ = [
 ]
 
 MAX_FREE_ENTRIES = 22
-# Tensor entries held by one batched-rank sweep block; bounds a block's memory
-# with the rank kernels' temporaries.
+# Most tensor entries held by one batched-rank sweep block, over a field of
+# order > 2; fewer, if the block would not fit MAX_WORKSPACE_BYTES.
 BLOCK_ENTRIES = 1 << 20
 # Bytes of packed flattening rows in one block of the packed GF(2) kernel, so
 # that the rows and their elimination scratch stay in the L2 cache.
@@ -103,11 +104,12 @@ PACKED_BLOCK_BYTES = 1 << 19
 # Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
 # wider rows go bit-sliced (see the module docstring for the measurements).
 TABLE_MAX_COLUMNS = 32
-# Bytes of one block's workspace, with a bit-sliced sweep's cached index arrays;
-# more is refused before any of it is allocated.  The stream words and mixing
-# scratch of a larger field's block of BLOCK_ENTRIES entries fill it at most,
-# and default GF(2) blocks take under 2 MB; a d = 2 bit-sliced sweep needs
-# 56 a^2 bytes even for one tensor, so it stops at a = 545.
+# Bytes of one block's workspace, with the index arrays its shape keeps and,
+# over a field of order > 2, the entries, stacked flattenings and rank scratch
+# the block allocates; more is refused before any of it is allocated.  Default
+# GF(2) blocks take under 2 MB; a d = 2 bit-sliced sweep needs 56 a^2 bytes
+# even for one tensor, so it stops at a = 545, and a GF(3) sweep on 2^18 needs
+# 20.4 MB for one tensor.
 MAX_WORKSPACE_BYTES = 16 * BLOCK_ENTRIES
 
 
@@ -199,17 +201,43 @@ class _Workspace:
         return self._buffers[name][: math.prod(shape)].reshape(shape)
 
 
-def _check_workspace(sizes: dict[str, tuple[int, type]], a: int, d: int, sliced: bool, what: str) -> None:
-    """Refuse a sweep on A^d whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
+def _workspace_bytes(sizes: dict[str, tuple[int, type]]) -> int:
+    return sum(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
 
-    Counted are the workspace of ``sizes`` and, if ``sliced``, the (d+1) a^d intp
-    indices the shape keeps, in :func:`index_class_arrays` and :func:`_plane_index`.
+
+def _check_workspace(sizes: dict[str, tuple[int, type]], extra: int, what: str) -> None:
+    """Refuse a sweep whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
+
+    Counted are the workspace of ``sizes`` and ``extra`` bytes: the index
+    arrays the shape keeps for the process, and what a block allocates
+    outside the workspace.
     """
-    nbytes = sum(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
-    if sliced:
-        nbytes += (1 + d) * a**d * np.dtype(np.intp).itemsize
+    nbytes = _workspace_bytes(sizes) + extra
     if nbytes > MAX_WORKSPACE_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, over the {MAX_WORKSPACE_BYTES}-byte block cap")
+
+
+def _sliced_index_bytes(a: int, d: int) -> int:
+    """Bytes of the (d+1) a^d intp indices a bit-sliced shape keeps for the process.
+
+    They are :func:`index_class_arrays` and :func:`_plane_index`.
+    """
+    return (1 + d) * a**d * np.dtype(np.intp).itemsize
+
+
+def _field_bytes(a: int, d: int, n: int, field: FieldDescriptor) -> int:
+    """Bytes a sweep over a field of order > 2 takes outside its workspace, for blocks of n tensors.
+
+    Counted are the shape's :func:`index_class_arrays` (a^d intp), the
+    residues of the block's stream words and the entries drawn from them
+    (:func:`_semidiagonal_block`), their d stacked flattenings in
+    :func:`_block_ranks`, and :func:`matrix_rank`'s working copy and scratch
+    for that stack.
+    """
+    index = a**d * np.dtype(np.intp).itemsize
+    residues = n * _semidiagonal_words(a, d, field) * np.dtype(np.uint64).itemsize
+    entries = n * a**d * np.dtype(entry_dtype(field)).itemsize
+    return index + residues + (1 + d) * entries + rank_bytes(d * n, a, a ** (d - 1), field)
 
 
 def _stream_sizes(n: int, nwords: int) -> dict[str, tuple[int, type]]:
@@ -548,7 +576,8 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1) -> SearchReport:
         sizes = _sliced_sizes(a, d, chunk, 1)
         words = lambda start, stop: np.arange(start, stop, dtype=np.uint64)[:, None]
         ranks = lambda start, stop, ws: _sliced_ranks(a, d, words(start, stop), ws)
-    _check_workspace(sizes, a, d, sliced, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
+    extra = _sliced_index_bytes(a, d) if sliced else 0
+    _check_workspace(sizes, extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
     (best_mf, at_mf), (best_sum, at_sum), _, _ = _scan_blocks(
         total, chunk, threads, sizes, ranks, -(-a // (d - 1))
     )
@@ -618,7 +647,9 @@ def _semidiagonal_block(a: int, d: int, field: FieldDescriptor, words: np.ndarra
     on_diag = np.zeros(a**d, dtype=np.uint64)
     on_diag[diag] = 1
     shift = on_diag[drawn]  # diagonal: 1 + w % (q-1); mixed: w % q
-    entries[:, drawn] = words % (np.uint64(field.order) - shift) + shift
+    residues = words % (np.uint64(field.order) - shift)
+    residues += shift
+    entries[:, drawn] = residues
     return entries
 
 
@@ -650,9 +681,11 @@ def random_semidiagonal_sweep(
     :func:`_packed_population_ranks`, wider ones through the bit-sliced
     :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
     least one).  Larger fields make one batched :func:`matrix_rank` call for
-    all axes in blocks of :data:`BLOCK_ENTRIES` entries.  Shapes over the
-    dense cap, and sweeps whose memory passes :data:`MAX_WORKSPACE_BYTES`,
-    are refused before anything of their size is allocated.
+    all axes in blocks of at most :data:`BLOCK_ENTRIES` entries, fewer where
+    the block's memory (:func:`_field_bytes`) would pass the cap.  Shapes
+    over the dense cap, and sweeps whose memory passes
+    :data:`MAX_WORKSPACE_BYTES`, are refused before anything of their size is
+    allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
@@ -661,9 +694,13 @@ def random_semidiagonal_sweep(
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
     sliced = field.order == 2 and a ** (d - 1) > TABLE_MAX_COLUMNS
-    if field.order != 2:
+    extra = 0
+    if field.order != 2:  # up to BLOCK_ENTRIES entries; fewer, if that many pass the cap
+        nbytes = lambda n: _workspace_bytes(_stream_sizes(n, nwords)) + _field_bytes(a, d, n, field)
         n = min(count, max(1, BLOCK_ENTRIES // a**d))
-        sizes = {}
+        if nbytes(n) > MAX_WORKSPACE_BYTES:
+            n = max(1, bisect.bisect_right(range(1, n), MAX_WORKSPACE_BYTES, key=nbytes))
+        sizes, extra = {}, _field_bytes(a, d, n, field)
         kernel = lambda words, ws: _block_ranks(
             _semidiagonal_block(a, d, field, words), a, d, field
         )
@@ -674,10 +711,10 @@ def random_semidiagonal_sweep(
         kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
     else:  # whole words of 64 lanes, d * a^d / 8 bytes of gathered rows per tensor
         n = min(count, max(64, 8 * PACKED_BLOCK_BYTES // (d * a**d) // 64 * 64))
-        sizes = _sliced_sizes(a, d, n, nwords)
+        sizes, extra = _sliced_sizes(a, d, n, nwords), _sliced_index_bytes(a, d)
         kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
     sizes |= _stream_sizes(n, nwords)
-    _check_workspace(sizes, a, d, sliced, f"{a}^{d} sweep block of n={n} tensors")
+    _check_workspace(sizes, extra, f"{a}^{d} sweep block of n={n} tensors")
     ranks = lambda start, stop, ws: kernel(_stream_block(seed, start, stop, nwords, ws), ws)
     (min_mf, _), (min_sum, _), violations, first_violation = _scan_blocks(
         count, n, threads, sizes, ranks, lower

@@ -85,12 +85,25 @@ def integer_array(values, what: str) -> np.ndarray:
         raise ValueError(f"{what} exceed the int64 range") from None
 
 
+def _frozen_int64(values) -> bool:
+    """True for an int64 array that owns its data and is read-only: nothing writes it."""
+    return (
+        isinstance(values, np.ndarray)
+        and values.dtype == np.int64
+        and values.base is None
+        and not values.flags.writeable
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class Tensor:
     """Immutable dense tensor; ``entries[flat]`` with row-major flat indexing.
 
     ``entries`` is a read-only 1-D int64 array of canonical representatives,
-    validated once at construction.
+    validated once at construction.  An int64 array that owns its data and is
+    already read-only, as :func:`flatrank.formats.load_document` returns them,
+    is validated and kept as it is; anything else is copied, so no caller's
+    array turns read-only or can change the tensor.
     """
 
     dims: tuple[int, ...]
@@ -102,7 +115,11 @@ class Tensor:
         if len(dims) < 1 or any(type(a) is not int or a < 1 for a in dims):
             raise ValueError(f"dims must be positive integers, got {dims}")
         size = dense_size(dims, "tensor size")
-        entries = integer_array(self.entries, "tensor entries")
+        entries = self.entries
+        if _frozen_int64(entries):
+            entries = entries.reshape(-1)
+        else:
+            entries = integer_array(entries, "tensor entries")
         if entries.size != size:
             raise ValueError(f"expected {size} entries, got {entries.size}")
         bad = np.flatnonzero((entries < 0) | (entries >= self.field.order))
@@ -153,9 +170,26 @@ def _flattening(t: Tensor, axis: int) -> np.ndarray:
     return np.moveaxis(_narrow_array(t), axis, 0).reshape(t.dims[axis], -1)
 
 
+def _stack_ranks(stack: np.ndarray, field: FieldDescriptor) -> list[int]:
+    """Ranks of an ``(N, r, c)`` stack of flattenings, in the field's narrowest dtype.
+
+    Over a field of order > 2, the columns that are zero in every matrix of
+    the stack are dropped first, if that drops at least half of them: a zero
+    column never changes a rank.  A sparse tensor's flattenings have few live
+    columns (a scaled permutation tensor on A^d, at most d a of a^(d-1)).
+    The GF(2) kernel packs rows into bits, where the check costs more than
+    it saves.
+    """
+    if field.order > 2:
+        live = np.bitwise_or.reduce(stack, axis=(0, 1)) > 0
+        if 2 * np.count_nonzero(live) <= live.size:
+            stack = np.compress(live, stack, axis=2)
+    return matrix_rank(stack, field).tolist()
+
+
 def flattening_rank(t: Tensor, axis: int) -> int:
     """Exact rank of the axis-``axis`` flattening over the tensor's field."""
-    return matrix_rank(_flattening(t, axis), t.field)
+    return _stack_ranks(_flattening(t, axis)[None], t.field)[0]
 
 
 def flattening_ranks(t: Tensor) -> list[int]:
@@ -163,7 +197,8 @@ def flattening_ranks(t: Tensor) -> list[int]:
 
     A matrix's two flattenings are transposes, so one is ranked.  The d
     flattenings of a cubical tensor share one shape and are ranked as one
-    ``(d, a, a^(d-1))`` batch, in the field's narrowest dtype.
+    ``(d, a, a^(d-1))`` batch, in the field's narrowest dtype, without the
+    columns that are zero in all of them (:func:`_stack_ranks`).
     """
     if t.ndim == 2:
         return [flattening_rank(t, 0)] * 2
@@ -173,7 +208,7 @@ def flattening_ranks(t: Tensor) -> list[int]:
     stack = np.empty((t.ndim, t.dims[0], arr.size // t.dims[0]), dtype=arr.dtype)
     for i in range(t.ndim):  # copied once, into a view of the flattening's rows
         np.copyto(stack[i].reshape(t.dims), np.moveaxis(arr, i, 0))
-    return matrix_rank(stack, t.field).tolist()
+    return _stack_ranks(stack, t.field)
 
 
 def max_flattening_rank(t: Tensor) -> int:
@@ -244,6 +279,12 @@ def _all_equal(coords: list[np.ndarray], a: int, d: int) -> np.ndarray:
     return grid
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a fresh array nothing else holds, made read-only: a Tensor keeps it uncopied."""
+    arr.flags.writeable = False
+    return arr
+
+
 def check_cube(a: int, d: int, what: str) -> None:
     """Refuse the ``what`` on A^d, before any of it is allocated, unless a >= 1, d >= 2, a^d fits."""
     if a < 1 or d < 2:
@@ -260,7 +301,7 @@ def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:
     """
     check_cube(a, d, "construction")
     blocks = [_coordinate(a, d, j) // (d - 1) for j in range(d)]
-    return Tensor.from_array(_all_equal(blocks, a, d).astype(np.int64), field)
+    return Tensor.from_array(_frozen(_all_equal(blocks, a, d).astype(np.int64)), field)
 
 
 def axis_constant_construction(a: int, d: int, axis: int, field: FieldDescriptor) -> Tensor:
@@ -274,7 +315,7 @@ def axis_constant_construction(a: int, d: int, axis: int, field: FieldDescriptor
     if not 0 <= axis < d:
         raise IndexError(f"axis {axis} out of range")
     rest = [_coordinate(a, d, j) for j in range(d) if j != axis]
-    return Tensor.from_array(_all_equal(rest, a, d).astype(np.int64), field)
+    return Tensor.from_array(_frozen(_all_equal(rest, a, d).astype(np.int64)), field)
 
 
 @lru_cache(maxsize=None)

@@ -318,6 +318,51 @@ def test_sweep_cap_counts_the_cached_indices(capsys, kind, extra):
     assert "546^2" in capsys.readouterr().err
 
 
+def test_larger_field_sweep_cap_counts_its_block(capsys):
+    # GF(3) on 2^18, one tensor: 2 MB of stream words and as much mixing scratch, 2 MB
+    # of index arrays, 2 MB of residues, 5 MB of entries and flattenings and 7 MB of
+    # rank copy and scratch; its traced peak was 19.8 MB when only the words counted
+    tracemalloc.start()
+    try:
+        code = run(
+            ["experiment", "random-semidiagonal", "--a", 2, "--d", 18, "--count", 1,
+             "--seed", 1, "--field", "prime:3"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "2^18" in err and "over the 16777216-byte block cap" in err
+    assert peak < 3 << 20
+
+
+@pytest.mark.parametrize("spec,a,d", [("prime:3", 3, 3), ("binary:8", 2, 10), ("prime:251", 3, 5)])
+def test_larger_field_blocks_shrink_to_the_cap(monkeypatch, spec, a, d):
+    # a block of BLOCK_ENTRIES entries would pass the cap: the sweep takes as many
+    # tensors as fit, and runs
+    from flatrank import search
+
+    blocks = []
+
+    def scan(total, block, *args):
+        blocks.append(block)
+        return (0, 0), (0, 0), 0, None
+
+    monkeypatch.setattr(search, "_scan_blocks", scan)
+    field = _parse_field(spec)
+    search.random_semidiagonal_sweep(a, d, 10**6, 1, field)
+    nwords = search._semidiagonal_words(a, d, field)
+
+    def nbytes(n):
+        stream = search._workspace_bytes(search._stream_sizes(n, nwords))
+        return stream + search._field_bytes(a, d, n, field)
+
+    (n,) = blocks
+    assert n < search.BLOCK_ENTRIES // a**d
+    assert nbytes(n) <= search.MAX_WORKSPACE_BYTES < nbytes(n + 1)
+
+
 @pytest.mark.parametrize("command", [["experiment", "exhaustive"], ["construct", "partition"]], ids=" ".join)
 def test_huge_exponent_refused_at_once(capsys, command):
     # 3^(10^8) would take minutes to compute before the comparison with the cap; the
@@ -812,6 +857,19 @@ def test_experiment_seeded_determinism(tmp_path):
     assert run(common + ["--out", a]) == 0
     assert run(common + ["--out", b]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_badbox_sample_lists_no_odd_subsets(capsys):
+    # t = 25 has 2^24 odd subsets of [t]; a family of 64 members draws 64 of them
+    tracemalloc.start()
+    try:
+        code = run(["experiment", "badbox-sample", "--t", 25, "--s", 1, "--seed", 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and peak < 3 << 20
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert len(results["family"]["members_factors"]) == 64
 
 
 def test_experiment_badbox_sample(tmp_path, capsys):

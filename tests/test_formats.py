@@ -549,3 +549,36 @@ def test_sparse_ingest_matches_per_pair_loop(doc):
             tensor_from_document(doc)
     else:
         assert tensor_from_document(doc) == expected
+
+
+@pytest.mark.parametrize("spec", ["prime:3", "binary:8"])
+@pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+def test_loaded_tensor_documents_build_without_a_copy(tmp_path, monkeypatch, spec, sparse):
+    # the arrays load_document and tensor_from_document build are frozen and kept:
+    # no second int64 copy of the a^d entries
+    import flatrank.tensor as tensor_mod
+    from flatrank.tensor import partition_construction
+
+    field = cli._parse_field(spec)
+    t = partition_construction(6, 4, field)
+    path = tmp_path / "t.json"
+    path.write_text(canonical_json(tensor_to_document(t, sparse=sparse)))
+    doc = load_document(str(path))[0]
+    array = doc["sparse" if sparse else "entries"]
+    assert isinstance(array, np.ndarray) and not array.flags.writeable
+    copies = []
+    convert = tensor_mod.integer_array
+    monkeypatch.setattr(tensor_mod, "integer_array", lambda *a: copies.append(a[1]) or convert(*a))
+    assert tensor_from_document(doc) == t
+    assert copies == []
+    if not sparse:
+        assert np.shares_memory(tensor_from_document(doc).entries, array)
+
+
+def test_caller_arrays_in_documents_stay_writeable():
+    entries = np.array([0, 1, 2, 0], dtype=np.int64)
+    doc = {"dims": [2, 2], "field": {"kind": "prime", "p": 3}, "entries": entries}
+    t = tensor_from_document(doc)
+    assert entries.flags.writeable and not np.shares_memory(t.entries, entries)
+    entries[0] = 2
+    assert t.entries[0] == 0

@@ -368,3 +368,37 @@ def test_grow_family_respects_bound_and_satisfaction():
         fam = grow_config_satisfying_family(cfg, 5, rng, candidate_budget=60)
         assert is_config_satisfying(fam, cfg)
         assert len(fam.members) <= fw_size_bound(cfg, 5)
+
+
+def test_failing_badbox_chain_searches_once(monkeypatch):
+    import flatrank.fw as fw
+
+    searches = []
+    search = fw.find_odd_clique
+    monkeypatch.setattr(fw, "find_odd_clique", lambda *args: searches.append(args) or search(*args))
+    members = ((0b001, 0b111), (0b010, 0b111), (0b111, 0b001), (0b001, 0b001))
+    fam = BadBoxFamily(t=3, s=2, k=3, members_factors=members, attempts=0, seed=0)
+    assert verify_badbox_chain(fam, 3)["witness"] == [0, 2, 3]
+    assert len(searches) == 1
+    assert verify_badbox_chain(fam, 4)["verified"] and len(searches) == 2
+
+
+def test_odd_subset_by_rank_matches_the_list():
+    from flatrank.fw import _odd_subset
+
+    for t in range(1, 13):
+        assert [_odd_subset(i) for i in range(1 << (t - 1))] == odd_subsets(t)
+
+
+@pytest.mark.parametrize("t,s", [(3, 1), (3, 2), (4, 2), (5, 2)])
+def test_sampler_draws_as_from_the_list(t, s):
+    # the draws of the list-based sampler: seeded families replay byte for byte
+    pool = odd_subsets(t)
+    for seed in (0, 1, 42):
+        fam = sample_badbox_family(t, s, seed=seed)
+        rng = Rng(Rng.sub_seed(seed, fam.attempts - 1))
+        size = badbox_target_size(t, s)
+        want = tuple(
+            tuple(pool[rng.next_below(len(pool))] for _ in range(s)) for _ in range(size)
+        )
+        assert fam.members_factors == want

@@ -293,3 +293,70 @@ def test_matrix_rank_leaves_input_unmodified(field, dtype):
         mats.flags.writeable = False  # an in-place write would raise
         matrix_rank(mats, field)
         assert np.array_equal(mats, before) and mats.dtype == dtype
+
+
+def _counting_clears(monkeypatch):
+    """Record the factors of every clearing step that runs; skipped steps record nothing."""
+    import flatrank.linalg as linalg
+
+    factors = []
+    eliminate = linalg._eliminate
+
+    def counted(m, settle, clear):
+        def counted_clear(below, factor, row, piv):
+            factors.append(factor.copy())
+            clear(below, factor, row, piv)
+
+        return eliminate(m, settle, counted_clear)
+
+    monkeypatch.setattr(linalg, "_eliminate", counted)
+    return factors
+
+
+def _sparse_batch(rng, field, count, r, c):
+    """Scaled partial permutations, with a few extra entries in some of them, and a zero matrix."""
+    mats = np.zeros((count, r, c), dtype=np.int64)
+    for m in mats[1:]:
+        cols = rng.choice(c, size=min(r, c), replace=False)
+        m[np.arange(min(r, c)), cols] = rng.integers(1, field.order, min(r, c))
+        for _ in range(rng.integers(0, 3)):
+            m[rng.integers(r), rng.integers(c)] = rng.integers(0, field.order)
+    return mats
+
+
+SPARSE_FIELDS = [
+    make_prime_field(3),
+    make_prime_field(7),
+    make_prime_field(251),
+    make_binary_field(3),
+    make_binary_field(8),
+    make_binary_field(16),
+]
+
+
+@pytest.mark.parametrize("field", SPARSE_FIELDS, ids=str)
+def test_empty_clears_are_skipped_and_ranks_stay_exact(field, monkeypatch):
+    factors = _counting_clears(monkeypatch)
+    rng = np.random.default_rng(field.order)
+    steps = 0
+    for r, c in [(3, 3), (4, 9), (6, 4), (8, 64)]:
+        mats = _sparse_batch(rng, field, 6, r, c)
+        want = [_rank_generic(m.tolist(), field) for m in mats]
+        assert matrix_rank(mats, field).tolist() == want
+        steps += min(r, c) - 1
+    # a scaled permutation clears nothing: only the extra entries make a step clear
+    assert 0 < len(factors) < steps
+    assert all(f.any() for f in factors)
+
+
+def test_clears_with_factors_that_vanish_mod_p(monkeypatch):
+    # step 0 turns row 2 into [3, 3, 1]: its factor at step 1 is 3, nonzero but
+    # 0 mod 3, so that step clears (by a zero multiple) and grows nothing
+    factors = _counting_clears(monkeypatch)
+    field = make_prime_field(3)
+    rows = [[1, 1, 0], [2, 1, 0], [1, 1, 1]]
+    assert matrix_rank(rows, field) == _rank_generic([list(r) for r in rows], field) == 3
+    assert [f.tolist() for f in factors] == [[[2, 1]], [[3]]]
+    # representatives that are nonzero multiples of p are zeros, in any position
+    mats = np.stack([5 * np.eye(5, 7, dtype=np.int64), np.full((5, 7), -10)])
+    assert matrix_rank(mats, make_prime_field(5)).tolist() == [0, 0]

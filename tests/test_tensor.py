@@ -357,3 +357,134 @@ def test_document_cap_and_validation():
     with pytest.raises(ValueError):
         t.entries[0] = 4  # entries are read-only
     assert t.entries.dtype == np.int64 and t.array[1, 1] == 3
+
+
+def _scaled_permutation(dims, field, rng, terms):
+    """Sum of ``terms`` scaled unit tensors at distinct indices on every axis."""
+    arr = np.zeros(dims, dtype=np.int64)
+    picks = tuple(rng.permutation(a)[:terms] for a in dims)
+    arr[picks] = rng.integers(1, field.order, terms)
+    return Tensor.from_array(arr, field)
+
+
+def _sparse_tensors(dims, field, rng):
+    """All-zero, one entry, a scaled permutation, a diagonal plus noise, a partition, dense."""
+    size = math.prod(dims)
+    one = np.zeros(size, dtype=np.int64)
+    one[rng.integers(size)] = rng.integers(1, field.order)
+    tensors = [
+        zeros(dims, field),
+        Tensor(dims, field, one),
+        _scaled_permutation(dims, field, rng, min(dims)),
+        add_tensors(_scaled_permutation(dims, field, rng, min(dims)), Tensor(dims, field, one)),
+        Tensor(dims, field, rng.integers(0, field.order, size)),
+    ]
+    if len(set(dims)) == 1 and len(dims) > 1:
+        tensors.append(partition_construction(dims[0], len(dims), field))
+    return tensors
+
+
+@pytest.mark.parametrize(
+    "field",
+    [GF2, GF3, make_prime_field(7), make_binary_field(8), make_binary_field(16)],
+    ids=str,
+)
+def test_sparse_flattening_ranks_match_generic(field, monkeypatch):
+    import flatrank.tensor as tensor_mod
+    from flatrank.linalg import _rank_generic
+
+    shapes = []
+    rank = tensor_mod.matrix_rank
+    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: shapes.append(m.shape) or rank(m, f))
+    rng = np.random.default_rng(field.order)
+    for dims in [(4, 4), (3, 5), (4, 4, 4), (3, 3, 3, 3), (2, 3, 4), (5, 2, 2)]:
+        for t in _sparse_tensors(dims, field, rng):
+            shapes.clear()
+            want = [_rank_generic(_flattening(t, ax).tolist(), field) for ax in range(t.ndim)]
+            assert flattening_ranks(t) == want, (dims, t.entries.tolist())
+            assert [flattening_rank(t, ax) for ax in range(t.ndim)] == want
+            full = [math.prod(dims) // dims[ax] for ax in range(t.ndim)]
+            if field.order == 2:  # never compacted
+                assert all(s[-1] in full for s in shapes)
+
+
+def test_compaction_keeps_only_live_columns(monkeypatch):
+    import flatrank.tensor as tensor_mod
+
+    shapes = []
+    rank = tensor_mod.matrix_rank
+    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: shapes.append(m.shape) or rank(m, f))
+    rng = np.random.default_rng(4)
+    # one entry: one live column of 16, fewer than the 4 rows
+    one = np.zeros(64, dtype=np.int64)
+    one[39] = 2  # (2, 1, 3): column 7, 11 and 9 of the three flattenings
+    assert flattening_ranks(Tensor((4, 4, 4), GF3, one)) == [1, 1, 1]
+    assert shapes[-1] == (3, 4, 3)
+    assert flattening_ranks(zeros((4, 4, 4), GF3)) == [0, 0, 0] and shapes[-1] == (3, 4, 0)
+    # a dense tensor keeps every column, and GF(2) is never compacted
+    flattening_ranks(random_tensor((3, 3, 3), GF3, Rng(2)))
+    assert shapes[-1] == (3, 3, 9)
+    assert flattening_ranks(Tensor((4, 4, 4), GF2, one // 2)) == [1, 1, 1]
+    assert shapes[-1] == (3, 4, 16)
+    # compaction needs at least half of the columns dead: 8 live columns of 16 go,
+    # 9 stay
+    for live, kept in [(8, 8), (9, 16)]:
+        m = np.zeros((4, 16), dtype=np.int64)
+        m[rng.integers(0, 4, live), rng.permutation(16)[:live]] = rng.integers(1, 3, live)
+        flattening_ranks(Tensor.from_array(m, GF3))
+        assert shapes[-1] == (1, 4, kept)
+    # the single-axis path compacts its one flattening
+    assert flattening_rank(Tensor((4, 4, 4), GF3, one), 1) == 1 and shapes[-1] == (1, 4, 1)
+    assert flattening_rank(Tensor((4, 4), GF3, one[:16]), 0) == 0 and shapes[-1] == (1, 4, 0)
+
+
+def test_scaled_permutation_ranks_without_a_clear(monkeypatch):
+    # the full-rank 8^5 tensor of the benchmark's rank documents over GF(2^8): its
+    # flattenings keep at most 5 * 8 live columns, and no pivot has anything to clear
+    import flatrank.linalg as linalg
+    import flatrank.tensor as tensor_mod
+
+    field = make_binary_field(8)
+    t = _scaled_permutation((8,) * 5, field, np.random.default_rng(8), 8)
+    shapes, clears = [], []
+    rank = tensor_mod.matrix_rank
+    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: shapes.append(m.shape) or rank(m, f))
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(
+        linalg,
+        "_eliminate",
+        lambda m, settle, clear: eliminate(m, settle, lambda *args: clears.append(args)),
+    )
+    assert flattening_ranks(t) == [8] * 5
+    assert len(shapes) == 1 and shapes[0][:2] == (5, 8) and shapes[0][2] <= 40
+    assert clears == []
+
+
+def test_tensor_keeps_only_frozen_owned_arrays(monkeypatch):
+    import flatrank.tensor as tensor_mod
+
+    # a caller's writeable array is copied and stays writeable
+    arr = np.array([0, 1, 2, 3], dtype=np.int64)
+    t = Tensor((2, 2), GF5, arr)
+    assert arr.flags.writeable and not np.shares_memory(arr, t.entries)
+    # a read-only view of a writeable array could still change: copied
+    view = arr.view()
+    view.flags.writeable = False
+    assert not np.shares_memory(Tensor((2, 2), GF5, view).entries, arr)
+    # an owned read-only int64 array cannot change: validated and kept
+    frozen = arr.copy()
+    frozen.flags.writeable = False
+    assert np.shares_memory(Tensor((2, 2), GF5, frozen).entries, frozen)
+    bad = np.array([0, 1, 2, 5], dtype=np.int64)
+    bad.flags.writeable = False
+    with pytest.raises(ValueError, match="not canonical"):
+        Tensor((2, 2), GF5, bad)
+    # the constructions hand over the arrays they build, uncopied
+    copies = []
+    convert = tensor_mod.integer_array
+    monkeypatch.setattr(tensor_mod, "integer_array", lambda *a: copies.append(a[1]) or convert(*a))
+    partition_construction(4, 3, GF3)
+    axis_constant_construction(3, 3, 1, GF3)
+    assert copies == []
+    Tensor.from_array(np.ones((2, 2), dtype=np.int64), GF3)
+    assert copies == ["tensor entries"]
