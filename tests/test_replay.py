@@ -1,0 +1,29 @@
+"""Every call of ``tests/replay.json`` writes the same stdout bytes, at 1 and 2 threads.
+
+The manifest holds seeded sweeps over each larger-field kernel, a seeded
+bad-box sample and ranks in each field family; ``tests/make_replay.py``
+regenerates it.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from make_replay import REPLAY, ROOT, stdout_sha256
+
+MANIFEST = json.loads(REPLAY.read_text())
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("call", MANIFEST, ids=lambda call: " ".join(call["argv"]))
+def test_replay_is_byte_identical(monkeypatch, threads, call):
+    monkeypatch.chdir(ROOT)
+    monkeypatch.setenv("FLATRANK_THREADS", threads)
+    assert stdout_sha256(call["argv"]) == call["sha256"]
+
+
+def test_replay_covers_every_rank_fixture():
+    named = {arg for call in MANIFEST for arg in call["argv"] if arg.endswith(".json")}
+    fixtures = {f"tests/fixtures/replay/{p.name}" for p in (Path(ROOT) / "tests/fixtures/replay").iterdir()}
+    assert fixtures <= named
