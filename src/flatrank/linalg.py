@@ -2,9 +2,12 @@
 
 :func:`matrix_rank` is the one exact-rank entry point.  It takes a single
 ``(r, c)`` matrix or a batch ``(N, r, c)`` of integer representatives in any
-integer dtype, never modifies it, and eliminates along the short side (rank is
-transpose-invariant), so its pivot loop runs ``min(r, c)`` times.  A narrow
-input is copied once into the kernel's own dtype, never through int64.
+integer dtype, never modifies it, and eliminates along the short side (rank
+is transpose-invariant), so its pivot loop runs ``min(r, c)`` times.  It
+copies the input once, in the kernel's own dtype, into a :class:`_Workspace`
+of its own, and ranks the copy in place with :func:`_rank_into`, which the
+sweeps call on stacks they build in theirs.  :func:`_elimination_sizes` is
+the plan of that workspace, so a caller's cap counts what the kernels write.
 
 * GF(2): entries mod 2, rows packed with numpy into ints used as bit-vectors,
   reduced per matrix by :func:`rank_gf2_bitrows` (word-wide XOR).
@@ -27,12 +30,14 @@ input is copied once into the kernel's own dtype, never through int64.
   through the discrete-log tables of :func:`_log_tables_np`: log 0 is a
   sentinel whose sums land in a zero tail of the extended exp table, so zero
   factors and entries need no mask.
-* GF(2^k), k > 16: scalar elimination in :func:`_rank_generic`, which is also
-  the oracle the tests compare the vectorized kernels against.
+* GF(2^k), k > 16: scalar elimination in :func:`_rank_generic`, one matrix at
+  a time, which is also the oracle the tests compare the vectorized kernels
+  against.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import Sequence
 
@@ -43,13 +48,29 @@ from .field import FieldDescriptor, discrete_log_tables
 __all__ = [
     "rank_gf2_bitrows",
     "matrix_rank",
-    "rank_bytes",
     "entry_dtype",
 ]
 
 # Entries of the rows below that one GF(2^k) clearing gather covers: its intp
 # indices take 256 KB.
 GATHER_ENTRIES = 1 << 15
+
+
+class _Workspace:
+    """The buffers of one caller's kernels, allocated once and reused.
+
+    ``sizes`` maps each buffer's name to its item count and dtype at the
+    largest call, as the ``*_sizes`` functions give them; :meth:`take` hands
+    a kernel a view of a buffer's first items.  A kernel's results are views
+    into its workspace, valid until its next call.
+    """
+
+    def __init__(self, sizes: dict[str, tuple[int, type]]):
+        self._buffers = {name: np.empty(count, dtype) for name, (count, dtype) in sizes.items()}
+
+    def take(self, name: str, *shape: int) -> np.ndarray:
+        """The first ``prod(shape)`` items of buffer ``name``, in that shape."""
+        return self._buffers[name][: math.prod(shape)].reshape(shape)
 
 
 def rank_gf2_bitrows(rows: Sequence[int]) -> int:
@@ -91,8 +112,32 @@ def _rank_gf2(m: np.ndarray) -> np.ndarray:
     return np.array([rank_gf2_bitrows(rows[i : i + r]) for i in range(0, n * r, r)], dtype=np.int64)
 
 
-def _eliminate(m: np.ndarray, settle, clear) -> np.ndarray:
-    """Ranks of an (N, r, c) batch, eliminated in place row by row.
+def _elimination_sizes(n: int, r: int, c: int, field: FieldDescriptor) -> dict[str, tuple[int, type]]:
+    """Workspace of :func:`_rank_into` for n (r, c) matrices over ``field``, r <= c.
+
+    ``work`` holds the matrices, in the dtype they are eliminated in.  Each
+    step allocates only N and (N, r-1) arrays, at most 8/c of the rows'
+    bytes; GF(2) and GF(2^k > 16) rank Python ints.
+    """
+    prime = field.kind == "prime" and field.order > 2
+    dtype = _lazy_plan(field.p, r)[0] if prime else entry_dtype(field)
+    sizes = {"work": (n * r * c, dtype), "rank": (n, np.int64)}
+    if field.order == 2 or (field.kind == "binary" and field.k > 16):
+        return sizes
+    sizes["mask"] = (n * c, np.bool_)
+    if prime:
+        return sizes | {"prod": (n * max(r - 1, 1) * c, dtype)}
+    logs = _log_tables_np(field)[1].dtype
+    gathered = n * c * min(max(r - 1, 1), max(1, GATHER_ENTRIES // (n * c)))
+    return sizes | {
+        "logrow": (n * c, logs),
+        "gather": (gathered, np.intp),
+        "prod": (gathered, dtype),
+    }
+
+
+def _eliminate(m: np.ndarray, ws: _Workspace, settle, clear) -> np.ndarray:
+    """Ranks of a C-contiguous (N, r, c) batch, eliminated in place row by row, into ``ws``.
 
     Entries are unsigned.  ``settle(row)`` makes row k of every matrix
     canonical, in place.  ``clear(below, factor, row, pivot)`` then zeroes
@@ -101,13 +146,14 @@ def _eliminate(m: np.ndarray, settle, clear) -> np.ndarray:
     ``row`` comes with ``pivot`` 0 and must leave them as they are.  A step
     whose factors are all zero has nothing to clear and skips ``clear``.
     """
-    n, r, _ = m.shape
+    n, r, c = m.shape
     batch = np.arange(n)
-    rank = np.zeros(n, dtype=np.int64)
+    mask, rank = ws.take("mask", n, c), ws.take("rank", n)
+    rank.fill(0)
     for k in range(r):
         row = m[:, k]
         settle(row)
-        pc = (row > 0).argmax(axis=1)
+        pc = np.greater(row, 0, out=mask).argmax(axis=1)
         piv = row[batch, pc]
         has = piv > 0
         rank += has
@@ -119,9 +165,12 @@ def _eliminate(m: np.ndarray, settle, clear) -> np.ndarray:
     return rank
 
 
-def _reduce(x: np.ndarray, p: int) -> np.ndarray:
-    """``x`` mod p, in place; exact even where ``(x // p) * p`` wraps around."""
-    q = x // p
+def _reduce(x: np.ndarray, p: int, q: np.ndarray) -> np.ndarray:
+    """``x`` mod p, in place, with ``q`` as scratch of its shape and dtype.
+
+    Exact even where ``(x // p) * p`` wraps around.
+    """
+    np.floor_divide(x, p, out=q)
     q *= p
     x -= q
     return x
@@ -145,89 +194,95 @@ def _lazy_plan(p: int, r: int) -> tuple[type, int]:
 
 
 def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
-    """x^(p-2) mod p elementwise for int64 ``x`` in [0, p): the inverse, and 0 for 0."""
-    out = np.ones_like(x)
+    """x^(p-2) mod p elementwise for ``x`` in [0, p): the inverse, and 0 for 0.
+
+    ``x``'s dtype holds (p-1)^2.
+    """
+    out, q = np.ones_like(x), np.empty_like(x)
     e = p - 2
     while e:
         if e & 1:
-            out = _reduce(out * x, p)
-        x = _reduce(x * x, p)
+            out *= x
+            _reduce(out, p, q)
+        x = _reduce(x * x, p, q)
         e >>= 1
     return out
 
 
-def _rank_mod_p(m: np.ndarray, p: int, canonical: bool) -> np.ndarray:
+def _rank_mod_p(m: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
     n, r, c = m.shape
-    dtype, period = _lazy_plan(p, r)
-    if canonical:
-        work = np.array(m, dtype=dtype, order="C")
-    else:  # reduced in a dtype holding both the entries and p
-        wide = m.dtype if np.iinfo(m.dtype).max >= p else np.promote_types(m.dtype, np.uint32)
-        work = _reduce(np.array(m, dtype=wide, order="C"), p).astype(dtype)
-    scratch = np.empty((n, r - 1, c), dtype=dtype)
+    period = _lazy_plan(p, r)[1]
     pending = 0  # clearing steps since the rows below were last reduced
 
     def clear(below, factor, row, piv):
         nonlocal pending
-        inv = _inverse_mod(piv.astype(np.int64), p)
         # row_j += (-factor_j / piv) * row, the multiplier taken mod p: entries
         # only grow, and stay nonnegative
-        scale = _reduce((p - _reduce(factor, p).astype(np.int64)) * inv[:, None], p)
-        prod = scratch[:, : below.shape[1]]
-        np.multiply(scale.astype(dtype)[:, :, None], row[:, None, :], out=prod)
+        q = ws.take("prod", *factor.shape)
+        scale = _reduce(factor, p, q)
+        np.subtract(p, scale, out=scale)
+        scale *= _inverse_mod(piv, p)[:, None]
+        _reduce(scale, p, q)
+        prod = ws.take("prod", *below.shape)
+        np.multiply(scale[:, :, None], row[:, None, :], out=prod)
         below += prod
         pending += 1
         if pending == period and below.shape[1] > 1:
-            _reduce(below, p)
+            _reduce(below, p, prod)
             pending = 0
 
-    return _eliminate(work, lambda row: _reduce(row, p), clear)
+    q_row = ws.take("prod", n, c)
+    return _eliminate(m, ws, lambda row: _reduce(row, p, q_row), clear)
 
 
 @lru_cache(maxsize=None)
 def _log_tables_np(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
     """(exp, log) of a binary field with k <= 16, for products read at summed logs.
 
-    ``log[0]`` is the sentinel z = 2(q-1) - 1, past every sum of two logs of
-    nonzero elements, and ``exp`` runs on to 2z as zeros, so ``exp[log a +
+    ``log[0]`` is the sentinel z = 3(q-1) - 1, past every sum of three logs
+    of nonzero elements, and ``exp`` runs on to 2z as zeros, so ``exp[log a +
     log b] == a * b`` for all a, b including 0.  ``exp[i]`` is g^(i mod (q-1))
     below z.  ``exp`` is in the elements' dtype, ``log`` in the narrowest
     unsigned dtype holding 2z.
     """
     exp, log = discrete_log_tables(field)
-    zero = 2 * (field.order - 1) - 1
+    zero = 3 * (field.order - 1) - 1
     log_np = np.asarray(log, dtype=np.min_scalar_type(2 * zero))
     log_np[0] = zero
     exp_np = np.zeros(2 * zero + 1, dtype=entry_dtype(field))
-    exp_np[:zero] = exp[:zero]
+    exp_np[:zero] = np.resize(exp[: field.order - 1], zero)
     for table in (exp_np, log_np):
         table.flags.writeable = False
     return exp_np, log_np
 
 
-def _rank_gf2k(m: np.ndarray, field: FieldDescriptor) -> np.ndarray:
+def _rank_gf2k(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndarray:
     exp, log = _log_tables_np(field)
     order_m1 = field.order - 1
     n, r, c = m.shape
     # numpy gathers fast only at intp indices, 8 bytes each: the rows below
     # are cleared in groups of at most GATHER_ENTRIES entries
     step = max(1, GATHER_ENTRIES // (n * c))
-    idx_buf = np.empty(n * min(step, r) * c, dtype=np.intp)
-    prod_buf = np.empty(idx_buf.size, dtype=m.dtype)
 
     def clear(below, factor, row, piv):
-        # log(factor / piv), or the sentinel for a zero factor; a zero pivot
-        # comes with a zero row, whose sentinel logs zero every product
-        scale = (log[factor].astype(np.int64) - log[piv][:, None]) % order_m1
-        scale = np.where(factor > 0, scale, log[0])
-        log_row = log.take(row)[:, None, :]
+        # log(factor / piv) + (q-1) or less, so a sum with a nonzero entry's log
+        # stays under the sentinel; a zero factor's sums pass exp's end, where
+        # "clip" reads its last entry, 0.  A zero pivot comes with a zero row,
+        # whose sentinel logs zero every product
+        neg = order_m1 - log[piv] % order_m1  # -log piv, in [1, q-1]
+        scale = log[factor]
+        scale += neg[:, None]
+        log_row = ws.take("logrow", n, c)
+        index = ws.take("gather", n, c)  # intp: numpy copies any other index dtype
+        np.copyto(index, row)
+        np.take(log, index, out=log_row, mode="clip")
         for j in range(0, below.shape[1], step):
             part = below[:, j : j + step]
-            idx = idx_buf[: part.size].reshape(part.shape)
-            np.add(scale[:, j : j + step, None], log_row, out=idx)
-            part ^= exp.take(idx, out=prod_buf[: part.size].reshape(part.shape), mode="clip")
+            idx = ws.take("gather", *part.shape)
+            np.add(scale[:, j : j + step, None], log_row[:, None, :], out=idx)
+            part ^= exp.take(idx, out=ws.take("prod", *part.shape), mode="clip")
 
-    return _eliminate(m, lambda row: None, clear)
+    return _eliminate(m, ws, lambda row: None, clear)
 
 
 def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
@@ -253,22 +308,22 @@ def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
     return rank
 
 
-def rank_bytes(n: int, r: int, c: int, field: FieldDescriptor) -> int:
-    """At most the bytes :func:`matrix_rank` allocates for an (n, r, c) batch, order > 2.
+def _rank_into(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndarray:
+    """int64 ranks, in ``ws``, of an (N, r, c) batch of canonical entries, 1 <= r <= c.
 
-    The entries are canonical.  Counted are its working copy and its
-    scratch: GF(p)'s product rows, GF(2^k)'s gather indices and products,
-    or, for k > 16, one matrix at a time as lists of Python ints (about 64
-    bytes an entry).
+    ``ws`` holds :func:`_elimination_sizes` for that shape, and ``m`` is its
+    ``work``, eliminated in place.
     """
-    r, c = min(r, c), max(r, c)
-    if field.kind == "prime":
-        return n * (2 * r - 1) * c * np.dtype(_lazy_plan(field.p, r)[0]).itemsize
-    if field.k > 16:
-        return 64 * r * c
-    item = np.dtype(entry_dtype(field)).itemsize
-    gathered = min(n * r * c, max(n * c, GATHER_ENTRIES))
-    return n * r * c * item + gathered * (np.dtype(np.intp).itemsize + item)
+    rank = ws.take("rank", m.shape[0])
+    if field.order == 2:
+        rank[:] = _rank_gf2(m)
+    elif field.kind == "prime":
+        _rank_mod_p(m, field.p, ws)
+    elif field.k <= 16:
+        _rank_gf2k(m, field, ws)
+    else:
+        rank[:] = [_rank_generic(x.tolist(), field) for x in m]
+    return rank
 
 
 def matrix_rank(mats, field: FieldDescriptor):
@@ -278,7 +333,7 @@ def matrix_rank(mats, field: FieldDescriptor):
     int, or an ``(N, r, c)`` array, giving an int64 array of N ranks.  GF(p)
     entries may be any integers and are taken mod p; GF(2^k) entries must lie
     in [0, 2^k).  Integer arrays are used in their own dtype, and ``mats`` is
-    left unmodified.
+    left unmodified: it is copied into a workspace of its own.
     """
     if isinstance(mats, np.ndarray) and mats.dtype.kind in "iu":
         m = mats
@@ -293,17 +348,19 @@ def matrix_rank(mats, field: FieldDescriptor):
         raise ValueError(f"expected an (r, c) matrix or an (N, r, c) batch, got shape {m.shape}")
     if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)
-    canonical = _canonical(m, field.order)
-    if field.kind == "binary" and field.order > 2 and not canonical:
-        raise ValueError(f"matrix entries must be canonical in {field}")
-    if m.shape[1] == 0:
-        ranks = np.zeros(m.shape[0], dtype=np.int64)
-    elif field.order == 2:
-        ranks = _rank_gf2(m if canonical else _reduce(np.array(m), 2))
-    elif field.kind == "prime":
-        ranks = _rank_mod_p(m, field.p, canonical)
-    elif field.k <= 16:
-        ranks = _rank_gf2k(np.array(m, dtype=entry_dtype(field), order="C"), field)
+    if not _canonical(m, field.order):
+        if field.kind == "binary" and field.order > 2:
+            raise ValueError(f"matrix entries must be canonical in {field}")
+        # residues, in a dtype holding both the entries and p
+        wide = m.dtype if np.iinfo(m.dtype).max >= field.p else np.promote_types(m.dtype, np.uint32)
+        m = m.astype(wide)
+        _reduce(m, field.p, np.empty_like(m))
+    n, r, c = m.shape
+    if m.size == 0:
+        ranks = np.zeros(n, dtype=np.int64)
     else:
-        ranks = np.array([_rank_generic(x.tolist(), field) for x in m], dtype=np.int64)
+        ws = _Workspace(_elimination_sizes(n, r, c, field))
+        work = ws.take("work", n, r, c)
+        np.copyto(work, m, casting="unsafe")
+        ranks = _rank_into(work, field, ws).copy()
     return int(ranks[0]) if single else ranks

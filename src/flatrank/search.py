@@ -3,7 +3,7 @@
 GF(2) populations, in the exhaustive sweep and the random sweeps alike, are
 ranked by one of two kernels, chosen by the width of the flattening rows,
 a^(d-1) columns.  Blocks of both are sized by the bytes of their rows
-(:data:`PACKED_BLOCK_BYTES`), so rows and scratch stay in cache.
+(:data:`BLOCK_BYTES`), so rows and scratch stay in cache.
 
 * Rows of at most 32 columns (:data:`TABLE_MAX_COLUMNS`) are packed, one
   machine word per row with one bit per column.  The rows of a tensor are
@@ -29,19 +29,19 @@ and 0.85-0.92x at (5,3), with 25; the (3,3) exhaustive sweep ran at
 (6,3) and (4,4) took 0.27-0.37 and 0.36-0.47 us per tensor, against
 0.44-0.45 and 0.69-0.71 through 64-bit byte tables, and over 64 columns it
 is 14-21x faster than :func:`flatrank.linalg.matrix_rank` ((9,3): 1.24-1.28
-against 18-22 us).  Larger fields keep the batched
-:func:`flatrank.linalg.matrix_rank`.
+against 18-22 us).  Larger fields rank all d flattenings of a block with
+one call of the batched kernel behind :func:`flatrank.linalg.matrix_rank`.
 
 Both sweeps run one block loop, :func:`_scan_blocks`.  Each worker allocates
-one workspace (:class:`_Workspace`) per call, sized for its largest block,
-and every block writes its stream words, rows, scratch and rank counts into
-it in place; the kernels return views into it.  Allocating per block costs
-more than the arithmetic: glibc trims the heap top after each block's
-frees, so a block that allocates its buffers faults about 250 pages in
-again, at about 1.8 us each on a 2-vCPU Xeon.  What remains is each call's
-first touch of its workspace.  No buffer outlives the call, and none of a
-GF(2) block's is larger than its 512 KB of rows, as before, so glibc's mmap
-threshold does not move.  A sweep whose workspace, with the index arrays its
+one workspace (:class:`flatrank.linalg._Workspace`) per call, sized for its
+largest block by one ``*_sizes`` plan, and every block writes its stream
+words, entries, rows, stacked flattenings, scratch and rank counts into it in
+place; the kernels return views into it.  Allocating per block costs more
+than the arithmetic: glibc trims the heap top after each block's frees, so a
+block that allocates its buffers faults about 250 pages in again, at about
+1.8 us each on a 2-vCPU Xeon.  No buffer outlives the call, and none is
+larger than :data:`BLOCK_BYTES` unless one tensor needs it, so glibc's mmap
+threshold does not move.  A sweep whose plan, with the index arrays its
 shape keeps for the process, would pass :data:`MAX_WORKSPACE_BYTES` is
 refused before any of them is built.
 
@@ -60,7 +60,6 @@ from its one stream, ``_stream_block(seed, j, j + 1, nwords)``.
 
 from __future__ import annotations
 
-import bisect
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -72,7 +71,7 @@ import numpy as np
 from .field import GF2, FieldDescriptor
 from .formats import tensor_to_document
 from .fw import Configuration
-from .linalg import entry_dtype, matrix_rank, rank_bytes
+from .linalg import _elimination_sizes, _rank_into, _Workspace, entry_dtype
 from .rainbow import ColoredHypergraph
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
@@ -95,22 +94,19 @@ __all__ = [
 ]
 
 MAX_FREE_ENTRIES = 22
-# Most tensor entries held by one batched-rank sweep block, over a field of
-# order > 2; fewer, if the block would not fit MAX_WORKSPACE_BYTES.
-BLOCK_ENTRIES = 1 << 20
-# Bytes of packed flattening rows in one block of the packed GF(2) kernel, so
-# that the rows and their elimination scratch stay in the L2 cache.
-PACKED_BLOCK_BYTES = 1 << 19
+# Bytes of one sweep block's largest buffer: packed GF(2) rows, or, over a
+# larger field, whichever of its stream words, stack and scratch is largest,
+# so that they stay in the L2 cache and under glibc's mmap threshold.
+BLOCK_BYTES = 1 << 19
 # Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
 # wider rows go bit-sliced (see the module docstring for the measurements).
 TABLE_MAX_COLUMNS = 32
-# Bytes of one block's workspace, with the index arrays its shape keeps and,
-# over a field of order > 2, the entries, stacked flattenings and rank scratch
-# the block allocates; more is refused before any of it is allocated.  Default
-# GF(2) blocks take under 2 MB; a d = 2 bit-sliced sweep needs 56 a^2 bytes
-# even for one tensor, so it stops at a = 545, and a GF(3) sweep on 2^18 needs
-# 20.4 MB for one tensor.
-MAX_WORKSPACE_BYTES = 16 * BLOCK_ENTRIES
+# Bytes of one block's workspace, with the index arrays its shape keeps; more
+# is refused before any of it is allocated.  Default GF(2) blocks take under
+# 2 MB; a d = 2 bit-sliced sweep needs 56 a^2 bytes even for one tensor, so it
+# stops at a = 545, and a GF(3) sweep on 2^18 needs more than 16 MiB for one
+# tensor.
+MAX_WORKSPACE_BYTES = 16 << 20
 
 
 @dataclass
@@ -184,33 +180,19 @@ def _row_tables(a: int, d: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-class _Workspace:
-    """The buffers one sweep worker's blocks write into, allocated once per sweep call.
-
-    ``sizes`` maps each buffer's name to its item count and dtype at the
-    largest block, as the ``*_sizes`` functions give them; :meth:`take` hands
-    a block a view of a buffer's first items.  A kernel's results are views
-    into its workspace, valid until the next block.
-    """
-
-    def __init__(self, sizes: dict[str, tuple[int, type]]):
-        self._buffers = {name: np.empty(count, dtype) for name, (count, dtype) in sizes.items()}
-
-    def take(self, name: str, *shape: int) -> np.ndarray:
-        """The first ``prod(shape)`` items of buffer ``name``, in that shape."""
-        return self._buffers[name][: math.prod(shape)].reshape(shape)
-
-
 def _workspace_bytes(sizes: dict[str, tuple[int, type]]) -> int:
     return sum(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
+
+
+def _largest_buffer(sizes: dict[str, tuple[int, type]]) -> int:
+    return max(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
 
 
 def _check_workspace(sizes: dict[str, tuple[int, type]], extra: int, what: str) -> None:
     """Refuse a sweep whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
 
-    Counted are the workspace of ``sizes`` and ``extra`` bytes: the index
-    arrays the shape keeps for the process, and what a block allocates
-    outside the workspace.
+    Counted are the workspace of ``sizes`` and ``extra`` bytes, the index
+    arrays the shape keeps for the process.
     """
     nbytes = _workspace_bytes(sizes) + extra
     if nbytes > MAX_WORKSPACE_BYTES:
@@ -225,21 +207,6 @@ def _sliced_index_bytes(a: int, d: int) -> int:
     return (1 + d) * a**d * np.dtype(np.intp).itemsize
 
 
-def _field_bytes(a: int, d: int, n: int, field: FieldDescriptor) -> int:
-    """Bytes a sweep over a field of order > 2 takes outside its workspace, for blocks of n tensors.
-
-    Counted are the shape's :func:`index_class_arrays` (a^d intp), the
-    residues of the block's stream words and the entries drawn from them
-    (:func:`_semidiagonal_block`), their d stacked flattenings in
-    :func:`_block_ranks`, and :func:`matrix_rank`'s working copy and scratch
-    for that stack.
-    """
-    index = a**d * np.dtype(np.intp).itemsize
-    residues = n * _semidiagonal_words(a, d, field) * np.dtype(np.uint64).itemsize
-    entries = n * a**d * np.dtype(entry_dtype(field)).itemsize
-    return index + residues + (1 + d) * entries + rank_bytes(d * n, a, a ** (d - 1), field)
-
-
 def _stream_sizes(n: int, nwords: int) -> dict[str, tuple[int, type]]:
     """Workspace of :func:`_stream_block` for blocks of up to n tensors."""
     return {"words": (n * nwords, np.uint64), "mix": (n * nwords, np.uint64)}
@@ -248,6 +215,24 @@ def _stream_sizes(n: int, nwords: int) -> dict[str, tuple[int, type]]:
 def _rank_sizes(d: int, n: int, dtype: type) -> dict[str, tuple[int, type]]:
     """Buffers of the d ranks of n tensors, in ``dtype``, and of their (mfrank, sum_franks)."""
     return {"rank": (d * n, dtype), "mfrank": (n, dtype), "sumrank": (n, np.uint16)}
+
+
+def _field_sizes(a: int, d: int, n: int, field: FieldDescriptor) -> dict[str, tuple[int, type]]:
+    """Workspace of a block of up to n tensors over ``field`` of order > 2.
+
+    It holds the stream words, their residues, the entries drawn from them
+    (:func:`_semidiagonal_block`), and the elimination of the d stacked
+    flattenings of :func:`_block_ranks`.
+    """
+    nwords = _semidiagonal_words(a, d, field)
+    return {
+        **_stream_sizes(n, nwords),
+        "modulus": (nwords, np.uint64),
+        "residues": (n * nwords, np.uint64),
+        "entries": (n * a**d, entry_dtype(field)),
+        **_elimination_sizes(d * n, a, a ** (d - 1), field),
+        **_rank_sizes(d, n, np.int64),
+    }
 
 
 def _table_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
@@ -302,7 +287,8 @@ def _rank_summary(rank: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndar
     mfrank, sumrank = ws.take("mfrank", n), ws.take("sumrank", n)
     np.max(rank, axis=0, out=mfrank)
     # a sum is at most 32 rows times d <= 64 axes (numpy's cap), or a * d <= 2 * 4096
-    # bit-sliced: exact in uint16, which numpy sums much faster than it casts into int64
+    # (bit-sliced, or a^d within the dense cap): exact in uint16, which numpy sums
+    # much faster than it casts into int64
     np.sum(rank, axis=0, dtype=np.uint16, out=sumrank)
     return mfrank, sumrank
 
@@ -553,7 +539,7 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1) -> SearchReport:
     populations with more than 2^22 members, tensors over the dense cap and
     chunks whose memory passes :data:`MAX_WORKSPACE_BYTES`.  The population
     is ranked in chunks of a power of two assignments, as many as fit
-    :data:`PACKED_BLOCK_BYTES` of packed rows and at least 256 (or the whole
+    :data:`BLOCK_BYTES` of packed rows and at least 256 (or the whole
     population, if smaller).  Rows over :data:`TABLE_MAX_COLUMNS` columns
     occur only at d = 2, where the identity alone is bit-sliced.
     """
@@ -566,7 +552,7 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1) -> SearchReport:
     total = 1 << f
     sliced = a ** (d - 1) > TABLE_MAX_COLUMNS
     if not sliced:
-        cap = PACKED_BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize)
+        cap = BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize)
         chunk = min(total, 1 << max(8, cap.bit_length() - 1))
         sizes = _exhaustive_sizes(a, d, chunk)
         tables = _row_tables(a, d)
@@ -631,37 +617,67 @@ def _mixed_bits(words: np.ndarray, f: int) -> np.ndarray:
     return np.unpackbits(as_bytes, axis=1, count=f, bitorder="little")
 
 
-def _semidiagonal_block(a: int, d: int, field: FieldDescriptor, words: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=None)
+def _draw_index(a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(drawn, shift) of a draw on A^d over a field of order > 2, kept read-only per shape.
+
+    ``drawn`` holds the flat indices of the diagonal and mixed entries, which
+    take one stream word each, in flat order; ``shift`` is 1 on the diagonal
+    and 0 on mixed entries, as uint64.  With :func:`index_class_arrays` they
+    take 8 (a^d + 2 len(drawn)) bytes.
+    """
+    diag, _, mixed = index_class_arrays(a, d)
+    drawn = np.union1d(diag, mixed)
+    shift = np.isin(drawn, diag).astype(np.uint64)
+    drawn.flags.writeable = shift.flags.writeable = False
+    return drawn, shift
+
+
+def _semidiagonal_block(
+    a: int, d: int, field: FieldDescriptor, words: np.ndarray, ws: _Workspace | None = None
+) -> np.ndarray:
     """(N, a^d) entries drawn from the (N, nwords) stream ``words``, one tensor per row.
 
     The draw is the protocol of the module docstring; the entries are in the
-    field's narrowest dtype (:func:`flatrank.linalg.entry_dtype`).
+    field's narrowest dtype (:func:`flatrank.linalg.entry_dtype`).  Over a
+    larger field they are written into ``ws`` (:func:`_field_sizes`), or a
+    workspace of their own.
     """
-    diag, _, mixed = index_class_arrays(a, d)
-    entries = np.zeros((words.shape[0], a**d), dtype=entry_dtype(field))
-    if field.order == 2:
+    n = words.shape[0]
+    if field.order == 2:  # witnesses and tests only: the GF(2) kernels read the words
+        diag, _, mixed = index_class_arrays(a, d)
+        entries = np.zeros((n, a**d), dtype=np.uint8)
         entries[:, diag] = 1
         entries[:, mixed] = _mixed_bits(words, mixed.size)
         return entries
-    drawn = np.sort(np.concatenate((diag, mixed)))  # one word per drawn entry, in flat order
-    on_diag = np.zeros(a**d, dtype=np.uint64)
-    on_diag[diag] = 1
-    shift = on_diag[drawn]  # diagonal: 1 + w % (q-1); mixed: w % q
-    residues = words % (np.uint64(field.order) - shift)
+    ws = ws or _Workspace(_field_sizes(a, d, n, field))
+    entries = ws.take("entries", n, a**d)
+    entries.fill(0)
+    drawn, shift = _draw_index(a, d)
+    modulus = ws.take("modulus", drawn.size)
+    np.subtract(np.uint64(field.order), shift, out=modulus)  # diagonal: 1 + w % (q-1); mixed: w % q
+    residues = np.remainder(words, modulus, out=ws.take("residues", n, drawn.size))
     residues += shift
     entries[:, drawn] = residues
     return entries
 
 
 def _block_ranks(
-    entries: np.ndarray, a: int, d: int, field: FieldDescriptor
+    entries: np.ndarray, a: int, d: int, field: FieldDescriptor, ws: _Workspace | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(mfrank, sum_franks) of each A^d tensor in an (N, a^d) block, one rank call for all axes."""
-    grid = entries.reshape((-1,) + (a,) * d)
-    n = grid.shape[0]
-    stack = np.stack([np.moveaxis(grid, ax + 1, 1) for ax in range(d)])  # (d, N, a, ...)
-    ranks = matrix_rank(stack.reshape(d * n, a, -1), field).reshape(d, n)
-    return ranks.max(axis=0), ranks.sum(axis=0)
+    """(mfrank, sum_franks) of each A^d tensor in an (N, a^d) block, one rank call for all axes.
+
+    Its d flattenings are stacked into ``ws`` (:func:`_field_sizes`), or a
+    workspace of their own, and ranked there in place.
+    """
+    n = entries.shape[0]
+    ws = ws or _Workspace(_field_sizes(a, d, n, field))
+    grid = entries.reshape((n,) + (a,) * d)
+    stack = ws.take("work", d, n, a, a ** (d - 1))
+    for ax in range(d):
+        np.copyto(stack[ax].reshape(grid.shape), np.moveaxis(grid, ax + 1, 1))
+    rank = _rank_into(stack.reshape(d * n, a, -1), field, ws)
+    return _rank_summary(rank.reshape(d, n), ws)
 
 
 def random_semidiagonal_sweep(
@@ -676,14 +692,14 @@ def random_semidiagonal_sweep(
 
     Tensor j is drawn from ``Rng(Rng.sub_seed(seed, j))``.  Blocks of tensors
     are drawn in bulk and ranked together.  Over GF(2) a block holds
-    :data:`PACKED_BLOCK_BYTES` of rows: rows of at most
+    :data:`BLOCK_BYTES` of rows: rows of at most
     :data:`TABLE_MAX_COLUMNS` columns go through the byte tables of
     :func:`_packed_population_ranks`, wider ones through the bit-sliced
     :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
-    least one).  Larger fields make one batched :func:`matrix_rank` call for
-    all axes in blocks of at most :data:`BLOCK_ENTRIES` entries, fewer where
-    the block's memory (:func:`_field_bytes`) would pass the cap.  Shapes
-    over the dense cap, and sweeps whose memory passes
+    least one).  Larger fields rank all axes of a block at once
+    (:func:`_block_ranks`), in blocks of as many tensors as keep the largest
+    buffer of :func:`_field_sizes` within :data:`BLOCK_BYTES`, at least one.
+    Shapes over the dense cap, and sweeps whose workspace passes
     :data:`MAX_WORKSPACE_BYTES`, are refused before anything of their size is
     allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
@@ -695,26 +711,27 @@ def random_semidiagonal_sweep(
     nwords = _semidiagonal_words(a, d, field)
     sliced = field.order == 2 and a ** (d - 1) > TABLE_MAX_COLUMNS
     extra = 0
-    if field.order != 2:  # up to BLOCK_ENTRIES entries; fewer, if that many pass the cap
-        nbytes = lambda n: _workspace_bytes(_stream_sizes(n, nwords)) + _field_bytes(a, d, n, field)
-        n = min(count, max(1, BLOCK_ENTRIES // a**d))
-        if nbytes(n) > MAX_WORKSPACE_BYTES:
-            n = max(1, bisect.bisect_right(range(1, n), MAX_WORKSPACE_BYTES, key=nbytes))
-        sizes, extra = {}, _field_bytes(a, d, n, field)
+    if field.order != 2:  # every buffer grows with n: the largest at n = 1 sizes the block
+        n = min(count, max(1, BLOCK_BYTES // _largest_buffer(_field_sizes(a, d, 1, field))))
+        sizes, extra = _field_sizes(a, d, n, field), 8 * (a**d + 2 * nwords)  # _draw_index
+        if field.kind == "binary" and field.k > 16:  # one matrix as Python ints, 64 bytes an entry
+            extra += 64 * a**d
         kernel = lambda words, ws: _block_ranks(
-            _semidiagonal_block(a, d, field, words), a, d, field
+            _semidiagonal_block(a, d, field, words, ws), a, d, field, ws
         )
     elif not sliced:
-        n = min(count, PACKED_BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize))
+        n = min(count, BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize))
         sizes = _table_sizes(a, d, n)
         tables = _row_tables(a, d)
         kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
     else:  # whole words of 64 lanes, d * a^d / 8 bytes of gathered rows per tensor
-        n = min(count, max(64, 8 * PACKED_BLOCK_BYTES // (d * a**d) // 64 * 64))
+        n = min(count, max(64, 8 * BLOCK_BYTES // (d * a**d) // 64 * 64))
         sizes, extra = _sliced_sizes(a, d, n, nwords), _sliced_index_bytes(a, d)
         kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
     sizes |= _stream_sizes(n, nwords)
     _check_workspace(sizes, extra, f"{a}^{d} sweep block of n={n} tensors")
+    if field.order != 2:
+        _draw_index(a, d)  # built before the workspaces, not on top of them
     ranks = lambda start, stop, ws: kernel(_stream_block(seed, start, stop, nwords, ws), ws)
     (min_mf, _), (min_sum, _), violations, first_violation = _scan_blocks(
         count, n, threads, sizes, ranks, lower

@@ -337,30 +337,83 @@ def test_larger_field_sweep_cap_counts_its_block(capsys):
     assert peak < 3 << 20
 
 
-@pytest.mark.parametrize("spec,a,d", [("prime:3", 3, 3), ("binary:8", 2, 10), ("prime:251", 3, 5)])
+def _traced_sweep(monkeypatch, spec, a, d, count):
+    """(exit code, tracemalloc peak) of one sweep at one thread, its shape's index arrays built in it."""
+    from flatrank.search import _draw_index, _plane_index
+    from flatrank.tensor import index_class_arrays
+
+    monkeypatch.setenv("FLATRANK_THREADS", "1")
+    for cache in (_draw_index, _plane_index, index_class_arrays):
+        cache.cache_clear()
+    args = ["experiment", "random-semidiagonal", "--a", a, "--d", d, "--count", count]
+    tracemalloc.start()
+    try:
+        code = run([*args, "--seed", 1, "--field", spec])
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        for cache in (_draw_index, _plane_index, index_class_arrays):
+            cache.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "spec,a,d,count",
+    [
+        ("binary:8", 3, 3, 40000),  # 20.3 MB traced while the elimination's temporaries went uncounted
+        ("prime:3", 3, 3, 60000),  # 17.2 MB
+        ("prime:3", 2, 2, 300000),  # d = 2: the N-sized arrays outweigh the 2x2 flattenings
+        ("prime:3", 3, 2, 300000),
+        ("binary:8", 2, 2, 300000),
+        ("prime:3", 2, 17, 1),  # the largest one-tensor block the cap admits on 2^d
+        ("prime:2147483647", 2, 15, 1),
+        ("binary:8", 2, 16, 1),
+        ("binary:20", 446, 2, 1),  # the largest on a^2 whose matrix of Python ints the cap counts
+    ],
+    ids=str,
+)
+def test_larger_field_sweeps_peak_within_the_cap(monkeypatch, capsys, spec, a, d, count):
+    from flatrank.search import MAX_WORKSPACE_BYTES
+
+    code, peak = _traced_sweep(monkeypatch, spec, a, d, count)
+    assert code == 0 and peak <= MAX_WORKSPACE_BYTES, peak
+
+
+@pytest.mark.parametrize("spec,a", [("prime:3", 992), ("prime:2147483647", 617), ("binary:8", 1221)])
+def test_larger_field_cap_edge_on_a_squared(monkeypatch, capsys, spec, a):
+    # the largest admitted d = 2 shape plans to within a few KB of the cap; numpy's
+    # iterator buffers and the call's Python objects, which no plan lists, add 17-33 KB
+    from flatrank.search import MAX_WORKSPACE_BYTES
+
+    code, peak = _traced_sweep(monkeypatch, spec, a, 2, 1)
+    assert code == 0 and peak <= MAX_WORKSPACE_BYTES + (64 << 10), peak
+    code, peak = _traced_sweep(monkeypatch, spec, a + 1, 2, 1)
+    assert code == 2 and peak < 3 << 20
+    assert f"{a + 1}^2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec,a,d", [("prime:3", 3, 3), ("binary:8", 2, 10), ("prime:251", 3, 5), ("prime:3", 2, 16)]
+)
 def test_larger_field_blocks_shrink_to_the_cap(monkeypatch, spec, a, d):
-    # a block of BLOCK_ENTRIES entries would pass the cap: the sweep takes as many
-    # tensors as fit, and runs
+    # a block takes as many tensors as keep its largest buffer within BLOCK_BYTES, and
+    # at least one ((2, 16): one tensor's stack is 1 MB); its plan fits the cap
     from flatrank import search
 
     blocks = []
 
-    def scan(total, block, *args):
-        blocks.append(block)
+    def scan(total, block, threads, sizes, *args):
+        blocks.append((block, sizes))
         return (0, 0), (0, 0), 0, None
 
     monkeypatch.setattr(search, "_scan_blocks", scan)
     field = _parse_field(spec)
     search.random_semidiagonal_sweep(a, d, 10**6, 1, field)
-    nwords = search._semidiagonal_words(a, d, field)
+    largest = lambda n: search._largest_buffer(search._field_sizes(a, d, n, field))
 
-    def nbytes(n):
-        stream = search._workspace_bytes(search._stream_sizes(n, nwords))
-        return stream + search._field_bytes(a, d, n, field)
-
-    (n,) = blocks
-    assert n < search.BLOCK_ENTRIES // a**d
-    assert nbytes(n) <= search.MAX_WORKSPACE_BYTES < nbytes(n + 1)
+    ((n, sizes),) = blocks
+    assert sizes == search._field_sizes(a, d, n, field)
+    assert largest(n) <= search.BLOCK_BYTES < largest(n + 1) or n == 1 < search.BLOCK_BYTES < largest(1)
+    assert search._workspace_bytes(sizes) <= search.MAX_WORKSPACE_BYTES
 
 
 @pytest.mark.parametrize("command", [["experiment", "exhaustive"], ["construct", "partition"]], ids=" ".join)

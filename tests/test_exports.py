@@ -31,6 +31,7 @@ REMOVED = {
     "flatrank.search": ["random_semidiagonal"],
     "flatrank.tensor": ["classify_indices", "negate_tensor"],
     "flatrank.fw": ["max_odd_pairwise_odd_family"],
+    "flatrank.linalg": ["rank_bytes"],
 }
 
 

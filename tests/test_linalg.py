@@ -147,10 +147,10 @@ def test_wide_and_tall_rank_deficient(field):
 
 
 def test_matrix_rank_empty_shapes():
-    f = make_prime_field(3)
-    assert matrix_rank([], f) == 0
-    assert matrix_rank(np.zeros((3, 0), dtype=np.int64), f) == 0
-    assert matrix_rank(np.zeros((0, 2, 2), dtype=np.int64), f).tolist() == []
+    for f in (make_prime_field(3), make_binary_field(2), make_binary_field(17)):
+        assert matrix_rank([], f) == 0
+        assert matrix_rank(np.zeros((3, 0), dtype=np.int64), f) == 0
+        assert matrix_rank(np.zeros((0, 2, 2), dtype=np.int64), f).tolist() == []
 
 
 DIFF_PRIMES = [3, 5, 7, 11, 13, 127, 251, 257, 65521, 2**31 - 1]
@@ -302,12 +302,12 @@ def _counting_clears(monkeypatch):
     factors = []
     eliminate = linalg._eliminate
 
-    def counted(m, settle, clear):
+    def counted(m, ws, settle, clear):
         def counted_clear(below, factor, row, piv):
             factors.append(factor.copy())
             clear(below, factor, row, piv)
 
-        return eliminate(m, settle, counted_clear)
+        return eliminate(m, ws, settle, counted_clear)
 
     monkeypatch.setattr(linalg, "_eliminate", counted)
     return factors

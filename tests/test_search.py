@@ -9,7 +9,7 @@ from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import GOLDEN, MASK64, Rng, mix64, stream_words_np, sub_seeds_np
 from flatrank.formats import canonical_json
 from flatrank.search import (
-    PACKED_BLOCK_BYTES,
+    BLOCK_BYTES,
     TABLE_MAX_COLUMNS,
     _Workspace,
     _block_ranks,
@@ -167,20 +167,22 @@ def test_exhaustive_witnesses_reverify():
 
 
 def _budget_blocks(monkeypatch, field, a, d, n):
-    """Shrink the block budget that sizes sweeps on A^d over ``field`` to n tensors a block.
+    """Shrink ``BLOCK_BYTES``, the budget that sizes sweeps on A^d over ``field``, to n tensors a block.
 
-    The budget is ``BLOCK_ENTRIES`` for larger fields and ``PACKED_BLOCK_BYTES``
-    over GF(2).  Bit-sliced blocks are whole words of 64 tensors, so there n
-    is a multiple of 64; exhaustive chunks are powers of two of at least 256.
+    It bounds packed rows over GF(2) and the largest buffer of
+    ``_field_sizes`` over larger fields.  Bit-sliced blocks are whole words
+    of 64 tensors, so there n is a multiple of 64; exhaustive chunks are
+    powers of two of at least 256.
     """
     import flatrank.search as search
 
-    if field.order != 2:
-        monkeypatch.setattr(search, "BLOCK_ENTRIES", n * a**d)
+    if field.order != 2:  # every buffer grows with n
+        per_tensor = search._largest_buffer(search._field_sizes(a, d, 1, field))
+        monkeypatch.setattr(search, "BLOCK_BYTES", n * per_tensor)
     elif a ** (d - 1) <= TABLE_MAX_COLUMNS:  # a*d packed rows per tensor
-        monkeypatch.setattr(search, "PACKED_BLOCK_BYTES", n * _row_tables(a, d)[0][0].nbytes)
+        monkeypatch.setattr(search, "BLOCK_BYTES", n * _row_tables(a, d)[0][0].nbytes)
     else:  # d*a^d gathered bits per tensor
-        monkeypatch.setattr(search, "PACKED_BLOCK_BYTES", n * d * a**d // 8)
+        monkeypatch.setattr(search, "BLOCK_BYTES", n * d * a**d // 8)
 
 
 def test_exhaustive_threads_agree(monkeypatch):
@@ -206,7 +208,7 @@ def test_exhaustive_chunks_match_matrix_rank(a, d):
             assert got.tolist() == want.tolist()
         return
     tables = _row_tables(a, d)
-    default = 1 << ((PACKED_BLOCK_BYTES // tables[0][0].nbytes).bit_length() - 1)
+    default = 1 << ((BLOCK_BYTES // tables[0][0].nbytes).bit_length() - 1)
     for chunk in {min(total, 256), min(total, default)}:
         ws = _Workspace(_exhaustive_sizes(a, d, chunk))  # one for all chunks, as a sweep's worker
         parts = [
@@ -498,8 +500,10 @@ def test_block_ranks_one_rank_call_per_block(monkeypatch):
     import flatrank.search as search_mod
 
     calls = []
-    rank = search_mod.matrix_rank
-    monkeypatch.setattr(search_mod, "matrix_rank", lambda m, f: calls.append(m.shape) or rank(m, f))
+    rank = search_mod._rank_into
+    monkeypatch.setattr(
+        search_mod, "_rank_into", lambda m, f, ws: calls.append(m.shape) or rank(m, f, ws)
+    )
     gf3 = make_prime_field(3)
     _budget_blocks(monkeypatch, gf3, 3, 3, 4)
     rep = random_semidiagonal_sweep(3, 3, 10, 5, field=gf3)

@@ -453,7 +453,7 @@ def test_scaled_permutation_ranks_without_a_clear(monkeypatch):
     monkeypatch.setattr(
         linalg,
         "_eliminate",
-        lambda m, settle, clear: eliminate(m, settle, lambda *args: clears.append(args)),
+        lambda m, ws, settle, clear: eliminate(m, ws, settle, lambda *args: clears.append(args)),
     )
     assert flattening_ranks(t) == [8] * 5
     assert len(shapes) == 1 and shapes[0][:2] == (5, 8) and shapes[0][2] <= 40
