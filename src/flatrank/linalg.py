@@ -7,7 +7,8 @@ is transpose-invariant), so its pivot loop runs ``min(r, c)`` times.  It
 copies the input once, in the kernel's own dtype, into a :class:`_Workspace`
 of its own, and ranks the copy in place with :func:`_rank_into`, which the
 sweeps call on stacks they build in theirs.  :func:`_elimination_sizes` is
-the plan of that workspace, so a caller's cap counts what the kernels write.
+the plan of that workspace and :func:`_unplanned_bytes` bounds what the
+kernels allocate besides, so a caller's cap counts both.
 
 * GF(2): entries mod 2, rows packed with numpy into ints used as bit-vectors,
   reduced per matrix by :func:`rank_gf2_bitrows` (word-wide XOR).
@@ -115,9 +116,8 @@ def _rank_gf2(m: np.ndarray) -> np.ndarray:
 def _elimination_sizes(n: int, r: int, c: int, field: FieldDescriptor) -> dict[str, tuple[int, type]]:
     """Workspace of :func:`_rank_into` for n (r, c) matrices over ``field``, r <= c.
 
-    ``work`` holds the matrices, in the dtype they are eliminated in.  Each
-    step allocates only N and (N, r-1) arrays, at most 8/c of the rows'
-    bytes; GF(2) and GF(2^k > 16) rank Python ints.
+    ``work`` holds the matrices, in the dtype they are eliminated in; what
+    the kernels allocate besides is :func:`_unplanned_bytes`.
     """
     prime = field.kind == "prime" and field.order > 2
     dtype = _lazy_plan(field.p, r)[0] if prime else entry_dtype(field)
@@ -128,12 +128,26 @@ def _elimination_sizes(n: int, r: int, c: int, field: FieldDescriptor) -> dict[s
     if prime:
         return sizes | {"prod": (n * max(r - 1, 1) * c, dtype)}
     logs = _log_tables_np(field)[1].dtype
-    gathered = n * c * min(max(r - 1, 1), max(1, GATHER_ENTRIES // (n * c)))
+    # the most one clearing group gathers in a batch of at most n matrices
+    gathered = min(n * c * max(r - 1, 1), max(n * c, GATHER_ENTRIES))
     return sizes | {
         "logrow": (n * c, logs),
         "gather": (gathered, np.intp),
         "prod": (gathered, dtype),
     }
+
+
+def _unplanned_bytes(n: int, r: int, c: int, field: FieldDescriptor) -> int:
+    """At most the bytes :func:`_rank_into` allocates outside its plan, order > 2.
+
+    Each step's pivot columns and factors are at most four (N, r) arrays of
+    8-byte items at a time.  A numpy call that casts buffers up to 8192 items
+    (``np.getbufsize()``) of each of up to three 8-byte operands; with the
+    call's Python objects that is under 256 KiB.  GF(2^k > 16) ranks one
+    matrix at a time as Python ints, about 64 bytes an entry.
+    """
+    generic = field.kind == "binary" and field.k > 16
+    return 32 * n * r + (256 << 10) + (64 * r * c if generic else 0)
 
 
 def _eliminate(m: np.ndarray, ws: _Workspace, settle, clear) -> np.ndarray:
@@ -351,10 +365,10 @@ def matrix_rank(mats, field: FieldDescriptor):
     if not _canonical(m, field.order):
         if field.kind == "binary" and field.order > 2:
             raise ValueError(f"matrix entries must be canonical in {field}")
-        # residues, in a dtype holding both the entries and p
-        wide = m.dtype if np.iinfo(m.dtype).max >= field.p else np.promote_types(m.dtype, np.uint32)
+        # residues, in a dtype holding both the entries and p (GF(2^1) has p 0)
+        wide = m.dtype if np.iinfo(m.dtype).max >= field.order else np.promote_types(m.dtype, np.uint32)
         m = m.astype(wide)
-        _reduce(m, field.p, np.empty_like(m))
+        _reduce(m, field.order, np.empty_like(m))
     n, r, c = m.shape
     if m.size == 0:
         ranks = np.zeros(n, dtype=np.int64)

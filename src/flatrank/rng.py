@@ -98,11 +98,9 @@ def sub_seeds_np(seed: int, start: int, out: np.ndarray, tmp: np.ndarray) -> np.
 def stream_words_np(sub_seeds: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Row j of the (N, nwords) uint64 ``out``: the first outputs of ``Rng(sub_seeds[j])``.
 
-    ``tmp`` is scratch of out's shape; nothing else is allocated.
+    ``tmp`` is scratch of out's shape.
     """
-    steps = out[0]  # (c + 1) * GOLDEN mod 2^64, in the row it then becomes
-    steps.fill(GOLDEN)
-    np.cumsum(steps, out=steps)
-    np.add(sub_seeds[1:, None], steps, out=out[1:])
-    steps += sub_seeds[0]
+    steps = np.arange(1, out.shape[1] + 1, dtype=np.uint64)
+    steps *= np.uint64(GOLDEN)
+    np.add(sub_seeds[:, None], steps, out=out)
     return mix64_np(out, tmp)

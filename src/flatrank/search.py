@@ -42,8 +42,9 @@ block that allocates its buffers faults about 250 pages in again, at about
 1.8 us each on a 2-vCPU Xeon.  No buffer outlives the call, and none is
 larger than :data:`BLOCK_BYTES` unless one tensor needs it, so glibc's mmap
 threshold does not move.  A sweep whose plan, with the index arrays its
-shape keeps for the process, would pass :data:`MAX_WORKSPACE_BYTES` is
-refused before any of them is built.
+shape keeps for the process and what a larger field's elimination allocates
+outside the plan, would pass :data:`MAX_WORKSPACE_BYTES` is refused before
+any of them is built.
 
 Randomized sweeps and instance generators run off the documented splitmix64
 streams in :mod:`flatrank.rng`, so every report is reproducible from its seed.
@@ -71,7 +72,7 @@ import numpy as np
 from .field import GF2, FieldDescriptor
 from .formats import tensor_to_document
 from .fw import Configuration
-from .linalg import _elimination_sizes, _rank_into, _Workspace, entry_dtype
+from .linalg import _elimination_sizes, _rank_into, _unplanned_bytes, _Workspace, entry_dtype
 from .rainbow import ColoredHypergraph
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
@@ -101,11 +102,12 @@ BLOCK_BYTES = 1 << 19
 # Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
 # wider rows go bit-sliced (see the module docstring for the measurements).
 TABLE_MAX_COLUMNS = 32
-# Bytes of one block's workspace, with the index arrays its shape keeps; more
-# is refused before any of it is allocated.  Default GF(2) blocks take under
-# 2 MB; a d = 2 bit-sliced sweep needs 56 a^2 bytes even for one tensor, so it
-# stops at a = 545, and a GF(3) sweep on 2^18 needs more than 16 MiB for one
-# tensor.
+# Bytes of one block's workspace, with the index arrays its shape keeps and,
+# over a larger field, what its elimination allocates outside the workspace;
+# more is refused before any of it is allocated.  Default GF(2) blocks take
+# under 2 MB; a d = 2 bit-sliced sweep needs 56 a^2 bytes even for one tensor,
+# so it stops at a = 545, and a GF(3) sweep on 2^18 needs more than 16 MiB for
+# one tensor.
 MAX_WORKSPACE_BYTES = 16 << 20
 
 
@@ -191,8 +193,9 @@ def _largest_buffer(sizes: dict[str, tuple[int, type]]) -> int:
 def _check_workspace(sizes: dict[str, tuple[int, type]], extra: int, what: str) -> None:
     """Refuse a sweep whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
 
-    Counted are the workspace of ``sizes`` and ``extra`` bytes, the index
-    arrays the shape keeps for the process.
+    Counted are the workspace of ``sizes`` and ``extra`` bytes: the index
+    arrays the shape keeps for the process, and what a larger field's
+    elimination allocates outside the workspace.
     """
     nbytes = _workspace_bytes(sizes) + extra
     if nbytes > MAX_WORKSPACE_BYTES:
@@ -697,8 +700,10 @@ def random_semidiagonal_sweep(
     :func:`_packed_population_ranks`, wider ones through the bit-sliced
     :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
     least one).  Larger fields rank all axes of a block at once
-    (:func:`_block_ranks`), in blocks of as many tensors as keep the largest
-    buffer of :func:`_field_sizes` within :data:`BLOCK_BYTES`, at least one.
+    (:func:`_block_ranks`), in blocks of :data:`BLOCK_BYTES` over the largest
+    buffer of :func:`_field_sizes` for one tensor, and at least one.  No
+    buffer grows faster than the block, so none passes the budget; GF(2^k)'s
+    gather scratch is capped, so blocks where it is the largest fill less.
     Shapes over the dense cap, and sweeps whose workspace passes
     :data:`MAX_WORKSPACE_BYTES`, are refused before anything of their size is
     allocated.
@@ -711,11 +716,11 @@ def random_semidiagonal_sweep(
     nwords = _semidiagonal_words(a, d, field)
     sliced = field.order == 2 and a ** (d - 1) > TABLE_MAX_COLUMNS
     extra = 0
-    if field.order != 2:  # every buffer grows with n: the largest at n = 1 sizes the block
+    if field.order != 2:  # no buffer grows faster than n: one tensor's largest sizes the block
         n = min(count, max(1, BLOCK_BYTES // _largest_buffer(_field_sizes(a, d, 1, field))))
-        sizes, extra = _field_sizes(a, d, n, field), 8 * (a**d + 2 * nwords)  # _draw_index
-        if field.kind == "binary" and field.k > 16:  # one matrix as Python ints, 64 bytes an entry
-            extra += 64 * a**d
+        sizes = _field_sizes(a, d, n, field)
+        # _draw_index's arrays, stream_words_np's steps and the elimination's temporaries
+        extra = 8 * (a**d + 3 * nwords) + _unplanned_bytes(d * n, a, a ** (d - 1), field)
         kernel = lambda words, ws: _block_ranks(
             _semidiagonal_block(a, d, field, words, ws), a, d, field, ws
         )

@@ -275,10 +275,32 @@ def test_gf2k_rank_rejects_noncanonical_entries(k):
 
 
 def test_gf2_rank_takes_entries_mod_2():
-    f = make_prime_field(2)
-    assert matrix_rank([[2, 4], [6, -2]], f) == 0
-    assert matrix_rank([[-1, 3], [1, 1]], f) == 1
-    assert matrix_rank(np.array([[3, 0], [255, 1]], dtype=np.uint8), f) == 2
+    for f in (make_prime_field(2), make_binary_field(1)):
+        assert matrix_rank([[2]], f) == 0
+        assert matrix_rank([[2, 4], [6, -2]], f) == 0
+        assert matrix_rank([[-1, 3], [1, 1]], f) == 1
+        assert matrix_rank(np.array([[3, 0], [255, 1]], dtype=np.uint8), f) == 2
+
+
+@pytest.mark.parametrize(
+    "field",
+    [make_prime_field(3), make_prime_field(2**31 - 1), make_binary_field(8), make_binary_field(16)],
+    ids=str,
+)
+def test_elimination_plan_holds_every_smaller_batch(field):
+    # a sweep plans its workspace at its largest block; a short last block clears
+    # more GF(2^k) rows per gather group than a full one: 600 of 1365 (4, 16) matrices
+    from flatrank.linalg import _elimination_sizes, _rank_into, _Workspace
+
+    rng = np.random.default_rng(field.order)
+    for n, r, c in [(1365, 4, 16), (40, 3, 9), (6, 8, 64)]:
+        ws = _Workspace(_elimination_sizes(n, r, c, field))
+        for m in sorted({1, 2, n // 3, min(n, 600), n - 1, n}):
+            mats = rng.integers(0, 3, (m, r, c))
+            mats[::2, -1] = mats[::2, 0]  # rank-deficient
+            work = ws.take("work", m, r, c)
+            np.copyto(work, mats, casting="unsafe")
+            assert _rank_into(work, field, ws).tolist() == matrix_rank(mats, field).tolist()
 
 
 @pytest.mark.parametrize("field", RANK_FIELDS, ids=str)

@@ -496,6 +496,17 @@ def test_packed_sum_exact_at_numpy_dimension_cap():
     assert random_semidiagonal_sweep(1, 64, 5, 1).min_sum_franks == 64
 
 
+def test_short_last_block_fits_the_plan():
+    # (4,3) GF(2^8) blocks hold 455 tensors; the last of 655 holds 200, whose
+    # elimination gathers more rows below per group than a full block's
+    gf256 = make_binary_field(8)
+    rep = random_semidiagonal_sweep(4, 3, 655, 1, field=gf256)
+    words = _stream_block(1, 0, 655, _semidiagonal_words(4, 3, gf256))
+    mfrank, sumrank = _block_ranks(_semidiagonal_block(4, 3, gf256, words), 4, 3, gf256)
+    assert (rep.min_mfrank, rep.min_sum_franks) == (int(mfrank.min()), int(sumrank.min()))
+    assert rep.violations == int((mfrank < 2).sum())
+
+
 def test_block_ranks_one_rank_call_per_block(monkeypatch):
     import flatrank.search as search_mod
 
