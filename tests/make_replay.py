@@ -29,9 +29,9 @@ ROOT = TESTS.parent
 REPLAY = TESTS / "replay.json"
 FIXTURES = "tests/fixtures"
 
-# (field, a, d, count): every larger-field kernel, with counts that span at
-# least three blocks of the sweep, except the scalar GF(2^20) path, which
-# ranks too slowly for that and runs one block.  Sweep reports hold only
+# (field, a, d, count): every sweep kernel, with counts that span at least
+# three blocks of the sweep, except the scalar GF(2^20) path, which ranks too
+# slowly for that and runs one block.  Sweep reports hold only
 # minima, which the large shapes reach on any draw; the two small GF(3)
 # shapes last fall short of the smallest sums, so their minima change with
 # the stream
@@ -46,7 +46,20 @@ SWEEPS = [
     ("binary:20", 3, 3, 40),
     ("prime:3", 2, 3, 30),
     ("prime:3", 2, 4, 40),
+    # GF(2) over three or more blocks of each kernel: byte tables at (4,3) and
+    # (5,3), 21,845 and 8,738 tensors a block; bit-sliced at (6,3) and (4,4),
+    # 6,464 and 4,096 a block, each with a short last word of lanes
+    ("gf2", 4, 3, 50000),
+    ("gf2", 5, 3, 20000),
+    ("gf2", 6, 3, 15000),
+    ("gf2", 4, 4, 10000),
+    # byte tables, whose minimum sum changes with the stream; no bit-sliced
+    # shape has one: every draw there reads full rank, one tensor or 15,000
+    ("gf2", 2, 3, 2),
 ]
+
+# (a, d) of the exhaustive sweeps: (2,4) in one chunk, (3,3) in 16
+EXHAUSTIVE = [(2, 4), (3, 3)]
 
 # (file, field document, dims, seed) of the rank fixtures, one per field family;
 # GF(2) uses the partition fixture
@@ -73,7 +86,18 @@ def calls() -> list[list[str]]:
          "--count", str(count), "--seed", "11", "--field", spec]
         for spec, a, d, count in SWEEPS
     ]
+    argv += [["experiment", "exhaustive", "--a", str(a), "--d", str(d)] for a, d in EXHAUSTIVE]
     argv.append(["experiment", "badbox-sample", "--t", "5", "--s", "2", "--seed", "11"])  # scalar stream
+    argv.append(["experiment", "oddtown-search", "--n", "4", "--d", "3", "--budget", "60", "--seed", "11"])
+    argv += [
+        ["construct", "partition", "--a", "4", "--d", "3"],
+        ["construct", "partition", "--a", "4", "--d", "3", "--field", "prime:5", "--sparse"],
+        ["construct", "axis-constant", "--a", "3", "--d", "3", "--axis", "0", "--field", "binary:8"],
+        ["construct", "axis-constant", "--a", "3", "--d", "4", "--axis", "2", "--sparse"],
+        ["verify", "fw", f"{FIXTURES}/fw_singletons.json", "--config", f"{FIXTURES}/fw_config.json",
+         "--distinct", "positions"],
+        ["verify", "badbox", f"{FIXTURES}/badbox_family.json", "--k", "3"],
+    ]
     docs = ["partition_4_3.json"] + [name for name, *_ in RANK_FIXTURES]
     for doc in docs:
         for mode in (["--max"], ["--sum"], ["--axis", "1"]):

@@ -1,8 +1,9 @@
 """Every call of ``tests/replay.json`` writes the same stdout bytes, at 1 and 2 threads.
 
-The manifest holds seeded sweeps over each larger-field kernel, a seeded
-bad-box sample and ranks in each field family; ``tests/make_replay.py``
-regenerates it.
+The manifest holds seeded sweeps over each sweep kernel, the exhaustive
+sweeps, a seeded bad-box sample and cross-Oddtown search, both constructions
+dense and sparse, ``verify fw``/``badbox`` with their options and ranks in each
+field family; ``tests/make_replay.py`` regenerates it.
 """
 
 import json
