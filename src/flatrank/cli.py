@@ -8,7 +8,6 @@ violated; 2 = usage, parse, or cap errors.  Each report is serialized once,
 in canonical bytes (sorted keys, no whitespace, trailing newline); the same
 bytes go to stdout and, with --out, to a file (atomic write).  Each input file
 is read once, and its digest is taken of the bytes that were parsed.
-FLATRANK_THREADS caps chunk-level parallelism of the experiment sweeps.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ import argparse
 import csv
 import functools
 import json
-import os
 import sys
 
 from . import __version__
@@ -57,14 +55,6 @@ from .tensor import (
 
 class VerificationFailed(Exception):
     """Raised when a verify pipeline finds its hypothesis or a bound broken."""
-
-
-def _threads() -> int:
-    raw = os.environ.get("FLATRANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"FLATRANK_THREADS must be an integer, got {raw!r}")
 
 
 def _parse_field(spec: str) -> FieldDescriptor:
@@ -173,11 +163,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    threads = _threads()
     seed, failure = args.seed, None
     if args.kind == "exhaustive":
         params = {"a": args.a, "d": args.d}
-        rep = exhaustive_min_mfrank(args.a, args.d, threads=threads)
+        rep = exhaustive_min_mfrank(args.a, args.d)
         predicted = -(-args.a // (args.d - 1))
         results = rep.to_document()
         results["predicted_min_mfrank"] = predicted
@@ -188,9 +177,7 @@ def _cmd_experiment(args) -> int:
     elif args.kind == "random-semidiagonal":
         field = _parse_field(args.field)
         params = {"a": args.a, "d": args.d, "count": args.count, "field": field.to_document()}
-        rep = random_semidiagonal_sweep(
-            args.a, args.d, args.count, args.seed, field=field, threads=threads
-        )
+        rep = random_semidiagonal_sweep(args.a, args.d, args.count, args.seed, field=field)
         results = rep.to_document()
         if rep.violations:
             failure = f"{rep.violations} tensors violated the rank bound"

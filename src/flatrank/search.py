@@ -32,8 +32,8 @@ is 14-21x faster than :func:`flatrank.linalg.matrix_rank` ((9,3): 1.24-1.28
 against 18-22 us).  Larger fields rank all d flattenings of a block with
 one call of the batched kernel behind :func:`flatrank.linalg.matrix_rank`.
 
-Both sweeps run one block loop, :func:`_scan_blocks`.  Each worker allocates
-one workspace (:class:`flatrank.linalg._Workspace`) per call, sized for its
+Both sweeps run one block loop, :func:`_scan_blocks`, which allocates one
+workspace (:class:`flatrank.linalg._Workspace`) per call, sized for its
 largest block by one ``*_sizes`` plan, and every block writes its stream
 words, entries, rows, stacked flattenings, scratch and rank counts into it in
 place; the kernels return views into it.  Allocating per block costs more
@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -490,50 +489,34 @@ def _mixed_count(a: int, d: int) -> int:
 def _scan_blocks(
     total: int,
     block: int,
-    threads: int,
     sizes: dict[str, tuple[int, type]],
     ranks: Callable[[int, int, _Workspace], tuple[np.ndarray, np.ndarray]],
     lower: int,
 ) -> tuple[tuple[int, int], tuple[int, int], int, int | None]:
-    """The block loop of both sweeps, over tensors ``0 .. total-1``.
+    """The block loop of both sweeps, over tensors ``0 .. total-1``, ``total >= 1``.
 
     Blocks are ``block`` consecutive tensors; ``ranks(start, stop, ws)`` gives
-    the (mfrank, sum_franks) of one.  Each of up to ``threads`` workers scans
-    a contiguous run of blocks in one :class:`_Workspace` of ``sizes``, its
-    own.  Returns (min mfrank, its first index), (min sum_franks, its first
-    index), the count of tensors with mfrank < ``lower`` and the first of
-    them (or None); none of it depends on ``threads`` or ``block``.
+    the (mfrank, sum_franks) of one, written into the one :class:`_Workspace`
+    of ``sizes``.  Returns (min mfrank, its first index), (min sum_franks, its
+    first index), the count of tensors with mfrank < ``lower`` and the first
+    of them (or None); none of it depends on ``block``.
     """
-    spans = [(s, min(s + block, total)) for s in range(0, total, block)]
-    workers = max(1, min(threads, len(spans)))
-    cuts = [len(spans) * i // workers for i in range(workers + 1)]
-
-    def run(lo: int, hi: int) -> list[tuple]:
-        ws = _Workspace(sizes)
-        parts = []
-        for start, stop in spans[lo:hi]:
-            mfrank, sumrank = ranks(start, stop, ws)
-            i_mf, i_sum = int(mfrank.argmin()), int(sumrank.argmin())
-            best = int(mfrank[i_mf])
-            bad = np.flatnonzero(mfrank < lower) if best < lower else ()
-            first = start + int(bad[0]) if len(bad) else None
-            parts.append((best, start + i_mf, int(sumrank[i_sum]), start + i_sum, len(bad), first))
-        return parts
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = [p for run_parts in pool.map(run, cuts, cuts[1:]) for p in run_parts]
-    else:
-        parts = run(0, len(spans))
-    return (
-        min((p[0], p[1]) for p in parts),
-        min((p[2], p[3]) for p in parts),
-        sum(p[4] for p in parts),
-        next((p[5] for p in parts if p[5] is not None), None),
-    )
+    ws = _Workspace(sizes)
+    best_mf = best_sum = (math.inf, 0)
+    violations, first = 0, None
+    for start in range(0, total, block):
+        mfrank, sumrank = ranks(start, min(start + block, total), ws)
+        i_mf, i_sum = int(mfrank.argmin()), int(sumrank.argmin())
+        best_mf = min(best_mf, (int(mfrank[i_mf]), start + i_mf))
+        best_sum = min(best_sum, (int(sumrank[i_sum]), start + i_sum))
+        if mfrank[i_mf] < lower:
+            bad = np.flatnonzero(mfrank < lower)
+            violations += bad.size
+            first = start + int(bad[0]) if first is None else first
+    return best_mf, best_sum, violations, first
 
 
-def exhaustive_min_mfrank(a: int, d: int, threads: int = 1) -> SearchReport:
+def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     """Sweep every GF(2) semi-diagonal tensor on A^d with unit diagonal.
 
     Mixed entries range over {0,1}; all-distinct entries are 0 and diagonal
@@ -568,7 +551,7 @@ def exhaustive_min_mfrank(a: int, d: int, threads: int = 1) -> SearchReport:
     extra = _sliced_index_bytes(a, d) if sliced else 0
     _check_workspace(sizes, extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
     (best_mf, at_mf), (best_sum, at_sum), _, _ = _scan_blocks(
-        total, chunk, threads, sizes, ranks, -(-a // (d - 1))
+        total, chunk, sizes, ranks, -(-a // (d - 1))
     )
 
     def witness(v: int, label: str) -> dict:
@@ -684,12 +667,7 @@ def _block_ranks(
 
 
 def random_semidiagonal_sweep(
-    a: int,
-    d: int,
-    count: int,
-    seed: int,
-    field: FieldDescriptor = GF2,
-    threads: int = 1,
+    a: int, d: int, count: int, seed: int, field: FieldDescriptor = GF2
 ) -> SearchReport:
     """Rank statistics over ``count`` random semi-diagonal tensors.
 
@@ -739,7 +717,7 @@ def random_semidiagonal_sweep(
         _draw_index(a, d)  # built before the workspaces, not on top of them
     ranks = lambda start, stop, ws: kernel(_stream_block(seed, start, stop, nwords, ws), ws)
     (min_mf, _), (min_sum, _), violations, first_violation = _scan_blocks(
-        count, n, threads, sizes, ranks, lower
+        count, n, sizes, ranks, lower
     )
 
     witnesses = []

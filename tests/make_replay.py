@@ -5,11 +5,11 @@ Run from the repository root::
     PYTHONPATH=src python tests/make_replay.py
 
 It first writes the rank fixtures under ``tests/fixtures/replay/`` (seeded, so
-they come out the same every time), then runs every call of :data:`CALLS` in
-process with ``FLATRANK_THREADS`` 1 and records its argv and the sha256 of
-the bytes it wrote to stdout.  ``tests/test_replay.py`` replays each call at
-1 and 2 threads against those hashes.  Regenerate only for a change that is
-meant to change a report, and name the call and the reason in CHANGES.md.
+they come out the same every time), then runs every call of :func:`calls` in
+process and records its argv and the sha256 of the bytes it wrote to stdout.
+``tests/test_replay.py`` replays each call against those hashes.  Regenerate
+only for a change that is meant to change a report, and name the call and the
+reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -119,7 +119,6 @@ def stdout_sha256(argv: list[str]) -> str:
 
 def main() -> None:
     os.chdir(ROOT)
-    os.environ["FLATRANK_THREADS"] = "1"
     for name, field, dims, seed in RANK_FIXTURES:
         path = TESTS / "fixtures" / name
         path.parent.mkdir(exist_ok=True)

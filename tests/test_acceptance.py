@@ -331,6 +331,6 @@ def test_criterion_9_determinism():
     )
 
     ex_a = exhaustive_min_mfrank(3, 3).to_document()
-    ex_b = exhaustive_min_mfrank(3, 3, threads=4).to_document()
+    ex_b = exhaustive_min_mfrank(3, 3).to_document()
     assert canonical_json(ex_a) == canonical_json(ex_b)
     report(9, "all seeded pipelines byte-identical on rerun", started, 120)

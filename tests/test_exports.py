@@ -54,8 +54,8 @@ def test_removed_methods_stay_removed():
 # parameters that no caller set, deleted: each function takes exactly these, and the
 # README's "Removed API" names what to use instead
 PARAMETERS = {
-    "flatrank.search.exhaustive_min_mfrank": ["a", "d", "threads"],
-    "flatrank.search.random_semidiagonal_sweep": ["a", "d", "count", "seed", "field", "threads"],
+    "flatrank.search.exhaustive_min_mfrank": ["a", "d"],
+    "flatrank.search.random_semidiagonal_sweep": ["a", "d", "count", "seed", "field"],
     "flatrank.rainbow.bollobas_verify": ["system"],
     "flatrank.fw.complete_graph_config": ["k"],
 }

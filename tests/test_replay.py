@@ -1,4 +1,4 @@
-"""Every call of ``tests/replay.json`` writes the same stdout bytes, at 1 and 2 threads.
+"""Every call of ``tests/replay.json`` writes the same stdout bytes.
 
 The manifest holds seeded sweeps over each sweep kernel, the exhaustive
 sweeps, a seeded bad-box sample and cross-Oddtown search, both constructions
@@ -16,11 +16,9 @@ from make_replay import REPLAY, ROOT, stdout_sha256
 MANIFEST = json.loads(REPLAY.read_text())
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("call", MANIFEST, ids=lambda call: " ".join(call["argv"]))
-def test_replay_is_byte_identical(monkeypatch, threads, call):
+def test_replay_is_byte_identical(monkeypatch, call):
     monkeypatch.chdir(ROOT)
-    monkeypatch.setenv("FLATRANK_THREADS", threads)
     assert stdout_sha256(call["argv"]) == call["sha256"]
 
 

@@ -185,13 +185,6 @@ def _budget_blocks(monkeypatch, field, a, d, n):
         monkeypatch.setattr(search, "BLOCK_BYTES", n * d * a**d // 8)
 
 
-def test_exhaustive_threads_agree(monkeypatch):
-    _budget_blocks(monkeypatch, GF2, 2, 4, 1024)  # 16 chunks
-    serial = exhaustive_min_mfrank(2, 4, threads=1)
-    threaded = exhaustive_min_mfrank(2, 4, threads=4)
-    assert serial.to_document() == threaded.to_document()
-
-
 # every exhaustive shape with at most 2^18 members: the identity alone (a^d
 # with d = 2, or a = 1), and the populations of 2^6, 2^14 and 2^18 tensors;
 # (64, 2) is the one whose rows are too wide for the byte tables
@@ -210,7 +203,7 @@ def test_exhaustive_chunks_match_matrix_rank(a, d):
     tables = _row_tables(a, d)
     default = 1 << ((BLOCK_BYTES // tables[0][0].nbytes).bit_length() - 1)
     for chunk in {min(total, 256), min(total, default)}:
-        ws = _Workspace(_exhaustive_sizes(a, d, chunk))  # one for all chunks, as a sweep's worker
+        ws = _Workspace(_exhaustive_sizes(a, d, chunk))  # one for all chunks, as in a sweep
         parts = [
             [r.tolist() for r in _exhaustive_ranks(a, d, tables, s, s + chunk, ws)]
             for s in range(0, total, chunk)
@@ -220,15 +213,14 @@ def test_exhaustive_chunks_match_matrix_rank(a, d):
 
 
 @pytest.mark.parametrize("a,d", [(2, 3), (2, 4), (3, 3)], ids=str)
-def test_exhaustive_reports_ignore_chunk_cap_and_threads(monkeypatch, a, d):
+def test_exhaustive_reports_ignore_chunk_cap(monkeypatch, a, d):
     want = canonical_json(exhaustive_min_mfrank(a, d).to_document())
     for chunk in (1, 256, 1024, None):  # budgets under 256 assignments are raised to 256
-        for threads in (1, 2, 3):
-            with monkeypatch.context() as mp:
-                if chunk:
-                    _budget_blocks(mp, GF2, a, d, chunk)
-                got = exhaustive_min_mfrank(a, d, threads=threads)
-            assert canonical_json(got.to_document()) == want, (chunk, threads)
+        with monkeypatch.context() as mp:
+            if chunk:
+                _budget_blocks(mp, GF2, a, d, chunk)
+            got = exhaustive_min_mfrank(a, d)
+        assert canonical_json(got.to_document()) == want, chunk
 
 def test_random_semidiagonal_always_semidiagonal():
     for field in (GF2, make_prime_field(3)):
@@ -406,15 +398,13 @@ def test_sweep_builds_row_tables_once(monkeypatch):
         return _row_tables(a, d)
 
     monkeypatch.setattr(search, "_row_tables", counting)
-    for threads in (1, 2):
-        calls.clear()
-        with monkeypatch.context() as mp:
-            _budget_blocks(mp, GF2, 5, 3, 16)
-            random_semidiagonal_sweep(5, 3, 64, seed=5, threads=threads)  # 4 blocks
-        assert calls == [(5, 3)]
-        calls.clear()
-        random_semidiagonal_sweep(4, 4, 64, seed=5, threads=threads)  # bit-sliced
-        assert calls == []
+    with monkeypatch.context() as mp:
+        _budget_blocks(mp, GF2, 5, 3, 16)
+        random_semidiagonal_sweep(5, 3, 64, seed=5)  # 4 blocks
+    assert calls == [(5, 3)]
+    calls.clear()
+    random_semidiagonal_sweep(4, 4, 64, seed=5)  # bit-sliced
+    assert calls == []
 
 
 # a byte-table shape, then bit-sliced shapes with rows of 36, 64 and 81 columns,
@@ -427,15 +417,14 @@ def test_sweep_builds_row_tables_once(monkeypatch):
 def test_sweep_reports_ignore_block_cap(monkeypatch, a, d, blocks):
     want = canonical_json(random_semidiagonal_sweep(a, d, 600, seed=17).to_document())
     for block in (*blocks, None):
-        for threads in (1, 2, 3):
-            with monkeypatch.context() as mp:
-                if block:
-                    _budget_blocks(mp, GF2, a, d, block)
-                got = random_semidiagonal_sweep(a, d, 600, seed=17, threads=threads)
-            assert canonical_json(got.to_document()) == want, (block, threads)
+        with monkeypatch.context() as mp:
+            if block:
+                _budget_blocks(mp, GF2, a, d, block)
+            got = random_semidiagonal_sweep(a, d, 600, seed=17)
+        assert canonical_json(got.to_document()) == want, block
 
 
-def test_sweep_builds_one_workspace_per_worker(monkeypatch):
+def test_sweep_builds_one_workspace_per_sweep(monkeypatch):
     import flatrank.search as search
 
     built = []
@@ -447,18 +436,17 @@ def test_sweep_builds_one_workspace_per_worker(monkeypatch):
 
     monkeypatch.setattr(search, "_Workspace", Counting)
     gf3 = make_prime_field(3)
-    for threads in (1, 2, 3):
-        for field, a, d, n, sweep in (
-            (GF2, 5, 3, 16, lambda: random_semidiagonal_sweep(5, 3, 200, seed=5, threads=threads)),
-            (GF2, 6, 3, 64, lambda: random_semidiagonal_sweep(6, 3, 200, seed=5, threads=threads)),
-            (gf3, 3, 3, 4, lambda: random_semidiagonal_sweep(3, 3, 60, 5, field=gf3, threads=threads)),
-            (GF2, 2, 4, 256, lambda: exhaustive_min_mfrank(2, 4, threads=threads)),  # 64 chunks
-        ):
-            built.clear()
-            with monkeypatch.context() as mp:
-                _budget_blocks(mp, field, a, d, n)
-                sweep()
-            assert len(built) == threads
+    for field, a, d, n, sweep in (
+        (GF2, 5, 3, 16, lambda: random_semidiagonal_sweep(5, 3, 200, seed=5)),
+        (GF2, 6, 3, 64, lambda: random_semidiagonal_sweep(6, 3, 200, seed=5)),
+        (gf3, 3, 3, 4, lambda: random_semidiagonal_sweep(3, 3, 60, 5, field=gf3)),
+        (GF2, 2, 4, 256, lambda: exhaustive_min_mfrank(2, 4)),  # 64 chunks
+    ):
+        built.clear()
+        with monkeypatch.context() as mp:
+            _budget_blocks(mp, field, a, d, n)
+            sweep()
+        assert len(built) == 1
 
 def test_sweep_gf3_example():
     f3 = make_prime_field(3)
