@@ -31,10 +31,11 @@ FIXTURES = "tests/fixtures"
 
 # (field, a, d, count): every sweep kernel, with counts that span at least
 # three blocks of the sweep, except the scalar GF(2^20) path, which ranks too
-# slowly for that and runs one block.  Sweep reports hold only
-# minima, which the large shapes reach on any draw; the two small GF(3)
-# shapes last fall short of the smallest sums, so their minima change with
-# the stream
+# slowly for that and runs one block.  Sweep reports hold only minima, which
+# the large shapes reach on any draw; the small GF(3) (2,3) and (2,4) and
+# GF(2) (2,3) sweeps fall short of the smallest sums, so their minima change
+# with the stream.  No bit-sliced GF(2) shape has such a count: every draw
+# there reads full rank
 SWEEPS = [
     ("prime:3", 2, 10, 700),
     ("prime:5", 2, 9, 1400),
@@ -53,8 +54,6 @@ SWEEPS = [
     ("gf2", 5, 3, 20000),
     ("gf2", 6, 3, 15000),
     ("gf2", 4, 4, 10000),
-    # byte tables, whose minimum sum changes with the stream; no bit-sliced
-    # shape has one: every draw there reads full rank, one tensor or 15,000
     ("gf2", 2, 3, 2),
 ]
 

@@ -368,7 +368,7 @@ def _traced_sweep(monkeypatch, spec, a, d, count):
 
 def test_threads_variable_is_not_read(monkeypatch, capsys):
     # FLATRANK_THREADS=2 once split this sweep over two workers with a workspace
-    # each, while the cap counted one: 19.3 MB traced against the 16.8 MB cap
+    # each, while the cap counted one: 23.6 MB traced against the 16.8 MB cap
     from flatrank.search import MAX_WORKSPACE_BYTES
 
     monkeypatch.delenv("FLATRANK_THREADS", raising=False)
