@@ -380,6 +380,26 @@ def test_threads_variable_is_not_read(monkeypatch, capsys):
     assert capsys.readouterr().out == unset
 
 
+# values that once chose a worker count, or were refused with exit 2
+@pytest.mark.parametrize("value", ["1", "2", "4", "0", "-1", "junk", ""])
+def test_threads_variable_changes_no_report(monkeypatch, capsys, value):
+    commands = (
+        ["experiment", "exhaustive", "--a", 3, "--d", 3],
+        ["experiment", "random-semidiagonal", "--a", 5, "--d", 3, "--count", 300, "--seed", 4],
+        ["experiment", "random-semidiagonal", "--a", 3, "--d", 3, "--count", 40, "--seed", 4,
+         "--field", "prime:3"],
+    )
+    monkeypatch.delenv("FLATRANK_THREADS", raising=False)
+    unset = []
+    for argv in commands:
+        assert run(argv) == 0
+        unset.append(capsys.readouterr().out)
+    monkeypatch.setenv("FLATRANK_THREADS", value)
+    for argv, want in zip(commands, unset):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want
+
+
 @pytest.mark.parametrize(
     "spec,a,d,count",
     [

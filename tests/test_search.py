@@ -424,6 +424,27 @@ def test_sweep_reports_ignore_block_cap(monkeypatch, a, d, blocks):
         assert canonical_json(got.to_document()) == want, block
 
 
+# block sizes that cut the population at and between the ties and violations
+@pytest.mark.parametrize("block", [1, 2, 3, 4, 7, 8, 29, 30, 64])
+def test_scan_blocks_merges_like_one_pass(block):
+    from flatrank.search import _scan_blocks
+
+    # mfrank is 1 at 3, 11 and 17 and 2 at 9 and 26, all five below 3; sum_franks ties at 4, 12 and 28
+    mfrank = np.full(30, 5)
+    mfrank[[3, 11]], mfrank[[9, 17, 26]] = 1, (2, 1, 2)
+    sumrank = np.full(30, 9)
+    sumrank[[4, 12, 28]] = 6
+    seen = []
+
+    def ranks(start, stop, ws):
+        seen.append((start, stop))
+        return mfrank[start:stop], sumrank[start:stop]
+
+    got = _scan_blocks(30, block, {"rows": (1, np.uint8)}, ranks, 3)
+    assert got == ((1, 3), (6, 4), 5, 3)
+    assert seen == [(s, min(s + block, 30)) for s in range(0, 30, block)]
+
+
 def test_sweep_builds_one_workspace_per_sweep(monkeypatch):
     import flatrank.search as search
 
