@@ -6,14 +6,11 @@ __version__ = "0.1.0"
 from .field import FieldDescriptor, make_binary_field, make_prime_field
 from .tensor import (
     Tensor,
-    add_tensors,
     axis_constant_construction,
     flattening_rank,
     is_semi_diagonal,
     max_flattening_rank,
     partition_construction,
-    subtensor,
-    sum_flattening_ranks,
 )
 
 __all__ = [
@@ -24,10 +21,7 @@ __all__ = [
     "Tensor",
     "flattening_rank",
     "max_flattening_rank",
-    "sum_flattening_ranks",
     "is_semi_diagonal",
-    "subtensor",
-    "add_tensors",
     "partition_construction",
     "axis_constant_construction",
 ]

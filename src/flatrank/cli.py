@@ -38,8 +38,8 @@ from .formats import (
 )
 from .fw import SamplerExhausted, sample_badbox_family, verify_badbox_chain, verify_fw_chain
 from .rainbow import bollobas_verify, certify_no_rainbow_bound
+from .rng import Rng
 from .search import (
-    Rng,
     exhaustive_min_mfrank,
     random_cross_oddtown_search,
     random_semidiagonal_sweep,

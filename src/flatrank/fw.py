@@ -48,15 +48,12 @@ __all__ = [
     "fw_flattening_bound",
     "fw_size_bound",
     "complete_graph_config",
-    "odd_subsets",
     "verify_fw_chain",
     "BadBoxFamily",
     "find_odd_clique",
-    "verify_badbox_free",
     "verify_badbox_chain",
     "sample_badbox_family",
     "SamplerExhausted",
-    "grow_config_satisfying_family",
 ]
 
 MAX_BADBOX_GROUND = 25
@@ -107,9 +104,6 @@ class IntersectionPolynomial:
     p: int
     L: tuple[int, ...]
 
-    def table(self) -> list[int]:
-        return [eval_h(self, x) for x in range(self.p)]
-
 
 def eval_h(poly: IntersectionPolynomial, x: int) -> int:
     acc = 1
@@ -130,9 +124,20 @@ def config_max_degree(cfg: Configuration) -> int:
     return max(config_degree(cfg, a) for a in range(cfg.k))
 
 
-def _h_table_np(cfg: Configuration) -> np.ndarray:
+def _h_table_np(cfg: Configuration, top: int) -> np.ndarray:
+    """h at the sizes 0..top, indexed by size mod p.
+
+    No member size or intersection size passes the largest member's, so the
+    table holds at most that many entries plus one, not one per residue: p
+    may be close to 2^31.
+    """
     poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
-    return np.asarray(poly.table(), dtype=np.int64)
+    return np.asarray([eval_h(poly, x) for x in range(min(top + 1, cfg.p))], dtype=np.int64)
+
+
+def _largest_size(limbs: np.ndarray) -> int:
+    """The size of the largest member, from the (m, w) limbs of the members."""
+    return int(np.bitwise_count(limbs).sum(axis=1).max(initial=0))
 
 
 def _grid_sizes(limbs: np.ndarray, cfg: Configuration, x: int) -> np.ndarray:
@@ -146,7 +151,7 @@ def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:
     if m < 1:
         raise ValueError("fw_tensor needs a nonempty family")
     limbs = _mask_limbs(fam.members)
-    h = _h_table_np(cfg)
+    h = _h_table_np(cfg, _largest_size(limbs))
     grid = np.ones(_grid_shape(m, cfg.k), dtype=np.int64)
     for x in cfg.C:
         sizes = _grid_sizes(limbs, cfg, x)
@@ -156,7 +161,7 @@ def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:
 
 def _violation_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
     """Grid of assignments where every C-indexed intersection avoids L."""
-    h = _h_table_np(cfg)
+    h = _h_table_np(cfg, _largest_size(limbs))
     ok = np.ones(_grid_shape(limbs.shape[0], cfg.k), dtype=bool)
     for x in cfg.C:
         sizes = _grid_sizes(limbs, cfg, x)
@@ -164,9 +169,11 @@ def _violation_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
     return ok
 
 
-def _size_condition(fam: SetFamily, cfg: Configuration) -> bool:
-    poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
-    return all(eval_h(poly, mask.bit_count() % cfg.p) != 0 for mask in fam.members)
+def _size_violations(fam: SetFamily, cfg: Configuration) -> list[int]:
+    """Positions of the members whose sizes fall in L (mod p)."""
+    sizes = [mask.bit_count() for mask in fam.members]
+    h = _h_table_np(cfg, max(sizes, default=0))
+    return [pos for pos, size in enumerate(sizes) if h[size % cfg.p] == 0]
 
 
 def find_config_witness(
@@ -203,7 +210,7 @@ def find_config_witness(
 
 def is_config_satisfying(fam: SetFamily, cfg: Configuration, distinct: str = "sets") -> bool:
     """Sizes avoid L, and no k distinct members realize the forbidden pattern."""
-    if not _size_condition(fam, cfg):
+    if _size_violations(fam, cfg):
         return False
     return find_config_witness(fam, cfg, distinct=distinct) is None
 
@@ -214,25 +221,21 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
     A family that is not (C, L)-satisfying ends the chain: its report lists
     the positions of members whose sizes fall in L and a ``witness``, the
     member positions per slot of :func:`find_config_witness` (None when only
-    sizes fail), and has no ``verified`` key.  The witness search runs once,
-    and decides the hypothesis with the size condition.
+    sizes fail), and has no ``verified`` key.  The witness search and the
+    size check run once each, and together decide the hypothesis.
     """
     witness = find_config_witness(fam, cfg, distinct=distinct)
+    size_violations = _size_violations(fam, cfg)
     report: dict = {
         "size": len(fam.members),
         "k": cfg.k,
         "p": cfg.p,
         "size_bound": fw_size_bound(cfg, fam.n),
         "flattening_bounds": [fw_flattening_bound(cfg, fam.n, j) for j in range(cfg.k)],
-        "satisfying": witness is None and _size_condition(fam, cfg),
+        "satisfying": witness is None and not size_violations,
     }
     if not report["satisfying"]:
-        poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
-        report["size_violations"] = [
-            pos
-            for pos, mask in enumerate(fam.members)
-            if eval_h(poly, mask.bit_count() % cfg.p) == 0
-        ]
+        report["size_violations"] = size_violations
         report["witness"] = list(witness) if witness else None
         return report
     if not fam.members:
@@ -273,16 +276,12 @@ def complete_graph_config(k: int) -> Configuration:
     return Configuration(k=k, p=2, C=pairs, L=(0,))
 
 
-def odd_subsets(t: int) -> list[int]:
-    """All odd-sized subsets of [t], ascending as masks; there are 2^(t-1)."""
-    return [m for m in range(1 << t) if m.bit_count() % 2 == 1]
-
-
 def _odd_subset(i: int) -> int:
-    """``odd_subsets(t)[i]`` for every t with i < 2^(t-1), without the list.
+    """The odd-sized subset of rank i in ascending mask order, as a mask.
 
-    Of the masks 2i and 2i + 1 exactly one has odd size, and every pair
-    below them holds one odd mask too.
+    It is the same subset of [t] for every t with i < 2^(t-1), and no list of
+    the 2^(t-1) odd subsets is built.  Of the masks 2i and 2i + 1 exactly one
+    has odd size, and every pair below them holds one odd mask too.
     """
     return 2 * i + 1 - i.bit_count() % 2
 
@@ -361,11 +360,6 @@ def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[i
         return None
 
     return clique((), (1 << m) - 1, 0)
-
-
-def verify_badbox_free(members_factors: Sequence[Sequence[int]], k: int) -> bool:
-    """No k members (by position) have pairwise odd-sized intersections."""
-    return find_odd_clique(members_factors, k) is None
 
 
 def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
@@ -454,40 +448,8 @@ def sample_badbox_family(t: int, s: int, seed: int, max_attempts: int = 1000) ->
         members = tuple(
             tuple(_odd_subset(rng.next_below(odd)) for _ in range(s)) for _ in range(size)
         )
-        if verify_badbox_free(members, k):
+        if find_odd_clique(members, k) is None:
             return BadBoxFamily(
                 t=t, s=s, k=k, members_factors=members, attempts=attempt + 1, seed=seed
             )
     raise SamplerExhausted(max_attempts)
-
-
-def grow_config_satisfying_family(
-    cfg: Configuration, n: int, rng: Rng, candidate_budget: int = 120
-) -> SetFamily:
-    """Greedy growth: admit random subsets of [n] while (C, L)-satisfaction holds.
-
-    Candidates failing the size condition or duplicating an existing member
-    are discarded; a candidate that would complete a forbidden k-assignment is
-    rejected.  The result is always satisfying (under set semantics).
-    """
-    poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
-    members: list[int] = []
-    for _ in range(candidate_budget):
-        cand = rng.next_below(1 << n)
-        if cand in members:
-            continue
-        if eval_h(poly, cand.bit_count() % cfg.p) == 0:
-            continue
-        trial = members + [cand]
-        if len(trial) >= cfg.k:
-            ok = _violation_grid(_mask_limbs(trial), cfg) & _distinct_tuple_mask(len(trial), cfg.k)
-            # only assignments using the new member can be newly violating
-            uses_new = np.zeros((len(trial),) * cfg.k, dtype=bool)
-            for slot in range(cfg.k):
-                sl = [slice(None)] * cfg.k
-                sl[slot] = len(trial) - 1
-                uses_new[tuple(sl)] = True
-            if bool((ok & uses_new).any()):
-                continue
-        members.append(cand)
-    return SetFamily(n=n, members=tuple(members))

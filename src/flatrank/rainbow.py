@@ -35,7 +35,6 @@ from .tensor import Tensor, index_class_arrays, is_semi_diagonal, max_flattening
 __all__ = [
     "ColoredHypergraph",
     "SetPairSystem",
-    "hypergraph_from_vertex_lists",
     "find_rainbow_matching",
     "default_field_for",
     "rainbow_tensor",
@@ -77,23 +76,6 @@ class ColoredHypergraph:
     @property
     def z(self) -> int:
         return len(self.colors)
-
-
-def hypergraph_from_vertex_lists(
-    num_vertices: int, r: int, t: int, colors: Sequence[Sequence[Sequence[int]]]
-) -> ColoredHypergraph:
-    packed = []
-    for cls in colors:
-        edges = []
-        for edge in cls:
-            mask = 0
-            for v in edge:
-                if not 0 <= v < num_vertices:
-                    raise ValueError(f"vertex {v} out of range")
-                mask |= 1 << v
-            edges.append(mask)
-        packed.append(tuple(edges))
-    return ColoredHypergraph(num_vertices=num_vertices, r=r, t=t, colors=tuple(packed))
 
 
 def find_rainbow_matching(

@@ -50,24 +50,6 @@ class Rng:
     def sub_seed(seed: int, index: int) -> int:
         return mix64((seed ^ ((index + 1) * GOLDEN)) & MASK64)
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates driven by next_below."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.next_below(i + 1)
-            items[i], items[j] = items[j], items[i]
-
-    def sample_without_replacement(self, n: int, k: int) -> list[int]:
-        """k distinct values from range(n), in draw order."""
-        if k > n:
-            raise ValueError("cannot sample more values than the range holds")
-        pool = list(range(n))
-        out = []
-        for i in range(k):
-            j = i + self.next_below(n - i)
-            pool[i], pool[j] = pool[j], pool[i]
-            out.append(pool[i])
-        return out
-
 
 def mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Apply ``mix`` to every word of the uint64 array ``z``, in place.

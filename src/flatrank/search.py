@@ -46,8 +46,9 @@ shape keeps for the process and what a larger field's elimination allocates
 outside the plan, would pass :data:`MAX_WORKSPACE_BYTES` is refused before
 any of them is built.
 
-Randomized sweeps and instance generators run off the documented splitmix64
-streams in :mod:`flatrank.rng`, so every report is reproducible from its seed.
+Randomized sweeps and the cross-Oddtown search run off the documented
+splitmix64 streams in :mod:`flatrank.rng`, so every report is reproducible
+from its seed.
 Tensor j of a sweep is drawn from the words of the derived stream
 ``Rng(Rng.sub_seed(seed, j))``, which :func:`_stream_block` reads in bulk, by
 :func:`_semidiagonal_block`.  All-distinct entries are 0.  Over a field of
@@ -70,9 +71,7 @@ import numpy as np
 
 from .field import GF2, FieldDescriptor
 from .formats import tensor_to_document
-from .fw import Configuration
 from .linalg import _elimination_sizes, _rank_into, _unplanned_bytes, _Workspace, entry_dtype
-from .rainbow import ColoredHypergraph
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
     TupleFamily,
@@ -84,13 +83,10 @@ from .setfam import (
 from .tensor import Tensor, check_cube, flattening_ranks, index_class_arrays
 
 __all__ = [
-    "Rng",
     "SearchReport",
     "exhaustive_min_mfrank",
     "random_semidiagonal_sweep",
     "random_cross_oddtown_search",
-    "random_configuration",
-    "random_colored_hypergraph",
 ]
 
 MAX_FREE_ENTRIES = 22
@@ -779,56 +775,3 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
         seed=rng.seed,
         extra={"largest_size": len(best), "bound": bound},
     )
-
-
-def random_configuration(rng: Rng, max_k: int = 3, min_k: int = 2) -> Configuration:
-    """A random small configuration: order, prime, residues, and slot family.
-
-    Draws k, p in {2, 3}, a proper residue set L (so admissible set sizes
-    exist), and C from the recurring shapes: a single pair, the full slot set,
-    the complete pair graph, or 1..3 random nonempty slot subsets.
-    """
-    k = min_k + rng.next_below(max_k - min_k + 1)
-    p = (2, 3)[rng.next_below(2)]
-    lsize = 1 + rng.next_below(min(2, p - 1))
-    residues = list(range(p))
-    rng.shuffle(residues)
-    L = tuple(sorted(residues[:lsize]))
-    full = (1 << k) - 1
-    shape = rng.next_below(4)
-    if shape == 0 and k >= 2:
-        C: tuple[int, ...] = (0b11,)
-    elif shape == 1:
-        C = (full,)
-    elif shape == 2 and k >= 2:
-        C = tuple(
-            (1 << i) | (1 << j) for i in range(k) for j in range(i + 1, k)
-        )
-    else:
-        count = 1 + rng.next_below(3)
-        seen = []
-        while len(seen) < count:
-            x = 1 + rng.next_below(full)
-            if x not in seen:
-                seen.append(x)
-        C = tuple(seen)
-    return Configuration(k=k, p=p, C=C, L=L)
-
-
-def random_colored_hypergraph(
-    num_vertices: int, r: int, t: int, z: int, rng: Rng
-) -> ColoredHypergraph:
-    """Uniformity-r hypergraph with z random color classes, each a matching of t edges."""
-    if num_vertices < r * t:
-        raise ValueError("need at least r*t vertices for a size-t matching")
-    colors = []
-    for _ in range(z):
-        verts = rng.sample_without_replacement(num_vertices, r * t)
-        edges = []
-        for e in range(t):
-            mask = 0
-            for v in verts[e * r : (e + 1) * r]:
-                mask |= 1 << v
-            edges.append(mask)
-        colors.append(tuple(edges))
-    return ColoredHypergraph(num_vertices=num_vertices, r=r, t=t, colors=tuple(colors))

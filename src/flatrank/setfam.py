@@ -20,8 +20,8 @@ hence caps every flattening rank at n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations, product, repeat
-from typing import Iterator, Sequence
+from itertools import repeat
+from typing import Sequence
 
 import numpy as np
 
@@ -38,9 +38,6 @@ __all__ = [
     "reconstruct_from_certificate",
     "cross_oddtown_bound",
     "repeated_singleton_family",
-    "singleton_diagonal_family",
-    "enumerate_cross_oddtown",
-    "odd_tuple_candidates",
     "verify_oddtown_chain",
 ]
 
@@ -233,20 +230,6 @@ def repeated_singleton_family(n: int, d: int) -> TupleFamily:
     return TupleFamily(n=n, d=d, members=tuple(members))
 
 
-def singleton_diagonal_family(n: int, d: int = 2) -> TupleFamily:
-    """Classic Oddtown singletons embedded as constant d-tuples."""
-    return TupleFamily(n=n, d=d, members=tuple((1 << i,) * d for i in range(n)))
-
-
-def odd_tuple_candidates(n: int, d: int) -> list[tuple[int, ...]]:
-    """All d-tuples of masks over [n] with odd within-tuple intersection, sorted."""
-    out = []
-    for tup in product(range(1 << n), repeat=d):
-        if intersection_size(tup) % 2 == 1:
-            out.append(tup)
-    return out
-
-
 def _cross_even_with(members: list[tuple[int, ...]], new: tuple[int, ...], d: int) -> bool:
     """Can ``new`` join ``members`` keeping all distinct-position d-tuples even?
 
@@ -275,71 +258,6 @@ def try_extend_cross_oddtown(
     if intersection_size(new) % 2 == 0:
         return False
     return _cross_even_with(members, new, d)
-
-
-def enumerate_cross_oddtown(n: int, d: int, max_size: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-    """Yield every cross-Oddtown multiset family over [n] with 1..max_size members.
-
-    Families are produced as nondecreasing sequences of candidate tuples, each
-    candidate being a d-tuple of masks with odd self-intersection.  Supported
-    for d in {2, 3}; the DFS narrows the feasible-extension set with
-    precomputed parity bitsets, so the cost is proportional to the number of
-    families actually emitted.
-    """
-    if d not in (2, 3):
-        raise ValueError("exhaustive enumeration is implemented for d = 2 and d = 3")
-    cands = odd_tuple_candidates(n, d)
-    nc = len(cands)
-    if nc == 0:
-        return
-    full = (1 << nc) - 1
-
-    # bad_bits[slot][mask] = candidate set whose slot-``slot`` member meets
-    # ``mask`` in an odd number of elements
-    bad_bits = [[0] * (1 << n) for _ in range(d)]
-    for slot in range(d):
-        table = bad_bits[slot]
-        for mask in range(1 << n):
-            acc = 0
-            for j, tup in enumerate(cands):
-                if (tup[slot] & mask).bit_count() % 2 == 1:
-                    acc |= 1 << j
-            table[mask] = acc
-
-    def narrowed(allowed: int, fam: list[int], new_idx: int) -> int:
-        """Restrict ``allowed`` by evenness constraints a future member would
-        face against ``new_idx`` plus d-2 positions of the current family."""
-        new = cands[new_idx]
-        if d == 2:
-            allowed &= ~bad_bits[0][new[1]]
-            allowed &= ~bad_bits[1][new[0]]
-            return allowed
-        # d == 3: future j + new + one existing position p, over all slot layouts
-        for p_idx in fam:
-            p = cands[p_idx]
-            for js, ns, ps in permutations(range(3)):
-                partial = new[ns] & p[ps]
-                allowed &= ~bad_bits[js][partial]
-                if not allowed:
-                    return 0
-        return allowed
-
-    fam: list[int] = []
-
-    def dfs(allowed: int, lo_mask: int) -> Iterator[tuple[tuple[int, ...], ...]]:
-        avail = allowed & lo_mask
-        while avail:
-            low = avail & -avail
-            j = low.bit_length() - 1
-            avail ^= low
-            nxt = narrowed(allowed, fam, j)
-            fam.append(j)
-            yield tuple(cands[i] for i in fam)
-            if len(fam) < max_size:
-                yield from dfs(nxt, full << j)
-            fam.pop()
-
-    yield from dfs(full, full)
 
 
 def verify_oddtown_chain(fam: TupleFamily) -> dict:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -30,10 +30,7 @@ __all__ = [
     "flattening_rank",
     "flattening_ranks",
     "max_flattening_rank",
-    "sum_flattening_ranks",
     "is_semi_diagonal",
-    "subtensor",
-    "add_tensors",
     "partition_construction",
     "axis_constant_construction",
 ]
@@ -215,10 +212,6 @@ def max_flattening_rank(t: Tensor) -> int:
     return max(flattening_ranks(t))
 
 
-def sum_flattening_ranks(t: Tensor) -> int:
-    return sum(flattening_ranks(t))
-
-
 def _require_cubical(t: Tensor) -> int:
     a = t.dims[0]
     if any(s != a for s in t.dims):
@@ -234,36 +227,6 @@ def is_semi_diagonal(t: Tensor) -> bool:
     """
     diag, distinct, _ = index_class_arrays(_require_cubical(t), t.ndim)
     return bool(t.entries[diag].all()) and not t.entries[distinct].any()
-
-
-def subtensor(t: Tensor, subsets: Sequence[Sequence[int]]) -> Tensor:
-    """Restriction of ``t`` to the given index subset on each axis."""
-    if len(subsets) != t.ndim:
-        raise ValueError("need one index subset per axis")
-    cleaned = []
-    for ax, sub in enumerate(subsets):
-        sub = list(sub)
-        if not sub:
-            raise ValueError(f"axis {ax}: empty index subset")
-        if len(set(sub)) != len(sub):
-            raise ValueError(f"axis {ax}: duplicate indices in subset")
-        if any(not 0 <= v < t.dims[ax] for v in sub):
-            raise IndexError(f"axis {ax}: subset out of range")
-        cleaned.append(sub)
-    return Tensor.from_array(t.array[np.ix_(*cleaned)], t.field)
-
-
-def add_tensors(s: Tensor, t: Tensor) -> Tensor:
-    if s.dims != t.dims:
-        raise ValueError(f"shape mismatch: {s.dims} vs {t.dims}")
-    if s.field != t.field:
-        raise ValueError(f"field mismatch: {s.field} vs {t.field}")
-    f = s.field
-    if f.kind == "binary":
-        entries = s.entries ^ t.entries
-    else:
-        entries = (s.entries + t.entries) % f.p
-    return Tensor(s.dims, f, entries)
 
 
 def _coordinate(a: int, d: int, axis: int) -> np.ndarray:

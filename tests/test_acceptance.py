@@ -11,7 +11,6 @@ import time
 
 import pytest
 
-from flatrank.extalg import wedge, wedge_of_vectors, add_ext, scalar_mul_ext
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.formats import badbox_to_document, canonical_json
 from flatrank.fw import (
@@ -19,32 +18,27 @@ from flatrank.fw import (
     fw_flattening_bound,
     fw_size_bound,
     fw_tensor,
-    grow_config_satisfying_family,
     is_config_satisfying,
     sample_badbox_family,
     badbox_target_size,
     badbox_clique_order,
-    verify_badbox_free,
+    find_odd_clique,
 )
 from flatrank.rainbow import (
     certify_no_rainbow_bound,
     find_rainbow_matching,
-    hypergraph_from_vertex_lists,
     rainbow_bound,
     rainbow_tensor,
 )
 from flatrank.rng import Rng
 from flatrank.search import (
     exhaustive_min_mfrank,
-    random_colored_hypergraph,
-    random_configuration,
     random_cross_oddtown_search,
     random_semidiagonal_sweep,
 )
 from flatrank.setfam import (
     TupleFamily,
     cross_oddtown_bound,
-    enumerate_cross_oddtown,
     repeated_singleton_family,
     verify_oddtown_chain,
 )
@@ -52,6 +46,18 @@ from flatrank.tensor import (
     flattening_rank,
     is_semi_diagonal,
     partition_construction,
+)
+
+from oracles import (
+    add_ext,
+    enumerate_cross_oddtown,
+    grow_config_satisfying_family,
+    hypergraph_from_vertex_lists,
+    random_colored_hypergraph,
+    random_configuration,
+    scalar_mul_ext,
+    wedge,
+    wedge_of_vectors,
 )
 
 GF3 = make_prime_field(3)
@@ -175,7 +181,7 @@ def test_criterion_6_badbox_sampler(t, s):
     assert len(fam.members_factors) == badbox_target_size(t, s)
     k = badbox_clique_order(t)
     assert fam.k == k
-    assert verify_badbox_free(fam.members_factors, k)
+    assert find_odd_clique(fam.members_factors, k) is None
     cfg = complete_graph_config(k)
     assert is_config_satisfying(fam.flat_family(), cfg, distinct="positions")
     report(
@@ -243,7 +249,7 @@ def test_criterion_7_rainbow_chain():
 
 
 def _random_ext(n, grade, field, rng):
-    from flatrank.extalg import ExtVector
+    from oracles import ExtVector
 
     coords = {}
     for combo in itertools.combinations(range(n), grade):

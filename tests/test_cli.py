@@ -1138,6 +1138,9 @@ FUZZ_COMMANDS = {
     "zero_2x2.json": ["rank", None, "--sum"],
 }
 FUZZ_VALUES = (None, True, False, 1.5, "x", [], {}, -1, 1 << 40, 1 << 70)
+# what a structural mutation does to the value at a slot: delete it, wrap it in a
+# list or an object, repeat it 50 times, or write it as a JSON string
+FUZZ_SHAPES = ("delete", "list", "object", "repeat", "string")
 
 
 def test_fuzz_covers_every_fixture():
@@ -1152,25 +1155,40 @@ def _value_slots(node, path=()):
         yield from _value_slots(value, path + (key,))
 
 
+def _mutated(original, kind, slot, value):
+    """A copy of ``original`` with the value at ``slot`` swapped for ``value`` or reshaped."""
+    doc = json.loads(json.dumps(original))
+    *parents, last = slot
+    target = doc
+    for key in parents:
+        target = target[key]
+    old = target[last]
+    if kind == "swap":
+        target[last] = value
+    elif kind == "delete":
+        del target[last]
+    elif kind == "repeat" and isinstance(target, list):
+        target[last : last + 1] = [old] * 50
+    else:
+        shapes = {"list": [old], "object": {str(last): old}, "repeat": [old] * 50, "string": json.dumps(old)}
+        target[last] = shapes[kind]
+    return doc
+
+
 @pytest.mark.parametrize("fixture", sorted(FUZZ_COMMANDS))
 def test_fuzzed_fixtures_keep_the_exit_code_contract(tmp_path, capsys, fixture):
-    # 400 seeded mutations, each one value swapped: the command exits 0, 1 or 2 with
-    # no exception out of main and no hang, and exits 1 only with a report
+    # 400 seeded value swaps and 300 structural mutations: the command exits 0, 1 or 2
+    # with no exception out of main and no hang, and exits 1 only with a report
     rng = random.Random(2)
     original = json.loads((FIXTURES / fixture).read_text())
     slots = list(_value_slots(original))
+    mutations = [("swap", rng.choice(slots), rng.choice(FUZZ_VALUES)) for _ in range(400)]
+    mutations += [(rng.choice(FUZZ_SHAPES), rng.choice(slots), None) for _ in range(300)]
     path = tmp_path / fixture
     args = [path if a is None else a for a in FUZZ_COMMANDS[fixture]]
     broken = []
-    for _ in range(400):
-        doc = json.loads(json.dumps(original))
-        *parents, last = rng.choice(slots)
-        value = rng.choice(FUZZ_VALUES)
-        target = doc
-        for key in parents:
-            target = target[key]
-        target[last] = value
-        path.write_text(json.dumps(doc))
+    for kind, slot, value in mutations:
+        path.write_text(json.dumps(_mutated(original, kind, slot, value)))
         try:
             with deadline(10):
                 code = run(args)
@@ -1178,7 +1196,7 @@ def test_fuzzed_fixtures_keep_the_exit_code_contract(tmp_path, capsys, fixture):
             code = exc
         out = capsys.readouterr().out
         if code not in (0, 1, 2) or (code == 1 and "results" not in json.loads(out or "{}")):
-            broken.append(f"{(*parents, last)} = {value!r}: {code!r}")
+            broken.append(f"{kind} {slot} {value!r}: {code!r}")
     assert broken == []
 
 

@@ -6,20 +6,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatrank.extalg import (
+from flatrank.field import make_binary_field, make_prime_field
+from flatrank.linalg import matrix_rank
+from flatrank.rng import Rng
+
+from oracles import (
     ExtVector,
     add_ext,
     ext_basis_vector,
     grade1_vector,
     moment_curve_vectors,
+    sample_without_replacement,
     scalar_mul_ext,
     top_coefficient,
     wedge,
     wedge_of_vectors,
 )
-from flatrank.field import make_binary_field, make_prime_field
-from flatrank.linalg import matrix_rank
-from flatrank.rng import Rng
 
 GF8 = make_binary_field(3)
 GF256 = make_binary_field(8)
@@ -166,7 +168,7 @@ def test_general_position_random_subsets():
     vecs = moment_curve_vectors(12, 5, field)
     rng = Rng(8)
     for _ in range(200):
-        picks = rng.sample_without_replacement(12, 5)
+        picks = sample_without_replacement(rng, 12, 5)
         sub = [list(vecs[i]) for i in picks]
         assert not wedge_of_vectors(sub, field).is_zero()
 

@@ -38,10 +38,12 @@ from flatrank.formats import (
     write_atomic,
 )
 from flatrank.fw import Configuration, sample_badbox_family
-from flatrank.rainbow import SetPairSystem, hypergraph_from_vertex_lists
+from flatrank.rainbow import SetPairSystem
 from flatrank.rng import Rng
 from flatrank.setfam import SetFamily, TupleFamily
 from flatrank.tensor import Tensor
+
+from oracles import hypergraph_from_vertex_lists
 
 
 def random_tensor(dims, field, rng):

@@ -21,17 +21,16 @@ from flatrank.fw import (
     fw_flattening_bound,
     fw_size_bound,
     fw_tensor,
-    grow_config_satisfying_family,
     is_config_satisfying,
-    odd_subsets,
     sample_badbox_family,
     verify_badbox_chain,
-    verify_badbox_free,
     verify_fw_chain,
 )
 from flatrank.rng import Rng
 from flatrank.setfam import SetFamily
 from flatrank.tensor import flattening_rank, is_semi_diagonal
+
+from oracles import grow_config_satisfying_family, odd_subsets
 
 
 FW_CFG = Configuration(k=2, p=2, C=(0b11,), L=(0,))
@@ -215,7 +214,7 @@ def test_odd_pairwise_odd_bound(t):
     bound = math.floor(2 ** ((t - 1) / 2))
     singles = [(x,) for x in odd_subsets(t)]
     assert find_odd_clique(singles, bound) is not None  # the bound is attained
-    assert verify_badbox_free(singles, bound + 1)
+    assert find_odd_clique(singles, bound + 1) is None
 
 
 def test_badbox_target_size():
@@ -233,8 +232,8 @@ def test_badbox_clique_order():
 
 def test_verify_badbox_free_small():
     members = ((0b001,), (0b010,))
-    assert verify_badbox_free(members, 3)  # fewer than k members
-    assert not verify_badbox_free([(0b111,)] * 4, 4)  # k copies pairwise odd
+    assert find_odd_clique(members, 3) is None  # fewer than k members
+    assert find_odd_clique([(0b111,)] * 4, 4) is not None  # k copies pairwise odd
 
 
 def test_verify_badbox_free_matches_bruteforce():
@@ -257,7 +256,7 @@ def test_verify_badbox_free_matches_bruteforce():
             ):
                 brute = True
                 break
-        assert verify_badbox_free(members, k) == (not brute)
+        assert (find_odd_clique(members, k) is not None) == brute
 
 
 def test_sampler_small_case():
@@ -272,7 +271,7 @@ def test_sampler_small_case():
 @pytest.mark.parametrize("t,s", [(3, 1), (3, 2), (5, 2)])
 def test_sampler_output_verifies(t, s):
     fam = sample_badbox_family(t, s, seed=11)
-    assert verify_badbox_free(fam.members_factors, fam.k)
+    assert find_odd_clique(fam.members_factors, fam.k) is None
     cfg = complete_graph_config(fam.k)
     assert is_config_satisfying(fam.flat_family(), cfg, distinct="positions")
     # members really are product sets: size = product of factor sizes, odd
@@ -368,6 +367,25 @@ def test_grow_family_respects_bound_and_satisfaction():
         fam = grow_config_satisfying_family(cfg, 5, rng, candidate_budget=60)
         assert is_config_satisfying(fam, cfg)
         assert len(fam.members) <= fw_size_bound(cfg, 5)
+
+
+def test_h_is_evaluated_only_at_sizes_that_occur(monkeypatch):
+    # p may be close to 2^31: a table of h over all p residues took 0.6 s and
+    # 46 MB at p = 1000003, even for an empty family
+    import flatrank.fw as fw
+
+    points = []
+    h = fw.eval_h
+    monkeypatch.setattr(fw, "eval_h", lambda poly, x: points.append(x) or h(poly, x))
+    cfg = Configuration(k=2, p=1000003, C=(0b11,), L=(0, 3))
+    reports = [
+        verify_fw_chain(SetFamily(n=40, members=members), cfg)
+        for members in ((), (0b111,), (0b011, 0b110, 0b101), (0b1111 << 36, 1))
+    ]
+    assert max(points) == 4
+    assert [r["satisfying"] for r in reports] == [True, False, False, True]
+    assert [(r["size_violations"], r["witness"]) for r in reports[1:3]] == [([0], None), ([], [0, 1])]
+    assert reports[3]["verified"]
 
 
 def test_failing_badbox_chain_searches_once(monkeypatch):

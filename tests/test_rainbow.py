@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from flatrank.extalg import moment_curve_vectors, top_coefficient, wedge_of_vectors
 from flatrank.field import make_binary_field
 from flatrank.rainbow import (
     SetPairSystem,
@@ -17,13 +16,20 @@ from flatrank.rainbow import (
     certify_no_rainbow_bound,
     default_field_for,
     find_rainbow_matching,
-    hypergraph_from_vertex_lists,
     rainbow_bound,
     rainbow_tensor,
 )
 from flatrank.rng import Rng
-from flatrank.search import random_colored_hypergraph
 from flatrank.setfam import _slot_limbs
+
+from oracles import (
+    hypergraph_from_vertex_lists,
+    moment_curve_vectors,
+    random_colored_hypergraph,
+    sample_without_replacement,
+    top_coefficient,
+    wedge_of_vectors,
+)
 
 
 def k4_factorization():
@@ -271,14 +277,14 @@ def random_setpair_system(rng, t, sizes, base, m, skew):
             members.append((a, full ^ a, *extra))
     else:
         for _ in range(m):
-            verts = rng.sample_without_replacement(base, sum(sizes))
+            verts = sample_without_replacement(rng, base, sum(sizes))
             tup, at = [], 0
             for size in sizes:
                 tup.append(sum(1 << v for v in verts[at : at + size]))
                 at += size
             if rng.next_below(6) == 0:
                 j = rng.next_below(t)
-                tup[j] = sum(1 << v for v in rng.sample_without_replacement(base, sizes[j]))
+                tup[j] = sum(1 << v for v in sample_without_replacement(rng, base, sizes[j]))
             members.append(tuple(tup))
     return SetPairSystem(base_size=base, sizes=sizes, members=tuple(members))
 

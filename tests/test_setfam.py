@@ -14,18 +14,17 @@ from flatrank.setfam import (
     _cross_even_with,
     TupleFamily,
     cross_oddtown_bound,
-    enumerate_cross_oddtown,
     intersection_size,
     is_cross_oddtown,
-    odd_tuple_candidates,
     oddtown_rank1_certificate,
     oddtown_tensor,
     reconstruct_from_certificate,
     repeated_singleton_family,
-    singleton_diagonal_family,
     verify_oddtown_chain,
 )
 from flatrank.tensor import is_semi_diagonal, max_flattening_rank
+
+from oracles import enumerate_cross_oddtown, odd_tuple_candidates, singleton_diagonal_family
 
 
 def test_intersection_size_examples():
