@@ -6,15 +6,20 @@ fields, polynomial bit-masks of degree < k for binary extension fields.  A
 loops elsewhere in the package work on raw representatives, most of them in
 numpy arrays.
 
-Binary fields reduce modulo a fixed low-weight irreducible (trinomial where
-one exists, else pentanomial) from a built-in table covering k = 1..63; the
-polynomial is re-verified irreducible at construction time.
+Binary fields reduce modulo the first low-weight polynomial that the Rabin
+test finds irreducible (a trinomial where one exists, else a pentanomial),
+searched once per k = 1..63.  :func:`discrete_log_tables` holds the numpy
+exp and log tables of GF(2^k <= 16) that the vectorised kernels multiply
+through.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
+
+import numpy as np
 
 __all__ = [
     "FieldDescriptor",
@@ -24,76 +29,6 @@ __all__ = [
 ]
 
 MAX_PRIME = 1 << 31  # products of two residues must fit in 64-bit intermediates
-
-# Lowest-weight irreducible polynomial of each degree, as a bit-mask including
-# the leading x^k term.  Trinomial x^k + x^a + 1 with minimal a when one
-# exists, otherwise the pentanomial minimal in (c, b, a) order.
-IRREDUCIBLE_POLY = {
-    1: 0x3,
-    2: 0x7,
-    3: 0xB,
-    4: 0x13,
-    5: 0x25,
-    6: 0x43,
-    7: 0x83,
-    8: 0x11B,
-    9: 0x203,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1009,
-    13: 0x201B,
-    14: 0x4021,
-    15: 0x8003,
-    16: 0x1002B,
-    17: 0x20009,
-    18: 0x40009,
-    19: 0x80027,
-    20: 0x100009,
-    21: 0x200005,
-    22: 0x400003,
-    23: 0x800021,
-    24: 0x100001B,
-    25: 0x2000009,
-    26: 0x400001B,
-    27: 0x8000027,
-    28: 0x10000003,
-    29: 0x20000005,
-    30: 0x40000003,
-    31: 0x80000009,
-    32: 0x10000008D,
-    33: 0x200000401,
-    34: 0x400000081,
-    35: 0x800000005,
-    36: 0x1000000201,
-    37: 0x2000000053,
-    38: 0x4000000063,
-    39: 0x8000000011,
-    40: 0x10000000039,
-    41: 0x20000000009,
-    42: 0x40000000081,
-    43: 0x80000000059,
-    44: 0x100000000021,
-    45: 0x20000000001B,
-    46: 0x400000000003,
-    47: 0x800000000021,
-    48: 0x100000000002D,
-    49: 0x2000000000201,
-    50: 0x400000000001D,
-    51: 0x800000000004B,
-    52: 0x10000000000009,
-    53: 0x20000000000047,
-    54: 0x40000000000201,
-    55: 0x80000000000081,
-    56: 0x100000000000095,
-    57: 0x200000000000011,
-    58: 0x400000000080001,
-    59: 0x800000000000095,
-    60: 0x1000000000000003,
-    61: 0x2000000000000027,
-    62: 0x4000000020000001,
-    63: 0x8000000000000003,
-}
-
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -108,17 +43,6 @@ def _is_prime(n: int) -> bool:
             return False
         d += 2
     return True
-
-
-def _clmul(a: int, b: int) -> int:
-    """Carry-less (XOR) product of two GF(2)[x] polynomials."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        a <<= 1
-        b >>= 1
-    return r
 
 
 def _pmod(a: int, f: int) -> int:
@@ -147,22 +71,17 @@ def _prime_factors(n: int) -> set[int]:
     return fs
 
 
-def _x_pow_2e_mod(e: int, f: int) -> int:
-    r = 2  # the polynomial x
-    for _ in range(e):
-        r = _pmod(_clmul(r, r), f)
-    return r
-
-
 def _is_irreducible(f: int, k: int) -> bool:
     """Rabin irreducibility test for a degree-k polynomial over GF(2)."""
     if f.bit_length() - 1 != k or not (f & 1):
         return False
     if k == 1:
         return True
-    if _x_pow_2e_mod(k, f) != 2:
+    # x^(2^e) is read in GF(2)[x]/(f), which is a ring whether f is irreducible or not
+    ring = FieldDescriptor(kind="binary", k=k, reduction_poly=f)
+    if ring.pow(2, 1 << k) != 2:
         return False
-    return all(_pgcd(f, _x_pow_2e_mod(k // q, f) ^ 2) == 1 for q in _prime_factors(k))
+    return all(_pgcd(f, ring.pow(2, 1 << (k // q)) ^ 2) == 1 for q in _prime_factors(k))
 
 
 @dataclass(frozen=True)
@@ -181,15 +100,6 @@ class FieldDescriptor:
     @property
     def order(self) -> int:
         return self.p if self.kind == "prime" else 1 << self.k
-
-    @property
-    def characteristic(self) -> int:
-        return self.p if self.kind == "prime" else 2
-
-    def validate(self, a: int) -> int:
-        if not isinstance(a, int) or not 0 <= a < self.order:
-            raise ValueError(f"{a!r} is not a canonical representative of {self}")
-        return a
 
     def add(self, a: int, b: int) -> int:
         if self.kind == "prime":
@@ -258,22 +168,32 @@ def make_prime_field(p: int) -> FieldDescriptor:
 
 
 def make_binary_field(k: int) -> FieldDescriptor:
-    """Descriptor for GF(2^k), 1 <= k <= 63, with the built-in reduction polynomial."""
+    """Descriptor for GF(2^k), 1 <= k <= 63, reduced modulo :func:`_reduction_poly`."""
     if type(k) is not int or not 1 <= k <= 63:
         raise ValueError(f"extension degree must satisfy 1 <= k <= 63, got {k!r}")
-    return FieldDescriptor(kind="binary", k=k, reduction_poly=_checked_poly(k))
+    return FieldDescriptor(kind="binary", k=k, reduction_poly=_reduction_poly(k))
 
 
 @lru_cache(maxsize=None)
-def _checked_poly(k: int) -> int:
-    """The built-in reduction polynomial for GF(2^k), checked irreducible once per k.
+def _reduction_poly(k: int) -> int:
+    """The reduction polynomial of GF(2^k), a bit-mask including the leading x^k term.
+
+    The first polynomial the Rabin test finds irreducible, lowest weight
+    first: x^k + 1 (irreducible only for k = 1), the trinomials x^k + x^a + 1
+    by increasing a, then the pentanomials x^k + x^c + x^b + x^a + 1 by
+    increasing (c, b, a).  Every k <= 63 has a trinomial or a pentanomial.
 
     Called only with an int ``k``: ``True == 1`` would share GF(2)'s entry.
     """
-    poly = IRREDUCIBLE_POLY[k]
-    if not _is_irreducible(poly, k):
-        raise AssertionError(f"built-in polynomial for k={k} failed irreducibility check")
-    return poly
+    ends = 1 << k | 1
+    trinomials = (ends | 1 << a for a in range(1, k))
+    pentanomials = (
+        ends | 1 << c | 1 << b | 1 << a
+        for c in range(3, k)
+        for b in range(2, c)
+        for a in range(1, b)
+    )
+    return next(f for f in chain([ends], trinomials, pentanomials) if _is_irreducible(f, k))
 
 
 def field_from_document(doc: dict) -> FieldDescriptor:
@@ -291,31 +211,54 @@ def field_from_document(doc: dict) -> FieldDescriptor:
 GF2 = make_prime_field(2)
 
 
-@lru_cache(maxsize=None)
-def discrete_log_tables(field: FieldDescriptor) -> tuple[list[int], list[int]]:
-    """(exp, log) tables for a binary field with k <= 16.
+def _log_table_sizes(field: FieldDescriptor) -> dict[str, tuple[int, np.dtype]]:
+    """Item counts and dtypes of :func:`discrete_log_tables` for ``field``.
 
-    exp has length 2*(2^k - 1) so products of two logs index it directly
-    without a modular reduction; log[0] is unused.
+    ``exp`` and ``log`` are the tables, kept for the process; ``scratch`` is
+    the most int64 items their build holds besides them at once.
+    """
+    m = field.order - 1
+    zero = 3 * m - 1
+    return {
+        "exp": (2 * zero + 1, np.min_scalar_type(m)),
+        "log": (field.order, np.min_scalar_type(2 * zero)),
+        "scratch": (3 * m, np.int64),
+    }
+
+
+@lru_cache(maxsize=None)
+def discrete_log_tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
+    """(exp, log) of a binary field with k <= 16, for products read at summed logs.
+
+    ``log[0]`` is the sentinel z = 3(q-1) - 1, past every sum of three logs
+    of nonzero elements, and ``exp`` runs on to 2z as zeros, so ``exp[log a +
+    log b] == a * b`` for all a, b including 0.  ``exp[i]`` is g^(i mod (q-1))
+    below z, for the least generator g of the multiplicative group.  ``exp``
+    is in the elements' dtype, ``log`` in the narrowest unsigned dtype holding
+    2z, and both are read-only; :func:`_log_table_sizes` gives their sizes.
     """
     if field.kind != "binary" or field.k > 16:
         raise ValueError("log tables are only built for binary fields with k <= 16")
-    order = field.order
-    m = order - 1
-    gen = None
-    for g in range(2, order):
-        ok = all(field.pow(g, m // q) != 1 for q in _prime_factors(m))
-        if ok:
-            gen = g
-            break
-    if gen is None:  # m == 1, i.e. GF(2)
-        gen = 1
-    exp = [0] * (2 * m)
-    log = [0] * order
-    acc = 1
-    for i in range(m):
-        exp[i] = acc
-        exp[i + m] = acc
-        log[acc] = i
-        acc = field.mul(acc, gen)
+    sizes = _log_table_sizes(field)
+    exp, log = (np.zeros(*sizes[name]) for name in ("exp", "log"))
+    m = field.order - 1
+    factors = _prime_factors(m)  # none for GF(2), whose group {1} is generated by 1
+    gen = next(g for g in range(1, field.order) if all(field.pow(g, m // q) != 1 for q in factors))
+    # powers[i] = g^i, doubled: g^(n+i) = g^i * g^n, by shift and XOR, a round per bit
+    powers = np.zeros(m, np.int64)
+    powers[0], n, g_n = 1, 1, gen
+    while n < m:
+        x = powers[: min(n, m - n)].copy()
+        for bit in range(field.k):
+            if g_n >> bit & 1:
+                powers[n : n + x.size] ^= x
+            x <<= 1
+            x ^= (x >> field.k) * field.reduction_poly
+        n, g_n = 2 * n, field.mul(g_n, g_n)
+    zero = 3 * m - 1
+    exp[:zero] = np.resize(powers.astype(exp.dtype), zero)
+    log[powers] = np.arange(m)
+    log[0] = zero
+    for table in (exp, log):
+        table.flags.writeable = False
     return exp, log

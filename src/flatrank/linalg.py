@@ -28,9 +28,9 @@ kernels allocate besides, so a caller's cap counts both.
   step grows no entry.  Reductions use floor division, which numpy
   vectorises for a scalar divisor where ``%`` is a scalar loop.
 * GF(2^k), k <= 16, stores entries in uint8 (k <= 8) or uint16 and multiplies
-  through the discrete-log tables of :func:`_log_tables_np`: log 0 is a
-  sentinel whose sums land in a zero tail of the extended exp table, so zero
-  factors and entries need no mask.
+  through :func:`flatrank.field.discrete_log_tables`: log 0 is a sentinel
+  whose sums land in a zero tail of the extended exp table, so zero factors
+  and entries need no mask.
 * GF(2^k), k > 16: scalar elimination in :func:`_rank_generic`, one matrix at
   a time, which is also the oracle the tests compare the vectorized kernels
   against.
@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldDescriptor, discrete_log_tables
+from .field import FieldDescriptor, _log_table_sizes, discrete_log_tables
 
 __all__ = [
     "rank_gf2_bitrows",
@@ -127,7 +127,7 @@ def _elimination_sizes(n: int, r: int, c: int, field: FieldDescriptor) -> dict[s
     sizes["mask"] = (n * c, np.bool_)
     if prime:
         return sizes | {"prod": (n * max(r - 1, 1) * c, dtype)}
-    logs = _log_tables_np(field)[1].dtype
+    logs = _log_table_sizes(field)["log"][1]
     # the most one clearing group gathers in a batch of at most n matrices
     gathered = min(n * c * max(r - 1, 1), max(n * c, GATHER_ENTRIES))
     return sizes | {
@@ -249,29 +249,8 @@ def _rank_mod_p(m: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
     return _eliminate(m, ws, lambda row: _reduce(row, p, q_row), clear)
 
 
-@lru_cache(maxsize=None)
-def _log_tables_np(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]:
-    """(exp, log) of a binary field with k <= 16, for products read at summed logs.
-
-    ``log[0]`` is the sentinel z = 3(q-1) - 1, past every sum of three logs
-    of nonzero elements, and ``exp`` runs on to 2z as zeros, so ``exp[log a +
-    log b] == a * b`` for all a, b including 0.  ``exp[i]`` is g^(i mod (q-1))
-    below z.  ``exp`` is in the elements' dtype, ``log`` in the narrowest
-    unsigned dtype holding 2z.
-    """
-    exp, log = discrete_log_tables(field)
-    zero = 3 * (field.order - 1) - 1
-    log_np = np.asarray(log, dtype=np.min_scalar_type(2 * zero))
-    log_np[0] = zero
-    exp_np = np.zeros(2 * zero + 1, dtype=entry_dtype(field))
-    exp_np[:zero] = np.resize(exp[: field.order - 1], zero)
-    for table in (exp_np, log_np):
-        table.flags.writeable = False
-    return exp_np, log_np
-
-
 def _rank_gf2k(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndarray:
-    exp, log = _log_tables_np(field)
+    exp, log = discrete_log_tables(field)
     order_m1 = field.order - 1
     n, r, c = m.shape
     # numpy gathers fast only at intp indices, 8 bytes each: the rows below

@@ -27,8 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldDescriptor, make_binary_field
-from .linalg import _log_tables_np
+from .field import FieldDescriptor, discrete_log_tables, make_binary_field
 from .setfam import _grid_shape, _slot_limbs
 from .tensor import Tensor, index_class_arrays, is_semi_diagonal, max_flattening_rank
 
@@ -192,7 +191,7 @@ def _wedge_grid(
     xs = verts.reshape(m, sum(sizes)).T % (64 * w) + 1
     within, within_runs, cross, cross_runs = _pair_runs(tuple(sizes))
     if field.k <= 16:
-        exp, log = _log_tables_np(field)
+        exp, log = discrete_log_tables(field)
         log = log.astype(np.int64)
         log[0] = 0  # the neutral log, for an (a, a) pair; other 0 factors are masked
         lift, combine = log.__getitem__, np.add

@@ -42,9 +42,9 @@ block that allocates its buffers faults about 250 pages in again, at about
 1.8 us each on a 2-vCPU Xeon.  No buffer outlives the call, and none is
 larger than :data:`BLOCK_BYTES` unless one tensor needs it, so glibc's mmap
 threshold does not move.  A sweep whose plan, with the index arrays its
-shape keeps for the process and what a larger field's elimination allocates
-outside the plan, would pass :data:`MAX_WORKSPACE_BYTES` is refused before
-any of them is built.
+shape keeps for the process, a binary field's log tables and what a larger
+field's elimination allocates outside the plan, would pass
+:data:`MAX_WORKSPACE_BYTES` is refused before any of them is built.
 
 Randomized sweeps and the cross-Oddtown search run off the documented
 splitmix64 streams in :mod:`flatrank.rng`, so every report is reproducible
@@ -69,7 +69,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import GF2, FieldDescriptor
+from .field import GF2, FieldDescriptor, _log_table_sizes
 from .formats import tensor_to_document
 from .linalg import _elimination_sizes, _rank_into, _unplanned_bytes, _Workspace, entry_dtype
 from .rng import Rng, stream_words_np, sub_seeds_np
@@ -98,11 +98,11 @@ BLOCK_BYTES = 1 << 19
 # wider rows go bit-sliced (see the module docstring for the measurements).
 TABLE_MAX_COLUMNS = 32
 # Bytes of one block's workspace, with the index arrays its shape keeps and,
-# over a larger field, what its elimination allocates outside the workspace;
-# more is refused before any of it is allocated.  Default GF(2) blocks take
-# under 2 MB; a d = 2 bit-sliced sweep needs 56 a^2 bytes even for one tensor,
-# so it stops at a = 545, and a GF(3) sweep on 2^18 needs more than 16 MiB for
-# one tensor.
+# over a larger field, its log tables and what its elimination allocates
+# outside the workspace; more is refused before any of it is allocated.
+# Default GF(2) blocks take under 2 MB; a d = 2 bit-sliced sweep needs 56 a^2
+# bytes even for one tensor, so it stops at a = 545, and a GF(3) sweep on
+# 2^18 needs more than 16 MiB for one tensor.
 MAX_WORKSPACE_BYTES = 16 << 20
 
 
@@ -189,8 +189,9 @@ def _check_workspace(sizes: dict[str, tuple[int, type]], extra: int, what: str) 
     """Refuse a sweep whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
 
     Counted are the workspace of ``sizes`` and ``extra`` bytes: the index
-    arrays the shape keeps for the process, and what a larger field's
-    elimination allocates outside the workspace.
+    arrays the shape keeps for the process, a binary field's log tables with
+    the scratch of their build, and what a larger field's elimination
+    allocates outside the workspace.
     """
     nbytes = _workspace_bytes(sizes) + extra
     if nbytes > MAX_WORKSPACE_BYTES:
@@ -609,8 +610,11 @@ def _draw_index(a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     take 8 (a^d + 2 len(drawn)) bytes.
     """
     diag, _, mixed = index_class_arrays(a, d)
-    drawn = np.union1d(diag, mixed)
-    shift = np.isin(drawn, diag).astype(np.uint64)
+    # not np.union1d or np.isin: on large arrays they import numpy.ma, 1.1 MB
+    kind = np.zeros(a**d, np.uint8)
+    kind[mixed], kind[diag] = 1, 2
+    drawn = np.flatnonzero(kind)
+    shift = (kind[drawn] == 2).astype(np.uint64)
     drawn.flags.writeable = shift.flags.writeable = False
     return drawn, shift
 
@@ -695,6 +699,8 @@ def random_semidiagonal_sweep(
         sizes = _field_sizes(a, d, n, field)
         # _draw_index's arrays, stream_words_np's steps and the elimination's temporaries
         extra = 8 * (a**d + 3 * nwords) + _unplanned_bytes(d * n, a, a ** (d - 1), field)
+        if field.kind == "binary" and field.k <= 16:  # the log tables and their build, cached or not
+            extra += _workspace_bytes(_log_table_sizes(field))
         kernel = lambda words, ws: _block_ranks(
             _semidiagonal_block(a, d, field, words, ws), a, d, field, ws
         )

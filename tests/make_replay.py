@@ -6,10 +6,12 @@ Run from the repository root::
 
 It first writes the rank fixtures under ``tests/fixtures/replay/`` (seeded, so
 they come out the same every time), then runs every call of :func:`calls` in
-process and records its argv and the sha256 of the bytes it wrote to stdout.
-``tests/test_replay.py`` replays each call against those hashes.  Regenerate
-only for a change that is meant to change a report, and name the call and the
-reason in CHANGES.md.
+process and records its argv, its exit code and the sha256 of the bytes it
+wrote to stdout.  A call must exit 0 (verified) or 1 (a hypothesis or bound
+failed, with its report on stdout); any other code stops the script.
+``tests/test_replay.py`` replays each call against those codes and hashes.
+Regenerate only for a change that is meant to change a report, and name the
+call and the reason in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -97,6 +99,18 @@ def calls() -> list[list[str]]:
          "--distinct", "positions"],
         ["verify", "badbox", f"{FIXTURES}/badbox_family.json", "--k", "3"],
     ]
+    # every verify chain on its fixtures, failing ones too; the passing rainbow
+    # and bollobas calls build wedge tensors over GF(2^8) through its log tables
+    argv += [
+        ["verify", "oddtown", f"{FIXTURES}/oddtown_singletons.json"],
+        ["verify", "oddtown", f"{FIXTURES}/oddtown_bad.json"],
+        ["verify", "rainbow", f"{FIXTURES}/k4_hypergraph.json"],
+        ["verify", "rainbow", f"{FIXTURES}/rainbowful.json"],
+        ["verify", "bollobas", f"{FIXTURES}/bollobas_classic.json"],
+        ["verify", "bollobas", f"{FIXTURES}/bollobas_bad.json"],
+        ["verify", "fw", f"{FIXTURES}/fw_bad_family.json", "--config", f"{FIXTURES}/fw_config.json"],
+        ["verify", "badbox", f"{FIXTURES}/badbox_family.json", "--k", "2"],
+    ]
     docs = ["partition_4_3.json"] + [name for name, *_ in RANK_FIXTURES]
     for doc in docs:
         for mode in (["--max"], ["--sum"], ["--axis", "1"]):
@@ -104,16 +118,17 @@ def calls() -> list[list[str]]:
     return argv
 
 
-def stdout_sha256(argv: list[str]) -> str:
-    """sha256 of what ``flatrank`` writes to stdout for ``argv``, run in process from the repo root."""
+def replay(argv: list[str]) -> tuple[int, str]:
+    """Exit code of ``flatrank`` on ``argv``, run in process from the repo root, and
+    the sha256 of what it wrote to stdout; refuses a code other than 0 or 1."""
     from flatrank.cli import main
 
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    if code != 0:
+    if code not in (0, 1):
         raise SystemExit(f"{' '.join(argv)} exited {code}")
-    return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
 def main() -> None:
@@ -122,7 +137,10 @@ def main() -> None:
         path = TESTS / "fixtures" / name
         path.parent.mkdir(exist_ok=True)
         path.write_text(json.dumps(rank_fixture(field, dims, seed), separators=(",", ":")) + "\n")
-    manifest = [{"argv": argv, "sha256": stdout_sha256(argv)} for argv in calls()]
+    manifest = []
+    for argv in calls():
+        code, digest = replay(argv)
+        manifest.append({"argv": argv, "exit": code, "sha256": digest})
     REPLAY.write_text("[\n" + ",\n".join(json.dumps(call) for call in manifest) + "\n]\n")
     print(f"wrote {len(manifest)} calls to {REPLAY.relative_to(ROOT)}", file=sys.stderr)
 

@@ -293,8 +293,15 @@ def random_colored_hypergraph(
 
 
 def _require_char2(field: FieldDescriptor) -> None:
-    if field.characteristic != 2:
+    if field.kind == "prime" and field.p != 2:
         raise ValueError(f"exterior algebra support is restricted to characteristic 2, got {field}")
+
+
+def _canonical(field: FieldDescriptor, a: int) -> int:
+    """``a``, if it is a canonical representative of ``field``."""
+    if not isinstance(a, int) or not 0 <= a < field.order:
+        raise ValueError(f"{a!r} is not a canonical representative of {field}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -319,7 +326,7 @@ class ExtVector:
         for mask, val in self.coords.items():
             if mask >> self.n or mask.bit_count() != self.grade:
                 raise ValueError(f"key {mask:#x} is not a {self.grade}-subset of [{self.n}]")
-            self.field.validate(val)
+            _canonical(self.field, val)
             if val == 0:
                 raise ValueError("coords must omit zero values")
 
@@ -380,7 +387,7 @@ def add_ext(u: ExtVector, v: ExtVector) -> ExtVector:
 
 def scalar_mul_ext(c: int, u: ExtVector) -> ExtVector:
     f = u.field
-    f.validate(c)
+    _canonical(f, c)
     if c == 0:
         return ExtVector(n=u.n, grade=u.grade, field=f, coords={})
     return ExtVector(
@@ -395,7 +402,7 @@ def ext_basis_vector(n: int, mask: int, field: FieldDescriptor) -> ExtVector:
 
 def grade1_vector(vec: Sequence[int], field: FieldDescriptor) -> ExtVector:
     n = len(vec)
-    coords = {1 << i: field.validate(v) for i, v in enumerate(vec) if v}
+    coords = {1 << i: _canonical(field, v) for i, v in enumerate(vec) if v}
     return ExtVector(n=n, grade=1, field=field, coords=coords)
 
 

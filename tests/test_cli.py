@@ -435,6 +435,40 @@ def test_larger_field_cap_edge_on_a_squared(monkeypatch, capsys, spec, a):
     assert f"{a + 1}^2" in capsys.readouterr().err
 
 
+def test_gf2_16_cap_edge_counts_the_log_tables_in_a_fresh_process():
+    # the process's first use of GF(2^16) builds its log tables, 1.05 MB kept and
+    # 2.6 MB planned with their build; uncounted, they took the admitted a = 1070
+    # sweep to 24.5 MB traced.  No earlier call builds the tables, the parser
+    # or numpy's lazily imported modules
+    from flatrank.search import MAX_WORKSPACE_BYTES
+
+    code = (
+        "import sys, tracemalloc\n"
+        "from flatrank.cli import main\n"
+        "tracemalloc.start()\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    results = {}
+    for a in (979, 980):
+        argv = ["experiment", "random-semidiagonal", "--a", a, "--d", 2, "--count", 1,
+                "--seed", 1, "--field", "binary:16"]
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *map(str, argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        *err, last = proc.stderr.splitlines()
+        results[a] = (*map(int, last.split()), "\n".join(err))
+    assert results[979][0] == 0 and results[979][1] <= MAX_WORKSPACE_BYTES, results
+    assert results[980][0] == 2 and results[980][1] < 3 << 20, results
+    assert "980^2" in results[980][2] and "over the 16777216-byte block cap" in results[980][2]
+
+
 @pytest.mark.parametrize(
     "spec,a,d",
     [("prime:3", 3, 3), ("binary:8", 2, 10), ("prime:251", 3, 5), ("prime:3", 2, 16), ("binary:8", 4, 3)],

@@ -31,7 +31,7 @@ def test_module_exports_resolve(module):
 # "Removed API" names what to use instead
 REMOVED = {
     "flatrank": ["FieldElement", "subtensor", "add_tensors", "sum_flattening_ranks"],
-    "flatrank.field": ["FieldElement"],
+    "flatrank.field": ["FieldElement", "IRREDUCIBLE_POLY"],
     "flatrank.search": ["random_semidiagonal", "random_configuration", "random_colored_hypergraph"],
     "flatrank.tensor": [
         "classify_indices",
@@ -46,7 +46,7 @@ REMOVED = {
         "grow_config_satisfying_family",
         "verify_badbox_free",
     ],
-    "flatrank.linalg": ["rank_bytes"],
+    "flatrank.linalg": ["rank_bytes", "_log_tables_np"],
     "flatrank.setfam": [
         "enumerate_cross_oddtown",
         "odd_tuple_candidates",
@@ -68,7 +68,8 @@ def test_removed_methods_stay_removed():
     from flatrank.rng import Rng
     from flatrank.tensor import Tensor
 
-    gone = [(FieldDescriptor, "element"), (FieldDescriptor, "neg"), (IntersectionPolynomial, "table")]
+    gone = [(FieldDescriptor, name) for name in ("element", "neg", "validate", "characteristic")]
+    gone += [(IntersectionPolynomial, "table")]
     gone += [(Rng, name) for name in ("derive", "shuffle", "sample_without_replacement")]
     gone += [(Tensor, name) for name in ("get", "flat_index", "from_function", "zeros", "is_zero")]
     assert [f"{cls.__name__}.{name}" for cls, name in gone if hasattr(cls, name)] == []

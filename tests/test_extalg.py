@@ -59,6 +59,18 @@ def random_ext(n, grade, field, rng):
 def test_rejects_odd_characteristic():
     with pytest.raises(ValueError, match="characteristic 2"):
         ExtVector(n=3, grade=1, field=make_prime_field(3), coords={})
+    for field in (make_prime_field(2), GF8):
+        assert ExtVector(n=3, grade=1, field=field, coords={0b001: 1}).grade == 1
+
+
+def test_rejects_noncanonical_coefficients():
+    for bad in (8, -1, 1.0):
+        with pytest.raises(ValueError, match="canonical"):
+            ExtVector(n=3, grade=1, field=GF8, coords={0b001: bad})
+        with pytest.raises(ValueError, match="canonical"):
+            grade1_vector([1, bad], GF8)
+        with pytest.raises(ValueError, match="canonical"):
+            scalar_mul_ext(bad, ext_basis_vector(3, 0b001, GF8))
 
 
 def test_basis_wedge():

@@ -1,17 +1,26 @@
 """Field arithmetic: construction guards, hand oracles, and axiom properties."""
 
+import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatrank.field import (
-    IRREDUCIBLE_POLY,
     _is_irreducible,
+    _log_table_sizes,
     discrete_log_tables,
     field_from_document,
     make_binary_field,
     make_prime_field,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIELDS = [
     make_prime_field(2),
@@ -45,7 +54,7 @@ def test_make_binary_field_range():
 
 
 
-def test_make_binary_field_checks_each_polynomial_once(monkeypatch):
+def test_make_binary_field_searches_each_polynomial_once(monkeypatch):
     import flatrank.field as field_module
 
     calls = []
@@ -55,22 +64,26 @@ def test_make_binary_field_checks_each_polynomial_once(monkeypatch):
         return _is_irreducible(f, k)
 
     monkeypatch.setattr(field_module, "_is_irreducible", counting)
-    field_module._checked_poly.cache_clear()
-    for _ in range(3):
-        assert make_binary_field(8).reduction_poly == IRREDUCIBLE_POLY[8]
-    assert make_binary_field(1).order == 2
-    assert calls == [8, 1]
+    field_module._reduction_poly.cache_clear()
+    assert make_binary_field(8).reduction_poly == 0x11B
+    searched = list(calls)
+    assert searched and set(searched) == {8}
+    for _ in range(2):
+        assert make_binary_field(8).reduction_poly == 0x11B
+    assert make_binary_field(1).reduction_poly == 0b11  # x + 1, the first candidate
+    assert calls == searched + [1]
     # True == 1, but a bool is not an extension degree, cached GF(2) or not
     for bad in (True, False, 8.0, "8"):
         with pytest.raises(ValueError, match="extension degree"):
             make_binary_field(bad)
-    assert calls == [8, 1]
+    assert calls == searched + [1]
+
 
 def test_gf8_poly_has_no_roots():
-    # irreducibility cross-check for the degree-3 table entry: a cubic with no
+    # irreducibility cross-check for the degree-3 polynomial: a cubic with no
     # root in GF(8) viewed via its subfield GF(2) is enough (no linear factor),
     # plus no quadratic factor exists since all quadratic irreducibles divide x^4-x
-    poly = IRREDUCIBLE_POLY[3]
+    poly = make_binary_field(3).reduction_poly
     for x in (0, 1):
         value = (x**3 + x + 1) % 2
         assert value != 0
@@ -137,20 +150,114 @@ def test_characteristic_two_self_cancellation(k):
         assert f.add(a, a) == 0
 
 
-def test_all_table_polynomials_are_irreducible():
-    for k, poly in IRREDUCIBLE_POLY.items():
+def test_reduction_polynomials_are_irreducible_and_pinned():
+    polys = [make_binary_field(k).reduction_poly for k in range(1, 64)]
+    for k, poly in enumerate(polys, 1):
         assert poly.bit_length() - 1 == k
         assert _is_irreducible(poly, k), k
+    # the polynomials of the table kept before they were searched for
+    assert hashlib.sha256(str(polys).encode()).hexdigest() == (
+        "fc9220aa8f30df8613cd2c36eae0d646a687594dff53a01fe82883017896d416"
+    )
+    # the AES field's, and the low-weight GF(2^16), GF(2^32) and GF(2^63) standards
+    assert polys[8 - 1] == 0x11B
+    assert polys[16 - 1] == 0x1002B
+    assert polys[32 - 1] == 0x10000008D
+    assert polys[63 - 1] == 1 << 63 | 1 << 1 | 1
 
 
-def test_log_tables_consistent_with_multiplication():
-    f = make_binary_field(8)
+def _irreducible_by_trial_division(f: int) -> bool:
+    """No polynomial of degree 1 .. deg(f) / 2 divides ``f`` over GF(2)."""
+    k = f.bit_length() - 1
+    for g in range(2, 1 << (k // 2 + 1)):
+        r = f
+        while r.bit_length() >= g.bit_length():
+            r ^= g << (r.bit_length() - g.bit_length())
+        if r == 0:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("k", range(2, 13))
+def test_reduction_polynomial_is_the_least_trinomial_else_pentanomial(k):
+    ends = 1 << k | 1
+    trinomials = [a for a in range(1, k) if _irreducible_by_trial_division(ends | 1 << a)]
+    if trinomials:
+        want = ends | 1 << min(trinomials)
+    else:
+        c, b, a = min(
+            (c, b, a)
+            for c in range(k)
+            for b in range(c)
+            for a in range(1, b)
+            if _irreducible_by_trial_division(ends | 1 << c | 1 << b | 1 << a)
+        )
+        want = ends | 1 << c | 1 << b | 1 << a
+    assert make_binary_field(k).reduction_poly == want
+
+
+@pytest.mark.parametrize(
+    "k,digest",
+    [
+        (2, "1285b980550135bd63854857ff66a80b6ca174eafc08f3fd24a335bbe8625edc"),
+        (8, "9dfe7efdfdc13c58d2ee2697af9e6559de0d25e6c9f2485a370b3fcbb2144aeb"),
+        (16, "d62a19c68f570c9f44eb3fd01976f05ec2819066da01731320a49112dfc605c8"),
+    ],
+)
+def test_log_tables_are_pinned(k, digest):
+    # the bytes and dtypes of the tables the GF(2^k) kernels multiplied through
+    # when they were built as Python lists
+    h = hashlib.sha256()
+    for table in discrete_log_tables(make_binary_field(k)):
+        h.update(table.dtype.str.encode())
+        h.update(table.tobytes())
+    assert h.hexdigest() == digest
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 16])
+def test_log_tables_consistent_with_multiplication(k):
+    f = make_binary_field(k)
     exp, log = discrete_log_tables(f)
-    m = f.order - 1
-    assert sorted(exp[:m]) == list(range(1, f.order))
-    for a in (1, 2, 7, 100, 255):
-        for b in (1, 3, 90, 254):
-            assert f.mul(a, b) == exp[(log[a] + log[b]) % m]
+    m, zero = f.order - 1, 3 * (f.order - 1) - 1
+    sizes = _log_table_sizes(f)
+    assert (exp.size, exp.dtype) == sizes["exp"] and (log.size, log.dtype) == sizes["log"]
+    assert not exp.flags.writeable and not log.flags.writeable
+    assert log[0] == zero and not exp[zero:].any()
+    assert sorted(exp[:m].tolist()) == list(range(1, f.order))
+    assert (exp[:zero] == np.resize(exp[:m], zero)).all()
+    # field.mul is the oracle: every pair for k <= 8, 2^16 pairs for GF(2^16)
+    elements = np.arange(f.order) if k <= 8 else np.arange(0, f.order, 257)
+    a, b = (x.ravel() for x in np.meshgrid(elements, elements))
+    products = [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
+    assert exp[log[a].astype(np.int64) + log[b]].tolist() == products
+
+
+def test_log_tables_first_build_stays_within_their_sizes():
+    # in a fresh process: GF(2^16) kept 6.8 MB and peaked at 9.4 MB while its
+    # tables were also built as Python lists
+    code = (
+        "import tracemalloc\n"
+        "import numpy as np\n"
+        "from flatrank.field import _log_table_sizes, discrete_log_tables, make_binary_field\n"
+        "f = make_binary_field(16)\n"
+        "tracemalloc.start()\n"
+        "exp, log = discrete_log_tables(f)\n"
+        "kept, peak = tracemalloc.get_traced_memory()\n"
+        "planned = sum(n * np.dtype(t).itemsize for n, t in _log_table_sizes(f).values())\n"
+        "print(kept, peak, exp.nbytes + log.nbytes, planned)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    kept, peak, tables, planned = map(int, proc.stdout.split())
+    assert tables <= kept <= tables + (16 << 10) and kept <= 1.1e6
+    assert peak <= planned
 
 
 def test_field_document_round_trip():
@@ -158,11 +265,3 @@ def test_field_document_round_trip():
         assert field_from_document(f.to_document()) == f
     with pytest.raises(ValueError):
         field_from_document({"kind": "weird"})
-
-
-def test_validate_rejects_noncanonical():
-    f = make_prime_field(5)
-    with pytest.raises(ValueError):
-        f.validate(5)
-    with pytest.raises(ValueError):
-        f.validate(-1)

@@ -1,9 +1,10 @@
-"""Every call of ``tests/replay.json`` writes the same stdout bytes.
+"""Every call of ``tests/replay.json`` exits with the same code and writes the same stdout bytes.
 
 The manifest holds seeded sweeps over each sweep kernel, the exhaustive
 sweeps, a seeded bad-box sample and cross-Oddtown search, both constructions
-dense and sparse, ``verify fw``/``badbox`` with their options and ranks in each
-field family; ``tests/make_replay.py`` regenerates it.
+dense and sparse, every verify chain on passing and failing fixtures, ``verify
+fw``/``badbox`` with their options, and ranks in each field family;
+``tests/make_replay.py`` regenerates it.
 """
 
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from make_replay import REPLAY, ROOT, stdout_sha256
+from make_replay import REPLAY, ROOT, replay
 
 MANIFEST = json.loads(REPLAY.read_text())
 
@@ -19,7 +20,7 @@ MANIFEST = json.loads(REPLAY.read_text())
 @pytest.mark.parametrize("call", MANIFEST, ids=lambda call: " ".join(call["argv"]))
 def test_replay_is_byte_identical(monkeypatch, call):
     monkeypatch.chdir(ROOT)
-    assert stdout_sha256(call["argv"]) == call["sha256"]
+    assert replay(call["argv"]) == (call["exit"], call["sha256"])
 
 
 def test_replay_covers_every_rank_fixture():
