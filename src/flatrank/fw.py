@@ -34,7 +34,7 @@ from .setfam import (
     _intersection_sizes,
     _mask_limbs,
 )
-from .tensor import Tensor, dense_size, flattening_ranks, is_semi_diagonal
+from .tensor import MAX_SEARCH_NODES, Tensor, dense_size, flattening_ranks, is_semi_diagonal
 
 __all__ = [
     "Configuration",
@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 MAX_BADBOX_GROUND = 25
+# member pairs in one block of the odd-intersection adjacency: 256 KB of uint64 ANDs
+_ADJACENCY_ENTRIES = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -159,10 +161,12 @@ def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:
     return Tensor.from_array(grid, cfg.field)
 
 
-def _violation_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
-    """Grid of assignments where every C-indexed intersection avoids L."""
+def _violation_grid(limbs: np.ndarray, cfg: Configuration, ok: np.ndarray) -> np.ndarray:
+    """``ok``, in place, left True where every C-indexed intersection avoids L.
+
+    ``ok`` is a boolean grid over the members of ``limbs``, k axes of m.
+    """
     h = _h_table_np(cfg, _largest_size(limbs))
-    ok = np.ones(_grid_shape(limbs.shape[0], cfg.k), dtype=bool)
     for x in cfg.C:
         sizes = _grid_sizes(limbs, cfg, x)
         ok &= h[sizes % cfg.p] != 0
@@ -200,12 +204,11 @@ def find_config_witness(
     # a slot-symmetric C cannot distinguish orderings, so one sorted
     # representative per unordered tuple suffices
     tuple_mask = _distinct_tuple_mask(len(positions), cfg.k, sorted_only=cfg.is_slot_symmetric())
-    ok = _violation_grid(limbs, cfg) & tuple_mask
-    hits = np.argwhere(ok)
-    if hits.size == 0:
+    ok = _violation_grid(limbs, cfg, tuple_mask)
+    first = int(ok.argmax())  # the first hit in C order; cell 0 when there is none
+    if not ok.flat[first]:
         return None
-    first = hits[0]
-    return tuple(positions[int(i)] for i in first)
+    return tuple(positions[int(i)] for i in np.unravel_index(first, ok.shape))
 
 
 def is_config_satisfying(fam: SetFamily, cfg: Configuration, distinct: str = "sets") -> bool:
@@ -323,29 +326,56 @@ class BadBoxFamily:
         return SetFamily(n=self.ground_size, members=self.flat_masks())
 
 
+def _odd_adjacency(members_factors: Sequence[Sequence[int]]) -> list[int]:
+    """Row i: bit j set when members i != j meet in an odd-sized set, as an int.
+
+    Intersection sizes of product sets multiply across factors, so a pair is
+    "odd" exactly when every factor-wise intersection is odd.  The factors go
+    in as 64-bit limbs, so t may pass 64: a factor-wise parity is that of the
+    popcount of the XOR of its limbs' ANDs.  The parities are ANDed over the
+    factors in blocks of rows of at most :data:`_ADJACENCY_ENTRIES` pairs,
+    whose bits are then packed.
+    """
+    m, s = len(members_factors), len(members_factors[0])
+    limbs = _mask_limbs([f for factors in members_factors for f in factors]).reshape(m, s, -1)
+    step, width = max(1, _ADJACENCY_ENTRIES // m), -(-m // 8)
+    adj: list[int] = []
+    for i in range(0, m, step):
+        rows = limbs[i : i + step, None]
+        odd = np.ones((rows.shape[0], m), dtype=np.uint8)
+        for f in range(s):
+            meet = rows[:, :, f, 0] & limbs[:, f, 0]
+            for limb in range(1, limbs.shape[2]):
+                meet ^= rows[:, :, f, limb] & limbs[:, f, limb]
+            odd &= np.bitwise_count(meet)
+        diagonal = np.arange(odd.shape[0])
+        odd[diagonal, diagonal + i] = 0
+        data = np.packbits(odd, axis=1, bitorder="little").tobytes()
+        adj += [int.from_bytes(data[j : j + width], "little") for j in range(0, len(data), width)]
+    return adj
+
+
 def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[int, ...] | None:
     """Positions of k members with pairwise odd-sized intersections, or None.
 
-    Intersection sizes of product sets multiply across factors, so a pair is
-    "odd" exactly when every factor-wise intersection is odd.
+    A depth-first search over :func:`_odd_adjacency`, in ascending positions,
+    that prunes a branch when too few common neighbours are left.  A search
+    that would visit more than :data:`MAX_SEARCH_NODES` nodes is refused
+    (ValueError) when it gets there.
     """
     m = len(members_factors)
     if m < k:
         return None
-    adj = []
-    for i in range(m):
-        row = 0
-        for j in range(m):
-            if j == i:
-                continue
-            if all(
-                (a & b).bit_count() % 2 == 1
-                for a, b in zip(members_factors[i], members_factors[j])
-            ):
-                row |= 1 << j
-        adj.append(row)
+    if k == 1:  # no pair to check: m^2 bits would outgrow the chain's m-cell grid
+        return (0,)
+    adj = _odd_adjacency(members_factors)
+    nodes = 0
 
     def clique(chosen: tuple[int, ...], allowed: int, floor: int) -> tuple[int, ...] | None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise ValueError(f"odd-clique search of order {k} passed {MAX_SEARCH_NODES} nodes")
         if len(chosen) == k:
             return chosen
         avail = allowed & (~0 << floor)

@@ -33,7 +33,9 @@ kernels allocate besides, so a caller's cap counts both.
   and entries need no mask.
 * GF(2^k), k > 16: scalar elimination in :func:`_rank_generic`, one matrix at
   a time, which is also the oracle the tests compare the vectorized kernels
-  against.
+  against.  It runs about r^2 c Python field multiplications per (r, c)
+  matrix, a few microseconds each, so :func:`_check_products` refuses a call
+  whose matrices add up to more than :data:`MAX_GENERIC_PRODUCTS`.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ __all__ = [
 # Entries of the rows below that one GF(2^k) clearing gather covers: its intp
 # indices take 256 KB.
 GATHER_ENTRIES = 1 << 15
+
+# field multiplications one scalar GF(2^k > 16) elimination may run: a few seconds
+MAX_GENERIC_PRODUCTS = 1 << 20
 
 
 class _Workspace:
@@ -301,6 +306,19 @@ def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
     return rank
 
 
+def _check_products(n: int, r: int, c: int, field: FieldDescriptor, what: str) -> None:
+    """Refuse ranking n (r, c) matrices, r <= c, on the scalar path past its cap.
+
+    That path is GF(2^k), k > 16; ``n r^2 c`` bounds its multiplications, and
+    it is checked before anything is drawn or allocated.
+    """
+    if field.kind == "binary" and field.k > 16 and n * r * r * c > MAX_GENERIC_PRODUCTS:
+        raise ValueError(
+            f"{what} needs about {n * r * r * c} {field} multiplications on the scalar path, "
+            f"over its {MAX_GENERIC_PRODUCTS} cap"
+        )
+
+
 def _rank_into(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndarray:
     """int64 ranks, in ``ws``, of an (N, r, c) batch of canonical entries, 1 <= r <= c.
 
@@ -341,6 +359,7 @@ def matrix_rank(mats, field: FieldDescriptor):
         raise ValueError(f"expected an (r, c) matrix or an (N, r, c) batch, got shape {m.shape}")
     if m.shape[1] > m.shape[2]:
         m = m.transpose(0, 2, 1)
+    _check_products(*m.shape, field, f"rank of {m.shape[0]} {m.shape[1]}x{m.shape[2]} matrices")
     if not _canonical(m, field.order):
         if field.kind == "binary" and field.order > 2:
             raise ValueError(f"matrix entries must be canonical in {field}")

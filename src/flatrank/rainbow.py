@@ -29,7 +29,13 @@ import numpy as np
 
 from .field import FieldDescriptor, discrete_log_tables, make_binary_field
 from .setfam import _grid_shape, _slot_limbs
-from .tensor import Tensor, index_class_arrays, is_semi_diagonal, max_flattening_rank
+from .tensor import (
+    MAX_SEARCH_NODES,
+    Tensor,
+    index_class_arrays,
+    is_semi_diagonal,
+    max_flattening_rank,
+)
 
 __all__ = [
     "ColoredHypergraph",
@@ -82,21 +88,27 @@ def find_rainbow_matching(
 ) -> list[tuple[int, int]] | None:
     """Lexicographically-first set of ``size`` disjoint edges with distinct colors.
 
-    Complete backtracking over color-ascending choices; None when no rainbow
-    matching of the requested size exists.
+    Complete backtracking over color-ascending choices, which picks an edge
+    of a color only while enough colors are left after it to finish; None
+    when no rainbow matching of the requested size exists.  A search that
+    would visit more than :data:`MAX_SEARCH_NODES` nodes is refused
+    (ValueError) when it gets there.
     """
     if size < 1:
         raise ValueError("size must be positive")
     if size > h.z:
         return None
     chosen: list[tuple[int, int]] = []
+    nodes = 0
 
     def rec(start_color: int, used: int) -> bool:
+        nonlocal nodes
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise ValueError(f"rainbow-matching search of size {size} passed {MAX_SEARCH_NODES} nodes")
         if len(chosen) == size:
             return True
-        if h.z - start_color < size - len(chosen):
-            return False
-        for c in range(start_color, h.z):
+        for c in range(start_color, h.z - size + len(chosen) + 1):
             for ei, e in enumerate(h.colors[c]):
                 if not e & used:
                     chosen.append((c, ei))

@@ -71,7 +71,14 @@ import numpy as np
 
 from .field import GF2, FieldDescriptor, _log_table_sizes
 from .formats import tensor_to_document
-from .linalg import _elimination_sizes, _rank_into, _unplanned_bytes, _Workspace, entry_dtype
+from .linalg import (
+    _check_products,
+    _elimination_sizes,
+    _rank_into,
+    _unplanned_bytes,
+    _Workspace,
+    entry_dtype,
+)
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
     TupleFamily,
@@ -682,14 +689,16 @@ def random_semidiagonal_sweep(
     buffer of :func:`_field_sizes` for one tensor, and at least one.  No
     buffer grows faster than the block, so none passes the budget; GF(2^k)'s
     gather scratch is capped, so blocks where it is the largest fill less.
-    Shapes over the dense cap, and sweeps whose workspace passes
-    :data:`MAX_WORKSPACE_BYTES`, are refused before anything of their size is
-    allocated.
+    Shapes over the dense cap, sweeps whose workspace passes
+    :data:`MAX_WORKSPACE_BYTES`, and scalar GF(2^k > 16) sweeps of more than
+    :data:`flatrank.linalg.MAX_GENERIC_PRODUCTS` field multiplications are
+    refused before anything of their size is drawn or allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
     if count < 1:
         raise ValueError("need count >= 1")
+    _check_products(count * d, a, a ** (d - 1), field, f"{a}^{d} sweep of {count} tensors")
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
     sliced = field.order == 2 and a ** (d - 1) > TABLE_MAX_COLUMNS

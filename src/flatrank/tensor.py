@@ -37,6 +37,9 @@ __all__ = [
 
 MAX_ENTRIES = 1 << 24
 MAX_AXES = 64  # numpy's limit on the dimensions of an array
+# nodes one backtracking search (odd cliques, rainbow matchings) may visit,
+# about a second of search
+MAX_SEARCH_NODES = 1 << 20
 
 
 def dense_size(factors: Iterable[int], what: str) -> int:

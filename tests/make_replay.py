@@ -110,6 +110,10 @@ def calls() -> list[list[str]]:
         ["verify", "bollobas", f"{FIXTURES}/bollobas_bad.json"],
         ["verify", "fw", f"{FIXTURES}/fw_bad_family.json", "--config", f"{FIXTURES}/fw_config.json"],
         ["verify", "badbox", f"{FIXTURES}/badbox_family.json", "--k", "2"],
+        # factors over [70], on two 64-bit limbs: members of one part meet in
+        # two elements, of the two parts in one, so pairs are odd and triples not
+        ["verify", "badbox", f"{FIXTURES}/badbox_t70.json"],
+        ["verify", "badbox", f"{FIXTURES}/badbox_t70.json", "--k", "2"],
     ]
     docs = ["partition_4_3.json"] + [name for name, *_ in RANK_FIXTURES]
     for doc in docs:

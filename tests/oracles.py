@@ -9,6 +9,8 @@ checked against, and the seeded generators of test inputs.
   must match, and moment-curve vectors in general position.
 * The exhaustive cross-Oddtown enumerator, checked against the parity-grid
   chain of :mod:`flatrank.setfam`.
+* The pair-by-pair odd-intersection adjacency of product sets, checked
+  against the parity grid of :func:`flatrank.fw._odd_adjacency`.
 * Generators of random configurations, (C, L)-satisfying families and colored
   hypergraphs, all drawn from :class:`flatrank.rng.Rng`, so every seeded input
   is the same from run to run.
@@ -184,6 +186,24 @@ def odd_subsets(t: int) -> list[int]:
     return [m for m in range(1 << t) if m.bit_count() % 2 == 1]
 
 
+def odd_adjacency(members_factors: Sequence[Sequence[int]]) -> list[int]:
+    """Pairwise-odd adjacency of product sets as int bitsets, pair by pair in Python."""
+    m = len(members_factors)
+    adj = []
+    for i in range(m):
+        row = 0
+        for j in range(m):
+            if j == i:
+                continue
+            if all(
+                (a & b).bit_count() % 2 == 1
+                for a, b in zip(members_factors[i], members_factors[j])
+            ):
+                row |= 1 << j
+        adj.append(row)
+    return adj
+
+
 def random_configuration(rng: Rng, max_k: int = 3, min_k: int = 2) -> Configuration:
     """A random small configuration: order, prime, residues, and slot family.
 
@@ -237,7 +257,7 @@ def grow_config_satisfying_family(
             continue
         trial = members + [cand]
         if len(trial) >= cfg.k:
-            ok = _violation_grid(_mask_limbs(trial), cfg) & _distinct_tuple_mask(len(trial), cfg.k)
+            ok = _violation_grid(_mask_limbs(trial), cfg, _distinct_tuple_mask(len(trial), cfg.k))
             # only assignments using the new member can be newly violating
             uses_new = np.zeros((len(trial),) * cfg.k, dtype=bool)
             for slot in range(cfg.k):

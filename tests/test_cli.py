@@ -411,7 +411,7 @@ def test_threads_variable_changes_no_report(monkeypatch, capsys, value):
         ("prime:3", 2, 17, 1),  # the largest one-tensor block the cap admits on 2^d
         ("prime:2147483647", 2, 15, 1),
         ("binary:8", 2, 16, 1),
-        ("binary:20", 442, 2, 1),  # the largest on a^2 whose matrix of Python ints the cap counts
+        ("binary:20", 80, 2, 1),  # the largest on a^2 the scalar path's multiplication cap admits
     ],
     ids=str,
 )
@@ -420,6 +420,42 @@ def test_larger_field_sweeps_peak_within_the_cap(monkeypatch, capsys, spec, a, d
 
     code, peak = _traced_sweep(monkeypatch, spec, a, d, count)
     assert code == 0 and peak <= MAX_WORKSPACE_BYTES, peak
+
+
+@pytest.mark.parametrize(
+    "a,d,count",
+    [
+        (2, 16, 1),  # 79 s for one tensor before the cap
+        (2, 6, 10083),  # 38.5 s
+        (2, 14, 27),  # 38.9 s
+        (81, 2, 1),  # 2 * 81^3 multiplications, the first a over the cap on a^2
+    ],
+    ids=str,
+)
+def test_scalar_path_sweeps_over_the_multiplication_cap_exit_2_before_drawing(
+    monkeypatch, capsys, a, d, count
+):
+    import flatrank.search as search
+
+    def drawn(*args):
+        raise AssertionError("a tensor was drawn")
+
+    monkeypatch.setattr(search, "_stream_block", drawn)
+    argv = ["experiment", "random-semidiagonal", "--a", a, "--d", d, "--count", count, "--seed", 1]
+    assert run(argv + ["--field", "binary:20"]) == 2
+    assert "GF(2^20) multiplications on the scalar path, over its 1048576 cap" in capsys.readouterr().err
+
+
+def test_scalar_path_rank_over_the_multiplication_cap_exits_2(capsys, tmp_path):
+    # one 102 x 102 matrix: 102^3 multiplications; 101 x 101 is admitted
+    from flatrank.field import make_binary_field
+
+    field = make_binary_field(20)
+    for n, code in ((101, 0), (102, 2)):
+        doc = tmp_path / f"identity_{n}.json"
+        doc.write_text(json.dumps(tensor_to_document(Tensor((n, n), field, np.eye(n, dtype=np.int64)))))
+        assert run(["rank", doc, "--max"]) == code
+    assert "rank of 1 102x102 matrices needs about 1061208" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec,a", [("prime:3", 982), ("prime:2147483647", 611), ("binary:8", 1208)])
@@ -1159,6 +1195,7 @@ def test_verify_binomials_at_the_parse_bound(tmp_path, capsys, target, doc):
 # is no JSON, has no value to swap
 FUZZ_COMMANDS = {
     "badbox_family.json": ["verify", "badbox", None],
+    "badbox_t70.json": ["verify", "badbox", None],
     "bollobas_bad.json": ["verify", "bollobas", None],
     "bollobas_classic.json": ["verify", "bollobas", None],
     "fw_bad_family.json": ["verify", "fw", None, "--config", FIXTURES / "fw_config.json"],

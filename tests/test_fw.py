@@ -1,9 +1,11 @@
 """Configuration verifiers, tensors, bounds, and the bad-box sampler."""
 
 import itertools
+import json
 import math
-from itertools import repeat
+from itertools import product, repeat
 
+import numpy as np
 import pytest
 
 from flatrank.fw import (
@@ -27,10 +29,10 @@ from flatrank.fw import (
     verify_fw_chain,
 )
 from flatrank.rng import Rng
-from flatrank.setfam import SetFamily
-from flatrank.tensor import flattening_rank, is_semi_diagonal
+from flatrank.setfam import SetFamily, intersection_size
+from flatrank.tensor import MAX_SEARCH_NODES, flattening_rank, is_semi_diagonal
 
-from oracles import grow_config_satisfying_family, odd_subsets
+from oracles import grow_config_satisfying_family, odd_adjacency, odd_subsets, random_configuration
 
 
 FW_CFG = Configuration(k=2, p=2, C=(0b11,), L=(0,))
@@ -420,3 +422,124 @@ def test_sampler_draws_as_from_the_list(t, s):
             tuple(pool[rng.next_below(len(pool))] for _ in range(s)) for _ in range(size)
         )
         assert fam.members_factors == want
+
+
+def _first_clique(adj, m, k):
+    """The lexicographically first k positions that are pairwise adjacent in ``adj``, or None."""
+    for combo in itertools.combinations(range(m), k):
+        if all(adj[a] >> b & 1 for a, b in itertools.combinations(combo, 2)):
+            return combo
+    return None
+
+
+def test_odd_adjacency_and_cliques_match_the_python_oracle():
+    # t up to 70 puts factors on two limbs; repeated members meet themselves
+    from flatrank.fw import _odd_adjacency
+
+    rng = Rng(20)
+    for _ in range(300):
+        t, s, m = 1 + rng.next_below(70), 1 + rng.next_below(4), 1 + rng.next_below(12)
+        pool = [tuple(rng.next_below(1 << t) for _ in range(s)) for _ in range(1 + rng.next_below(m))]
+        members = [pool[rng.next_below(len(pool))] for _ in range(m)]
+        adj = odd_adjacency(members)
+        assert _odd_adjacency(members) == adj
+        for k in range(1, 6):
+            assert find_odd_clique(members, k) == _first_clique(adj, m, k)
+
+
+def test_one_member_clique_builds_no_adjacency(monkeypatch):
+    # at k = 1 the chain's grid has m cells, and m^2 adjacency bits would dwarf it
+    import flatrank.fw as fw
+
+    def built(members):
+        raise AssertionError("adjacency built")
+
+    monkeypatch.setattr(fw, "_odd_adjacency", built)
+    fam = BadBoxFamily(t=3, s=1, k=1, members_factors=((0b111,),) * 50000, attempts=0, seed=0)
+    assert verify_badbox_chain(fam, 1)["witness"] == [0]
+
+
+def test_odd_adjacency_blocks_rows(monkeypatch):
+    # blocks of a few rows, the last one short, give the same bitsets
+    import flatrank.fw as fw
+
+    rng = Rng(21)
+    members = [(rng.next_below(1 << 70) | 1, rng.next_below(8) | 1) for _ in range(23)]
+    whole = fw._odd_adjacency(members)
+    monkeypatch.setattr(fw, "_ADJACENCY_ENTRIES", 3 * 23)
+    assert fw._odd_adjacency(members) == whole == odd_adjacency(members)
+
+
+def _assignments(m, k, sorted_only):
+    """Index tuples of ``range(m)^k`` in C order with pairwise-distinct (or increasing) entries."""
+    for cell in product(range(m), repeat=k):
+        pairs = itertools.combinations(cell, 2)
+        if all(a < b if sorted_only else a != b for a, b in pairs):
+            yield cell
+
+
+@pytest.mark.parametrize("distinct", ["sets", "positions"])
+def test_config_witness_is_the_first_hit_in_c_order(distinct):
+    rng = Rng(22 if distinct == "sets" else 23)
+    found = 0
+    for _ in range(150):
+        cfg = random_configuration(rng)
+        n = 2 + rng.next_below(4)
+        pool = [rng.next_below(1 << n) for _ in range(1 + rng.next_below(8))]
+        fam = SetFamily(n=n, members=tuple(pool[rng.next_below(len(pool))] for _ in range(rng.next_below(9))))
+        positions = list(range(len(fam.members)))
+        if distinct == "sets":
+            positions = sorted({mask: pos for pos, mask in reversed(list(enumerate(fam.members)))}.values())
+        m = len(positions)
+        grid = np.zeros((m,) * cfg.k, dtype=bool)
+        for cell in _assignments(m, cfg.k, cfg.is_slot_symmetric()):
+            masks = [fam.members[positions[i]] for i in cell]
+            grid[cell] = all(
+                intersection_size([masks[j] for j in range(cfg.k) if x >> j & 1]) % cfg.p not in cfg.L
+                for x in cfg.C
+            )
+        want = tuple(positions[int(i)] for i in np.argwhere(grid)[0]) if grid.any() else None
+        assert find_config_witness(fam, cfg, distinct) == want
+        found += want is not None
+    assert 30 < found < 120  # both outcomes are exercised
+
+
+def _turan_members(parts, size):
+    """One-factor members whose odd-intersection graph is complete ``parts``-partite.
+
+    Member i of part p is {0, p, e} with e its own element: members of one
+    part meet in {0, p}, of two parts in {0}, so the largest cliques hold one
+    member of each part, and a search for ``parts + 1`` of them visits about
+    (size + 1)^parts nodes before it gives up.
+    """
+    return [
+        (1 | 1 << p | 1 << (parts + 1 + (p - 1) * size + i),)
+        for p in range(1, parts + 1)
+        for i in range(size)
+    ]
+
+
+def test_odd_clique_search_stops_at_the_node_budget():
+    members = _turan_members(11, 3)  # t = 45; 4,017,157 nodes to exhaust
+    assert find_odd_clique(members, 11) is not None
+    with pytest.raises(ValueError, match=f"odd-clique search of order 12 passed {MAX_SEARCH_NODES} nodes"):
+        find_odd_clique(members, 12)
+
+
+def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):
+    import flatrank.fw as fw
+    from flatrank.cli import main
+
+    # 12 members, no 5-clique: 175 nodes to exhaust.  Through the CLI the chain's
+    # m^k configuration grid is capped first, which bounds this search far below
+    # the budget, so the budget is lowered here
+    members = _turan_members(4, 3)
+    doc = tmp_path / "turan.json"
+    doc.write_text(json.dumps({"t": 20, "s": 1, "k": 5, "members_factors": [list(f) for f in members]}))
+    assert main(["verify", "badbox", str(doc)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(fw, "MAX_SEARCH_NODES", 100)
+    assert main(["verify", "badbox", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "odd-clique search of order 5 passed 100 nodes" in captured.err

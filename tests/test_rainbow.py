@@ -1,6 +1,7 @@
 """Rainbow-matching search, wedge tensors, and the set-pair verifier."""
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -344,3 +345,28 @@ def test_wedge_grid_cap_before_allocation():
     system = SetPairSystem(base_size=3, sizes=(1, 1, 1), members=((1, 2, 4),) * 257)
     with pytest.raises(ValueError, match="16777216 dense cap"):
         bollobas_verify(system)
+
+
+def _cyclic_latin_square(n):
+    """Colors c of K_{n,n} on rows 0..n-1 and columns n..2n-1: edges {i, n + (i + c) mod n}.
+
+    Each color is a perfect matching, and a rainbow matching of size n is a
+    transversal of the cyclic Latin square, which has none at even n; a
+    complete search for one is exponential in n.
+    """
+    return {"N": 2 * n, "r": 2, "t": n, "colors": [[[i, n + (i + c) % n] for i in range(n)] for c in range(n)]}
+
+
+def test_rainbow_search_over_the_node_budget_exits_2(capsys, tmp_path):
+    from flatrank.cli import main
+    from flatrank.tensor import MAX_SEARCH_NODES
+
+    doc = tmp_path / "latin.json"
+    doc.write_text(json.dumps(_cyclic_latin_square(6)))  # exhausted in 733 nodes
+    assert main(["verify", "rainbow", str(doc)]) == 0
+    capsys.readouterr()
+    doc.write_text(json.dumps(_cyclic_latin_square(12)))
+    assert main(["verify", "rainbow", str(doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"rainbow-matching search of size 12 passed {MAX_SEARCH_NODES} nodes" in captured.err
