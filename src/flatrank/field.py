@@ -211,6 +211,27 @@ def field_from_document(doc: dict) -> FieldDescriptor:
 GF2 = make_prime_field(2)
 
 
+def binary_mul_add(out, x, y, field, shift, bits, term) -> None:
+    """``out ^= x * y`` in GF(2^k), elementwise and broadcasting, by k rounds of shift and XOR.
+
+    The scratch arrays are in ``out``'s dtype (unsigned, or int64 for k < 63):
+    ``shift`` holds two arrays of ``x``'s shape, ``bits`` is of ``y``'s and
+    ``term`` of ``out``'s.  Doubling ``x`` carries its top bit out, to come
+    back as the reduction polynomial's lower terms, so k = 32 fits uint32.
+    """
+    shifted, carry = shift
+    low = field.reduction_poly & int(np.iinfo(out.dtype).max)  # x^k is the carried bit
+    np.copyto(shifted, x)
+    for i in range(field.k):
+        np.right_shift(y, i, out=bits)
+        bits &= 1
+        out ^= np.multiply(bits, shifted, out=term)
+        np.right_shift(shifted, field.k - 1, out=carry)
+        shifted <<= 1
+        carry *= low
+        shifted ^= carry
+
+
 def _log_table_sizes(field: FieldDescriptor) -> dict[str, tuple[int, np.dtype]]:
     """Item counts and dtypes of :func:`discrete_log_tables` for ``field``.
 
@@ -244,17 +265,16 @@ def discrete_log_tables(field: FieldDescriptor) -> tuple[np.ndarray, np.ndarray]
     m = field.order - 1
     factors = _prime_factors(m)  # none for GF(2), whose group {1} is generated by 1
     gen = next(g for g in range(1, field.order) if all(field.pow(g, m // q) != 1 for q in factors))
-    # powers[i] = g^i, doubled: g^(n+i) = g^i * g^n, by shift and XOR, a round per bit
+    # powers[i] = g^i, doubled: g^(n+i) = g^i * g^n
     powers = np.zeros(m, np.int64)
     powers[0], n, g_n = 1, 1, gen
+    shift = np.empty((2, 1), np.int64)
+    scratch = np.empty((2, m // 2), np.int64)  # bits and term
     while n < m:
-        x = powers[: min(n, m - n)].copy()
-        for bit in range(field.k):
-            if g_n >> bit & 1:
-                powers[n : n + x.size] ^= x
-            x <<= 1
-            x ^= (x >> field.k) * field.reduction_poly
+        x = powers[: min(n, m - n)]
+        binary_mul_add(powers[n : n + x.size], g_n, x, field, shift, *scratch[:, : x.size])
         n, g_n = 2 * n, field.mul(g_n, g_n)
+    del scratch  # freed before the tables are filled
     zero = 3 * m - 1
     exp[:zero] = np.resize(powers.astype(exp.dtype), zero)
     log[powers] = np.arange(m)

@@ -12,8 +12,8 @@ kernels allocate besides, so a caller's cap counts both.
 
 * GF(2): entries mod 2, rows packed with numpy into ints used as bit-vectors,
   reduced per matrix by :func:`rank_gf2_bitrows` (word-wide XOR).
-* GF(p), p odd prime, and GF(2^k), 2 <= k <= 16: :func:`_eliminate` runs on
-  the whole batch at once.  Step k takes row k, already cleared by every
+* GF(p), p odd prime, and GF(2^k), k >= 2: :func:`_eliminate` runs on the
+  whole batch at once.  Step k takes row k, already cleared by every
   earlier pivot row: a zero row is dependent, otherwise its first nonzero
   column becomes a pivot and is cleared from the rows below it.  A step where
   no row below has an entry in its matrix's pivot column clears nothing, so it
@@ -31,11 +31,14 @@ kernels allocate besides, so a caller's cap counts both.
   through :func:`flatrank.field.discrete_log_tables`: log 0 is a sentinel
   whose sums land in a zero tail of the extended exp table, so zero factors
   and entries need no mask.
-* GF(2^k), k > 16: scalar elimination in :func:`_rank_generic`, one matrix at
-  a time, which is also the oracle the tests compare the vectorized kernels
-  against.  It runs about r^2 c Python field multiplications per (r, c)
-  matrix, a few microseconds each, so :func:`_check_products` refuses a call
-  whose matrices add up to more than :data:`MAX_GENERIC_PRODUCTS`.
+* GF(2^k), k > 16, stores entries in uint32 (k <= 32) or uint64 and
+  multiplies by shift and XOR (:func:`flatrank.field.binary_mul_add`), k
+  rounds of numpy calls.  A step takes no inverse: it replaces each row
+  below by pivot * row + factor * pivot row; a zero pivot comes with a zero
+  pivot row, and scales by 1.
+  :func:`_check_products` refuses a call whose n r^2 c multiplications of k
+  rounds, for n (r, c) matrices, add up to more than
+  :data:`MAX_SHIFT_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -46,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldDescriptor, _log_table_sizes, discrete_log_tables
+from .field import FieldDescriptor, _log_table_sizes, binary_mul_add, discrete_log_tables
 
 __all__ = [
     "rank_gf2_bitrows",
@@ -54,12 +57,13 @@ __all__ = [
     "entry_dtype",
 ]
 
-# Entries of the rows below that one GF(2^k) clearing gather covers: its intp
-# indices take 256 KB.
+# Entries of the rows below that one GF(2^k) clearing group covers: its intp
+# gather indices, or each of its uint64 shift-and-XOR buffers, take 256 KB.
 GATHER_ENTRIES = 1 << 15
 
-# field multiplications one scalar GF(2^k > 16) elimination may run: a few seconds
-MAX_GENERIC_PRODUCTS = 1 << 20
+# shift-and-XOR rounds, k per GF(2^k > 16) multiplication, that one elimination
+# may run: about two seconds at most
+MAX_SHIFT_ROUNDS = 1 << 29
 
 
 class _Workspace:
@@ -127,32 +131,23 @@ def _elimination_sizes(n: int, r: int, c: int, field: FieldDescriptor) -> dict[s
     prime = field.kind == "prime" and field.order > 2
     dtype = _lazy_plan(field.p, r)[0] if prime else entry_dtype(field)
     sizes = {"work": (n * r * c, dtype), "rank": (n, np.int64)}
-    if field.order == 2 or (field.kind == "binary" and field.k > 16):
+    if field.order == 2:
         return sizes
     sizes["mask"] = (n * c, np.bool_)
     if prime:
         return sizes | {"prod": (n * max(r - 1, 1) * c, dtype)}
-    logs = _log_table_sizes(field)["log"][1]
-    # the most one clearing group gathers in a batch of at most n matrices
-    gathered = min(n * c * max(r - 1, 1), max(n * c, GATHER_ENTRIES))
-    return sizes | {
-        "logrow": (n * c, logs),
-        "gather": (gathered, np.intp),
-        "prod": (gathered, dtype),
-    }
+    return sizes | _gf2k_sizes(n, r, c, field)
 
 
-def _unplanned_bytes(n: int, r: int, c: int, field: FieldDescriptor) -> int:
+def _unplanned_bytes(n: int, r: int) -> int:
     """At most the bytes :func:`_rank_into` allocates outside its plan, order > 2.
 
-    Each step's pivot columns and factors are at most four (N, r) arrays of
-    8-byte items at a time.  A numpy call that casts buffers up to 8192 items
-    (``np.getbufsize()``) of each of up to three 8-byte operands; with the
-    call's Python objects that is under 256 KiB.  GF(2^k > 16) ranks one
-    matrix at a time as Python ints, about 64 bytes an entry.
+    Each step's pivot columns, pivots and factors are at most four (N, r)
+    arrays of 8-byte items at a time.  A numpy call that casts buffers up to
+    8192 items (``np.getbufsize()``) of each of up to three 8-byte operands;
+    with the call's Python objects that is under 256 KiB.
     """
-    generic = field.kind == "binary" and field.k > 16
-    return 32 * n * r + (256 << 10) + (64 * r * c if generic else 0)
+    return 32 * n * r + (256 << 10)
 
 
 def _eliminate(m: np.ndarray, ws: _Workspace, settle, clear) -> np.ndarray:
@@ -254,13 +249,41 @@ def _rank_mod_p(m: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
     return _eliminate(m, ws, lambda row: _reduce(row, p, q_row), clear)
 
 
+def _gf2k_sizes(n: int, r: int, c: int, field: FieldDescriptor) -> dict[str, tuple[int, type]]:
+    """Scratch of :func:`_rank_gf2k`'s clearing groups for n (r, c) matrices over ``field``."""
+    dtype = entry_dtype(field)
+    # the most one clearing group takes in a batch of at most n matrices
+    group = (min(n * c * max(r - 1, 1), max(n * c, GATHER_ENTRIES)), dtype)
+    if field.k <= 16:
+        logs = _log_table_sizes(field)["log"][1]
+        return {"logrow": (n * c, logs), "gather": (group[0], np.intp), "prod": group}
+    return {"prod": group, "bits": group, "term": group, "shift": (2 * n * max(r - 1, 1), dtype)}
+
+
 def _rank_gf2k(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndarray:
+    n, r, c = m.shape
+    # the rows below are cleared in groups of at most GATHER_ENTRIES entries, or
+    # one row of every matrix, so that a group's scratch stays in the cache
+    step = max(1, GATHER_ENTRIES // (n * c))
+    if field.k > 16:
+
+        def clear(below, factor, row, piv):
+            # row_j <- piv row_j + factor_j row, which takes no inverse; a zero row
+            # comes with pivot 0, which scales by 1 to leave the rows as they are
+            piv = piv + (piv == 0)
+            for j in range(0, below.shape[1], step):
+                part = below[:, j : j + step]
+                out, term = ws.take("prod", *part.shape), ws.take("term", *part.shape)
+                out.fill(0)
+                factors = factor[:, j : j + step, None]
+                for x, y in ((piv[:, None, None], part), (factors, row[:, None, :])):
+                    shift, bits = ws.take("shift", 2, *x.shape), ws.take("bits", *y.shape)
+                    binary_mul_add(out, x, y, field, shift, bits, term)
+                np.copyto(part, out)
+
+        return _eliminate(m, ws, lambda row: None, clear)
     exp, log = discrete_log_tables(field)
     order_m1 = field.order - 1
-    n, r, c = m.shape
-    # numpy gathers fast only at intp indices, 8 bytes each: the rows below
-    # are cleared in groups of at most GATHER_ENTRIES entries
-    step = max(1, GATHER_ENTRIES // (n * c))
 
     def clear(below, factor, row, piv):
         # log(factor / piv) + (q-1) or less, so a sum with a nonzero entry's log
@@ -283,39 +306,17 @@ def _rank_gf2k(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndar
     return _eliminate(m, ws, lambda row: None, clear)
 
 
-def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
-    nrows = len(rows)
-    if nrows == 0:
-        return 0
-    ncols = len(rows[0])
-    rank = 0
-    for col in range(ncols):
-        if rank == nrows:
-            break
-        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
-        for r in range(rank + 1, nrows):
-            f = rows[r][col]
-            if f:
-                rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _check_products(n: int, r: int, c: int, field: FieldDescriptor, what: str) -> None:
-    """Refuse ranking n (r, c) matrices, r <= c, on the scalar path past its cap.
+    """Refuse ranking n (r, c) matrices, r <= c, over GF(2^k > 16) past :data:`MAX_SHIFT_ROUNDS`.
 
-    That path is GF(2^k), k > 16; ``n r^2 c`` bounds its multiplications, and
-    it is checked before anything is drawn or allocated.
+    ``n r^2 c`` bounds the multiplications of their elimination, each k
+    rounds of shift and XOR; it is checked before anything is drawn or
+    allocated.
     """
-    if field.kind == "binary" and field.k > 16 and n * r * r * c > MAX_GENERIC_PRODUCTS:
+    if field.kind == "binary" and field.k > 16 and n * r * r * c * field.k > MAX_SHIFT_ROUNDS:
         raise ValueError(
-            f"{what} needs about {n * r * r * c} {field} multiplications on the scalar path, "
-            f"over its {MAX_GENERIC_PRODUCTS} cap"
+            f"{what} needs about {n * r * r * c} {field} multiplications of {field.k} rounds, "
+            f"over the {MAX_SHIFT_ROUNDS}-round cap"
         )
 
 
@@ -330,10 +331,8 @@ def _rank_into(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndar
         rank[:] = _rank_gf2(m)
     elif field.kind == "prime":
         _rank_mod_p(m, field.p, ws)
-    elif field.k <= 16:
-        _rank_gf2k(m, field, ws)
     else:
-        rank[:] = [_rank_generic(x.tolist(), field) for x in m]
+        _rank_gf2k(m, field, ws)
     return rank
 
 

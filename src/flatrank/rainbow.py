@@ -90,34 +90,39 @@ def find_rainbow_matching(
 
     Complete backtracking over color-ascending choices, which picks an edge
     of a color only while enough colors are left after it to finish; None
-    when no rainbow matching of the requested size exists.  A search that
-    would visit more than :data:`MAX_SEARCH_NODES` nodes is refused
-    (ValueError) when it gets there.
+    when no rainbow matching of the requested size exists.  The search keeps
+    its open nodes on an explicit stack, so its depth is not bounded by
+    Python's recursion limit.  A search that would visit more than
+    :data:`MAX_SEARCH_NODES` nodes is refused (ValueError) when it gets there.
     """
     if size < 1:
         raise ValueError("size must be positive")
-    if size > h.z:
+    z = h.z
+    if size > z:
         return None
-    chosen: list[tuple[int, int]] = []
-    nodes = 0
-
-    def rec(start_color: int, used: int) -> bool:
-        nonlocal nodes
+    chosen: list[tuple[int, int, int]] = []  # (color, edge index, edge) down to the node
+    frames = []  # the untried edges of each open node, deepest last
+    used, start, nodes = 0, 0, 0
+    while True:
         nodes += 1
         if nodes > MAX_SEARCH_NODES:
             raise ValueError(f"rainbow-matching search of size {size} passed {MAX_SEARCH_NODES} nodes")
         if len(chosen) == size:
-            return True
-        for c in range(start_color, h.z - size + len(chosen) + 1):
-            for ei, e in enumerate(h.colors[c]):
-                if not e & used:
-                    chosen.append((c, ei))
-                    if rec(c + 1, used | e):
-                        return True
-                    chosen.pop()
-        return False
-
-    return chosen if rec(0, 0) else None
+            return [(c, ei) for c, ei, _ in chosen]
+        frames.append(
+            (c, ei, e)
+            for c in range(start, z - size + len(chosen) + 1)
+            for ei, e in enumerate(h.colors[c])
+            if not e & used  # read when the frame resumes, so at its node's vertices
+        )
+        while (step := next(frames[-1], None)) is None:  # back up to an open node
+            frames.pop()
+            if not frames:
+                return None
+            used ^= chosen.pop()[2]
+        chosen.append(step)
+        used |= step[2]
+        start = step[0] + 1
 
 
 def default_field_for(num_vertices: int) -> FieldDescriptor:

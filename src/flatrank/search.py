@@ -688,10 +688,10 @@ def random_semidiagonal_sweep(
     (:func:`_block_ranks`), in blocks of :data:`BLOCK_BYTES` over the largest
     buffer of :func:`_field_sizes` for one tensor, and at least one.  No
     buffer grows faster than the block, so none passes the budget; GF(2^k)'s
-    gather scratch is capped, so blocks where it is the largest fill less.
-    Shapes over the dense cap, sweeps whose workspace passes
-    :data:`MAX_WORKSPACE_BYTES`, and scalar GF(2^k > 16) sweeps of more than
-    :data:`flatrank.linalg.MAX_GENERIC_PRODUCTS` field multiplications are
+    clearing-group scratch is capped, so blocks where it is the largest fill
+    less.  Shapes over the dense cap, sweeps whose workspace passes
+    :data:`MAX_WORKSPACE_BYTES`, and GF(2^k > 16) sweeps of more than
+    :data:`flatrank.linalg.MAX_SHIFT_ROUNDS` shift-and-XOR rounds are
     refused before anything of their size is drawn or allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
@@ -707,7 +707,7 @@ def random_semidiagonal_sweep(
         n = min(count, max(1, BLOCK_BYTES // _largest_buffer(_field_sizes(a, d, 1, field))))
         sizes = _field_sizes(a, d, n, field)
         # _draw_index's arrays, stream_words_np's steps and the elimination's temporaries
-        extra = 8 * (a**d + 3 * nwords) + _unplanned_bytes(d * n, a, a ** (d - 1), field)
+        extra = 8 * (a**d + 3 * nwords) + _unplanned_bytes(d * n, a)
         if field.kind == "binary" and field.k <= 16:  # the log tables and their build, cached or not
             extra += _workspace_bytes(_log_table_sizes(field))
         kernel = lambda words, ws: _block_ranks(

@@ -7,6 +7,9 @@ checked against, and the seeded generators of test inputs.
 * Exterior algebra over characteristic-2 fields: sparse wedge products whose
   top coefficients the closed-form wedge tensors of :mod:`flatrank.rainbow`
   must match, and moment-curve vectors in general position.
+* Scalar Gaussian elimination over any field, one matrix at a time on
+  Python lists through ``field.mul``: the rank the vectorized kernels of
+  :mod:`flatrank.linalg` must match.
 * The exhaustive cross-Oddtown enumerator, checked against the parity-grid
   chain of :mod:`flatrank.setfam`.
 * The pair-by-pair odd-intersection adjacency of product sets, checked
@@ -473,3 +476,26 @@ def moment_curve_vectors(m: int, n: int, field: FieldDescriptor) -> list[tuple[i
             row.append(field.mul(row[-1], t))
         out.append(tuple(row))
     return out
+
+
+def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
+    nrows = len(rows)
+    if nrows == 0:
+        return 0
+    ncols = len(rows[0])
+    rank = 0
+    for col in range(ncols):
+        if rank == nrows:
+            break
+        piv = next((r for r in range(rank, nrows) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = field.inv(rows[rank][col])
+        rows[rank] = [field.mul(inv, v) for v in rows[rank]]
+        for r in range(rank + 1, nrows):
+            f = rows[r][col]
+            if f:
+                rows[r] = [field.sub(a, field.mul(f, b)) for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank

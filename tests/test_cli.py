@@ -411,7 +411,7 @@ def test_threads_variable_changes_no_report(monkeypatch, capsys, value):
         ("prime:3", 2, 17, 1),  # the largest one-tensor block the cap admits on 2^d
         ("prime:2147483647", 2, 15, 1),
         ("binary:8", 2, 16, 1),
-        ("binary:20", 80, 2, 1),  # the largest on a^2 the scalar path's multiplication cap admits
+        ("binary:20", 3, 3, 40000),  # shift-and-XOR clears, in groups of the plan's scratch
     ],
     ids=str,
 )
@@ -423,47 +423,56 @@ def test_larger_field_sweeps_peak_within_the_cap(monkeypatch, capsys, spec, a, d
 
 
 @pytest.mark.parametrize(
-    "a,d,count",
+    "a,d,count,code",
     [
-        (2, 16, 1),  # 79 s for one tensor before the cap
-        (2, 6, 10083),  # 38.5 s
-        (2, 14, 27),  # 38.9 s
-        (81, 2, 1),  # 2 * 81^3 multiplications, the first a over the cap on a^2
+        (2, 16, 1, 0),  # 79 s for one tensor by scalar elimination
+        (2, 6, 10083, 0),  # 38.5 s
+        (2, 14, 27, 0),  # 38.9 s
+        (2, 14, 58, 0),  # 58 * 14 * 2^15 multiplications of 20 rounds, the largest count on 2^14
+        (2, 14, 59, 2),
+        (237, 2, 1, 0),  # 2 * 237^3, the largest a the cap admits on a^2
+        (238, 2, 1, 2),
     ],
     ids=str,
 )
-def test_scalar_path_sweeps_over_the_multiplication_cap_exit_2_before_drawing(
-    monkeypatch, capsys, a, d, count
-):
+def test_sweeps_at_the_shift_round_cap(monkeypatch, capsys, a, d, count, code):
     import flatrank.search as search
 
     def drawn(*args):
         raise AssertionError("a tensor was drawn")
 
-    monkeypatch.setattr(search, "_stream_block", drawn)
+    if code:
+        monkeypatch.setattr(search, "_stream_block", drawn)
     argv = ["experiment", "random-semidiagonal", "--a", a, "--d", d, "--count", count, "--seed", 1]
-    assert run(argv + ["--field", "binary:20"]) == 2
-    assert "GF(2^20) multiplications on the scalar path, over its 1048576 cap" in capsys.readouterr().err
+    assert run(argv + ["--field", "binary:20"]) == code
+    refused = "GF(2^20) multiplications of 20 rounds, over the 536870912-round cap"
+    assert (refused in capsys.readouterr().err) == bool(code)
 
 
-def test_scalar_path_rank_over_the_multiplication_cap_exits_2(capsys, tmp_path):
-    # one 102 x 102 matrix: 102^3 multiplications; 101 x 101 is admitted
+def test_rank_over_the_shift_round_cap_exits_2(capsys, tmp_path):
+    # one 300 x 300 matrix: 300^3 multiplications of 20 rounds; 299 x 299 is admitted
     from flatrank.field import make_binary_field
 
     field = make_binary_field(20)
-    for n, code in ((101, 0), (102, 2)):
+    for n, code in ((299, 0), (300, 2)):
         doc = tmp_path / f"identity_{n}.json"
         doc.write_text(json.dumps(tensor_to_document(Tensor((n, n), field, np.eye(n, dtype=np.int64)))))
         assert run(["rank", doc, "--max"]) == code
-    assert "rank of 1 102x102 matrices needs about 1061208" in capsys.readouterr().err
+    assert "rank of 1 300x300 matrices needs about 27000000" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("spec,a", [("prime:3", 982), ("prime:2147483647", 611), ("binary:8", 1208)])
+@pytest.mark.parametrize(
+    "spec,a",
+    [("prime:3", 982), ("prime:2147483647", 611), ("binary:8", 1208), ("binary:20", 894)],
+)
 def test_larger_field_cap_edge_on_a_squared(monkeypatch, capsys, spec, a):
     # the largest admitted d = 2 shape, the elimination's temporaries and numpy's
-    # buffers counted: one more row and column passes the cap
+    # buffers counted: one more row and column passes the cap.  GF(2^20)'s
+    # shift-round cap refuses a > 237 first; it is lifted, so the workspace refuses
+    import flatrank.linalg as linalg
     from flatrank.search import MAX_WORKSPACE_BYTES
 
+    monkeypatch.setattr(linalg, "MAX_SHIFT_ROUNDS", 1 << 62)
     code, peak = _traced_sweep(monkeypatch, spec, a, 2, 1)
     assert code == 0 and peak <= MAX_WORKSPACE_BYTES, peak
     code, peak = _traced_sweep(monkeypatch, spec, a + 1, 2, 1)

@@ -46,7 +46,7 @@ REMOVED = {
         "grow_config_satisfying_family",
         "verify_badbox_free",
     ],
-    "flatrank.linalg": ["rank_bytes", "_log_tables_np"],
+    "flatrank.linalg": ["rank_bytes", "_log_tables_np", "_rank_generic", "MAX_GENERIC_PRODUCTS"],
     "flatrank.setfam": [
         "enumerate_cross_oddtown",
         "odd_tuple_candidates",

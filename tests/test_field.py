@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from flatrank.field import (
     _is_irreducible,
     _log_table_sizes,
+    binary_mul_add,
     discrete_log_tables,
     field_from_document,
     make_binary_field,
@@ -230,6 +231,27 @@ def test_log_tables_consistent_with_multiplication(k):
     a, b = (x.ravel() for x in np.meshgrid(elements, elements))
     products = [f.mul(x, y) for x, y in zip(a.tolist(), b.tolist())]
     assert exp[log[a].astype(np.int64) + log[b]].tolist() == products
+
+
+@pytest.mark.parametrize("k", [2, 8, 17, 20, 31, 32, 33, 62, 63])
+def test_binary_mul_add_matches_field_mul(k):
+    # a column times a row, broadcast, added to random entries; 0, 1 and the top
+    # element included, in the narrowest unsigned dtype and, below k = 63, int64
+    f = make_binary_field(k)
+    rng = np.random.default_rng(k)
+    for dtype in [np.min_scalar_type(f.order - 1)] + [np.int64] * (k < 63):
+        x, y, acc = (
+            rng.integers(0, f.order, shape, dtype=np.uint64).astype(dtype)
+            for shape in [(40, 1), (1, 30), (40, 30)]
+        )
+        x[:3, 0] = y[0, :3] = [0, 1, f.order - 1]
+        out = acc.copy()
+        binary_mul_add(out, x, y, f, np.empty((2, 40, 1), dtype), np.empty_like(y), np.empty_like(acc))
+        want = [
+            [c ^ f.mul(a, b) for b, c in zip(y[0].tolist(), row)]
+            for a, row in zip(x[:, 0].tolist(), acc.tolist())
+        ]
+        assert out.tolist() == want, dtype
 
 
 def test_log_tables_first_build_stays_within_their_sizes():

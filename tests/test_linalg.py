@@ -6,12 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatrank.field import discrete_log_tables, make_binary_field, make_prime_field
-from flatrank.linalg import (
-    _rank_generic,
-    matrix_rank,
-    rank_gf2_bitrows,
-)
+from flatrank.linalg import matrix_rank, rank_gf2_bitrows
 from flatrank.rng import Rng
+
+from oracles import _rank_generic
 
 
 def span_size_rank(rows, field):
@@ -81,7 +79,7 @@ RANK_FIELDS = [
     make_prime_field(5),
     make_binary_field(3),
     make_binary_field(8),
-    make_binary_field(17),  # beyond the log tables: the scalar fallback
+    make_binary_field(17),  # beyond the log tables: multiplied by shift and XOR
 ]
 
 
@@ -228,7 +226,10 @@ def test_mod_p_rank_any_integer_dtype(p, dtype):
     assert matrix_rank(mats, field).tolist() == want
 
 
-@pytest.mark.parametrize("k", range(2, 17))
+STORAGE = [(8, np.uint8), (16, np.uint16), (32, np.uint32), (64, np.uint64)]
+
+
+@pytest.mark.parametrize("k", [*range(2, 17), 17, 20, 32, 63])
 def test_gf2k_rank_matches_generic_across_storage_dtypes(k):
     from flatrank.linalg import entry_dtype
 
@@ -247,7 +248,7 @@ def test_gf2k_rank_matches_generic_across_storage_dtypes(k):
         want = [_rank_generic([list(row) for row in m], field) for m in mats]
         arr = np.array(mats, dtype=np.int64)
         narrow = arr.astype(entry_dtype(field))
-        assert narrow.dtype == (np.uint8 if k <= 8 else np.uint16)
+        assert narrow.dtype == next(t for bits, t in STORAGE if k <= bits)
         assert matrix_rank(arr, field).tolist() == want
         assert matrix_rank(narrow, field).tolist() == want
 
@@ -282,7 +283,14 @@ def test_gf2_rank_takes_entries_mod_2():
 
 @pytest.mark.parametrize(
     "field",
-    [make_prime_field(3), make_prime_field(2**31 - 1), make_binary_field(8), make_binary_field(16)],
+    [
+        make_prime_field(3),
+        make_prime_field(2**31 - 1),
+        make_binary_field(8),
+        make_binary_field(16),
+        make_binary_field(20),
+        make_binary_field(63),
+    ],
     ids=str,
 )
 def test_elimination_plan_holds_every_smaller_batch(field):
@@ -351,6 +359,7 @@ SPARSE_FIELDS = [
     make_binary_field(3),
     make_binary_field(8),
     make_binary_field(16),
+    make_binary_field(20),
 ]
 
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -370,3 +371,16 @@ def test_rainbow_search_over_the_node_budget_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"rainbow-matching search of size 12 passed {MAX_SEARCH_NODES} nodes" in captured.err
+
+
+def test_rainbow_search_deeper_than_the_recursion_limit(tmp_path):
+    # t = z = 1,100 colors, each the same 1,100 singletons: the first matching takes
+    # edge c of color c, 1,100 levels deep, where a recursive search raised RecursionError
+    from flatrank.cli import main
+
+    n = 1100
+    assert sys.getrecursionlimit() < n
+    doc, out = tmp_path / "deep.json", tmp_path / "report.json"
+    doc.write_text(json.dumps({"N": n, "r": 1, "t": n, "colors": [[[v] for v in range(n)]] * n}))
+    assert main(["verify", "rainbow", str(doc), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["results"]["rainbow_matching"] == [[c, c] for c in range(n)]

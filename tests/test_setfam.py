@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from flatrank.field import GF2
-from flatrank.linalg import _rank_generic
 from flatrank.rng import Rng
 from flatrank.setfam import (
     SetFamily,
@@ -24,7 +23,12 @@ from flatrank.setfam import (
 )
 from flatrank.tensor import is_semi_diagonal, max_flattening_rank
 
-from oracles import enumerate_cross_oddtown, odd_tuple_candidates, singleton_diagonal_family
+from oracles import (
+    _rank_generic,
+    enumerate_cross_oddtown,
+    odd_tuple_candidates,
+    singleton_diagonal_family,
+)
 
 
 def test_intersection_size_examples():

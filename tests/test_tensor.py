@@ -23,7 +23,7 @@ from flatrank.tensor import (
     partition_construction,
 )
 
-from oracles import add_tensors, subtensor
+from oracles import _rank_generic, add_tensors, subtensor
 
 GF3 = make_prime_field(3)
 GF5 = make_prime_field(5)
@@ -390,7 +390,6 @@ def _sparse_tensors(dims, field, rng):
 )
 def test_sparse_flattening_ranks_match_generic(field, monkeypatch):
     import flatrank.tensor as tensor_mod
-    from flatrank.linalg import _rank_generic
 
     shapes = []
     rank = tensor_mod.matrix_rank
