@@ -162,11 +162,14 @@ def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:
 
 
 def _violation_grid(limbs: np.ndarray, cfg: Configuration, ok: np.ndarray) -> np.ndarray:
-    """``ok``, in place, left True where every C-indexed intersection avoids L.
+    """A fresh copy of ``ok``, left True where every C-indexed intersection avoids L.
 
-    ``ok`` is a boolean grid over the members of ``limbs``, k axes of m.
+    ``ok`` is a boolean grid over the members of ``limbs``, k axes of m; it
+    may be a cached read-only grid (:func:`_distinct_tuple_mask`) and is
+    never written.
     """
     h = _h_table_np(cfg, _largest_size(limbs))
+    ok = ok.copy()
     for x in cfg.C:
         sizes = _grid_sizes(limbs, cfg, x)
         ok &= h[sizes % cfg.p] != 0
@@ -359,9 +362,10 @@ def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[i
     """Positions of k members with pairwise odd-sized intersections, or None.
 
     A depth-first search over :func:`_odd_adjacency`, in ascending positions,
-    that prunes a branch when too few common neighbours are left.  A search
-    that would visit more than :data:`MAX_SEARCH_NODES` nodes is refused
-    (ValueError) when it gets there.
+    that prunes a branch when too few common neighbours are left.  It keeps
+    its open nodes on an explicit stack, so its depth is not bounded by
+    Python's recursion limit.  A search that would visit more than
+    :data:`MAX_SEARCH_NODES` nodes is refused (ValueError) when it gets there.
     """
     m = len(members_factors)
     if m < k:
@@ -369,27 +373,36 @@ def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[i
     if k == 1:  # no pair to check: m^2 bits would outgrow the chain's m-cell grid
         return (0,)
     adj = _odd_adjacency(members_factors)
-    nodes = 0
 
-    def clique(chosen: tuple[int, ...], allowed: int, floor: int) -> tuple[int, ...] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > MAX_SEARCH_NODES:
-            raise ValueError(f"odd-clique search of order {k} passed {MAX_SEARCH_NODES} nodes")
-        if len(chosen) == k:
-            return chosen
+    def children(allowed: int, floor: int, need: int):
+        """(j, allowed & adj[j]) for the j >= floor in ``allowed`` that keep ``need`` common neighbours."""
         avail = allowed & (~0 << floor)
         while avail:
             low = avail & -avail
             j = low.bit_length() - 1
             avail ^= low
-            if len(chosen) + 1 + (allowed & adj[j]).bit_count() >= k:
-                found = clique(chosen + (j,), allowed & adj[j], j + 1)
-                if found is not None:
-                    return found
-        return None
+            common = allowed & adj[j]
+            if common.bit_count() >= need:
+                yield j, common
 
-    return clique((), (1 << m) - 1, 0)
+    chosen: list[int] = []
+    frames = []  # the untried children of each open node, deepest last
+    allowed, floor, nodes = (1 << m) - 1, 0, 0
+    while True:
+        nodes += 1
+        if nodes > MAX_SEARCH_NODES:
+            raise ValueError(f"odd-clique search of order {k} passed {MAX_SEARCH_NODES} nodes")
+        if len(chosen) == k:
+            return tuple(chosen)
+        frames.append(children(allowed, floor, k - len(chosen) - 1))
+        while (step := next(frames[-1], None)) is None:  # back up to an open node
+            frames.pop()
+            if not frames:
+                return None
+            chosen.pop()
+        j, allowed = step
+        chosen.append(j)
+        floor = j + 1
 
 
 def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:

@@ -26,11 +26,15 @@ kernels allocate besides, so a caller's cap counts both.
   overflow: for p = 3 or 5 and up to 8 rows never, in uint8; for p near 2^31
   every fourth step, in uint64.  Only steps that clear are counted: a skipped
   step grows no entry.  Reductions use floor division, which numpy
-  vectorises for a scalar divisor where ``%`` is a scalar loop.
+  vectorises for a scalar divisor where ``%`` is a scalar loop.  Below
+  :data:`INVERSE_TABLE_PRIMES` the pivots' inverses are read from a table of
+  all p of them (:func:`_inverse_table`, built once per prime); above it they
+  are x^(p-2), by a loop of squarings (:func:`_inverse_mod`).
 * GF(2^k), k <= 16, stores entries in uint8 (k <= 8) or uint16 and multiplies
   through :func:`flatrank.field.discrete_log_tables`: log 0 is a sentinel
   whose sums land in a zero tail of the extended exp table, so zero factors
-  and entries need no mask.
+  and entries need no mask.  A step reads -log of its pivots from a table
+  built once per field from the log table (:func:`_neg_log_table`).
 * GF(2^k), k > 16, stores entries in uint32 (k <= 32) or uint64 and
   multiplies by shift and XOR (:func:`flatrank.field.binary_mul_add`), k
   rounds of numpy calls.  A step takes no inverse: it replaces each row
@@ -64,6 +68,9 @@ GATHER_ENTRIES = 1 << 15
 # shift-and-XOR rounds, k per GF(2^k > 16) multiplication, that one elimination
 # may run: about two seconds at most
 MAX_SHIFT_ROUNDS = 1 << 29
+
+# primes below which GF(p) pivots are inverted through a table of all p inverses
+INVERSE_TABLE_PRIMES = 1 << 16
 
 
 class _Workspace:
@@ -223,6 +230,47 @@ def _inverse_mod(x: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _inverse_table(p: int) -> np.ndarray:
+    """Read-only inverses mod p, p < :data:`INVERSE_TABLE_PRIMES`: entry x is 1/x, and 0 for 0.
+
+    It is built once per prime, by :func:`_inverse_mod` on [0, p) in uint32,
+    which holds (p-1)^2, and kept in the narrowest dtype holding p - 1;
+    :func:`_pivot_table_bytes` counts it and its build.
+    """
+    table = _inverse_mod(np.arange(p, dtype=np.uint32), p).astype(np.min_scalar_type(p - 1))
+    table.flags.writeable = False
+    return table
+
+
+@lru_cache(maxsize=None)
+def _neg_log_table(field: FieldDescriptor) -> np.ndarray:
+    """Read-only -log x mod (q-1), in [1, q-1], for every x of GF(2^k <= 16); 1 for x = 0.
+
+    Built once per field from :func:`flatrank.field.discrete_log_tables`;
+    :func:`_pivot_table_bytes` counts it and its build.
+    """
+    order_m1 = field.order - 1
+    table = (order_m1 - discrete_log_tables(field)[1] % order_m1).astype(entry_dtype(field))
+    table.flags.writeable = False
+    return table
+
+
+def _pivot_table_bytes(field: FieldDescriptor) -> int:
+    """Bytes of the pivot table that the first clearing step over ``field`` builds, with its build.
+
+    Besides the table, :func:`_inverse_table` holds at most four uint32
+    arrays of p items and :func:`_neg_log_table` two of q items in the log
+    table's dtype.  Other fields build none.
+    """
+    if field.kind == "prime" and 2 < field.p < INVERSE_TABLE_PRIMES:
+        return field.p * (4 * 4 + entry_dtype(field).itemsize)
+    if field.kind == "binary" and 2 < field.order <= 1 << 16:
+        logs = np.dtype(_log_table_sizes(field)["log"][1]).itemsize
+        return field.order * (2 * logs + entry_dtype(field).itemsize)
+    return 0
+
+
 def _rank_mod_p(m: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
     n, r, c = m.shape
     period = _lazy_plan(p, r)[1]
@@ -235,7 +283,8 @@ def _rank_mod_p(m: np.ndarray, p: int, ws: _Workspace) -> np.ndarray:
         q = ws.take("prod", *factor.shape)
         scale = _reduce(factor, p, q)
         np.subtract(p, scale, out=scale)
-        scale *= _inverse_mod(piv, p)[:, None]
+        inverse = _inverse_table(p)[piv] if p < INVERSE_TABLE_PRIMES else _inverse_mod(piv, p)
+        scale *= inverse[:, None]
         _reduce(scale, p, q)
         prod = ws.take("prod", *below.shape)
         np.multiply(scale[:, :, None], row[:, None, :], out=prod)
@@ -283,14 +332,13 @@ def _rank_gf2k(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndar
 
         return _eliminate(m, ws, lambda row: None, clear)
     exp, log = discrete_log_tables(field)
-    order_m1 = field.order - 1
 
     def clear(below, factor, row, piv):
         # log(factor / piv) + (q-1) or less, so a sum with a nonzero entry's log
         # stays under the sentinel; a zero factor's sums pass exp's end, where
         # "clip" reads its last entry, 0.  A zero pivot comes with a zero row,
         # whose sentinel logs zero every product
-        neg = order_m1 - log[piv] % order_m1  # -log piv, in [1, q-1]
+        neg = _neg_log_table(field)[piv]  # -log piv, in [1, q-1]
         scale = log[factor]
         scale += neg[:, None]
         log_row = ws.take("logrow", n, c)
@@ -311,7 +359,8 @@ def _check_products(n: int, r: int, c: int, field: FieldDescriptor, what: str) -
 
     ``n r^2 c`` bounds the multiplications of their elimination, each k
     rounds of shift and XOR; it is checked before anything is drawn or
-    allocated.
+    allocated.  Sweeps on A^2 skip it: a semi-diagonal tensor's flattening
+    is then diagonal, so no step clears.
     """
     if field.kind == "binary" and field.k > 16 and n * r * r * c * field.k > MAX_SHIFT_ROUNDS:
         raise ValueError(

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .field import FieldDescriptor, discrete_log_tables, make_binary_field
+from .field import FieldDescriptor, binary_mul_add, discrete_log_tables, make_binary_field
 from .setfam import _grid_shape, _slot_limbs
 from .tensor import (
     MAX_SEARCH_NODES,
@@ -147,24 +147,49 @@ def _along(table: np.ndarray, axes: tuple[int, ...], t: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _pair_runs(sizes: tuple[int, ...]) -> tuple[np.ndarray, list[int], np.ndarray, list[int]]:
-    """(2, P) position pairs and run offsets: within each slot, then across each slot pair.
+def _pair_runs(sizes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """(2, t, L) and (2, C(t, 2), L') position pairs: within each slot, then across each slot pair.
 
-    Positions index a member's vertices slot by slot.  A slot's run holds its
-    pairs a < b after the pair (a, a), whose factor 0 counts as the neutral
-    factor, so no run is empty; slots j < l, in combinations order, get one
-    cross run of every a in j against every b in l.
+    Positions index a member's vertices slot by slot.  Row j of the first
+    holds slot j's pairs a < b; row p of the second holds every a in slot j
+    against every b in slot l, for the p-th slot pair j < l in combinations
+    order.  Each row is padded to its array's length, at least 1, with the
+    pair (s, s) of position s = sum(sizes), past every vertex, where
+    :func:`_wedge_grid` holds 0 for every member: its factor 0 counts as the
+    neutral factor.
     """
     starts = [0, *accumulate(sizes)]
+    pad = (starts[-1], starts[-1])
     spans = [range(lo, hi) for lo, hi in zip(starts, starts[1:])]
-    within = [[(s[0], s[0]), *combinations(s, 2)] for s in spans]
+    within = [list(combinations(s, 2)) for s in spans]
     cross = [list(product(spans[j], spans[l])) for j, l in combinations(range(len(sizes)), 2)]
 
-    def flat(runs: list[list[tuple[int, int]]]) -> tuple[np.ndarray, list[int]]:
-        pairs = np.array([p for run in runs for p in run], dtype=np.int64).reshape(-1, 2).T
-        return pairs, [0, *accumulate(len(run) for run in runs)][:-1]
+    def padded(runs: list[list[tuple[int, int]]]) -> np.ndarray:
+        width = max([1, *map(len, runs)])
+        pairs = [run + [pad] * (width - len(run)) for run in runs]
+        out = np.array(pairs, dtype=np.intp).reshape(len(runs), width, 2).transpose(2, 0, 1)
+        out.flags.writeable = False
+        return out
 
-    return (*flat(within), *flat(cross))
+    return padded(within), padded(cross)
+
+
+def _binary_product(x: np.ndarray, y: np.ndarray, field: FieldDescriptor) -> np.ndarray:
+    """x * y in GF(2^k), elementwise and broadcasting, for uint64 ``x`` and ``y``, as a fresh array."""
+    if x.size > y.size:  # the shift-and-XOR scratch holds two arrays of x's shape
+        x, y = y, x
+    out = np.zeros(np.broadcast_shapes(x.shape, y.shape), np.uint64)
+    binary_mul_add(out, x, y, field, np.empty((2, *x.shape), np.uint64), np.empty_like(y), np.empty_like(out))
+    return out
+
+
+def _halving_product(a: np.ndarray, field: FieldDescriptor) -> np.ndarray:
+    """The GF(2^k) product of ``a`` over its axis -2, halving that axis at each step."""
+    while a.shape[-2] > 1:
+        half = a.shape[-2] // 2
+        head = _binary_product(a[..., :half, :], a[..., half : 2 * half, :], field)
+        a = np.concatenate([head, a[..., 2 * half :, :]], axis=-2)
+    return a[..., 0, :]
 
 
 def _disjoint_grid(limbs: np.ndarray) -> np.ndarray:
@@ -194,7 +219,8 @@ def _wedge_grid(
     A cell's entry is the product of x_u ^ x_v over the pairs of its picked
     vertices (slot j has sizes[j] of them).  Over GF(2^k <= 16) the factors
     are summed as discrete logs and read back through the exp table; larger
-    fields multiply them with ``field.mul``.  Cells that are not pairwise
+    fields multiply them in uint64 by shift and XOR
+    (:func:`flatrank.field.binary_mul_add`).  Cells that are not pairwise
     disjoint repeat a vertex, a zero factor, and are masked to 0.
     """
     if field.kind != "binary":
@@ -203,24 +229,29 @@ def _wedge_grid(
         raise ValueError(f"{field} is too small for {num_vertices} general-position vectors")
     m, t, w = limbs.shape
     bits = lambda rows: np.unpackbits(limbs[rows].view(np.uint8), axis=-1, bitorder="little")
-    # column i: x_v = v + 1 for member i's vertices, slot by slot, each slot in increasing order
+    # column i: x_v = v + 1 for member i's vertices, slot by slot, each slot in
+    # increasing order, then the 0 of the padding position
     verts = _blocked(lambda rows: np.flatnonzero(bits(rows)), m, 64 * t * w)
-    xs = verts.reshape(m, sum(sizes)).T % (64 * w) + 1
-    within, within_runs, cross, cross_runs = _pair_runs(tuple(sizes))
+    xs = np.zeros((sum(sizes) + 1, m), np.int64)
+    body = xs[:-1]
+    np.remainder(verts.reshape(m, sum(sizes)).T, 64 * w, out=body)
+    body += 1
+    within, cross = _pair_runs(tuple(sizes))
     if field.k <= 16:
         exp, log = discrete_log_tables(field)
         log = log.astype(np.int64)
-        log[0] = 0  # the neutral log, for an (a, a) pair; other 0 factors are masked
+        log[0] = 0  # the neutral log, for a padding pair; other 0 factors are masked
         lift, combine = log.__getitem__, np.add
+        run_product = lambda terms: np.add.reduce(terms, axis=-2)
     else:
-        combine = np.frompyfunc(field.mul, 2, 1)
-        lift = lambda f: np.where(f == 0, 1, f).astype(object)  # a 0 is an (a, a) pair or masked
-    slot_terms = combine.reduceat(lift(xs[within[0]] ^ xs[within[1]]), within_runs, axis=0)
-    xa, xb = xs[cross[0]].T, xs[cross[1]]
+        xs = xs.view(np.uint64)  # the products' dtype
+        lift = lambda f: f | (f == 0)  # a 0 is a padding pair or masked
+        combine = lambda x, y: _binary_product(x, y, field)
+        run_product = lambda terms: _halving_product(terms, field)
+    slot_terms = run_product(lift(xs[within[0]] ^ xs[within[1]]))
+    xa, xb = xs.T[:, cross[0]], xs[cross[1]]
     pair_terms = _blocked(
-        lambda rows: combine.reduceat(lift(xa[rows, :, None] ^ xb[None]), cross_runs, axis=1),
-        m,
-        xb.size,
+        lambda rows: run_product(lift(xa[rows, ..., None] ^ xb[None])), m, xb.size
     )
     terms = [_along(slot_terms[j], (j,), t) for j in range(t)]
     terms += [_along(pair_terms[:, p], axes, t) for p, axes in enumerate(combinations(range(t), 2))]

@@ -74,6 +74,7 @@ from .formats import tensor_to_document
 from .linalg import (
     _check_products,
     _elimination_sizes,
+    _pivot_table_bytes,
     _rank_into,
     _unplanned_bytes,
     _Workspace,
@@ -690,15 +691,16 @@ def random_semidiagonal_sweep(
     buffer grows faster than the block, so none passes the budget; GF(2^k)'s
     clearing-group scratch is capped, so blocks where it is the largest fill
     less.  Shapes over the dense cap, sweeps whose workspace passes
-    :data:`MAX_WORKSPACE_BYTES`, and GF(2^k > 16) sweeps of more than
-    :data:`flatrank.linalg.MAX_SHIFT_ROUNDS` shift-and-XOR rounds are
+    :data:`MAX_WORKSPACE_BYTES`, and GF(2^k > 16) sweeps with d >= 3 of more
+    than :data:`flatrank.linalg.MAX_SHIFT_ROUNDS` shift-and-XOR rounds are
     refused before anything of their size is drawn or allocated.
     Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
     if count < 1:
         raise ValueError("need count >= 1")
-    _check_products(count * d, a, a ** (d - 1), field, f"{a}^{d} sweep of {count} tensors")
+    if d > 2:  # on A^2 a semi-diagonal flattening is diagonal: no step clears
+        _check_products(count * d, a, a ** (d - 1), field, f"{a}^{d} sweep of {count} tensors")
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
     sliced = field.order == 2 and a ** (d - 1) > TABLE_MAX_COLUMNS
@@ -710,6 +712,8 @@ def random_semidiagonal_sweep(
         extra = 8 * (a**d + 3 * nwords) + _unplanned_bytes(d * n, a)
         if field.kind == "binary" and field.k <= 16:  # the log tables and their build, cached or not
             extra += _workspace_bytes(_log_table_sizes(field))
+        if d > 2:  # the pivot table, which only a clearing step builds
+            extra += _pivot_table_bytes(field)
         kernel = lambda words, ws: _block_ranks(
             _semidiagonal_block(a, d, field, words, ws), a, d, field, ws
         )

@@ -14,12 +14,15 @@ is cross-Oddtown exactly when the grid is semi-diagonal (odd diagonal, even
 all-distinct cells); as a GF(2) tensor the grid carries the flattening ranks;
 and its explicit rank-1 decomposition (one factor per ground element), summed
 independently from slot-membership matrices, certifies tensor rank <= n and
-hence caps every flattening rank at n.
+hence caps every flattening rank at n.  That sum is one float64 matrix
+product (BLAS): its counts are integers of at most n <= 2^24, which float64
+holds exactly, so it is exact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
 
@@ -107,18 +110,33 @@ def _grid_shape(m: int, k: int) -> tuple[int, ...]:
     return (m,) * k
 
 
+# cells up to which a distinct-tuple grid is kept for its shape: 64 KB of bools
+_CACHED_GRID_CELLS = 1 << 16
+
+
 def _distinct_tuple_mask(m: int, k: int, sorted_only: bool = False) -> np.ndarray:
-    """Boolean grid marking index tuples with pairwise-distinct positions.
+    """Read-only boolean grid marking index tuples with pairwise-distinct positions.
 
     With ``sorted_only`` the grid keeps one representative (strictly
     increasing) per unordered tuple; valid whenever the predicate being
-    searched is invariant under slot permutation.
+    searched is invariant under slot permutation.  A grid of at most
+    :data:`_CACHED_GRID_CELLS` cells is built once per shape, in a cache of a
+    few shapes, so a growing family does not keep one grid for every size;
+    larger grids are built on every call.
     """
-    ok = np.ones(_grid_shape(m, k), dtype=bool)
+    if dense_size(repeat(m, k), f"grid of {m}^{k}") > _CACHED_GRID_CELLS:
+        return _distinct_grid.__wrapped__(m, k, sorted_only)
+    return _distinct_grid(m, k, sorted_only)
+
+
+@lru_cache(maxsize=16)
+def _distinct_grid(m: int, k: int, sorted_only: bool) -> np.ndarray:
+    ok = np.ones((m,) * k, dtype=bool)
     idx = [np.arange(m).reshape([m if j == i else 1 for j in range(k)]) for i in range(k)]
     for i in range(k):
         for j in range(i + 1, k):
             ok &= (idx[i] < idx[j]) if sorted_only else (idx[i] != idx[j])
+    ok.flags.writeable = False
     return ok
 
 
@@ -197,23 +215,26 @@ def _slot_halves(d: int) -> tuple[range, range]:
     return range(half), range(half, d)
 
 
-def reconstruct_from_certificate(cert: np.ndarray) -> Tensor:
-    """Sum over GF(2) of the certificate's rank-1 terms, as a tensor.
+def reconstruct_from_certificate(cert: np.ndarray) -> np.ndarray:
+    """Sum over GF(2) of the certificate's rank-1 terms, as an (m,) * d int64 parity array.
 
-    The sum over elements is one integer matrix product: the Khatri-Rao
-    product of the first half of the slots' factors against that of the rest.
+    The sum over elements is one matrix product: the Khatri-Rao product of
+    the first half of the slots' factors against that of the rest.  It runs
+    in float64, through BLAS, and is exact: the factors are 0/1, so every
+    partial sum is an integer count of at most n, and the dense cap of
+    :func:`oddtown_rank1_certificate` keeps n <= 2^24, well below 2^53.
     """
     n, d, m = cert.shape
 
     def khatri_rao(slots: range) -> np.ndarray:
-        acc = np.ones((n, 1), dtype=np.int64)
+        acc = np.ones((n, 1))
         for j in slots:
             acc = (acc[:, :, None] * cert[:, j, None, :]).reshape(n, -1)
         return acc
 
     first, rest = _slot_halves(d)
     counts = khatri_rao(first).T @ khatri_rao(rest)
-    return Tensor.from_array(counts.reshape((m,) * d) % 2, GF2)
+    return (counts.astype(np.int64) & 1).reshape((m,) * d)
 
 
 def cross_oddtown_bound(n: int, d: int) -> int:
@@ -264,7 +285,8 @@ def verify_oddtown_chain(fam: TupleFamily) -> dict:
     """Full bound chain for one family: hypothesis, tensor, certificate, bounds.
 
     The hypothesis is read off the parity tensor, which is built once; the
-    certificate is summed independently from the slot-membership matrices.
+    certificate is summed independently from the slot-membership matrices,
+    and its parity array is compared with the tensor's.
     """
     m = len(fam)
     d = fam.d
@@ -285,7 +307,7 @@ def verify_oddtown_chain(fam: TupleFamily) -> dict:
             "franks": franks,
             "mfrank": mfrank,
             "semi_diagonal": hypothesis,
-            "certificate_reconstructs": recon == t,
+            "certificate_reconstructs": np.array_equal(recon, t.array),
             "mfrank_le_n": mfrank <= fam.n,
         }
     )

@@ -11,7 +11,8 @@ checked against, and the seeded generators of test inputs.
   Python lists through ``field.mul``: the rank the vectorized kernels of
   :mod:`flatrank.linalg` must match.
 * The exhaustive cross-Oddtown enumerator, checked against the parity-grid
-  chain of :mod:`flatrank.setfam`.
+  chain of :mod:`flatrank.setfam`, and the integer Khatri-Rao sum of a rank-1
+  certificate that its float64 sum must equal.
 * The pair-by-pair odd-intersection adjacency of product sets, checked
   against the parity grid of :func:`flatrank.fw._odd_adjacency`.
 * Generators of random configurations, (C, L)-satisfying families and colored
@@ -105,6 +106,25 @@ def add_tensors(s: Tensor, t: Tensor) -> Tensor:
 def singleton_diagonal_family(n: int, d: int = 2) -> TupleFamily:
     """Classic Oddtown singletons embedded as constant d-tuples."""
     return TupleFamily(n=n, d=d, members=tuple((1 << i,) * d for i in range(n)))
+
+
+def reconstruct_from_certificate_int64(cert: np.ndarray) -> np.ndarray:
+    """The parity array of :func:`flatrank.setfam.reconstruct_from_certificate`, summed in int64.
+
+    The same Khatri-Rao split, first half of the slots against the rest, as
+    one integer matrix product.
+    """
+    n, d, m = cert.shape
+
+    def khatri_rao(slots: range) -> np.ndarray:
+        acc = np.ones((n, 1), dtype=np.int64)
+        for j in slots:
+            acc = (acc[:, :, None] * cert[:, j, None, :]).reshape(n, -1)
+        return acc
+
+    half = (d + 1) // 2
+    counts = khatri_rao(range(half)).T @ khatri_rao(range(half, d))
+    return counts.reshape((m,) * d) % 2
 
 
 def odd_tuple_candidates(n: int, d: int) -> list[tuple[int, ...]]:

@@ -422,31 +422,37 @@ def test_larger_field_sweeps_peak_within_the_cap(monkeypatch, capsys, spec, a, d
     assert code == 0 and peak <= MAX_WORKSPACE_BYTES, peak
 
 
+ROUND_CAP = "GF(2^20) multiplications of 20 rounds, over the 536870912-round cap"
+BLOCK_CAP = "over the 16777216-byte block cap"
+
+
 @pytest.mark.parametrize(
-    "a,d,count,code",
+    "a,d,count,refused",
     [
-        (2, 16, 1, 0),  # 79 s for one tensor by scalar elimination
-        (2, 6, 10083, 0),  # 38.5 s
-        (2, 14, 27, 0),  # 38.9 s
-        (2, 14, 58, 0),  # 58 * 14 * 2^15 multiplications of 20 rounds, the largest count on 2^14
-        (2, 14, 59, 2),
-        (237, 2, 1, 0),  # 2 * 237^3, the largest a the cap admits on a^2
-        (238, 2, 1, 2),
+        (2, 16, 1, None),  # 79 s for one tensor by scalar elimination
+        (2, 6, 10083, None),  # 38.5 s
+        (2, 14, 27, None),  # 38.9 s
+        (2, 14, 58, None),  # 58 * 14 * 2^15 multiplications of 20 rounds, the largest count on 2^14
+        (2, 14, 59, ROUND_CAP),
+        # on a^2 no step clears, so the round cap does not apply: 238 was refused by it
+        (238, 2, 1, None),
+        (894, 2, 1, None),  # the workspace edge
+        (895, 2, 1, BLOCK_CAP),
     ],
     ids=str,
 )
-def test_sweeps_at_the_shift_round_cap(monkeypatch, capsys, a, d, count, code):
+def test_sweeps_at_the_shift_round_cap(monkeypatch, capsys, a, d, count, refused):
     import flatrank.search as search
 
     def drawn(*args):
         raise AssertionError("a tensor was drawn")
 
-    if code:
+    if refused:
         monkeypatch.setattr(search, "_stream_block", drawn)
     argv = ["experiment", "random-semidiagonal", "--a", a, "--d", d, "--count", count, "--seed", 1]
-    assert run(argv + ["--field", "binary:20"]) == code
-    refused = "GF(2^20) multiplications of 20 rounds, over the 536870912-round cap"
-    assert (refused in capsys.readouterr().err) == bool(code)
+    assert run(argv + ["--field", "binary:20"]) == (2 if refused else 0)
+    err = capsys.readouterr().err
+    assert (ROUND_CAP in err) == (refused == ROUND_CAP) and (BLOCK_CAP in err) == (refused == BLOCK_CAP)
 
 
 def test_rank_over_the_shift_round_cap_exits_2(capsys, tmp_path):
@@ -467,12 +473,9 @@ def test_rank_over_the_shift_round_cap_exits_2(capsys, tmp_path):
 )
 def test_larger_field_cap_edge_on_a_squared(monkeypatch, capsys, spec, a):
     # the largest admitted d = 2 shape, the elimination's temporaries and numpy's
-    # buffers counted: one more row and column passes the cap.  GF(2^20)'s
-    # shift-round cap refuses a > 237 first; it is lifted, so the workspace refuses
-    import flatrank.linalg as linalg
+    # buffers counted: one more row and column passes the cap
     from flatrank.search import MAX_WORKSPACE_BYTES
 
-    monkeypatch.setattr(linalg, "MAX_SHIFT_ROUNDS", 1 << 62)
     code, peak = _traced_sweep(monkeypatch, spec, a, 2, 1)
     assert code == 0 and peak <= MAX_WORKSPACE_BYTES, peak
     code, peak = _traced_sweep(monkeypatch, spec, a + 1, 2, 1)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import sys
 from itertools import product, repeat
 
 import numpy as np
@@ -524,6 +525,26 @@ def test_odd_clique_search_stops_at_the_node_budget():
     assert find_odd_clique(members, 11) is not None
     with pytest.raises(ValueError, match=f"odd-clique search of order 12 passed {MAX_SEARCH_NODES} nodes"):
         find_odd_clique(members, 12)
+
+
+def test_odd_clique_search_deeper_than_the_recursion_limit():
+    # 1,100 copies of {0}: the only clique takes every member, 1,100 levels deep,
+    # where a recursive search raised RecursionError
+    n = 1100
+    assert sys.getrecursionlimit() < n
+    assert find_odd_clique([(1,)] * n, n) == tuple(range(n))
+    assert find_odd_clique([(1,)] * n + [(2,)], n + 1) is None
+
+
+def test_odd_clique_search_counts_every_node_once(monkeypatch):
+    import flatrank.fw as fw
+
+    members = _turan_members(4, 3)  # no 5-clique: 175 nodes to exhaust, root included
+    monkeypatch.setattr(fw, "MAX_SEARCH_NODES", 175)
+    assert find_odd_clique(members, 5) is None
+    monkeypatch.setattr(fw, "MAX_SEARCH_NODES", 174)
+    with pytest.raises(ValueError, match="order 5 passed 174 nodes"):
+        find_odd_clique(members, 5)
 
 
 def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):

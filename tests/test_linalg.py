@@ -389,3 +389,54 @@ def test_clears_with_factors_that_vanish_mod_p(monkeypatch):
     # representatives that are nonzero multiples of p are zeros, in any position
     mats = np.stack([5 * np.eye(5, 7, dtype=np.int64), np.full((5, 7), -10)])
     assert matrix_rank(mats, make_prime_field(5)).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("p", [3, 5, 65521])
+def test_inverse_table_holds_every_inverse(p):
+    from flatrank.linalg import INVERSE_TABLE_PRIMES, _inverse_table
+
+    assert p < INVERSE_TABLE_PRIMES
+    table = _inverse_table(p)
+    assert table.tolist() == [0] + [pow(x, p - 2, p) for x in range(1, p)]
+    assert table.dtype == np.min_scalar_type(p - 1) and not table.flags.writeable
+    assert _inverse_table(p) is table  # built once per prime
+
+
+@pytest.mark.parametrize("p", [65537, 2**31 - 1])
+def test_power_loop_inverts_above_the_table(p):
+    from flatrank.linalg import INVERSE_TABLE_PRIMES, _inverse_mod
+
+    assert p >= INVERSE_TABLE_PRIMES
+    rng = np.random.default_rng(p)
+    x = np.concatenate([[0, 1, 2, p - 2, p - 1], rng.integers(0, p, 2000)]).astype(np.uint64)
+    assert _inverse_mod(x.copy(), p).tolist() == [pow(int(v), p - 2, p) for v in x]
+
+
+def test_pivots_read_the_table_below_2_16_and_the_power_loop_above(monkeypatch):
+    import flatrank.linalg as linalg
+
+    linalg._inverse_table(65521)  # built before the count starts
+    calls = []
+    power = linalg._inverse_mod
+    monkeypatch.setattr(linalg, "_inverse_mod", lambda x, p: calls.append(p) or power(x, p))
+    rng = np.random.default_rng(7)
+    for p, loops in ((65521, 0), (65537, 5)):
+        field = make_prime_field(p)
+        mats = rng.integers(0, p, (3, 6, 8))
+        want = [_rank_generic(m.tolist(), field) for m in mats]
+        assert matrix_rank(mats, field).tolist() == want
+        assert calls.count(p) == loops  # one loop for each of the 5 clearing steps
+
+
+@pytest.mark.parametrize("k", [2, 3, 8, 16])
+def test_neg_log_table_inverts_through_the_exp_table(k):
+    from flatrank.linalg import _neg_log_table, entry_dtype
+
+    field = make_binary_field(k)
+    exp, log = discrete_log_tables(field)
+    table = _neg_log_table(field)
+    assert table.dtype == entry_dtype(field) and not table.flags.writeable
+    assert table[0] == 1 and table[1:].min() >= 1 and table.max() <= field.order - 1
+    x = np.arange(1, field.order)
+    assert (exp[log[x].astype(np.int64) + table[x]] == 1).all()  # x * x^-1
+    assert _neg_log_table(field) is table

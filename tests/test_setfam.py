@@ -5,12 +5,18 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flatrank.field import GF2
+from flatrank.fw import Configuration, find_config_witness
 from flatrank.rng import Rng
 from flatrank.setfam import (
+    _CACHED_GRID_CELLS,
     SetFamily,
     _cross_even_with,
+    _distinct_grid,
+    _distinct_tuple_mask,
     TupleFamily,
     cross_oddtown_bound,
     intersection_size,
@@ -27,6 +33,7 @@ from oracles import (
     _rank_generic,
     enumerate_cross_oddtown,
     odd_tuple_candidates,
+    reconstruct_from_certificate_int64,
     singleton_diagonal_family,
 )
 
@@ -106,7 +113,67 @@ def test_certificate_reconstructs_any_family():
         fam = TupleFamily(n=n, d=d, members=members)
         cert = oddtown_rank1_certificate(fam)
         assert len(cert) == n
-        assert reconstruct_from_certificate(cert) == oddtown_tensor(fam)
+        assert np.array_equal(reconstruct_from_certificate(cert), oddtown_tensor(fam).array)
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_float64_certificate_sum_equals_the_int64_oracle(data):
+    n = data.draw(st.integers(1, 140))
+    d = data.draw(st.integers(2, 4))
+    m = data.draw(st.integers(1, 6))
+    masks = st.integers(0, (1 << n) - 1)
+    members = data.draw(st.lists(st.tuples(*[masks] * d), min_size=m, max_size=m))
+    cert = oddtown_rank1_certificate(TupleFamily(n=n, d=d, members=tuple(members)))
+    got = reconstruct_from_certificate(cert)
+    assert got.dtype == np.int64 and got.shape == (m,) * d
+    assert np.array_equal(got, reconstruct_from_certificate_int64(cert))
+
+
+def test_float64_certificate_sum_is_exact_at_the_certificate_cap():
+    # one member of two slots: n * (2 + 2) cells, so n = 2^22 is the largest n admitted,
+    # and the one cell counts n or n - 1 elements, past float32's 2^24 / 2 spacing of 1
+    n = 1 << 22
+    for ones, parity in ((n, 0), (n - 1, 1)):
+        fam = TupleFamily(n=n, d=2, members=(((1 << n) - 1, (1 << ones) - 1),))
+        cert = oddtown_rank1_certificate(fam)
+        got = reconstruct_from_certificate(cert)
+        assert got.tolist() == [[parity]]
+        assert np.array_equal(got, reconstruct_from_certificate_int64(cert))
+        del cert
+    with pytest.raises(ValueError, match="dense cap"):
+        oddtown_rank1_certificate(TupleFamily(n=n + 1, d=2, members=((1, 1),)))
+
+
+def test_distinct_tuple_grids_are_read_only_and_cached_up_to_a_size():
+    small = _distinct_tuple_mask(6, 3)
+    assert _distinct_tuple_mask(6, 3) is small
+    assert _distinct_tuple_mask(6, 3, sorted_only=True) is not small
+    with pytest.raises(ValueError, match="read-only"):
+        small[0, 1, 2] = False
+    with pytest.raises(ValueError, match="read-only"):
+        small &= False
+    m = 41  # 41^3 cells, over the cached size: built on every call, read-only too
+    assert m**3 > _CACHED_GRID_CELLS
+    large = _distinct_tuple_mask(m, 3)
+    assert _distinct_tuple_mask(m, 3) is not large and not large.flags.writeable
+    assert np.array_equal(large, _distinct_tuple_mask(m, 3))
+    for size in range(2, 40):  # a growing family: the cache keeps a bounded number of shapes
+        _distinct_tuple_mask(size, 2)
+    info = _distinct_grid.cache_info()
+    assert info.currsize <= info.maxsize
+
+
+def test_cached_distinct_grids_keep_their_cells_across_callers():
+    # the greedy step and the configuration witness read the same cached grids
+    before = {key: _distinct_tuple_mask(*key).copy() for key in ((2, 2), (3, 2), (3, 3))}
+    members = [(0b011,) * 3, (0b110,) * 3]
+    assert _cross_even_with(members, (0b1000,) * 3, 3)
+    assert not _cross_even_with(members, (0b010,) * 3, 3)  # {1} in all three slots: odd
+    cfg = Configuration(k=3, p=2, C=(0b011, 0b110), L=(0,))
+    assert find_config_witness(SetFamily(n=3, members=(0b011, 0b110, 0b010)), cfg) is not None
+    for key, cells in before.items():
+        assert np.array_equal(_distinct_tuple_mask(*key), cells)
 
 
 def test_certificate_caps_mfrank_at_n():
@@ -229,7 +296,7 @@ def test_parity_grid_matches_slow_oracle():
         assert is_cross_oddtown(fam) == _cross_oddtown_oracle(fam), case
         cert = oddtown_rank1_certificate(fam)
         assert cert.shape == (fam.n, fam.d, len(fam)), case
-        assert reconstruct_from_certificate(cert) == oddtown_tensor(fam), case
+        assert np.array_equal(reconstruct_from_certificate(cert), oddtown_tensor(fam).array), case
 
 
 def _cross_even_with_loop(members, new, d):
