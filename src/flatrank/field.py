@@ -202,9 +202,9 @@ def field_from_document(doc: dict) -> FieldDescriptor:
         raise ValueError(f"field must be a JSON object, got {type(doc).__name__}")
     kind = doc.get("kind")
     if kind == "prime":
-        return make_prime_field(doc["p"])
+        return make_prime_field(doc.get("p"))
     if kind == "binary":
-        return make_binary_field(doc["k"])
+        return make_binary_field(doc.get("k"))
     raise ValueError(f"unknown field kind {kind!r}")
 
 

@@ -327,7 +327,9 @@ def _mask_from(value, n: int, what: str) -> int:
     if isinstance(value, list):
         mask = 0
         for v in value:
-            if type(v) is not int or not 0 <= v < n:
+            if type(v) is not int:
+                raise ValueError(f"{what}: element {v!r} is not an integer")
+            if not 0 <= v < n:
                 raise ValueError(f"{what}: element {v!r} out of range(0, {n})")
             mask |= 1 << v
         return mask

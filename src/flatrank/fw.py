@@ -147,33 +147,48 @@ def _grid_sizes(limbs: np.ndarray, cfg: Configuration, x: int) -> np.ndarray:
     return _intersection_sizes([limbs if (x >> s) & 1 else None for s in range(cfg.k)])
 
 
-def fw_tensor(fam: SetFamily, cfg: Configuration) -> Tensor:
-    """|F|^k tensor over GF(p): product over C of h(intersection size mod p)."""
-    m = len(fam.members)
-    if m < 1:
-        raise ValueError("fw_tensor needs a nonempty family")
-    limbs = _mask_limbs(fam.members)
-    h = _h_table_np(cfg, _largest_size(limbs))
-    grid = np.ones(_grid_shape(m, cfg.k), dtype=np.int64)
-    for x in cfg.C:
-        sizes = _grid_sizes(limbs, cfg, x)
-        grid = (grid * h[sizes % cfg.p]) % cfg.p
-    return Tensor.from_array(grid, cfg.field)
+def _h_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
+    """The product over C of h(intersection size) mod p, on k axes of the members of ``limbs``.
 
-
-def _violation_grid(limbs: np.ndarray, cfg: Configuration, ok: np.ndarray) -> np.ndarray:
-    """A fresh copy of ``ok``, left True where every C-indexed intersection avoids L.
-
-    ``ok`` is a boolean grid over the members of ``limbs``, k axes of m; it
-    may be a cached read-only grid (:func:`_distinct_tuple_mask`) and is
-    never written.
+    This is the chain's one grid.  It is the fw tensor's entries, and, p
+    being prime, a cell is nonzero exactly when every C-indexed intersection
+    of its members avoids L.  Its m^k cells are checked against the dense
+    cap before anything is allocated.  It is kept in the narrowest unsigned
+    dtype that holds (p-1)^2, and reduced mod p only when the next product
+    could overflow it, and at the end: over GF(2) never.
     """
-    h = _h_table_np(cfg, _largest_size(limbs))
-    ok = ok.copy()
-    for x in cfg.C:
-        sizes = _grid_sizes(limbs, cfg, x)
-        ok &= h[sizes % cfg.p] != 0
-    return ok
+    shape = _grid_shape(len(limbs), cfg.k)
+    dtype = np.min_scalar_type((cfg.p - 1) ** 2)
+    if not cfg.C:
+        return np.ones(shape, dtype=dtype)
+    top = _largest_size(limbs)
+    residues = _h_table_np(cfg, top).tolist()
+    h = np.array([residues[x % cfg.p] for x in range(top + 1)], dtype=dtype)  # at every size
+    grid = np.empty(shape, dtype=dtype)
+    np.copyto(grid, h[_grid_sizes(limbs, cfg, cfg.C[0])])
+    bound, limit = cfg.p - 1, (1 << 8 * dtype.itemsize) - 1  # bound: on the grid's entries
+    for x in cfg.C[1:]:
+        if bound * (cfg.p - 1) > limit:
+            np.remainder(grid, cfg.p, out=grid)
+            bound = cfg.p - 1
+        grid *= h[_grid_sizes(limbs, cfg, x)]
+        bound *= cfg.p - 1
+    if bound >= cfg.p:
+        np.remainder(grid, cfg.p, out=grid)
+    return grid
+
+
+def fw_tensor(fam: SetFamily, cfg: Configuration, grid: np.ndarray | None = None) -> Tensor:
+    """|F|^k tensor over GF(p): product over C of h(intersection size mod p).
+
+    ``grid`` is the family's :func:`_h_grid` over every member, when the
+    caller has built it.
+    """
+    if not fam.members:
+        raise ValueError("fw_tensor needs a nonempty family")
+    if grid is None:
+        grid = _h_grid(_mask_limbs(fam.members), cfg)
+    return Tensor.from_array(grid, cfg.field)
 
 
 def _size_violations(fam: SetFamily, cfg: Configuration) -> list[int]:
@@ -181,6 +196,43 @@ def _size_violations(fam: SetFamily, cfg: Configuration) -> list[int]:
     sizes = [mask.bit_count() for mask in fam.members]
     h = _h_table_np(cfg, max(sizes, default=0))
     return [pos for pos, size in enumerate(sizes) if h[size % cfg.p] == 0]
+
+
+def _witness_positions(fam: SetFamily, distinct: str) -> list[int]:
+    """The member positions a witness is drawn from, ascending.
+
+    With ``distinct="sets"`` members equal as sets are identified, and each
+    set is represented by its first position; with ``distinct="positions"``
+    every position counts.
+    """
+    if distinct not in ("sets", "positions"):
+        raise ValueError("distinct must be 'sets' or 'positions'")
+    if distinct == "positions":
+        return list(range(len(fam.members)))
+    seen: dict[int, int] = {}
+    for pos, mask in enumerate(fam.members):
+        seen.setdefault(mask, pos)
+    return list(seen.values())
+
+
+def _first_violation(
+    grid: np.ndarray, positions: list[int], cfg: Configuration
+) -> tuple[int, ...] | None:
+    """Member positions per slot of the first violating cell of ``grid`` in C order, or None.
+
+    ``grid`` is :func:`_h_grid` over the members at ``positions``.  A cell
+    violates when it is nonzero and its indices are pairwise distinct; a
+    slot-symmetric C cannot distinguish orderings, so then only strictly
+    increasing indices, one representative per unordered tuple, are read.
+    """
+    if len(positions) < cfg.k:
+        return None
+    distinct = _distinct_tuple_mask(len(positions), cfg.k, sorted_only=cfg.is_slot_symmetric())
+    ok = np.logical_and(grid, distinct)
+    first = int(ok.argmax())  # the first hit in C order; cell 0 when there is none
+    if not ok.flat[first]:
+        return None
+    return tuple(positions[int(i)] for i in np.unravel_index(first, ok.shape))
 
 
 def find_config_witness(
@@ -192,26 +244,11 @@ def find_config_witness(
     ``distinct="sets"`` members equal as sets are identified; with
     ``distinct="positions"`` repeated members count separately.
     """
-    if distinct not in ("sets", "positions"):
-        raise ValueError("distinct must be 'sets' or 'positions'")
-    if distinct == "sets":
-        seen: dict[int, int] = {}
-        for pos, mask in enumerate(fam.members):
-            seen.setdefault(mask, pos)
-        positions = list(seen.values())
-    else:
-        positions = list(range(len(fam.members)))
+    positions = _witness_positions(fam, distinct)
     if len(positions) < cfg.k:
         return None
-    limbs = _mask_limbs([fam.members[p] for p in positions])
-    # a slot-symmetric C cannot distinguish orderings, so one sorted
-    # representative per unordered tuple suffices
-    tuple_mask = _distinct_tuple_mask(len(positions), cfg.k, sorted_only=cfg.is_slot_symmetric())
-    ok = _violation_grid(limbs, cfg, tuple_mask)
-    first = int(ok.argmax())  # the first hit in C order; cell 0 when there is none
-    if not ok.flat[first]:
-        return None
-    return tuple(positions[int(i)] for i in np.unravel_index(first, ok.shape))
+    grid = _h_grid(_mask_limbs([fam.members[p] for p in positions]), cfg)
+    return _first_violation(grid, positions, cfg)
 
 
 def is_config_satisfying(fam: SetFamily, cfg: Configuration, distinct: str = "sets") -> bool:
@@ -227,10 +264,13 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
     A family that is not (C, L)-satisfying ends the chain: its report lists
     the positions of members whose sizes fall in L and a ``witness``, the
     member positions per slot of :func:`find_config_witness` (None when only
-    sizes fail), and has no ``verified`` key.  The witness search and the
-    size check run once each, and together decide the hypothesis.
+    sizes fail), and has no ``verified`` key.  The chain builds one
+    :func:`_h_grid`, over the members a witness is drawn from, and reads
+    the witness off it; a satisfying family's tensor is that grid, with
+    each repeated set's cells copied from its first position.  A family
+    that fails only by sizes builds no grid unless it could hold a witness.
     """
-    witness = find_config_witness(fam, cfg, distinct=distinct)
+    positions = _witness_positions(fam, distinct)
     size_violations = _size_violations(fam, cfg)
     report: dict = {
         "size": len(fam.members),
@@ -238,8 +278,12 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
         "p": cfg.p,
         "size_bound": fw_size_bound(cfg, fam.n),
         "flattening_bounds": [fw_flattening_bound(cfg, fam.n, j) for j in range(cfg.k)],
-        "satisfying": witness is None and not size_violations,
     }
+    witness = grid = None
+    if len(positions) >= cfg.k or (fam.members and not size_violations):
+        grid = _h_grid(_mask_limbs([fam.members[p] for p in positions]), cfg)
+        witness = _first_violation(grid, positions, cfg)
+    report["satisfying"] = witness is None and not size_violations
     if not report["satisfying"]:
         report["size_violations"] = size_violations
         report["witness"] = list(witness) if witness else None
@@ -247,7 +291,12 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
     if not fam.members:
         report["verified"] = True
         return report
-    t = fw_tensor(fam, cfg)
+    if len(positions) < len(fam.members):  # repeated sets: each member reads its set's cells
+        slot = {fam.members[p]: j for j, p in enumerate(positions)}
+        index = np.array([slot[mask] for mask in fam.members])
+        _grid_shape(len(index), cfg.k)  # raises over the dense cap, before the copy
+        grid = grid[np.ix_(*[index] * cfg.k)]
+    t = fw_tensor(fam, cfg, grid)
     franks = flattening_ranks(t)
     report.update(
         {

@@ -146,18 +146,22 @@ def _intersection_sizes(axis_limbs: Sequence[np.ndarray | None]) -> np.ndarray:
     ``axis_limbs[j]`` holds the (m_j, w) limbs of the sets indexed along axis
     j, or None for an axis outside the intersection, which keeps size 1 and
     broadcasts over the rest.  Cell (i_0, ..., i_{k-1}) is the popcount of the
-    AND of row i_j of every given axis; all axes share one limb width w.
-    Callers check the grid against the dense cap first.
+    AND of row i_j of every given axis; all axes share one limb width w.  The
+    sizes are uint8 when w is 1, and int64 otherwise.  Callers check the grid
+    against the dense cap first.
     """
     k = len(axis_limbs)
     given = [(j, limbs) for j, limbs in enumerate(axis_limbs) if limbs is not None]
+    w = given[0][1].shape[1]
     sizes = np.int64(0)
-    for limb in range(given[0][1].shape[1]):
+    for limb in range(w):
         acc = None
         for j, limbs in given:
             piece = limbs[:, limb].reshape([limbs.shape[0] if i == j else 1 for i in range(k)])
             acc = piece if acc is None else acc & piece
-        sizes = sizes + np.bitwise_count(acc).astype(np.int64)
+        if w == 1:
+            return np.bitwise_count(acc)
+        sizes = sizes + np.bitwise_count(acc)
     return sizes
 
 
@@ -176,18 +180,22 @@ def is_cross_oddtown(fam: TupleFamily) -> bool:
     return not fam.members or is_semi_diagonal(oddtown_tensor(fam))
 
 
-def oddtown_tensor(fam: TupleFamily) -> Tensor:
-    """m^d tensor over GF(2): parity of the slot-wise intersection size."""
+def oddtown_tensor(fam: TupleFamily, limbs: np.ndarray | None = None) -> Tensor:
+    """m^d tensor over GF(2): parity of the slot-wise intersection size.
+
+    ``limbs`` are the family's :func:`_slot_limbs`, when the caller has them.
+    """
     m = len(fam.members)
     if m == 0:
         raise ValueError("tensor of an empty family is undefined")
     _grid_shape(m, fam.d)  # raises over the dense cap, before any allocation
-    limbs = _slot_limbs(fam.members, fam.d)
+    if limbs is None:
+        limbs = _slot_limbs(fam.members, fam.d)
     parity = _intersection_sizes([limbs[:, j] for j in range(fam.d)]) & 1
     return Tensor.from_array(parity, GF2)
 
 
-def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:
+def oddtown_rank1_certificate(fam: TupleFamily, limbs: np.ndarray | None = None) -> np.ndarray:
     """(n, d, m) 0/1 array: ``cert[k, j, i]`` is 1 when slot j of member i contains k.
 
     Element k contributes the rank-1 term ``cert[k, 0] ⊗ ... ⊗ cert[k, d-1]``
@@ -196,16 +204,17 @@ def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:
     which certifies tensor rank (and hence every flattening rank) at most n.
     The n·d·m cells, and the n·m^|slots| of each of the two Khatri-Rao
     products :func:`reconstruct_from_certificate` multiplies, are checked
-    against the dense cap before anything is allocated.
+    against the dense cap before anything is allocated.  ``limbs`` are the
+    family's :func:`_slot_limbs`, when the caller has them.
     """
     n, d, m = fam.n, fam.d, len(fam.members)
     row = sum(
         dense_size(repeat(m, len(slots)), f"grid of {m}^{len(slots)}") for slots in _slot_halves(d)
     )
     dense_size((n, d * m + row), f"certificate over {n} elements")
-    bits = np.unpackbits(
-        _slot_limbs(fam.members, d).view(np.uint8), axis=-1, count=n, bitorder="little"
-    )
+    if limbs is None:
+        limbs = _slot_limbs(fam.members, d)
+    bits = np.unpackbits(limbs.view(np.uint8), axis=-1, count=n, bitorder="little")
     return bits.transpose(2, 1, 0)
 
 
@@ -286,7 +295,8 @@ def verify_oddtown_chain(fam: TupleFamily) -> dict:
 
     The hypothesis is read off the parity tensor, which is built once; the
     certificate is summed independently from the slot-membership matrices,
-    and its parity array is compared with the tensor's.
+    and its parity array is compared with the tensor's.  Both start from
+    one split of the masks into limbs.
     """
     m = len(fam)
     d = fam.d
@@ -296,11 +306,12 @@ def verify_oddtown_chain(fam: TupleFamily) -> dict:
         report["is_cross_oddtown"] = True
         report["verified"] = report["size_bound_ok"]
         return report
-    t = oddtown_tensor(fam)
+    limbs = _slot_limbs(fam.members, d)
+    t = oddtown_tensor(fam, limbs)
     hypothesis = is_semi_diagonal(t)
     franks = flattening_ranks(t)
     mfrank = max(franks)
-    recon = reconstruct_from_certificate(oddtown_rank1_certificate(fam))
+    recon = reconstruct_from_certificate(oddtown_rank1_certificate(fam, limbs))
     report.update(
         {
             "is_cross_oddtown": hypothesis,

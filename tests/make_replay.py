@@ -108,6 +108,14 @@ def calls() -> list[list[str]]:
         ["verify", "bollobas", f"{FIXTURES}/bollobas_classic.json"],
         ["verify", "bollobas", f"{FIXTURES}/bollobas_bad.json"],
         ["verify", "fw", f"{FIXTURES}/fw_bad_family.json", "--config", f"{FIXTURES}/fw_config.json"],
+        # k = 3 over GF(3), C the three slot pairs, L = {0}: a passing family,
+        # a failing one with a witness and a member of size 3, and a passing
+        # one whose repeated set is identified in the witness search but
+        # keeps its own cells in the tensor
+        ["verify", "fw", f"{FIXTURES}/fw_p3_family.json", "--config", f"{FIXTURES}/fw_config_p3.json"],
+        ["verify", "fw", f"{FIXTURES}/fw_p3_bad_family.json", "--config", f"{FIXTURES}/fw_config_p3.json"],
+        ["verify", "fw", f"{FIXTURES}/fw_p3_repeated.json", "--config", f"{FIXTURES}/fw_config_p3.json",
+         "--distinct", "sets"],
         ["verify", "badbox", f"{FIXTURES}/badbox_family.json", "--k", "2"],
         # factors over [70], on two 64-bit limbs: members of one part meet in
         # two elements, of the two parts in one, so pairs are odd and triples not

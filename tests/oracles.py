@@ -15,6 +15,8 @@ checked against, and the seeded generators of test inputs.
   certificate that its float64 sum must equal.
 * The pair-by-pair odd-intersection adjacency of product sets, checked
   against the parity grid of :func:`flatrank.fw._odd_adjacency`.
+* The (C, L) violation grid, one boolean test per member of C, which the
+  chain's product grid of :func:`flatrank.fw._h_grid` must agree with.
 * Generators of random configurations, (C, L)-satisfying families and colored
   hypergraphs, all drawn from :class:`flatrank.rng.Rng`, so every seeded input
   is the same from run to run.
@@ -31,7 +33,14 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from flatrank.field import FieldDescriptor
-from flatrank.fw import Configuration, IntersectionPolynomial, _violation_grid, eval_h
+from flatrank.fw import (
+    Configuration,
+    IntersectionPolynomial,
+    _grid_sizes,
+    _h_table_np,
+    _largest_size,
+    eval_h,
+)
 from flatrank.rainbow import ColoredHypergraph
 from flatrank.rng import Rng
 from flatrank.setfam import (
@@ -259,6 +268,22 @@ def random_configuration(rng: Rng, max_k: int = 3, min_k: int = 2) -> Configurat
                 seen.append(x)
         C = tuple(seen)
     return Configuration(k=k, p=p, C=C, L=L)
+
+
+def _violation_grid(limbs: np.ndarray, cfg: Configuration, ok: np.ndarray) -> np.ndarray:
+    """A fresh copy of ``ok``, left True where every C-indexed intersection avoids L.
+
+    ``ok`` is a boolean grid over the members of ``limbs``, k axes of m; it
+    may be a cached read-only grid (:func:`_distinct_tuple_mask`) and is
+    never written.
+    """
+    h = _h_table_np(cfg, _largest_size(limbs))
+    ok = ok.copy()
+    for x in cfg.C:
+        sizes = _grid_sizes(limbs, cfg, x)
+        ok &= h[sizes % cfg.p] != 0
+    return ok
+
 
 
 def grow_config_satisfying_family(

@@ -1203,7 +1203,7 @@ def test_verify_binomials_at_the_parse_bound(tmp_path, capsys, target, doc):
 
 
 # the command each input fixture is fuzzed under, None standing for the mutated file;
-# fw_config.json is fuzzed as the --config of a fixed family, and corrupt.json, which
+# the fw configurations are fuzzed as the --config of a fixed family, and corrupt.json, which
 # is no JSON, has no value to swap
 FUZZ_COMMANDS = {
     "badbox_family.json": ["verify", "badbox", None],
@@ -1213,6 +1213,10 @@ FUZZ_COMMANDS = {
     "fw_bad_family.json": ["verify", "fw", None, "--config", FIXTURES / "fw_config.json"],
     "fw_config.json": ["verify", "fw", FIXTURES / "fw_singletons.json", "--config", None],
     "fw_singletons.json": ["verify", "fw", None, "--config", FIXTURES / "fw_config.json"],
+    "fw_config_p3.json": ["verify", "fw", FIXTURES / "fw_p3_family.json", "--config", None],
+    "fw_p3_family.json": ["verify", "fw", None, "--config", FIXTURES / "fw_config_p3.json"],
+    "fw_p3_bad_family.json": ["verify", "fw", None, "--config", FIXTURES / "fw_config_p3.json"],
+    "fw_p3_repeated.json": ["verify", "fw", None, "--config", FIXTURES / "fw_config_p3.json"],
     "k4_hypergraph.json": ["verify", "rainbow", None],
     "oddtown_bad.json": ["verify", "oddtown", None],
     "oddtown_singletons.json": ["verify", "oddtown", None],

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -584,3 +585,134 @@ def test_caller_arrays_in_documents_stay_writeable():
     assert entries.flags.writeable and not np.shares_memory(t.entries, entries)
     entries[0] = 2
     assert t.entries[0] == 0
+
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+# reader -> (a valid document, the CLI call that reads it from "{doc}")
+READERS = {
+    "tensor": (
+        tensor_from_document,
+        {"dims": [2, 2], "entries": [1, 0, 0, 2], "field": {"kind": "prime", "p": 3}},
+        ["rank", "{doc}", "--max"],
+    ),
+    "tuple-family": (
+        tuple_family_from_document,
+        {"d": 2, "members": [[1, 1], [2, 2], [4, 4]], "n": 3},
+        ["verify", "oddtown", "{doc}"],
+    ),
+    "set-family": (
+        set_family_from_document,
+        {"members": [1, 2, 4, 8], "n": 4},
+        ["verify", "fw", "{doc}", "--config", str(FIXTURES / "fw_config.json")],
+    ),
+    "configuration": (
+        configuration_from_document,
+        {"C": [[0, 1]], "L": [0], "k": 2, "p": 2},
+        ["verify", "fw", str(FIXTURES / "fw_singletons.json"), "--config", "{doc}"],
+    ),
+    "hypergraph": (
+        hypergraph_from_document,
+        {"N": 4, "colors": [[[0, 1], [2, 3]], [[0, 2], [1, 3]], [[0, 3], [1, 2]]], "r": 2, "t": 2},
+        ["verify", "rainbow", "{doc}"],
+    ),
+    "set-pair": (
+        setpair_from_document,
+        {"base": 2, "members": [[1, 2], [2, 1]], "sizes": [1, 1]},
+        ["verify", "bollobas", "{doc}"],
+    ),
+    "bad-box": (
+        badbox_from_document,
+        {"attempts": 1, "k": 8, "members_factors": [[4, 1], [4, 7]], "s": 2, "seed": 7, "t": 3},
+        ["verify", "badbox", "{doc}", "--k", "2"],
+    ),
+}
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**70), 2**70)
+    | st.integers(-3, 70)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated_documents(draw, base):
+    """``base`` with one field, or one item of a list field, set to an arbitrary JSON value or removed."""
+    doc = json.loads(json.dumps(base))
+    key = draw(st.sampled_from(sorted(doc) + ["field" if "dims" in doc else "extra"]))
+    target, slot = doc, key
+    if isinstance(doc.get(key), list) and doc[key] and draw(st.booleans()):
+        target, slot = doc[key], draw(st.integers(0, len(doc[key]) - 1))
+        if isinstance(target[slot], list) and target[slot] and draw(st.booleans()):
+            target, slot = target[slot], draw(st.integers(0, len(target[slot]) - 1))
+    elif isinstance(doc.get(key), dict) and draw(st.booleans()):  # inside the field object
+        target, slot = doc[key], draw(st.sampled_from(sorted(doc[key]) + ["kind"]))
+    if isinstance(target, dict) and draw(st.integers(0, 2)) == 0:
+        target.pop(slot, None)
+    else:
+        target[slot] = draw(JSON_VALUES)
+    return doc
+
+
+@pytest.mark.parametrize("kind", sorted(READERS))
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_readers_return_or_refuse_arbitrary_values(kind, data):
+    # every reader returns or raises ValueError, never another exception; the CLI
+    # exits 2 on what the reader refuses, and never raises
+    reader, base, argv = READERS[kind]
+    doc = data.draw(mutated_documents(base), label="document")
+    try:
+        reader(doc)
+        refused = False
+    except ValueError:
+        refused = True
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(json.dumps(doc))
+        args = [a.replace("{doc}", str(path)) for a in argv]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(args)
+    assert code == 2 if refused else code in (0, 1, 2), (doc, code)
+
+
+@pytest.mark.parametrize(
+    "field", [{}, {"kind": "prime"}, {"kind": "binary"}, {"kind": "prime", "k": 3}, {"p": 3}]
+)
+def test_field_documents_without_their_parameter_exit_two(tmp_path, field):
+    # a missing "p" or "k" was a KeyError out of field_from_document
+    from flatrank.field import field_from_document
+
+    with pytest.raises(ValueError):
+        field_from_document(field)
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dims": [2], "entries": [1, 0], "field": field}))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert cli.main(["rank", str(path), "--max"]) == 2
+
+
+@pytest.mark.parametrize(
+    "element,message",
+    [
+        (0.5, "member 0: element 0.5 is not an integer"),
+        ([0], "member 0: element [0] is not an integer"),
+        (True, "member 0: element True is not an integer"),
+        ("1", "member 0: element '1' is not an integer"),
+        (4, "member 0: element 4 out of range(0, 4)"),
+        (-1, "member 0: element -1 out of range(0, 4)"),
+    ],
+)
+def test_mask_elements_name_what_is_wrong(tmp_path, element, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        set_family_from_document({"members": [[element]], "n": 4})
+    path = tmp_path / "fam.json"
+    path.write_text(json.dumps({"members": [[element]], "n": 4}))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["verify", "fw", str(path), "--config", str(FIXTURES / "fw_config.json")])
+    assert code == 2 and err.getvalue() == f"flatrank: error: {message}\n"

@@ -30,10 +30,16 @@ from flatrank.fw import (
     verify_fw_chain,
 )
 from flatrank.rng import Rng
-from flatrank.setfam import SetFamily, intersection_size
+from flatrank.setfam import SetFamily, _distinct_tuple_mask, _mask_limbs, intersection_size
 from flatrank.tensor import MAX_SEARCH_NODES, flattening_rank, is_semi_diagonal
 
-from oracles import grow_config_satisfying_family, odd_adjacency, odd_subsets, random_configuration
+from oracles import (
+    _violation_grid,
+    grow_config_satisfying_family,
+    odd_adjacency,
+    odd_subsets,
+    random_configuration,
+)
 
 
 FW_CFG = Configuration(k=2, p=2, C=(0b11,), L=(0,))
@@ -96,25 +102,29 @@ def test_witness_found_for_violating_family():
 
 
 @pytest.mark.parametrize(
-    "members,satisfying,witness",
+    "members,satisfying,witness,grids",
     [
-        ((0b111, 0b001), False, [0, 1]),  # sizes 3 and 1 avoid L, but they meet in 1
-        ((0b011, 0b100), False, None),  # only the size 2 of member 0 fails
-        ((0b001, 0b010), True, None),
+        ((0b111, 0b001), False, [0, 1], 1),  # sizes 3 and 1 avoid L, but they meet in 1
+        ((0b011, 0b100), False, None, 1),  # only the size 2 of member 0 fails
+        ((0b011,), False, None, 0),  # fails by size, and one member holds no witness
+        ((0b001, 0b010), True, None, 1),
+        ((0b001, 0b010, 0b001), True, None, 1),  # a repeated set reads its first cells
     ],
-    ids=["witness", "sizes-only", "satisfying"],
+    ids=["witness", "sizes-only", "sizes-only-no-pair", "satisfying", "repeated-set"],
 )
-def test_fw_chain_searches_for_the_witness_once(monkeypatch, members, satisfying, witness):
+def test_fw_chain_builds_its_grid_once(monkeypatch, members, satisfying, witness, grids):
     import flatrank.fw as fw
 
     calls = []
-    real = fw.find_config_witness
-    counting = lambda *args, **kw: calls.append(args) or real(*args, **kw)
-    monkeypatch.setattr(fw, "find_config_witness", counting)
-    report = verify_fw_chain(SetFamily(n=3, members=members), FW_CFG)
-    assert len(calls) == 1
+    real = fw._h_grid
+    monkeypatch.setattr(fw, "_h_grid", lambda *args: calls.append(args) or real(*args))
+    fam = SetFamily(n=3, members=members)
+    report = verify_fw_chain(fam, FW_CFG)
+    assert len(calls) == grids
     assert report["satisfying"] is satisfying
     assert report.get("witness") == witness and ("witness" in report) is not satisfying
+    if satisfying:  # the tensor ranked is the one fw_tensor builds over every member
+        assert report["franks"] == [flattening_rank(fw_tensor(fam, FW_CFG), j) for j in range(2)]
 
 
 def test_witness_distinct_semantics():
@@ -154,6 +164,22 @@ def test_fw_tensor_diagonal_and_identity():
     assert is_semi_diagonal(t)
 
 
+def _naive_fw_entries(fam, cfg):
+    """The fw tensor's entries in C order, cell by cell: product over C of h(intersection size)."""
+    poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
+    entries = []
+    for idx in itertools.product(range(len(fam.members)), repeat=cfg.k):
+        expected = 1
+        for x in cfg.C:
+            acc = (1 << fam.n) - 1
+            for slot in range(cfg.k):
+                if x >> slot & 1:
+                    acc &= fam.members[idx[slot]]
+            expected = (expected * eval_h(poly, acc.bit_count() % cfg.p)) % cfg.p
+        entries.append(expected)
+    return entries
+
+
 def test_fw_tensor_matches_naive_oracle():
     rng = Rng(123)
     for _ in range(10):
@@ -170,17 +196,42 @@ def test_fw_tensor_matches_naive_oracle():
         cfg = Configuration(k=k, p=p, C=tuple(c_masks), L=tuple(range(lsize)))
         m = 1 + rng.next_below(4)
         fam = SetFamily(n=n, members=tuple(rng.next_below(1 << n) for _ in range(m)))
-        t = fw_tensor(fam, cfg)
-        poly = IntersectionPolynomial(p=p, L=cfg.L)
-        for idx in itertools.product(range(m), repeat=k):
-            expected = 1
-            for x in cfg.C:
-                acc = (1 << n) - 1
-                for slot in range(k):
-                    if x >> slot & 1:
-                        acc &= fam.members[idx[slot]]
-                expected = (expected * eval_h(poly, acc.bit_count() % p)) % p
-            assert t.array[idx] == expected
+        assert fw_tensor(fam, cfg).entries.tolist() == _naive_fw_entries(fam, cfg)
+
+
+@pytest.mark.parametrize("distinct", ["sets", "positions"])
+def test_fw_chain_agrees_with_the_violation_grid_oracle(monkeypatch, distinct):
+    # the witness read off the product grid is the first hit of the per-member
+    # violation grid, and a satisfying family's tensor is the cell-by-cell product
+    import flatrank.fw as fw
+
+    tensors = []
+    ranks = fw.flattening_ranks
+    monkeypatch.setattr(fw, "flattening_ranks", lambda t: tensors.append(t) or ranks(t))
+    rng = Rng(31 if distinct == "sets" else 32)
+    outcomes = []
+    for _ in range(150):
+        cfg = random_configuration(rng)
+        n = 2 + rng.next_below(4)
+        pool = [rng.next_below(1 << n) for _ in range(1 + rng.next_below(6))]
+        fam = SetFamily(n=n, members=tuple(pool[rng.next_below(len(pool))] for _ in range(rng.next_below(8))))
+        positions = list(range(len(fam.members)))
+        if distinct == "sets":
+            positions = sorted({mask: pos for pos, mask in reversed(list(enumerate(fam.members)))}.values())
+        want = None
+        if len(positions) >= cfg.k:
+            tuples = _distinct_tuple_mask(len(positions), cfg.k, sorted_only=cfg.is_slot_symmetric())
+            ok = _violation_grid(_mask_limbs([fam.members[p] for p in positions]), cfg, tuples)
+            want = [positions[int(i)] for i in np.argwhere(ok)[0]] if ok.any() else None
+        tensors.clear()
+        report = verify_fw_chain(fam, cfg, distinct)
+        assert report.get("witness") == want
+        if report["satisfying"] and fam.members:
+            assert tensors[0].entries.tolist() == _naive_fw_entries(fam, cfg)
+        outcomes.append((report["satisfying"], want is not None, len(positions) < len(fam.members)))
+    assert {(True, False), (False, True), (False, False)} <= {o[:2] for o in outcomes}
+    if distinct == "sets":  # satisfying families with repeated sets expand the grid
+        assert (True, False, True) in outcomes
 
 
 def test_fw_bound_formulas():
@@ -564,3 +615,18 @@ def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "odd-clique search of order 5 passed 100 nodes" in captured.err
+
+
+@pytest.mark.parametrize("p", [3, 13, 251, 65521, 2**31 - 1])
+def test_h_grid_reduces_before_a_product_overflows(p):
+    # every nonempty slot subset of k = 4 is in C: 15 factors, so the narrow grid
+    # (uint8 for p <= 13, uint16, uint32, uint64) must be reduced along the way
+    import flatrank.fw as fw
+
+    cfg = Configuration(k=4, p=p, C=tuple(range(1, 16)), L=(p - 1,))
+    rng = Rng(p)
+    fam = SetFamily(n=9, members=tuple(rng.next_below(1 << 9) for _ in range(5)))
+    grid = fw._h_grid(_mask_limbs(fam.members), cfg)
+    assert grid.dtype == np.min_scalar_type((p - 1) ** 2)
+    assert grid.reshape(-1).tolist() == _naive_fw_entries(fam, cfg)
+    assert 0 < np.count_nonzero(grid) and grid.max() < p

@@ -12,6 +12,17 @@ from flatrank.rng import Rng
 from oracles import _rank_generic
 
 
+def _batched_ranks(mats, field):
+    """Ranks of an (N, r, c) batch, r <= c, through the batched kernel, whatever its size."""
+    from flatrank.linalg import _elimination_sizes, _rank_into, _Workspace
+
+    mats = np.asarray(mats)
+    ws = _Workspace(_elimination_sizes(*mats.shape, field))
+    work = ws.take("work", *mats.shape)
+    np.copyto(work, mats % field.order if field.kind == "prime" else mats, casting="unsafe")
+    return _rank_into(work, field, ws).tolist()
+
+
 def span_size_rank(rows, field):
     """Oracle: the row span of r independent rows has order^rank elements."""
     span = {0: tuple([0] * len(rows[0]))} if rows else {}
@@ -125,7 +136,10 @@ def test_batched_rank_matches_generic(field, data):
     mats = [data.draw(field_matrices(field, nrows, ncols)) for _ in range(count)]
     ranks = matrix_rank(np.array(mats, dtype=np.int64), field)
     assert ranks.shape == (count,)
-    assert ranks.tolist() == [_rank_generic([list(r) for r in m], field) for m in mats]
+    want = [_rank_generic([list(r) for r in m], field) for m in mats]
+    assert ranks.tolist() == want
+    batch = np.array(mats, dtype=np.int64)  # the sweeps' kernel, which small batches skip
+    assert _batched_ranks(batch if nrows <= ncols else batch.transpose(0, 2, 1), field) == want
 
 
 @pytest.mark.parametrize("field", RANK_FIELDS, ids=str)
@@ -195,8 +209,10 @@ def test_mod_p_rank_matches_generic_across_dtype_limits(p):
             want = [_rank_generic((m % p).tolist(), field) for m in mats]
             assert matrix_rank(mats, field).tolist() == want, (p, r, c, _lazy_plan(p, r))
             assert matrix_rank(mats.transpose(0, 2, 1), field).tolist() == want
+            assert _batched_ranks(mats, field) == want, (p, r, c, _lazy_plan(p, r))
             if r > 1:
                 assert matrix_rank(_worst_case(p, r, c), field) == r - 1
+                assert _batched_ranks(_worst_case(p, r, c)[None], field) == [r - 1]
     for top, last in limits:  # the plans really change dtype at the chosen r
         assert np.iinfo(_lazy_plan(p, last)[0]).max == top
         assert np.iinfo(_lazy_plan(p, last + 1)[0]).max > top
@@ -371,7 +387,7 @@ def test_empty_clears_are_skipped_and_ranks_stay_exact(field, monkeypatch):
     for r, c in [(3, 3), (4, 9), (6, 4), (8, 64)]:
         mats = _sparse_batch(rng, field, 6, r, c)
         want = [_rank_generic(m.tolist(), field) for m in mats]
-        assert matrix_rank(mats, field).tolist() == want
+        assert _batched_ranks(mats if r <= c else mats.transpose(0, 2, 1), field) == want
         steps += min(r, c) - 1
     # a scaled permutation clears nothing: only the extra entries make a step clear
     assert 0 < len(factors) < steps
@@ -384,7 +400,7 @@ def test_clears_with_factors_that_vanish_mod_p(monkeypatch):
     factors = _counting_clears(monkeypatch)
     field = make_prime_field(3)
     rows = [[1, 1, 0], [2, 1, 0], [1, 1, 1]]
-    assert matrix_rank(rows, field) == _rank_generic([list(r) for r in rows], field) == 3
+    assert _batched_ranks([rows], field) == [_rank_generic([list(r) for r in rows], field)] == [3]
     assert [f.tolist() for f in factors] == [[[2, 1]], [[3]]]
     # representatives that are nonzero multiples of p are zeros, in any position
     mats = np.stack([5 * np.eye(5, 7, dtype=np.int64), np.full((5, 7), -10)])
@@ -440,3 +456,122 @@ def test_neg_log_table_inverts_through_the_exp_table(k):
     x = np.arange(1, field.order)
     assert (exp[log[x].astype(np.int64) + table[x]] == 1).all()  # x * x^-1
     assert _neg_log_table(field) is table
+
+
+BYTE_ROW_FIELDS = [make_prime_field(p) for p in (3, 5, 7, 113, 127)] + [
+    make_binary_field(k) for k in (2, 3, 8)
+]
+
+
+def _byte_row_batch(rng, field, n, r, c):
+    """Matrices with a zero row, a repeated row, a scaled row, rank at most 2, or random entries."""
+    mats = rng.integers(0, field.order, (n, r, c))
+    for i, m in enumerate(mats):
+        kind = i % 5
+        if kind == 0:
+            m[rng.integers(r)] = 0
+        elif kind == 1 and r > 1:
+            m[rng.integers(1, r)] = m[0]
+        elif kind == 2 and r > 1:
+            m[-1] = [field.mul(int(rng.integers(1, field.order)), int(x)) for x in m[0]]
+        elif kind == 3 and r > 2:
+            basis = m[:2].tolist()
+            for j in range(2, r):
+                m[j] = _combine(field, [int(x) for x in rng.integers(0, field.order, 2)], basis)
+    return mats
+
+
+def _kernels_called(monkeypatch):
+    """Record which kernel each matrix_rank call reaches: 'bytes' or 'batched'."""
+    import flatrank.linalg as linalg
+
+    calls = []
+    for name, label in (("_rank_byte_rows", "bytes"), ("_rank_into", "batched")):
+        real = getattr(linalg, name)
+        monkeypatch.setattr(
+            linalg, name, lambda *a, real=real, label=label: calls.append(label) or real(*a)
+        )
+    return calls
+
+
+@pytest.mark.parametrize("field", BYTE_ROW_FIELDS, ids=str)
+def test_byte_rows_match_generic(field, monkeypatch):
+    calls = _kernels_called(monkeypatch)
+    rng = np.random.default_rng(field.order)
+    for n, r, c in [(1, 1, 1), (1, 1, 9), (2, 2, 2), (5, 3, 3), (5, 4, 7), (5, 6, 6), (4, 8, 20), (1, 20, 20)]:
+        mats = _byte_row_batch(rng, field, n, r, c)
+        want = [_rank_generic(m.tolist(), field) for m in mats]
+        assert matrix_rank(mats, field).tolist() == want, (n, r, c)
+        assert matrix_rank(mats.transpose(0, 2, 1), field).tolist() == want
+        assert matrix_rank(mats.astype(np.uint8), field).tolist() == want
+    assert set(calls) == {"bytes"}
+    assert matrix_rank(np.zeros((3, 4, 4), dtype=np.int64), field).tolist() == [0, 0, 0]
+
+
+@pytest.mark.parametrize("field", BYTE_ROW_FIELDS, ids=str)
+def test_byte_row_gate_edges(field, monkeypatch):
+    # the last batch on byte rows and the first past it, by entries and by rows:
+    # both kernels must give the oracle's ranks on each side
+    from flatrank.linalg import BYTE_ROW_ENTRIES, BYTE_ROW_ROWS, _rank_byte_rows
+
+    calls = _kernels_called(monkeypatch)
+    rng = np.random.default_rng(field.order + 1)
+    rows = BYTE_ROW_ENTRIES // 256  # 16 rows of 256: exactly at the entry bound
+    edges = [
+        ((1, rows, BYTE_ROW_ENTRIES // rows), "bytes"),
+        ((1, rows + 1, BYTE_ROW_ENTRIES // (rows + 1) + 1), "batched"),  # 4,097 entries
+        ((3, BYTE_ROW_ROWS // 3, BYTE_ROW_ROWS // 3), "bytes"),
+        ((7, 7, 7), "batched"),  # 49 rows
+    ]
+    assert edges[1][0][1] * edges[1][0][2] == BYTE_ROW_ENTRIES + 1 and 7 * 7 == BYTE_ROW_ROWS + 1
+    for shape, kernel in edges:
+        mats = _byte_row_batch(rng, field, *shape)
+        want = [_rank_generic(m.tolist(), field) for m in mats]
+        calls.clear()
+        assert matrix_rank(mats, field).tolist() == want, shape
+        assert calls == [kernel]
+        assert _rank_byte_rows(mats, field).tolist() == want
+        assert _batched_ranks(mats, field) == want
+
+
+@pytest.mark.parametrize(
+    "field", [make_prime_field(131), make_binary_field(9), make_prime_field(2)], ids=str
+)
+def test_fields_past_a_byte_stay_off_byte_rows(field, monkeypatch):
+    calls = _kernels_called(monkeypatch)
+    rng = np.random.default_rng(field.order)
+    mats = rng.integers(0, field.order, (3, 5, 6))
+    want = [_rank_generic(m.tolist(), field) for m in mats]
+    assert matrix_rank(mats, field).tolist() == want
+    assert calls == ["batched"]
+
+
+@pytest.mark.parametrize("field", BYTE_ROW_FIELDS, ids=str)
+def test_byte_tables_scale_and_normalize(field):
+    from flatrank.linalg import _byte_tables
+
+    scale, pivot, residue = _byte_tables(field)
+    assert _byte_tables(field) is _byte_tables(field)  # built once per field
+    q, unit = field.order, 1 if field.kind == "binary" else field.p - 1
+    for s in range(1, q):
+        assert list(scale[s][:q]) == [field.mul(s, x) for x in range(q)]
+        assert pivot[s][s] == unit
+    if residue is not None:
+        assert list(residue) == [x % q for x in range(256)]
+
+
+def test_byte_tables_are_not_built_at_import():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import flatrank.cli, flatrank.linalg as l, flatrank.field as f\n"
+        "assert l._byte_tables.cache_info().currsize == 0\n"
+        "l.matrix_rank([[1, 2], [2, 1]], f.make_prime_field(5))\n"
+        "assert l._byte_tables.cache_info().currsize == 1\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": path})

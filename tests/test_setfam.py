@@ -355,3 +355,18 @@ def test_mask_validation():
         SetFamily(n=2, members=(4,))
     with pytest.raises(ValueError):
         TupleFamily(n=2, d=1, members=())
+
+
+@pytest.mark.parametrize("members", [((0b001, 0b001), (0b011, 0b010)), ((1, 1), (2, 2), (4, 4))])
+def test_chain_splits_the_masks_into_limbs_once(monkeypatch, members):
+    # the parity tensor and the certificate share one (m, d, w) split of the masks
+    import flatrank.setfam as setfam
+
+    fam = TupleFamily(n=3, d=2, members=members)
+    want = verify_oddtown_chain(fam)
+    calls = []
+    split = setfam._slot_limbs
+    monkeypatch.setattr(setfam, "_slot_limbs", lambda *a: calls.append(a) or split(*a))
+    assert verify_oddtown_chain(fam) == want
+    assert len(calls) == 1
+    assert np.array_equal(oddtown_rank1_certificate(fam), oddtown_rank1_certificate(fam, split(members, 2)))

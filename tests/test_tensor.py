@@ -438,15 +438,16 @@ def test_compaction_keeps_only_live_columns(monkeypatch):
 
 def test_scaled_permutation_ranks_without_a_clear(monkeypatch):
     # the full-rank 8^5 tensor of the benchmark's rank documents over GF(2^8): its
-    # flattenings keep at most 5 * 8 live columns, and no pivot has anything to clear
+    # flattenings keep at most 5 * 8 live columns, few enough for byte rows, and
+    # the batched kernel finds nothing to clear on that stack either
     import flatrank.linalg as linalg
     import flatrank.tensor as tensor_mod
 
     field = make_binary_field(8)
     t = _scaled_permutation((8,) * 5, field, np.random.default_rng(8), 8)
-    shapes, clears = [], []
+    stacks, clears = [], []
     rank = tensor_mod.matrix_rank
-    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: shapes.append(m.shape) or rank(m, f))
+    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: stacks.append(m.copy()) or rank(m, f))
     eliminate = linalg._eliminate
     monkeypatch.setattr(
         linalg,
@@ -454,7 +455,11 @@ def test_scaled_permutation_ranks_without_a_clear(monkeypatch):
         lambda m, ws, settle, clear: eliminate(m, ws, settle, lambda *args: clears.append(args)),
     )
     assert flattening_ranks(t) == [8] * 5
-    assert len(shapes) == 1 and shapes[0][:2] == (5, 8) and shapes[0][2] <= 40
+    assert len(stacks) == 1 and stacks[0].shape[:2] == (5, 8) and stacks[0].shape[2] <= 40
+    ws = linalg._Workspace(linalg._elimination_sizes(*stacks[0].shape, field))
+    work = ws.take("work", *stacks[0].shape)
+    np.copyto(work, stacks[0])
+    assert linalg._rank_into(work, field, ws).tolist() == [8] * 5
     assert clears == []
 
 
