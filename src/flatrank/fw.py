@@ -27,14 +27,15 @@ import numpy as np
 
 from .field import FieldDescriptor, make_prime_field
 from .rng import Rng
-from .setfam import (
-    SetFamily,
-    _distinct_tuple_mask,
-    _grid_shape,
-    _intersection_sizes,
-    _mask_limbs,
+from .setfam import SetFamily, _grid_shape, _intersection_sizes, _mask_limbs
+from .tensor import (
+    MAX_SEARCH_NODES,
+    Tensor,
+    dense_size,
+    flattening_ranks,
+    is_semi_diagonal,
+    semi_diagonal_faults,
 )
-from .tensor import MAX_SEARCH_NODES, Tensor, dense_size, flattening_ranks, is_semi_diagonal
 
 __all__ = [
     "Configuration",
@@ -83,20 +84,6 @@ class Configuration:
     @property
     def field(self) -> FieldDescriptor:
         return make_prime_field(self.p)
-
-    def is_slot_symmetric(self) -> bool:
-        """True when C is invariant under every permutation of the slots."""
-        cset = set(self.C)
-        for i in range(self.k - 1):
-            swapped = set()
-            for x in cset:
-                bi, bj = (x >> i) & 1, (x >> (i + 1)) & 1
-                y = x & ~((1 << i) | (1 << (i + 1)))
-                y |= bi << (i + 1) | bj << i
-                swapped.add(y)
-            if swapped != cset:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -215,24 +202,16 @@ def _witness_positions(fam: SetFamily, distinct: str) -> list[int]:
     return list(seen.values())
 
 
-def _first_violation(
-    grid: np.ndarray, positions: list[int], cfg: Configuration
-) -> tuple[int, ...] | None:
+def _first_violation(grid: np.ndarray, positions: list[int]) -> tuple[int, ...] | None:
     """Member positions per slot of the first violating cell of ``grid`` in C order, or None.
 
     ``grid`` is :func:`_h_grid` over the members at ``positions``.  A cell
-    violates when it is nonzero and its indices are pairwise distinct; a
-    slot-symmetric C cannot distinguish orderings, so then only strictly
-    increasing indices, one representative per unordered tuple, are read.
+    violates when it is nonzero and its indices are pairwise distinct.  For a
+    slot-symmetric C the grid is symmetric, so that first cell is the sorted
+    one of its orderings.
     """
-    if len(positions) < cfg.k:
-        return None
-    distinct = _distinct_tuple_mask(len(positions), cfg.k, sorted_only=cfg.is_slot_symmetric())
-    ok = np.logical_and(grid, distinct)
-    first = int(ok.argmax())  # the first hit in C order; cell 0 when there is none
-    if not ok.flat[first]:
-        return None
-    return tuple(positions[int(i)] for i in np.unravel_index(first, ok.shape))
+    _, cell = semi_diagonal_faults(grid)
+    return None if cell is None else tuple(positions[i] for i in cell)
 
 
 def find_config_witness(
@@ -248,7 +227,7 @@ def find_config_witness(
     if len(positions) < cfg.k:
         return None
     grid = _h_grid(_mask_limbs([fam.members[p] for p in positions]), cfg)
-    return _first_violation(grid, positions, cfg)
+    return _first_violation(grid, positions)
 
 
 def is_config_satisfying(fam: SetFamily, cfg: Configuration, distinct: str = "sets") -> bool:
@@ -282,7 +261,7 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
     witness = grid = None
     if len(positions) >= cfg.k or (fam.members and not size_violations):
         grid = _h_grid(_mask_limbs([fam.members[p] for p in positions]), cfg)
-        witness = _first_violation(grid, positions, cfg)
+        witness = _first_violation(grid, positions)
     report["satisfying"] = witness is None and not size_violations
     if not report["satisfying"]:
         report["size_violations"] = size_violations

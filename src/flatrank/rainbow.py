@@ -32,9 +32,9 @@ from .setfam import _grid_shape, _slot_limbs
 from .tensor import (
     MAX_SEARCH_NODES,
     Tensor,
-    index_class_arrays,
     is_semi_diagonal,
     max_flattening_rank,
+    semi_diagonal_faults,
 )
 
 __all__ = [
@@ -382,16 +382,12 @@ def bollobas_verify(system: SetPairSystem) -> dict:
         return report
     limbs = _slot_limbs(system.members, t)
     disjoint = _disjoint_grid(limbs)
-    cells = disjoint.reshape(-1)
-    diag, distinct, _ = index_class_arrays(m, t)
-    clashing = np.flatnonzero(~cells[diag])  # diagonal cell k is member k
-    if clashing.size:
-        report.update(hypothesis_ok=False, violating_member=int(clashing[0]), verified=False)
+    clashing, cross = semi_diagonal_faults(disjoint)  # diagonal cell k is member k
+    if clashing is not None:
+        report.update(hypothesis_ok=False, violating_member=clashing, verified=False)
         return report
-    cross = distinct[cells[distinct]]  # row-major, the order of permutations(range(m), t)
-    if cross.size:
-        cell = [int(i) for i in np.unravel_index(cross[0], disjoint.shape)]
-        report.update(hypothesis_ok=False, violating_assignment=cell, verified=False)
+    if cross is not None:  # C order, the order of permutations(range(m), t)
+        report.update(hypothesis_ok=False, violating_assignment=list(cross), verified=False)
         return report
     field = default_field_for(system.base_size)
     entries = _wedge_grid(limbs, system.sizes, disjoint, system.base_size, field)

@@ -22,14 +22,13 @@ holds exactly, so it is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import repeat
 from typing import Sequence
 
 import numpy as np
 
 from .field import GF2
-from .tensor import Tensor, dense_size, flattening_ranks, is_semi_diagonal
+from .tensor import Tensor, dense_size, flattening_ranks, is_semi_diagonal, semi_diagonal_faults
 
 __all__ = [
     "SetFamily",
@@ -108,36 +107,6 @@ def _grid_shape(m: int, k: int) -> tuple[int, ...]:
     """(m,) * k, once the m^k cells are known to fit the dense cap."""
     dense_size(repeat(m, k), f"grid of {m}^{k}")
     return (m,) * k
-
-
-# cells up to which a distinct-tuple grid is kept for its shape: 64 KB of bools
-_CACHED_GRID_CELLS = 1 << 16
-
-
-def _distinct_tuple_mask(m: int, k: int, sorted_only: bool = False) -> np.ndarray:
-    """Read-only boolean grid marking index tuples with pairwise-distinct positions.
-
-    With ``sorted_only`` the grid keeps one representative (strictly
-    increasing) per unordered tuple; valid whenever the predicate being
-    searched is invariant under slot permutation.  A grid of at most
-    :data:`_CACHED_GRID_CELLS` cells is built once per shape, in a cache of a
-    few shapes, so a growing family does not keep one grid for every size;
-    larger grids are built on every call.
-    """
-    if dense_size(repeat(m, k), f"grid of {m}^{k}") > _CACHED_GRID_CELLS:
-        return _distinct_grid.__wrapped__(m, k, sorted_only)
-    return _distinct_grid(m, k, sorted_only)
-
-
-@lru_cache(maxsize=16)
-def _distinct_grid(m: int, k: int, sorted_only: bool) -> np.ndarray:
-    ok = np.ones((m,) * k, dtype=bool)
-    idx = [np.arange(m).reshape([m if j == i else 1 for j in range(k)]) for i in range(k)]
-    for i in range(k):
-        for j in range(i + 1, k):
-            ok &= (idx[i] < idx[j]) if sorted_only else (idx[i] != idx[j])
-    ok.flags.writeable = False
-    return ok
 
 
 def _intersection_sizes(axis_limbs: Sequence[np.ndarray | None]) -> np.ndarray:
@@ -271,12 +240,12 @@ def _cross_even_with(members: list[tuple[int, ...]], new: tuple[int, ...], d: in
     c = len(members)
     if c + 1 < d:
         return True
-    distinct = _distinct_tuple_mask(c, d - 1)
+    _grid_shape(c, d - 1)  # raises over the dense cap, before any allocation
     limbs = _slot_limbs((*members, new), d)
     for slot in range(d):
         others = [limbs[:c, j] for j in range(d) if j != slot]
-        odd = (_intersection_sizes([limbs[c:, slot], *others])[0] & 1).astype(bool)
-        if (odd & distinct).any():
+        odd = _intersection_sizes([limbs[c:, slot], *others])[0] & 1
+        if semi_diagonal_faults(odd)[1] is not None:
             return False
     return True
 

@@ -31,6 +31,8 @@ __all__ = [
     "flattening_ranks",
     "max_flattening_rank",
     "is_semi_diagonal",
+    "semi_diagonal_faults",
+    "distinct_cells",
     "partition_construction",
     "axis_constant_construction",
 ]
@@ -215,21 +217,37 @@ def max_flattening_rank(t: Tensor) -> int:
     return max(flattening_ranks(t))
 
 
-def _require_cubical(t: Tensor) -> int:
-    a = t.dims[0]
-    if any(s != a for s in t.dims):
-        raise ValueError(f"operation requires a cubical tensor, got dims {t.dims}")
-    return a
-
-
 def is_semi_diagonal(t: Tensor) -> bool:
     """Nonzero on every constant multi-index, zero on every all-distinct one.
 
     Mixed multi-indices are unconstrained.  When d exceeds the axis size there
     are no all-distinct tuples, so only the diagonal is checked.
     """
-    diag, distinct, _ = index_class_arrays(_require_cubical(t), t.ndim)
-    return bool(t.entries[diag].all()) and not t.entries[distinct].any()
+    if t.dims.count(t.dims[0]) != t.ndim:
+        raise ValueError(f"operation requires a cubical tensor, got dims {t.dims}")
+    return semi_diagonal_faults(t.array) == (None, None)
+
+
+def semi_diagonal_faults(cells: np.ndarray) -> tuple[int | None, tuple[int, ...] | None]:
+    """Where the A^d grid ``cells`` fails to be semi-diagonal, or (None, None).
+
+    The first value is the a of the first constant cell (a, ..., a) that is
+    zero; the second is the index of the first pairwise-distinct cell, in C
+    order, that is nonzero.  Either is None when there is no such cell.  The
+    diagonal is read as a strided view of ``cells``, which callers pass in
+    C order (any other layout is copied first).
+    """
+    a, d = cells.shape[0], cells.ndim
+    cell = None
+    if a >= d:  # else no cell is pairwise distinct
+        hits = np.logical_and(cells, distinct_cells(a, d))
+        first = int(hits.argmax())  # the first hit in C order; cell 0 when there is none
+        if hits.flat[first]:
+            cell = tuple(int(i) for i in np.unravel_index(first, cells.shape))
+    # cell (i, ..., i) lies i * (1 + a + ... + a^(d-1)) cells into C order
+    diagonal = cells.reshape(-1)[:: (a**d - 1) // (a - 1) if a > 1 else 1]
+    zero = None if np.count_nonzero(diagonal) == a else int(np.logical_not(diagonal).argmax())
+    return zero, cell
 
 
 def _coordinate(a: int, d: int, axis: int) -> np.ndarray:
@@ -284,18 +302,43 @@ def axis_constant_construction(a: int, d: int, axis: int, field: FieldDescriptor
     return Tensor.from_array(_frozen(_all_equal(rest, a, d).astype(np.int64)), field)
 
 
+# cells up to which a pairwise-distinct grid is kept for its shape: 64 KB of bools
+_CACHED_GRID_CELLS = 1 << 16
+
+
+def distinct_cells(a: int, d: int) -> np.ndarray:
+    """Read-only boolean A^d grid, True on the cells whose d indices are pairwise distinct.
+
+    At d == 1 every cell is.  A grid of at most :data:`_CACHED_GRID_CELLS`
+    cells is built once per shape, in a cache of 16 shapes, so a growing
+    family does not keep one grid for every size; larger grids are built on
+    every call, once their a^d cells are checked against the dense cap.
+    """
+    # past 16 axes, a >= 2 passes 2^16 cells: no power of a huge d is taken
+    if d > 16 or a**d > _CACHED_GRID_CELLS:
+        return _distinct_cells.__wrapped__(a, d)
+    return _distinct_cells(a, d)
+
+
+@lru_cache(maxsize=16)
+def _distinct_cells(a: int, d: int) -> np.ndarray:
+    dense_size(repeat(a, d), f"grid of {a}^{d}")
+    coords = [_coordinate(a, d, j) for j in range(d)]
+    grid = np.ones((a,) * d, dtype=bool)
+    for i in range(d):
+        for j in range(i + 1, d):
+            grid &= coords[i] != coords[j]
+    return _frozen(grid)
+
+
 @lru_cache(maxsize=None)
 def index_class_arrays(a: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices of an A^d tensor: (constant, pairwise distinct, neither), as arrays.
 
     At d == 1 every index is both constant and pairwise distinct.
     """
-    coords = [_coordinate(a, d, j) for j in range(d)]
-    diag = _all_equal(coords, a, d)
-    distinct = np.ones((a,) * d, dtype=bool)
-    for i in range(d):
-        for j in range(i + 1, d):
-            distinct &= coords[i] != coords[j]
+    diag = _all_equal([_coordinate(a, d, j) for j in range(d)], a, d)
+    distinct = distinct_cells(a, d)
     classes = tuple(np.flatnonzero(c) for c in (diag, distinct, ~(diag | distinct)))
     for c in classes:
         c.flags.writeable = False

@@ -22,6 +22,8 @@ checked against, and the seeded generators of test inputs.
   is the same from run to run.
 * Small tensor and hypergraph helpers: restriction, sum and vertex-list
   hypergraphs.
+* The cell-by-cell semi-diagonal test, which
+  :func:`flatrank.tensor.semi_diagonal_faults` must agree with.
 """
 
 from __future__ import annotations
@@ -43,13 +45,7 @@ from flatrank.fw import (
 )
 from flatrank.rainbow import ColoredHypergraph
 from flatrank.rng import Rng
-from flatrank.setfam import (
-    SetFamily,
-    TupleFamily,
-    _distinct_tuple_mask,
-    _mask_limbs,
-    intersection_size,
-)
+from flatrank.setfam import SetFamily, TupleFamily, _mask_limbs, intersection_size
 from flatrank.tensor import Tensor
 
 
@@ -107,6 +103,23 @@ def add_tensors(s: Tensor, t: Tensor) -> Tensor:
     else:
         entries = (s.entries + t.entries) % f.p
     return Tensor(s.dims, f, entries)
+
+
+def semi_diagonal_faults_naive(cells: np.ndarray) -> tuple[int | None, tuple[int, ...] | None]:
+    """(first zero constant cell's a, first nonzero pairwise-distinct cell), cell by cell.
+
+    Every cell of the A^d grid is visited in C order (``product``); a cell is
+    constant when its indices form one value, pairwise distinct when they
+    form d values.  At d == 1 every cell is both.
+    """
+    a, d = cells.shape[0], cells.ndim
+    zero = cell = None
+    for idx in product(range(a), repeat=d):
+        if zero is None and len(set(idx)) == 1 and not cells[idx]:
+            zero = idx[0]
+        if cell is None and len(set(idx)) == d and cells[idx]:
+            cell = idx
+    return zero, cell
 
 
 # ------------------------------------------------------ cross-Oddtown families
@@ -270,20 +283,15 @@ def random_configuration(rng: Rng, max_k: int = 3, min_k: int = 2) -> Configurat
     return Configuration(k=k, p=p, C=C, L=L)
 
 
-def _violation_grid(limbs: np.ndarray, cfg: Configuration, ok: np.ndarray) -> np.ndarray:
-    """A fresh copy of ``ok``, left True where every C-indexed intersection avoids L.
-
-    ``ok`` is a boolean grid over the members of ``limbs``, k axes of m; it
-    may be a cached read-only grid (:func:`_distinct_tuple_mask`) and is
-    never written.
-    """
+def _violation_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
+    """Boolean grid over k axes of the members of ``limbs``: True where every
+    C-indexed intersection avoids L."""
     h = _h_table_np(cfg, _largest_size(limbs))
-    ok = ok.copy()
+    ok = np.ones((len(limbs),) * cfg.k, dtype=bool)
     for x in cfg.C:
         sizes = _grid_sizes(limbs, cfg, x)
         ok &= h[sizes % cfg.p] != 0
     return ok
-
 
 
 def grow_config_satisfying_family(
@@ -305,14 +313,14 @@ def grow_config_satisfying_family(
             continue
         trial = members + [cand]
         if len(trial) >= cfg.k:
-            ok = _violation_grid(_mask_limbs(trial), cfg, _distinct_tuple_mask(len(trial), cfg.k))
-            # only assignments using the new member can be newly violating
-            uses_new = np.zeros((len(trial),) * cfg.k, dtype=bool)
-            for slot in range(cfg.k):
-                sl = [slice(None)] * cfg.k
-                sl[slot] = len(trial) - 1
-                uses_new[tuple(sl)] = True
-            if bool((ok & uses_new).any()):
+            ok = _violation_grid(_mask_limbs(trial), cfg)
+            # only assignments of distinct members using the new one can be newly violating
+            new = len(members)
+            if any(
+                ok[(*rest[:slot], new, *rest[slot:])]
+                for rest in permutations(range(new), cfg.k - 1)
+                for slot in range(cfg.k)
+            ):
                 continue
         members.append(cand)
     return SetFamily(n=n, members=tuple(members))

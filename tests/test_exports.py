@@ -51,6 +51,7 @@ REMOVED = {
         "enumerate_cross_oddtown",
         "odd_tuple_candidates",
         "singleton_diagonal_family",
+        "_distinct_tuple_mask",
     ],
     "flatrank.rainbow": ["hypergraph_from_vertex_lists"],
 }
@@ -64,12 +65,12 @@ def test_removed_names_stay_removed(module):
 
 def test_removed_methods_stay_removed():
     from flatrank.field import FieldDescriptor
-    from flatrank.fw import IntersectionPolynomial
+    from flatrank.fw import Configuration, IntersectionPolynomial
     from flatrank.rng import Rng
     from flatrank.tensor import Tensor
 
     gone = [(FieldDescriptor, name) for name in ("element", "neg", "validate", "characteristic")]
-    gone += [(IntersectionPolynomial, "table")]
+    gone += [(IntersectionPolynomial, "table"), (Configuration, "is_slot_symmetric")]
     gone += [(Rng, name) for name in ("derive", "shuffle", "sample_without_replacement")]
     gone += [(Tensor, name) for name in ("get", "flat_index", "from_function", "zeros", "is_zero")]
     assert [f"{cls.__name__}.{name}" for cls, name in gone if hasattr(cls, name)] == []

@@ -30,7 +30,7 @@ from flatrank.fw import (
     verify_fw_chain,
 )
 from flatrank.rng import Rng
-from flatrank.setfam import SetFamily, _distinct_tuple_mask, _mask_limbs, intersection_size
+from flatrank.setfam import SetFamily, _mask_limbs, intersection_size
 from flatrank.tensor import MAX_SEARCH_NODES, flattening_rank, is_semi_diagonal
 
 from oracles import (
@@ -139,7 +139,6 @@ def test_witness_search_is_ordered_for_asymmetric_c():
     # C = {{0,1}} of order 3 only constrains the first two slots, so the
     # witness may need a non-sorted assignment
     cfg = Configuration(k=3, p=2, C=(0b011,), L=(0,))
-    assert not cfg.is_slot_symmetric()
     x, y, z = 0b0111, 0b1001, 0b0100  # |x&y| = 1 odd, |x&z| = 1 odd, |y&z| = 0
     fam = SetFamily(n=4, members=(y, z, x))
     # sorted positions (0,1,2) put y,z in the constrained slots: |y&z| = 0 in L
@@ -148,13 +147,6 @@ def test_witness_search_is_ordered_for_asymmetric_c():
     assert w is not None
     a, b = fam.members[w[0]], fam.members[w[1]]
     assert (a & b).bit_count() % 2 == 1
-
-
-def test_symmetric_c_detected():
-    assert FW_CFG.is_slot_symmetric()
-    assert complete_graph_config(3).is_slot_symmetric()
-    assert Configuration(k=3, p=2, C=(0b111,), L=(0,)).is_slot_symmetric()
-    assert not Configuration(k=2, p=2, C=(0b01,), L=(0,)).is_slot_symmetric()
 
 
 def test_fw_tensor_diagonal_and_identity():
@@ -218,11 +210,10 @@ def test_fw_chain_agrees_with_the_violation_grid_oracle(monkeypatch, distinct):
         positions = list(range(len(fam.members)))
         if distinct == "sets":
             positions = sorted({mask: pos for pos, mask in reversed(list(enumerate(fam.members)))}.values())
-        want = None
-        if len(positions) >= cfg.k:
-            tuples = _distinct_tuple_mask(len(positions), cfg.k, sorted_only=cfg.is_slot_symmetric())
-            ok = _violation_grid(_mask_limbs([fam.members[p] for p in positions]), cfg, tuples)
-            want = [positions[int(i)] for i in np.argwhere(ok)[0]] if ok.any() else None
+        ok = _violation_grid(_mask_limbs([fam.members[p] for p in positions]), cfg)
+        # permutations yields the pairwise-distinct cells in C order
+        hit = next((c for c in itertools.permutations(range(len(positions)), cfg.k) if ok[c]), None)
+        want = None if hit is None else [positions[i] for i in hit]
         tensors.clear()
         report = verify_fw_chain(fam, cfg, distinct)
         assert report.get("witness") == want
@@ -522,11 +513,10 @@ def test_odd_adjacency_blocks_rows(monkeypatch):
     assert fw._odd_adjacency(members) == whole == odd_adjacency(members)
 
 
-def _assignments(m, k, sorted_only):
-    """Index tuples of ``range(m)^k`` in C order with pairwise-distinct (or increasing) entries."""
+def _assignments(m, k):
+    """Index tuples of ``range(m)^k`` in C order with pairwise-distinct entries."""
     for cell in product(range(m), repeat=k):
-        pairs = itertools.combinations(cell, 2)
-        if all(a < b if sorted_only else a != b for a, b in pairs):
+        if all(a != b for a, b in itertools.combinations(cell, 2)):
             yield cell
 
 
@@ -544,7 +534,7 @@ def test_config_witness_is_the_first_hit_in_c_order(distinct):
             positions = sorted({mask: pos for pos, mask in reversed(list(enumerate(fam.members)))}.values())
         m = len(positions)
         grid = np.zeros((m,) * cfg.k, dtype=bool)
-        for cell in _assignments(m, cfg.k, cfg.is_slot_symmetric()):
+        for cell in _assignments(m, cfg.k):
             masks = [fam.members[positions[i]] for i in cell]
             grid[cell] = all(
                 intersection_size([masks[j] for j in range(cfg.k) if x >> j & 1]) % cfg.p not in cfg.L

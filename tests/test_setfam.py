@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,11 +13,8 @@ from flatrank.field import GF2
 from flatrank.fw import Configuration, find_config_witness
 from flatrank.rng import Rng
 from flatrank.setfam import (
-    _CACHED_GRID_CELLS,
     SetFamily,
     _cross_even_with,
-    _distinct_grid,
-    _distinct_tuple_mask,
     TupleFamily,
     cross_oddtown_bound,
     intersection_size,
@@ -27,7 +25,13 @@ from flatrank.setfam import (
     repeated_singleton_family,
     verify_oddtown_chain,
 )
-from flatrank.tensor import is_semi_diagonal, max_flattening_rank
+from flatrank.tensor import (
+    _CACHED_GRID_CELLS,
+    _distinct_cells,
+    distinct_cells,
+    is_semi_diagonal,
+    max_flattening_rank,
+)
 
 from oracles import (
     _rank_generic,
@@ -145,35 +149,55 @@ def test_float64_certificate_sum_is_exact_at_the_certificate_cap():
         oddtown_rank1_certificate(TupleFamily(n=n + 1, d=2, members=((1, 1),)))
 
 
-def test_distinct_tuple_grids_are_read_only_and_cached_up_to_a_size():
-    small = _distinct_tuple_mask(6, 3)
-    assert _distinct_tuple_mask(6, 3) is small
-    assert _distinct_tuple_mask(6, 3, sorted_only=True) is not small
+def test_distinct_cells_are_read_only_and_cached_up_to_a_size():
+    small = distinct_cells(6, 3)
+    assert distinct_cells(6, 3) is small
+    assert [tuple(c) for c in np.argwhere(small)] == list(itertools.permutations(range(6), 3))
     with pytest.raises(ValueError, match="read-only"):
         small[0, 1, 2] = False
     with pytest.raises(ValueError, match="read-only"):
         small &= False
     m = 41  # 41^3 cells, over the cached size: built on every call, read-only too
     assert m**3 > _CACHED_GRID_CELLS
-    large = _distinct_tuple_mask(m, 3)
-    assert _distinct_tuple_mask(m, 3) is not large and not large.flags.writeable
-    assert np.array_equal(large, _distinct_tuple_mask(m, 3))
+    large = distinct_cells(m, 3)
+    assert distinct_cells(m, 3) is not large and not large.flags.writeable
+    assert np.array_equal(large, distinct_cells(m, 3))
     for size in range(2, 40):  # a growing family: the cache keeps a bounded number of shapes
-        _distinct_tuple_mask(size, 2)
-    info = _distinct_grid.cache_info()
-    assert info.currsize <= info.maxsize
+        distinct_cells(size, 2)
+    info = _distinct_cells.cache_info()
+    assert info.currsize <= info.maxsize == 16
 
 
-def test_cached_distinct_grids_keep_their_cells_across_callers():
-    # the greedy step and the configuration witness read the same cached grids
-    before = {key: _distinct_tuple_mask(*key).copy() for key in ((2, 2), (3, 2), (3, 3))}
+def test_cached_distinct_cells_keep_their_cells_across_callers():
+    # the greedy step, the configuration witness and the semi-diagonal test read
+    # the same cached grids, and none of them writes one
+    keys = ((2, 2), (3, 2), (3, 3))
+    grids = {key: distinct_cells(*key) for key in keys}
+    before = {key: grid.copy() for key, grid in grids.items()}
     members = [(0b011,) * 3, (0b110,) * 3]
     assert _cross_even_with(members, (0b1000,) * 3, 3)
     assert not _cross_even_with(members, (0b010,) * 3, 3)  # {1} in all three slots: odd
     cfg = Configuration(k=3, p=2, C=(0b011, 0b110), L=(0,))
     assert find_config_witness(SetFamily(n=3, members=(0b011, 0b110, 0b010)), cfg) is not None
-    for key, cells in before.items():
-        assert np.array_equal(_distinct_tuple_mask(*key), cells)
+    assert not is_cross_oddtown(TupleFamily(n=2, d=3, members=((1, 1, 1), (1, 1, 1), (1, 1, 1))))
+    for key in keys:
+        assert distinct_cells(*key) is grids[key]
+        assert np.array_equal(grids[key], before[key])
+
+
+def test_oddtown_chain_peak_memory():
+    # 128 members at d = 3: a 2 M-cell parity grid, its flattenings and the
+    # certificate's sum, read without an int64 index array of the distinct cells
+    verify_oddtown_chain(repeated_singleton_family(2, 3))
+    fam = repeated_singleton_family(64, 3)
+    tracemalloc.start()
+    try:
+        report = verify_oddtown_chain(fam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report["verified"]
+    assert peak < 56 << 20
 
 
 def test_certificate_caps_mfrank_at_n():

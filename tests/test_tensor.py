@@ -21,9 +21,10 @@ from flatrank.tensor import (
     is_semi_diagonal,
     max_flattening_rank,
     partition_construction,
+    semi_diagonal_faults,
 )
 
-from oracles import _rank_generic, add_tensors, subtensor
+from oracles import _rank_generic, add_tensors, semi_diagonal_faults_naive, subtensor
 
 GF3 = make_prime_field(3)
 GF5 = make_prime_field(5)
@@ -203,6 +204,30 @@ def test_is_semi_diagonal():
 def test_semi_diagonal_when_d_exceeds_axis():
     # no all-distinct tuples exist, so only the diagonal matters
     assert is_semi_diagonal(Tensor((2, 2, 2), GF2, (1,) * 8))
+
+
+@given(
+    a=st.integers(1, 6),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    off=st.sampled_from([0.0, 0.002, 0.05, 0.5]),
+    on=st.sampled_from([1.0, 0.9, 0.5]),
+    as_bool=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_semi_diagonal_faults_match_the_cell_by_cell_oracle(a, d, seed, off, on, as_bool):
+    # a < d has no pairwise-distinct cell, a == 1 one constant cell, and at d == 1
+    # every cell is both; the moved axes are a grid that is not in C order
+    rng = np.random.default_rng(seed)
+    cells = (rng.random((a,) * d) < off) * rng.integers(1, 5, (a,) * d)
+    cells[(np.arange(a),) * d] = (rng.random(a) < on) * rng.integers(1, 5, a)
+    want = semi_diagonal_faults_naive(cells)
+    assert is_semi_diagonal(Tensor.from_array(cells, GF5)) == (want == (None, None))
+    if as_bool:
+        cells = cells.astype(bool)
+    assert semi_diagonal_faults(cells) == want
+    moved = np.moveaxis(cells, 0, -1)
+    assert semi_diagonal_faults(moved) == semi_diagonal_faults_naive(moved)
 
 
 def test_subtensor_identity_and_restriction():
