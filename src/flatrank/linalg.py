@@ -98,11 +98,35 @@ class _Workspace:
     ``sizes`` maps each buffer's name to its item count and dtype at the
     largest call, as the ``*_sizes`` functions give them; :meth:`take` hands
     a kernel a view of a buffer's first items.  A kernel's results are views
-    into its workspace, valid until its next call.
+    into its workspace, valid until its next call.  Each buffer is an array
+    of its own, or, given a writable ``backing`` of at least :meth:`nbytes`
+    bytes, a view carved from it at a 64-byte-aligned offset.  A carved
+    buffer holds whatever its backing held last.  A size ``(count, dtype,
+    host)`` takes no memory of its own: the buffer is the first bytes of
+    buffer ``host``, which its kernels leave free while they use it.
     """
 
-    def __init__(self, sizes: dict[str, tuple[int, type]]):
-        self._buffers = {name: np.empty(count, dtype) for name, (count, dtype) in sizes.items()}
+    def __init__(self, sizes: dict[str, tuple], backing=None):
+        own = {name: size for name, size in sizes.items() if len(size) == 2}
+        if backing is None:
+            self._buffers = {name: np.empty(count, dtype) for name, (count, dtype) in own.items()}
+        else:
+            self._buffers, start = {}, 0
+            for name, (count, dtype) in own.items():
+                self._buffers[name] = np.ndarray(count, dtype, backing, start)
+                start += -(-self._buffers[name].nbytes // 64) * 64
+        for name, (count, dtype, *host) in sizes.items():
+            if host:  # a TypeError if the host is too small
+                self._buffers[name] = np.ndarray(count, dtype, self._buffers[host[0]])
+
+    @staticmethod
+    def nbytes(sizes: dict[str, tuple]) -> int:
+        """Bytes of a backing of ``sizes``: each buffer's, rounded up to a multiple of 64."""
+        return sum(
+            -(-count * np.dtype(dtype).itemsize // 64) * 64
+            for count, dtype, *host in sizes.values()
+            if not host
+        )
 
     def take(self, name: str, *shape: int) -> np.ndarray:
         """The first ``prod(shape)`` items of buffer ``name``, in that shape."""

@@ -32,18 +32,23 @@ is 14-21x faster than :func:`flatrank.linalg.matrix_rank` ((9,3): 1.24-1.28
 against 18-22 us).  Larger fields rank all d flattenings of a block with
 one call of the batched kernel behind :func:`flatrank.linalg.matrix_rank`.
 
-Both sweeps run one block loop, :func:`_scan_blocks`, which allocates one
-workspace (:class:`flatrank.linalg._Workspace`) per call, sized for its
-largest block by one ``*_sizes`` plan, and every block writes its stream
-words, entries, rows, stacked flattenings, scratch and rank counts into it in
-place; the kernels return views into it.  Allocating per block costs more
-than the arithmetic: glibc trims the heap top after each block's frees, so a
-block that allocates its buffers faults about 250 pages in again, at about
-1.8 us each on a 2-vCPU Xeon.  No buffer outlives the call, and none is
-larger than :data:`BLOCK_BYTES` unless one tensor needs it, so glibc's mmap
-threshold does not move.  A sweep whose plan, with the index arrays its
-shape keeps for the process, a binary field's log tables and what a larger
-field's elimination allocates outside the plan, would pass
+Both sweeps run one block loop, :func:`_scan_blocks`, which takes one
+workspace (:class:`flatrank.linalg._Workspace`) per call from its thread's
+arena, sized for its largest block by one ``*_sizes`` plan, and every block
+writes its stream words, entries, rows, stacked flattenings, scratch and rank
+counts into it in place; the kernels return views into it.  The stream
+buffers of a GF(2) block sit inside buffers its kernel writes only after it
+has read the words.  The arena is one anonymous mapping per thread, outside
+glibc's heap, kept from one sweep to the next and replaced only by a larger
+admitted plan; one over :data:`ARENA_KEEP_BYTES` is unmapped when its sweep
+ends.  Allocating per block, or per sweep, costs more than the arithmetic:
+glibc trims the heap top after each block's frees, so a block that allocates
+its buffers faults about 250 pages in again, at about 1.8 us each on a
+2-vCPU Xeon.  No other buffer is larger than :data:`BLOCK_BYTES` unless one
+tensor needs it, and the arena is not glibc's, so glibc's mmap threshold
+does not move.  A sweep whose plan, with the index arrays its shape keeps
+for the process, a binary field's log tables and what a larger field's
+elimination allocates outside the plan, would pass
 :data:`MAX_WORKSPACE_BYTES` is refused before any of them is built.
 
 Randomized sweeps and the cross-Oddtown search run off the documented
@@ -63,6 +68,8 @@ from its one stream, ``_stream_block(seed, j, j + 1, nwords)``.
 from __future__ import annotations
 
 import math
+import mmap
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -83,6 +90,7 @@ from .linalg import (
 from .rng import Rng, stream_words_np, sub_seeds_np
 from .setfam import (
     TupleFamily,
+    _slot_limbs,
     cross_oddtown_bound,
     is_cross_oddtown,
     repeated_singleton_family,
@@ -112,6 +120,13 @@ TABLE_MAX_COLUMNS = 32
 # bytes even for one tensor, so it stops at a = 545, and a GF(3) sweep on
 # 2^18 needs more than 16 MiB for one tensor.
 MAX_WORKSPACE_BYTES = 16 << 20
+# Largest sweep arena a thread keeps mapped once its sweep ends.  Every GF(2)
+# plan at the default block size fits (the largest, (4,3), takes 1.6 MB); a
+# larger arena is unmapped with its sweep, so that what runs after the sweep
+# (an exhaustive sweep's witnesses, the report) is never held on top of it.
+ARENA_KEEP_BYTES = 4 << 20
+# Plans whose workspaces a thread keeps carved from its arena
+ARENA_PLANS = 16
 
 
 @dataclass
@@ -185,10 +200,6 @@ def _row_tables(a: int, d: int) -> tuple[np.ndarray, ...]:
     return tuple(tables)
 
 
-def _workspace_bytes(sizes: dict[str, tuple[int, type]]) -> int:
-    return sum(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
-
-
 def _largest_buffer(sizes: dict[str, tuple[int, type]]) -> int:
     return max(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
 
@@ -201,7 +212,7 @@ def _check_workspace(sizes: dict[str, tuple[int, type]], extra: int, what: str) 
     the scratch of their build, and what a larger field's elimination
     allocates outside the workspace.
     """
-    nbytes = _workspace_bytes(sizes) + extra
+    nbytes = _Workspace.nbytes(sizes) + extra
     if nbytes > MAX_WORKSPACE_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, over the {MAX_WORKSPACE_BYTES}-byte block cap")
 
@@ -214,9 +225,16 @@ def _sliced_index_bytes(a: int, d: int) -> int:
     return (1 + d) * a**d * np.dtype(np.intp).itemsize
 
 
-def _stream_sizes(n: int, nwords: int) -> dict[str, tuple[int, type]]:
-    """Workspace of :func:`_stream_block` for blocks of up to n tensors."""
-    return {"words": (n * nwords, np.uint64), "mix": (n * nwords, np.uint64)}
+def _stream_sizes(
+    n: int, nwords: int, words: str | None = None, mix: str | None = None
+) -> dict[str, tuple]:
+    """Workspace of :func:`_stream_block` for blocks of up to n tensors.
+
+    ``words`` and ``mix``, when given, name the buffers of the kernel's plan
+    that host them (see :class:`_Workspace`).
+    """
+    size = (n * nwords, np.uint64)
+    return {"words": size + ((words,) if words else ()), "mix": size + ((mix,) if mix else ())}
 
 
 def _rank_sizes(d: int, n: int, dtype: type) -> dict[str, tuple[int, type]]:
@@ -243,12 +261,17 @@ def _field_sizes(a: int, d: int, n: int, field: FieldDescriptor) -> dict[str, tu
 
 
 def _table_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
-    """Workspace of :func:`_packed_population_ranks` for blocks of up to n tensors."""
-    rows = (n * a * d, _row_dtype(a, d))
+    """Workspace of :func:`_packed_population_ranks` for blocks of up to n tensors.
+
+    ``buf`` also holds the N stream words of the mixing scratch, which is
+    free before the gathers write it.
+    """
+    dtype = _row_dtype(a, d)
+    mix = 8 * n * _semidiagonal_words(a, d, GF2)
     return {
         "index": (n, np.intp),
-        "rows": rows,
-        "buf": rows,
+        "rows": (n * a * d, dtype),
+        "buf": (max(n * a * d, mix // np.dtype(dtype).itemsize), dtype),
         "flag": (d * n, np.bool_),
         **_rank_sizes(d, n, np.uint8),
     }
@@ -276,7 +299,8 @@ def _sliced_sizes(a: int, d: int, n: int, nwords: int) -> dict[str, tuple[int, t
     gathered = (d * a * cols * groups, np.uint64)
     return {
         "planes": ((2 + 64 * nwords) * groups, np.uint64),
-        "swap": (32 * nwords * groups, np.uint64),
+        # the transpose's scratch: it runs before the elimination writes scratch
+        "swap": (32 * nwords * groups, np.uint64, "scratch"),
         "rows": gathered,
         "scratch": gathered,
         "seen": (d * cols * groups, np.uint64),
@@ -491,6 +515,53 @@ def _mixed_count(a: int, d: int) -> int:
     return a**d - a - math.perm(a, d)
 
 
+class _Arena(threading.local):
+    """The sweep workspace of one thread: one anonymous mapping, kept between
+    sweeps, and the workspaces carved from it, one per plan."""
+
+    def __init__(self):
+        self.map: mmap.mmap | None = None
+        self.carved: dict[tuple, _Workspace] = {}
+
+
+_arena = _Arena()
+
+
+def _arena_workspace(sizes: dict[str, tuple]) -> _Workspace:
+    """A workspace of ``sizes`` carved from the calling thread's arena.
+
+    The arena is mapped outside glibc's heap, so its pages stay faulted in
+    from one sweep to the next and glibc's mmap threshold never sees it.  A
+    plan larger than the arena, already admitted by :func:`_check_workspace`,
+    replaces it; the old mapping is dropped before the new one is mapped.  A
+    plan's workspace is carved once and kept with the arena, up to
+    :data:`ARENA_PLANS` of them: carving a dozen buffers takes about twice
+    as long as allocating them.
+    """
+    key = tuple(sizes.items())
+    ws = _arena.carved.get(key)
+    if ws is None:
+        nbytes = _Workspace.nbytes(sizes)
+        if _arena_bytes() < nbytes:
+            _drop_arena()
+            _arena.map = mmap.mmap(-1, nbytes)
+        if len(_arena.carved) == ARENA_PLANS:
+            _arena.carved.clear()
+        ws = _arena.carved[key] = _Workspace(sizes, _arena.map)
+    return ws
+
+
+def _arena_bytes() -> int:
+    """Bytes the calling thread's sweep arena maps: 0 before its first sweep."""
+    return 0 if _arena.map is None else len(_arena.map)
+
+
+def _drop_arena() -> None:
+    """Drop the calling thread's arena: it is unmapped once no sweep holds a view of it."""
+    _arena.carved.clear()
+    _arena.map = None
+
+
 def _scan_blocks(
     total: int,
     block: int,
@@ -502,11 +573,13 @@ def _scan_blocks(
 
     Blocks are ``block`` consecutive tensors; ``ranks(start, stop, ws)`` gives
     the (mfrank, sum_franks) of one, written into the one :class:`_Workspace`
-    of ``sizes``.  Returns (min mfrank, its first index), (min sum_franks, its
-    first index), the count of tensors with mfrank < ``lower`` and the first
-    of them (or None); none of it depends on ``block``.
+    of ``sizes``, carved from the thread's arena (:func:`_arena_workspace`);
+    ``ranks`` must not start another sweep on the thread.  Returns (min
+    mfrank, its first index), (min sum_franks, its first index), the count of
+    tensors with mfrank < ``lower`` and the first of them (or None); none of
+    it depends on ``block``.
     """
-    ws = _Workspace(sizes)
+    ws = _arena_workspace(sizes)
     best_mf = best_sum = (math.inf, 0)
     violations, first = 0, None
     for start in range(0, total, block):
@@ -518,6 +591,8 @@ def _scan_blocks(
             bad = np.flatnonzero(mfrank < lower)
             violations += bad.size
             first = start + int(bad[0]) if first is None else first
+    if _arena_bytes() > ARENA_KEEP_BYTES:
+        _drop_arena()
     return best_mf, best_sum, violations, first
 
 
@@ -711,7 +786,7 @@ def random_semidiagonal_sweep(
         # _draw_index's arrays, stream_words_np's steps and the elimination's temporaries
         extra = 8 * (a**d + 3 * nwords) + _unplanned_bytes(d * n, a)
         if field.kind == "binary" and field.k <= 16:  # the log tables and their build, cached or not
-            extra += _workspace_bytes(_log_table_sizes(field))
+            extra += _Workspace.nbytes(_log_table_sizes(field))
         if d > 2:  # the pivot table, which only a clearing step builds
             extra += _pivot_table_bytes(field)
         kernel = lambda words, ws: _block_ranks(
@@ -719,14 +794,15 @@ def random_semidiagonal_sweep(
         )
     elif not sliced:
         n = min(count, BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize))
-        sizes = _table_sizes(a, d, n)
+        sizes = _table_sizes(a, d, n) | _stream_sizes(n, nwords, mix="buf")
         tables = _row_tables(a, d)
         kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
     else:  # whole words of 64 lanes, d * a^d / 8 bytes of gathered rows per tensor
         n = min(count, max(64, 8 * BLOCK_BYTES // (d * a**d) // 64 * 64))
-        sizes, extra = _sliced_sizes(a, d, n, nwords), _sliced_index_bytes(a, d)
+        # the words are read into the planes before rows and scratch are written
+        sizes = _sliced_sizes(a, d, n, nwords) | _stream_sizes(n, nwords, "rows", "scratch")
+        extra = _sliced_index_bytes(a, d)
         kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
-    sizes |= _stream_sizes(n, nwords)
     _check_workspace(sizes, extra, f"{a}^{d} sweep block of n={n} tensors")
     if field.order != 2:
         _draw_index(a, d)  # built before the workspaces, not on top of them
@@ -766,19 +842,25 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
     bound = cross_oddtown_bound(n, d)
     best: list[tuple[int, ...]] = []
     members: list[tuple[int, ...]] = []
+    width = -(-n // 64)  # limbs of every mask, all below 2^n
+    limbs = np.empty((0, d, width), np.uint64)  # the members', split once each
+
+    def grow(tup: tuple[int, ...]) -> None:
+        nonlocal limbs
+        if try_extend_cross_oddtown(members, tup, d, limbs):
+            members.append(tup)
+            limbs = np.concatenate([limbs, _slot_limbs([tup], d, width)])
+
     attempts = 0
     if budget > 0:
         for tup in repeated_singleton_family(n, d).members:
             attempts += 1
-            if try_extend_cross_oddtown(members, tup, d):
-                members.append(tup)
+            grow(tup)
             if attempts >= budget:
                 break
         while attempts < budget:
             attempts += 1
-            tup = tuple(rng.next_below(1 << n) for _ in range(d))
-            if try_extend_cross_oddtown(members, tup, d):
-                members.append(tup)
+            grow(tuple(rng.next_below(1 << n) for _ in range(d)))
         best = members
     fam = TupleFamily(n=n, d=d, members=tuple(best))
     if best and not is_cross_oddtown(fam):

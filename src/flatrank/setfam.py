@@ -96,9 +96,12 @@ def intersection_size(masks: Sequence[int]) -> int:
     return acc.bit_count()
 
 
-def _mask_limbs(masks: Sequence[int]) -> np.ndarray:
-    """(m, w) uint64: each mask split into w 64-bit limbs, least significant first."""
-    w = max(1, -(-max((x.bit_length() for x in masks), default=0) // 64))
+def _mask_limbs(masks: Sequence[int], width: int | None = None) -> np.ndarray:
+    """(m, w) uint64: each mask split into w 64-bit limbs, least significant first.
+
+    w is ``width``, or the fewest limbs that hold every mask.
+    """
+    w = width or max(1, -(-max((x.bit_length() for x in masks), default=0) // 64))
     data = b"".join(x.to_bytes(8 * w, "little") for x in masks)
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), w)
 
@@ -134,9 +137,9 @@ def _intersection_sizes(axis_limbs: Sequence[np.ndarray | None]) -> np.ndarray:
     return sizes
 
 
-def _slot_limbs(members: Sequence[Sequence[int]], d: int) -> np.ndarray:
-    """(m, d, w) uint64 limbs of the d slot masks of each of m members."""
-    limbs = _mask_limbs([x for tup in members for x in tup])
+def _slot_limbs(members: Sequence[Sequence[int]], d: int, width: int | None = None) -> np.ndarray:
+    """(m, d, w) uint64 limbs of the d slot masks of each of m members (see :func:`_mask_limbs`)."""
+    limbs = _mask_limbs([x for tup in members for x in tup], width)
     return limbs.reshape(len(members), d, limbs.shape[1])
 
 
@@ -229,34 +232,45 @@ def repeated_singleton_family(n: int, d: int) -> TupleFamily:
     return TupleFamily(n=n, d=d, members=tuple(members))
 
 
-def _cross_even_with(members: list[tuple[int, ...]], new: tuple[int, ...], d: int) -> bool:
+def _cross_even_with(
+    members: list[tuple[int, ...]], new: tuple[int, ...], d: int, limbs: np.ndarray | None = None
+) -> bool:
     """Can ``new`` join ``members`` keeping all distinct-position d-tuples even?
 
     For each slot of ``new``, one broadcast intersects it with every
     arrangement of d-1 members over the other slots; only arrangements of
     pairwise-distinct members count.  The c^(d-1) grid is checked against the
-    dense cap before anything is allocated.
+    dense cap before anything is allocated.  ``limbs`` are the members'
+    :func:`_slot_limbs`, when the caller keeps them; ``new`` is split to
+    their width.
     """
     c = len(members)
     if c + 1 < d:
         return True
     _grid_shape(c, d - 1)  # raises over the dense cap, before any allocation
-    limbs = _slot_limbs((*members, new), d)
+    if limbs is None:
+        limbs = _slot_limbs((*members, new), d)
+        limbs, fresh = limbs[:c], limbs[c:]
+    else:
+        fresh = _slot_limbs([new], d, limbs.shape[2])
     for slot in range(d):
-        others = [limbs[:c, j] for j in range(d) if j != slot]
-        odd = _intersection_sizes([limbs[c:, slot], *others])[0] & 1
+        others = [limbs[:, j] for j in range(d) if j != slot]
+        odd = _intersection_sizes([fresh[:, slot], *others])[0] & 1
         if semi_diagonal_faults(odd)[1] is not None:
             return False
     return True
 
 
 def try_extend_cross_oddtown(
-    members: list[tuple[int, ...]], new: tuple[int, ...], d: int
+    members: list[tuple[int, ...]], new: tuple[int, ...], d: int, limbs: np.ndarray | None = None
 ) -> bool:
-    """Incremental validity test used by greedy growth; members stay valid."""
+    """Incremental validity test used by greedy growth; members stay valid.
+
+    ``limbs`` are as for :func:`_cross_even_with`.
+    """
     if intersection_size(new) % 2 == 0:
         return False
-    return _cross_even_with(members, new, d)
+    return _cross_even_with(members, new, d, limbs)
 
 
 def verify_oddtown_chain(fam: TupleFamily) -> dict:

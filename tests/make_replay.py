@@ -8,8 +8,11 @@ It first writes the rank fixtures under ``tests/fixtures/replay/`` (seeded, so
 they come out the same every time), then runs every call of :func:`calls` in
 process and records its argv, its exit code and the sha256 of the bytes it
 wrote to stdout.  A call must exit 0 (verified) or 1 (a hypothesis or bound
-failed, with its report on stdout); any other code stops the script.
-``tests/test_replay.py`` replays each call against those codes and hashes.
+failed, with its report on stdout); any other code stops the script.  A sweep
+report holds only minima, which most shapes reach on any draw, so each
+``random-semidiagonal`` call also records the sha256 of the stream words it
+consumes (:func:`stream_digest`).  ``tests/test_replay.py`` replays each call
+against those codes and hashes.
 Regenerate only for a change that is meant to change a report, and name the
 call and the reason in CHANGES.md.
 """
@@ -129,6 +132,22 @@ def calls() -> list[list[str]]:
     return argv
 
 
+def stream_digest(argv: list[str]) -> str:
+    """sha256 of the stream words a ``random-semidiagonal`` call draws its tensors from.
+
+    They are the first words of the streams of tensors 0 .. count-1, read in
+    bulk as the sweep reads them, little-endian, one tensor after another.
+    """
+    from flatrank.cli import _parse_field
+    from flatrank.search import _semidiagonal_words, _stream_block
+
+    opts = dict(zip(argv[2::2], argv[3::2]))
+    a, d, count, seed = (int(opts[f"--{key}"]) for key in ("a", "d", "count", "seed"))
+    nwords = _semidiagonal_words(a, d, _parse_field(opts["--field"]))
+    words = _stream_block(seed, 0, count, nwords)
+    return hashlib.sha256(words.astype("<u8", copy=False).tobytes()).hexdigest()
+
+
 def replay(argv: list[str]) -> tuple[int, str]:
     """Exit code of ``flatrank`` on ``argv``, run in process from the repo root, and
     the sha256 of what it wrote to stdout; refuses a code other than 0 or 1."""
@@ -152,6 +171,8 @@ def main() -> None:
     for argv in calls():
         code, digest = replay(argv)
         manifest.append({"argv": argv, "exit": code, "sha256": digest})
+        if argv[1] == "random-semidiagonal":
+            manifest[-1]["stream_sha256"] = stream_digest(argv)
     REPLAY.write_text("[\n" + ",\n".join(json.dumps(call) for call in manifest) + "\n]\n")
     print(f"wrote {len(manifest)} calls to {REPLAY.relative_to(ROOT)}", file=sys.stderr)
 

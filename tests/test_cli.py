@@ -26,6 +26,8 @@ from flatrank.formats import (
 )
 from flatrank.tensor import Tensor, axis_constant_construction, partition_construction
 
+from arena_peak import arena_peak
+
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -253,16 +255,18 @@ def test_construct_writes_canonical_json(capsys, spec, kind):
     assert out == canonical_json(tensor_to_document(t, metadata=meta))
 
 
+
+
+def traced_sweep_peak(argv):
+    """(exit code, peak of traced memory and the sweep arena) of one CLI call, from an empty arena."""
+    return arena_peak(run, argv)
+
+
 def test_sweep_dense_cap_before_allocation(capsys):
     # a = 4097, d = 2: one tensor would hold 4097^2 = 16.79 M entries
-    tracemalloc.start()
-    try:
-        code = run(
-            ["experiment", "random-semidiagonal", "--a", 4097, "--d", 2, "--count", 1, "--seed", 1]
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_sweep_peak(
+        ["experiment", "random-semidiagonal", "--a", 4097, "--d", 2, "--count", 1, "--seed", 1]
+    )
     assert code == 2
     assert "16777216 dense cap" in capsys.readouterr().err
     assert peak < 3 << 20
@@ -276,12 +280,7 @@ def test_sweep_dense_cap_before_allocation(capsys):
 def test_sweep_workspace_cap_before_allocation(capsys, kind, extra):
     # a = 1000, d = 2: a bit-sliced block of even one tensor would gather 2 * 1000^2
     # words of rows, and as many of scratch: 32 MB
-    tracemalloc.start()
-    try:
-        code = run(["experiment", kind, "--a", 1000, "--d", 2, *extra])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_sweep_peak(["experiment", kind, "--a", 1000, "--d", 2, *extra])
     assert code == 2
     err = capsys.readouterr().err
     assert "1000^2" in err and "over the 16777216-byte block cap" in err
@@ -307,12 +306,7 @@ def test_sweep_cap_counts_the_cached_indices(capsys, kind, extra):
         for a in (545, 546):
             _plane_index.cache_clear()
             index_class_arrays.cache_clear()
-            tracemalloc.start()
-            try:
-                code = run(["experiment", kind, "--a", a, "--d", 2, *extra])
-                peaks[a] = code, tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            peaks[a] = traced_sweep_peak(["experiment", kind, "--a", a, "--d", 2, *extra])
     finally:
         _plane_index.cache_clear()
         index_class_arrays.cache_clear()
@@ -325,23 +319,68 @@ def test_larger_field_sweep_cap_counts_its_block(capsys):
     # GF(3) on 2^18, one tensor: 2 MB of stream words and as much mixing scratch, 2 MB
     # of index arrays, 2 MB of residues, 5 MB of entries and flattenings and 7 MB of
     # rank copy and scratch; its traced peak was 19.8 MB when only the words counted
-    tracemalloc.start()
-    try:
-        code = run(
-            ["experiment", "random-semidiagonal", "--a", 2, "--d", 18, "--count", 1,
-             "--seed", 1, "--field", "prime:3"]
-        )
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    code, peak = traced_sweep_peak(
+        ["experiment", "random-semidiagonal", "--a", 2, "--d", 18, "--count", 1,
+         "--seed", 1, "--field", "prime:3"]
+    )
     assert code == 2
     err = capsys.readouterr().err
     assert "2^18" in err and "over the 16777216-byte block cap" in err
     assert peak < 3 << 20
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--a", 1000, "--d", 2],  # the workspace cap
+        ["--a", 4097, "--d", 2],  # the dense cap
+        ["--a", 2, "--d", 18, "--field", "prime:3"],  # one tensor's block passes the cap
+        ["--a", 2, "--d", 14, "--count", 59, "--field", "binary:20"],  # the shift-round cap
+    ],
+    ids=str,
+)
+def test_refused_sweep_leaves_the_arena(capsys, argv):
+    from flatrank import search
+
+    assert run(["experiment", "random-semidiagonal", "--a", 4, "--d", 3, "--count", 100, "--seed", 1]) == 0
+    arena = search._arena.map
+    size = search._arena_bytes()
+    assert run(["experiment", "random-semidiagonal", "--count", 1, "--seed", 1, *argv]) == 2
+    assert search._arena.map is arena and search._arena_bytes() == size > 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["random-semidiagonal", "--a", 4, "--d", 3, "--count", 40000, "--seed", 1],  # byte tables
+        ["random-semidiagonal", "--a", 4, "--d", 4, "--count", 15000, "--seed", 1],  # bit-sliced
+        ["exhaustive", "--a", 3, "--d", 3],
+    ],
+    ids=str,
+)
+def test_gf2_sweep_peaks_at_its_admitted_plan(monkeypatch, capsys, argv):
+    # the cap admits a sweep by its plan and the extra bytes it names; all else
+    # a GF(2) sweep at the default block size allocates, its report included,
+    # stays under 256 KB: the largest, about 200 KB at (4,4), is numpy's for
+    # the bit-sliced elimination's broadcast AND.  A plan buffer of the
+    # default blocks takes 512 KB.  A first, untraced call builds the tables
+    from flatrank import search
+
+    admitted = []
+    check = search._check_workspace
+
+    def counting(sizes, extra, what):
+        admitted.append(search._Workspace.nbytes(sizes) + extra)
+        return check(sizes, extra, what)
+
+    monkeypatch.setattr(search, "_check_workspace", counting)
+    assert run(["experiment", *argv]) == 0
+    code, peak = traced_sweep_peak(["experiment", *argv])
+    assert code == 0 and peak <= admitted[-1] + (256 << 10), (peak, admitted[-1])
+
+
 def _traced_sweep(monkeypatch, spec, a, d, count):
-    """(exit code, tracemalloc peak) of one sweep, its shape's index arrays built in it.
+    """(exit code, :func:`traced_sweep_peak`) of one sweep, its shape's index arrays built in it.
 
     A small sweep over the same field runs first, untraced, so that the
     modules numpy imports on first use are not counted.
@@ -349,19 +388,14 @@ def _traced_sweep(monkeypatch, spec, a, d, count):
     from flatrank.search import _draw_index, _plane_index
     from flatrank.tensor import index_class_arrays
 
-    sweep = lambda a, d, count: run(
-        ["experiment", "random-semidiagonal", "--a", a, "--d", d, "--count", count,
-         "--seed", 1, "--field", spec]
-    )
-    assert sweep(3, 3, 2) == 0
+    argv = lambda a, d, count: ["experiment", "random-semidiagonal", "--a", a, "--d", d,
+                                "--count", count, "--seed", 1, "--field", spec]
+    assert run(argv(3, 3, 2)) == 0
     for cache in (_draw_index, _plane_index, index_class_arrays):
         cache.cache_clear()
-    tracemalloc.start()
     try:
-        code = sweep(a, d, count)
-        return code, tracemalloc.get_traced_memory()[1]
+        return traced_sweep_peak(argv(a, d, count))
     finally:
-        tracemalloc.stop()
         for cache in (_draw_index, _plane_index, index_class_arrays):
             cache.cache_clear()
 
@@ -487,17 +521,17 @@ def test_gf2_16_cap_edge_counts_the_log_tables_in_a_fresh_process():
     # the process's first use of GF(2^16) builds its log tables, 1.05 MB kept and
     # 2.6 MB planned with their build; uncounted, they took the admitted a = 1070
     # sweep to 24.5 MB traced.  No earlier call builds the tables, the parser
-    # or numpy's lazily imported modules
+    # or numpy's lazily imported modules; the sweep arena is counted as in
+    # traced_sweep_peak
     from flatrank.search import MAX_WORKSPACE_BYTES
 
     code = (
-        "import sys, tracemalloc\n"
+        "import sys\n"
+        "from arena_peak import arena_peak\n"
         "from flatrank.cli import main\n"
-        "tracemalloc.start()\n"
-        "code = main(sys.argv[1:])\n"
-        "print(code, tracemalloc.get_traced_memory()[1], file=sys.stderr)\n"
+        "print(*arena_peak(main, sys.argv[1:]), file=sys.stderr)\n"
     )
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    path = os.pathsep.join(filter(None, [str(SRC), str(SRC.parent / "tests"), os.environ.get("PYTHONPATH")]))
     results = {}
     for a in (979, 980):
         argv = ["experiment", "random-semidiagonal", "--a", a, "--d", 2, "--count", 1,
@@ -543,7 +577,7 @@ def test_larger_field_blocks_shrink_to_the_cap(monkeypatch, spec, a, d):
     assert sizes == search._field_sizes(a, d, n, field)
     assert n == max(1, search.BLOCK_BYTES // largest(1))
     assert largest(n) <= search.BLOCK_BYTES or n == 1
-    assert search._workspace_bytes(sizes) <= search.MAX_WORKSPACE_BYTES
+    assert search._Workspace.nbytes(sizes) <= search.MAX_WORKSPACE_BYTES
 
 
 @pytest.mark.parametrize("command", [["experiment", "exhaustive"], ["construct", "partition"]], ids=" ".join)

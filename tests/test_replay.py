@@ -4,7 +4,8 @@ The manifest holds seeded sweeps over each sweep kernel, the exhaustive
 sweeps, a seeded bad-box sample and cross-Oddtown search, both constructions
 dense and sparse, every verify chain on passing and failing fixtures, ``verify
 fw``/``badbox`` with their options, and ranks in each field family;
-``tests/make_replay.py`` regenerates it.
+``tests/make_replay.py`` regenerates it.  Each random sweep also draws the
+same stream words.
 """
 
 import json
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from make_replay import REPLAY, ROOT, replay
+from make_replay import REPLAY, ROOT, replay, stream_digest
 
 MANIFEST = json.loads(REPLAY.read_text())
 
@@ -21,6 +22,15 @@ MANIFEST = json.loads(REPLAY.read_text())
 def test_replay_is_byte_identical(monkeypatch, call):
     monkeypatch.chdir(ROOT)
     assert replay(call["argv"]) == (call["exit"], call["sha256"])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [call for call in MANIFEST if call["argv"][1] == "random-semidiagonal"],
+    ids=lambda call: " ".join(call["argv"]),
+)
+def test_replay_sweep_draws_the_same_stream(call):
+    assert stream_digest(call["argv"]) == call["stream_sha256"]
 
 
 def test_replay_covers_every_rank_fixture():

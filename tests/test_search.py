@@ -1,6 +1,7 @@
 """RNG contract, exhaustive populations, and sweep cross-validation."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -445,17 +446,17 @@ def test_scan_blocks_merges_like_one_pass(block):
     assert seen == [(s, min(s + block, 30)) for s in range(0, 30, block)]
 
 
-def test_sweep_builds_one_workspace_per_sweep(monkeypatch):
+def test_sweep_maps_one_arena_per_thread(monkeypatch):
+    # a thread's first sweep maps its arena once, however many blocks it runs;
+    # the same sweep again maps nothing, and another thread maps its own
+    import mmap
+    import threading
+
     import flatrank.search as search
 
-    built = []
-
-    class Counting(search._Workspace):
-        def __init__(self, sizes):
-            built.append(sizes)
-            super().__init__(sizes)
-
-    monkeypatch.setattr(search, "_Workspace", Counting)
+    mapped = []
+    real = mmap.mmap
+    monkeypatch.setattr(mmap, "mmap", lambda *args: mapped.append(args) or real(*args))
     gf3 = make_prime_field(3)
     for field, a, d, n, sweep in (
         (GF2, 5, 3, 16, lambda: random_semidiagonal_sweep(5, 3, 200, seed=5)),
@@ -463,11 +464,143 @@ def test_sweep_builds_one_workspace_per_sweep(monkeypatch):
         (gf3, 3, 3, 4, lambda: random_semidiagonal_sweep(3, 3, 60, 5, field=gf3)),
         (GF2, 2, 4, 256, lambda: exhaustive_min_mfrank(2, 4)),  # 64 chunks
     ):
-        built.clear()
+        mapped.clear()
+        search._drop_arena()
         with monkeypatch.context() as mp:
             _budget_blocks(mp, field, a, d, n)
             sweep()
-        assert len(built) == 1
+            assert len(mapped) == 1
+            arena = search._arena.map
+            sweep()
+            assert len(mapped) == 1 and search._arena.map is arena
+            thread = threading.Thread(target=sweep)
+            thread.start()
+            thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert len(mapped) == 2 and search._arena.map is arena
+
+
+# one sweep of each kernel, over three blocks: byte tables, exhaustive chunks,
+# bit-sliced words with a short last word, and the GF(3) elimination
+ARENA_SWEEPS = {
+    "table": lambda: random_semidiagonal_sweep(5, 3, 20000, seed=5),
+    "exhaustive": lambda: exhaustive_min_mfrank(3, 3),
+    "sliced": lambda: random_semidiagonal_sweep(6, 3, 15000, seed=5),
+    "gf3": lambda: random_semidiagonal_sweep(3, 3, 7000, 5, field=make_prime_field(3)),
+}
+
+
+def _sweep_blocks(sweep, poison: bool) -> list:
+    """[report, sha256 of each block's mfrank and sum_franks] of ``sweep()``.
+
+    With ``poison``, the thread's sweep arena is all 0xFF before each block.
+    """
+    import hashlib
+
+    import flatrank.search as search
+
+    scan, blocks = search._scan_blocks, []
+
+    def recording(total, block, sizes, ranks, lower):
+        def recorded(start, stop, ws):
+            if poison:
+                np.frombuffer(search._arena.map, np.uint8).fill(0xFF)
+            mfrank, sumrank = ranks(start, stop, ws)
+            blocks.append(hashlib.sha256(mfrank.tobytes() + sumrank.tobytes()).hexdigest())
+            return mfrank, sumrank
+
+        return scan(total, block, sizes, recorded, lower)
+
+    search._scan_blocks = recording
+    try:
+        return [canonical_json(sweep().to_document()), blocks]
+    finally:
+        search._scan_blocks = scan
+
+
+def test_sweeps_read_only_what_they_wrote():
+    # a kept arena holds what the last sweep left, where a fresh process maps
+    # zero pages: over an arena of 0xFF bytes, each sweep must match a fresh
+    # process, block by block
+    import json
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    tests = Path(__file__).resolve().parent
+    code = (
+        "import json, sys\n"
+        "import flatrank.search as search\n"
+        "import test_search\n"
+        "fresh = {}\n"
+        "for name, sweep in test_search.ARENA_SWEEPS.items():\n"
+        "    search._drop_arena()\n"
+        "    fresh[name] = test_search._sweep_blocks(sweep, poison=False)\n"
+        "print(json.dumps(fresh))\n"
+    )
+    path = os.pathsep.join(map(str, [tests, tests.parent / "src", os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    fresh = json.loads(proc.stdout)
+    for name, sweep in ARENA_SWEEPS.items():
+        assert _sweep_blocks(sweep, poison=True) == fresh[name], name
+        assert len(fresh[name][1]) >= 3, name
+
+
+def test_smaller_plan_after_a_larger_one():
+    # the smaller plan's buffers lie over what the larger one left, in the same mapping
+    import flatrank.search as search
+
+    small = lambda: random_semidiagonal_sweep(5, 3, 3000, seed=9)
+    search._drop_arena()
+    want = canonical_json(small().to_document())
+    random_semidiagonal_sweep(4, 3, 30000, seed=9)  # the largest GF(2) plan
+    arena = search._arena.map
+    assert canonical_json(small().to_document()) == want
+    assert search._arena.map is arena
+
+
+def test_concurrent_sweeps_keep_their_own_arenas():
+    # more threads than the two cores, each over another plan and all started
+    # at once, switching often: every report matches its serial run
+    import sys
+    import threading
+
+    import flatrank.search as search
+
+    gf3 = make_prime_field(3)
+    sweeps = [
+        lambda: random_semidiagonal_sweep(4, 3, 30000, seed=3),
+        lambda: random_semidiagonal_sweep(6, 3, 7000, seed=3),
+        lambda: random_semidiagonal_sweep(3, 3, 4000, 3, field=gf3),
+        lambda: exhaustive_min_mfrank(3, 3),
+    ]
+    want = [canonical_json(sweep().to_document()) for sweep in sweeps]
+    got, arenas = {}, {}
+    start = threading.Barrier(len(sweeps))
+
+    def work(i):
+        start.wait(timeout=60)
+        got[i] = [canonical_json(sweeps[i]().to_document()) for _ in range(3)]
+        arenas[i] = search._arena.map
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(sweeps))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == {i: [report] * 3 for i, report in enumerate(want)}
+    assert len({id(arena) for arena in [*arenas.values(), search._arena.map]}) == len(sweeps) + 1
+
 
 def test_sweep_gf3_example():
     f3 = make_prime_field(3)

@@ -15,6 +15,7 @@ from flatrank.rng import Rng
 from flatrank.setfam import (
     SetFamily,
     _cross_even_with,
+    _slot_limbs,
     TupleFamily,
     cross_oddtown_bound,
     intersection_size,
@@ -355,6 +356,12 @@ def test_greedy_step_matches_arrangement_loop():
     for members, new, d in cases:
         want = _cross_even_with_loop(list(members), new, d)
         assert _cross_even_with(list(members), new, d) == want, (members, new, d)
+        # the members' limbs as the greedy search keeps them, at the width of
+        # the widest mask and one limb wider
+        fits = _slot_limbs((*members, new), d).shape[2]
+        for width in (fits, fits + 1):
+            limbs = _slot_limbs(members, d, width)
+            assert _cross_even_with(list(members), new, d, limbs) == want, (members, new, d)
         answers.append(want)
     assert answers.count(True) > 50 and answers.count(False) > 50
 
