@@ -132,6 +132,14 @@ class _Workspace:
         """The first ``prod(shape)`` items of buffer ``name``, in that shape."""
         return self._buffers[name][: math.prod(shape)].reshape(shape)
 
+    def part(self, prefix: str) -> _Workspace:
+        """The buffers named ``prefix + name``, as a workspace whose names drop the prefix."""
+        part = _Workspace({})
+        part._buffers = {
+            name[len(prefix) :]: buf for name, buf in self._buffers.items() if name.startswith(prefix)
+        }
+        return part
+
 
 def rank_gf2_bitrows(rows: Sequence[int]) -> int:
     """Rank over GF(2) of rows given as bit-packed ints (bit c = column c)."""

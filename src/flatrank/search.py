@@ -1,12 +1,14 @@
 """Brute-force and randomized verification harnesses.
 
 GF(2) populations, in the exhaustive sweep and the random sweeps alike, are
-ranked by one of two kernels, chosen by the width of the flattening rows,
-a^(d-1) columns.  Blocks of both are sized by the bytes of their rows
+ranked exactly by one of two kernels, chosen by the width of the flattening
+rows, a^(d-1) columns.  Blocks of both are sized by the bytes of their rows
 (:data:`BLOCK_BYTES`), so rows and scratch stay in cache.
 
 * Rows of at most 32 columns (:data:`TABLE_MAX_COLUMNS`) are packed, one
-  machine word per row with one bit per column.  The rows of a tensor are
+  machine word per row with one bit per column, and a tensor's rows are
+  padded to 8, 16 or 32 bytes where that is at most 32 (:func:`_row_layout`).
+  The rows of a tensor are
   the XOR of one entry of each byte table, one table per byte of the mixed
   bits; each shape's tables are built once and kept.  A random block gathers
   one table entry per byte of each tensor; an exhaustive chunk, whose
@@ -32,13 +34,36 @@ is 14-21x faster than :func:`flatrank.linalg.matrix_rank` ((9,3): 1.24-1.28
 against 18-22 us).  Larger fields rank all d flattenings of a block with
 one call of the batched kernel behind :func:`flatrank.linalg.matrix_rank`.
 
+A random GF(2) sweep whose rows are wider than :data:`SAMPLE_COLUMNS` (16)
+columns, with a <= :data:`SAMPLE_MAX_A` (6), first ranks every tensor of a
+block on 16 columns of each flattening alone, those with the most mixed
+cells, through byte tables of the sampled rows (:func:`_certified_ranks`).
+A sampled rank is at most the flattening's rank, which is at most a, so a
+tensor whose sampled ranks sum to a*d is of full rank, exactly.  Only the
+others, the misses, go to the exact kernel above, compacted, and their ranks
+are written back before the block is read.  Random tensors are nearly all
+of full rank; the misses, on three 20,000-tensor stream blocks per shape:
+
+    (2,6) 0.025-0.03%   (3,4) 0.02-0.065%   (3,5) 0.045-0.05%
+    (4,4) 0.065-0.10%   (5,4) 0.15-0.17%    (5,3) 0.75-0.84%
+    (6,3) 2.5-2.75%     (7,3) 6.4%          (8,3) 11%
+
+With 16 - a >= 10 columns to spare a sample rarely falls short; from a = 7
+on it does often enough that a short sweep (field-rank's 40-tensor (8,3)
+sweeps) would pay an exact call in every block, so those keep the exact
+kernels, as do exhaustive sweeps.  Whole sweeps in process, CPU time on a
+2-vCPU Xeon, exact kernels alone against the certificate: (5,3) x 30,000
+2.46 -> 1.77 ms, (4,4) x 15,000 3.84 -> 2.14 ms, (6,3) x 20,000 3.95 ->
+2.81 ms.
+
 Both sweeps run one block loop, :func:`_scan_blocks`, which takes one
 workspace (:class:`flatrank.linalg._Workspace`) per call from its thread's
 arena, sized for its largest block by one ``*_sizes`` plan, and every block
 writes its stream words, entries, rows, stacked flattenings, scratch and rank
 counts into it in place; the kernels return views into it.  The stream
 buffers of a GF(2) block sit inside buffers its kernel writes only after it
-has read the words.  The arena is one anonymous mapping per thread, outside
+has read the words; a certified block keeps its words and puts its misses
+where the sampled kernel's scratch was, beside one exact chunk's plan.  The arena is one anonymous mapping per thread, outside
 glibc's heap, kept from one sweep to the next and replaced only by a larger
 admitted plan; one over :data:`ARENA_KEEP_BYTES` is unmapped when its sweep
 ends or raises.  Allocating per block, or per sweep, costs more than the arithmetic:
@@ -113,15 +138,21 @@ BLOCK_BYTES = 1 << 19
 # Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
 # wider rows go bit-sliced (see the module docstring for the measurements).
 TABLE_MAX_COLUMNS = 32
+# Columns of each flattening on which a random GF(2) sweep first ranks its
+# tensors, when its rows are wider, and the largest axis size a it does so
+# for: with 16 - a >= 10 columns to spare a random tensor's sample rarely
+# falls short of full rank (see the module docstring for the miss rates).
+SAMPLE_COLUMNS = 16
+SAMPLE_MAX_A = 6
 # Bytes of one block's workspace, with the index arrays its shape keeps and,
 # over a larger field, its log tables and what its elimination allocates
 # outside the workspace; more is refused before any of it is allocated.
-# Default GF(2) blocks take under 2 MB; a d = 2 bit-sliced sweep needs 56 a^2
+# Default GF(2) blocks take under 2.6 MB; a d = 2 bit-sliced sweep needs 56 a^2
 # bytes even for one tensor, so it stops at a = 545, and a GF(3) sweep on
 # 2^18 needs more than 16 MiB for one tensor.
 MAX_WORKSPACE_BYTES = 16 << 20
 # Largest sweep arena a thread keeps mapped once its sweep ends.  Every GF(2)
-# plan at the default block size fits (the largest, (4,3), takes 1.6 MB); a
+# plan at the default block size fits (the largest, (6,3)'s, takes 2.6 MB); a
 # larger arena is unmapped with its sweep, so that what runs after the sweep
 # (an exhaustive sweep's witnesses, the report) is never held on top of it.
 ARENA_KEEP_BYTES = 4 << 20
@@ -156,48 +187,77 @@ class SearchReport:
         return doc
 
 
-def _row_dtype(a: int, d: int) -> type:
-    """Narrowest unsigned dtype of a packed flattening row of ``a ** (d-1) <= 32`` columns."""
-    return next(t for t in (np.uint8, np.uint16, np.uint32) if np.iinfo(t).bits >= a ** (d - 1))
+def _row_layout(a: int, d: int, sampled: bool = False) -> tuple[type, int]:
+    """(dtype, width) of the packed flattening rows of :func:`_row_tables`.
+
+    The dtype is the narrowest unsigned one that holds a row: its a^(d-1) <=
+    32 columns, or the :data:`SAMPLE_COLUMNS` sampled ones.  A tensor's a*d
+    rows are padded to ``width`` entries, up to the next power of two of bytes
+    when that is at most 32: ``np.take`` copies rows of 1, 2, 4, 8, 16 or 32
+    bytes with typed loads and any other size with one ``memmove`` each (a
+    21,845-row gather took 91 us at 24 bytes and 37 us at 32).  Every kernel
+    reads only the first a*d entries.
+    """
+    cols = SAMPLE_COLUMNS if sampled else a ** (d - 1)
+    dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if np.iinfo(t).bits >= cols)
+    size = np.dtype(dtype).itemsize
+    nbytes = a * d * size
+    return dtype, (1 << (nbytes - 1).bit_length()) // size if nbytes <= 32 else a * d
 
 
 @lru_cache(maxsize=None)
-def _row_tables(a: int, d: int) -> tuple[np.ndarray, ...]:
+def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, np.ndarray]:
     """Byte tables of the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
 
-    Needs ``a ** (d-1) <= 32``.  Row ``r * d + axis`` holds row r of the
-    flattening along ``axis``, one bit per column.  ``tables[k][v]`` XORs in
-    the mixed entries 8k .. 8k+7 whose bits are set in the byte v, and
-    ``tables[0]`` also holds the rows of the unit diagonal, so the rows of a
-    tensor are the XOR of one entry per table.  There is always at least one
-    table.  Built once per shape and kept, read-only: the largest sets, at
-    (3,4) and (5,3), take 123 KB.
+    Needs ``a ** (d-1) <= 32``, or ``sampled``: then each flattening keeps
+    only its :data:`SAMPLE_COLUMNS` columns with the most mixed cells (ties
+    to the lower column), in column order.  Row ``r * d + axis`` holds row r
+    of the flattening along ``axis``, one bit per (kept) column, in the
+    layout of :func:`_row_layout`.  ``tables[k][v]`` XORs in the mixed
+    entries 8k .. 8k+7 whose bits are set in the stream byte v; there is a
+    table for each byte that feeds a kept cell (at least one), and the first
+    also holds the rows of the unit diagonal, so the rows of a tensor are the
+    XOR of one entry per table.  Built once per shape and kept, read-only:
+    the largest full sets, at (3,4) and (5,3), take 123 KB, and the sampled
+    ones 180 KB at (4,4), 110 KB at (6,3) and 64 KB at (5,3).
     """
     diag, _, mixed = index_class_arrays(a, d)
-    dtype = _row_dtype(a, d)
+    dtype, width = _row_layout(a, d, sampled)
+    cols = a ** (d - 1)
+    bit = np.tile(np.arange(cols), (d, 1))  # [axis, column]: its bit in the rows, -1 if not kept
+    if sampled:
+        kind = np.zeros(a**d, np.int64)
+        kind[mixed] = 1
+        bit.fill(-1)
+        for ax in range(d):
+            count = np.moveaxis(kind.reshape((a,) * d), ax, 0).reshape(a, cols).sum(axis=0)
+            keep = np.sort(np.argsort(-count, kind="stable")[:SAMPLE_COLUMNS])
+            bit[ax, keep] = np.arange(keep.size)
 
     def entry_rows(flat: np.ndarray) -> np.ndarray:
-        """(len(flat), a*d): the rows with only entry ``flat[i]`` set, for each i."""
+        """(len(flat), width): the rows with only entry ``flat[i]`` set, for each i."""
         idx = np.unravel_index(flat, (a,) * d)
-        out = np.zeros((flat.size, a * d), dtype=dtype)
+        out = np.zeros((flat.size, width), dtype=dtype)
         for ax in range(d):
-            col = np.ravel_multi_index(idx[:ax] + idx[ax + 1 :], (a,) * (d - 1)).astype(np.uint64)
-            out[np.arange(flat.size), idx[ax] * d + ax] = np.uint64(1) << col
+            col = bit[ax, np.ravel_multi_index(idx[:ax] + idx[ax + 1 :], (a,) * (d - 1))]
+            kept = np.flatnonzero(col >= 0)
+            out[kept, idx[ax][kept] * d + ax] = np.uint64(1) << col[kept].astype(np.uint64)
         return out
 
     nbytes = max(1, -(-mixed.size // 8))
-    bits = np.zeros((8 * nbytes, a * d), dtype=dtype)
+    bits = np.zeros((8 * nbytes, width), dtype=dtype)
     bits[: mixed.size] = entry_rows(mixed)
-    tables = []
-    for k in range(nbytes):
-        table = np.zeros((256, a * d), dtype=dtype)
-        if k == 0:
+    feeding = [k for k in range(nbytes) if bits[8 * k : 8 * k + 8].any()] or [0]
+    tables = {}
+    for k in feeding:
+        table = np.zeros((256, width), dtype=dtype)
+        if not tables:
             table[0] = np.bitwise_xor.reduce(entry_rows(diag), axis=0)
         for b in range(8):  # bytes with highest set bit b: the bytes below, XOR bit b's rows
             table[1 << b : 2 << b] = table[: 1 << b] ^ bits[8 * k + b]
         table.flags.writeable = False
-        tables.append(table)
-    return tuple(tables)
+        tables[k] = table
+    return tables
 
 
 def _largest_buffer(sizes: dict[str, tuple[int, type]]) -> int:
@@ -208,21 +268,50 @@ def _check_workspace(sizes: dict[str, tuple[int, type]], extra: int, what: str) 
     """Refuse a sweep whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
 
     Counted are the workspace of ``sizes`` and ``extra`` bytes: the index
-    arrays the shape keeps for the process, a binary field's log tables with
-    the scratch of their build, and what a larger field's elimination
-    allocates outside the workspace.
+    arrays and sampled tables the shape keeps for the process, a binary
+    field's log tables with the scratch of their build, and what the
+    elimination allocates outside the workspace.
     """
     nbytes = _Workspace.nbytes(sizes) + extra
     if nbytes > MAX_WORKSPACE_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, over the {MAX_WORKSPACE_BYTES}-byte block cap")
 
 
-def _sliced_index_bytes(a: int, d: int) -> int:
-    """Bytes of the (d+1) a^d intp indices a bit-sliced shape keeps for the process.
+def _sliced_unplanned_bytes(a: int, d: int, n: int, nwords: int) -> int:
+    """Bytes a bit-sliced block of up to n tensors needs outside :func:`_sliced_sizes`.
 
-    They are :func:`index_class_arrays` and :func:`_plane_index`.
+    They are the (d+1) a^d intp indices its shape keeps for the process
+    (:func:`index_class_arrays` and :func:`_plane_index`), and the buffers
+    numpy allocates for a ufunc call on strided operands: ``np.getbufsize()``
+    items for each of up to three operands, or the call's items if fewer.
+    The largest such calls are the transpose's delta swaps, 32 ``nwords``
+    items a word of 64 lanes, and, for d >= 3, the elimination's ANDs on the
+    rows below the first, d (a-1) a^(d-1) items a word (at (4,4), 196,608
+    bytes of a traced peak of 199,704 over the workspace).
     """
-    return (1 + d) * a**d * np.dtype(np.intp).itemsize
+    rows = d * (a - 1) * a ** (d - 1) if d > 2 else 0  # at d = 2 no factor is set
+    items = -(-n // 64) * max(32 * nwords, rows)
+    return (1 + d) * a**d * np.dtype(np.intp).itemsize + 3 * 8 * min(np.getbufsize(), items)
+
+
+def _gf2_plan(a: int, d: int, count: int, nwords: int) -> tuple[int, dict, int, Callable]:
+    """(block, sizes, extra, kernel) of the exact GF(2) kernel of a sweep of ``count`` tensors on A^d.
+
+    Rows of at most :data:`TABLE_MAX_COLUMNS` columns take the byte tables,
+    in blocks of :data:`BLOCK_BYTES` of rows; wider ones are bit-sliced, in
+    whole words of 64 lanes of d a^d / 8 bytes of gathered rows each.
+    ``sizes`` is the kernel's plan without the stream's buffers, ``extra``
+    the bytes it keeps or allocates besides, and ``kernel(words, ws)`` gives
+    the (mfrank, sum_franks) of a block's stream words.
+    """
+    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
+        tables = _row_tables(a, d)
+        n = min(count, BLOCK_BYTES // tables[0][0].nbytes)
+        kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
+        return n, _table_sizes(a, d, n), 0, kernel
+    n = min(count, max(64, 8 * BLOCK_BYTES // (d * a**d) // 64 * 64))
+    kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
+    return n, _sliced_sizes(a, d, n, nwords), _sliced_unplanned_bytes(a, d, n, nwords), kernel
 
 
 def _stream_sizes(
@@ -260,18 +349,19 @@ def _field_sizes(a: int, d: int, n: int, field: FieldDescriptor) -> dict[str, tu
     }
 
 
-def _table_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
+def _table_sizes(a: int, d: int, n: int, sampled: bool = False) -> dict[str, tuple[int, type]]:
     """Workspace of :func:`_packed_population_ranks` for blocks of up to n tensors.
 
-    ``buf`` also holds the N stream words of the mixing scratch, which is
-    free before the gathers write it.
+    ``sampled`` picks the layout of the sampled tables.  ``buf`` also holds
+    the N stream words of the mixing scratch, which is free before the
+    gathers write it, or, as large, the misses of :func:`_certified_ranks`.
     """
-    dtype = _row_dtype(a, d)
+    dtype, width = _row_layout(a, d, sampled)
     mix = 8 * n * _semidiagonal_words(a, d, GF2)
     return {
         "index": (n, np.intp),
-        "rows": (n * a * d, dtype),
-        "buf": (max(n * a * d, mix // np.dtype(dtype).itemsize), dtype),
+        "rows": (n * width, dtype),
+        "buf": (max(n * width, mix // np.dtype(dtype).itemsize), dtype),
         "flag": (d * n, np.bool_),
         **_rank_sizes(d, n, np.uint8),
     }
@@ -280,15 +370,60 @@ def _table_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
 def _exhaustive_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
     """Workspace of :func:`_exhaustive_ranks` for chunks of n assignments."""
     low = min(n, 256)
-    dtype = _row_dtype(a, d)
+    dtype, width = _row_layout(a, d)
     return {
         "index": (n // low, np.intp),
-        "hi": (n // low * a * d, dtype),
+        "hi": (n // low * width, dtype),
         "low": (low * a * d, dtype),
         "rows": (n * a * d, dtype),
-        "buf": (n * a * d, dtype),
+        "buf": (max(n * a * d, n // low * width), dtype),
         "flag": (d * n, np.bool_),
         **_rank_sizes(d, n, np.uint8),
+    }
+
+
+def _certified_plan(a: int, d: int, count: int, nwords: int, plan: tuple) -> tuple | None:
+    """(block, sizes, extra, kernel) of :func:`_certified_ranks` over the exact ``plan`` of :func:`_gf2_plan`.
+
+    None where the certificate is not taken: rows of at most
+    :data:`SAMPLE_COLUMNS` columns, a over :data:`SAMPLE_MAX_A`, and plans
+    that, with the sampled tables (counted at their largest, 256 rows for
+    each of at most ``SAMPLE_COLUMNS * a * d`` stream bytes), would pass
+    :data:`MAX_WORKSPACE_BYTES` where the exact plan alone may not.  A
+    block's sampled rows and stream words take :data:`BLOCK_BYTES` together;
+    the misses go to the exact kernel in chunks of its own block.
+    The sampled tables are built only once the plan is taken.
+    """
+    if a ** (d - 1) <= SAMPLE_COLUMNS or a > SAMPLE_MAX_A:
+        return None
+    chunk, exact_sizes, extra, exact = plan
+    dtype, width = _row_layout(a, d, sampled=True)
+    row_bytes = width * np.dtype(dtype).itemsize
+    n = min(count, max(1, BLOCK_BYTES // (row_bytes + 8 * nwords)))
+    sizes = _certified_sizes(a, d, n, nwords, exact_sizes)
+    # the misses' indices, and the sampled tables
+    extra += 8 * n + min(-(-_mixed_count(a, d) // 8), SAMPLE_COLUMNS * a * d) * 256 * row_bytes
+    if _Workspace.nbytes(sizes) + extra > MAX_WORKSPACE_BYTES:
+        return None
+    tables = _row_tables(a, d, sampled=True)
+    return n, sizes, extra, lambda words, ws: _certified_ranks(a, d, words, tables, exact, chunk, ws)
+
+
+def _certified_sizes(
+    a: int, d: int, n: int, nwords: int, exact: dict[str, tuple]
+) -> dict[str, tuple]:
+    """Workspace of :func:`_certified_ranks` for blocks of up to n tensors.
+
+    It holds the sampled kernel's :func:`_table_sizes`, the block's stream
+    words, with their mixing scratch in ``buf``, the compacted misses, also in
+    ``buf``, which is free once the sampled ranks are out, and ``exact``, the
+    plan of one chunk of the exact kernel, under names prefixed ``exact.``.
+    """
+    return {
+        **_table_sizes(a, d, n, sampled=True),
+        **_stream_sizes(n, nwords, mix="buf"),
+        "miss": (n * nwords, np.uint64, "buf"),
+        **{f"exact.{k}": size[:2] + tuple(f"exact.{h}" for h in size[2:]) for k, size in exact.items()},
     }
 
 
@@ -353,19 +488,50 @@ def _packed_population_ranks(
     Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
     of word t // 64 for mixed entry t; that is byte t // 8 of the row's
     little-endian bytes, which indexes ``tables``, the byte tables of
-    :func:`_row_tables`.  ``ws`` holds :func:`_table_sizes` for at least N.
+    :func:`_row_tables`, full or sampled.  ``ws`` holds :func:`_table_sizes`
+    for at least N, in the tables' layout.
     """
     n = words.shape[0]
     as_bytes = words.astype("<u8", copy=False).view(np.uint8)
-    index, rows, buf = ws.take("index", n), ws.take("rows", n, a * d), ws.take("buf", n, a * d)
-    for k, table in enumerate(tables):
+    width = next(iter(tables.values())).shape[1]
+    index, rows, buf = ws.take("index", n), ws.take("rows", n, width), ws.take("buf", n, width)
+    for i, (k, table) in enumerate(tables.items()):
         np.copyto(index, as_bytes[:, k])  # intp, or np.take casts a copy of its own
         # a byte always indexes one of the 256 rows: no bounds check
-        np.take(table, index, axis=0, out=buf if k else rows, mode="clip")
-        if k:
+        np.take(table, index, axis=0, out=buf if i else rows, mode="clip")
+        if i:
             rows ^= buf
-    np.copyto(buf.reshape(a * d, n), rows.T)  # [r * d + axis, j] is [r, axis * n + j]
-    return _eliminate(buf.reshape(a, d * n), rows.reshape(a, d * n), d, ws)
+    # [r * d + axis, j] is [r, axis * n + j]
+    np.copyto(ws.take("buf", a * d, n), rows[:, : a * d].T)
+    return _eliminate(ws.take("buf", a, d * n), ws.take("rows", a, d * n), d, ws)
+
+
+def _certified_ranks(
+    a: int, d: int, words: np.ndarray, tables: dict, exact: Callable, chunk: int, ws: _Workspace
+) -> tuple[np.ndarray, np.ndarray]:
+    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, certified on sampled columns.
+
+    ``words`` is laid out as for :func:`_packed_population_ranks`, which
+    ranks every flattening on the columns of the sampled ``tables`` alone.  A
+    sampled rank is at most the flattening's rank, which is at most a, so a
+    tensor whose sampled ranks sum to a*d has every rank a, and its sampled
+    (mfrank, sum_franks) are exact.  The others, the misses, are compacted in
+    order and ranked by ``exact(words, ws)``, the shape's exact kernel, up to
+    ``chunk`` at a time in ``ws.part("exact.")``; their ranks are written
+    back over the sampled ones.  ``ws`` holds :func:`_certified_sizes` for
+    at least N.
+    """
+    n, w = words.shape
+    mfrank, sumrank = _packed_population_ranks(a, d, words, tables, ws)
+    misses = np.flatnonzero(np.not_equal(sumrank, a * d, out=ws.take("flag", n)))
+    if misses.size:
+        missed = np.take(words, misses, axis=0, out=ws.take("miss", misses.size, w), mode="clip")
+        part = ws.part("exact.")
+        for i in range(0, misses.size, chunk):
+            mfrank[misses[i : i + chunk]], sumrank[misses[i : i + chunk]] = exact(
+                missed[i : i + chunk], part
+            )
+    return mfrank, sumrank
 
 
 def _exhaustive_ranks(
@@ -383,18 +549,18 @@ def _exhaustive_ranks(
     n = stop - start
     low = min(n, 256)
     high_bytes = np.arange(start, stop, low, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    groups = n // low
-    index, hi = ws.take("index", groups), ws.take("hi", groups, a * d)
-    buf = ws.take("buf", groups, a * d)  # free until the elimination takes it as scratch
+    groups, width = n // low, tables[0].shape[1]
+    index, hi = ws.take("index", groups), ws.take("hi", groups, width)
+    buf = ws.take("buf", groups, width)  # free until the elimination takes it as scratch
     hi.fill(0)
     for k in range(1, len(tables)):
         np.copyto(index, high_bytes[:, k])
         np.take(tables[k], index, axis=0, out=buf, mode="clip")
         hi ^= buf
     low_rows = ws.take("low", a, d, 1, low)
-    np.copyto(low_rows, tables[0][:low].T.reshape(a, d, 1, low))
+    np.copyto(low_rows, tables[0][:low, : a * d].T.reshape(a, d, 1, low))
     rows = ws.take("rows", a, d, groups, low)
-    np.bitwise_xor(hi.T.reshape(a, d, groups, 1), low_rows, out=rows)
+    np.bitwise_xor(hi[:, : a * d].T.reshape(a, d, groups, 1), low_rows, out=rows)
     return _eliminate(rows.reshape(a, d * n), ws.take("buf", a, d * n), d, ws)
 
 
@@ -621,17 +787,17 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     total = 1 << f
     sliced = a ** (d - 1) > TABLE_MAX_COLUMNS
     if not sliced:
-        cap = BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize)
+        tables = _row_tables(a, d)
+        cap = BLOCK_BYTES // tables[0][0].nbytes
         chunk = min(total, 1 << max(8, cap.bit_length() - 1))
         sizes = _exhaustive_sizes(a, d, chunk)
-        tables = _row_tables(a, d)
         ranks = lambda start, stop, ws: _exhaustive_ranks(a, d, tables, start, stop, ws)
     else:  # d == 2: the identity matrix alone
         chunk = total
         sizes = _sliced_sizes(a, d, chunk, 1)
         words = lambda start, stop: np.arange(start, stop, dtype=np.uint64)[:, None]
         ranks = lambda start, stop, ws: _sliced_ranks(a, d, words(start, stop), ws)
-    extra = _sliced_index_bytes(a, d) if sliced else 0
+    extra = _sliced_unplanned_bytes(a, d, chunk, 1) if sliced else 0
     _check_workspace(sizes, extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
     (best_mf, at_mf), (best_sum, at_sum), _, _ = _scan_blocks(
         total, chunk, sizes, ranks, -(-a // (d - 1))
@@ -763,7 +929,12 @@ def random_semidiagonal_sweep(
     :data:`TABLE_MAX_COLUMNS` columns go through the byte tables of
     :func:`_packed_population_ranks`, wider ones through the bit-sliced
     :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
-    least one).  Larger fields rank all axes of a block at once
+    least one) (:func:`_gf2_plan`).  Rows over :data:`SAMPLE_COLUMNS`
+    columns with a <= :data:`SAMPLE_MAX_A` are first ranked on sampled
+    columns (:func:`_certified_ranks`, in blocks whose sampled rows and stream
+    words take :data:`BLOCK_BYTES`): a tensor whose sampled ranks are all a
+    is of full rank, and only the others go to those exact kernels, in
+    chunks of their own blocks; the report is the same.  Larger fields rank all axes of a block at once
     (:func:`_block_ranks`), in blocks of :data:`BLOCK_BYTES` over the largest
     buffer of :func:`_field_sizes` for one tensor, and at least one.  No
     buffer grows faster than the block, so none passes the budget; GF(2^k)'s
@@ -795,17 +966,12 @@ def random_semidiagonal_sweep(
         kernel = lambda words, ws: _block_ranks(
             _semidiagonal_block(a, d, field, words, ws), a, d, field, ws
         )
-    elif not sliced:
-        n = min(count, BLOCK_BYTES // (a * d * np.dtype(_row_dtype(a, d)).itemsize))
-        sizes = _table_sizes(a, d, n) | _stream_sizes(n, nwords, mix="buf")
-        tables = _row_tables(a, d)
-        kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
-    else:  # whole words of 64 lanes, d * a^d / 8 bytes of gathered rows per tensor
-        n = min(count, max(64, 8 * BLOCK_BYTES // (d * a**d) // 64 * 64))
-        # the words are read into the planes before rows and scratch are written
-        sizes = _sliced_sizes(a, d, n, nwords) | _stream_sizes(n, nwords, "rows", "scratch")
-        extra = _sliced_index_bytes(a, d)
-        kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
+    else:
+        plan = _gf2_plan(a, d, count, nwords)
+        certified = _certified_plan(a, d, count, nwords, plan)
+        n, sizes, extra, kernel = certified or plan
+        if certified is None:  # sliced words are read into the planes before rows and scratch are written
+            sizes |= _stream_sizes(n, nwords, *(("rows", "scratch") if sliced else (None, "buf")))
     _check_workspace(sizes, extra, f"{a}^{d} sweep block of n={n} tensors")
     if field.order != 2:
         _draw_index(a, d)  # built before the workspaces, not on top of them

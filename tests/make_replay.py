@@ -51,9 +51,11 @@ SWEEPS = [
     ("binary:20", 3, 3, 40),
     ("prime:3", 2, 3, 30),
     ("prime:3", 2, 4, 40),
-    # GF(2) over three or more blocks of each kernel: byte tables at (4,3) and
-    # (5,3), 21,845 and 8,738 tensors a block; bit-sliced at (6,3) and (4,4),
-    # 6,464 and 4,096 a block, each with a short last word of lanes
+    # GF(2) over every kernel: byte tables at (4,3), 16,384 tensors a block
+    # (four blocks); the certificate at (5,3), (6,3) and (4,4), 13,107, 10,082
+    # and 8,192 tensors a block (two, two and two), whose misses go to byte
+    # tables at (5,3), 8,738 a chunk, and are bit-sliced at (6,3) and (4,4),
+    # 6,464 and 4,096 a chunk, each chunk with a short last word of lanes
     ("gf2", 4, 3, 50000),
     ("gf2", 5, 3, 20000),
     ("gf2", 6, 3, 15000),

@@ -254,7 +254,8 @@ def test_bulk_block_matches_scalar_sampler(field, a, d):
     "field,a,d,kernel",
     [
         (GF2, 4, 3, "_packed_population_ranks"),
-        (GF2, 6, 3, "_sliced_ranks"),
+        (GF2, 7, 3, "_sliced_ranks"),
+        (GF2, 6, 3, "_certified_ranks"),
         (make_prime_field(3), 3, 3, "_block_ranks"),
     ],
     ids=str,
@@ -353,6 +354,81 @@ def test_population_kernels_match_matrix_rank(monkeypatch, a, d):
     assert rep.violations == int((mfrank < math.ceil(a / (d - 1))).sum())
 
 
+def _certify(a, d, words, chunk=None):
+    """(mfrank, sum_franks) of ``words`` through a sweep's certified plan, in one block,
+    and the count of tensors it sent to the exact kernel, ``chunk`` at a time."""
+    import flatrank.search as search
+
+    n, nwords = words.shape
+    block, sizes, extra, exact = search._gf2_plan(a, d, n, nwords)
+    sent = []
+
+    def counting(w, ws):
+        sent.append(w.shape[0])
+        return exact(w, ws)
+
+    plan = search._certified_plan(a, d, n, nwords, (chunk or block, sizes, extra, counting))
+    assert plan is not None and plan[0] == n
+    if chunk:
+        assert max(sent, default=0) <= chunk
+    mfrank, sumrank = plan[3](words, _Workspace(plan[1]))
+    return (mfrank.copy(), sumrank.copy()), sum(sent)
+
+
+# every certified shape: byte-table misses at (5,3), (2,6) and (3,4), bit-sliced
+# ones at 36, 64, 81 and 125 columns
+CERTIFIED = [(5, 3), (6, 3), (4, 4), (2, 6), (3, 4), (3, 5), (5, 4)]
+
+
+@pytest.mark.parametrize("a,d", CERTIFIED, ids=str)
+def test_certificate_matches_matrix_rank(a, d):
+    # extremal and near-extremal tensors, whose blocks are nearly all misses,
+    # zero words, and a stream block, whose misses are few; the hard words also
+    # in exact chunks of one tensor, and of 64
+    nwords = _semidiagonal_words(a, d, GF2)
+    hard = _hard_words(a, d, 100)
+    for words, chunks in (
+        (hard, (None, 1, 64)),
+        (np.zeros((70, nwords), np.uint64), (None,)),
+        (_stream_block(29, 0, 3000, nwords), (None,)),
+    ):
+        want = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+        short = int((want[1] < a * d).sum())  # tensors that are not of full rank
+        for chunk in chunks:
+            got, sent = _certify(a, d, words, chunk)
+            assert [r.tolist() for r in got] == [r.tolist() for r in want], chunk
+            assert short <= sent <= len(words)
+    assert _certify(a, d, hard)[1] >= 100  # the near-extremal and extremal tensors miss
+
+
+@pytest.mark.parametrize("a,d", [(4, 3), (7, 3), (33, 2), (2, 4), (1, 20)], ids=str)
+def test_certificate_left_to_exact_kernels(monkeypatch, a, d):
+    # 16 columns or fewer, or a = 7 > 6: the sweep ranks every tensor in full
+    import flatrank.search as search
+
+    nwords = _semidiagonal_words(a, d, GF2)
+    assert search._certified_plan(a, d, 100, nwords, search._gf2_plan(a, d, 100, nwords)) is None
+
+    def refused(*args):
+        raise AssertionError("certified")
+
+    monkeypatch.setattr(search, "_certified_ranks", refused)
+    rep = random_semidiagonal_sweep(a, d, 100, seed=3)
+    words = _stream_block(3, 0, 100, nwords)
+    mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    assert (rep.min_mfrank, rep.min_sum_franks) == (mfrank.min(), sumrank.min())
+
+
+# a stream block sends few tensors to the exact kernel: measured on 60,000
+# draws, 0.05-0.09% at (4,4), 0.8-1.0% at (5,3) and 2.4-2.9% at (6,3).  A
+# certificate that falls back for every tensor, or for a tenth of them, fails
+@pytest.mark.parametrize("a,d,limit", [(4, 4, 0.01), (5, 3, 0.02), (6, 3, 0.05)], ids=str)
+def test_certificate_sends_few_stream_tensors_to_the_exact_kernel(a, d, limit):
+    words = _stream_block(2026, 0, 8000, _semidiagonal_words(a, d, GF2))
+    _, sent = _certify(a, d, words)
+    assert 0 < sent < limit * len(words)
+
+
 @pytest.mark.parametrize("a,d", [(2, 3), (2, 4)], ids=str)
 def test_packed_ranks_match_matrix_rank_whole_population(a, d):
     free = len(index_class_arrays(a, d)[2])
@@ -390,22 +466,28 @@ def test_sweep_matches_scalar_path(monkeypatch):
 
 
 def test_sweep_builds_row_tables_once(monkeypatch):
+    # full tables for the byte-table kernel, sampled ones for the certificate,
+    # once a sweep however many blocks it runs
     import flatrank.search as search
 
     calls = []
 
-    def counting(a, d):
-        calls.append((a, d))
-        return _row_tables(a, d)
+    def counting(a, d, sampled=False):
+        calls.append((a, d, sampled))
+        return _row_tables(a, d, sampled)
 
     monkeypatch.setattr(search, "_row_tables", counting)
-    with monkeypatch.context() as mp:
-        _budget_blocks(mp, GF2, 5, 3, 16)
-        random_semidiagonal_sweep(5, 3, 64, seed=5)  # 4 blocks
-    assert calls == [(5, 3)]
-    calls.clear()
-    random_semidiagonal_sweep(4, 4, 64, seed=5)  # bit-sliced
-    assert calls == []
+    for a, d, want in [
+        (4, 3, [(4, 3, False)]),  # byte tables alone
+        (5, 3, [(5, 3, False), (5, 3, True)]),  # certified, misses through the byte tables
+        (4, 4, [(4, 4, True)]),  # certified, misses bit-sliced
+        (7, 3, []),  # bit-sliced alone
+    ]:
+        calls.clear()
+        with monkeypatch.context() as mp:
+            _budget_blocks(mp, GF2, a, d, 16 if a ** (d - 1) <= TABLE_MAX_COLUMNS else 64)
+            random_semidiagonal_sweep(a, d, 200, seed=5)  # 3 or more blocks
+        assert calls == want, (a, d)
 
 
 # a byte-table shape, then bit-sliced shapes with rows of 36, 64 and 81 columns,
@@ -481,11 +563,13 @@ def test_sweep_maps_one_arena_per_thread(monkeypatch):
 
 
 # one sweep of each kernel, over three blocks: byte tables, exhaustive chunks,
-# bit-sliced words with a short last word, and the GF(3) elimination
+# bit-sliced words with a short last word, the certificate with its misses
+# bit-sliced, and the GF(3) elimination
 ARENA_SWEEPS = {
-    "table": lambda: random_semidiagonal_sweep(5, 3, 20000, seed=5),
+    "table": lambda: random_semidiagonal_sweep(4, 3, 40000, seed=5),
     "exhaustive": lambda: exhaustive_min_mfrank(3, 3),
-    "sliced": lambda: random_semidiagonal_sweep(6, 3, 15000, seed=5),
+    "sliced": lambda: random_semidiagonal_sweep(7, 3, 10000, seed=5),
+    "certified": lambda: random_semidiagonal_sweep(6, 3, 25000, seed=5),
     "gf3": lambda: random_semidiagonal_sweep(3, 3, 7000, 5, field=make_prime_field(3)),
 }
 
