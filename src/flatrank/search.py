@@ -34,27 +34,37 @@ is 14-21x faster than :func:`flatrank.linalg.matrix_rank` ((9,3): 1.24-1.28
 against 18-22 us).  Larger fields rank all d flattenings of a block with
 one call of the batched kernel behind :func:`flatrank.linalg.matrix_rank`.
 
-A random GF(2) sweep whose rows are wider than :data:`SAMPLE_COLUMNS` (16)
-columns, with a <= :data:`SAMPLE_MAX_A` (6), first ranks every tensor of a
-block on 16 columns of each flattening alone, those with the most mixed
-cells, through byte tables of the sampled rows (:func:`_certified_ranks`).
-A sampled rank is at most the flattening's rank, which is at most a, so a
-tensor whose sampled ranks sum to a*d is of full rank, exactly.  Only the
-others, the misses, go to the exact kernel above, compacted, and their ranks
-are written back before the block is read.  Random tensors are nearly all
-of full rank; the misses, on three 20,000-tensor stream blocks per shape:
+A random GF(2) sweep of at least one block of its own, whose rows are
+wider than :data:`SAMPLE_COLUMNS` (16) columns, with a <=
+:data:`SAMPLE_MAX_A` (13), first ranks every tensor of a block on 16
+columns of each flattening alone, those with the most mixed cells, through
+byte tables of the sampled rows (:func:`_certified_ranks`).  A sampled rank is at most the
+flattening's rank, which is at most a, so a tensor whose sampled ranks sum
+to a*d is of full rank, exactly.  Only the others, the misses, go to the
+exact kernel above, compacted, and their ranks are written back before the
+block is read.  Random tensors are nearly all of full rank; the misses, on
+three 20,000-tensor stream blocks per shape:
 
     (2,6) 0.025-0.03%   (3,4) 0.02-0.065%   (3,5) 0.045-0.05%
-    (4,4) 0.065-0.10%   (5,4) 0.15-0.17%    (5,3) 0.75-0.84%
-    (6,3) 2.5-2.75%     (7,3) 6.4%          (8,3) 11%
+    (4,4) 0.065-0.10%   (5,4) 0.15-0.17%    (6,4) 0.3-0.4%
+    (5,3) 0.75-0.84%    (6,3) 2.5-2.75%     (7,3) 6.4%
+    (8,3) 10.8-11.3%    (10,3) 22-24%       (12,3) 42%
+    (13,3) 55%          (14,3) 71%          (15,3) 86%
 
-With 16 - a >= 10 columns to spare a sample rarely falls short; from a = 7
-on it does often enough that a short sweep (field-rank's 40-tensor (8,3)
-sweeps) would pay an exact call in every block, so those keep the exact
-kernels, as do exhaustive sweeps.  Whole sweeps in process, CPU time on a
-2-vCPU Xeon, exact kernels alone against the certificate: (5,3) x 30,000
-2.46 -> 1.77 ms, (4,4) x 15,000 3.84 -> 2.14 ms, (6,3) x 20,000 3.95 ->
-2.81 ms.
+The sampled kernel's cost stays at 16 columns while the exact kernel's grows
+with a^(d-1), so even a majority of misses pays: whole sweeps of 2.5
+certified blocks, in process, CPU time on a 2-vCPU Xeon, took 0.40-0.82x the
+exact kernels' time from (2,6) to (13,3), 0.96x at (14,3) and 1.07x at
+(15,3), hence a <= 13.  The certificate's fixed costs (its sampled tables,
+a larger plan, an exact call in a block with misses) are paid back within
+one block, not before: sweeps of exactly one block took 0.39-0.78x at every
+certified shape in process, and 0.87-1.10x as the first sweep of a fresh
+process; shorter ones lost at (5,3), (6,3) and (7,3) (1.04-1.8x at 40 to
+2,000 tensors) and, in a fresh process, at (4,4) too (1.3-2.1x at 40 and
+500), so they keep the exact kernels, as do exhaustive sweeps.  Whole
+sweeps in process, exact kernels alone against the certificate: (5,3) x
+30,000 2.46 -> 1.77 ms, (4,4) x 15,000 3.84 -> 2.14 ms, (6,3) x 20,000
+3.95 -> 2.81 ms.
 
 Both sweeps run one block loop, :func:`_scan_blocks`, which takes one
 workspace (:class:`flatrank.linalg._Workspace`) per call from its thread's
@@ -138,23 +148,25 @@ BLOCK_BYTES = 1 << 19
 # Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
 # wider rows go bit-sliced (see the module docstring for the measurements).
 TABLE_MAX_COLUMNS = 32
-# Columns of each flattening on which a random GF(2) sweep first ranks its
-# tensors, when its rows are wider, and the largest axis size a it does so
-# for: with 16 - a >= 10 columns to spare a random tensor's sample rarely
-# falls short of full rank (see the module docstring for the miss rates).
+# Columns of each flattening on which a random GF(2) sweep of at least one
+# block first ranks its tensors, when its rows are wider, and the largest axis
+# size a it does so for: long sweeps ran faster certified up to a = 13, with
+# 55% of (13,3)'s tensors missing, and slower at a = 15 (see the module
+# docstring for the miss rates and timings).
 SAMPLE_COLUMNS = 16
-SAMPLE_MAX_A = 6
+SAMPLE_MAX_A = 13
 # Bytes of one block's workspace, with the index arrays its shape keeps and,
 # over a larger field, its log tables and what its elimination allocates
 # outside the workspace; more is refused before any of it is allocated.
-# Default GF(2) blocks take under 2.6 MB; a d = 2 bit-sliced sweep needs 56 a^2
-# bytes even for one tensor, so it stops at a = 545, and a GF(3) sweep on
-# 2^18 needs more than 16 MiB for one tensor.
+# Default GF(2) blocks at d = 3 take under 3.3 MB; a d = 2 bit-sliced sweep
+# needs 56 a^2 bytes even for one tensor, so it stops at a = 545, and a GF(3)
+# sweep on 2^18 needs more than 16 MiB for one tensor.
 MAX_WORKSPACE_BYTES = 16 << 20
-# Largest sweep arena a thread keeps mapped once its sweep ends.  Every GF(2)
-# plan at the default block size fits (the largest, (6,3)'s, takes 2.6 MB); a
-# larger arena is unmapped with its sweep, so that what runs after the sweep
-# (an exhaustive sweep's witnesses, the report) is never held on top of it.
+# Largest sweep arena a thread keeps mapped once its sweep ends.  The GF(2)
+# plans of the default blocks at d = 3 fit (the largest, (2,3)'s, takes 3.2
+# MB, (6,3)'s 2.6 MB), as do (4,4)'s and (3,5)'s (2.5 MB); a larger arena is
+# unmapped with its sweep, so that what runs after the sweep (an exhaustive
+# sweep's witnesses, the report) is never held on top of it.
 ARENA_KEEP_BYTES = 4 << 20
 # Plans whose workspaces a thread keeps carved from its arena
 ARENA_PLANS = 16
@@ -215,11 +227,12 @@ def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, np.ndarray]:
     of the flattening along ``axis``, one bit per (kept) column, in the
     layout of :func:`_row_layout`.  ``tables[k][v]`` XORs in the mixed
     entries 8k .. 8k+7 whose bits are set in the stream byte v; there is a
-    table for each byte that feeds a kept cell (at least one), and the first
-    also holds the rows of the unit diagonal, so the rows of a tensor are the
-    XOR of one entry per table.  Built once per shape and kept, read-only:
+    table for each byte that feeds a kept cell (every byte of a full set, and
+    at least one), and the first also holds the rows of the unit diagonal,
+    so the rows of a tensor are the XOR of one entry per table.  Built once per shape and kept, read-only:
     the largest full sets, at (3,4) and (5,3), take 123 KB, and the sampled
-    ones 180 KB at (4,4), 110 KB at (6,3) and 64 KB at (5,3).
+    ones 64 KB at (5,3), 180 KB at (4,4), 110 KB at (6,3) and 1.2 MB at
+    (13,3).
     """
     diag, _, mixed = index_class_arrays(a, d)
     dtype, width = _row_layout(a, d, sampled)
@@ -386,9 +399,11 @@ def _certified_plan(a: int, d: int, count: int, nwords: int, plan: tuple) -> tup
     """(block, sizes, extra, kernel) of :func:`_certified_ranks` over the exact ``plan`` of :func:`_gf2_plan`.
 
     None where the certificate is not taken: rows of at most
-    :data:`SAMPLE_COLUMNS` columns, a over :data:`SAMPLE_MAX_A`, and plans
-    that, with the sampled tables (counted at their largest, 256 rows for
-    each of at most ``SAMPLE_COLUMNS * a * d`` stream bytes), would pass
+    :data:`SAMPLE_COLUMNS` columns, a over :data:`SAMPLE_MAX_A`, sweeps of
+    fewer than one block of the certificate's own, whose fixed costs such a
+    sweep does not pay back (see the module docstring), and plans that, with
+    the sampled tables (counted at their largest, 256 rows for each of at
+    most ``SAMPLE_COLUMNS * a * d`` stream bytes), would pass
     :data:`MAX_WORKSPACE_BYTES` where the exact plan alone may not.  A
     block's sampled rows and stream words take :data:`BLOCK_BYTES` together;
     the misses go to the exact kernel in chunks of its own block.
@@ -399,7 +414,9 @@ def _certified_plan(a: int, d: int, count: int, nwords: int, plan: tuple) -> tup
     chunk, exact_sizes, extra, exact = plan
     dtype, width = _row_layout(a, d, sampled=True)
     row_bytes = width * np.dtype(dtype).itemsize
-    n = min(count, max(1, BLOCK_BYTES // (row_bytes + 8 * nwords)))
+    n = max(1, BLOCK_BYTES // (row_bytes + 8 * nwords))
+    if count < n:
+        return None
     sizes = _certified_sizes(a, d, n, nwords, exact_sizes)
     # the misses' indices, and the sampled tables
     extra += 8 * n + min(-(-_mixed_count(a, d) // 8), SAMPLE_COLUMNS * a * d) * 256 * row_bytes
@@ -481,7 +498,7 @@ def _eliminate(
 
 
 def _packed_population_ranks(
-    a: int, d: int, words: np.ndarray, tables: tuple[np.ndarray, ...], ws: _Workspace
+    a: int, d: int, words: np.ndarray, tables: dict[int, np.ndarray], ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 32``.
 
@@ -535,7 +552,7 @@ def _certified_ranks(
 
 
 def _exhaustive_ranks(
-    a: int, d: int, tables: tuple[np.ndarray, ...], start: int, stop: int, ws: _Workspace
+    a: int, d: int, tables: dict[int, np.ndarray], start: int, stop: int, ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of the GF(2) tensors with assignments ``start .. stop-1``.
 
@@ -549,16 +566,19 @@ def _exhaustive_ranks(
     n = stop - start
     low = min(n, 256)
     high_bytes = np.arange(start, stop, low, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    groups, width = n // low, tables[0].shape[1]
+    groups, width = n // low, next(iter(tables.values())).shape[1]
     index, hi = ws.take("index", groups), ws.take("hi", groups, width)
     buf = ws.take("buf", groups, width)  # free until the elimination takes it as scratch
-    hi.fill(0)
-    for k in range(1, len(tables)):
-        np.copyto(index, high_bytes[:, k])
-        np.take(tables[k], index, axis=0, out=buf, mode="clip")
-        hi ^= buf
     low_rows = ws.take("low", a, d, 1, low)
-    np.copyto(low_rows, tables[0][:low, : a * d].T.reshape(a, d, 1, low))
+    hi.fill(0)
+    low_rows.fill(0)  # a table set without byte 0's holds the diagonal in a high byte's
+    for k, table in tables.items():
+        if k == 0:
+            np.copyto(low_rows, table[:low, : a * d].T.reshape(a, d, 1, low))
+            continue
+        np.copyto(index, high_bytes[:, k])
+        np.take(table, index, axis=0, out=buf, mode="clip")
+        hi ^= buf
     rows = ws.take("rows", a, d, groups, low)
     np.bitwise_xor(hi[:, : a * d].T.reshape(a, d, groups, 1), low_rows, out=rows)
     return _eliminate(rows.reshape(a, d * n), ws.take("buf", a, d * n), d, ws)
@@ -932,9 +952,10 @@ def random_semidiagonal_sweep(
     least one) (:func:`_gf2_plan`).  Rows over :data:`SAMPLE_COLUMNS`
     columns with a <= :data:`SAMPLE_MAX_A` are first ranked on sampled
     columns (:func:`_certified_ranks`, in blocks whose sampled rows and stream
-    words take :data:`BLOCK_BYTES`): a tensor whose sampled ranks are all a
-    is of full rank, and only the others go to those exact kernels, in
-    chunks of their own blocks; the report is the same.  Larger fields rank all axes of a block at once
+    words take :data:`BLOCK_BYTES`) when ``count`` fills one such block: a
+    tensor whose sampled ranks are all a is of full rank, and only the
+    others go to those exact kernels, in chunks of their own blocks; the
+    report is the same.  Larger fields rank all axes of a block at once
     (:func:`_block_ranks`), in blocks of :data:`BLOCK_BYTES` over the largest
     buffer of :func:`_field_sizes` for one tensor, and at least one.  No
     buffer grows faster than the block, so none passes the budget; GF(2^k)'s

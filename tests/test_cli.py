@@ -353,11 +353,13 @@ def test_refused_sweep_leaves_the_arena(capsys, argv):
     "argv",
     [
         ["random-semidiagonal", "--a", 4, "--d", 3, "--count", 40000, "--seed", 1],  # byte tables
-        ["random-semidiagonal", "--a", 7, "--d", 3, "--count", 20000, "--seed", 1],  # bit-sliced
+        # bit-sliced, in three blocks, short of one certified block
+        ["random-semidiagonal", "--a", 7, "--d", 3, "--count", 9000, "--seed", 1],
         # certified, misses through the byte tables, and bit-sliced
         ["random-semidiagonal", "--a", 5, "--d", 3, "--count", 30000, "--seed", 1],
         ["random-semidiagonal", "--a", 4, "--d", 4, "--count", 15000, "--seed", 1],
         ["random-semidiagonal", "--a", 6, "--d", 3, "--count", 20000, "--seed", 1],
+        ["random-semidiagonal", "--a", 7, "--d", 3, "--count", 20000, "--seed", 1],
         ["exhaustive", "--a", 3, "--d", 3],
     ],
     ids=str,

@@ -274,6 +274,8 @@ def test_violation_witness_is_the_scalar_draw(monkeypatch, field, a, d, kernel):
         return mfrank, sumrank
 
     monkeypatch.setattr(search, kernel, faked)
+    if kernel == "_certified_ranks":  # a sweep shorter than one certified block is not certified
+        monkeypatch.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, 9))
     rep = random_semidiagonal_sweep(a, d, 9, seed=41, field=field)
     want = scalar_semidiagonal(a, d, field, Rng(Rng.sub_seed(41, 5)))
     assert rep.violations == 1
@@ -354,7 +356,15 @@ def test_population_kernels_match_matrix_rank(monkeypatch, a, d):
     assert rep.violations == int((mfrank < math.ceil(a / (d - 1))).sum())
 
 
-def _certify(a, d, words, chunk=None):
+def _certified_block_bytes(a, d, n):
+    """The ``BLOCK_BYTES`` at which a certified GF(2) sweep on A^d runs n tensors a block."""
+    import flatrank.search as search
+
+    dtype, width = search._row_layout(a, d, sampled=True)
+    return n * (width * np.dtype(dtype).itemsize + 8 * _semidiagonal_words(a, d, GF2))
+
+
+def _certify(monkeypatch, a, d, words, chunk=None):
     """(mfrank, sum_franks) of ``words`` through a sweep's certified plan, in one block,
     and the count of tensors it sent to the exact kernel, ``chunk`` at a time."""
     import flatrank.search as search
@@ -367,7 +377,9 @@ def _certify(a, d, words, chunk=None):
         sent.append(w.shape[0])
         return exact(w, ws)
 
-    plan = search._certified_plan(a, d, n, nwords, (chunk or block, sizes, extra, counting))
+    with monkeypatch.context() as mp:  # the certified block is the n words
+        mp.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, n))
+        plan = search._certified_plan(a, d, n, nwords, (chunk or block, sizes, extra, counting))
     assert plan is not None and plan[0] == n
     if chunk:
         assert max(sent, default=0) <= chunk
@@ -376,12 +388,13 @@ def _certify(a, d, words, chunk=None):
 
 
 # every certified shape: byte-table misses at (5,3), (2,6) and (3,4), bit-sliced
-# ones at 36, 64, 81 and 125 columns
-CERTIFIED = [(5, 3), (6, 3), (4, 4), (2, 6), (3, 4), (3, 5), (5, 4)]
+# ones at 36, 64, 81 and 125 columns, and at (7,3) and (13,3), a = 13 being the
+# largest certified axis, where 6% and 55% of a stream block miss
+CERTIFIED = [(5, 3), (6, 3), (4, 4), (2, 6), (3, 4), (3, 5), (5, 4), (7, 3), (13, 3)]
 
 
 @pytest.mark.parametrize("a,d", CERTIFIED, ids=str)
-def test_certificate_matches_matrix_rank(a, d):
+def test_certificate_matches_matrix_rank(monkeypatch, a, d):
     # extremal and near-extremal tensors, whose blocks are nearly all misses,
     # zero words, and a stream block, whose misses are few; the hard words also
     # in exact chunks of one tensor, and of 64
@@ -395,37 +408,58 @@ def test_certificate_matches_matrix_rank(a, d):
         want = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
         short = int((want[1] < a * d).sum())  # tensors that are not of full rank
         for chunk in chunks:
-            got, sent = _certify(a, d, words, chunk)
+            got, sent = _certify(monkeypatch, a, d, words, chunk)
             assert [r.tolist() for r in got] == [r.tolist() for r in want], chunk
             assert short <= sent <= len(words)
-    assert _certify(a, d, hard)[1] >= 100  # the near-extremal and extremal tensors miss
+    assert _certify(monkeypatch, a, d, hard)[1] >= 100  # the near-extremal and extremal tensors miss
 
 
-@pytest.mark.parametrize("a,d", [(4, 3), (7, 3), (33, 2), (2, 4), (1, 20)], ids=str)
+@pytest.mark.parametrize("a,d", [(4, 3), (14, 3), (33, 2), (2, 4), (1, 20)], ids=str)
 def test_certificate_left_to_exact_kernels(monkeypatch, a, d):
-    # 16 columns or fewer, or a = 7 > 6: the sweep ranks every tensor in full
+    # 16 columns or fewer, or a = 14 over SAMPLE_MAX_A: however long the sweep,
+    # every tensor is ranked in full
     import flatrank.search as search
 
-    nwords = _semidiagonal_words(a, d, GF2)
-    assert search._certified_plan(a, d, 100, nwords, search._gf2_plan(a, d, 100, nwords)) is None
+    nwords, count = _semidiagonal_words(a, d, GF2), 10**7
+    assert search._certified_plan(a, d, count, nwords, search._gf2_plan(a, d, count, nwords)) is None
 
     def refused(*args):
         raise AssertionError("certified")
 
     monkeypatch.setattr(search, "_certified_ranks", refused)
+    # blocks of 10 that the certificate would take, were it not for the shape
+    monkeypatch.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, 10))
     rep = random_semidiagonal_sweep(a, d, 100, seed=3)
     words = _stream_block(3, 0, 100, nwords)
     mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
     assert (rep.min_mfrank, rep.min_sum_franks) == (mfrank.min(), sumrank.min())
 
 
+@pytest.mark.parametrize("a,d", CERTIFIED, ids=str)
+def test_certificate_takes_sweeps_of_one_block_or_more(monkeypatch, a, d):
+    # the certificate's fixed costs pay back within one of its blocks, not
+    # before: a sweep one tensor short of a block ranks every tensor in full
+    import flatrank.search as search
+
+    nwords = _semidiagonal_words(a, d, GF2)
+    plan = lambda count: search._certified_plan(a, d, count, nwords, search._gf2_plan(a, d, count, nwords))
+    block = plan(10**7)[0]
+    assert plan(block)[0] == block and plan(block - 1) is None
+
+    def refused(*args):
+        raise AssertionError("certified")
+
+    monkeypatch.setattr(search, "_certified_ranks", refused)
+    random_semidiagonal_sweep(a, d, block - 1, seed=3)
+
+
 # a stream block sends few tensors to the exact kernel: measured on 60,000
 # draws, 0.05-0.09% at (4,4), 0.8-1.0% at (5,3) and 2.4-2.9% at (6,3).  A
 # certificate that falls back for every tensor, or for a tenth of them, fails
 @pytest.mark.parametrize("a,d,limit", [(4, 4, 0.01), (5, 3, 0.02), (6, 3, 0.05)], ids=str)
-def test_certificate_sends_few_stream_tensors_to_the_exact_kernel(a, d, limit):
+def test_certificate_sends_few_stream_tensors_to_the_exact_kernel(monkeypatch, a, d, limit):
     words = _stream_block(2026, 0, 8000, _semidiagonal_words(a, d, GF2))
-    _, sent = _certify(a, d, words)
+    _, sent = _certify(monkeypatch, a, d, words)
     assert 0 < sent < limit * len(words)
 
 
@@ -481,13 +515,17 @@ def test_sweep_builds_row_tables_once(monkeypatch):
         (4, 3, [(4, 3, False)]),  # byte tables alone
         (5, 3, [(5, 3, False), (5, 3, True)]),  # certified, misses through the byte tables
         (4, 4, [(4, 4, True)]),  # certified, misses bit-sliced
-        (7, 3, []),  # bit-sliced alone
+        (14, 3, []),  # bit-sliced alone
     ]:
         calls.clear()
         with monkeypatch.context() as mp:
             _budget_blocks(mp, GF2, a, d, 16 if a ** (d - 1) <= TABLE_MAX_COLUMNS else 64)
             random_semidiagonal_sweep(a, d, 200, seed=5)  # 3 or more blocks
         assert calls == want, (a, d)
+    # a sweep shorter than one certified block builds no sampled tables
+    calls.clear()
+    random_semidiagonal_sweep(5, 3, 200, seed=5)
+    assert calls == [(5, 3, False)]
 
 
 # a byte-table shape, then bit-sliced shapes with rows of 36, 64 and 81 columns,
@@ -568,7 +606,7 @@ def test_sweep_maps_one_arena_per_thread(monkeypatch):
 ARENA_SWEEPS = {
     "table": lambda: random_semidiagonal_sweep(4, 3, 40000, seed=5),
     "exhaustive": lambda: exhaustive_min_mfrank(3, 3),
-    "sliced": lambda: random_semidiagonal_sweep(7, 3, 10000, seed=5),
+    "sliced": lambda: random_semidiagonal_sweep(7, 3, 9000, seed=5),
     "certified": lambda: random_semidiagonal_sweep(6, 3, 25000, seed=5),
     "gf3": lambda: random_semidiagonal_sweep(3, 3, 7000, 5, field=make_prime_field(3)),
 }
