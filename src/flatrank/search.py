@@ -566,19 +566,17 @@ def _exhaustive_ranks(
     n = stop - start
     low = min(n, 256)
     high_bytes = np.arange(start, stop, low, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    groups, width = n // low, next(iter(tables.values())).shape[1]
+    groups, width = n // low, tables[0].shape[1]
     index, hi = ws.take("index", groups), ws.take("hi", groups, width)
     buf = ws.take("buf", groups, width)  # free until the elimination takes it as scratch
-    low_rows = ws.take("low", a, d, 1, low)
     hi.fill(0)
-    low_rows.fill(0)  # a table set without byte 0's holds the diagonal in a high byte's
     for k, table in tables.items():
-        if k == 0:
-            np.copyto(low_rows, table[:low, : a * d].T.reshape(a, d, 1, low))
-            continue
-        np.copyto(index, high_bytes[:, k])
-        np.take(table, index, axis=0, out=buf, mode="clip")
-        hi ^= buf
+        if k:  # byte 0's table, the first, also holds the diagonal: a set without it raises
+            np.copyto(index, high_bytes[:, k])
+            np.take(table, index, axis=0, out=buf, mode="clip")
+            hi ^= buf
+    low_rows = ws.take("low", a, d, 1, low)
+    np.copyto(low_rows, tables[0][:low, : a * d].T.reshape(a, d, 1, low))
     rows = ws.take("rows", a, d, groups, low)
     np.bitwise_xor(hi[:, : a * d].T.reshape(a, d, groups, 1), low_rows, out=rows)
     return _eliminate(rows.reshape(a, d * n), ws.take("buf", a, d * n), d, ws)
