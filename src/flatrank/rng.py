@@ -8,10 +8,17 @@
 ``next_below(n)`` is ``next_u64() % n``.  Derived sub-stream j of seed s is
 seeded with ``mix((s ^ ((j + 1) * 0x9E3779B97F4A7C15)) mod 2^64)``; the numpy
 helpers reproduce the exact same words in bulk, written into buffers the
-caller owns, so a sweep's blocks allocate nothing.
+caller owns, so a sweep's blocks allocate nothing.  The multiples j * GOLDEN
+they add are read from a ramp, built once for each power-of-two length and
+kept for the process, read-only, never freed or replaced (a sweep counts its
+bytes, :func:`_ramp_bytes`): on 16,384 words a cumulative sum of GOLDEN took
+51 us, seven multiplications' worth, and an add from the ramp 6.6 us (2-vCPU
+Xeon, numpy 2.4.6).
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,14 +72,31 @@ def mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
+@lru_cache(maxsize=None)
+def _ramp_of(length: int) -> np.ndarray:
+    ramp = np.arange(length, dtype=np.uint64)
+    ramp *= np.uint64(GOLDEN)  # array products wrap mod 2^64
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _ramp(n: int) -> np.ndarray:
+    """``j * GOLDEN mod 2^64`` for j < n, ``n >= 1``: the head of the kept ramp of n's length."""
+    return _ramp_of(1 << (n - 1).bit_length())[:n]
+
+
+def _ramp_bytes(n: int, nwords: int) -> int:
+    """Bytes of the ramps that drawing the first ``nwords`` words of n streams builds and keeps."""
+    return sum(8 << (m - 1).bit_length() for m in (n, nwords + 1))
+
+
 def sub_seeds_np(seed: int, start: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """``out[j] = Rng.sub_seed(seed, start + j)``, written into the uint64 array ``out``.
 
-    ``tmp`` is scratch of out's shape; nothing else is allocated.
+    ``tmp`` is scratch of out's shape; nothing else is allocated but the
+    ramp of out's length, once.  Both are best contiguous.
     """
-    out.fill(GOLDEN)
-    out[0] = (start + 1) * GOLDEN & MASK64
-    np.cumsum(out, out=out)  # (start + 1 + j) * GOLDEN mod 2^64
+    np.add(_ramp(out.size), np.uint64((start + 1) * GOLDEN & MASK64), out=out)
     out ^= np.uint64(seed)
     return mix64_np(out, tmp)
 
@@ -80,9 +104,10 @@ def sub_seeds_np(seed: int, start: int, out: np.ndarray, tmp: np.ndarray) -> np.
 def stream_words_np(sub_seeds: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """Row j of the (N, nwords) uint64 ``out``: the first outputs of ``Rng(sub_seeds[j])``.
 
-    ``tmp`` is scratch of out's shape.
+    ``tmp`` is scratch of out's shape.  Word i of every row is written in one
+    pass over the N rows, not row by row over its few words: 37 against 132
+    us for 8,192 rows of 4 words.
     """
-    steps = np.arange(1, out.shape[1] + 1, dtype=np.uint64)
-    steps *= np.uint64(GOLDEN)
-    np.add(sub_seeds[:, None], steps, out=out)
+    steps = _ramp(out.shape[1] + 1)[1:, None]
+    np.add(steps, sub_seeds, out=out.T, order="C")
     return mix64_np(out, tmp)

@@ -37,19 +37,26 @@ one call of the batched kernel behind :func:`flatrank.linalg.matrix_rank`.
 A random GF(2) sweep of at least one block of its own, whose rows are
 wider than :data:`SAMPLE_COLUMNS` (16) columns, with a <=
 :data:`SAMPLE_MAX_A` (13), first ranks every tensor of a block on 16
-columns of each flattening alone, those with the most mixed cells, through
-byte tables of the sampled rows (:func:`_certified_ranks`).  A sampled rank is at most the
-flattening's rank, which is at most a, so a tensor whose sampled ranks sum
-to a*d is of full rank, exactly.  Only the others, the misses, go to the
-exact kernel above, compacted, and their ranks are written back before the
-block is read.  Random tensors are nearly all of full rank; the misses, on
-three 20,000-tensor stream blocks per shape:
+columns of each flattening alone, through byte tables of the sampled rows
+(:func:`_certified_ranks`): columns with at most one fixed cell, each adding
+the fewest stream bytes, and so the fewest tables, to those taken before,
+then the rest by most mixed cells (:func:`_row_tables`).  A sampled rank is
+at most the flattening's rank, which is at most a, so a tensor whose sampled
+ranks sum to a*d is of full rank, exactly.  Only the others, the misses, go
+to the exact kernel above, compacted, and their ranks are written back
+before the block is read.  Random tensors are nearly all of full rank; the
+misses, on three 20,000-tensor stream blocks per shape:
 
-    (2,6) 0.025-0.03%   (3,4) 0.02-0.065%   (3,5) 0.045-0.05%
-    (4,4) 0.065-0.10%   (5,4) 0.15-0.17%    (6,4) 0.3-0.4%
+    (2,6) 0.02-0.025%   (3,4) 0.02-0.045%   (3,5) 0.055-0.065%
+    (4,4) 0.095-0.125%  (5,4) 0.21-0.215%   (6,4) 0.36-0.41%
     (5,3) 0.75-0.84%    (6,3) 2.5-2.75%     (7,3) 6.4%
     (8,3) 10.8-11.3%    (10,3) 22-24%       (12,3) 42%
     (13,3) 55%          (14,3) 71%          (15,3) 86%
+
+Taking the columns by most mixed cells alone needed 22 tables at (4,4), not
+13, for misses of 0.065-0.10%, and its certified blocks took 1.32-1.34x as
+long (median CPU time of alternating calls in one process on a 2-vCPU Xeon:
+826 against 625 us, and 1,603 against 1,193 us in a slower spell).
 
 The sampled kernel's cost stays at 16 columns while the exact kernel's grows
 with a^(d-1), so even a majority of misses pays: whole sweeps of 2.5
@@ -64,7 +71,8 @@ process; shorter ones lost at (5,3), (6,3) and (7,3) (1.04-1.8x at 40 to
 500), so they keep the exact kernels, as do exhaustive sweeps.  Whole
 sweeps in process, exact kernels alone against the certificate: (5,3) x
 30,000 2.46 -> 1.77 ms, (4,4) x 15,000 3.84 -> 2.14 ms, (6,3) x 20,000
-3.95 -> 2.81 ms.
+3.95 -> 2.81 ms (at (4,4) with the 22 tables of the columns with the most
+mixed cells).
 
 Both sweeps run one block loop, :func:`_scan_blocks`, which takes one
 workspace (:class:`flatrank.linalg._Workspace`) per call from its thread's
@@ -122,7 +130,7 @@ from .linalg import (
     _Workspace,
     entry_dtype,
 )
-from .rng import Rng, stream_words_np, sub_seeds_np
+from .rng import Rng, _ramp_bytes, stream_words_np, sub_seeds_np
 from .setfam import (
     TupleFamily,
     _slot_limbs,
@@ -199,6 +207,7 @@ class SearchReport:
         return doc
 
 
+@lru_cache(maxsize=None)
 def _row_layout(a: int, d: int, sampled: bool = False) -> tuple[type, int]:
     """(dtype, width) of the packed flattening rows of :func:`_row_tables`.
 
@@ -222,8 +231,13 @@ def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, np.ndarray]:
     """Byte tables of the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
 
     Needs ``a ** (d-1) <= 32``, or ``sampled``: then each flattening keeps
-    only its :data:`SAMPLE_COLUMNS` columns with the most mixed cells (ties
-    to the lower column), in column order.  Row ``r * d + axis`` holds row r
+    only :data:`SAMPLE_COLUMNS` columns, in column order, picked one at a
+    time, axis by axis.  Columns with at most one fixed (diagonal or
+    all-distinct) cell go first, the one adding the fewest stream bytes not
+    yet feeding a kept cell, of any axis, first; then the rest, by most
+    mixed cells; ties to fewer fixed cells, then the lower column.  Fixed
+    cells are the same in every tensor, and each byte fed costs a gather per
+    block.  Row ``r * d + axis`` holds row r
     of the flattening along ``axis``, one bit per (kept) column, in the
     layout of :func:`_row_layout`.  ``tables[k][v]`` XORs in the mixed
     entries 8k .. 8k+7 whose bits are set in the stream byte v; there is a
@@ -231,21 +245,38 @@ def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, np.ndarray]:
     at least one), and the first also holds the rows of the unit diagonal,
     so the rows of a tensor are the XOR of one entry per table.  Built once per shape and kept, read-only:
     the largest full sets, at (3,4) and (5,3), take 123 KB, and the sampled
-    ones 64 KB at (5,3), 180 KB at (4,4), 110 KB at (6,3) and 1.2 MB at
-    (13,3).
+    ones 64 KB at (5,3) (8 tables), 106 KB at (4,4) (13), 110 KB at (6,3)
+    (12) and 1.2 MB at (13,3) (59).
     """
     diag, _, mixed = index_class_arrays(a, d)
     dtype, width = _row_layout(a, d, sampled)
-    cols = a ** (d - 1)
+    cols, nbytes = a ** (d - 1), max(1, -(-mixed.size // 8))
     bit = np.tile(np.arange(cols), (d, 1))  # [axis, column]: its bit in the rows, -1 if not kept
     if sampled:
-        kind = np.zeros(a**d, np.int64)
-        kind[mixed] = 1
+        byte = np.full(a**d, nbytes)  # the stream byte of each mixed entry; nbytes if fixed
+        byte[mixed] = np.arange(mixed.size) // 8
+        unfed = np.ones(nbytes + 1, bool)  # the bytes that feed no kept cell yet
+        unfed[nbytes] = False
         bit.fill(-1)
         for ax in range(d):
-            count = np.moveaxis(kind.reshape((a,) * d), ax, 0).reshape(a, cols).sum(axis=0)
-            keep = np.sort(np.argsort(-count, kind="stable")[:SAMPLE_COLUMNS])
-            bit[ax, keep] = np.arange(keep.size)
+            # [i, column]: the bytes of each column's cells, sorted, each counted once
+            cells = np.sort(np.moveaxis(byte.reshape((a,) * d), ax, 0).reshape(a, cols), axis=0)
+            once = np.ones((a, cols), bool)
+            once[1:] = cells[1:] != cells[:-1]
+            fixed = (cells == nbytes).sum(axis=0)
+            # a pick takes the least key, ties to the lower column: fixed cells,
+            # plus the new bytes times a + 1 if at most one is fixed, or else
+            # past any such column; a kept column's is past them all
+            weight = (fixed <= 1) * (a + 1)
+            key = (fixed > 1) * (nbytes + 1) * (a + 1) + fixed
+            keep = []
+            for _ in range(min(SAMPLE_COLUMNS, cols)):
+                new = (unfed[cells] & once).sum(axis=0)
+                c = int(np.argmin(new * weight + key))
+                keep.append(c)
+                key[c] = (nbytes + 2) * (a + 1)
+                unfed[cells[:, c]] = False
+            bit[ax, np.sort(keep)] = np.arange(len(keep))
 
     def entry_rows(flat: np.ndarray) -> np.ndarray:
         """(len(flat), width): the rows with only entry ``flat[i]`` set, for each i."""
@@ -257,7 +288,6 @@ def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, np.ndarray]:
             out[kept, idx[ax][kept] * d + ax] = np.uint64(1) << col[kept].astype(np.uint64)
         return out
 
-    nbytes = max(1, -(-mixed.size // 8))
     bits = np.zeros((8 * nbytes, width), dtype=dtype)
     bits[: mixed.size] = entry_rows(mixed)
     feeding = [k for k in range(nbytes) if bits[8 * k : 8 * k + 8].any()] or [0]
@@ -281,7 +311,7 @@ def _check_workspace(sizes: dict[str, tuple[int, type]], extra: int, what: str) 
     """Refuse a sweep whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
 
     Counted are the workspace of ``sizes`` and ``extra`` bytes: the index
-    arrays and sampled tables the shape keeps for the process, a binary
+    arrays, sampled tables and stream ramps kept for the process, a binary
     field's log tables with the scratch of their build, and what the
     elimination allocates outside the workspace.
     """
@@ -794,7 +824,8 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     is ranked in chunks of a power of two assignments, as many as fit
     :data:`BLOCK_BYTES` of packed rows and at least 256 (or the whole
     population, if smaller).  Rows over :data:`TABLE_MAX_COLUMNS` columns
-    occur only at d = 2, where the identity alone is bit-sliced.
+    occur only at d = 2, where the identity alone is bit-sliced.  Violations
+    counts assignments with mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
     f = _mixed_count(a, d)
@@ -817,7 +848,7 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
         ranks = lambda start, stop, ws: _sliced_ranks(a, d, words(start, stop), ws)
     extra = _sliced_unplanned_bytes(a, d, chunk, 1) if sliced else 0
     _check_workspace(sizes, extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
-    (best_mf, at_mf), (best_sum, at_sum), _, _ = _scan_blocks(
+    (best_mf, at_mf), (best_sum, at_sum), violations, _ = _scan_blocks(
         total, chunk, sizes, ranks, -(-a // (d - 1))
     )
 
@@ -838,6 +869,7 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
         min_sum_franks=best_sum,
         witnesses=[witness(at_mf, "min_mfrank"), witness(at_sum, "min_sum_franks")],
         seed=None,
+        violations=violations,
         extra={"free_entries": f},
     )
 
@@ -851,10 +883,10 @@ def _stream_block(
     """
     n = stop - start
     ws = ws or _Workspace(_stream_sizes(n, nwords))
-    words, mix = ws.take("words", n, nwords), ws.take("mix", n, nwords)
-    # the sub-seeds sit in mix until the words are drawn from them; then it is their scratch
-    seeds = sub_seeds_np(seed, start, mix[:, 0], words[:, 0])
-    return stream_words_np(seeds, words, mix)
+    # the sub-seeds sit in mix's first n items, contiguous, until the words are
+    # drawn from them; then mix is the words' scratch
+    seeds = sub_seeds_np(seed, start, ws.take("mix", n), ws.take("words", n))
+    return stream_words_np(seeds, ws.take("words", n, nwords), ws.take("mix", n, nwords))
 
 
 def _semidiagonal_words(a: int, d: int, field: FieldDescriptor) -> int:
@@ -976,8 +1008,8 @@ def random_semidiagonal_sweep(
     if field.order != 2:  # no buffer grows faster than n: one tensor's largest sizes the block
         n = min(count, max(1, BLOCK_BYTES // _largest_buffer(_field_sizes(a, d, 1, field))))
         sizes = _field_sizes(a, d, n, field)
-        # _draw_index's arrays, stream_words_np's steps and the elimination's temporaries
-        extra = 8 * (a**d + 3 * nwords) + _unplanned_bytes(d * n, a)
+        # _draw_index's arrays and the elimination's temporaries
+        extra = 8 * (a**d + 2 * nwords) + _unplanned_bytes(d * n, a)
         if field.kind == "binary" and field.k <= 16:  # the log tables and their build, cached or not
             extra += _Workspace.nbytes(_log_table_sizes(field))
         if d > 2:  # the pivot table, which only a clearing step builds
@@ -991,6 +1023,7 @@ def random_semidiagonal_sweep(
         n, sizes, extra, kernel = certified or plan
         if certified is None:  # sliced words are read into the planes before rows and scratch are written
             sizes |= _stream_sizes(n, nwords, *(("rows", "scratch") if sliced else (None, "buf")))
+    extra += _ramp_bytes(n, nwords)  # the stream's ramps, kept for the process once built
     _check_workspace(sizes, extra, f"{a}^{d} sweep block of n={n} tensors")
     if field.order != 2:
         _draw_index(a, d)  # built before the workspaces, not on top of them

@@ -616,6 +616,61 @@ def test_usage_error_exit_two():
     assert exc.value.code == 2
 
 
+def _exit_of(parse, argv, capsys):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    return (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--version"],
+        ["nope"],  # an unknown command
+        ["--out", "x"],  # an unknown option before the command
+        ["rank"],  # a missing positional
+        ["rank", "t.json"],  # a missing required group
+        ["rank", "t.json", "--max", "--sum"],  # exclusive options
+        ["rank", "t.json", "--max", "extra", "--flag"],  # leftovers, at the top level
+        ["rank", "t.json", "--max", "--version"],
+        ["rank", "-h"],
+        ["construct", "cube", "--a", "2", "--d", "3"],  # an invalid choice
+        ["verify", "fw", "x.json", "--distinct", "cells"],
+        ["experiment", "exhaustive", "--a", "x"],  # a bad integer
+        ["experiment", "exhaustive", "--a"],  # an option without its value
+        ["experiment", "exhaustive", "--a", "2", "--d", "3", "4"],
+    ],
+    ids=str,
+)
+def test_subcommand_parse_errors_match_the_full_parser(capsys, argv):
+    # a named subcommand is parsed by its own parser; every error path exits as
+    # the full parser does, with the same output and code
+    from flatrank.cli import _parse_args, build_parser
+
+    want = _exit_of(build_parser()[0].parse_args, argv, capsys)
+    assert _exit_of(_parse_args, argv, capsys) == want
+    assert want[0] == 0 or "error:" in want[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rank", "t.json", "--axis", "1", "--out", "r.json"],
+        ["verify", "fw", "f.json", "--config", "c.json", "--distinct", "positions"],
+        ["experiment", "random-semidiagonal", "--a", "4", "--d", "3", "--count", "9", "--seed", "7"],
+        ["construct", "axis-constant", "--a", "3", "--d", "3", "--axis", "1", "--sparse"],
+    ],
+    ids=str,
+)
+def test_subcommand_parse_matches_the_full_parser(argv):
+    from flatrank.cli import _parse_args, build_parser
+
+    assert vars(_parse_args(argv)) == vars(build_parser()[0].parse_args(argv))
+
+
 @pytest.mark.parametrize(
     "args,golden",
     [

@@ -107,14 +107,25 @@ def test_numpy_stream_matches_scalar():
 
 @pytest.mark.parametrize("seed", [0, MASK64], ids=str)
 def test_stream_block_rewrites_its_workspace(seed):
-    # two blocks through one workspace: 0 .. 4, then the shorter 5 .. 7, whose
-    # stream crosses the boundary and must not read what the first block left
-    ws = _Workspace(_stream_sizes(5, 3))
-    for start, stop in [(0, 5), (5, 8)]:
-        words = _stream_block(seed, start, stop, 3, ws)
-        for j in range(start, stop):
-            rng = Rng(Rng.sub_seed(seed, j))
-            assert words[j - start].tolist() == [rng.next_u64() for _ in range(3)], j
+    # blocks through one workspace, word for word against Rng: lengths at and
+    # just over a power of two, whose sub-seeds come from the next ramp up, a
+    # start past 2^32, and shorter tail blocks, which must not read what a
+    # longer block left
+    for nwords in (1, 2, 3, 4, 21):
+        ws = _Workspace(_stream_sizes(65, nwords))
+        for start, stop in [(0, 65), (65, 82), (82, 83), (1 << 40, (1 << 40) + 33), (2000, 2064)]:
+            words = _stream_block(seed, start, stop, nwords, ws)
+            for j in range(start, stop):
+                rng = Rng(Rng.sub_seed(seed, j))
+                assert words[j - start].tolist() == [rng.next_u64() for _ in range(nwords)], (nwords, j)
+
+
+def test_stream_ramps_are_kept_read_only():
+    from flatrank.rng import _ramp
+
+    ramp = _ramp(17)
+    assert ramp.tolist() == [j * GOLDEN & MASK64 for j in range(17)]
+    assert not ramp.flags.writeable and ramp.base is _ramp(32).base is _ramp(25).base
 
 
 def test_exhaustive_small_populations():
@@ -150,6 +161,29 @@ def test_mixed_count_matches_index_classes():
 def test_exhaustive_refuses_oversized():
     with pytest.raises(ValueError, match="population too large"):
         exhaustive_min_mfrank(4, 3)
+
+
+def test_exhaustive_sweep_counts_violations(monkeypatch, capsys):
+    # one assignment ranked below ceil(a / (d-1)) by a faulty kernel: the report
+    # counts it, and the CLI exits 1 (the real population has none)
+    import flatrank.search as search
+    from flatrank.cli import main
+
+    kernel = search._exhaustive_ranks
+
+    def faulty(a, d, tables, start, stop, ws):
+        mfrank, sumrank = kernel(a, d, tables, start, stop, ws)
+        if start <= 300 < stop:
+            mfrank[300 - start] = 1
+        return mfrank, sumrank
+
+    assert exhaustive_min_mfrank(3, 3).violations == 0
+    monkeypatch.setattr(search, "_exhaustive_ranks", faulty)
+    rep = exhaustive_min_mfrank(3, 3)
+    assert (rep.violations, rep.min_mfrank) == (1, 1)
+    assert main(["experiment", "exhaustive", "--a", "3", "--d", "3"]) == 1
+    out, err = capsys.readouterr()
+    assert '"violations":1' in out and "verification failed" in err
 
 
 def test_exhaustive_witnesses_reverify():
@@ -411,7 +445,22 @@ def test_certificate_matches_matrix_rank(monkeypatch, a, d):
             got, sent = _certify(monkeypatch, a, d, words, chunk)
             assert [r.tolist() for r in got] == [r.tolist() for r in want], chunk
             assert short <= sent <= len(words)
-    assert _certify(monkeypatch, a, d, hard)[1] >= 100  # the near-extremal and extremal tensors miss
+    # the near-extremal and extremal tensors miss, over 64: more than one exact chunk of 64
+    assert _certify(monkeypatch, a, d, hard)[1] > 64
+
+
+# byte tables a certified block gathers, one per stream byte that feeds a
+# sampled cell; the columns that add the fewest new bytes are taken first
+# (22 tables at (4,4), 15 at (3,5), 34 at (5,4) and 42 at (6,4) when the
+# columns with the most mixed cells were)
+@pytest.mark.parametrize(
+    "a,d,tables",
+    [(2, 6, 6), (3, 4, 9), (3, 5, 13), (4, 4, 13), (5, 3, 8), (5, 4, 29), (6, 3, 12),
+     (6, 4, 37), (7, 3, 16), (13, 3, 59)],
+    ids=str,
+)
+def test_sampled_tables_per_certified_shape(a, d, tables):
+    assert len(_row_tables(a, d, sampled=True)) == tables
 
 
 @pytest.mark.parametrize("a,d", [(4, 3), (14, 3), (33, 2), (2, 4), (1, 20)], ids=str)
@@ -454,7 +503,8 @@ def test_certificate_takes_sweeps_of_one_block_or_more(monkeypatch, a, d):
 
 
 # a stream block sends few tensors to the exact kernel: measured on 60,000
-# draws, 0.05-0.09% at (4,4), 0.8-1.0% at (5,3) and 2.4-2.9% at (6,3).  A
+# draws, 0.06-0.18% at (4,4) (blocks of 8,000, on the columns that feed the
+# fewest stream bytes), 0.8-1.0% at (5,3) and 2.4-2.9% at (6,3).  A
 # certificate that falls back for every tensor, or for a tenth of them, fails
 @pytest.mark.parametrize("a,d,limit", [(4, 4, 0.01), (5, 3, 0.02), (6, 3, 0.05)], ids=str)
 def test_certificate_sends_few_stream_tensors_to_the_exact_kernel(monkeypatch, a, d, limit):
