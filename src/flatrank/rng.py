@@ -9,16 +9,18 @@
 seeded with ``mix((s ^ ((j + 1) * 0x9E3779B97F4A7C15)) mod 2^64)``; the numpy
 helpers reproduce the exact same words in bulk, written into buffers the
 caller owns, so a sweep's blocks allocate nothing.  The multiples j * GOLDEN
-they add are read from a ramp, built once for each power-of-two length and
-kept for the process, read-only, never freed or replaced (a sweep counts its
-bytes, :func:`_ramp_bytes`): on 16,384 words a cumulative sum of GOLDEN took
-51 us, seven multiplications' worth, and an add from the ramp 6.6 us (2-vCPU
-Xeon, numpy 2.4.6).
+they add are read from the head of the shortest kept ramp that is long
+enough; failing one, a ramp of the next power-of-two length is built and kept
+for the process, read-only, never freed or replaced.  A sweep counts the
+ramps its first block builds (:func:`_ramp_bytes`); its shorter tail block
+builds none.  On 16,384 words a cumulative sum of GOLDEN took 51 us, seven
+multiplications' worth, and an add from the ramp 6.6 us (2-vCPU Xeon, numpy
+2.4.6).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
 
 import numpy as np
 
@@ -72,29 +74,40 @@ def mix64_np(z: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return z
 
 
-@lru_cache(maxsize=None)
-def _ramp_of(length: int) -> np.ndarray:
-    ramp = np.arange(length, dtype=np.uint64)
-    ramp *= np.uint64(GOLDEN)  # array products wrap mod 2^64
-    ramp.flags.writeable = False
-    return ramp
+_ramps: tuple[np.ndarray, ...] = ()  # the kept ramps, shortest first
+_ramps_lock = threading.Lock()
 
 
 def _ramp(n: int) -> np.ndarray:
-    """``j * GOLDEN mod 2^64`` for j < n, ``n >= 1``: the head of the kept ramp of n's length."""
-    return _ramp_of(1 << (n - 1).bit_length())[:n]
+    """``j * GOLDEN mod 2^64`` for j < n, ``n >= 1``: the head of the shortest kept ramp that long.
+
+    Failing one, a ramp of n's power-of-two length is built and kept.  So a
+    sweep's tail block, shorter than the others, builds no ramp of its own:
+    its first block's is long enough.
+    """
+    global _ramps
+    for ramp in _ramps:
+        if ramp.size >= n:
+            return ramp[:n]
+    with _ramps_lock:  # two threads build no ramp twice, so none is dropped
+        if all(ramp.size < n for ramp in _ramps):
+            ramp = np.arange(1 << (n - 1).bit_length(), dtype=np.uint64)
+            ramp *= np.uint64(GOLDEN)  # array products wrap mod 2^64
+            ramp.flags.writeable = False
+            _ramps = tuple(sorted((*_ramps, ramp), key=len))
+    return _ramp(n)
 
 
 def _ramp_bytes(n: int, nwords: int) -> int:
-    """Bytes of the ramps that drawing the first ``nwords`` words of n streams builds and keeps."""
+    """Bytes of the ramps a sweep of blocks of up to n tensors, ``nwords`` words each, builds and keeps."""
     return sum(8 << (m - 1).bit_length() for m in (n, nwords + 1))
 
 
 def sub_seeds_np(seed: int, start: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """``out[j] = Rng.sub_seed(seed, start + j)``, written into the uint64 array ``out``.
 
-    ``tmp`` is scratch of out's shape; nothing else is allocated but the
-    ramp of out's length, once.  Both are best contiguous.
+    ``tmp`` is scratch of out's shape; nothing else is allocated but, once,
+    a ramp of at least out's length.  Both are best contiguous.
     """
     np.add(_ramp(out.size), np.uint64((start + 1) * GOLDEN & MASK64), out=out)
     out ^= np.uint64(seed)

@@ -56,7 +56,11 @@ misses, on three 20,000-tensor stream blocks per shape:
 Taking the columns by most mixed cells alone needed 22 tables at (4,4), not
 13, for misses of 0.065-0.10%, and its certified blocks took 1.32-1.34x as
 long (median CPU time of alternating calls in one process on a 2-vCPU Xeon:
-826 against 625 us, and 1,603 against 1,193 us in a slower spell).
+826 against 625 us, and 1,603 against 1,193 us in a slower spell).  The
+rule also saves tables at (3,5), (5,4) and (6,4), 13, 29 and 37 for 15, 34
+and 42, whose certified blocks took 0.87-0.93x as long, and missed as often:
+0.049, 0.188 and 0.371% against 0.051, 0.189 and 0.383% of 150 stream
+blocks (0.47-1.2 million tensors).
 
 The sampled kernel's cost stays at 16 columns while the exact kernel's grows
 with a^(d-1), so even a majority of misses pays: whole sweeps of 2.5
