@@ -7,7 +7,7 @@ rows, a^(d-1) columns.  Blocks of both are sized by the bytes of their rows
 
 * Rows of at most 32 columns (:data:`TABLE_MAX_COLUMNS`) are packed, one
   machine word per row with one bit per column, and a tensor's rows are
-  padded to 8, 16 or 32 bytes where that is at most 32 (:func:`_row_layout`).
+  padded to 8, 16 or 32 bytes, or cut into two such pieces up to 64 (:func:`_row_layout`).
   The rows of a tensor are
   the XOR of one entry of each byte table, one table per byte of the mixed
   bits; each shape's tables are built once and kept.  A random block gathers
@@ -43,9 +43,9 @@ the fewest stream bytes, and so the fewest tables, to those taken before,
 then the rest by most mixed cells (:func:`_row_tables`).  A sampled rank is
 at most the flattening's rank, which is at most a, so a tensor whose sampled
 ranks sum to a*d is of full rank, exactly.  Only the others, the misses, go
-to the exact kernel above, compacted, and their ranks are written back
-before the block is read.  Random tensors are nearly all of full rank; the
-misses, on three 20,000-tensor stream blocks per shape:
+to the exact kernel above, queued from block to block and ranked one exact
+block at a time.  Random tensors are nearly all of full rank; the misses, on
+three 20,000-tensor stream blocks per shape:
 
     (2,6) 0.02-0.025%   (3,4) 0.02-0.045%   (3,5) 0.055-0.065%
     (4,4) 0.095-0.125%  (5,4) 0.21-0.215%   (6,4) 0.36-0.41%
@@ -66,17 +66,16 @@ The sampled kernel's cost stays at 16 columns while the exact kernel's grows
 with a^(d-1), so even a majority of misses pays: whole sweeps of 2.5
 certified blocks, in process, CPU time on a 2-vCPU Xeon, took 0.40-0.82x the
 exact kernels' time from (2,6) to (13,3), 0.96x at (14,3) and 1.07x at
-(15,3), hence a <= 13.  The certificate's fixed costs (its sampled tables,
-a larger plan, an exact call in a block with misses) are paid back within
-one block, not before: sweeps of exactly one block took 0.39-0.78x at every
-certified shape in process, and 0.87-1.10x as the first sweep of a fresh
-process; shorter ones lost at (5,3), (6,3) and (7,3) (1.04-1.8x at 40 to
-2,000 tensors) and, in a fresh process, at (4,4) too (1.3-2.1x at 40 and
-500), so they keep the exact kernels, as do exhaustive sweeps.  Whole
-sweeps in process, exact kernels alone against the certificate: (5,3) x
-30,000 2.46 -> 1.77 ms, (4,4) x 15,000 3.84 -> 2.14 ms, (6,3) x 20,000
-3.95 -> 2.81 ms (at (4,4) with the 22 tables of the columns with the most
-mixed cells).
+(15,3), hence a <= 13.  The certificate's fixed costs (its sampled tables
+and a larger plan) are paid back within one block, not before: sweeps of
+exactly one block took 0.39-0.78x at every certified shape in process, and
+0.87-1.10x as the first sweep of a fresh process; shorter ones lost at
+(5,3), (6,3) and (7,3) (1.04-1.8x at 40 to 2,000 tensors) and, in a fresh
+process, at (4,4) too (1.3-2.1x at 40 and 500), so they keep the exact
+kernels, as do exhaustive sweeps.  Whole sweeps in process, exact kernels
+alone against the certificate: (5,3) x 30,000 2.46 -> 1.77 ms, (4,4) x
+15,000 3.84 -> 2.14 ms, (6,3) x 20,000 3.95 -> 2.81 ms (at (4,4) with the
+22 tables of the columns with the most mixed cells).
 
 Both sweeps run one block loop, :func:`_scan_blocks`, which takes one
 workspace (:class:`flatrank.linalg._Workspace`) per call from its thread's
@@ -84,8 +83,8 @@ arena, sized for its largest block by one ``*_sizes`` plan, and every block
 writes its stream words, entries, rows, stacked flattenings, scratch and rank
 counts into it in place; the kernels return views into it.  The stream
 buffers of a GF(2) block sit inside buffers its kernel writes only after it
-has read the words; a certified block keeps its words and puts its misses
-where the sampled kernel's scratch was, beside one exact chunk's plan.  The arena is one anonymous mapping per thread, outside
+has read the words; a certified sweep's queue of misses and one exact
+block's plan sit beside them.  The arena is one anonymous mapping per thread, outside
 glibc's heap, kept from one sweep to the next and replaced only by a larger
 admitted plan; one over :data:`ARENA_KEEP_BYTES` is unmapped when its sweep
 ends or raises.  Allocating per block, or per sweep, costs more than the arithmetic:
@@ -117,9 +116,10 @@ from __future__ import annotations
 import math
 import mmap
 import threading
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -212,26 +212,49 @@ class SearchReport:
 
 
 @lru_cache(maxsize=None)
-def _row_layout(a: int, d: int, sampled: bool = False) -> tuple[type, int]:
-    """(dtype, width) of the packed flattening rows of :func:`_row_tables`.
+def _row_layout(a: int, d: int, sampled: bool = False) -> tuple[type, tuple[int, ...]]:
+    """(dtype, pieces) of the packed flattening rows of :func:`_row_tables`.
 
     The dtype is the narrowest unsigned one that holds a row: its a^(d-1) <=
-    32 columns, or the :data:`SAMPLE_COLUMNS` sampled ones.  A tensor's a*d
-    rows are padded to ``width`` entries, up to the next power of two of bytes
-    when that is at most 32: ``np.take`` copies rows of 1, 2, 4, 8, 16 or 32
-    bytes with typed loads and any other size with one ``memmove`` each (a
-    21,845-row gather took 91 us at 24 bytes and 37 us at 32).  Every kernel
-    reads only the first a*d entries.
+    32 columns, or the :data:`SAMPLE_COLUMNS` sampled ones.  ``np.take``
+    copies rows of 1, 2, 4, 8, 16 or 32 bytes with typed loads and others
+    with a ``memmove`` each, so a tensor's a*d rows are padded to a power of
+    two of bytes up to 32, split into 32 bytes and a tail so padded up to 64
+    (the byte-table kernel then took 0.91-0.97x as long), and kept whole over
+    64 (at (13,3), three pieces took 1.055x as long; ``BENCH_28.json``).
+    ``pieces`` holds the pieces' widths in entries; each is gathered apart
+    (:func:`_pieces`).  Every kernel reads only the first a*d entries.
     """
     cols = SAMPLE_COLUMNS if sampled else a ** (d - 1)
     dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if np.iinfo(t).bits >= cols)
     size = np.dtype(dtype).itemsize
     nbytes = a * d * size
-    return dtype, (1 << (nbytes - 1).bit_length()) // size if nbytes <= 32 else a * d
+    head = (32,) if 32 < nbytes <= 64 else ()
+    tail = nbytes - sum(head)
+    tail = 1 << (tail - 1).bit_length() if tail <= 32 else tail
+    return dtype, tuple(p // size for p in head + (tail,))
+
+
+def _row_bytes(a: int, d: int, sampled: bool = False) -> int:
+    """Bytes of a tensor's packed rows in the layout of :func:`_row_layout`."""
+    dtype, pieces = _row_layout(a, d, sampled)
+    return sum(pieces) * np.dtype(dtype).itemsize
+
+
+def _pieces(flat: np.ndarray, n: int, widths: tuple[int, ...]) -> list[np.ndarray]:
+    """(n, w) views of ``flat``'s first n * sum(widths) items, one per width, one after another."""
+    return [flat[n * s : n * (s + w)].reshape(n, w) for s, w in zip(accumulate(widths, initial=0), widths)]
+
+
+def _transposed(pieces: list[np.ndarray], count: int, out: np.ndarray) -> np.ndarray:
+    """The first ``count`` entries of the rows held in ``pieces``, transposed into the (count, N) ``out``."""
+    for s, piece in zip(accumulate((p.shape[1] for p in pieces), initial=0), pieces):
+        np.copyto(out[s : s + piece.shape[1]], piece[:, : count - s].T)  # the padding is past count
+    return out
 
 
 @lru_cache(maxsize=None)
-def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, np.ndarray]:
+def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, tuple[np.ndarray, ...]]:
     """Byte tables of the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
 
     Needs ``a ** (d-1) <= 32``, or ``sampled``: then each flattening keeps
@@ -243,17 +266,19 @@ def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, np.ndarray]:
     cells are the same in every tensor, and each byte fed costs a gather per
     block.  Row ``r * d + axis`` holds row r
     of the flattening along ``axis``, one bit per (kept) column, in the
-    layout of :func:`_row_layout`.  ``tables[k][v]`` XORs in the mixed
-    entries 8k .. 8k+7 whose bits are set in the stream byte v; there is a
-    table for each byte that feeds a kept cell (every byte of a full set, and
-    at least one), and the first also holds the rows of the unit diagonal,
-    so the rows of a tensor are the XOR of one entry per table.  Built once per shape and kept, read-only:
-    the largest full sets, at (3,4) and (5,3), take 123 KB, and the sampled
-    ones 64 KB at (5,3) (8 tables), 106 KB at (4,4) (13), 110 KB at (6,3)
-    (12) and 1.2 MB at (13,3) (59).
+    layout of :func:`_row_layout`, one table per piece.  Row v of
+    ``tables[k]`` XORs in the mixed entries 8k .. 8k+7 whose bits are set in
+    the stream byte v; there is a table for each byte that feeds a kept cell
+    (every byte of a full set, and at least one), and the first also holds
+    the rows of the unit diagonal, so the rows of a tensor are the XOR of one
+    entry per table.  Built once per shape and kept, read-only: the largest
+    full sets, at (3,4) and (5,3), take 123 and 131 KB, and the sampled ones
+    64 KB at (5,3) (8 tables), 106 KB at (4,4) (13), 110 KB at (6,3) (12) and
+    1.2 MB at (13,3) (59).
     """
     diag, _, mixed = index_class_arrays(a, d)
-    dtype, width = _row_layout(a, d, sampled)
+    dtype, pieces = _row_layout(a, d, sampled)
+    width = sum(pieces)
     cols, nbytes = a ** (d - 1), max(1, -(-mixed.size // 8))
     bit = np.tile(np.arange(cols), (d, 1))  # [axis, column]: its bit in the rows, -1 if not kept
     if sampled:
@@ -302,8 +327,9 @@ def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, np.ndarray]:
             table[0] = np.bitwise_xor.reduce(entry_rows(diag), axis=0)
         for b in range(8):  # bytes with highest set bit b: the bytes below, XOR bit b's rows
             table[1 << b : 2 << b] = table[: 1 << b] ^ bits[8 * k + b]
-        table.flags.writeable = False
-        tables[k] = table
+        tables[k] = tuple(map(np.ascontiguousarray, np.split(table, np.cumsum(pieces)[:-1], axis=1)))
+        for piece in tables[k]:
+            piece.flags.writeable = False
     return tables
 
 
@@ -311,15 +337,14 @@ def _largest_buffer(sizes: dict[str, tuple[int, type]]) -> int:
     return max(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
 
 
-def _check_workspace(sizes: dict[str, tuple[int, type]], extra: int, what: str) -> None:
-    """Refuse a sweep whose memory passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
+def _check_workspace(nbytes: int, what: str) -> None:
+    """Refuse a sweep whose memory, ``nbytes``, passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
 
-    Counted are the workspace of ``sizes`` and ``extra`` bytes: the index
-    arrays, sampled tables and stream ramps kept for the process, a binary
-    field's log tables with the scratch of their build, and what the
+    Counted are its workspace and what it keeps or allocates besides: the
+    index arrays, sampled tables and stream ramps kept for the process, a
+    binary field's log tables with the scratch of their build, and what the
     elimination allocates outside the workspace.
     """
-    nbytes = _Workspace.nbytes(sizes) + extra
     if nbytes > MAX_WORKSPACE_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, over the {MAX_WORKSPACE_BYTES}-byte block cap")
 
@@ -341,24 +366,69 @@ def _sliced_unplanned_bytes(a: int, d: int, n: int, nwords: int) -> int:
     return (1 + d) * a**d * np.dtype(np.intp).itemsize + 3 * 8 * min(np.getbufsize(), items)
 
 
-def _gf2_plan(a: int, d: int, count: int, nwords: int) -> tuple[int, dict, int, Callable]:
-    """(block, sizes, extra, kernel) of the exact GF(2) kernel of a sweep of ``count`` tensors on A^d.
+def _exact_block(a: int, d: int) -> int:
+    """Tensors in an exact GF(2) block on A^d: :data:`BLOCK_BYTES` of rows, bit-sliced in words of 64."""
+    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
+        return BLOCK_BYTES // _row_bytes(a, d)
+    return max(64, 8 * BLOCK_BYTES // (d * a**d) // 64 * 64)
 
-    Rows of at most :data:`TABLE_MAX_COLUMNS` columns take the byte tables,
-    in blocks of :data:`BLOCK_BYTES` of rows; wider ones are bit-sliced, in
-    whole words of 64 lanes of d a^d / 8 bytes of gathered rows each.
-    ``sizes`` is the kernel's plan without the stream's buffers, ``extra``
-    the bytes it keeps or allocates besides, and ``kernel(words, ws)`` gives
-    the (mfrank, sum_franks) of a block's stream words.
+
+def _exact_plan(a: int, d: int, n: int, nwords: int) -> tuple[dict, int, Callable]:
+    """(sizes, extra, kernel) of the exact GF(2) kernel for blocks of up to n tensors on A^d.
+
+    Byte tables up to :data:`TABLE_MAX_COLUMNS` columns, else bit-sliced:
+    ``sizes`` is its plan without the stream's buffers, ``extra`` the bytes
+    it keeps or allocates besides, and ``kernel(words, ws)`` gives the
+    (mfrank, sum_franks) of a block's stream words.
     """
     if a ** (d - 1) <= TABLE_MAX_COLUMNS:
         tables = _row_tables(a, d)
-        n = min(count, BLOCK_BYTES // tables[0][0].nbytes)
         kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
-        return n, _table_sizes(a, d, n), 0, kernel
-    n = min(count, max(64, 8 * BLOCK_BYTES // (d * a**d) // 64 * 64))
+        return _table_sizes(a, d, n), 0, kernel
     kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
-    return n, _sliced_sizes(a, d, n, nwords), _sliced_unplanned_bytes(a, d, n, nwords), kernel
+    return _sliced_sizes(a, d, n, nwords), _sliced_unplanned_bytes(a, d, n, nwords), kernel
+
+
+def _gf2_plan(a: int, d: int, count: int, nwords: int) -> tuple[int, int, tuple]:
+    """(block, chunk, :func:`_block_plan`) of a random GF(2) sweep of ``count`` tensors on A^d.
+
+    Rows over :data:`SAMPLE_COLUMNS` columns, a <= :data:`SAMPLE_MAX_A`, are
+    certified in blocks of :data:`BLOCK_BYTES` of sampled rows and stream
+    words, misses ranked ``chunk`` (an exact block) at a time, if ``count``
+    fills a block; else, or over the cap, the exact kernel runs, ``chunk`` 0.
+    """
+    chunk = min(count, _exact_block(a, d))
+    block = max(1, BLOCK_BYTES // (_row_bytes(a, d, sampled=True) + 8 * nwords))
+    certify = a ** (d - 1) > SAMPLE_COLUMNS and a <= SAMPLE_MAX_A and count >= block
+    plan = certify and _block_plan(a, d, block, nwords, chunk)
+    return (block, chunk, plan) if plan else (chunk, 0, _block_plan(a, d, chunk, nwords, 0))
+
+
+@lru_cache(maxsize=ARENA_PLANS)
+def _block_plan(a: int, d: int, n: int, nwords: int, chunk: int) -> tuple[dict, int, Callable] | None:
+    """(sizes, nbytes, kernel) of random GF(2) sweep blocks of up to n tensors on A^d; kept, read-only.
+
+    ``kernel(words, start, last, ws)`` yields :func:`_scan_blocks`' batches
+    of a block from tensor ``start``, the sweep's ``last`` or not: the exact
+    kernel's with ``chunk`` 0, else the certificate's.  ``nbytes`` is all
+    :func:`_check_workspace` counts, sampled tables at their largest (256
+    rows for each of at most ``SAMPLE_COLUMNS * a * d`` stream bytes); a
+    certified plan over the cap is None, and builds no tables.
+    """
+    sizes, extra, exact = _exact_plan(a, d, chunk or n, nwords)
+    extra += _ramp_bytes(n, nwords)
+    if not chunk:  # sliced words are read into the planes before rows and scratch are written
+        hosts = ("rows", "scratch") if a ** (d - 1) > TABLE_MAX_COLUMNS else (None, "buf")
+        sizes = sizes | _stream_sizes(n, nwords, *hosts)
+        kernel = lambda words, start, last, ws: ((start, *exact(words, ws)),)
+        return sizes, _Workspace.nbytes(sizes) + extra, kernel
+    sizes = _certified_sizes(a, d, n, nwords, chunk, sizes)
+    fed = min(-(-_mixed_count(a, d) // 8), SAMPLE_COLUMNS * a * d)  # stream bytes with a table
+    nbytes = _Workspace.nbytes(sizes) + extra + 8 * n + fed * 256 * _row_bytes(a, d, sampled=True)
+    if nbytes > MAX_WORKSPACE_BYTES:
+        return None
+    tables = _row_tables(a, d, sampled=True)
+    return sizes, nbytes, lambda *block: _certified_ranks(a, d, tables, exact, chunk, *block)
 
 
 def _stream_sizes(
@@ -401,14 +471,14 @@ def _table_sizes(a: int, d: int, n: int, sampled: bool = False) -> dict[str, tup
 
     ``sampled`` picks the layout of the sampled tables.  ``buf`` also holds
     the N stream words of the mixing scratch, which is free before the
-    gathers write it, or, as large, the misses of :func:`_certified_ranks`.
+    gathers write it.
     """
-    dtype, width = _row_layout(a, d, sampled)
+    dtype, pieces = _row_layout(a, d, sampled)
     mix = 8 * n * _semidiagonal_words(a, d, GF2)
     return {
         "index": (n, np.intp),
-        "rows": (n * width, dtype),
-        "buf": (max(n * width, mix // np.dtype(dtype).itemsize), dtype),
+        "rows": (n * sum(pieces), dtype),
+        "buf": (max(n * sum(pieces), mix // np.dtype(dtype).itemsize), dtype),
         "flag": (d * n, np.bool_),
         **_rank_sizes(d, n, np.uint8),
     }
@@ -417,63 +487,34 @@ def _table_sizes(a: int, d: int, n: int, sampled: bool = False) -> dict[str, tup
 def _exhaustive_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
     """Workspace of :func:`_exhaustive_ranks` for chunks of n assignments."""
     low = min(n, 256)
-    dtype, width = _row_layout(a, d)
+    dtype, pieces = _row_layout(a, d)
     return {
         "index": (n // low, np.intp),
-        "hi": (n // low * width, dtype),
+        "hi": (n // low * sum(pieces), dtype),
         "low": (low * a * d, dtype),
         "rows": (n * a * d, dtype),
-        "buf": (max(n * a * d, n // low * width), dtype),
+        "buf": (max(n * a * d, n // low * sum(pieces)), dtype),
         "flag": (d * n, np.bool_),
         **_rank_sizes(d, n, np.uint8),
     }
 
 
-def _certified_plan(a: int, d: int, count: int, nwords: int, plan: tuple) -> tuple | None:
-    """(block, sizes, extra, kernel) of :func:`_certified_ranks` over the exact ``plan`` of :func:`_gf2_plan`.
-
-    None where the certificate is not taken: rows of at most
-    :data:`SAMPLE_COLUMNS` columns, a over :data:`SAMPLE_MAX_A`, sweeps of
-    fewer than one block of the certificate's own, whose fixed costs such a
-    sweep does not pay back (see the module docstring), and plans that, with
-    the sampled tables (counted at their largest, 256 rows for each of at
-    most ``SAMPLE_COLUMNS * a * d`` stream bytes), would pass
-    :data:`MAX_WORKSPACE_BYTES` where the exact plan alone may not.  A
-    block's sampled rows and stream words take :data:`BLOCK_BYTES` together;
-    the misses go to the exact kernel in chunks of its own block.
-    The sampled tables are built only once the plan is taken.
-    """
-    if a ** (d - 1) <= SAMPLE_COLUMNS or a > SAMPLE_MAX_A:
-        return None
-    chunk, exact_sizes, extra, exact = plan
-    dtype, width = _row_layout(a, d, sampled=True)
-    row_bytes = width * np.dtype(dtype).itemsize
-    n = max(1, BLOCK_BYTES // (row_bytes + 8 * nwords))
-    if count < n:
-        return None
-    sizes = _certified_sizes(a, d, n, nwords, exact_sizes)
-    # the misses' indices, and the sampled tables
-    extra += 8 * n + min(-(-_mixed_count(a, d) // 8), SAMPLE_COLUMNS * a * d) * 256 * row_bytes
-    if _Workspace.nbytes(sizes) + extra > MAX_WORKSPACE_BYTES:
-        return None
-    tables = _row_tables(a, d, sampled=True)
-    return n, sizes, extra, lambda words, ws: _certified_ranks(a, d, words, tables, exact, chunk, ws)
-
-
 def _certified_sizes(
-    a: int, d: int, n: int, nwords: int, exact: dict[str, tuple]
+    a: int, d: int, n: int, nwords: int, chunk: int, exact: dict[str, tuple]
 ) -> dict[str, tuple]:
-    """Workspace of :func:`_certified_ranks` for blocks of up to n tensors.
+    """Workspace of :func:`_certified_ranks` for blocks of up to n tensors, misses ranked ``chunk`` at a time.
 
     It holds the sampled kernel's :func:`_table_sizes`, the block's stream
-    words, with their mixing scratch in ``buf``, the compacted misses, also in
-    ``buf``, which is free once the sampled ranks are out, and ``exact``, the
-    plan of one chunk of the exact kernel, under names prefixed ``exact.``.
+    words, with their mixing scratch in ``buf``, the queue of misses (words,
+    indices and count), and ``exact``, the plan of one chunk of the exact
+    kernel, under names prefixed ``exact.``.
     """
     return {
         **_table_sizes(a, d, n, sampled=True),
         **_stream_sizes(n, nwords, mix="buf"),
-        "miss": (n * nwords, np.uint64, "buf"),
+        "queue": (chunk * nwords, np.uint64),
+        "queued": (chunk, np.intp),
+        "fill": (1, np.intp),
         **{f"exact.{k}": size[:2] + tuple(f"exact.{h}" for h in size[2:]) for k, size in exact.items()},
     }
 
@@ -532,61 +573,70 @@ def _eliminate(
 
 
 def _packed_population_ranks(
-    a: int, d: int, words: np.ndarray, tables: dict[int, np.ndarray], ws: _Workspace
+    a: int, d: int, words: np.ndarray, tables: dict[int, tuple], ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 32``.
 
     Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
     of word t // 64 for mixed entry t; that is byte t // 8 of the row's
     little-endian bytes, which indexes ``tables``, the byte tables of
-    :func:`_row_tables`, full or sampled.  ``ws`` holds :func:`_table_sizes`
-    for at least N, in the tables' layout.
+    :func:`_row_tables`, full or sampled, gathered piece by piece.  ``ws``
+    holds :func:`_table_sizes` for at least N, in the tables' layout.
     """
     n = words.shape[0]
     as_bytes = words.astype("<u8", copy=False).view(np.uint8)
-    width = next(iter(tables.values())).shape[1]
-    index, rows, buf = ws.take("index", n), ws.take("rows", n, width), ws.take("buf", n, width)
-    for i, (k, table) in enumerate(tables.items()):
+    widths = tuple(piece.shape[1] for piece in next(iter(tables.values())))
+    index = ws.take("index", n)
+    rows, buf = ws.take("rows", n * sum(widths)), ws.take("buf", n * sum(widths))
+    row_pieces, buf_pieces = _pieces(rows, n, widths), _pieces(buf, n, widths)
+    for i, (k, pieces) in enumerate(tables.items()):
         np.copyto(index, as_bytes[:, k])  # intp, or np.take casts a copy of its own
-        # a byte always indexes one of the 256 rows: no bounds check
-        np.take(table, index, axis=0, out=buf if i else rows, mode="clip")
+        for table, out in zip(pieces, buf_pieces if i else row_pieces):
+            # a byte always indexes one of the 256 rows: no bounds check
+            np.take(table, index, axis=0, out=out, mode="clip")
         if i:
             rows ^= buf
     # [r * d + axis, j] is [r, axis * n + j]
-    np.copyto(ws.take("buf", a * d, n), rows[:, : a * d].T)
+    _transposed(row_pieces, a * d, ws.take("buf", a * d, n))
     return _eliminate(ws.take("buf", a, d * n), ws.take("rows", a, d * n), d, ws)
 
 
 def _certified_ranks(
-    a: int, d: int, words: np.ndarray, tables: dict, exact: Callable, chunk: int, ws: _Workspace
-) -> tuple[np.ndarray, np.ndarray]:
-    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, certified on sampled columns.
+    a: int, d: int, tables: dict, exact: Callable, chunk: int, words: np.ndarray, start: int,
+    last: bool, ws: _Workspace,
+) -> Iterable[tuple]:
+    """:func:`_scan_blocks`' batches of GF(2) tensors ``start ..`` on A^d, certified on sampled columns.
 
-    ``words`` is laid out as for :func:`_packed_population_ranks`, which
-    ranks every flattening on the columns of the sampled ``tables`` alone.  A
-    sampled rank is at most the flattening's rank, which is at most a, so a
-    tensor whose sampled ranks sum to a*d has every rank a, and its sampled
-    (mfrank, sum_franks) are exact.  The others, the misses, are compacted in
-    order and ranked by ``exact(words, ws)``, the shape's exact kernel, up to
-    ``chunk`` at a time in ``ws.part("exact.")``; their ranks are written
-    back over the sampled ones.  ``ws`` holds :func:`_certified_sizes` for
-    at least N.
+    :func:`_packed_population_ranks` ranks ``words`` on the columns of the
+    sampled ``tables``.  A sampled rank is at most the flattening's, at most
+    a, so a tensor whose sampled ranks sum to a*d has every rank a, and the
+    block's batch is one pair, (a, a*d) at ``start``, at or above every
+    tensor's own.  The others, the misses, are queued in ``ws``, words and
+    indices, from block to block (empty at ``start`` 0); each time it holds
+    ``chunk``, and after the sweep's ``last`` block, ``exact(words, ws)``,
+    the exact kernel, ranks the queue in ``ws.part("exact.")``, one batch.
+    ``ws`` holds :func:`_certified_sizes` for at least N.
     """
     n, w = words.shape
-    mfrank, sumrank = _packed_population_ranks(a, d, words, tables, ws)
+    sumrank = _packed_population_ranks(a, d, words, tables, ws)[1]
     misses = np.flatnonzero(np.not_equal(sumrank, a * d, out=ws.take("flag", n)))
-    if misses.size:
-        missed = np.take(words, misses, axis=0, out=ws.take("miss", misses.size, w), mode="clip")
-        part = ws.part("exact.")
-        for i in range(0, misses.size, chunk):
-            mfrank[misses[i : i + chunk]], sumrank[misses[i : i + chunk]] = exact(
-                missed[i : i + chunk], part
-            )
-    return mfrank, sumrank
+    yield start, np.array([a]), np.array([a * d])
+    queue, queued, fill = ws.take("queue", chunk, w), ws.take("queued", chunk), ws.take("fill", 1)
+    f = int(fill[0]) if start else 0
+    for part in np.split(misses, range(chunk - f, misses.size, chunk)):
+        np.take(words, part, axis=0, out=queue[f : f + part.size], mode="clip")
+        np.add(part, start, out=queued[f : f + part.size])
+        f += part.size
+        if f == chunk:
+            yield queued, *exact(queue, ws.part("exact."))
+            f = 0
+    if last and f:
+        yield queued[:f], *exact(queue[:f], ws.part("exact."))
+    fill[0] = f
 
 
 def _exhaustive_ranks(
-    a: int, d: int, tables: dict[int, np.ndarray], start: int, stop: int, ws: _Workspace
+    a: int, d: int, tables: dict[int, tuple], start: int, stop: int, ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of the GF(2) tensors with assignments ``start .. stop-1``.
 
@@ -600,19 +650,20 @@ def _exhaustive_ranks(
     n = stop - start
     low = min(n, 256)
     high_bytes = np.arange(start, stop, low, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    groups, width = n // low, tables[0].shape[1]
-    index, hi = ws.take("index", groups), ws.take("hi", groups, width)
-    buf = ws.take("buf", groups, width)  # free until the elimination takes it as scratch
+    groups, widths = n // low, tuple(piece.shape[1] for piece in tables[0])
+    index, hi = ws.take("index", groups), ws.take("hi", groups * sum(widths))
+    buf = ws.take("buf", groups * sum(widths))  # free until the elimination takes it as scratch
     hi.fill(0)
-    for k, table in tables.items():
+    for k, pieces in tables.items():
         if k:  # byte 0's table, the first, also holds the diagonal: a set without it raises
             np.copyto(index, high_bytes[:, k])
-            np.take(table, index, axis=0, out=buf, mode="clip")
+            for table, out in zip(pieces, _pieces(buf, groups, widths)):
+                np.take(table, index, axis=0, out=out, mode="clip")
             hi ^= buf
     low_rows = ws.take("low", a, d, 1, low)
-    np.copyto(low_rows, tables[0][:low, : a * d].T.reshape(a, d, 1, low))
-    rows = ws.take("rows", a, d, groups, low)
-    np.bitwise_xor(hi[:, : a * d].T.reshape(a, d, groups, 1), low_rows, out=rows)
+    _transposed([piece[:low] for piece in tables[0]], a * d, low_rows.reshape(a * d, low))
+    high = _transposed(_pieces(hi, groups, widths), a * d, ws.take("buf", a * d, groups))
+    rows = np.bitwise_xor(high.reshape(a, d, groups, 1), low_rows, out=ws.take("rows", a, d, groups, low))
     return _eliminate(rows.reshape(a, d * n), ws.take("buf", a, d * n), d, ws)
 
 
@@ -785,36 +836,40 @@ def _scan_blocks(
     total: int,
     block: int,
     sizes: dict[str, tuple[int, type]],
-    ranks: Callable[[int, int, _Workspace], tuple[np.ndarray, np.ndarray]],
+    ranks: Callable[[int, int, _Workspace], Iterable[tuple]],
     lower: int,
 ) -> tuple[tuple[int, int], tuple[int, int], int, int | None]:
     """The block loop of both sweeps, over tensors ``0 .. total-1``, ``total >= 1``.
 
-    Blocks are ``block`` consecutive tensors; ``ranks(start, stop, ws)`` gives
-    the (mfrank, sum_franks) of one, written into the one :class:`_Workspace`
-    of ``sizes``, carved from the thread's arena (:func:`_arena_workspace`);
-    ``ranks`` must not start another sweep on the thread.  Returns (min
-    mfrank, its first index), (min sum_franks, its first index), the count of
-    tensors with mfrank < ``lower`` and the first of them (or None); none of
-    it depends on ``block``.
+    Blocks are ``block`` consecutive tensors; ``ranks(start, stop, ws)``
+    yields batches ``(at, mfrank, sumrank)`` for one, written into the one
+    :class:`_Workspace` of ``sizes``, carved from the thread's arena
+    (:func:`_arena_workspace`); ``ranks`` must not start another sweep on
+    the thread.  ``at`` is a batch's first index or its ascending indices;
+    batches fold as (value, index) pairs, in any order, and may stand in for
+    a tensor that another batch gives, at or above its pair and ``lower``.
+    Returns (min mfrank, its first index), (min sum_franks, its first
+    index), the count of tensors with mfrank < ``lower`` and the first of
+    them (or None); none of it depends on ``block``.
     """
     ws = _arena_workspace(sizes)
     best_mf = best_sum = (math.inf, 0)
-    violations, first = 0, None
+    violations, first = 0, math.inf
+    index = lambda at, i: at + i if isinstance(at, int) else int(at[i])
     try:
         for start in range(0, total, block):
-            mfrank, sumrank = ranks(start, min(start + block, total), ws)
-            i_mf, i_sum = int(mfrank.argmin()), int(sumrank.argmin())
-            best_mf = min(best_mf, (int(mfrank[i_mf]), start + i_mf))
-            best_sum = min(best_sum, (int(sumrank[i_sum]), start + i_sum))
-            if mfrank[i_mf] < lower:
-                bad = np.flatnonzero(mfrank < lower)
-                violations += bad.size
-                first = start + int(bad[0]) if first is None else first
+            for at, mfrank, sumrank in ranks(start, min(start + block, total), ws):
+                i_mf, i_sum = int(mfrank.argmin()), int(sumrank.argmin())
+                best_mf = min(best_mf, (int(mfrank[i_mf]), index(at, i_mf)))
+                best_sum = min(best_sum, (int(sumrank[i_sum]), index(at, i_sum)))
+                if mfrank[i_mf] < lower:
+                    bad = np.flatnonzero(mfrank < lower)
+                    violations += bad.size
+                    first = min(first, index(at, int(bad[0])))
     finally:  # also when ``ranks`` raises
         if _arena_bytes() > ARENA_KEEP_BYTES:
             _drop_arena()
-    return best_mf, best_sum, violations, first
+    return best_mf, best_sum, violations, None if first == math.inf else first
 
 
 def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
@@ -841,17 +896,16 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     sliced = a ** (d - 1) > TABLE_MAX_COLUMNS
     if not sliced:
         tables = _row_tables(a, d)
-        cap = BLOCK_BYTES // tables[0][0].nbytes
-        chunk = min(total, 1 << max(8, cap.bit_length() - 1))
+        chunk = min(total, 1 << max(8, (BLOCK_BYTES // _row_bytes(a, d)).bit_length() - 1))
         sizes = _exhaustive_sizes(a, d, chunk)
-        ranks = lambda start, stop, ws: _exhaustive_ranks(a, d, tables, start, stop, ws)
+        ranks = lambda start, stop, ws: ((start, *_exhaustive_ranks(a, d, tables, start, stop, ws)),)
     else:  # d == 2: the identity matrix alone
         chunk = total
         sizes = _sliced_sizes(a, d, chunk, 1)
         words = lambda start, stop: np.arange(start, stop, dtype=np.uint64)[:, None]
-        ranks = lambda start, stop, ws: _sliced_ranks(a, d, words(start, stop), ws)
+        ranks = lambda start, stop, ws: ((start, *_sliced_ranks(a, d, words(start, stop), ws)),)
     extra = _sliced_unplanned_bytes(a, d, chunk, 1) if sliced else 0
-    _check_workspace(sizes, extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
+    _check_workspace(_Workspace.nbytes(sizes) + extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
     (best_mf, at_mf), (best_sum, at_sum), violations, _ = _scan_blocks(
         total, chunk, sizes, ranks, -(-a // (d - 1))
     )
@@ -988,8 +1042,8 @@ def random_semidiagonal_sweep(
     columns (:func:`_certified_ranks`, in blocks whose sampled rows and stream
     words take :data:`BLOCK_BYTES`) when ``count`` fills one such block: a
     tensor whose sampled ranks are all a is of full rank, and only the
-    others go to those exact kernels, in chunks of their own blocks; the
-    report is the same.  Larger fields rank all axes of a block at once
+    others go to those exact kernels, queued from block to block and ranked
+    one exact block at a time; the report is the same.  Larger fields rank all axes of a block at once
     (:func:`_block_ranks`), in blocks of :data:`BLOCK_BYTES` over the largest
     buffer of :func:`_field_sizes` for one tensor, and at least one.  No
     buffer grows faster than the block, so none passes the budget; GF(2^k)'s
@@ -1007,31 +1061,26 @@ def random_semidiagonal_sweep(
         _check_products(count * d, a, a ** (d - 1), field, f"{a}^{d} sweep of {count} tensors")
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
-    sliced = field.order == 2 and a ** (d - 1) > TABLE_MAX_COLUMNS
-    extra = 0
     if field.order != 2:  # no buffer grows faster than n: one tensor's largest sizes the block
         n = min(count, max(1, BLOCK_BYTES // _largest_buffer(_field_sizes(a, d, 1, field))))
         sizes = _field_sizes(a, d, n, field)
-        # _draw_index's arrays and the elimination's temporaries
-        extra = 8 * (a**d + 2 * nwords) + _unplanned_bytes(d * n, a)
+        # _draw_index's arrays, the elimination's temporaries and the stream's ramps
+        extra = 8 * (a**d + 2 * nwords) + _unplanned_bytes(d * n, a) + _ramp_bytes(n, nwords)
         if field.kind == "binary" and field.k <= 16:  # the log tables and their build, cached or not
             extra += _Workspace.nbytes(_log_table_sizes(field))
         if d > 2:  # the pivot table, which only a clearing step builds
             extra += _pivot_table_bytes(field)
-        kernel = lambda words, ws: _block_ranks(
-            _semidiagonal_block(a, d, field, words, ws), a, d, field, ws
+        nbytes = _Workspace.nbytes(sizes) + extra
+        kernel = lambda words, start, last, ws: (
+            (start, *_block_ranks(_semidiagonal_block(a, d, field, words, ws), a, d, field, ws)),
         )
     else:
-        plan = _gf2_plan(a, d, count, nwords)
-        certified = _certified_plan(a, d, count, nwords, plan)
-        n, sizes, extra, kernel = certified or plan
-        if certified is None:  # sliced words are read into the planes before rows and scratch are written
-            sizes |= _stream_sizes(n, nwords, *(("rows", "scratch") if sliced else (None, "buf")))
-    extra += _ramp_bytes(n, nwords)  # the stream's ramps, kept for the process once built
-    _check_workspace(sizes, extra, f"{a}^{d} sweep block of n={n} tensors")
+        n, _, (sizes, nbytes, kernel) = _gf2_plan(a, d, count, nwords)
+    _check_workspace(nbytes, f"{a}^{d} sweep block of n={n} tensors")
     if field.order != 2:
         _draw_index(a, d)  # built before the workspaces, not on top of them
-    ranks = lambda start, stop, ws: kernel(_stream_block(seed, start, stop, nwords, ws), ws)
+    draw = lambda start, stop, ws: _stream_block(seed, start, stop, nwords, ws)
+    ranks = lambda start, stop, ws: kernel(draw(start, stop, ws), start, stop == count, ws)
     (min_mf, _), (min_sum, _), violations, first_violation = _scan_blocks(
         count, n, sizes, ranks, lower
     )

@@ -360,6 +360,9 @@ def test_refused_sweep_leaves_the_arena(capsys, argv):
         ["random-semidiagonal", "--a", 4, "--d", 4, "--count", 15000, "--seed", 1],
         ["random-semidiagonal", "--a", 6, "--d", 3, "--count", 20000, "--seed", 1],
         ["random-semidiagonal", "--a", 7, "--d", 3, "--count", 20000, "--seed", 1],
+        # certified, over half missing: the queue fills inside every block and
+        # carries the rest into the next
+        ["random-semidiagonal", "--a", 13, "--d", 3, "--count", 8000, "--seed", 1],
         ["exhaustive", "--a", 3, "--d", 3],
     ],
     ids=str,
@@ -376,9 +379,9 @@ def test_gf2_sweep_peaks_at_its_admitted_plan(monkeypatch, capsys, argv):
     admitted = []
     check = search._check_workspace
 
-    def counting(sizes, extra, what):
-        admitted.append(search._Workspace.nbytes(sizes) + extra)
-        return check(sizes, extra, what)
+    def counting(nbytes, what):
+        admitted.append(nbytes)
+        return check(nbytes, what)
 
     monkeypatch.setattr(search, "_check_workspace", counting)
     assert run(["experiment", *argv]) == 0

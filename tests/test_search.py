@@ -18,6 +18,8 @@ from flatrank.search import (
     _exhaustive_sizes,
     _mixed_count,
     _packed_population_ranks,
+    _row_bytes,
+    _row_layout,
     _row_tables,
     _semidiagonal_block,
     _semidiagonal_words,
@@ -245,7 +247,7 @@ def _budget_blocks(monkeypatch, field, a, d, n):
         per_tensor = search._largest_buffer(search._field_sizes(a, d, 1, field))
         monkeypatch.setattr(search, "BLOCK_BYTES", n * per_tensor)
     elif a ** (d - 1) <= TABLE_MAX_COLUMNS:  # a*d packed rows per tensor
-        monkeypatch.setattr(search, "BLOCK_BYTES", n * _row_tables(a, d)[0][0].nbytes)
+        monkeypatch.setattr(search, "BLOCK_BYTES", n * search._row_bytes(a, d))
     else:  # d*a^d gathered bits per tensor
         monkeypatch.setattr(search, "BLOCK_BYTES", n * d * a**d // 8)
 
@@ -266,7 +268,7 @@ def test_exhaustive_chunks_match_matrix_rank(a, d):
             assert got.tolist() == want.tolist()
         return
     tables = _row_tables(a, d)
-    default = 1 << ((BLOCK_BYTES // tables[0][0].nbytes).bit_length() - 1)
+    default = 1 << ((BLOCK_BYTES // _row_bytes(a, d)).bit_length() - 1)
     for chunk in {min(total, 256), min(total, default)}:
         ws = _Workspace(_exhaustive_sizes(a, d, chunk))  # one for all chunks, as in a sweep
         parts = [
@@ -330,14 +332,19 @@ def test_violation_witness_is_the_scalar_draw(monkeypatch, field, a, d, kernel):
     import flatrank.search as search
 
     real = getattr(search, kernel)
+    lower = -(-a // (d - 1))
 
     def faked(*args):
         mfrank, sumrank = real(*args)
         mfrank = mfrank.copy()
-        mfrank[5] = -(-a // (d - 1)) - 1
+        mfrank[5] = lower - 1
         return mfrank, sumrank
 
-    monkeypatch.setattr(search, kernel, faked)
+    def faked_batches(*args):  # the certificate's batches, then one that ranks tensor 5 low
+        yield from real(*args)
+        yield np.array([5]), np.array([lower - 1]), np.array([a * d])
+
+    monkeypatch.setattr(search, kernel, faked_batches if kernel == "_certified_ranks" else faked)
     if kernel == "_certified_ranks":  # a sweep shorter than one certified block is not certified
         monkeypatch.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, 9))
     rep = random_semidiagonal_sweep(a, d, 9, seed=41, field=field)
@@ -422,33 +429,39 @@ def test_population_kernels_match_matrix_rank(monkeypatch, a, d):
 
 def _certified_block_bytes(a, d, n):
     """The ``BLOCK_BYTES`` at which a certified GF(2) sweep on A^d runs n tensors a block."""
-    import flatrank.search as search
-
-    dtype, width = search._row_layout(a, d, sampled=True)
-    return n * (width * np.dtype(dtype).itemsize + 8 * _semidiagonal_words(a, d, GF2))
+    return n * (_row_bytes(a, d, sampled=True) + 8 * _semidiagonal_words(a, d, GF2))
 
 
 def _certify(monkeypatch, a, d, words, chunk=None):
-    """(mfrank, sum_franks) of ``words`` through a sweep's certified plan, in one block,
-    and the count of tensors it sent to the exact kernel, ``chunk`` at a time."""
+    """(mfrank, sum_franks) of ``words`` through the certificate, in one block, and the
+    count of tensors it sent to the exact kernel, ``chunk`` at a time (by default
+    the exact kernel's block)."""
     import flatrank.search as search
 
     n, nwords = words.shape
-    block, sizes, extra, exact = search._gf2_plan(a, d, n, nwords)
+    with monkeypatch.context() as mp:  # a sweep of the n words is one certified block
+        mp.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, n))
+        block, certified, _ = search._gf2_plan(a, d, n, nwords)
+    assert block == n and certified
+    chunk = chunk or min(n, search._exact_block(a, d))
+    sizes = search._block_plan(a, d, n, nwords, chunk)[0]
+    exact = search._exact_plan(a, d, chunk, nwords)[2]
     sent = []
 
     def counting(w, ws):
         sent.append(w.shape[0])
         return exact(w, ws)
 
-    with monkeypatch.context() as mp:  # the certified block is the n words
-        mp.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, n))
-        plan = search._certified_plan(a, d, n, nwords, (chunk or block, sizes, extra, counting))
-    assert plan is not None and plan[0] == n
-    if chunk:
-        assert max(sent, default=0) <= chunk
-    mfrank, sumrank = plan[3](words, _Workspace(plan[1]))
-    return (mfrank.copy(), sumrank.copy()), sum(sent)
+    # a tensor no batch names is certified: its ranks are all a
+    mfrank, sumrank = np.full(n, a), np.full(n, a * d)
+    tables = _row_tables(a, d, sampled=True)
+    batches = search._certified_ranks(a, d, tables, counting, chunk, words, 0, True, _Workspace(sizes))
+    at, *pair = next(batches)
+    assert (at, [r.tolist() for r in pair]) == (0, [[a], [a * d]])
+    for at, mf, sm in batches:
+        mfrank[at], sumrank[at] = mf, sm
+    assert max(sent, default=0) <= chunk
+    return (mfrank, sumrank), sum(sent)
 
 
 # every certified shape: byte-table misses at (5,3), (2,6) and (3,4), bit-sliced
@@ -501,7 +514,7 @@ def test_certificate_left_to_exact_kernels(monkeypatch, a, d):
     import flatrank.search as search
 
     nwords, count = _semidiagonal_words(a, d, GF2), 10**7
-    assert search._certified_plan(a, d, count, nwords, search._gf2_plan(a, d, count, nwords)) is None
+    assert search._gf2_plan(a, d, count, nwords)[1] == 0
 
     def refused(*args):
         raise AssertionError("certified")
@@ -522,9 +535,9 @@ def test_certificate_takes_sweeps_of_one_block_or_more(monkeypatch, a, d):
     import flatrank.search as search
 
     nwords = _semidiagonal_words(a, d, GF2)
-    plan = lambda count: search._certified_plan(a, d, count, nwords, search._gf2_plan(a, d, count, nwords))
-    block = plan(10**7)[0]
-    assert plan(block)[0] == block and plan(block - 1) is None
+    plan = lambda count: search._gf2_plan(a, d, count, nwords)[:2]  # (block, chunk): chunk 0 if exact
+    block, chunk = plan(10**7)
+    assert chunk and plan(block) == (block, min(block, chunk)) and plan(block - 1)[1] == 0
 
     def refused(*args):
         raise AssertionError("certified")
@@ -542,6 +555,195 @@ def test_certificate_sends_few_stream_tensors_to_the_exact_kernel(monkeypatch, a
     words = _stream_block(2026, 0, 8000, _semidiagonal_words(a, d, GF2))
     _, sent = _certify(monkeypatch, a, d, words)
     assert 0 < sent < limit * len(words)
+
+
+def _sampled_misses(a, d, words):
+    """Indices of the tensors of ``words`` whose sampled ranks do not sum to a*d."""
+    ws = _Workspace(_table_sizes(a, d, len(words), sampled=True))
+    sumrank = _packed_population_ranks(a, d, words, _row_tables(a, d, sampled=True), ws)[1]
+    return np.flatnonzero(sumrank != a * d)
+
+
+def _shrink_certified(monkeypatch, a, d, block, chunk):
+    """Certified blocks of ``block`` tensors on A^d, their misses ranked ``chunk`` at a time."""
+    import flatrank.search as search
+
+    monkeypatch.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, block))
+    monkeypatch.setattr(search, "_exact_block", lambda a, d: chunk)
+
+
+@pytest.mark.parametrize("a,d", CERTIFIED, ids=str)
+def test_queued_misses_rank_exactly(monkeypatch, a, d):
+    # the hard words, shuffled so that misses fall in every block, through the
+    # certified plan's block loop: every tensor's ranks, and the sweep's
+    # result, are the exact kernels'.  Among the (block, chunk) pairs, misses
+    # are queued across a block boundary, a queue fills inside a block, with
+    # misses of the same block after it, and the last flush is partial
+    import flatrank.search as search
+
+    words = _hard_words(a, d, 100)
+    words = words[np.random.default_rng(a * d).permutation(len(words))]
+    total, nwords, lower = len(words), words.shape[1], -(-a // (d - 1))
+    misses = _sampled_misses(a, d, words)
+    want = [r.tolist() for r in _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)]
+    bad = [j for j, v in enumerate(want[0]) if v < lower]
+    want_scan = (
+        min((v, j) for j, v in enumerate(want[0])),
+        min((v, j) for j, v in enumerate(want[1])),
+        len(bad),
+        bad[0] if bad else None,
+    )
+    cases = set()
+    for block, chunk in ((16, 7), (50, 11), (30, 13), (64, 64)):
+        with monkeypatch.context() as mp:
+            _shrink_certified(mp, a, d, block, chunk)
+            n, c, (sizes, _, kernel) = search._gf2_plan(a, d, total, nwords)
+        assert (n, c) == (block, chunk)
+        batches = []
+
+        def ranks(start, stop, ws):
+            for at, mfrank, sumrank in kernel(words[start:stop], start, stop == total, ws):
+                at_copy = at if isinstance(at, int) else at.copy()  # a view of the queue
+                batches.append((start, at_copy, mfrank.tolist(), sumrank.tolist()))
+                yield at, mfrank, sumrank
+
+        assert search._scan_blocks(total, n, sizes, ranks, lower) == want_scan, (block, chunk)
+        got = [[a] * total, [a * d] * total]  # certified unless a batch of misses names it
+        queued = []
+        for start, at, mfrank, sumrank in batches:
+            if isinstance(at, int):
+                assert (at, mfrank, sumrank) == (start, [a], [a * d])
+                continue
+            queued.append(at)
+            for j, mf, sm in zip(at.tolist(), mfrank, sumrank):
+                got[0][j], got[1][j] = mf, sm
+        assert got == want, (block, chunk)
+        # every miss once, in order: 95 or more of the 205 hard tensors
+        assert np.concatenate(queued).tolist() == misses.tolist() and len(misses) >= 95
+        assert all(len(q) == chunk for q in queued[:-1]) and 0 < len(queued[-1]) <= chunk
+        if any(q[0] // block < q[-1] // block for q in queued):
+            cases.add("across")
+        if any(p[-1] // block == q[0] // block for p, q in zip(queued, queued[1:])):
+            cases.add("mid-block")
+        if len(queued[-1]) < chunk:
+            cases.add("partial")
+    assert cases == {"across", "mid-block", "partial"}
+
+
+@pytest.mark.parametrize("a,d", CERTIFIED, ids=str)
+def test_queued_violations_count_every_miss(monkeypatch, a, d):
+    # an exact kernel that ranks every queued miss under the bound: the report
+    # counts all of them, and its witness is the least, the first stream tensor
+    # that misses
+    import flatrank.search as search
+
+    real, lower = search._certified_ranks, -(-a // (d - 1))
+    count = 4000 if a >= 7 else 30000  # 2 or more misses: (3,4) misses 0.02-0.045%, (13,3) 55%
+
+    def faked(a, d, tables, exact, *block):
+        def violating(w, ws):
+            mfrank, sumrank = exact(w, ws)
+            mfrank[:] = lower - 1
+            return mfrank, sumrank
+
+        return real(a, d, tables, violating, *block)
+
+    monkeypatch.setattr(search, "_certified_ranks", faked)
+    _shrink_certified(monkeypatch, a, d, 1000, 7)
+    rep = random_semidiagonal_sweep(a, d, count, seed=11)
+    misses = _sampled_misses(a, d, _stream_block(11, 0, count, _semidiagonal_words(a, d, GF2)))
+    assert misses.size > 1 and rep.violations == misses.size and rep.min_mfrank == lower - 1
+    want = scalar_semidiagonal(a, d, GF2, Rng(Rng.sub_seed(11, int(misses[0]))))
+    assert rep.witnesses == [
+        {"kind": "violation", "index": int(misses[0]), "tensor": tensor_to_document(want)}
+    ]
+
+
+# gf2-sweep's certified sweeps at the default blocks, one with misses to
+# rank in many chunks, and one with a chunk shrunk below a block's misses
+@pytest.mark.parametrize(
+    "a,d,count,chunk",
+    [(5, 3, 30000, None), (4, 4, 15000, None), (6, 3, 20000, None), (13, 3, 8000, None), (6, 3, 20000, 100)],
+    ids=str,
+)
+def test_certified_sweep_calls_the_exact_kernel_once_a_chunk(monkeypatch, a, d, count, chunk):
+    import flatrank.search as search
+
+    real, calls = search._certified_ranks, []
+
+    def counted(a, d, tables, exact, *block):
+        def counting(w, ws):
+            calls.append(len(w))
+            return exact(w, ws)
+
+        return real(a, d, tables, counting, *block)
+
+    monkeypatch.setattr(search, "_certified_ranks", counted)
+    if chunk:
+        monkeypatch.setattr(search, "_exact_block", lambda a, d: chunk)
+    nwords = _semidiagonal_words(a, d, GF2)
+    block, chunk, _ = search._gf2_plan(a, d, count, nwords)
+    assert 0 < chunk and block < count  # certified, in more than one block
+    random_semidiagonal_sweep(a, d, count, seed=31)
+    misses = _sampled_misses(a, d, _stream_block(31, 0, count, nwords)).size
+    assert len(calls) == -(-misses // chunk) and sum(calls) == misses
+    if (a, d) == (4, 4):  # 12 to 20 misses over two blocks: one call, not one a block
+        assert len(calls) == 1
+
+
+# every packed layout a sweep takes, full tables with rows of at most 32
+# columns and the sampled tables of the certified shapes
+LAYOUTS = [
+    (a, d, sampled)
+    for d in range(2, 8)
+    for a in range(1, 33)
+    for sampled in (False, True)
+    if (a ** (d - 1) > 16 and a <= 13 if sampled else a ** (d - 1) <= 32)
+    and (a ** (d - 1) <= 1 << 16)
+]
+
+
+def test_row_pieces_are_typed_copies():
+    # np.take copies rows of 1, 2, 4, 8, 16 and 32 bytes with typed loads: a
+    # row of 33 to 64 bytes is gathered as a 32-byte head and a typed tail,
+    # one over 64 whole (in pieces it gathered slower); the tables hold the
+    # pieces, each contiguous and read-only
+    typed = {1, 2, 4, 8, 16, 32}
+    for a, d, sampled in LAYOUTS:
+        dtype, pieces = _row_layout(a, d, sampled)
+        size, nbytes = np.dtype(dtype).itemsize, a * d * np.dtype(dtype).itemsize
+        got = [p * size for p in pieces]
+        if nbytes > 64:
+            assert got == [nbytes], (a, d, sampled)
+        else:
+            assert set(got) <= typed and got[:-1] == [32] * (len(got) - 1), (a, d, sampled)
+            assert nbytes <= sum(got) < 2 * nbytes, (a, d, sampled)
+        assert _row_bytes(a, d, sampled) == sum(got)
+    for a, d, sampled in [(6, 3, True), (7, 3, True), (13, 3, True), (5, 3, False), (3, 4, False)]:
+        widths = _row_layout(a, d, sampled)[1]
+        for pieces in _row_tables(a, d, sampled).values():
+            assert [p.shape for p in pieces] == [(256, w) for w in widths]
+            assert all(p.flags.c_contiguous and not p.flags.writeable for p in pieces)
+
+
+# every shape whose rows pass 32 bytes: through the sampled tables, then the
+# full ones; (9,2), (16,2) and (17,2) at d = 2, (17,2) gathered whole
+@pytest.mark.parametrize(
+    "a,d,sampled",
+    [(6, 3, True), (5, 4, True), (6, 4, True), (7, 3, True), (13, 3, True),
+     (5, 3, False), (2, 6, False), (3, 4, False), (9, 2, False), (16, 2, False), (17, 2, False)],
+    ids=str,
+)
+def test_wide_rows_match_matrix_rank(monkeypatch, a, d, sampled):
+    assert _row_bytes(a, d, sampled) > 32
+    nwords = _semidiagonal_words(a, d, GF2)
+    for words in (_hard_words(a, d, 100), _stream_block(3, 0, 500, nwords)):
+        if not sampled:
+            _assert_packed_matches_matrix_rank(a, d, words)
+            continue
+        got, _ = _certify(monkeypatch, a, d, words)
+        want = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+        assert [r.tolist() for r in got] == [r.tolist() for r in want]
 
 
 @pytest.mark.parametrize("a,d", [(2, 3), (2, 4)], ids=str)
@@ -592,6 +794,8 @@ def test_sweep_builds_row_tables_once(monkeypatch):
         return _row_tables(a, d, sampled)
 
     monkeypatch.setattr(search, "_row_tables", counting)
+    # plans are kept with the tables they built: from none kept
+    search._block_plan.cache_clear()
     for a, d, want in [
         (4, 3, [(4, 3, False)]),  # byte tables alone
         (5, 3, [(5, 3, False), (5, 3, True)]),  # certified, misses through the byte tables
@@ -605,6 +809,7 @@ def test_sweep_builds_row_tables_once(monkeypatch):
         assert calls == want, (a, d)
     # a sweep shorter than one certified block builds no sampled tables
     calls.clear()
+    search._block_plan.cache_clear()
     random_semidiagonal_sweep(5, 3, 200, seed=5)
     assert calls == [(5, 3, False)]
 
@@ -627,8 +832,13 @@ def test_sweep_reports_ignore_block_cap(monkeypatch, a, d, blocks):
 
 
 # block sizes that cut the population at and between the ties and violations
+@pytest.mark.parametrize("deferred", [False, True], ids=["in order", "deferred"])
 @pytest.mark.parametrize("block", [1, 2, 3, 4, 7, 8, 29, 30, 64])
-def test_scan_blocks_merges_like_one_pass(block):
+def test_scan_blocks_merges_like_one_pass(block, deferred):
+    # deferred, as a certified sweep's queued misses: each block is one pair
+    # at or above all of its own, (5, 9) at its first tensor, and its tensors'
+    # own ranks come in a batch of index arrays once the next block is read,
+    # the last blocks' after the last, latest first
     from flatrank.search import _scan_blocks
 
     # mfrank is 1 at 3, 11 and 17 and 2 at 9 and 26, all five below 3; sum_franks ties at 4, 12 and 28
@@ -636,11 +846,18 @@ def test_scan_blocks_merges_like_one_pass(block):
     mfrank[[3, 11]], mfrank[[9, 17, 26]] = 1, (2, 1, 2)
     sumrank = np.full(30, 9)
     sumrank[[4, 12, 28]] = 6
-    seen = []
+    seen, held = [], []
 
     def ranks(start, stop, ws):
         seen.append((start, stop))
-        return mfrank[start:stop], sumrank[start:stop]
+        if not deferred:
+            yield start, mfrank[start:stop], sumrank[start:stop]
+            return
+        yield start, np.array([5]), np.array([9])
+        held.append(np.arange(start, stop))
+        while len(held) > (stop < 30):
+            at = held.pop()
+            yield at, mfrank[at], sumrank[at]
 
     got = _scan_blocks(30, block, {"rows": (1, np.uint8)}, ranks, 3)
     assert got == ((1, 3), (6, 4), 5, 3)
@@ -694,9 +911,11 @@ ARENA_SWEEPS = {
 
 
 def _sweep_blocks(sweep, poison: bool) -> list:
-    """[report, sha256 of each block's mfrank and sum_franks] of ``sweep()``.
+    """[report, sha256 of each rank batch's indices, mfrank and sum_franks] of ``sweep()``.
 
-    With ``poison``, the thread's sweep arena is all 0xFF before each block.
+    With ``poison``, the thread's sweep arena is all 0xFF before each block,
+    but for the queue of misses a certified sweep keeps from one block to the
+    next: that, from the second block on, holds what it held.
     """
     import hashlib
 
@@ -707,10 +926,15 @@ def _sweep_blocks(sweep, poison: bool) -> list:
     def recording(total, block, sizes, ranks, lower):
         def recorded(start, stop, ws):
             if poison:
+                queue = [ws._buffers[q] for q in ("queue", "queued", "fill") if start and q in ws._buffers]
+                kept = [buf.copy() for buf in queue]
                 np.frombuffer(search._arena.map, np.uint8).fill(0xFF)
-            mfrank, sumrank = ranks(start, stop, ws)
-            blocks.append(hashlib.sha256(mfrank.tobytes() + sumrank.tobytes()).hexdigest())
-            return mfrank, sumrank
+                for buf, held in zip(queue, kept):
+                    np.copyto(buf, held)
+            for at, mfrank, sumrank in ranks(start, stop, ws):
+                index = np.asarray(at, np.intp).tobytes()
+                blocks.append(hashlib.sha256(index + mfrank.tobytes() + sumrank.tobytes()).hexdigest())
+                yield at, mfrank, sumrank
 
         return scan(total, block, sizes, recorded, lower)
 
@@ -777,7 +1001,7 @@ def test_sweep_that_raises_drops_an_arena_over_the_keep_limit():
     def ranks(start, stop, ws):
         if start:
             raise Interrupted
-        return np.zeros(stop - start, np.int64), np.zeros(stop - start, np.int64)
+        return [(start, np.zeros(stop - start, np.int64), np.zeros(stop - start, np.int64))]
 
     for nbytes, kept in ((1 << 20, 1 << 20), (search.ARENA_KEEP_BYTES + 64, 0)):
         search._drop_arena()
