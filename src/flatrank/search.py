@@ -3,7 +3,9 @@
 GF(2) populations, in the exhaustive sweep and the random sweeps alike, are
 ranked exactly by one of two kernels, chosen by the width of the flattening
 rows, a^(d-1) columns.  Blocks of both are sized by the bytes of their rows
-(:data:`BLOCK_BYTES`), so rows and scratch stay in cache.
+(:data:`BLOCK_BYTES`), so rows and scratch stay in cache: a random block by
+the padded rows it gathers, an exhaustive chunk by the rows it writes
+(:func:`exhaustive_min_mfrank`).
 
 * Rows of at most 32 columns (:data:`TABLE_MAX_COLUMNS`) are packed, one
   machine word per row with one bit per column, and a tensor's rows are
@@ -91,7 +93,8 @@ ends or raises.  Allocating per block, or per sweep, costs more than the arithme
 glibc trims the heap top after each block's frees, so a block that allocates
 its buffers faults about 250 pages in again, at about 1.8 us each on a
 2-vCPU Xeon.  No other buffer is larger than :data:`BLOCK_BYTES` unless one
-tensor needs it, and the arena is not glibc's, so glibc's mmap threshold
+tensor needs it, but an exhaustive chunk's rows and scratch, up to
+sqrt(2) times it, and the arena is not glibc's, so glibc's mmap threshold
 does not move.  A sweep whose plan, with the index arrays its shape keeps
 for the process, a binary field's log tables and what a larger field's
 elimination allocates outside the plan, would pass
@@ -143,7 +146,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import Tensor, check_cube, flattening_ranks, index_class_arrays
+from .tensor import Tensor, _axis_order, check_cube, flattening_ranks, index_class_arrays
 
 __all__ = [
     "SearchReport",
@@ -493,7 +496,7 @@ def _exhaustive_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
         "hi": (n // low * sum(pieces), dtype),
         "low": (low * a * d, dtype),
         "rows": (n * a * d, dtype),
-        "buf": (max(n * a * d, n // low * sum(pieces)), dtype),
+        "buf": (max(n * (a - 1) * d, n // low * sum(pieces)), dtype),
         "flag": (d * n, np.bool_),
         **_rank_sizes(d, n, np.uint8),
     }
@@ -559,14 +562,14 @@ def _eliminate(
     Elimination runs on all N * d flattenings at once, in place: after each
     pivot row p, ``min(x, x ^ p)`` clears p's leading bit from every row x
     below that has it, so the nonzero pivots are independent and their count
-    is the rank.  ``scratch`` has the shape and dtype of ``rows``.
+    is the rank.  ``scratch`` has the shape and dtype of ``rows[1:]``.
     """
     rank, flag = ws.take("rank", rows.shape[1]), ws.take("flag", rows.shape[1])
     rank.fill(0)
     for i in range(rows.shape[0]):
         np.not_equal(rows[i], 0, out=flag)
         rank += flag
-        below, tmp = rows[i + 1 :], scratch[i + 1 :]
+        below, tmp = rows[i + 1 :], scratch[i:]
         np.bitwise_xor(below, rows[i], out=tmp)
         np.minimum(below, tmp, out=below)
     return _rank_summary(rank.reshape(d, -1), ws)
@@ -598,7 +601,7 @@ def _packed_population_ranks(
             rows ^= buf
     # [r * d + axis, j] is [r, axis * n + j]
     _transposed(row_pieces, a * d, ws.take("buf", a * d, n))
-    return _eliminate(ws.take("buf", a, d * n), ws.take("rows", a, d * n), d, ws)
+    return _eliminate(ws.take("buf", a, d * n), ws.take("rows", a - 1, d * n), d, ws)
 
 
 def _certified_ranks(
@@ -643,9 +646,11 @@ def _exhaustive_ranks(
     ``stop - start`` is a power of two, and ``start`` a multiple of it.  The
     assignments then run through every low byte under each of their high
     bytes: the rows of the high bytes are gathered once per group of (up to)
-    256 assignments, and the low-byte table is XORed in by broadcasting,
+    256 assignments, and the low-byte rows are XORed in by broadcasting,
     straight into the layout :func:`_eliminate` reads.  ``ws`` holds
-    :func:`_exhaustive_sizes` for ``stop - start``.
+    :func:`_exhaustive_sizes` for ``stop - start``; its low-byte rows are
+    transposed from the first table at ``start`` 0 and kept for the sweep's
+    later chunks.
     """
     n = stop - start
     low = min(n, 256)
@@ -661,10 +666,11 @@ def _exhaustive_ranks(
                 np.take(table, index, axis=0, out=out, mode="clip")
             hi ^= buf
     low_rows = ws.take("low", a, d, 1, low)
-    _transposed([piece[:low] for piece in tables[0]], a * d, low_rows.reshape(a * d, low))
+    if not start:
+        _transposed([piece[:low] for piece in tables[0]], a * d, low_rows.reshape(a * d, low))
     high = _transposed(_pieces(hi, groups, widths), a * d, ws.take("buf", a * d, groups))
     rows = np.bitwise_xor(high.reshape(a, d, groups, 1), low_rows, out=ws.take("rows", a, d, groups, low))
-    return _eliminate(rows.reshape(a, d * n), ws.take("buf", a, d * n), d, ws)
+    return _eliminate(rows.reshape(a, d * n), ws.take("buf", a - 1, d * n), d, ws)
 
 
 # delta-swap rounds of a 64x64 bit transpose: (shift j, mask of the bits whose bit j is clear)
@@ -880,11 +886,16 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     generality).  Assignment v sets mixed entry t to bit t of v.  Refuses
     populations with more than 2^22 members, tensors over the dense cap and
     chunks whose memory passes :data:`MAX_WORKSPACE_BYTES`.  The population
-    is ranked in chunks of a power of two assignments, as many as fit
-    :data:`BLOCK_BYTES` of packed rows and at least 256 (or the whole
-    population, if smaller).  Rows over :data:`TABLE_MAX_COLUMNS` columns
-    occur only at d = 2, where the identity alone is bit-sliced.  Violations
-    counts assignments with mfrank < ceil(a / (d-1)).
+    is ranked in chunks of the power of two of assignments whose rows, a*d
+    entries each, come nearest :data:`BLOCK_BYTES` by ratio, and at least
+    256 (or the whole population, if smaller).  A chunk costs 40-45 us
+    besides its rows: at (3,3), chunks of 32,768 assignments of 18 bytes
+    (576 KB) ranked the population in 0.79-0.81x the time of 16,384,
+    against 0.83-0.88x for 28,928 (10 chunks within :data:`BLOCK_BYTES`)
+    and 0.84-0.88x for 65,536 (``BENCH_29.json``).  Rows over
+    :data:`TABLE_MAX_COLUMNS` columns occur only at d = 2, where the
+    identity alone is bit-sliced.  Violations counts assignments with
+    mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
     f = _mixed_count(a, d)
@@ -896,7 +907,8 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     sliced = a ** (d - 1) > TABLE_MAX_COLUMNS
     if not sliced:
         tables = _row_tables(a, d)
-        chunk = min(total, 1 << max(8, (BLOCK_BYTES // _row_bytes(a, d)).bit_length() - 1))
+        row = a * d * np.dtype(_row_layout(a, d)[0]).itemsize  # the bytes a chunk writes per assignment
+        chunk = min(total, 1 << max(8, round(math.log2(BLOCK_BYTES / row))))
         sizes = _exhaustive_sizes(a, d, chunk)
         ranks = lambda start, stop, ws: ((start, *_exhaustive_ranks(a, d, tables, start, stop, ws)),)
     else:  # d == 2: the identity matrix alone
@@ -910,22 +922,20 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
         total, chunk, sizes, ranks, -(-a // (d - 1))
     )
 
-    def witness(v: int, label: str) -> dict:
+    def witness(v: int) -> dict:
         words = np.array([[v]], dtype=np.uint64)
         t = Tensor((a,) * d, GF2, _semidiagonal_block(a, d, GF2, words)[0])
-        return {
-            "kind": label,
-            "assignment": v,
-            "tensor": tensor_to_document(t),
-            "franks": flattening_ranks(t),
-        }
+        return {"assignment": v, "tensor": tensor_to_document(t), "franks": flattening_ranks(t)}
+
+    mf = witness(at_mf)  # at d = 2, (2,3), (2,4) and (3,3) both minima fall on one assignment
+    sums = mf if at_sum == at_mf else witness(at_sum)
 
     return SearchReport(
         population=f"semi-diagonal GF(2) tensors, a={a}, d={d}, diagonal fixed to 1",
         count=total,
         min_mfrank=best_mf,
         min_sum_franks=best_sum,
-        witnesses=[witness(at_mf, "min_mfrank"), witness(at_sum, "min_sum_franks")],
+        witnesses=[{"kind": "min_mfrank", **mf}, {"kind": "min_sum_franks", **sums}],
         seed=None,
         violations=violations,
         extra={"free_entries": f},
@@ -1021,7 +1031,7 @@ def _block_ranks(
     grid = entries.reshape((n,) + (a,) * d)
     stack = ws.take("work", d, n, a, a ** (d - 1))
     for ax in range(d):
-        np.copyto(stack[ax].reshape(grid.shape), np.moveaxis(grid, ax + 1, 1))
+        np.copyto(stack[ax].reshape(grid.shape), grid.transpose(_axis_order(d + 1, ax + 1, 1)))
     rank = _rank_into(stack.reshape(d * n, a, -1), field, ws)
     return _rank_summary(rank.reshape(d, n), ws)
 

@@ -373,7 +373,8 @@ def test_gf2_sweep_peaks_at_its_admitted_plan(monkeypatch, capsys, argv):
     # among them (196,608 bytes at (7,3)); all else a GF(2) sweep at the
     # default block size allocates, its report included, stays under 64 KB
     # (40 KB for exhaustive (3,3), 24 KB at (4,3)).  A plan buffer of the
-    # default blocks takes 512 KB.  A first, untraced call builds the tables
+    # default random blocks takes 512 KB, of exhaustive (3,3)'s chunks 576 KB.
+    # A first, untraced call builds the tables
     from flatrank import search
 
     admitted = []

@@ -10,7 +10,6 @@ from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import GOLDEN, MASK64, Rng, mix64, stream_words_np, sub_seeds_np
 from flatrank.formats import canonical_json
 from flatrank.search import (
-    BLOCK_BYTES,
     TABLE_MAX_COLUMNS,
     _Workspace,
     _block_ranks,
@@ -195,11 +194,27 @@ def test_exhaustive_refuses_oversized():
         exhaustive_min_mfrank(4, 3)
 
 
-def test_exhaustive_sweep_counts_violations(monkeypatch, capsys):
-    # one assignment ranked below ceil(a / (d-1)) by a faulty kernel: the report
-    # counts it, and the CLI exits 1 (the real population has none)
+@pytest.mark.parametrize("field", [GF2, make_prime_field(3), make_binary_field(8)], ids=str)
+def test_block_ranks_match_moveaxis(field):
+    # the stacked flattenings are copied from transpose views, which must
+    # land where np.moveaxis puts them
+    from flatrank.linalg import entry_dtype
+    from oracles import _rank_generic
+
+    rng = np.random.default_rng(field.order)
+    for a, d, n in ((3, 3, 6), (2, 4, 5), (4, 2, 3)):
+        grid = rng.integers(0, field.order, (n,) + (a,) * d)
+        franks = [
+            [_rank_generic(np.moveaxis(g, ax, 0).reshape(a, -1).tolist(), field) for ax in range(d)]
+            for g in grid
+        ]
+        mfrank, sumrank = _block_ranks(grid.reshape(n, -1).astype(entry_dtype(field)), a, d, field)
+        assert (mfrank.tolist(), sumrank.tolist()) == ([max(r) for r in franks], [sum(r) for r in franks])
+
+
+def _rank_300_at_1(monkeypatch):
+    """Make a faulty exhaustive kernel rank assignment 300's mfrank 1, its sum_franks as it is."""
     import flatrank.search as search
-    from flatrank.cli import main
 
     kernel = search._exhaustive_ranks
 
@@ -209,8 +224,16 @@ def test_exhaustive_sweep_counts_violations(monkeypatch, capsys):
             mfrank[300 - start] = 1
         return mfrank, sumrank
 
-    assert exhaustive_min_mfrank(3, 3).violations == 0
     monkeypatch.setattr(search, "_exhaustive_ranks", faulty)
+
+
+def test_exhaustive_sweep_counts_violations(monkeypatch, capsys):
+    # one assignment ranked below ceil(a / (d-1)) by a faulty kernel: the report
+    # counts it, and the CLI exits 1 (the real population has none)
+    from flatrank.cli import main
+
+    assert exhaustive_min_mfrank(3, 3).violations == 0
+    _rank_300_at_1(monkeypatch)
     rep = exhaustive_min_mfrank(3, 3)
     assert (rep.violations, rep.min_mfrank) == (1, 1)
     assert main(["experiment", "exhaustive", "--a", "3", "--d", "3"]) == 1
@@ -233,13 +256,62 @@ def test_exhaustive_witnesses_reverify():
             assert sum(franks) == rep.min_sum_franks
 
 
+def test_exhaustive_builds_one_witness_per_assignment(monkeypatch):
+    # the min-mfrank and min-sum witnesses name one assignment at these shapes
+    # (d = 2 bit-sliced at 64), so one tensor is built and ranked for both;
+    # forced apart, each gets its own, as it was before they were shared
+    import flatrank.search as search
+
+    built, franks = [], search.flattening_ranks
+    monkeypatch.setattr(search, "flattening_ranks", lambda t: built.append(t) or franks(t))
+    for a, d in ((3, 3), (2, 4), (7, 2), (64, 2)):
+        built.clear()
+        w_mf, w_sum = exhaustive_min_mfrank(a, d).witnesses
+        assert len(built) == 1 and w_mf["assignment"] == w_sum["assignment"], (a, d)
+        assert w_sum == {**w_mf, "kind": "min_sum_franks"}
+    _rank_300_at_1(monkeypatch)
+    built.clear()
+    rep = exhaustive_min_mfrank(3, 3)
+    assert len(built) == 2
+    for witness, (kind, v) in zip(rep.witnesses, (("min_mfrank", 300), ("min_sum_franks", 461))):
+        t = Tensor((3, 3, 3), GF2, _semidiagonal_block(3, 3, GF2, np.array([[v]], np.uint64))[0])
+        want = {"kind": kind, "assignment": v, "tensor": tensor_to_document(t), "franks": franks(t)}
+        assert canonical_json(witness) == canonical_json(want)
+
+
+def _exhaustive_chunks(monkeypatch, a, d):
+    """(start, stop) of each ``_exhaustive_ranks`` call of ``exhaustive_min_mfrank(a, d)``."""
+    import flatrank.search as search
+
+    calls, kernel = [], search._exhaustive_ranks
+
+    def spy(a, d, tables, start, stop, ws):
+        calls.append((start, stop))
+        return kernel(a, d, tables, start, stop, ws)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(search, "_exhaustive_ranks", spy)
+        exhaustive_min_mfrank(a, d)
+    return calls
+
+
+def test_exhaustive_chunks_are_whole_groups(monkeypatch):
+    # (3,3) writes 18 bytes of rows per assignment, so the power of two of
+    # assignments nearest BLOCK_BYTES of them is 2^15: 8 equal chunks of 2^18,
+    # each a whole number of 256-assignment groups
+    chunks = _exhaustive_chunks(monkeypatch, 3, 3)
+    assert chunks == [(s, s + (1 << 15)) for s in range(0, 1 << 18, 1 << 15)]
+    assert all((stop - start) % 256 == 0 for start, stop in chunks)
+
+
 def _budget_blocks(monkeypatch, field, a, d, n):
     """Shrink ``BLOCK_BYTES``, the budget that sizes sweeps on A^d over ``field``, to n tensors a block.
 
     It bounds packed rows over GF(2) and the largest buffer of
     ``_field_sizes`` over larger fields.  Bit-sliced blocks are whole words
-    of 64 tensors, so there n is a multiple of 64; exhaustive chunks are
-    powers of two of at least 256.
+    of 64 tensors, so there n is a multiple of 64.  Exhaustive chunks are
+    sized by the a*d entries of rows they write per assignment, not by the
+    padded rows, to a power of two near that many bytes and at least 256.
     """
     import flatrank.search as search
 
@@ -258,7 +330,7 @@ def _budget_blocks(monkeypatch, field, a, d, n):
 @pytest.mark.parametrize(
     "a,d", [(1, 2), (1, 3), (2, 2), (7, 2), (64, 2), (2, 3), (2, 4), (3, 3)], ids=str
 )
-def test_exhaustive_chunks_match_matrix_rank(a, d):
+def test_exhaustive_chunks_match_matrix_rank(monkeypatch, a, d):
     total = 1 << len(index_class_arrays(a, d)[2])
     words = np.arange(total, dtype=np.uint64)[:, None]
     oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
@@ -268,8 +340,8 @@ def test_exhaustive_chunks_match_matrix_rank(a, d):
             assert got.tolist() == want.tolist()
         return
     tables = _row_tables(a, d)
-    default = 1 << ((BLOCK_BYTES // _row_bytes(a, d)).bit_length() - 1)
-    for chunk in {min(total, 256), min(total, default)}:
+    default = _exhaustive_chunks(monkeypatch, a, d)[0][1]  # the sweep's first chunk
+    for chunk in {min(total, 256), default}:
         ws = _Workspace(_exhaustive_sizes(a, d, chunk))  # one for all chunks, as in a sweep
         parts = [
             [r.tolist() for r in _exhaustive_ranks(a, d, tables, s, s + chunk, ws)]
@@ -914,8 +986,9 @@ def _sweep_blocks(sweep, poison: bool) -> list:
     """[report, sha256 of each rank batch's indices, mfrank and sum_franks] of ``sweep()``.
 
     With ``poison``, the thread's sweep arena is all 0xFF before each block,
-    but for the queue of misses a certified sweep keeps from one block to the
-    next: that, from the second block on, holds what it held.
+    but for what a sweep keeps from one block to the next, a certified
+    sweep's queue of misses and an exhaustive sweep's low-byte rows: those,
+    from the second block on, hold what they held.
     """
     import hashlib
 
@@ -926,7 +999,8 @@ def _sweep_blocks(sweep, poison: bool) -> list:
     def recording(total, block, sizes, ranks, lower):
         def recorded(start, stop, ws):
             if poison:
-                queue = [ws._buffers[q] for q in ("queue", "queued", "fill") if start and q in ws._buffers]
+                names = ("queue", "queued", "fill", "low")
+                queue = [ws._buffers[q] for q in names if start and q in ws._buffers]
                 kept = [buf.copy() for buf in queue]
                 np.frombuffer(search._arena.map, np.uint8).fill(0xFF)
                 for buf, held in zip(queue, kept):

@@ -12,6 +12,7 @@ from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import Rng
 from flatrank.tensor import (
     Tensor,
+    _axis_order,
     _flattening,
     axis_constant_construction,
     dense_size,
@@ -92,6 +93,23 @@ def test_flatten_matches_index_oracle():
             rest = decode_column(c, t.dims, 1)
             idx = (rest[0], r, rest[1])
             assert m[r, c] == t.array[idx]
+
+
+@pytest.mark.parametrize("field", [GF2, GF3, make_binary_field(8)], ids=str)
+def test_flattenings_match_moveaxis(field):
+    # transpose views of _axis_order are np.moveaxis's, strides and all, so
+    # the flattenings copied from them keep the file format's column order
+    rng = np.random.default_rng(field.order)
+    for dims in [(3, 3, 3), (2, 2, 2, 2, 2), (4, 4), (2, 5), (3, 1, 4), (2, 3, 4, 2), (5, 2, 2)]:
+        arr = rng.integers(0, field.order, dims)
+        for src in range(arr.ndim):
+            for dst in range(arr.ndim):
+                view, want = arr.transpose(_axis_order(arr.ndim, src, dst)), np.moveaxis(arr, src, dst)
+                assert (view.shape, view.strides) == (want.shape, want.strides)
+        t = Tensor.from_array(arr, field)
+        moved = [np.moveaxis(arr, ax, 0).reshape(dims[ax], -1) for ax in range(arr.ndim)]
+        assert [_flattening(t, ax).tolist() for ax in range(arr.ndim)] == [m.tolist() for m in moved]
+        assert flattening_ranks(t) == [_rank_generic(m.tolist(), field) for m in moved], dims
 
 
 @given(data=st.data(), t=small_tensors())
