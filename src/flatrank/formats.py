@@ -4,7 +4,7 @@ All artifacts are UTF-8 JSON with integer field-element representatives
 (prime fields: residues; binary fields: polynomial masks).  Indices are
 0-based everywhere: axes, ground-set elements, vertices, and configuration
 slots.  Subsets may be written either as bit-masks (integers) or as lists of
-0-based elements.
+0-based elements, each element once.
 
 Canonical serialization (sorted keys, no whitespace, trailing newline) is the
 byte format for reports, so identical inputs and seeds reproduce identical
@@ -317,7 +317,7 @@ def _json_list(value, what: str) -> list:
 
 
 def _mask_from(value, n: int, what: str) -> int:
-    """Accept an int mask or a list of 0-based elements."""
+    """Accept an int mask or a list of distinct 0-based elements."""
     if isinstance(value, bool):
         raise ValueError(f"{what}: booleans are not masks")
     if isinstance(value, int):
@@ -331,6 +331,8 @@ def _mask_from(value, n: int, what: str) -> int:
                 raise ValueError(f"{what}: element {v!r} is not an integer")
             if not 0 <= v < n:
                 raise ValueError(f"{what}: element {v!r} out of range(0, {n})")
+            if mask >> v & 1:
+                raise ValueError(f"{what}: element {v} is listed twice")
             mask |= 1 << v
         return mask
     raise ValueError(f"{what}: expected mask or element list, got {type(value).__name__}")

@@ -29,8 +29,8 @@ from .field import FieldDescriptor, make_prime_field
 from .rng import Rng
 from .setfam import SetFamily, _grid_shape, _intersection_sizes, _mask_limbs
 from .tensor import (
-    MAX_SEARCH_NODES,
     Tensor,
+    _bounded_search,
     dense_size,
     flattening_ranks,
     is_semi_diagonal,
@@ -390,10 +390,10 @@ def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[i
     """Positions of k members with pairwise odd-sized intersections, or None.
 
     A depth-first search over :func:`_odd_adjacency`, in ascending positions,
-    that prunes a branch when too few common neighbours are left.  It keeps
-    its open nodes on an explicit stack, so its depth is not bounded by
-    Python's recursion limit.  A search that would visit more than
-    :data:`MAX_SEARCH_NODES` nodes is refused (ValueError) when it gets there.
+    that prunes a branch when too few common neighbours are left.  Its nodes
+    are (allowed members, lowest position left), searched by
+    :func:`flatrank.tensor._bounded_search`, which refuses (ValueError) a
+    search past :data:`flatrank.tensor.MAX_SEARCH_NODES` nodes.
     """
     m = len(members_factors)
     if m < k:
@@ -402,35 +402,20 @@ def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[i
         return (0,)
     adj = _odd_adjacency(members_factors)
 
-    def children(allowed: int, floor: int, need: int):
-        """(j, allowed & adj[j]) for the j >= floor in ``allowed`` that keep ``need`` common neighbours."""
+    def children(node: tuple[int, int], level: int):
+        """(j, (allowed & adj[j], j + 1)) for the j >= floor in ``allowed`` with enough common neighbours."""
+        allowed, floor = node
         avail = allowed & (~0 << floor)
         while avail:
             low = avail & -avail
             j = low.bit_length() - 1
             avail ^= low
             common = allowed & adj[j]
-            if common.bit_count() >= need:
-                yield j, common
+            if common.bit_count() >= k - level - 1:
+                yield j, (common, j + 1)
 
-    chosen: list[int] = []
-    frames = []  # the untried children of each open node, deepest last
-    allowed, floor, nodes = (1 << m) - 1, 0, 0
-    while True:
-        nodes += 1
-        if nodes > MAX_SEARCH_NODES:
-            raise ValueError(f"odd-clique search of order {k} passed {MAX_SEARCH_NODES} nodes")
-        if len(chosen) == k:
-            return tuple(chosen)
-        frames.append(children(allowed, floor, k - len(chosen) - 1))
-        while (step := next(frames[-1], None)) is None:  # back up to an open node
-            frames.pop()
-            if not frames:
-                return None
-            chosen.pop()
-        j, allowed = step
-        chosen.append(j)
-        floor = j + 1
+    clique = _bounded_search(((1 << m) - 1, 0), children, k, f"odd-clique search of order {k}")
+    return None if clique is None else tuple(clique)
 
 
 def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:

@@ -30,8 +30,8 @@ import numpy as np
 from .field import FieldDescriptor, binary_mul_add, discrete_log_tables, make_binary_field
 from .setfam import _grid_shape, _slot_limbs
 from .tensor import (
-    MAX_SEARCH_NODES,
     Tensor,
+    _bounded_search,
     is_semi_diagonal,
     max_flattening_rank,
     semi_diagonal_faults,
@@ -90,39 +90,25 @@ def find_rainbow_matching(
 
     Complete backtracking over color-ascending choices, which picks an edge
     of a color only while enough colors are left after it to finish; None
-    when no rainbow matching of the requested size exists.  The search keeps
-    its open nodes on an explicit stack, so its depth is not bounded by
-    Python's recursion limit.  A search that would visit more than
-    :data:`MAX_SEARCH_NODES` nodes is refused (ValueError) when it gets there.
+    when no rainbow matching of the requested size exists.  Its nodes are
+    (vertices used, lowest color left), searched by
+    :func:`flatrank.tensor._bounded_search`, which refuses (ValueError) a
+    search past :data:`flatrank.tensor.MAX_SEARCH_NODES` nodes.
     """
     if size < 1:
         raise ValueError("size must be positive")
     z = h.z
     if size > z:
         return None
-    chosen: list[tuple[int, int, int]] = []  # (color, edge index, edge) down to the node
-    frames = []  # the untried edges of each open node, deepest last
-    used, start, nodes = 0, 0, 0
-    while True:
-        nodes += 1
-        if nodes > MAX_SEARCH_NODES:
-            raise ValueError(f"rainbow-matching search of size {size} passed {MAX_SEARCH_NODES} nodes")
-        if len(chosen) == size:
-            return [(c, ei) for c, ei, _ in chosen]
-        frames.append(
-            (c, ei, e)
-            for c in range(start, z - size + len(chosen) + 1)
-            for ei, e in enumerate(h.colors[c])
-            if not e & used  # read when the frame resumes, so at its node's vertices
-        )
-        while (step := next(frames[-1], None)) is None:  # back up to an open node
-            frames.pop()
-            if not frames:
-                return None
-            used ^= chosen.pop()[2]
-        chosen.append(step)
-        used |= step[2]
-        start = step[0] + 1
+
+    def children(node: tuple[int, int], level: int):
+        used, start = node
+        for c in range(start, z - size + level + 1):
+            for ei, e in enumerate(h.colors[c]):
+                if not e & used:
+                    yield (c, ei), (used | e, c + 1)
+
+    return _bounded_search((0, 0), children, size, f"rainbow-matching search of size {size}")
 
 
 def default_field_for(num_vertices: int) -> FieldDescriptor:

@@ -13,11 +13,10 @@ the padded rows it gathers, an exhaustive chunk by the rows it writes
   The rows of a tensor are
   the XOR of one entry of each byte table, one table per byte of the mixed
   bits; each shape's tables are built once and kept.  A random block gathers
-  one table entry per byte of each tensor; an exhaustive chunk, whose
-  assignments are consecutive, gathers only its high bytes once per 256
-  assignments and XORs in the low-byte table by broadcasting.  All rows of a
-  block are then eliminated at once with min-XOR steps, ``min(x, x ^ p)``
-  per pivot row p.
+  one table entry per byte of each tensor; an exhaustive chunk gathers
+  nothing, its rows being the XOR of one slice of each table, broadcast
+  (:func:`_exhaustive_ranks`).  All rows of a block are then eliminated at
+  once with min-XOR steps, ``min(x, x ^ p)`` per pivot row p.
 * Wider rows are bit-sliced: bit i of word g of a plane holds one entry of
   tensor 64g + i, so every word operation works on 64 tensors.  A block's
   stream words are turned into planes by a 64x64 bit transpose, its rows are
@@ -344,9 +343,9 @@ def _check_workspace(nbytes: int, what: str) -> None:
     """Refuse a sweep whose memory, ``nbytes``, passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
 
     Counted are its workspace and what it keeps or allocates besides: the
-    index arrays, sampled tables and stream ramps kept for the process, a
-    binary field's log tables with the scratch of their build, and what the
-    elimination allocates outside the workspace.
+    index arrays, sampled tables and stream ramps kept for the process, the
+    tables an exhaustive sweep transposes, a binary field's log tables with
+    their build's scratch, and what the elimination allocates outside it.
     """
     if nbytes > MAX_WORKSPACE_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, over the {MAX_WORKSPACE_BYTES}-byte block cap")
@@ -488,15 +487,11 @@ def _table_sizes(a: int, d: int, n: int, sampled: bool = False) -> dict[str, tup
 
 
 def _exhaustive_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
-    """Workspace of :func:`_exhaustive_ranks` for chunks of n assignments."""
-    low = min(n, 256)
-    dtype, pieces = _row_layout(a, d)
+    """Workspace of :func:`_exhaustive_ranks` for chunks of n; ``buf`` also holds the high bytes' rows."""
+    dtype = _row_layout(a, d)[0]
     return {
-        "index": (n // low, np.intp),
-        "hi": (n // low * sum(pieces), dtype),
-        "low": (low * a * d, dtype),
         "rows": (n * a * d, dtype),
-        "buf": (max(n * (a - 1) * d, n // low * sum(pieces)), dtype),
+        "buf": (max(n * (a - 1) * d, -(-n // 256) * a * d), dtype),
         "flag": (d * n, np.bool_),
         **_rank_sizes(d, n, np.uint8),
     }
@@ -639,37 +634,33 @@ def _certified_ranks(
 
 
 def _exhaustive_ranks(
-    a: int, d: int, tables: dict[int, tuple], start: int, stop: int, ws: _Workspace
+    a: int, d: int, tables: list[np.ndarray], start: int, stop: int, ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of the GF(2) tensors with assignments ``start .. stop-1``.
 
-    ``stop - start`` is a power of two, and ``start`` a multiple of it.  The
-    assignments then run through every low byte under each of their high
-    bytes: the rows of the high bytes are gathered once per group of (up to)
-    256 assignments, and the low-byte rows are XORed in by broadcasting,
-    straight into the layout :func:`_eliminate` reads.  ``ws`` holds
-    :func:`_exhaustive_sizes` for ``stop - start``; its low-byte rows are
-    transposed from the first table at ``start`` 0 and kept for the sweep's
-    later chunks.
+    ``stop - start`` is a power of two and ``start`` a multiple of it, so byte
+    k of the assignments runs through one range of values under every value
+    of the bytes above it: their rows are the XOR of one slice of each table,
+    ``tables[k]`` being byte k's of :func:`_row_tables`, contiguous, as
+    ``[r * d + axis, byte value]``.  The high bytes' slices are combined
+    first, a*d entries per 256 assignments, then broadcast with byte 0's into
+    the layout :func:`_eliminate` reads.  ``ws`` holds :func:`_exhaustive_sizes`
+    for ``stop - start``; the call reads nothing in it that it did not write.
     """
     n = stop - start
-    low = min(n, 256)
-    high_bytes = np.arange(start, stop, low, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    groups, widths = n // low, tuple(piece.shape[1] for piece in tables[0])
-    index, hi = ws.take("index", groups), ws.take("hi", groups * sum(widths))
-    buf = ws.take("buf", groups * sum(widths))  # free until the elimination takes it as scratch
-    hi.fill(0)
-    for k, pieces in tables.items():
-        if k:  # byte 0's table, the first, also holds the diagonal: a set without it raises
-            np.copyto(index, high_bytes[:, k])
-            for table, out in zip(pieces, _pieces(buf, groups, widths)):
-                np.take(table, index, axis=0, out=out, mode="clip")
-            hi ^= buf
-    low_rows = ws.take("low", a, d, 1, low)
-    if not start:
-        _transposed([piece[:low] for piece in tables[0]], a * d, low_rows.reshape(a * d, low))
-    high = _transposed(_pieces(hi, groups, widths), a * d, ws.take("buf", a * d, groups))
-    rows = np.bitwise_xor(high.reshape(a, d, groups, 1), low_rows, out=ws.take("rows", a, d, groups, low))
+    low, *high = (
+        table[:, (start >> 8 * k) & 255 :][:, : min(256, max(1, n >> 8 * k))]
+        for k, table in enumerate(tables)
+    )
+    rows = ws.take("rows", a * d, n // low.shape[1], low.shape[1])
+    if high:
+        top = high.pop()
+        for part in reversed(high):
+            out = ws.take("buf", a * d, top.shape[1], part.shape[1])
+            top = np.bitwise_xor(top[:, :, None], part[:, None, :], out=out).reshape(a * d, -1)
+        np.bitwise_xor(top[:, :, None], low[:, None, :], out=rows)
+    else:  # byte 0 alone: at most 256 assignments
+        np.copyto(rows[:, 0], low)
     return _eliminate(rows.reshape(a, d * n), ws.take("buf", a - 1, d * n), d, ws)
 
 
@@ -888,11 +879,11 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     chunks whose memory passes :data:`MAX_WORKSPACE_BYTES`.  The population
     is ranked in chunks of the power of two of assignments whose rows, a*d
     entries each, come nearest :data:`BLOCK_BYTES` by ratio, and at least
-    256 (or the whole population, if smaller).  A chunk costs 40-45 us
-    besides its rows: at (3,3), chunks of 32,768 assignments of 18 bytes
-    (576 KB) ranked the population in 0.79-0.81x the time of 16,384,
-    against 0.83-0.88x for 28,928 (10 chunks within :data:`BLOCK_BYTES`)
-    and 0.84-0.88x for 65,536 (``BENCH_29.json``).  Rows over
+    256 (or the whole population, if smaller), so that a small budget cannot
+    split it into more than 2^14 chunks.  A chunk costs 32-36 us besides its
+    rows: at (3,3), chunks of 32,768 assignments of 18 bytes (576 KB) ranked
+    the population fastest, 16,384 took 1.11-1.15x as long, 65,536
+    1.13-1.21x and 8,192 1.49-1.56x (``BENCH_30.json``).  Rows over
     :data:`TABLE_MAX_COLUMNS` columns occur only at d = 2, where the
     identity alone is bit-sliced.  Violations counts assignments with
     mfrank < ceil(a / (d-1)).
@@ -904,19 +895,18 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
             f"population too large: {f} free entries at (a={a}, d={d}) exceeds cap {MAX_FREE_ENTRIES}"
         )
     total = 1 << f
-    sliced = a ** (d - 1) > TABLE_MAX_COLUMNS
-    if not sliced:
-        tables = _row_tables(a, d)
-        row = a * d * np.dtype(_row_layout(a, d)[0]).itemsize  # the bytes a chunk writes per assignment
+    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
+        dtype = _row_layout(a, d)[0]
+        row = a * d * np.dtype(dtype).itemsize  # the bytes a chunk writes per assignment
         chunk = min(total, 1 << max(8, round(math.log2(BLOCK_BYTES / row))))
-        sizes = _exhaustive_sizes(a, d, chunk)
+        # contiguous copies: slices of the strided transposes took 1.4-1.5x as long
+        tables = [_transposed(t, a * d, np.empty((a * d, 256), dtype)) for t in _row_tables(a, d).values()]
+        sizes, extra = _exhaustive_sizes(a, d, chunk), sum(t.nbytes for t in tables)
         ranks = lambda start, stop, ws: ((start, *_exhaustive_ranks(a, d, tables, start, stop, ws)),)
     else:  # d == 2: the identity matrix alone
         chunk = total
-        sizes = _sliced_sizes(a, d, chunk, 1)
-        words = lambda start, stop: np.arange(start, stop, dtype=np.uint64)[:, None]
-        ranks = lambda start, stop, ws: ((start, *_sliced_ranks(a, d, words(start, stop), ws)),)
-    extra = _sliced_unplanned_bytes(a, d, chunk, 1) if sliced else 0
+        sizes, extra, exact = _exact_plan(a, d, chunk, 1)
+        ranks = lambda start, stop, ws: ((start, *exact(np.zeros((1, 1), np.uint64), ws)),)
     _check_workspace(_Workspace.nbytes(sizes) + extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
     (best_mf, at_mf), (best_sum, at_sum), violations, _ = _scan_blocks(
         total, chunk, sizes, ranks, -(-a // (d - 1))

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from typing import Iterable
+from itertools import count, repeat
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -60,6 +60,32 @@ def dense_size(factors: Iterable[int], what: str) -> int:
             exact = "=" if next(factors, None) is None else ">="
             raise ValueError(f"{what} {exact} {size} cells exceeds the {MAX_ENTRIES} dense cap")
     return size
+
+
+def _bounded_search(root, children: Callable, depth: int, what: str) -> list | None:
+    """The steps of the first path ``depth`` levels down from ``root``, depth first, or None.
+
+    ``children(node, level)`` yields the ``(step, child)`` pairs of a node
+    ``level`` steps below the root, in the order to try them.  Open nodes
+    are kept on an explicit stack, so the depth is not bounded by Python's
+    recursion limit.  A search that would visit more than
+    :data:`MAX_SEARCH_NODES` nodes, the root included, is refused
+    (ValueError, naming ``what``) when it gets there.
+    """
+    path, frames, node = [], [], root  # frames: the untried children of each open node, deepest last
+    for nodes in count(1):
+        if nodes > MAX_SEARCH_NODES:
+            raise ValueError(f"{what} passed {MAX_SEARCH_NODES} nodes")
+        if len(path) == depth:
+            return path
+        frames.append(children(node, len(path)))
+        while (child := next(frames[-1], None)) is None:  # back up to an open node
+            frames.pop()
+            if not frames:
+                return None
+            path.pop()
+        step, node = child
+        path.append(step)
 
 
 def integer_array(values, what: str) -> np.ndarray:

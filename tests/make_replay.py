@@ -63,7 +63,7 @@ SWEEPS = [
     ("gf2", 2, 3, 2),
 ]
 
-# (a, d) of the exhaustive sweeps: (2,4) in one chunk, (3,3) in 16
+# (a, d) of the exhaustive sweeps: (2,4) in one chunk, (3,3) in 8
 EXHAUSTIVE = [(2, 4), (3, 3)]
 
 # (file, field document, dims, seed) of the rank fixtures, one per field family;

@@ -716,3 +716,34 @@ def test_mask_elements_name_what_is_wrong(tmp_path, element, message):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["verify", "fw", str(path), "--config", str(FIXTURES / "fw_config.json")])
     assert code == 2 and err.getvalue() == f"flatrank: error: {message}\n"
+
+
+# where the first mask of each mask reader's document in READERS sits
+FIRST_MASK = {
+    "tuple-family": ("members", 0, 0),
+    "set-family": ("members", 0),
+    "configuration": ("C", 0),
+    "hypergraph": ("colors", 0, 0),
+    "set-pair": ("members", 0, 0),
+    "bad-box": ("members_factors", 0, 0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FIRST_MASK))
+def test_mask_lists_name_each_element_once(tmp_path, kind):
+    # [0, 0] was read as the mask {0}: a repeated element is refused, exit 2
+    reader, base, argv = READERS[kind]
+    doc = json.loads(json.dumps(base))
+    *keys, last = FIRST_MASK[kind]
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = [0, 0]
+    with pytest.raises(ValueError, match="element 0 is listed twice$"):
+        reader(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([a.replace("{doc}", str(path)) for a in argv])
+    assert code == 2 and "element 0 is listed twice" in err.getvalue()

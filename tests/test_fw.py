@@ -578,18 +578,18 @@ def test_odd_clique_search_deeper_than_the_recursion_limit():
 
 
 def test_odd_clique_search_counts_every_node_once(monkeypatch):
-    import flatrank.fw as fw
+    import flatrank.tensor as tensor
 
     members = _turan_members(4, 3)  # no 5-clique: 175 nodes to exhaust, root included
-    monkeypatch.setattr(fw, "MAX_SEARCH_NODES", 175)
+    monkeypatch.setattr(tensor, "MAX_SEARCH_NODES", 175)
     assert find_odd_clique(members, 5) is None
-    monkeypatch.setattr(fw, "MAX_SEARCH_NODES", 174)
+    monkeypatch.setattr(tensor, "MAX_SEARCH_NODES", 174)
     with pytest.raises(ValueError, match="order 5 passed 174 nodes"):
         find_odd_clique(members, 5)
 
 
 def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):
-    import flatrank.fw as fw
+    import flatrank.tensor as tensor
     from flatrank.cli import main
 
     # 12 members, no 5-clique: 175 nodes to exhaust.  Through the CLI the chain's
@@ -600,7 +600,7 @@ def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):
     doc.write_text(json.dumps({"t": 20, "s": 1, "k": 5, "members_factors": [list(f) for f in members]}))
     assert main(["verify", "badbox", str(doc)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(fw, "MAX_SEARCH_NODES", 100)
+    monkeypatch.setattr(tensor, "MAX_SEARCH_NODES", 100)
     assert main(["verify", "badbox", str(doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

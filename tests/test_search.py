@@ -27,6 +27,7 @@ from flatrank.search import (
     _stream_block,
     _stream_sizes,
     _table_sizes,
+    _transposed,
     exhaustive_min_mfrank,
     random_cross_oddtown_search,
     random_semidiagonal_sweep,
@@ -295,13 +296,17 @@ def _exhaustive_chunks(monkeypatch, a, d):
     return calls
 
 
-def test_exhaustive_chunks_are_whole_groups(monkeypatch):
+def test_exhaustive_sweeps_3_3_in_8_chunks(monkeypatch):
     # (3,3) writes 18 bytes of rows per assignment, so the power of two of
-    # assignments nearest BLOCK_BYTES of them is 2^15: 8 equal chunks of 2^18,
-    # each a whole number of 256-assignment groups
+    # assignments nearest BLOCK_BYTES of them is 2^15: 8 equal chunks of 2^18
     chunks = _exhaustive_chunks(monkeypatch, 3, 3)
     assert chunks == [(s, s + (1 << 15)) for s in range(0, 1 << 18, 1 << 15)]
-    assert all((stop - start) % 256 == 0 for start, stop in chunks)
+
+
+def _transposed_tables(a, d):
+    """``_row_tables(a, d)`` as ``exhaustive_min_mfrank`` hands them to ``_exhaustive_ranks``."""
+    dtype = _row_layout(a, d)[0]
+    return [_transposed(t, a * d, np.empty((a * d, 256), dtype)) for t in _row_tables(a, d).values()]
 
 
 def _budget_blocks(monkeypatch, field, a, d, n):
@@ -311,7 +316,9 @@ def _budget_blocks(monkeypatch, field, a, d, n):
     ``_field_sizes`` over larger fields.  Bit-sliced blocks are whole words
     of 64 tensors, so there n is a multiple of 64.  Exhaustive chunks are
     sized by the a*d entries of rows they write per assignment, not by the
-    padded rows, to a power of two near that many bytes and at least 256.
+    padded rows, to a power of two near that many bytes and at least 256
+    assignments, which bounds the chunk count: a budget of 1 would make
+    131,072 chunks at (3,3).
     """
     import flatrank.search as search
 
@@ -339,7 +346,7 @@ def test_exhaustive_chunks_match_matrix_rank(monkeypatch, a, d):
         for got, want in zip(_sliced_ranks(a, d, words, ws), oracle):
             assert got.tolist() == want.tolist()
         return
-    tables = _row_tables(a, d)
+    tables = _transposed_tables(a, d)
     default = _exhaustive_chunks(monkeypatch, a, d)[0][1]  # the sweep's first chunk
     for chunk in {min(total, 256), default}:
         ws = _Workspace(_exhaustive_sizes(a, d, chunk))  # one for all chunks, as in a sweep
@@ -349,6 +356,26 @@ def test_exhaustive_chunks_match_matrix_rank(monkeypatch, a, d):
         ]
         for got, want in zip(zip(*parts), oracle):
             assert sum(got, []) == want.tolist(), chunk
+
+
+@pytest.mark.parametrize("a,d", [(2, 3), (2, 4), (3, 3)], ids=str)
+def test_exhaustive_chunk_ranks_alone(a, d):
+    # a power-of-two chunk at any start that is a multiple of its size, each
+    # ranked on a fresh workspace of 0xFF bytes, matches the oracle: a chunk
+    # reads nothing that an earlier chunk left in its workspace
+    total = 1 << _mixed_count(a, d)
+    tables = _transposed_tables(a, d)
+    rng = np.random.default_rng(total)
+    for n in (1, 16, 64, 256, 2048, 1 << 15):
+        if n > total:
+            break
+        for start in rng.permutation(total // n)[:3] * n:
+            sizes = _exhaustive_sizes(a, d, n)
+            ws = _Workspace(sizes, bytearray(b"\xff") * _Workspace.nbytes(sizes))
+            words = np.arange(start, start + n, dtype=np.uint64)[:, None]
+            want = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+            got = _exhaustive_ranks(a, d, tables, int(start), int(start) + n, ws)
+            assert [r.tolist() for r in got] == [r.tolist() for r in want], (n, start)
 
 
 @pytest.mark.parametrize("a,d", [(2, 3), (2, 4), (3, 3)], ids=str)
@@ -987,8 +1014,8 @@ def _sweep_blocks(sweep, poison: bool) -> list:
 
     With ``poison``, the thread's sweep arena is all 0xFF before each block,
     but for what a sweep keeps from one block to the next, a certified
-    sweep's queue of misses and an exhaustive sweep's low-byte rows: those,
-    from the second block on, hold what they held.
+    sweep's queue of misses: that, from the second block on, holds what it
+    held.
     """
     import hashlib
 
@@ -999,7 +1026,7 @@ def _sweep_blocks(sweep, poison: bool) -> list:
     def recording(total, block, sizes, ranks, lower):
         def recorded(start, stop, ws):
             if poison:
-                names = ("queue", "queued", "fill", "low")
+                names = ("queue", "queued", "fill")
                 queue = [ws._buffers[q] for q in names if start and q in ws._buffers]
                 kept = [buf.copy() for buf in queue]
                 np.frombuffer(search._arena.map, np.uint8).fill(0xFF)
