@@ -196,18 +196,6 @@ def _reduction_poly(k: int) -> int:
     return next(f for f in chain([ends], trinomials, pentanomials) if _is_irreducible(f, k))
 
 
-def field_from_document(doc: dict) -> FieldDescriptor:
-    """Inverse of :meth:`FieldDescriptor.to_document`."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"field must be a JSON object, got {type(doc).__name__}")
-    kind = doc.get("kind")
-    if kind == "prime":
-        return make_prime_field(doc.get("p"))
-    if kind == "binary":
-        return make_binary_field(doc.get("k"))
-    raise ValueError(f"unknown field kind {kind!r}")
-
-
 GF2 = make_prime_field(2)
 
 

@@ -4,44 +4,42 @@ All artifacts are UTF-8 JSON with integer field-element representatives
 (prime fields: residues; binary fields: polynomial masks).  Indices are
 0-based everywhere: axes, ground-set elements, vertices, and configuration
 slots.  Subsets may be written either as bit-masks (integers) or as lists of
-0-based elements, each element once.
+0-based elements, each element once; the family a mask lands in checks its
+range (see :mod:`flatrank.setfam`).  A reader refuses any key that
+:data:`DOCUMENT_KEYS` does not list, and a tensor with both encodings.
 
 Canonical serialization (sorted keys, no whitespace, trailing newline) is the
 byte format for reports, so identical inputs and seeds reproduce identical
 bytes.  Timing never enters a report.
 
 Dense tensor entries, and the sparse pairs of one-digit numbers the CLI
-writes on small axes, never pass through one Python object each.
+writes on small axes, never pass through one Python object each:
 :func:`load_document` walks the top-level object of a document that names
-``"entries"`` or ``"sparse"`` with the stdlib decoder.  A top-level
-``"entries"`` array of integers of at most 18 digits is read straight into an
-int64 array: boolean byte checks of the JSON grammar, then one
-``np.fromstring`` conversion, or ``raw[0::2] - 48`` for a body that is digit,
-comma, digit, ...  A top-level ``"sparse"`` array of same-arity
-``[[i0, ..., i_{k-1}], v]`` pairs of one-digit integers is read into an
-(n, k + 1) int64 array of rows: with whitespace dropped and each digit mapped
-to ``0``, the text must be n copies of the pair pattern, and its digits are
-converted at once.  Any other value goes to the stdlib decoder, and any other
-text to ``json.loads`` whole, so the accepted documents, their values and
-every error are those of ``json.loads``.  :func:`tensor_text` writes dense
-entries with numpy digit arithmetic into the bytes ``canonical_json`` would
-give.
+``"entries"`` or ``"sparse"`` and reads those arrays with numpy
+(:func:`_int_array`, :func:`_pair_array`).  Any other value goes to one
+stdlib decoder, and any other text to that decoder whole.  So the documents
+accepted, their values and their syntax errors are those of ``json.loads``,
+except that an object that repeats a key is refused, at any depth, with the
+key's dotted path.  :func:`tensor_text` writes dense entries with numpy digit
+arithmetic into the bytes ``canonical_json`` would give.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
 import re
 import tempfile
+from itertools import chain
 from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
 
 from . import __version__
-from .field import field_from_document
+from .field import FieldDescriptor, make_binary_field, make_prime_field
 from .fw import BadBoxFamily, Configuration
 from .rainbow import ColoredHypergraph, SetPairSystem
 from .setfam import SetFamily, TupleFamily
@@ -56,6 +54,7 @@ __all__ = [
     "make_report",
     "tensor_to_document",
     "tensor_text",
+    "field_from_document",
     "tensor_from_document",
     "tuple_family_to_document",
     "tuple_family_from_document",
@@ -70,6 +69,19 @@ __all__ = [
     "badbox_to_document",
     "badbox_from_document",
 ]
+
+# The keys each kind of document may hold (README, "File formats"); "metadata" is free-form.
+DOCUMENT_KEYS = {
+    "tensor": {"dims", "field", "entries", "sparse", "metadata"},
+    "prime field": {"kind", "p"},
+    "binary field": {"kind", "k"},
+    "tuple-family": {"n", "d", "members", "metadata"},
+    "set-family": {"n", "members", "metadata"},
+    "configuration": {"k", "p", "L", "C", "metadata"},
+    "hypergraph": {"N", "r", "t", "colors", "metadata"},
+    "set-pair": {"base", "sizes", "members", "metadata"},
+    "bad-box": {"t", "s", "k", "members_factors", "attempts", "seed", "metadata"},
+}
 
 # Largest n of a report binomial C(n, r): C(8192, 4096) has 2,464 digits, json.dumps at most 4,300.
 MAX_BINOMIAL_TOP = 8192
@@ -108,18 +120,17 @@ def load_document(path: str) -> tuple[dict, str]:
     top-level ``"sparse"`` array of same-arity ``[[i0, ..., i_{k-1}], v]``
     pairs of one-digit integers an (n, k + 1) int64 array of rows
     ``[i0, ..., i_{k-1}, v]``; both arrays are read-only.  Every other value
-    is what ``json.loads`` gives.
+    is what ``json.loads`` gives.  An object that repeats a key is refused.
     """
     with open(path, "rb") as fh:
         data = fh.read()
     text = data.decode("utf-8")
     try:
         try:
-            doc = _object_with_arrays(text)
-        except json.JSONDecodeError:
-            doc = None
-        if doc is None:  # not an object the walk takes: json.loads gives the verdict
-            doc = json.loads(text)
+            doc = _decode(text)
+        except _RepeatedKey:  # decoded again, only to name the key
+            key = _repeated_path(json.loads(text, object_pairs_hook=tuple))
+            raise ValueError(f"document repeats the key {key}") from None
     except RecursionError:
         raise ValueError("document nested too deeply to parse") from None
     if not isinstance(doc, dict):
@@ -127,7 +138,40 @@ def load_document(path: str) -> tuple[dict, str]:
     return doc, digest_bytes(data)
 
 
-_DECODER = json.JSONDecoder()
+class _RepeatedKey(ValueError):
+    """An object of the document repeats a key; :func:`_repeated_path` names it."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """An object's (key, value) pairs as a dict, or :class:`_RepeatedKey`."""
+    if len(obj := dict(pairs)) < len(pairs):
+        raise _RepeatedKey
+    return obj
+
+
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def _repeated_path(value, path: str = "") -> str | None:
+    """The dotted path (array indices are steps) of the first repeated key in ``value``, objects as pair tuples."""
+    items = enumerate(value) if isinstance(value, list) else value if isinstance(value, tuple) else ()
+    keys: set = set()
+    for key, item in items:
+        if found := (f"{path}{key}" if key in keys else _repeated_path(item, f"{path}{key}.")):
+            return found
+        keys.add(key)
+    return None
+
+
+def _decode(text: str):
+    """``json.loads(text)``, with the arrays of :func:`_object_with_arrays`; a repeated key raises."""
+    if '"entries"' in text or '"sparse"' in text:  # else one call of the decoder is faster than the walk
+        with contextlib.suppress(json.JSONDecodeError):
+            if (doc := _object_with_arrays(text)) is not None:
+                return doc
+    if text.startswith("\ufeff"):  # json.loads refuses a BOM before it decodes
+        raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+    return _DECODER.decode(text)  # not an object the walk takes: the decoder gives the verdict
 
 
 def _skip(text: str, idx: int) -> int:
@@ -135,13 +179,7 @@ def _skip(text: str, idx: int) -> int:
 
 
 def _object_with_arrays(text: str) -> dict | None:
-    """``json.loads(text)`` if it is an object, with ``"entries"`` and ``"sparse"`` read as arrays.
-
-    None when the text is not one well-formed object, or names neither key:
-    then one ``json.loads`` call is faster than the walk.
-    """
-    if '"entries"' not in text and '"sparse"' not in text:
-        return None
+    """``json.loads(text)``, ``"entries"`` and ``"sparse"`` read as arrays, or None if it is no well-formed object."""
     idx = _skip(text, 0)
     if text[idx : idx + 1] != "{":
         return None
@@ -149,6 +187,8 @@ def _object_with_arrays(text: str) -> dict | None:
     idx = _skip(text, idx + 1)
     while text[idx : idx + 1] == '"':
         key, idx = scanstring(text, idx + 1)
+        if key in doc:
+            raise _RepeatedKey
         idx = _skip(text, idx)
         if text[idx : idx + 1] != ":":
             return None
@@ -316,13 +356,28 @@ def _json_list(value, what: str) -> list:
     return value
 
 
+def _known_keys(doc: dict, kind: str) -> None:
+    """Refuse a key of ``doc`` that :data:`DOCUMENT_KEYS` does not list for ``kind``."""
+    if (key := next((key for key in doc if key not in DOCUMENT_KEYS[kind]), None)) is not None:
+        raise ValueError(f"{kind} document has an unknown key {key!r}")
+
+
+def field_from_document(doc: dict) -> FieldDescriptor:
+    """Inverse of :meth:`FieldDescriptor.to_document`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"field must be a JSON object, got {type(doc).__name__}")
+    kind = doc.get("kind")
+    if kind not in ("prime", "binary"):
+        raise ValueError(f"unknown field kind {kind!r}")
+    _known_keys(doc, f"{kind} field")
+    return make_prime_field(doc.get("p")) if kind == "prime" else make_binary_field(doc.get("k"))
+
+
 def _mask_from(value, n: int, what: str) -> int:
-    """Accept an int mask or a list of distinct 0-based elements."""
+    """An int mask, whose range the family checks, or the mask of a list of distinct elements below n."""
     if isinstance(value, bool):
         raise ValueError(f"{what}: booleans are not masks")
     if isinstance(value, int):
-        if value < 0 or value >> n:
-            raise ValueError(f"{what}: mask {value} does not fit in {n} bits")
         return value
     if isinstance(value, list):
         mask = 0
@@ -381,12 +436,11 @@ def tensor_from_document(doc: dict) -> Tensor:
 
     A sparse document may name each multi-index once.
     """
+    _known_keys(doc, "tensor")
+    if "entries" in doc and "sparse" in doc:
+        raise ValueError("tensor document gives both 'entries' and 'sparse'")
     dims = doc.get("dims")
-    if (
-        not isinstance(dims, list)
-        or not dims
-        or any(type(a) is not int or a < 1 for a in dims)
-    ):
+    if not isinstance(dims, list) or not dims or any(type(a) is not int or a < 1 for a in dims):
         raise ValueError("tensor document needs a list of positive dims")
     field = field_from_document(doc.get("field", {}))
     size = dense_size(dims, "tensor size")
@@ -441,21 +495,27 @@ def tuple_family_to_document(fam: TupleFamily) -> dict:
     return {"n": fam.n, "d": fam.d, "members": [list(tup) for tup in fam.members]}
 
 
+def _mask_rows(doc: dict, kind: str, key: str, n: int, what: str) -> tuple[tuple[int, ...], ...]:
+    """``doc[key]``, a list (empty when left out) of lists of masks over [n], as tuples; row i is ``what`` i."""
+    rows = _json_list(doc.get(key, []), f"{kind} {key}")
+    if set(map(type, rows)) - {list}:
+        i = next(i for i, row in enumerate(rows) if type(row) is not list)
+        raise ValueError(f"{what} {i} must be a list, got {type(rows[i]).__name__}")
+    if set(map(type, chain.from_iterable(rows))) <= {int}:  # int masks as they are: the family checks them
+        return tuple(map(tuple, rows))
+    return tuple(tuple(_mask_from(x, n, f"{what} {i}") for x in row) for i, row in enumerate(rows))
+
+
 def tuple_family_from_document(doc: dict) -> TupleFamily:
+    _known_keys(doc, "tuple-family")
     n = _json_int(doc.get("n"), "tuple-family n", 1)
+    members = _mask_rows(doc, "tuple-family", "members", n, "member")
     d = doc.get("d")
-    members_raw = _json_list(doc.get("members", []), "tuple-family members")
     if d is None:
-        if not members_raw:
+        if not members:
             raise ValueError("cannot infer d from an empty family; provide 'd'")
-        d = len(members_raw[0])
-    d = _json_int(d, "tuple-family d", 2)
-    members = []
-    for i, tup in enumerate(members_raw):
-        if not isinstance(tup, list) or len(tup) != d:
-            raise ValueError(f"member {i} is not a width-{d} tuple")
-        members.append(tuple(_mask_from(slot, n, f"member {i}") for slot in tup))
-    return TupleFamily(n=n, d=d, members=tuple(members))
+        d = len(members[0])
+    return TupleFamily(n=n, d=_json_int(d, "tuple-family d", 2), members=members)
 
 
 def set_family_to_document(fam: SetFamily) -> dict:
@@ -463,12 +523,10 @@ def set_family_to_document(fam: SetFamily) -> dict:
 
 
 def set_family_from_document(doc: dict) -> SetFamily:
+    _known_keys(doc, "set-family")
     n = _json_int(doc.get("n"), "set-family n", 1)
-    members = tuple(
-        _mask_from(m, n, f"member {i}")
-        for i, m in enumerate(_json_list(doc.get("members", []), "set-family members"))
-    )
-    return SetFamily(n=n, members=members)
+    members = _json_list(doc.get("members", []), "set-family members")
+    return SetFamily(n=n, members=tuple(_mask_from(m, n, f"member {i}") for i, m in enumerate(members)))
 
 
 def configuration_to_document(cfg: Configuration) -> dict:
@@ -481,15 +539,12 @@ def configuration_to_document(cfg: Configuration) -> dict:
 
 
 def configuration_from_document(doc: dict) -> Configuration:
+    _known_keys(doc, "configuration")
     k = _json_int(doc.get("k"), "configuration k", 1, MAX_AXES)  # its tensor has k axes
     p = _json_int(doc.get("p"), "configuration p")
-    c_masks = tuple(
-        _mask_from(x, k, f"C[{i}]")
-        for i, x in enumerate(_json_list(doc.get("C", []), "configuration C"))
-    )
-    L = doc.get("L", [])
-    if not isinstance(L, list):
-        raise ValueError("L must be a list of residues")
+    C = _json_list(doc.get("C", []), "configuration C")
+    L = _json_list(doc.get("L", []), "configuration L")
+    c_masks = tuple(_mask_from(x, k, f"C[{i}]") for i, x in enumerate(C))
     return Configuration(k=k, p=p, C=c_masks, L=tuple(_json_int(r, "residue in L") for r in L))
 
 
@@ -505,14 +560,10 @@ def hypergraph_to_document(h: ColoredHypergraph) -> dict:
 
 
 def hypergraph_from_document(doc: dict) -> ColoredHypergraph:
+    _known_keys(doc, "hypergraph")
     n, r, t = (_json_int(doc.get(name), f"hypergraph {name}", 1) for name in ("N", "r", "t"))
     _json_int(r * t, "hypergraph r*t", maximum=MAX_BINOMIAL_TOP)
-    colors = []
-    for ci, cls in enumerate(_json_list(doc.get("colors", []), "hypergraph colors")):
-        if not isinstance(cls, list):
-            raise ValueError(f"color {ci} must be a list of edges")
-        colors.append(tuple(_mask_from(e, n, f"color {ci}") for e in cls))
-    return ColoredHypergraph(num_vertices=n, r=r, t=t, colors=tuple(colors))
+    return ColoredHypergraph(num_vertices=n, r=r, t=t, colors=_mask_rows(doc, "hypergraph", "colors", n, "color"))
 
 
 def setpair_to_document(s: SetPairSystem) -> dict:
@@ -524,18 +575,11 @@ def setpair_to_document(s: SetPairSystem) -> dict:
 
 
 def setpair_from_document(doc: dict) -> SetPairSystem:
+    _known_keys(doc, "set-pair")
     base = _json_int(doc.get("base"), "set-pair base size", 1)
-    sizes = doc.get("sizes")
-    if not isinstance(sizes, list) or not sizes:
-        raise ValueError("set-pair document needs slot sizes")
-    sizes = tuple(_json_int(x, "set-pair slot size", 1) for x in sizes)
+    sizes = tuple(_json_int(x, "set-pair slot size", 1) for x in _json_list(doc.get("sizes"), "set-pair sizes"))
     _json_int(sum(sizes), "set-pair sum of slot sizes", maximum=MAX_BINOMIAL_TOP)
-    members = []
-    for i, tup in enumerate(_json_list(doc.get("members", []), "set-pair members")):
-        if not isinstance(tup, list) or len(tup) != len(sizes):
-            raise ValueError(f"member {i} has the wrong arity")
-        members.append(tuple(_mask_from(slot, base, f"member {i}") for slot in tup))
-    return SetPairSystem(base_size=base, sizes=sizes, members=tuple(members))
+    return SetPairSystem(base_size=base, sizes=sizes, members=_mask_rows(doc, "set-pair", "members", base, "member"))
 
 
 def badbox_to_document(fam: BadBoxFamily) -> dict:
@@ -550,22 +594,14 @@ def badbox_to_document(fam: BadBoxFamily) -> dict:
 
 
 def badbox_from_document(doc: dict) -> BadBoxFamily:
+    _known_keys(doc, "bad-box")
     t, s, k = (_json_int(doc.get(name), f"bad-box {name}", 1) for name in ("t", "s", "k"))
-    members = []
-    factors_raw = _json_list(doc.get("members_factors", []), "bad-box members_factors")
-    for i, factors in enumerate(factors_raw):
-        if not isinstance(factors, list) or len(factors) != s:
-            raise ValueError(f"member {i} needs {s} factors")
-        masks = tuple(_mask_from(f, t, f"member {i}") for f in factors)
-        for j, mask in enumerate(masks):
-            if mask.bit_count() % 2 == 0:  # members are products of odd-sized subsets of [t]
-                raise ValueError(f"member {i} factor {j} has even size {mask.bit_count()}")
-        members.append(masks)
-    return BadBoxFamily(
-        t=t,
-        s=s,
-        k=k,
-        members_factors=tuple(members),
-        attempts=_json_int(doc.get("attempts", 0), "bad-box attempts"),
-        seed=_json_int(doc.get("seed", 0), "bad-box seed"),
-    )
+    attempts, seed = (_json_int(doc.get(name, 0), f"bad-box {name}") for name in ("attempts", "seed"))
+    members = _mask_rows(doc, "bad-box", "members_factors", t, "member")
+    if (i := next((i for i, factors in enumerate(members) if len(factors) != s), None)) is not None:
+        raise ValueError(f"member {i} needs {s} factors")
+    fam = BadBoxFamily(t=t, s=s, k=k, members_factors=members, attempts=attempts, seed=seed)
+    sizes = list(map(int.bit_count, chain.from_iterable(members)))  # products of odd-sized subsets of [t]
+    if (j := next((j for j, size in enumerate(sizes) if size % 2 == 0), None)) is not None:
+        raise ValueError(f"member {j // s} factor {j % s} has even size {sizes[j]}")
+    return fam

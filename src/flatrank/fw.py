@@ -19,15 +19,14 @@ intersections, which certifies the complete-graph configuration mod 2; and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from itertools import chain, combinations, repeat
-from typing import Sequence
 
 import numpy as np
 
 from .field import FieldDescriptor, make_prime_field
 from .rng import Rng
-from .setfam import SetFamily, _grid_shape, _intersection_sizes, _mask_limbs
+from .setfam import SetFamily, _checked_limbs, _grid_shape, _intersection_sizes
 from .tensor import (
     Tensor,
     _bounded_search,
@@ -174,7 +173,7 @@ def fw_tensor(fam: SetFamily, cfg: Configuration, grid: np.ndarray | None = None
     if not fam.members:
         raise ValueError("fw_tensor needs a nonempty family")
     if grid is None:
-        grid = _h_grid(_mask_limbs(fam.members), cfg)
+        grid = _h_grid(fam.limbs[:, 0], cfg)
     return Tensor.from_array(grid, cfg.field)
 
 
@@ -226,7 +225,7 @@ def find_config_witness(
     positions = _witness_positions(fam, distinct)
     if len(positions) < cfg.k:
         return None
-    grid = _h_grid(_mask_limbs([fam.members[p] for p in positions]), cfg)
+    grid = _h_grid(fam.limbs[positions, 0], cfg)
     return _first_violation(grid, positions)
 
 
@@ -260,7 +259,7 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
     }
     witness = grid = None
     if len(positions) >= cfg.k or (fam.members and not size_violations):
-        grid = _h_grid(_mask_limbs([fam.members[p] for p in positions]), cfg)
+        grid = _h_grid(fam.limbs[positions, 0], cfg)
         witness = _first_violation(grid, positions)
     report["satisfying"] = witness is None and not size_violations
     if not report["satisfying"]:
@@ -330,6 +329,11 @@ class BadBoxFamily:
     members_factors: tuple[tuple[int, ...], ...]
     attempts: int
     seed: int
+    limbs: np.ndarray = dc_field(init=False, compare=False, repr=False)  # (m, s, w), of the factors
+
+    def __post_init__(self) -> None:
+        d = len(self.members_factors[0]) if self.members_factors else self.s  # the reader checks s
+        _checked_limbs(self, self.members_factors, d, self.t)
 
     @property
     def ground_size(self) -> int:
@@ -357,18 +361,14 @@ class BadBoxFamily:
         return SetFamily(n=self.ground_size, members=self.flat_masks())
 
 
-def _odd_adjacency(members_factors: Sequence[Sequence[int]]) -> list[int]:
+def _odd_adjacency(limbs: np.ndarray) -> list[int]:
     """Row i: bit j set when members i != j meet in an odd-sized set, as an int.
 
-    Intersection sizes of product sets multiply across factors, so a pair is
-    "odd" exactly when every factor-wise intersection is odd.  The factors go
-    in as 64-bit limbs, so t may pass 64: a factor-wise parity is that of the
-    popcount of the XOR of its limbs' ANDs.  The parities are ANDed over the
-    factors in blocks of rows of at most :data:`_ADJACENCY_ENTRIES` pairs,
-    whose bits are then packed.
+    ``limbs`` are a :class:`BadBoxFamily`'s.  Sizes of product sets multiply across factors, so a
+    pair is "odd" exactly when the popcount of the XOR of the limbs' ANDs of every factor is odd.
+    The parities are ANDed in blocks of at most :data:`_ADJACENCY_ENTRIES` pairs, then packed.
     """
-    m, s = len(members_factors), len(members_factors[0])
-    limbs = _mask_limbs([f for factors in members_factors for f in factors]).reshape(m, s, -1)
+    m, s, _ = limbs.shape
     step, width = max(1, _ADJACENCY_ENTRIES // m), -(-m // 8)
     adj: list[int] = []
     for i in range(0, m, step):
@@ -386,8 +386,8 @@ def _odd_adjacency(members_factors: Sequence[Sequence[int]]) -> list[int]:
     return adj
 
 
-def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[int, ...] | None:
-    """Positions of k members with pairwise odd-sized intersections, or None.
+def find_odd_clique(fam: BadBoxFamily, k: int) -> tuple[int, ...] | None:
+    """Positions of k members of ``fam`` with pairwise odd-sized intersections, or None.
 
     A depth-first search over :func:`_odd_adjacency`, in ascending positions,
     that prunes a branch when too few common neighbours are left.  Its nodes
@@ -395,12 +395,12 @@ def find_odd_clique(members_factors: Sequence[Sequence[int]], k: int) -> tuple[i
     :func:`flatrank.tensor._bounded_search`, which refuses (ValueError) a
     search past :data:`flatrank.tensor.MAX_SEARCH_NODES` nodes.
     """
-    m = len(members_factors)
+    m = len(fam.members_factors)
     if m < k:
         return None
     if k == 1:  # no pair to check: m^2 bits would outgrow the chain's m-cell grid
         return (0,)
-    adj = _odd_adjacency(members_factors)
+    adj = _odd_adjacency(fam.limbs)
 
     def children(node: tuple[int, int], level: int):
         """(j, (allowed & adj[j], j + 1)) for the j >= floor in ``allowed`` with enough common neighbours."""
@@ -441,7 +441,7 @@ def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
         satisfying = all(f.bit_count() % 2 for factors in fam.members_factors for f in factors)
     else:  # first, so that an m^k grid over the cap is refused before the clique search
         satisfying = is_config_satisfying(fam.flat_family(), complete_graph_config(k), "positions")
-    clique = find_odd_clique(fam.members_factors, k)
+    clique = find_odd_clique(fam, k)
     free = clique is None
     report = {
         "t": fam.t,
@@ -465,13 +465,9 @@ class SamplerExhausted(RuntimeError):
 
 def badbox_target_size(t: int, s: int) -> int:
     """ceil(2^((t-1)s/4)), computed exactly in integers."""
-    q = (t - 1) * s
-    whole, rem = divmod(q, 4)
-    size = 1 << whole
-    if rem:
-        while size**4 < (1 << q):
-            size += 1
-    return size
+    power = 1 << (t - 1) * s
+    root = math.isqrt(math.isqrt(power))  # floor of the fourth root
+    return root + (root**4 < power)
 
 
 def badbox_clique_order(t: int) -> int:
@@ -504,8 +500,7 @@ def sample_badbox_family(t: int, s: int, seed: int, max_attempts: int = 1000) ->
         members = tuple(
             tuple(_odd_subset(rng.next_below(odd)) for _ in range(s)) for _ in range(size)
         )
-        if find_odd_clique(members, k) is None:
-            return BadBoxFamily(
-                t=t, s=s, k=k, members_factors=members, attempts=attempt + 1, seed=seed
-            )
+        fam = BadBoxFamily(t=t, s=s, k=k, members_factors=members, attempts=attempt + 1, seed=seed)
+        if find_odd_clique(fam, k) is None:
+            return fam
     raise SamplerExhausted(max_attempts)

@@ -20,7 +20,7 @@ read off the disjointness grid before any entry is computed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import lru_cache, reduce
 from itertools import accumulate, combinations, product
 from typing import Sequence
@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .field import FieldDescriptor, binary_mul_add, discrete_log_tables, make_binary_field
-from .setfam import _grid_shape, _slot_limbs
+from .setfam import _checked_limbs, _grid_shape
 from .tensor import (
     Tensor,
     _bounded_search,
@@ -61,21 +61,14 @@ class ColoredHypergraph:
     r: int
     t: int
     colors: tuple[tuple[int, ...], ...]
+    limbs: np.ndarray = dc_field(init=False, compare=False, repr=False)  # (z, t, w)
 
     def __post_init__(self) -> None:
         if self.r < 1 or self.t < 1:
             raise ValueError("need r >= 1 and t >= 1")
+        _checked_limbs(self, self.colors, self.t, self.num_vertices, "color", (self.r,) * self.t)
         for ci, cls in enumerate(self.colors):
-            if len(cls) != self.t:
-                raise ValueError(f"color {ci} has {len(cls)} edges, expected {self.t}")
-            used = 0
-            for e in cls:
-                if e >> self.num_vertices or e.bit_count() != self.r:
-                    raise ValueError(f"color {ci}: edge {e:#x} is not an r-subset of the vertices")
-                if e & used:
-                    raise ValueError(f"color {ci} is not a matching")
-                used |= e
-            if used.bit_count() != self.r * self.t:
+            if sum(cls).bit_count() != self.r * self.t:  # two edges that meet carry: fewer bits
                 raise ValueError(f"color {ci} is not a matching")
 
     @property
@@ -113,10 +106,7 @@ def find_rainbow_matching(
 
 def default_field_for(num_vertices: int) -> FieldDescriptor:
     """Smallest binary field with more than num_vertices nonzero parameters, k >= 8."""
-    k = 8
-    while (1 << k) <= num_vertices + 1:
-        k += 1
-    return make_binary_field(k)
+    return make_binary_field(max(8, (num_vertices + 1).bit_length()))
 
 
 def _blocked(fn, rows: int, per_row: int) -> np.ndarray:
@@ -258,8 +248,7 @@ def rainbow_tensor(h: ColoredHypergraph, field: FieldDescriptor | None = None) -
         raise ValueError(f"need at least r*t = {n} vertices, got {h.num_vertices}")
     if field is None:
         field = default_field_for(h.num_vertices)
-    limbs = _slot_limbs(h.colors, h.t)
-    entries = _wedge_grid(limbs, (h.r,) * h.t, _disjoint_grid(limbs), h.num_vertices, field)
+    entries = _wedge_grid(h.limbs, (h.r,) * h.t, _disjoint_grid(h.limbs), h.num_vertices, field)
     return Tensor.from_array(entries, field)
 
 
@@ -324,18 +313,12 @@ class SetPairSystem:
     base_size: int
     sizes: tuple[int, ...]
     members: tuple[tuple[int, ...], ...]
+    limbs: np.ndarray = dc_field(init=False, compare=False, repr=False)  # (m, t, w)
 
     def __post_init__(self) -> None:
         if len(self.sizes) < 2 or any(s < 1 for s in self.sizes):
             raise ValueError("need t >= 2 positive slot sizes")
-        for tup in self.members:
-            if len(tup) != len(self.sizes):
-                raise ValueError(f"member {tup!r} has the wrong arity")
-            for slot, mask in enumerate(tup):
-                if mask >> self.base_size or mask.bit_count() != self.sizes[slot]:
-                    raise ValueError(
-                        f"slot {slot} of member {tup!r} is not a {self.sizes[slot]}-subset"
-                    )
+        _checked_limbs(self, self.members, len(self.sizes), self.base_size, "member", self.sizes)
 
     @property
     def t(self) -> int:
@@ -366,8 +349,7 @@ def bollobas_verify(system: SetPairSystem) -> dict:
     if m == 0:
         report.update(hypothesis_ok=True, bound_ok=True, verified=True)
         return report
-    limbs = _slot_limbs(system.members, t)
-    disjoint = _disjoint_grid(limbs)
+    disjoint = _disjoint_grid(system.limbs)
     clashing, cross = semi_diagonal_faults(disjoint)  # diagonal cell k is member k
     if clashing is not None:
         report.update(hypothesis_ok=False, violating_member=clashing, verified=False)
@@ -376,7 +358,7 @@ def bollobas_verify(system: SetPairSystem) -> dict:
         report.update(hypothesis_ok=False, violating_assignment=list(cross), verified=False)
         return report
     field = default_field_for(system.base_size)
-    entries = _wedge_grid(limbs, system.sizes, disjoint, system.base_size, field)
+    entries = _wedge_grid(system.limbs, system.sizes, disjoint, system.base_size, field)
     tensor = Tensor.from_array(entries, field)
     mfrank = max_flattening_rank(tensor)
     report.update(

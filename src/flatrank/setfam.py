@@ -3,12 +3,15 @@
 Members of a :class:`TupleFamily` are ordered d-tuples of subsets.  Families
 are multisets: "distinct members" always means distinct list positions, so a
 tuple repeated twice counts as two members.  That convention is what makes the
-size bound (d-1)*n attainable (each singleton tuple repeated d-1 times).
+size bound (d-1)*n attainable (each singleton tuple repeated d-1 times).  Every family of masks,
+here and in :mod:`flatrank.fw` and :mod:`flatrank.rainbow`, is checked and split once, when it is
+built, by :func:`_checked_limbs` into ``limbs``: an (m, slots, w) uint64 array, w from the masks'
+bit lengths, never from n.  Every chain reads ``limbs``.
 
 Every stage of the cross-Oddtown chain reads one array, the family's m^d
 intersection-parity grid: cell (i_0, ..., i_{d-1}) is the parity of the
 intersection of member i_j's slot-j set over all j.  It is built once with
-numpy from the masks' 64-bit limbs, so masks of any width work, and m^d is
+numpy from the family's limbs, so masks of any width work, and m^d is
 checked against the dense-entry cap before anything is allocated.  The family
 is cross-Oddtown exactly when the grid is semi-diagonal (odd diagonal, even
 all-distinct cells); as a GF(2) tensor the grid carries the flattening ranks;
@@ -21,8 +24,8 @@ holds exactly, so it is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import repeat
+from dataclasses import dataclass, field as dc_field
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
@@ -44,22 +47,16 @@ __all__ = [
 ]
 
 
-def _check_mask(mask: int, n: int) -> int:
-    if not isinstance(mask, int) or mask < 0 or mask >> n:
-        raise ValueError(f"mask {mask!r} does not fit in the low {n} bits")
-    return mask
-
-
 @dataclass(frozen=True)
 class SetFamily:
     """Ordered list of subsets of [n]; duplicates permitted."""
 
     n: int
     members: tuple[int, ...]
+    limbs: np.ndarray = dc_field(init=False, compare=False, repr=False)  # (m, 1, w)
 
     def __post_init__(self) -> None:
-        for m in self.members:
-            _check_mask(m, self.n)
+        _checked_limbs(self, tuple(zip(self.members)), 1, self.n)  # rows of one mask
 
     def __len__(self) -> int:
         return len(self.members)
@@ -72,15 +69,12 @@ class TupleFamily:
     n: int
     d: int
     members: tuple[tuple[int, ...], ...]
+    limbs: np.ndarray = dc_field(init=False, compare=False, repr=False)  # (m, d, w)
 
     def __post_init__(self) -> None:
         if self.d < 2:
             raise ValueError("tuple width d must be at least 2")
-        for tup in self.members:
-            if len(tup) != self.d:
-                raise ValueError(f"member {tup!r} does not have width {self.d}")
-            for m in tup:
-                _check_mask(m, self.n)
+        _checked_limbs(self, self.members, self.d, self.n)
 
     def __len__(self) -> int:
         return len(self.members)
@@ -97,12 +91,11 @@ def intersection_size(masks: Sequence[int]) -> int:
 
 
 def _mask_limbs(masks: Sequence[int], width: int | None = None) -> np.ndarray:
-    """(m, w) uint64: each mask split into w 64-bit limbs, least significant first.
-
-    w is ``width``, or the fewest limbs that hold every mask.
-    """
-    w = width or max(1, -(-max((x.bit_length() for x in masks), default=0) // 64))
-    data = b"".join(x.to_bytes(8 * w, "little") for x in masks)
+    """(m, w) uint64: each mask in w 64-bit limbs, least significant first; w is ``width`` or the fewest."""
+    w = width or max(1, -(-max(masks, default=0).bit_length() // 64))
+    if w == 1:  # numpy converts the ints at once
+        return np.array(masks, dtype="<u8").reshape(len(masks), 1)
+    data = b"".join(map(int.to_bytes, masks, repeat(8 * w), repeat("little")))
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), w)
 
 
@@ -143,6 +136,23 @@ def _slot_limbs(members: Sequence[Sequence[int]], d: int, width: int | None = No
     return limbs.reshape(len(members), d, limbs.shape[1])
 
 
+def _checked_limbs(family, rows: Sequence[Sequence[int]], d: int, n: int, what: str = "member", sizes=None) -> None:
+    """Set ``family.limbs`` to the (m, d, w) limbs of m ``rows`` of d masks, once none is negative or
+    has a bit at n and, with ``sizes``, slot j holds sizes[j] (builtin passes: cheaper than numpy here)."""
+    if set(map(len, rows)) - {d}:
+        i = next(i for i, row in enumerate(rows) if len(row) != d)
+        raise ValueError(f"{what} {i} needs {d} masks, got {len(rows[i])}")
+    masks = list(chain.from_iterable(rows))
+    if masks and (max(masks) >> n or min(masks) < 0):
+        k = next(k for k, x in enumerate(masks) if x < 0 or x >> n)
+        raise ValueError(f"{what} {k // d}: mask {masks[k]} does not fit in {n} bits")
+    if sizes and (counts := list(map(int.bit_count, masks))) != (want := list(sizes) * (len(masks) // d)):
+        k = next(k for k, (count, size) in enumerate(zip(counts, want)) if count != size)
+        raise ValueError(f"{what} {k // d}: mask {masks[k]} in slot {k % d} is not a {want[k]}-subset")
+    limbs = _mask_limbs(masks)
+    object.__setattr__(family, "limbs", limbs.reshape(-1, d, limbs.shape[1]))
+
+
 def is_cross_oddtown(fam: TupleFamily) -> bool:
     """Odd within-tuple intersections; even across any d distinct positions.
 
@@ -152,22 +162,17 @@ def is_cross_oddtown(fam: TupleFamily) -> bool:
     return not fam.members or is_semi_diagonal(oddtown_tensor(fam))
 
 
-def oddtown_tensor(fam: TupleFamily, limbs: np.ndarray | None = None) -> Tensor:
-    """m^d tensor over GF(2): parity of the slot-wise intersection size.
-
-    ``limbs`` are the family's :func:`_slot_limbs`, when the caller has them.
-    """
+def oddtown_tensor(fam: TupleFamily) -> Tensor:
+    """m^d tensor over GF(2): parity of the slot-wise intersection size."""
     m = len(fam.members)
     if m == 0:
         raise ValueError("tensor of an empty family is undefined")
     _grid_shape(m, fam.d)  # raises over the dense cap, before any allocation
-    if limbs is None:
-        limbs = _slot_limbs(fam.members, fam.d)
-    parity = _intersection_sizes([limbs[:, j] for j in range(fam.d)]) & 1
+    parity = _intersection_sizes([fam.limbs[:, j] for j in range(fam.d)]) & 1
     return Tensor.from_array(parity, GF2)
 
 
-def oddtown_rank1_certificate(fam: TupleFamily, limbs: np.ndarray | None = None) -> np.ndarray:
+def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:
     """(n, d, m) 0/1 array: ``cert[k, j, i]`` is 1 when slot j of member i contains k.
 
     Element k contributes the rank-1 term ``cert[k, 0] ⊗ ... ⊗ cert[k, d-1]``
@@ -176,17 +181,14 @@ def oddtown_rank1_certificate(fam: TupleFamily, limbs: np.ndarray | None = None)
     which certifies tensor rank (and hence every flattening rank) at most n.
     The n·d·m cells, and the n·m^|slots| of each of the two Khatri-Rao
     products :func:`reconstruct_from_certificate` multiplies, are checked
-    against the dense cap before anything is allocated.  ``limbs`` are the
-    family's :func:`_slot_limbs`, when the caller has them.
+    against the dense cap before anything is allocated.
     """
     n, d, m = fam.n, fam.d, len(fam.members)
     row = sum(
         dense_size(repeat(m, len(slots)), f"grid of {m}^{len(slots)}") for slots in _slot_halves(d)
     )
     dense_size((n, d * m + row), f"certificate over {n} elements")
-    if limbs is None:
-        limbs = _slot_limbs(fam.members, d)
-    bits = np.unpackbits(limbs.view(np.uint8), axis=-1, count=n, bitorder="little")
+    bits = np.unpackbits(fam.limbs.view(np.uint8), axis=-1, count=n, bitorder="little")
     return bits.transpose(2, 1, 0)
 
 
@@ -226,10 +228,7 @@ def cross_oddtown_bound(n: int, d: int) -> int:
 
 def repeated_singleton_family(n: int, d: int) -> TupleFamily:
     """The tight family: each singleton tuple ({i},...,{i}) taken d-1 times."""
-    members = []
-    for i in range(n):
-        members.extend([(1 << i,) * d] * (d - 1))
-    return TupleFamily(n=n, d=d, members=tuple(members))
+    return TupleFamily(n=n, d=d, members=tuple((1 << i,) * d for i in range(n) for _ in range(d - 1)))
 
 
 def _cross_even_with(limbs: np.ndarray, new: tuple[int, ...], d: int) -> bool:
@@ -270,8 +269,8 @@ def verify_oddtown_chain(fam: TupleFamily) -> dict:
 
     The hypothesis is read off the parity tensor, which is built once; the
     certificate is summed independently from the slot-membership matrices,
-    and its parity array is compared with the tensor's.  Both start from
-    one split of the masks into limbs.
+    and its parity array is compared with the tensor's.  Both read the
+    family's ``limbs``.
     """
     m = len(fam)
     d = fam.d
@@ -281,12 +280,11 @@ def verify_oddtown_chain(fam: TupleFamily) -> dict:
         report["is_cross_oddtown"] = True
         report["verified"] = report["size_bound_ok"]
         return report
-    limbs = _slot_limbs(fam.members, d)
-    t = oddtown_tensor(fam, limbs)
+    t = oddtown_tensor(fam)
     hypothesis = is_semi_diagonal(t)
     franks = flattening_ranks(t)
     mfrank = max(franks)
-    recon = reconstruct_from_certificate(oddtown_rank1_certificate(fam, limbs))
+    recon = reconstruct_from_certificate(oddtown_rank1_certificate(fam))
     report.update(
         {
             "is_cross_oddtown": hypothesis,

@@ -181,7 +181,7 @@ def test_criterion_6_badbox_sampler(t, s):
     assert len(fam.members_factors) == badbox_target_size(t, s)
     k = badbox_clique_order(t)
     assert fam.k == k
-    assert find_odd_clique(fam.members_factors, k) is None
+    assert find_odd_clique(fam, k) is None
     cfg = complete_graph_config(k)
     assert is_config_satisfying(fam.flat_family(), cfg, distinct="positions")
     report(

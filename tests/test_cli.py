@@ -1,6 +1,7 @@
 """Exit-code contract, golden reports, and round-trips through the CLI."""
 
 import contextlib
+import hashlib
 import itertools
 import json
 import math
@@ -867,6 +868,69 @@ def test_verify_oddtown_certificate_cap_before_allocation(tmp_path, capsys, n):
     assert peak < 3 << 20
 
 
+# families over a ground set of 10^12: limbs are as wide as the masks, not as n
+TERA_GROUND = [
+    (
+        "fw_bad_family.json",
+        "n",
+        ["verify", "fw", "{doc}", "--config", FIXTURES / "fw_config.json"],
+        1,
+        "ebf60f4ca5eec44a2f1c22072e6dffb1ed05f6c6fabea324794582ddd3dd9bfe",
+        {
+            "flattening_bounds": [10**12 + 1, 10**12 + 1],
+            "k": 2,
+            "p": 2,
+            "satisfying": False,
+            "size": 2,
+            "size_bound": 10**12 + 1,
+            "size_violations": [],
+            "witness": [0, 1],
+        },
+    ),
+    (
+        "bollobas_classic.json",
+        "base",
+        ["verify", "bollobas", "{doc}"],
+        0,
+        "aec49a318c6bf6b26a4e3557faf7f7668d346b92ed30755903ec1e7852230a0a",
+        {
+            "bound": 2,
+            "bound_ok": True,
+            "field": {"k": 40, "kind": "binary"},
+            "hypothesis_ok": True,
+            "lower_bound_ok": True,
+            "mfrank": 2,
+            "semi_diagonal": True,
+            "size": 2,
+            "sizes": [1, 1],
+            "upper_bound_ok": True,
+            "verified": True,
+        },
+    ),
+    ("oddtown_singletons.json", "n", ["verify", "oddtown", "{doc}"], 2, None, None),
+]
+
+
+@pytest.mark.parametrize("fixture,key,argv,code,sha256,results", TERA_GROUND, ids=["fw", "bollobas", "oddtown"])
+def test_tera_ground_sets_allocate_nothing_in_proportion(tmp_path, capsys, fixture, key, argv, code, sha256, results):
+    doc = json.loads((FIXTURES / fixture).read_text())
+    doc[key] = 10**12
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        got = run([path if a == "{doc}" else a for a in argv])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert got == code and peak < 3 << 20
+    if results is None:  # the certificate's n x d x m cells pass the dense cap
+        assert out == "" and "certificate over 1000000000000 elements" in err
+    else:  # the report, byte for byte
+        assert json.loads(out)["results"] == results and hashlib.sha256(out.encode()).hexdigest() == sha256
+
+
 FW_FAMILY = {"members": [1, 2], "n": 3}
 FW_CONFIG = {"C": [[0, 1]], "L": [0], "k": 2, "p": 2}
 BOLLOBAS = {"base": 2, "members": [[1, 2], [2, 1]], "sizes": [1, 1]}
@@ -893,6 +957,8 @@ BADBOX = {"attempts": 1, "k": 8, "members_factors": [[4, 1], [4, 7]], "s": 2, "s
         ("fw", {"members": 3, "n": 2}, FW_CONFIG),
         ("fw", FW_FAMILY, {**FW_CONFIG, "C": 5}),
         ("badbox", {**BADBOX, "members_factors": 5}, None),
+        ("oddtown", {"members": [5], "n": 3}, None),  # d read off a member that is no list
+        ("oddtown", {"d": 2, "members": [[1, True]], "n": 2}, None),  # a boolean among int masks
     ],
     ids=[
         "oddtown-bool-element",
@@ -912,6 +978,8 @@ BADBOX = {"attempts": 1, "k": 8, "members_factors": [[4, 1], [4, 7]], "s": 2, "s
         "fw-int-members",
         "fw-int-C",
         "badbox-int-factors",
+        "oddtown-int-member-no-d",
+        "oddtown-bool-mask",
     ],
 )
 def test_verify_rejects_coercible_values_exit_two(tmp_path, capsys, target, doc, config):

@@ -31,7 +31,7 @@ def test_module_exports_resolve(module):
 # "Removed API" names what to use instead
 REMOVED = {
     "flatrank": ["FieldElement", "subtensor", "add_tensors", "sum_flattening_ranks"],
-    "flatrank.field": ["FieldElement", "IRREDUCIBLE_POLY"],
+    "flatrank.field": ["FieldElement", "IRREDUCIBLE_POLY", "field_from_document"],
     "flatrank.search": ["random_semidiagonal", "random_configuration", "random_colored_hypergraph"],
     "flatrank.tensor": [
         "classify_indices",
@@ -52,6 +52,7 @@ REMOVED = {
         "odd_tuple_candidates",
         "singleton_diagonal_family",
         "_distinct_tuple_mask",
+        "_check_mask",
     ],
     "flatrank.rainbow": ["hypergraph_from_vertex_lists"],
 }
@@ -134,6 +135,8 @@ PARAMETERS = {
     "flatrank.search.random_semidiagonal_sweep": ["a", "d", "count", "seed", "field"],
     "flatrank.rainbow.bollobas_verify": ["system"],
     "flatrank.fw.complete_graph_config": ["k"],
+    "flatrank.setfam.oddtown_tensor": ["fam"],
+    "flatrank.setfam.oddtown_rank1_certificate": ["fam"],
 }
 
 

@@ -16,10 +16,10 @@ from flatrank.field import (
     _log_table_sizes,
     binary_mul_add,
     discrete_log_tables,
-    field_from_document,
     make_binary_field,
     make_prime_field,
 )
+from flatrank.formats import field_from_document
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

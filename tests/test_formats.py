@@ -178,11 +178,19 @@ def test_canonical_json_fixed_form():
     assert canonical_json({"b": 1, "a": [True, None]}) == '{"a":[true,null],"b":1}\n'
 
 
+def refuse_repeated_keys(pairs):
+    """An object's pairs as a dict; a repeated key raises, named as for a top-level object."""
+    keys = [key for key, _ in pairs]
+    if repeated := [key for i, key in enumerate(keys) if key in keys[:i]]:
+        raise ValueError(f"document repeats the key {repeated[0]}")
+    return dict(pairs)
+
+
 def json_loads_document(path):
-    """``load_document`` as ``json.loads`` alone would make it: the reference loader."""
+    """``load_document`` as ``json.loads`` alone would make it, repeated keys refused: the reference loader."""
     data = Path(path).read_bytes()
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = json.loads(data.decode("utf-8"), object_pairs_hook=refuse_repeated_keys)
     except RecursionError:
         raise ValueError("document nested too deeply to parse") from None
     if not isinstance(doc, dict):
@@ -686,7 +694,7 @@ def test_readers_return_or_refuse_arbitrary_values(kind, data):
 )
 def test_field_documents_without_their_parameter_exit_two(tmp_path, field):
     # a missing "p" or "k" was a KeyError out of field_from_document
-    from flatrank.field import field_from_document
+    from flatrank.formats import field_from_document
 
     with pytest.raises(ValueError):
         field_from_document(field)
@@ -715,6 +723,53 @@ def test_mask_elements_name_what_is_wrong(tmp_path, element, message):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         code = cli.main(["verify", "fw", str(path), "--config", str(FIXTURES / "fw_config.json")])
+    assert code == 2 and err.getvalue() == f"flatrank: error: {message}\n"
+
+
+def strict_cases(kind):
+    """(case, document text, message) of the documents of ``kind`` that break the key rules.
+
+    Each key of the READERS document given twice; a key repeated in a nested
+    object; an unknown key; and, for a tensor, both encodings and fields with
+    an extra or a repeated key.
+    """
+    base = READERS[kind][1]
+    text = lambda doc, tail="": json.dumps(doc)[:-1] + tail + "}"
+    cases = [
+        (f"{key}-twice", text(base, f', "{key}": {json.dumps(value)}'), f"document repeats the key {key}")
+        for key, value in base.items()
+    ]
+    cases += [
+        ("nested-twice", text(base, ', "metadata": {"runs": [{"a": 1, "a": 1}]}'), "document repeats the key metadata.runs.0.a"),
+        ("unknown", text({**base, "bogus": 1}), f"{kind} document has an unknown key 'bogus'"),
+    ]
+    if kind == "tensor":
+        cases += [
+            ("both", text({**base, "sparse": [[[0, 0], 1]]}), "tensor document gives both 'entries' and 'sparse'"),
+            ("field-extra", text({**base, "field": {"kind": "prime", "p": 3, "k": 9}}), "prime field document has an unknown key 'k'"),
+            ("binary-field-extra", text({**base, "field": {"kind": "binary", "k": 2, "p": 2}}), "binary field document has an unknown key 'p'"),
+            ("field-twice", text({**base, "field": {}}).replace("{}", '{"kind": "prime", "p": 3, "p": 2}'), "document repeats the key field.p"),
+        ]
+    return [(kind, *case) for case in cases]
+
+
+@pytest.mark.parametrize(
+    "kind,case,text,message",
+    [case for kind in sorted(READERS) for case in strict_cases(kind)],
+    ids=[f"{kind}-{case[1]}" for kind in sorted(READERS) for case in strict_cases(kind)],
+)
+def test_documents_refuse_repeated_and_unknown_keys(tmp_path, kind, case, text, message):
+    # a repeated key was read as its last value, and an unknown key or a second
+    # tensor encoding was ignored: each exits 2 and names the key
+    reader, base, argv = READERS[kind]
+    if "twice" not in case:  # json.loads keeps one value of a repeated key
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            reader(json.loads(text))
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main([a.replace("{doc}", str(path)) for a in argv])
     assert code == 2 and err.getvalue() == f"flatrank: error: {message}\n"
 
 

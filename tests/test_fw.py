@@ -253,13 +253,19 @@ def test_odd_subsets_count():
     assert odd_subsets(3) == [0b001, 0b010, 0b100, 0b111]
 
 
+def factor_family(members):
+    """The bad-box family of the factor tuples ``members``, over the fewest t that holds them."""
+    t = max(f.bit_length() for factors in members for f in factors)
+    return BadBoxFamily(t=t, s=len(members[0]), k=1, members_factors=tuple(members), attempts=0, seed=0)
+
+
 @pytest.mark.parametrize("t", [2, 3, 4, 5])
 def test_odd_pairwise_odd_bound(t):
     # the parity argument: at most 2^((t-1)/2) odd subsets of [t] meet pairwise oddly
     bound = math.floor(2 ** ((t - 1) / 2))
     singles = [(x,) for x in odd_subsets(t)]
-    assert find_odd_clique(singles, bound) is not None  # the bound is attained
-    assert find_odd_clique(singles, bound + 1) is None
+    assert find_odd_clique(factor_family(singles), bound) is not None  # the bound is attained
+    assert find_odd_clique(factor_family(singles), bound + 1) is None
 
 
 def test_badbox_target_size():
@@ -277,8 +283,8 @@ def test_badbox_clique_order():
 
 def test_verify_badbox_free_small():
     members = ((0b001,), (0b010,))
-    assert find_odd_clique(members, 3) is None  # fewer than k members
-    assert find_odd_clique([(0b111,)] * 4, 4) is not None  # k copies pairwise odd
+    assert find_odd_clique(factor_family(members), 3) is None  # fewer than k members
+    assert find_odd_clique(factor_family([(0b111,)] * 4), 4) is not None  # k copies pairwise odd
 
 
 def test_verify_badbox_free_matches_bruteforce():
@@ -301,7 +307,7 @@ def test_verify_badbox_free_matches_bruteforce():
             ):
                 brute = True
                 break
-        assert (find_odd_clique(members, k) is not None) == brute
+        assert (find_odd_clique(factor_family(members), k) is not None) == brute
 
 
 def test_sampler_small_case():
@@ -316,7 +322,7 @@ def test_sampler_small_case():
 @pytest.mark.parametrize("t,s", [(3, 1), (3, 2), (5, 2)])
 def test_sampler_output_verifies(t, s):
     fam = sample_badbox_family(t, s, seed=11)
-    assert find_odd_clique(fam.members_factors, fam.k) is None
+    assert find_odd_clique(fam, fam.k) is None
     cfg = complete_graph_config(fam.k)
     assert is_config_satisfying(fam.flat_family(), cfg, distinct="positions")
     # members really are product sets: size = product of factor sizes, odd
@@ -485,9 +491,9 @@ def test_odd_adjacency_and_cliques_match_the_python_oracle():
         pool = [tuple(rng.next_below(1 << t) for _ in range(s)) for _ in range(1 + rng.next_below(m))]
         members = [pool[rng.next_below(len(pool))] for _ in range(m)]
         adj = odd_adjacency(members)
-        assert _odd_adjacency(members) == adj
+        assert _odd_adjacency(factor_family(members).limbs) == adj
         for k in range(1, 6):
-            assert find_odd_clique(members, k) == _first_clique(adj, m, k)
+            assert find_odd_clique(factor_family(members), k) == _first_clique(adj, m, k)
 
 
 def test_one_member_clique_builds_no_adjacency(monkeypatch):
@@ -508,9 +514,9 @@ def test_odd_adjacency_blocks_rows(monkeypatch):
 
     rng = Rng(21)
     members = [(rng.next_below(1 << 70) | 1, rng.next_below(8) | 1) for _ in range(23)]
-    whole = fw._odd_adjacency(members)
+    whole = fw._odd_adjacency(factor_family(members).limbs)
     monkeypatch.setattr(fw, "_ADJACENCY_ENTRIES", 3 * 23)
-    assert fw._odd_adjacency(members) == whole == odd_adjacency(members)
+    assert fw._odd_adjacency(factor_family(members).limbs) == whole == odd_adjacency(members)
 
 
 def _assignments(m, k):
@@ -563,9 +569,9 @@ def _turan_members(parts, size):
 
 def test_odd_clique_search_stops_at_the_node_budget():
     members = _turan_members(11, 3)  # t = 45; 4,017,157 nodes to exhaust
-    assert find_odd_clique(members, 11) is not None
+    assert find_odd_clique(factor_family(members), 11) is not None
     with pytest.raises(ValueError, match=f"odd-clique search of order 12 passed {MAX_SEARCH_NODES} nodes"):
-        find_odd_clique(members, 12)
+        find_odd_clique(factor_family(members), 12)
 
 
 def test_odd_clique_search_deeper_than_the_recursion_limit():
@@ -573,8 +579,8 @@ def test_odd_clique_search_deeper_than_the_recursion_limit():
     # where a recursive search raised RecursionError
     n = 1100
     assert sys.getrecursionlimit() < n
-    assert find_odd_clique([(1,)] * n, n) == tuple(range(n))
-    assert find_odd_clique([(1,)] * n + [(2,)], n + 1) is None
+    assert find_odd_clique(factor_family([(1,)] * n), n) == tuple(range(n))
+    assert find_odd_clique(factor_family([(1,)] * n + [(2,)]), n + 1) is None
 
 
 def test_odd_clique_search_counts_every_node_once(monkeypatch):
@@ -582,10 +588,10 @@ def test_odd_clique_search_counts_every_node_once(monkeypatch):
 
     members = _turan_members(4, 3)  # no 5-clique: 175 nodes to exhaust, root included
     monkeypatch.setattr(tensor, "MAX_SEARCH_NODES", 175)
-    assert find_odd_clique(members, 5) is None
+    assert find_odd_clique(factor_family(members), 5) is None
     monkeypatch.setattr(tensor, "MAX_SEARCH_NODES", 174)
     with pytest.raises(ValueError, match="order 5 passed 174 nodes"):
-        find_odd_clique(members, 5)
+        find_odd_clique(factor_family(members), 5)
 
 
 def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):

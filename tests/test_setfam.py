@@ -387,16 +387,48 @@ def test_mask_validation():
         TupleFamily(n=2, d=1, members=())
 
 
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 128])
+def test_every_family_checks_its_mask_range_once(n):
+    # the one range check of setfam._checked_limbs: 2^n - 1 fits, and 2^n and
+    # -1 do not, in each of the five families of masks; the reader leaves the
+    # range to the family
+    from flatrank.formats import set_family_from_document
+    from flatrank.fw import BadBoxFamily
+    from flatrank.rainbow import ColoredHypergraph, SetPairSystem
+
+    full = (1 << n) - 1
+    families = {
+        "member": [
+            lambda x: SetFamily(n=n, members=(full, x)),
+            lambda x: TupleFamily(n=n, d=2, members=((full, full), (full, x))),
+            lambda x: SetPairSystem(base_size=n, sizes=(n, n), members=((full, full), (full, x))),
+            lambda x: BadBoxFamily(t=n, s=2, k=2, members_factors=((full, full), (full, x)), attempts=0, seed=0),
+        ],
+        "color": [lambda x: ColoredHypergraph(num_vertices=n, r=n, t=1, colors=((full,), (x,)))],
+    }
+    for what, builds in families.items():
+        for build in builds:
+            limbs = build(full).limbs
+            assert limbs.dtype == np.uint64 and limbs.shape[2] == -(-n // 64)
+            assert {int.from_bytes(slot.tobytes(), "little") for slot in limbs.reshape(-1, limbs.shape[2])} == {full}
+            for bad in (1 << n, -1):
+                with pytest.raises(ValueError, match=f"^{what} 1: mask {bad} does not fit in {n} bits$"):
+                    build(bad)
+    with pytest.raises(ValueError, match=f"^member 0: mask {1 << n} does not fit in {n} bits$"):
+        set_family_from_document({"n": n, "members": [1 << n]})
+
+
 @pytest.mark.parametrize("members", [((0b001, 0b001), (0b011, 0b010)), ((1, 1), (2, 2), (4, 4))])
 def test_chain_splits_the_masks_into_limbs_once(monkeypatch, members):
-    # the parity tensor and the certificate share one (m, d, w) split of the masks
+    # the family splits its masks once, when it is built; the parity tensor and
+    # the certificate read that one (m, d, w) split
     import flatrank.setfam as setfam
 
-    fam = TupleFamily(n=3, d=2, members=members)
-    want = verify_oddtown_chain(fam)
+    want = verify_oddtown_chain(TupleFamily(n=3, d=2, members=members))
     calls = []
-    split = setfam._slot_limbs
-    monkeypatch.setattr(setfam, "_slot_limbs", lambda *a: calls.append(a) or split(*a))
+    split = setfam._mask_limbs
+    monkeypatch.setattr(setfam, "_mask_limbs", lambda *a: calls.append(a) or split(*a))
+    fam = TupleFamily(n=3, d=2, members=members)
     assert verify_oddtown_chain(fam) == want
     assert len(calls) == 1
-    assert np.array_equal(oddtown_rank1_certificate(fam), oddtown_rank1_certificate(fam, split(members, 2)))
+    assert np.array_equal(fam.limbs, _slot_limbs(members, 2))
