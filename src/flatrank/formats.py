@@ -534,7 +534,7 @@ def configuration_to_document(cfg: Configuration) -> dict:
         "k": cfg.k,
         "p": cfg.p,
         "L": list(cfg.L),
-        "C": [[i for i in range(cfg.k) if (x >> i) & 1] for x in cfg.C],
+        "C": [[i for i, bit in enumerate(reversed(bin(x))) if bit == "1"] for x in cfg.C],
     }
 
 
@@ -553,9 +553,8 @@ def hypergraph_to_document(h: ColoredHypergraph) -> dict:
         "N": h.num_vertices,
         "r": h.r,
         "t": h.t,
-        "colors": [
-            [[v for v in range(h.num_vertices) if (e >> v) & 1] for e in cls] for cls in h.colors
-        ],
+        # each edge read off its binary digits, not tested at every vertex of [N]
+        "colors": [[[v for v, bit in enumerate(reversed(bin(e))) if bit == "1"] for e in cls] for cls in h.colors],
     }
 
 

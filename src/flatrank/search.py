@@ -1,116 +1,42 @@
-"""Brute-force and randomized verification harnesses.
+"""Brute-force and randomized verification harnesses, and the design of their GF(2) sweeps.
 
-GF(2) populations, in the exhaustive sweep and the random sweeps alike, are
-ranked exactly by one of two kernels, chosen by the width of the flattening
-rows, a^(d-1) columns.  Blocks of both are sized by the bytes of their rows
-(:data:`BLOCK_BYTES`), so rows and scratch stay in cache: a random block by
-the padded rows it gathers, an exhaustive chunk by the rows it writes
-(:func:`exhaustive_min_mfrank`).
-
-* Rows of at most 32 columns (:data:`TABLE_MAX_COLUMNS`) are packed, one
-  machine word per row with one bit per column, and a tensor's rows are
-  padded to 8, 16 or 32 bytes, or cut into two such pieces up to 64 (:func:`_row_layout`).
-  The rows of a tensor are
-  the XOR of one entry of each byte table, one table per byte of the mixed
-  bits; each shape's tables are built once and kept.  A random block gathers
-  one table entry per byte of each tensor; an exhaustive chunk gathers
-  nothing, its rows being the XOR of one slice of each table, broadcast
-  (:func:`_exhaustive_ranks`).  All rows of a block are then eliminated at
-  once with min-XOR steps, ``min(x, x ^ p)`` per pivot row p.
-* Wider rows are bit-sliced: bit i of word g of a plane holds one entry of
-  tensor 64g + i, so every word operation works on 64 tensors.  A block's
-  stream words are turned into planes by a 64x64 bit transpose, its rows are
-  one gather from the planes, and its elimination runs on all axes and
-  lanes at once.  In the exhaustive sweep this is only d = 2 with a > 32,
-  whose population is the identity alone.
-
-The split is measured (per tensor, on a 2-vCPU Xeon with numpy 2.4.6): on
-the same stream words the bit-sliced kernel ran at 0.65-0.67x the speed of
-the byte tables at (4,3), with 16 columns, 0.66-0.71x at (2,6), with 32,
-and 0.85-0.92x at (5,3), with 25; the (3,3) exhaustive sweep ran at
-0.38-0.40x.  From 36 columns on it wins: whole 20,000-tensor sweeps at
-(6,3) and (4,4) took 0.27-0.37 and 0.36-0.47 us per tensor, against
-0.44-0.45 and 0.69-0.71 through 64-bit byte tables, and over 64 columns it
-is 14-21x faster than :func:`flatrank.linalg.matrix_rank` ((9,3): 1.24-1.28
-against 18-22 us).  Larger fields rank all d flattenings of a block with
-one call of the batched kernel behind :func:`flatrank.linalg.matrix_rank`.
-
-A random GF(2) sweep of at least one block of its own, whose rows are
-wider than :data:`SAMPLE_COLUMNS` (16) columns, with a <=
-:data:`SAMPLE_MAX_A` (13), first ranks every tensor of a block on 16
-columns of each flattening alone, through byte tables of the sampled rows
-(:func:`_certified_ranks`): columns with at most one fixed cell, each adding
-the fewest stream bytes, and so the fewest tables, to those taken before,
-then the rest by most mixed cells (:func:`_row_tables`).  A sampled rank is
-at most the flattening's rank, which is at most a, so a tensor whose sampled
-ranks sum to a*d is of full rank, exactly.  Only the others, the misses, go
-to the exact kernel above, queued from block to block and ranked one exact
-block at a time.  Random tensors are nearly all of full rank; the misses, on
-three 20,000-tensor stream blocks per shape:
-
-    (2,6) 0.02-0.025%   (3,4) 0.02-0.045%   (3,5) 0.055-0.065%
-    (4,4) 0.095-0.125%  (5,4) 0.21-0.215%   (6,4) 0.36-0.41%
-    (5,3) 0.75-0.84%    (6,3) 2.5-2.75%     (7,3) 6.4%
-    (8,3) 10.8-11.3%    (10,3) 22-24%       (12,3) 42%
-    (13,3) 55%          (14,3) 71%          (15,3) 86%
-
-Taking the columns by most mixed cells alone needed 22 tables at (4,4), not
-13, for misses of 0.065-0.10%, and its certified blocks took 1.32-1.34x as
-long (median CPU time of alternating calls in one process on a 2-vCPU Xeon:
-826 against 625 us, and 1,603 against 1,193 us in a slower spell).  The
-rule also saves tables at (3,5), (5,4) and (6,4), 13, 29 and 37 for 15, 34
-and 42, whose certified blocks took 0.87-0.93x as long, and missed as often:
-0.049, 0.188 and 0.371% against 0.051, 0.189 and 0.383% of 150 stream
-blocks (0.47-1.2 million tensors).
-
-The sampled kernel's cost stays at 16 columns while the exact kernel's grows
-with a^(d-1), so even a majority of misses pays: whole sweeps of 2.5
-certified blocks, in process, CPU time on a 2-vCPU Xeon, took 0.40-0.82x the
-exact kernels' time from (2,6) to (13,3), 0.96x at (14,3) and 1.07x at
-(15,3), hence a <= 13.  The certificate's fixed costs (its sampled tables
-and a larger plan) are paid back within one block, not before: sweeps of
-exactly one block took 0.39-0.78x at every certified shape in process, and
-0.87-1.10x as the first sweep of a fresh process; shorter ones lost at
-(5,3), (6,3) and (7,3) (1.04-1.8x at 40 to 2,000 tensors) and, in a fresh
-process, at (4,4) too (1.3-2.1x at 40 and 500), so they keep the exact
-kernels, as do exhaustive sweeps.  Whole sweeps in process, exact kernels
-alone against the certificate: (5,3) x 30,000 2.46 -> 1.77 ms, (4,4) x
-15,000 3.84 -> 2.14 ms, (6,3) x 20,000 3.95 -> 2.81 ms (at (4,4) with the
-22 tables of the columns with the most mixed cells).
-
-Both sweeps run one block loop, :func:`_scan_blocks`, which takes one
-workspace (:class:`flatrank.linalg._Workspace`) per call from its thread's
-arena, sized for its largest block by one ``*_sizes`` plan, and every block
-writes its stream words, entries, rows, stacked flattenings, scratch and rank
-counts into it in place; the kernels return views into it.  The stream
-buffers of a GF(2) block sit inside buffers its kernel writes only after it
-has read the words; a certified sweep's queue of misses and one exact
-block's plan sit beside them.  The arena is one anonymous mapping per thread, outside
-glibc's heap, kept from one sweep to the next and replaced only by a larger
-admitted plan; one over :data:`ARENA_KEEP_BYTES` is unmapped when its sweep
-ends or raises.  Allocating per block, or per sweep, costs more than the arithmetic:
-glibc trims the heap top after each block's frees, so a block that allocates
-its buffers faults about 250 pages in again, at about 1.8 us each on a
-2-vCPU Xeon.  No other buffer is larger than :data:`BLOCK_BYTES` unless one
-tensor needs it, but an exhaustive chunk's rows and scratch, up to
-sqrt(2) times it, and the arena is not glibc's, so glibc's mmap threshold
-does not move.  A sweep whose plan, with the index arrays its shape keeps
-for the process, a binary field's log tables and what a larger field's
-elimination allocates outside the plan, would pass
-:data:`MAX_WORKSPACE_BYTES` is refused before any of them is built.
-
-Randomized sweeps and the cross-Oddtown search run off the documented
-splitmix64 streams in :mod:`flatrank.rng`, so every report is reproducible
-from its seed.
-Tensor j of a sweep is drawn from the words of the derived stream
-``Rng(Rng.sub_seed(seed, j))``, which :func:`_stream_block` reads in bulk, by
-:func:`_semidiagonal_block`.  All-distinct entries are 0.  Over a field of
-order 2 the diagonal is 1 and the mixed entries, in flat-index order, are the
-bits of whole 64-bit words (mixed entry t is bit t % 64 of word t // 64).  Over
-a field of order q > 2 each diagonal and mixed entry, in flat-index order,
-takes the next word w: 1 + w % (q-1) on the diagonal (uniform nonzero) and
-w % q off it (uniform).  A sweep's violation witness is redrawn the same way
-from its one stream, ``_stream_block(seed, j, j + 1, nwords)``.
+* Exact kernels.  :func:`_exact_plan` alone picks one by the width of the
+  flattening rows, a^(d-1) columns.  Up to :data:`TABLE_MAX_COLUMNS`, a
+  tensor's packed rows are the XOR of one entry of each byte table of its
+  shape (:func:`_row_tables`), eliminated a block at once by min-XOR steps;
+  wider rows are bit-sliced, 64 tensors a word.  Each wins on its own rows
+  (``BENCH_9.json`` ``kernel_split_same_words``, ``BENCH_32.json``
+  ``search_py_numbers``).  Larger fields rank the d flattenings of a block in
+  one batched call (:func:`_block_ranks`).
+* Certificate.  A random sweep with rows over :data:`SAMPLE_COLUMNS` columns,
+  a <= :data:`SAMPLE_MAX_A` and one certified block or more of tensors first
+  ranks them on that many sampled columns a flattening (:func:`_certified_ranks`).
+  A sampled rank is at most the flattening's, itself at most a, so sampled
+  ranks summing to a*d prove full rank; only the others, the misses, are
+  queued and ranked exactly, an exact block at a time.  Where it pays:
+  ``BENCH_26.json`` ``certificate_rule``; its misses: ``BENCH_26.json`` ``per_shape``.
+* Blocks and chunks.  A random block holds :data:`BLOCK_BYTES` of the rows
+  it gathers, so rows and scratch stay in cache.  An exhaustive chunk is the
+  power of two of assignments whose rows, a*d entries each, come nearest
+  :data:`BLOCK_BYTES`, and at least 256 (``BENCH_30.json`` ``chunk_curve``);
+  its rows are table slices XORed by broadcasting, with no gather.
+* Arena and admission.  A sweep carves one workspace, its whole plan, from
+  its thread's arena: one anonymous mapping outside glibc's heap, so its mmap
+  threshold never moves, kept between sweeps, since allocating per block
+  faults every page in again (``BENCH_13.json`` ``per_block_us``).  A block
+  reads nothing there that it did not write but a certified sweep's queue,
+  and kernels return views into it; a buffer that hosts another is written
+  only once its guest is read.  No buffer passes :data:`BLOCK_BYTES` unless
+  one tensor needs it, but an exhaustive chunk's rows and scratch, up to
+  sqrt(2) times it.  A plan whose bytes, with all the sweep keeps or
+  allocates besides, pass :data:`MAX_WORKSPACE_BYTES` is refused before any
+  of it is built.
+* Streams.  Tensor j of a sweep, and its violation witness, is drawn from the
+  words of the splitmix64 stream ``Rng(Rng.sub_seed(seed, j))``, read in bulk
+  (:func:`_stream_block`).  All-distinct entries are 0.  Over GF(2) the
+  diagonal is 1 and mixed entry t, in flat order, is bit t % 64 of word
+  t // 64; over a field of order q > 2 each diagonal and mixed entry, in flat
+  order, takes the next word w: 1 + w % (q-1) on the diagonal, w % q off it.
 """
 
 from __future__ import annotations
@@ -121,7 +47,7 @@ import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -145,7 +71,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import Tensor, _axis_order, check_cube, flattening_ranks, index_class_arrays
+from .tensor import Tensor, _axis_order, check_cube, dense_size, flattening_ranks, index_class_arrays
 
 __all__ = [
     "SearchReport",
@@ -155,32 +81,20 @@ __all__ = [
 ]
 
 MAX_FREE_ENTRIES = 22
-# Bytes of one sweep block's largest buffer: packed GF(2) rows, or, over a
-# larger field, whichever of its stream words, stack and scratch is largest,
-# so that they stay in the L2 cache and under glibc's mmap threshold.
+# Bytes of a sweep block's largest buffer, packed GF(2) rows or, over a larger
+# field, whichever buffer is largest: they stay in the L2 cache and under
+# glibc's mmap threshold
 BLOCK_BYTES = 1 << 19
-# Widest flattening rows, in columns, that the byte-table GF(2) kernel takes;
-# wider rows go bit-sliced (see the module docstring for the measurements).
+# Widest flattening rows, in columns, that the byte-table GF(2) kernel takes
 TABLE_MAX_COLUMNS = 32
-# Columns of each flattening on which a random GF(2) sweep of at least one
-# block first ranks its tensors, when its rows are wider, and the largest axis
-# size a it does so for: long sweeps ran faster certified up to a = 13, with
-# 55% of (13,3)'s tensors missing, and slower at a = 15 (see the module
-# docstring for the miss rates and timings).
+# Columns of each flattening a certified sweep ranks first, and the largest a it certifies
 SAMPLE_COLUMNS = 16
 SAMPLE_MAX_A = 13
-# Bytes of one block's workspace, with the index arrays its shape keeps and,
-# over a larger field, its log tables and what its elimination allocates
-# outside the workspace; more is refused before any of it is allocated.
-# Default GF(2) blocks at d = 3 take under 3.3 MB; a d = 2 bit-sliced sweep
-# needs 56 a^2 bytes even for one tensor, so it stops at a = 545, and a GF(3)
-# sweep on 2^18 needs more than 16 MiB for one tensor.
+# Bytes a sweep may plan, with all it keeps or allocates besides
 MAX_WORKSPACE_BYTES = 16 << 20
-# Largest sweep arena a thread keeps mapped once its sweep ends.  The GF(2)
-# plans of the default blocks at d = 3 fit (the largest, (2,3)'s, takes 3.2
-# MB, (6,3)'s 2.6 MB), as do (4,4)'s and (3,5)'s (2.5 MB); a larger arena is
-# unmapped with its sweep, so that what runs after the sweep (an exhaustive
-# sweep's witnesses, the report) is never held on top of it.
+# Largest sweep arena a thread keeps mapped once its sweep ends or raises: a
+# larger one is unmapped then, so that what runs after the sweep (an
+# exhaustive sweep's witnesses, the report) is never held on top of it
 ARENA_KEEP_BYTES = 4 << 20
 # Plans whose workspaces a thread keeps carved from its arena
 ARENA_PLANS = 16
@@ -217,15 +131,13 @@ class SearchReport:
 def _row_layout(a: int, d: int, sampled: bool = False) -> tuple[type, tuple[int, ...]]:
     """(dtype, pieces) of the packed flattening rows of :func:`_row_tables`.
 
-    The dtype is the narrowest unsigned one that holds a row: its a^(d-1) <=
-    32 columns, or the :data:`SAMPLE_COLUMNS` sampled ones.  ``np.take``
-    copies rows of 1, 2, 4, 8, 16 or 32 bytes with typed loads and others
-    with a ``memmove`` each, so a tensor's a*d rows are padded to a power of
-    two of bytes up to 32, split into 32 bytes and a tail so padded up to 64
-    (the byte-table kernel then took 0.91-0.97x as long), and kept whole over
-    64 (at (13,3), three pieces took 1.055x as long; ``BENCH_28.json``).
-    ``pieces`` holds the pieces' widths in entries; each is gathered apart
-    (:func:`_pieces`).  Every kernel reads only the first a*d entries.
+    The dtype is the narrowest unsigned one that holds a row, of a^(d-1) or
+    :data:`SAMPLE_COLUMNS` columns.  ``np.take`` copies rows of 1 to 32 bytes,
+    powers of two, with typed loads and others with a ``memmove`` each, so a
+    tensor's a*d rows are padded to such a size, cut into 32 bytes and such a
+    tail up to 64, and kept whole over 64 (``BENCH_28.json``
+    ``byte_table_kernel_us_per_block``).  ``pieces`` holds the pieces' widths
+    in entries, each gathered apart; kernels read only the first a*d entries.
     """
     cols = SAMPLE_COLUMNS if sampled else a ** (d - 1)
     dtype = next(t for t in (np.uint8, np.uint16, np.uint32) if np.iinfo(t).bits >= cols)
@@ -259,24 +171,20 @@ def _transposed(pieces: list[np.ndarray], count: int, out: np.ndarray) -> np.nda
 def _row_tables(a: int, d: int, sampled: bool = False) -> dict[int, tuple[np.ndarray, ...]]:
     """Byte tables of the packed flattening rows of GF(2) semi-diagonal tensors on A^d.
 
-    Needs ``a ** (d-1) <= 32``, or ``sampled``: then each flattening keeps
-    only :data:`SAMPLE_COLUMNS` columns, in column order, picked one at a
-    time, axis by axis.  Columns with at most one fixed (diagonal or
+    Needs a^(d-1) <= :data:`TABLE_MAX_COLUMNS`, or ``sampled``: then each
+    flattening keeps :data:`SAMPLE_COLUMNS` columns, in column order, picked
+    one at a time, axis by axis.  Columns with at most one fixed (diagonal or
     all-distinct) cell go first, the one adding the fewest stream bytes not
-    yet feeding a kept cell, of any axis, first; then the rest, by most
-    mixed cells; ties to fewer fixed cells, then the lower column.  Fixed
-    cells are the same in every tensor, and each byte fed costs a gather per
-    block.  Row ``r * d + axis`` holds row r
-    of the flattening along ``axis``, one bit per (kept) column, in the
-    layout of :func:`_row_layout`, one table per piece.  Row v of
+    yet feeding a kept cell first; then the rest, by most mixed cells; ties
+    to fewer fixed cells, then the lower column.  Fixed cells are the same in
+    every tensor, and each byte fed costs a gather per block
+    (``BENCH_27.json`` ``certified_kernel_us_per_block``).  Row ``r * d +
+    axis`` holds row r of the flattening along ``axis``, one bit per kept
+    column, one table per piece of :func:`_row_layout`.  Row v of
     ``tables[k]`` XORs in the mixed entries 8k .. 8k+7 whose bits are set in
-    the stream byte v; there is a table for each byte that feeds a kept cell
-    (every byte of a full set, and at least one), and the first also holds
-    the rows of the unit diagonal, so the rows of a tensor are the XOR of one
-    entry per table.  Built once per shape and kept, read-only: the largest
-    full sets, at (3,4) and (5,3), take 123 and 131 KB, and the sampled ones
-    64 KB at (5,3) (8 tables), 106 KB at (4,4) (13), 110 KB at (6,3) (12) and
-    1.2 MB at (13,3) (59).
+    byte v; there is a table for each byte that feeds a kept cell (at least
+    one), and the first also holds the unit diagonal's rows, so a tensor's
+    rows are the XOR of one entry per table.  Built once per shape, read-only.
     """
     diag, _, mixed = index_class_arrays(a, d)
     dtype, pieces = _row_layout(a, d, sampled)
@@ -340,55 +248,41 @@ def _largest_buffer(sizes: dict[str, tuple[int, type]]) -> int:
 
 
 def _check_workspace(nbytes: int, what: str) -> None:
-    """Refuse a sweep whose memory, ``nbytes``, passes :data:`MAX_WORKSPACE_BYTES`, before it is built.
-
-    Counted are its workspace and what it keeps or allocates besides: the
-    index arrays, sampled tables and stream ramps kept for the process, the
-    tables an exhaustive sweep transposes, a binary field's log tables with
-    their build's scratch, and what the elimination allocates outside it.
-    """
+    """Refuse a sweep whose ``nbytes``, its plan and all it keeps or allocates besides, pass the cap."""
     if nbytes > MAX_WORKSPACE_BYTES:
         raise ValueError(f"{what} needs {nbytes} bytes, over the {MAX_WORKSPACE_BYTES}-byte block cap")
 
 
-def _sliced_unplanned_bytes(a: int, d: int, n: int, nwords: int) -> int:
-    """Bytes a bit-sliced block of up to n tensors needs outside :func:`_sliced_sizes`.
-
-    They are the (d+1) a^d intp indices its shape keeps for the process
-    (:func:`index_class_arrays` and :func:`_plane_index`), and the buffers
-    numpy allocates for a ufunc call on strided operands: ``np.getbufsize()``
-    items for each of up to three operands, or the call's items if fewer.
-    The largest such calls are the transpose's delta swaps, 32 ``nwords``
-    items a word of 64 lanes, and, for d >= 3, the elimination's ANDs on the
-    rows below the first, d (a-1) a^(d-1) items a word (at (4,4), 196,608
-    bytes of a traced peak of 199,704 over the workspace).
-    """
-    rows = d * (a - 1) * a ** (d - 1) if d > 2 else 0  # at d = 2 no factor is set
-    items = -(-n // 64) * max(32 * nwords, rows)
-    return (1 + d) * a**d * np.dtype(np.intp).itemsize + 3 * 8 * min(np.getbufsize(), items)
+def _exact_plan(a: int, d: int, n: int, nwords: int) -> tuple[int, dict, int, Callable]:
+    """(block, sizes, extra, kernel) of the exact GF(2) kernel that rows on A^d take: byte tables up to
+    :data:`TABLE_MAX_COLUMNS` columns, else bit-sliced.  ``block`` is n, or the fewer tensors of
+    :data:`BLOCK_BYTES` of rows (bit-sliced, whole words of 64); the rest is :func:`_exact_kernel`'s."""
+    sliced = a ** (d - 1) > TABLE_MAX_COLUMNS
+    if sliced:
+        n = min(n, max(64, 8 * BLOCK_BYTES // (d * a**d) // 64 * 64))
+    else:
+        n = min(n, BLOCK_BYTES // _row_bytes(a, d))
+    return n, *_exact_kernel(a, d, n, nwords, sliced)
 
 
-def _exact_block(a: int, d: int) -> int:
-    """Tensors in an exact GF(2) block on A^d: :data:`BLOCK_BYTES` of rows, bit-sliced in words of 64."""
-    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
-        return BLOCK_BYTES // _row_bytes(a, d)
-    return max(64, 8 * BLOCK_BYTES // (d * a**d) // 64 * 64)
-
-
-def _exact_plan(a: int, d: int, n: int, nwords: int) -> tuple[dict, int, Callable]:
-    """(sizes, extra, kernel) of the exact GF(2) kernel for blocks of up to n tensors on A^d.
-
-    Byte tables up to :data:`TABLE_MAX_COLUMNS` columns, else bit-sliced:
-    ``sizes`` is its plan without the stream's buffers, ``extra`` the bytes
-    it keeps or allocates besides, and ``kernel(words, ws)`` gives the
-    (mfrank, sum_franks) of a block's stream words.
-    """
-    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
+@lru_cache(maxsize=ARENA_PLANS)
+def _exact_kernel(a: int, d: int, n: int, nwords: int, sliced: bool) -> tuple[dict, int, Callable]:
+    """(sizes, extra, kernel) for blocks of up to n tensors, kept: the plan, its stream words included, the
+    bytes kept or allocated besides, and ``kernel(words, ws)``, a block's (mfrank, sum_franks)."""
+    if not sliced:
         tables = _row_tables(a, d)
         kernel = lambda words, ws: _packed_population_ranks(a, d, words, tables, ws)
-        return _table_sizes(a, d, n), 0, kernel
+        return _table_sizes(a, d, n) | _stream_sizes(n, nwords, mix="buf"), 0, kernel
+    # Besides: the shape's (d+1) a^d intp indices (index_class_arrays, _plane_index), and numpy's
+    # buffers for a ufunc call on strided operands, np.getbufsize() items for each of up to three, or
+    # the call's items if fewer: at most the transpose's, 32 nwords a word of 64 lanes, or for d >= 3
+    # the ANDs on the rows below the first, d (a-1) a^(d-1) a word (at d = 2 no factor is set).
+    below = d * (a - 1) * a ** (d - 1) if d > 2 else 0
+    items = -(-n // 64) * max(32 * nwords, below)
+    extra = (1 + d) * a**d * np.dtype(np.intp).itemsize + 3 * 8 * min(np.getbufsize(), items)
     kernel = lambda words, ws: _sliced_ranks(a, d, words, ws)
-    return _sliced_sizes(a, d, n, nwords), _sliced_unplanned_bytes(a, d, n, nwords), kernel
+    # the words are read into the planes before rows and scratch are written
+    return _sliced_sizes(a, d, n, nwords) | _stream_sizes(n, nwords, "rows", "scratch"), extra, kernel
 
 
 def _gf2_plan(a: int, d: int, count: int, nwords: int) -> tuple[int, int, tuple]:
@@ -399,7 +293,7 @@ def _gf2_plan(a: int, d: int, count: int, nwords: int) -> tuple[int, int, tuple]
     words, misses ranked ``chunk`` (an exact block) at a time, if ``count``
     fills a block; else, or over the cap, the exact kernel runs, ``chunk`` 0.
     """
-    chunk = min(count, _exact_block(a, d))
+    chunk = _exact_plan(a, d, count, nwords)[0]
     block = max(1, BLOCK_BYTES // (_row_bytes(a, d, sampled=True) + 8 * nwords))
     certify = a ** (d - 1) > SAMPLE_COLUMNS and a <= SAMPLE_MAX_A and count >= block
     plan = certify and _block_plan(a, d, block, nwords, chunk)
@@ -410,22 +304,27 @@ def _gf2_plan(a: int, d: int, count: int, nwords: int) -> tuple[int, int, tuple]
 def _block_plan(a: int, d: int, n: int, nwords: int, chunk: int) -> tuple[dict, int, Callable] | None:
     """(sizes, nbytes, kernel) of random GF(2) sweep blocks of up to n tensors on A^d; kept, read-only.
 
-    ``kernel(words, start, last, ws)`` yields :func:`_scan_blocks`' batches
-    of a block from tensor ``start``, the sweep's ``last`` or not: the exact
-    kernel's with ``chunk`` 0, else the certificate's.  ``nbytes`` is all
-    :func:`_check_workspace` counts, sampled tables at their largest (256
-    rows for each of at most ``SAMPLE_COLUMNS * a * d`` stream bytes); a
-    certified plan over the cap is None, and builds no tables.
+    ``kernel(words, start, last, ws)`` yields :func:`_scan_blocks`' batches of a block from tensor
+    ``start``, the sweep's ``last`` or not: the exact kernel's with ``chunk`` 0, else the certificate's,
+    which queues its misses in the stream words of an exact block of ``chunk`` tensors (``exact.words``).
+    ``nbytes`` is all :func:`_check_workspace` counts, sampled tables at their largest (256 rows for each
+    of at most ``SAMPLE_COLUMNS * a * d`` stream bytes); a certified plan over the cap is None, built
+    without its tables.
     """
-    sizes, extra, exact = _exact_plan(a, d, chunk or n, nwords)
+    _, sizes, extra, exact = _exact_plan(a, d, chunk or n, nwords)
     extra += _ramp_bytes(n, nwords)
-    if not chunk:  # sliced words are read into the planes before rows and scratch are written
-        hosts = ("rows", "scratch") if a ** (d - 1) > TABLE_MAX_COLUMNS else (None, "buf")
-        sizes = sizes | _stream_sizes(n, nwords, *hosts)
+    if not chunk:
         kernel = lambda words, start, last, ws: ((start, *exact(words, ws)),)
         return sizes, _Workspace.nbytes(sizes) + extra, kernel
-    sizes = _certified_sizes(a, d, n, nwords, chunk, sizes)
+    sizes = {
+        **_table_sizes(a, d, n, sampled=True),
+        **_stream_sizes(n, nwords, mix="buf"),
+        "queued": (chunk, np.intp),
+        "fill": (1, np.intp),
+        **{f"exact.{k}": size[:2] + tuple(f"exact.{h}" for h in size[2:]) for k, size in sizes.items()},
+    }
     fed = min(-(-_mixed_count(a, d) // 8), SAMPLE_COLUMNS * a * d)  # stream bytes with a table
+    # 8 n: the misses' indices
     nbytes = _Workspace.nbytes(sizes) + extra + 8 * n + fed * 256 * _row_bytes(a, d, sampled=True)
     if nbytes > MAX_WORKSPACE_BYTES:
         return None
@@ -436,11 +335,7 @@ def _block_plan(a: int, d: int, n: int, nwords: int, chunk: int) -> tuple[dict, 
 def _stream_sizes(
     n: int, nwords: int, words: str | None = None, mix: str | None = None
 ) -> dict[str, tuple]:
-    """Workspace of :func:`_stream_block` for blocks of up to n tensors.
-
-    ``words`` and ``mix``, when given, name the buffers of the kernel's plan
-    that host them (see :class:`_Workspace`).
-    """
+    """Workspace of :func:`_stream_block` for blocks of up to n tensors; ``words`` and ``mix`` name hosts."""
     size = (n * nwords, np.uint64)
     return {"words": size + ((words,) if words else ()), "mix": size + ((mix,) if mix else ())}
 
@@ -451,12 +346,8 @@ def _rank_sizes(d: int, n: int, dtype: type) -> dict[str, tuple[int, type]]:
 
 
 def _field_sizes(a: int, d: int, n: int, field: FieldDescriptor) -> dict[str, tuple[int, type]]:
-    """Workspace of a block of up to n tensors over ``field`` of order > 2.
-
-    It holds the stream words, their residues, the entries drawn from them
-    (:func:`_semidiagonal_block`), and the elimination of the d stacked
-    flattenings of :func:`_block_ranks`.
-    """
+    """Workspace of a block of up to n tensors over ``field`` of order > 2: stream words, residues, entries
+    (:func:`_semidiagonal_block`) and the elimination of the d stacked flattenings (:func:`_block_ranks`)."""
     nwords = _semidiagonal_words(a, d, field)
     return {
         **_stream_sizes(n, nwords),
@@ -469,12 +360,8 @@ def _field_sizes(a: int, d: int, n: int, field: FieldDescriptor) -> dict[str, tu
 
 
 def _table_sizes(a: int, d: int, n: int, sampled: bool = False) -> dict[str, tuple[int, type]]:
-    """Workspace of :func:`_packed_population_ranks` for blocks of up to n tensors.
-
-    ``sampled`` picks the layout of the sampled tables.  ``buf`` also holds
-    the N stream words of the mixing scratch, which is free before the
-    gathers write it.
-    """
+    """Workspace of :func:`_packed_population_ranks` for blocks of up to n tensors, in the
+    ``sampled`` tables' layout or not; ``buf`` also hosts the stream's mixing scratch."""
     dtype, pieces = _row_layout(a, d, sampled)
     mix = 8 * n * _semidiagonal_words(a, d, GF2)
     return {
@@ -494,26 +381,6 @@ def _exhaustive_sizes(a: int, d: int, n: int) -> dict[str, tuple[int, type]]:
         "buf": (max(n * (a - 1) * d, -(-n // 256) * a * d), dtype),
         "flag": (d * n, np.bool_),
         **_rank_sizes(d, n, np.uint8),
-    }
-
-
-def _certified_sizes(
-    a: int, d: int, n: int, nwords: int, chunk: int, exact: dict[str, tuple]
-) -> dict[str, tuple]:
-    """Workspace of :func:`_certified_ranks` for blocks of up to n tensors, misses ranked ``chunk`` at a time.
-
-    It holds the sampled kernel's :func:`_table_sizes`, the block's stream
-    words, with their mixing scratch in ``buf``, the queue of misses (words,
-    indices and count), and ``exact``, the plan of one chunk of the exact
-    kernel, under names prefixed ``exact.``.
-    """
-    return {
-        **_table_sizes(a, d, n, sampled=True),
-        **_stream_sizes(n, nwords, mix="buf"),
-        "queue": (chunk * nwords, np.uint64),
-        "queued": (chunk, np.intp),
-        "fill": (1, np.intp),
-        **{f"exact.{k}": size[:2] + tuple(f"exact.{h}" for h in size[2:]) for k, size in exact.items()},
     }
 
 
@@ -573,13 +440,12 @@ def _eliminate(
 def _packed_population_ranks(
     a: int, d: int, words: np.ndarray, tables: dict[int, tuple], ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, ``a ** (d-1) <= 32``.
+    """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, through byte ``tables``.
 
-    Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
-    of word t // 64 for mixed entry t; that is byte t // 8 of the row's
-    little-endian bytes, which indexes ``tables``, the byte tables of
-    :func:`_row_tables`, full or sampled, gathered piece by piece.  ``ws``
-    holds :func:`_table_sizes` for at least N, in the tables' layout.
+    Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, in
+    the stream layout; its little-endian byte k indexes ``tables[k]`` of
+    :func:`_row_tables`, full or sampled.  ``ws`` holds :func:`_table_sizes`
+    for at least N, in the tables' layout.
     """
     n = words.shape[0]
     as_bytes = words.astype("<u8", copy=False).view(np.uint8)
@@ -603,23 +469,19 @@ def _certified_ranks(
     a: int, d: int, tables: dict, exact: Callable, chunk: int, words: np.ndarray, start: int,
     last: bool, ws: _Workspace,
 ) -> Iterable[tuple]:
-    """:func:`_scan_blocks`' batches of GF(2) tensors ``start ..`` on A^d, certified on sampled columns.
+    """:func:`_scan_blocks`' batches of GF(2) tensors ``start ..`` on A^d, certified on sampled ``tables``.
 
-    :func:`_packed_population_ranks` ranks ``words`` on the columns of the
-    sampled ``tables``.  A sampled rank is at most the flattening's, at most
-    a, so a tensor whose sampled ranks sum to a*d has every rank a, and the
-    block's batch is one pair, (a, a*d) at ``start``, at or above every
-    tensor's own.  The others, the misses, are queued in ``ws``, words and
-    indices, from block to block (empty at ``start`` 0); each time it holds
-    ``chunk``, and after the sweep's ``last`` block, ``exact(words, ws)``,
-    the exact kernel, ranks the queue in ``ws.part("exact.")``, one batch.
-    ``ws`` holds :func:`_certified_sizes` for at least N.
+    The certified tensors make one batch, (a, a*d) at ``start``, at or above
+    each one's own pair.  The misses are queued in ``ws``, from block to block
+    (empty at ``start`` 0), and ``exact(words, ws)`` ranks the queue in
+    ``ws.part("exact.")`` each time it holds ``chunk`` and after the sweep's
+    ``last`` block, one batch each.  ``ws`` holds a certified :func:`_block_plan`.
     """
     n, w = words.shape
     sumrank = _packed_population_ranks(a, d, words, tables, ws)[1]
     misses = np.flatnonzero(np.not_equal(sumrank, a * d, out=ws.take("flag", n)))
     yield start, np.array([a]), np.array([a * d])
-    queue, queued, fill = ws.take("queue", chunk, w), ws.take("queued", chunk), ws.take("fill", 1)
+    queue, queued, fill = ws.take("exact.words", chunk, w), ws.take("queued", chunk), ws.take("fill", 1)
     f = int(fill[0]) if start else 0
     for part in np.split(misses, range(chunk - f, misses.size, chunk)):
         np.take(words, part, axis=0, out=queue[f : f + part.size], mode="clip")
@@ -641,10 +503,8 @@ def _exhaustive_ranks(
     ``stop - start`` is a power of two and ``start`` a multiple of it, so byte
     k of the assignments runs through one range of values under every value
     of the bytes above it: their rows are the XOR of one slice of each table,
-    ``tables[k]`` being byte k's of :func:`_row_tables`, contiguous, as
-    ``[r * d + axis, byte value]``.  The high bytes' slices are combined
-    first, a*d entries per 256 assignments, then broadcast with byte 0's into
-    the layout :func:`_eliminate` reads.  ``ws`` holds :func:`_exhaustive_sizes`
+    ``tables[k]`` being byte k's of :func:`_row_tables` as contiguous
+    ``[r * d + axis, byte value]``.  ``ws`` holds :func:`_exhaustive_sizes`
     for ``stop - start``; the call reads nothing in it that it did not write.
     """
     n = stop - start
@@ -693,12 +553,12 @@ def _plane_index(a: int, d: int) -> np.ndarray:
 def _bit_planes(words: np.ndarray, ws: _Workspace) -> np.ndarray:
     """(2 + 64 w, W) bit planes of N tensors' mixed entries, ``W = ceil(N / 64)``.
 
-    Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, bit t
-    of word t // 64 for mixed entry t.  Bit i of word g of plane t + 2 is then
-    mixed entry t of tensor 64g + i; plane 0 is zero and plane 1 all ones, as
-    :func:`_plane_index` expects.  Lanes past N are zero.  Each 64x64 block
-    of bits is transposed in place by six delta-swap rounds, over the layout
-    ``[stream word, row, group]`` so every round runs over the groups.
+    Row j of the (N, w) uint64 ``words`` holds tensor j's mixed entries, in
+    the stream layout.  Bit i of word g of plane t + 2 is mixed entry t of
+    tensor 64g + i; plane 0 is zero and plane 1 all ones, as
+    :func:`_plane_index` expects, and lanes past N are zero.  Each 64x64
+    block of bits is transposed in place by six delta-swap rounds, over the
+    layout ``[stream word, row, group]`` so every round runs over the groups.
     """
     n, w = words.shape
     groups, full = -(-n // 64), n // 64
@@ -728,13 +588,12 @@ def _sliced_ranks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of N GF(2) semi-diagonal tensors on A^d, 64 tensors per word.
 
-    ``words`` is laid out as for :func:`_bit_planes`.  The rows of all d
-    flattenings are one gather from the planes, ``[axis, r, c, group]``.
-    Pivot step k works on every axis and lane at once: a prefix-OR of row k
-    over the columns gives its "row nonzero" plane (the rank bit) and a
-    one-hot pivot column; each row below picks its bit in that column as a
-    lane mask and XORs in row k under it.  The rank of a lane is the count of
-    its rank bits.  ``ws`` holds :func:`_sliced_sizes` for at least N.
+    The rows of all d flattenings are one gather from the planes of
+    :func:`_bit_planes`, ``[axis, r, c, group]``.  Pivot step k works on
+    every axis and lane at once: a prefix-OR of row k over the columns gives
+    its rank bit and a one-hot pivot column; each row below picks its bit in
+    that column as a lane mask and XORs in row k under it.  ``ws`` holds
+    :func:`_sliced_sizes` for at least N.
     """
     n = words.shape[0]
     planes = _bit_planes(words, ws)
@@ -796,14 +655,11 @@ _arena = _Arena()
 def _arena_workspace(sizes: dict[str, tuple]) -> _Workspace:
     """A workspace of ``sizes`` carved from the calling thread's arena.
 
-    The arena is mapped outside glibc's heap, so its pages stay faulted in
-    from one sweep to the next and glibc's mmap threshold never sees it.  A
-    plan larger than the arena, already admitted by :func:`_check_workspace`,
-    replaces it; the old mapping is dropped before the new one is mapped.  A
-    plan's workspace is carved once and kept with the arena, up to
-    :data:`ARENA_PLANS` of them: carving a dozen buffers takes about twice
-    as long as allocating them, and carving every sweep's workspace anew
-    made the benchmark's field-rank ops 4% slower at the median.
+    A plan larger than the arena, already admitted, replaces it; the old
+    mapping is dropped before the new one is mapped.  A plan's workspace is
+    carved once and kept with the arena, up to :data:`ARENA_PLANS` of them,
+    since carving costs more than allocating (``BENCH_32.json``
+    ``search_py_numbers``).
     """
     key = tuple(sizes.items())
     ws = _arena.carved.get(key)
@@ -838,16 +694,12 @@ def _scan_blocks(
 ) -> tuple[tuple[int, int], tuple[int, int], int, int | None]:
     """The block loop of both sweeps, over tensors ``0 .. total-1``, ``total >= 1``.
 
-    Blocks are ``block`` consecutive tensors; ``ranks(start, stop, ws)``
-    yields batches ``(at, mfrank, sumrank)`` for one, written into the one
-    :class:`_Workspace` of ``sizes``, carved from the thread's arena
-    (:func:`_arena_workspace`); ``ranks`` must not start another sweep on
-    the thread.  ``at`` is a batch's first index or its ascending indices;
-    batches fold as (value, index) pairs, in any order, and may stand in for
-    a tensor that another batch gives, at or above its pair and ``lower``.
-    Returns (min mfrank, its first index), (min sum_franks, its first
-    index), the count of tensors with mfrank < ``lower`` and the first of
-    them (or None); none of it depends on ``block``.
+    ``ranks(start, stop, ws)`` yields batches ``(at, mfrank, sumrank)`` for a block, into the
+    workspace of ``sizes``, and starts no other sweep on the thread.  ``at`` is a batch's first
+    index or its ascending indices; batches fold as (value, index) pairs, in any order, and may
+    stand in for a tensor that another batch gives, at or above its pair and ``lower``.  Returns
+    (min mfrank, its first index), (min sum_franks, its first index), the count of tensors with
+    mfrank < ``lower`` and the first of them (or None), none of it depending on ``block``.
     """
     ws = _arena_workspace(sizes)
     best_mf = best_sum = (math.inf, 0)
@@ -876,17 +728,8 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     entries 1 (over GF(2) a nonzero diagonal entry is 1, so this loses no
     generality).  Assignment v sets mixed entry t to bit t of v.  Refuses
     populations with more than 2^22 members, tensors over the dense cap and
-    chunks whose memory passes :data:`MAX_WORKSPACE_BYTES`.  The population
-    is ranked in chunks of the power of two of assignments whose rows, a*d
-    entries each, come nearest :data:`BLOCK_BYTES` by ratio, and at least
-    256 (or the whole population, if smaller), so that a small budget cannot
-    split it into more than 2^14 chunks.  A chunk costs 32-36 us besides its
-    rows: at (3,3), chunks of 32,768 assignments of 18 bytes (576 KB) ranked
-    the population fastest, 16,384 took 1.11-1.15x as long, 65,536
-    1.13-1.21x and 8,192 1.49-1.56x (``BENCH_30.json``).  Rows over
-    :data:`TABLE_MAX_COLUMNS` columns occur only at d = 2, where the
-    identity alone is bit-sliced.  Violations counts assignments with
-    mfrank < ceil(a / (d-1)).
+    chunks whose memory passes :data:`MAX_WORKSPACE_BYTES`.  Violations
+    counts assignments with mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
     f = _mixed_count(a, d)
@@ -895,17 +738,17 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
             f"population too large: {f} free entries at (a={a}, d={d}) exceeds cap {MAX_FREE_ENTRIES}"
         )
     total = 1 << f
-    if a ** (d - 1) <= TABLE_MAX_COLUMNS:
+    if f:  # (2,3), (2,4) and (3,3) under the cap, rows of at most 9 columns
         dtype = _row_layout(a, d)[0]
         row = a * d * np.dtype(dtype).itemsize  # the bytes a chunk writes per assignment
+        # at least 256 assignments, so that a small budget cannot make more than 2^14 chunks
         chunk = min(total, 1 << max(8, round(math.log2(BLOCK_BYTES / row))))
-        # contiguous copies: slices of the strided transposes took 1.4-1.5x as long
+        # contiguous copies (``BENCH_30.json`` ``contiguous_tables``)
         tables = [_transposed(t, a * d, np.empty((a * d, 256), dtype)) for t in _row_tables(a, d).values()]
         sizes, extra = _exhaustive_sizes(a, d, chunk), sum(t.nbytes for t in tables)
         ranks = lambda start, stop, ws: ((start, *_exhaustive_ranks(a, d, tables, start, stop, ws)),)
-    else:  # d == 2: the identity matrix alone
-        chunk = total
-        sizes, extra, exact = _exact_plan(a, d, chunk, 1)
+    else:  # the identity alone: d = 2, or a = 1
+        chunk, sizes, extra, exact = _exact_plan(a, d, total, 1)
         ranks = lambda start, stop, ws: ((start, *exact(np.zeros((1, 1), np.uint64), ws)),)
     _check_workspace(_Workspace.nbytes(sizes) + extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
     (best_mf, at_mf), (best_sum, at_sum), violations, _ = _scan_blocks(
@@ -970,7 +813,7 @@ def _draw_index(a: int, d: int) -> tuple[np.ndarray, np.ndarray]:
     take 8 (a^d + 2 len(drawn)) bytes.
     """
     diag, _, mixed = index_class_arrays(a, d)
-    # not np.union1d or np.isin: on large arrays they import numpy.ma, 1.1 MB
+    # not np.union1d or np.isin, which import numpy.ma (``BENCH_32.json`` ``search_py_numbers``)
     kind = np.zeros(a**d, np.uint8)
     kind[mixed], kind[diag] = 1, 2
     drawn = np.flatnonzero(kind)
@@ -1029,30 +872,14 @@ def _block_ranks(
 def random_semidiagonal_sweep(
     a: int, d: int, count: int, seed: int, field: FieldDescriptor = GF2
 ) -> SearchReport:
-    """Rank statistics over ``count`` random semi-diagonal tensors.
+    """Rank statistics over ``count`` random semi-diagonal tensors, tensor j drawn from its stream j.
 
-    Tensor j is drawn from ``Rng(Rng.sub_seed(seed, j))``.  Blocks of tensors
-    are drawn in bulk and ranked together.  Over GF(2) a block holds
-    :data:`BLOCK_BYTES` of rows: rows of at most
-    :data:`TABLE_MAX_COLUMNS` columns go through the byte tables of
-    :func:`_packed_population_ranks`, wider ones through the bit-sliced
-    :func:`_sliced_ranks`, whose blocks are whole words of 64 tensors (at
-    least one) (:func:`_gf2_plan`).  Rows over :data:`SAMPLE_COLUMNS`
-    columns with a <= :data:`SAMPLE_MAX_A` are first ranked on sampled
-    columns (:func:`_certified_ranks`, in blocks whose sampled rows and stream
-    words take :data:`BLOCK_BYTES`) when ``count`` fills one such block: a
-    tensor whose sampled ranks are all a is of full rank, and only the
-    others go to those exact kernels, queued from block to block and ranked
-    one exact block at a time; the report is the same.  Larger fields rank all axes of a block at once
-    (:func:`_block_ranks`), in blocks of :data:`BLOCK_BYTES` over the largest
-    buffer of :func:`_field_sizes` for one tensor, and at least one.  No
-    buffer grows faster than the block, so none passes the budget; GF(2^k)'s
-    clearing-group scratch is capped, so blocks where it is the largest fill
-    less.  Shapes over the dense cap, sweeps whose workspace passes
-    :data:`MAX_WORKSPACE_BYTES`, and GF(2^k > 16) sweeps with d >= 3 of more
-    than :data:`flatrank.linalg.MAX_SHIFT_ROUNDS` shift-and-XOR rounds are
-    refused before anything of their size is drawn or allocated.
-    Violations counts tensors with mfrank < ceil(a / (d-1)).
+    Tensors are drawn and ranked in blocks, as the module docstring lays out;
+    the report does not depend on the block size.  Shapes over the dense
+    cap, sweeps whose memory passes :data:`MAX_WORKSPACE_BYTES`, and GF(2^k >
+    16) sweeps with d >= 3 of more than :data:`flatrank.linalg.MAX_SHIFT_ROUNDS`
+    shift-and-XOR rounds are refused before anything of their size is drawn
+    or allocated.  Violations counts tensors with mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
     if count < 1:
@@ -1062,6 +889,7 @@ def random_semidiagonal_sweep(
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
     if field.order != 2:  # no buffer grows faster than n: one tensor's largest sizes the block
+        # (GF(2^k)'s clearing-group scratch is capped, so blocks where it is the largest fill less)
         n = min(count, max(1, BLOCK_BYTES // _largest_buffer(_field_sizes(a, d, 1, field))))
         sizes = _field_sizes(a, d, n, field)
         # _draw_index's arrays, the elimination's temporaries and the stream's ramps
@@ -1109,44 +937,36 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
 
     The first growth pass walks the repeated-singleton members (the known
     extremal family), the remaining budget proposes uniform random tuples.
-    The reported size can therefore reach, and never exceeds, (d-1)*n.
+    The reported size can therefore reach, and never exceeds, (d-1)*n.  The
+    family reaches m = min(budget, (d-1)n) members, so the m^d grid of its
+    final check and its m*d*ceil(n/64) limbs are checked against the dense
+    cap before any tuple is tested.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
     bound = cross_oddtown_bound(n, d)
-    best: list[tuple[int, ...]] = []
+    m, width = min(budget, bound), -(-n // 64)  # limbs of every mask, all below 2^n
+    dense_size(repeat(m, d), f"grid of {m}^{d}")
+    limbs = np.empty(dense_size((m, d, width), f"limbs of {m} members"), np.uint64).reshape(m, d, width)
+    singletons = repeated_singleton_family(min(n, -(-m // (d - 1))), d).members
     members: list[tuple[int, ...]] = []
-    width = -(-n // 64)  # limbs of every mask, all below 2^n
-    limbs = np.empty((0, d, width), np.uint64)  # the members', split once each
-
-    def grow(tup: tuple[int, ...]) -> None:
-        nonlocal limbs
-        if try_extend_cross_oddtown(limbs, tup, d):
+    for attempt in range(budget):
+        draw = attempt >= len(singletons)
+        tup = tuple(rng.next_below(1 << n) for _ in range(d)) if draw else singletons[attempt]
+        if try_extend_cross_oddtown(limbs[: len(members)], tup, d):
+            limbs[len(members)] = _slot_limbs([tup], d, width)[0]
             members.append(tup)
-            limbs = np.concatenate([limbs, _slot_limbs([tup], d, width)])
-
-    attempts = 0
-    if budget > 0:
-        for tup in repeated_singleton_family(n, d).members:
-            attempts += 1
-            grow(tup)
-            if attempts >= budget:
-                break
-        while attempts < budget:
-            attempts += 1
-            grow(tuple(rng.next_below(1 << n) for _ in range(d)))
-        best = members
-    fam = TupleFamily(n=n, d=d, members=tuple(best))
-    if best and not is_cross_oddtown(fam):
+    fam = TupleFamily(n=n, d=d, members=tuple(members))
+    if members and not is_cross_oddtown(fam):
         raise AssertionError("greedy growth produced a non-cross-Oddtown family")
-    if len(best) > bound:
+    if len(members) > bound:
         raise AssertionError("found a family exceeding the (d-1)n bound; implementation bug")
     return SearchReport(
         population=f"random cross-Oddtown growth, n={n}, d={d}",
-        count=attempts,
+        count=budget,
         min_mfrank=None,
         min_sum_franks=None,
-        witnesses=[{"kind": "largest_family", "members": [list(t) for t in best]}] if best else [],
+        witnesses=[{"kind": "largest_family", "members": [list(t) for t in members]}] if members else [],
         seed=rng.seed,
-        extra={"largest_size": len(best), "bound": bound},
+        extra={"largest_size": len(members), "bound": bound},
     )

@@ -1239,8 +1239,14 @@ def test_experiment_oddtown_search(capsys):
     assert out["results"]["largest_size"] == 3
 
 
-def test_oddtown_search_grid_cap_before_allocation(capsys):
-    # at d = 10 the first greedy step that needs a grid has 9 members: 9^9 = 387 M cells
+def test_oddtown_search_grid_cap_before_allocation(monkeypatch, capsys):
+    # at d = 10 the family reaches 10 members, whose final grid is 10^10
+    # cells (the first greedy step that needs a grid, at 9 members, 9^9): the
+    # search is refused before it tests any tuple
+    from flatrank import search
+
+    tested, real = [], search.try_extend_cross_oddtown
+    monkeypatch.setattr(search, "try_extend_cross_oddtown", lambda *args: tested.append(args) or real(*args))
     tracemalloc.start()
     try:
         code = run(
@@ -1251,6 +1257,23 @@ def test_oddtown_search_grid_cap_before_allocation(capsys):
         tracemalloc.stop()
     assert code == 2
     assert "16777216 dense cap" in capsys.readouterr().err
+    assert peak < 3 << 20
+    assert tested == []
+
+
+def test_oddtown_search_walks_only_the_members_it_tests(capsys):
+    # a budget of 2 walks 2 of the (d-1) n = 8,192 repeated-singleton members,
+    # each split into limbs of width n / 64, and the family grows in place
+    tracemalloc.start()
+    try:
+        code = run(
+            ["experiment", "oddtown-search", "--n", "4096", "--d", "3", "--budget", "2", "--seed", "1"]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["results"]["largest_size"] == 2
     assert peak < 3 << 20
 
 

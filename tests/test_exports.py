@@ -4,7 +4,9 @@ holds only what the CLI runs."""
 import ast
 import importlib
 import inspect
+import json
 import pkgutil
+import re
 from pathlib import Path
 
 import pytest
@@ -145,3 +147,23 @@ def test_removed_parameters_stay_removed(name):
     module, function = name.rsplit(".", 1)
     signature = inspect.signature(getattr(importlib.import_module(module), function))
     assert list(signature.parameters) == PARAMETERS[name]
+
+
+# a measurement is cited as ``BENCH_NN.json`` ``dotted.key`` (single backticks in
+# the README), the key optional: each file and key named must exist
+CITATION = re.compile(r"`+(BENCH_\d+\.json)`+(?:\s+`+([^`]+)`+)?")
+
+
+def test_bench_citations_resolve():
+    root = Path(__file__).resolve().parent.parent
+    texts = [*sorted((root / "src" / "flatrank").glob("*.py")), root / "README.md"]
+    cited = [(path.name, *m.groups()) for path in texts for m in CITATION.finditer(path.read_text())]
+    assert cited
+    missing, absent = [], object()
+    for where, name, key in cited:
+        node = json.loads((root / name).read_text()) if (root / name).is_file() else absent
+        for part in key.split(".") if key else ():
+            node = node.get(part, absent) if isinstance(node, dict) else absent
+        if node is absent:
+            missing.append(f"{where}: {name} {key or ''}")
+    assert missing == []

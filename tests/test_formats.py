@@ -139,6 +139,28 @@ def test_hypergraph_round_trip():
     assert hypergraph_from_document(doc) == h
 
 
+def test_hypergraph_round_trip_over_a_huge_ground_set():
+    # the writer takes one step per element of an edge, not per vertex of
+    # [N]: two edges over 10^12 vertices are written, read and compared in a
+    # fresh process well inside its timeout (a day, testing every vertex)
+    import os
+    import subprocess
+    import sys
+
+    code = (
+        "from flatrank.formats import hypergraph_from_document, hypergraph_to_document\n"
+        "from flatrank.rainbow import ColoredHypergraph\n"
+        "h = ColoredHypergraph(num_vertices=10**12, r=3, t=1, colors=((0b111,), (1 << 40 | 1 << 39 | 8,)))\n"
+        "doc = hypergraph_to_document(h)\n"
+        "assert doc['colors'] == [[[0, 1, 2]], [[3, 39, 40]]], doc\n"
+        "assert hypergraph_from_document(doc) == h\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=10, env=env)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_setpair_round_trip():
     s = SetPairSystem(base_size=3, sizes=(1, 2), members=((0b001, 0b110),))
     assert setpair_from_document(setpair_to_document(s)) == s

@@ -332,22 +332,30 @@ def _budget_blocks(monkeypatch, field, a, d, n):
 
 
 # every exhaustive shape with at most 2^18 members: the identity alone (a^d
-# with d = 2, or a = 1), and the populations of 2^6, 2^14 and 2^18 tensors;
-# (64, 2) is the one whose rows are too wide for the byte tables
+# with d = 2, or a = 1), which the sweep ranks with the exact kernel its rows
+# take, and the populations of 2^6, 2^14 and 2^18 tensors; (64, 2) is the one
+# whose rows are too wide for the byte tables
 @pytest.mark.parametrize(
     "a,d", [(1, 2), (1, 3), (2, 2), (7, 2), (64, 2), (2, 3), (2, 4), (3, 3)], ids=str
 )
 def test_exhaustive_chunks_match_matrix_rank(monkeypatch, a, d):
+    import flatrank.search as search
+
     total = 1 << len(index_class_arrays(a, d)[2])
     words = np.arange(total, dtype=np.uint64)[:, None]
     oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    if total == 1:
+        _, sizes, _, kernel = search._exact_plan(a, d, total, 1)
+        for got, want in zip(kernel(words, _Workspace(sizes)), oracle):
+            assert got.tolist() == want.tolist()
+        assert _exhaustive_chunks(monkeypatch, a, d) == []
     if a ** (d - 1) > TABLE_MAX_COLUMNS:
         ws = _Workspace(_sliced_sizes(a, d, total, 1))
         for got, want in zip(_sliced_ranks(a, d, words, ws), oracle):
             assert got.tolist() == want.tolist()
         return
     tables = _transposed_tables(a, d)
-    default = _exhaustive_chunks(monkeypatch, a, d)[0][1]  # the sweep's first chunk
+    default = (_exhaustive_chunks(monkeypatch, a, d) or [(0, total)])[0][1]  # the sweep's first chunk
     for chunk in {min(total, 256), default}:
         ws = _Workspace(_exhaustive_sizes(a, d, chunk))  # one for all chunks, as in a sweep
         parts = [
@@ -531,6 +539,21 @@ def _certified_block_bytes(a, d, n):
     return n * (_row_bytes(a, d, sampled=True) + 8 * _semidiagonal_words(a, d, GF2))
 
 
+def _exact_chunks(monkeypatch, chunk):
+    """Exact blocks of ``chunk`` tensors, whatever ``BLOCK_BYTES``: certified sweeps rank their misses
+    ``chunk`` at a time."""
+    import flatrank.search as search
+
+    real, budget = search._exact_plan, search.BLOCK_BYTES
+
+    def exact_plan(a, d, n, nwords):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(search, "BLOCK_BYTES", budget)
+            return real(a, d, min(n, chunk), nwords)
+
+    monkeypatch.setattr(search, "_exact_plan", exact_plan)
+
+
 def _certify(monkeypatch, a, d, words, chunk=None):
     """(mfrank, sum_franks) of ``words`` through the certificate, in one block, and the
     count of tensors it sent to the exact kernel, ``chunk`` at a time (by default
@@ -542,9 +565,9 @@ def _certify(monkeypatch, a, d, words, chunk=None):
         mp.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, n))
         block, certified, _ = search._gf2_plan(a, d, n, nwords)
     assert block == n and certified
-    chunk = chunk or min(n, search._exact_block(a, d))
+    chunk = chunk or search._exact_plan(a, d, n, nwords)[0]
     sizes = search._block_plan(a, d, n, nwords, chunk)[0]
-    exact = search._exact_plan(a, d, chunk, nwords)[2]
+    exact = search._exact_plan(a, d, chunk, nwords)[3]
     sent = []
 
     def counting(w, ws):
@@ -667,8 +690,8 @@ def _shrink_certified(monkeypatch, a, d, block, chunk):
     """Certified blocks of ``block`` tensors on A^d, their misses ranked ``chunk`` at a time."""
     import flatrank.search as search
 
+    _exact_chunks(monkeypatch, chunk)
     monkeypatch.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, block))
-    monkeypatch.setattr(search, "_exact_block", lambda a, d: chunk)
 
 
 @pytest.mark.parametrize("a,d", CERTIFIED, ids=str)
@@ -779,7 +802,7 @@ def test_certified_sweep_calls_the_exact_kernel_once_a_chunk(monkeypatch, a, d, 
 
     monkeypatch.setattr(search, "_certified_ranks", counted)
     if chunk:
-        monkeypatch.setattr(search, "_exact_block", lambda a, d: chunk)
+        _exact_chunks(monkeypatch, chunk)
     nwords = _semidiagonal_words(a, d, GF2)
     block, chunk, _ = search._gf2_plan(a, d, count, nwords)
     assert 0 < chunk and block < count  # certified, in more than one block
@@ -895,6 +918,7 @@ def test_sweep_builds_row_tables_once(monkeypatch):
     monkeypatch.setattr(search, "_row_tables", counting)
     # plans are kept with the tables they built: from none kept
     search._block_plan.cache_clear()
+    search._exact_kernel.cache_clear()
     for a, d, want in [
         (4, 3, [(4, 3, False)]),  # byte tables alone
         (5, 3, [(5, 3, False), (5, 3, True)]),  # certified, misses through the byte tables
@@ -909,6 +933,7 @@ def test_sweep_builds_row_tables_once(monkeypatch):
     # a sweep shorter than one certified block builds no sampled tables
     calls.clear()
     search._block_plan.cache_clear()
+    search._exact_kernel.cache_clear()
     random_semidiagonal_sweep(5, 3, 200, seed=5)
     assert calls == [(5, 3, False)]
 
@@ -1014,8 +1039,8 @@ def _sweep_blocks(sweep, poison: bool) -> list:
 
     With ``poison``, the thread's sweep arena is all 0xFF before each block,
     but for what a sweep keeps from one block to the next, a certified
-    sweep's queue of misses: that, from the second block on, holds what it
-    held.
+    sweep's queue of misses (its exact block's stream words, ``queued`` and
+    ``fill``): that, from the second block on, holds what it held.
     """
     import hashlib
 
@@ -1026,7 +1051,7 @@ def _sweep_blocks(sweep, poison: bool) -> list:
     def recording(total, block, sizes, ranks, lower):
         def recorded(start, stop, ws):
             if poison:
-                names = ("queue", "queued", "fill")
+                names = ("exact.words", "queued", "fill")
                 queue = [ws._buffers[q] for q in names if start and q in ws._buffers]
                 kept = [buf.copy() for buf in queue]
                 np.frombuffer(search._arena.map, np.uint8).fill(0xFF)
