@@ -20,8 +20,21 @@ writes on small axes, never pass through one Python object each:
 stdlib decoder, and any other text to that decoder whole.  So the documents
 accepted, their values and their syntax errors are those of ``json.loads``,
 except that an object that repeats a key is refused, at any depth, with the
-key's dotted path.  :func:`tensor_text` writes dense entries with numpy digit
+key's dotted path, and an array of more numbers or pairs than
+:data:`flatrank.tensor.MAX_ENTRIES`, which no tensor takes, is refused before
+it is copied.  :func:`tensor_text` writes dense entries with numpy digit
 arithmetic into the bytes ``canonical_json`` would give.
+
+A dense body that is not digit, comma, digit, ... is read by one reader
+(:func:`_read_window`), in windows of :data:`READ_WINDOW` bytes cut after a
+comma, into scratch carved from the thread's arena
+(:func:`flatrank.linalg._arena_workspace`).  One pass of byte masks checks
+the JSON-integer grammar and converts: tokens of at most 4 digits by Horner's
+rule over shifted uint16 slices, read at their last digits; a window with a
+longer token by ``np.fromstring``, which is faster there than any whole-body
+numpy conversion (``BENCH_33.json`` ``loads``).  Scratch kept in the arena,
+not allocated per load, is what makes the masks pay (``loads``); the window
+size trades ``op_p90_ms`` against ``peak_rss_mb`` (``window_curve``).
 """
 
 from __future__ import annotations
@@ -33,14 +46,17 @@ import math
 import os
 import re
 import tempfile
+from functools import lru_cache
 from itertools import chain
 from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
 
 from . import __version__
+from . import tensor as _tensor
 from .field import FieldDescriptor, make_binary_field, make_prime_field
 from .fw import BadBoxFamily, Configuration
+from .linalg import _arena_workspace, _Workspace
 from .rainbow import ColoredHypergraph, SetPairSystem
 from .setfam import SetFamily, TupleFamily
 from .tensor import MAX_AXES, Tensor, dense_size, integer_array
@@ -207,49 +223,6 @@ def _object_with_arrays(text: str) -> dict | None:
     return None
 
 
-def _number_mask(raw: np.ndarray) -> np.ndarray | None:
-    """Which bytes of ``raw``, with JSON whitespace dropped, belong to numbers.
-
-    None unless every byte is a digit, ``-``, a comma or whitespace, and
-    every run of digits and ``-`` is a JSON integer of at most 18 digits, so
-    that it fits int64.  The checks are boolean masks
-    only: an index array over the text would cost 8 bytes per byte.
-    """
-    digit, minus = (raw - ord("0")) < 10, raw == ord("-")
-    number = digit | minus
-    allowed = number | (raw == ord(","))
-    space = None
-    if (raw <= ord(" ")).any():  # whitespace, or a control byte that no text may hold here
-        space = (raw == ord(" ")) | (raw == ord("\n")) | (raw == ord("\r")) | (raw == ord("\t"))
-        allowed = allowed | space
-    if not allowed.all():
-        return None
-    if space is not None:
-        gap = np.zeros_like(space)  # the byte follows whitespace
-        gap[1:] = space[:-1]
-        token = ~space
-        raw, digit, minus, number, gap = raw[token], digit[token], minus[token], number[token], gap[token]
-        if (gap[1:] & number[1:] & number[:-1]).any():  # whitespace inside a number
-            return None
-    if not raw.size:
-        return number
-    lead = raw == ord("0")  # a zero that is a number's first digit
-    lead[1:] &= ~digit[:-1]
-    if (
-        minus[-1]
-        or (minus[:-1] & ~digit[1:]).any()  # "-" not before a digit
-        or (digit[:-1] & minus[1:]).any()
-        or (lead[:-1] & digit[1:]).any()  # leading zero
-    ):
-        return None
-    run = digit
-    for shift in (1, 2, 4, 8, 3):  # run[i]: digits at i .. i+1, +3, +7, +15, +18
-        run = run[:-shift] & run[shift:]
-    if run.any():  # 19 digits or more may not fit int64
-        return None
-    return number
-
-
 def _one_digit(digits: np.ndarray) -> np.ndarray:
     """The values of single ASCII digit bytes, as int64."""
     values = digits.astype(np.int64)
@@ -260,36 +233,143 @@ def _one_digit(digits: np.ndarray) -> np.ndarray:
 def _int_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     """The flat array of JSON integers at ``text[start]`` as int64, and the index past it.
 
-    None unless every element is an integer of at most 18 digits, so that
-    the one ``np.fromstring`` call is exact.  A body that is exactly digit,
-    comma, digit, ... needs no other check and no conversion but ``- 48``.
+    None unless every element is an integer of at most 18 digits.  A body
+    that is exactly digit, comma, digit, ... needs no other check and no
+    conversion but ``- 48``; any other, its JSON whitespace dropped, is read
+    by :func:`_integers`.  A body of more numbers than
+    :data:`flatrank.tensor.MAX_ENTRIES` is refused before it is copied.
     """
     if text[start : start + 1] != "[" or (stop := text.find("]", start)) < 0:
         return None
-    body = text[start + 1 : stop]
-    if not body.isascii():
+    if stop - start > 2 * _tensor.MAX_ENTRIES:  # long enough to hold more numbers, each a digit and a comma
+        dense_size((text.count(",", start, stop) + 1,), "'entries' array")
+    if not (text.isascii() or text[start + 1 : stop].isascii()):
         return None
-    encoded = body.encode("ascii")
+    encoded = text[start + 1 : stop].encode("ascii")
     raw = np.frombuffer(encoded, dtype=np.uint8)
     if raw.size % 2 and (raw[1::2] == ord(",")).all() and ((raw[::2] - ord("0")) < 10).all():
         return _one_digit(raw[::2]), stop + 1
-    if (count := _flat_count(raw)) is None:
-        return None
-    # the masks are freed by now: np.fromstring grows its result by realloc
-    values = np.fromstring(encoded, dtype=np.int64, sep=",") if count else np.zeros(0, np.int64)
-    return (values, stop + 1) if values.size == count else None
+    if raw.size and raw.min() <= ord(" "):  # JSON whitespace, or a control byte no window takes
+        if _SPACE_IN_NUMBER.search(encoded):
+            return None
+        encoded = encoded.translate(None, b" \t\n\r")
+    values = _integers(encoded)
+    return None if values is None else (values, stop + 1)
 
 
-def _flat_count(raw: np.ndarray) -> int | None:
-    """The number of integers in the body ``raw`` of a flat array, or None if it is not one."""
-    if (number := _number_mask(raw)) is None:
+_SPACE_IN_NUMBER = re.compile(rb"[0-9-][ \t\n\r]+[0-9-]")
+
+# Bytes of a body read at a time, in whole tokens; the scratch takes about 12 bytes a
+# byte, and wider windows gain little for it (``BENCH_33.json`` ``window_curve``)
+READ_WINDOW = 1 << 15
+
+
+@lru_cache(maxsize=4)
+def _reader_sizes(window: int) -> dict[str, tuple]:
+    """Workspace of :func:`_read_window` for windows of up to ``window`` bytes: about 12 bytes a byte."""
+    return {
+        "digits": (window, np.uint8),
+        "digit": (window + 2, np.bool_),
+        "comma": (window + 2, np.bool_),
+        "check": (window + 1, np.bool_),
+        "value": (window, np.uint16),
+        "scale": (window, np.uint16),
+        "acc": (window, np.uint16),
+        "prev": (window, np.uint16),
+        "run": (window + 1, np.bool_, "acc"),
+    }
+
+
+def _integers(encoded: bytes) -> np.ndarray | None:
+    """The comma-separated integers of ``encoded``, which holds no whitespace, as a fresh int64 array.
+
+    None unless each is a JSON integer of at most 18 digits.  The body is
+    read in windows of whole tokens, each cut after the last comma of its
+    :data:`READ_WINDOW` bytes, into a workspace carved from the thread's
+    arena, so the scratch never passes one window's plan.
+    """
+    if not encoded:
+        return np.zeros(0, np.int64)
+    raw, window = np.frombuffer(encoded, dtype=np.uint8), READ_WINDOW
+    ws = _arena_workspace(_reader_sizes(window))
+    check = ws.take("check", window)
+    commas = sum(
+        np.count_nonzero(np.equal(raw[i : i + window], ord(","), out=check[: min(window, raw.size - i)]))
+        for i in range(0, raw.size, window)
+    )
+    values = np.empty(commas + 1, np.int64)
+    start = done = 0
+    while start < raw.size:
+        stop = raw.size if raw.size - start <= window else encoded.rfind(b",", start, start + window) + 1
+        if stop <= start:  # no comma in a window's bytes: the decoder reads a token that long
+            return None
+        if (done := _read_window(raw[start:stop], stop == raw.size, values, done, ws)) is None:
+            return None
+        start = stop
+    return values
+
+
+def _read_window(w: np.ndarray, last: bool, values: np.ndarray, done: int, ws: _Workspace) -> int | None:
+    """Check window ``w`` and write its integers to ``values[done:]``; the count written so far, or None.
+
+    ``w`` holds whole tokens: a window but the ``last`` ends in its comma.
+    One pass of byte masks checks the JSON-integer grammar.  Tokens of at
+    most 4 digits are summed by Horner's rule over shifted uint16 slices and
+    read at their last digits; a window with a longer token goes to
+    ``np.fromstring``.
+    """
+    m = w.size
+    x = np.subtract(w, ord("0"), out=ws.take("digits", m))  # a digit's value; any other byte wraps past 9
+    digit, comma = ws.take("digit", m + 2), ws.take("comma", m + 2)  # byte i at i + 1, padded
+    digit[0] = digit[-1] = False
+    comma[0], comma[-1] = True, last  # a token starts the window; the last one ends the body
+    np.less(x, 10, out=digit[1:-1])
+    np.equal(w, ord(","), out=comma[1:-1])
+    check = ws.take("check", m + 1)
+    minus = np.equal(w, ord("-"), out=check[:m])
+    signs = np.count_nonzero(minus)
+    if np.count_nonzero(digit) + np.count_nonzero(comma[1:-1]) + signs != m:
+        return None  # a byte that is no digit, comma or "-"
+    if signs:  # each "-" starts a token and comes before a digit
+        np.logical_and(minus, comma[:-2], out=minus)
+        if np.count_nonzero(np.logical_and(minus, digit[2:], out=minus)) < signs:
+            return None
+    if np.logical_and(comma[:-1], comma[1:], out=check).any():  # an empty token
         return None
-    if not number.size:
-        return 0
-    comma = ~number
-    if comma[0] or comma[-1] or (comma[:-1] & comma[1:]).any():
+    lead = np.equal(x, 0, out=check[:m])  # a "0" after no digit and before one
+    np.greater(lead, digit[:-2], out=lead)
+    if np.logical_and(lead, digit[2:], out=lead).any():
         return None
-    return np.count_nonzero(comma) + 1
+    count = np.count_nonzero(comma[2:])  # tokens that end in the window
+    two = np.logical_and(digit[:-1], digit[1:], out=check)  # digits at i - 1 .. i; then .. i + 2, .. i + 3
+    four = np.logical_and(two[:-2], two[2:], out=ws.take("run", m - 1))
+    if m >= 5 and np.logical_and(four[:-1], four[1:], out=check[: m - 2]).any():
+        if m >= 19:  # .. i + 6, .. i + 14, .. i + 17
+            eight = np.logical_and(four[:-4], four[4:], out=check[: m - 5])
+            sixteen = np.logical_and(eight[:-8], eight[8:], out=four[: m - 13])
+            if np.logical_and(sixteen[:-3], sixteen[3:], out=check[: m - 16]).any():
+                return None  # 19 digits or more may not fit int64
+        wide = np.fromstring(w[: m - (not last)].tobytes(), dtype=np.int64, sep=",")
+        if wide.size != count:
+            return None
+        values[done : done + count] = wide
+        return done + count
+    value, scale = ws.take("value", m), ws.take("scale", m)
+    np.copyto(value, x)
+    np.multiply(digit[:-2], np.uint16(10), out=scale)  # 10 after a digit; a token's first digit starts afresh
+    src = value
+    for acc in (ws.take("acc", m), ws.take("prev", m), ws.take("acc", m)):  # 2, 3, then 4 digits a token
+        acc[0] = value[0]
+        np.multiply(src[:-1], scale[1:], out=acc[1:])
+        acc[1:] += value[1:]
+        src = acc
+    read = np.compress(comma[2:], src, out=ws.take("prev", count))  # at each token's last digit
+    ends = values[done : done + count]
+    np.copyto(ends, read)
+    if signs:
+        negative = np.equal(np.compress(comma[:-2], w, out=x[:count]), ord("-"), out=check[:count])
+        np.negative(ends, out=ends, where=negative)
+    return done + count
 
 
 _PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
@@ -310,13 +390,13 @@ def _pair_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     if text[start : start + 1] != "[":
         return None
     stop = text.find("]]", start) + 2
-    body = text[start:stop]
-    if stop == 1 or any(space in body for space in " \t\n\r"):
+    if stop == 1 or any(text.find(space, start, stop) >= 0 for space in " \t\n\r"):
         if (end := _PAIRS_END.search(text, start)) is None:
             return None
         stop = end.end()
-        body = text[start:stop]
-    encoded = body.encode("utf-8")
+    if stop - start > 2 * _tensor.MAX_ENTRIES:  # long enough to hold more pairs: n pairs hold 2n + 1 "]"
+        dense_size((text.count("]", start, stop) // 2,), "'sparse' array")
+    encoded = text[start:stop].encode("utf-8")
     skeleton = encoded.translate(_DIGITS_TO_ZERO, b" \t\n\r")
     k = (skeleton.find(b"]") - 1) // 2
     pair = b"[[" + b",".join([b"0"] * k) + b"],0]"

@@ -9,7 +9,9 @@ dtype, into a :class:`_Workspace` of its own, and ranks the copy in place
 with :func:`_rank_into`, which the sweeps call on stacks they build in
 theirs.  :func:`_elimination_sizes` is the plan of that workspace and
 :func:`_unplanned_bytes` bounds what the kernels allocate besides, so a
-caller's cap counts both.
+caller's cap counts both.  Each thread keeps one arena, an anonymous
+mapping that sweeps and document reads carve their workspaces from
+(:func:`_arena_workspace`).
 
 * GF(2): entries mod 2, rows packed with numpy into ints used as bit-vectors,
   reduced per matrix by :func:`rank_gf2_bitrows` (word-wide XOR).
@@ -57,6 +59,8 @@ caller's cap counts both.
 from __future__ import annotations
 
 import math
+import mmap
+import threading
 from functools import lru_cache
 from typing import Sequence
 
@@ -90,6 +94,9 @@ INVERSE_TABLE_PRIMES = 1 << 16
 # bounds (at most 1.38), and a median 1.08, up to 4.9, outside them.
 BYTE_ROW_ENTRIES = 1 << 12
 BYTE_ROW_ROWS = 48
+
+# Plans whose workspaces a thread keeps carved from its arena
+ARENA_PLANS = 16
 
 
 class _Workspace:
@@ -139,6 +146,53 @@ class _Workspace:
             name[len(prefix) :]: buf for name, buf in self._buffers.items() if name.startswith(prefix)
         }
         return part
+
+
+class _Arena(threading.local):
+    """The scratch of one thread's sweeps and document reads: one anonymous
+    mapping, kept between calls, and the workspaces carved from it, one per plan."""
+
+    def __init__(self):
+        self.map: mmap.mmap | None = None
+        self.carved: dict[tuple, _Workspace] = {}
+
+
+_arena = _Arena()
+
+
+def _arena_workspace(sizes: dict[str, tuple]) -> _Workspace:
+    """A workspace of ``sizes`` carved from the calling thread's arena.
+
+    The arena lies outside glibc's heap, so its mmap threshold never moves,
+    and every carved workspace starts at its first byte: a plan's buffers
+    hold whatever the last plan left.  A plan larger than the arena, already
+    admitted, replaces it; the old mapping is dropped before the new one is
+    mapped.  A plan's workspace is carved once and kept with the arena, up to
+    :data:`ARENA_PLANS` of them, since carving costs more than allocating
+    (``BENCH_32.json`` ``search_py_numbers``).
+    """
+    key = tuple(sizes.items())
+    ws = _arena.carved.get(key)
+    if ws is None:
+        nbytes = _Workspace.nbytes(sizes)
+        if _arena_bytes() < nbytes:
+            _drop_arena()
+            _arena.map = mmap.mmap(-1, nbytes)
+        if len(_arena.carved) == ARENA_PLANS:
+            _arena.carved.clear()
+        ws = _arena.carved[key] = _Workspace(sizes, _arena.map)
+    return ws
+
+
+def _arena_bytes() -> int:
+    """Bytes the calling thread's arena maps: 0 before its first carve."""
+    return 0 if _arena.map is None else len(_arena.map)
+
+
+def _drop_arena() -> None:
+    """Drop the calling thread's arena: it is unmapped once nothing holds a view of it."""
+    _arena.carved.clear()
+    _arena.map = None
 
 
 def rank_gf2_bitrows(rows: Sequence[int]) -> int:

@@ -21,9 +21,9 @@
   :data:`BLOCK_BYTES`, and at least 256 (``BENCH_30.json`` ``chunk_curve``);
   its rows are table slices XORed by broadcasting, with no gather.
 * Arena and admission.  A sweep carves one workspace, its whole plan, from
-  its thread's arena: one anonymous mapping outside glibc's heap, so its mmap
-  threshold never moves, kept between sweeps, since allocating per block
-  faults every page in again (``BENCH_13.json`` ``per_block_us``).  A block
+  its thread's arena (:func:`flatrank.linalg._arena_workspace`, shared with
+  document reads), kept between sweeps, since allocating per block faults
+  every page in again (``BENCH_13.json`` ``per_block_us``).  A block
   reads nothing there that it did not write but a certified sweep's queue,
   and kernels return views into it; a buffer that hosts another is written
   only once its guest is read.  No buffer passes :data:`BLOCK_BYTES` unless
@@ -42,8 +42,6 @@
 from __future__ import annotations
 
 import math
-import mmap
-import threading
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
@@ -54,7 +52,11 @@ import numpy as np
 from .field import GF2, FieldDescriptor, _log_table_sizes
 from .formats import tensor_to_document
 from .linalg import (
+    ARENA_PLANS,
+    _arena_bytes,
+    _arena_workspace,
     _check_products,
+    _drop_arena,
     _elimination_sizes,
     _pivot_table_bytes,
     _rank_into,
@@ -96,8 +98,6 @@ MAX_WORKSPACE_BYTES = 16 << 20
 # larger one is unmapped then, so that what runs after the sweep (an
 # exhaustive sweep's witnesses, the report) is never held on top of it
 ARENA_KEEP_BYTES = 4 << 20
-# Plans whose workspaces a thread keeps carved from its arena
-ARENA_PLANS = 16
 
 
 @dataclass
@@ -640,51 +640,6 @@ def _mixed_count(a: int, d: int) -> int:
     return a**d - a - math.perm(a, d)
 
 
-class _Arena(threading.local):
-    """The sweep workspace of one thread: one anonymous mapping, kept between
-    sweeps, and the workspaces carved from it, one per plan."""
-
-    def __init__(self):
-        self.map: mmap.mmap | None = None
-        self.carved: dict[tuple, _Workspace] = {}
-
-
-_arena = _Arena()
-
-
-def _arena_workspace(sizes: dict[str, tuple]) -> _Workspace:
-    """A workspace of ``sizes`` carved from the calling thread's arena.
-
-    A plan larger than the arena, already admitted, replaces it; the old
-    mapping is dropped before the new one is mapped.  A plan's workspace is
-    carved once and kept with the arena, up to :data:`ARENA_PLANS` of them,
-    since carving costs more than allocating (``BENCH_32.json``
-    ``search_py_numbers``).
-    """
-    key = tuple(sizes.items())
-    ws = _arena.carved.get(key)
-    if ws is None:
-        nbytes = _Workspace.nbytes(sizes)
-        if _arena_bytes() < nbytes:
-            _drop_arena()
-            _arena.map = mmap.mmap(-1, nbytes)
-        if len(_arena.carved) == ARENA_PLANS:
-            _arena.carved.clear()
-        ws = _arena.carved[key] = _Workspace(sizes, _arena.map)
-    return ws
-
-
-def _arena_bytes() -> int:
-    """Bytes the calling thread's sweep arena maps: 0 before its first sweep."""
-    return 0 if _arena.map is None else len(_arena.map)
-
-
-def _drop_arena() -> None:
-    """Drop the calling thread's arena: it is unmapped once no sweep holds a view of it."""
-    _arena.carved.clear()
-    _arena.map = None
-
-
 def _scan_blocks(
     total: int,
     block: int,
@@ -869,6 +824,32 @@ def _block_ranks(
     return _rank_summary(rank.reshape(d, n), ws)
 
 
+@lru_cache(maxsize=ARENA_PLANS)
+def _field_tensor_bytes(a: int, d: int, field: FieldDescriptor) -> int:
+    """Bytes of one tensor on A^d over ``field`` of order > 2 in its largest buffer: no buffer grows faster
+    than n, so this sizes the block (GF(2^k)'s clearing-group scratch is capped, so blocks where it is the
+    largest fill less)."""
+    return _largest_buffer(_field_sizes(a, d, 1, field))
+
+
+@lru_cache(maxsize=ARENA_PLANS)
+def _field_plan(a: int, d: int, n: int, field: FieldDescriptor) -> tuple[dict, int, Callable]:
+    """(sizes, nbytes, kernel) of sweep blocks of up to n tensors on A^d over ``field`` of order > 2; kept,
+    read-only, as :func:`_block_plan` keeps GF(2)'s.  ``nbytes`` is all :func:`_check_workspace` counts."""
+    nwords = _semidiagonal_words(a, d, field)
+    sizes = _field_sizes(a, d, n, field)
+    # _draw_index's arrays, the elimination's temporaries and the stream's ramps
+    extra = 8 * (a**d + 2 * nwords) + _unplanned_bytes(d * n, a) + _ramp_bytes(n, nwords)
+    if field.kind == "binary" and field.k <= 16:  # the log tables and their build, cached or not
+        extra += _Workspace.nbytes(_log_table_sizes(field))
+    if d > 2:  # the pivot table, which only a clearing step builds
+        extra += _pivot_table_bytes(field)
+    kernel = lambda words, start, last, ws: (
+        (start, *_block_ranks(_semidiagonal_block(a, d, field, words, ws), a, d, field, ws)),
+    )
+    return sizes, _Workspace.nbytes(sizes) + extra, kernel
+
+
 def random_semidiagonal_sweep(
     a: int, d: int, count: int, seed: int, field: FieldDescriptor = GF2
 ) -> SearchReport:
@@ -888,20 +869,9 @@ def random_semidiagonal_sweep(
         _check_products(count * d, a, a ** (d - 1), field, f"{a}^{d} sweep of {count} tensors")
     lower = -(-a // (d - 1))
     nwords = _semidiagonal_words(a, d, field)
-    if field.order != 2:  # no buffer grows faster than n: one tensor's largest sizes the block
-        # (GF(2^k)'s clearing-group scratch is capped, so blocks where it is the largest fill less)
-        n = min(count, max(1, BLOCK_BYTES // _largest_buffer(_field_sizes(a, d, 1, field))))
-        sizes = _field_sizes(a, d, n, field)
-        # _draw_index's arrays, the elimination's temporaries and the stream's ramps
-        extra = 8 * (a**d + 2 * nwords) + _unplanned_bytes(d * n, a) + _ramp_bytes(n, nwords)
-        if field.kind == "binary" and field.k <= 16:  # the log tables and their build, cached or not
-            extra += _Workspace.nbytes(_log_table_sizes(field))
-        if d > 2:  # the pivot table, which only a clearing step builds
-            extra += _pivot_table_bytes(field)
-        nbytes = _Workspace.nbytes(sizes) + extra
-        kernel = lambda words, start, last, ws: (
-            (start, *_block_ranks(_semidiagonal_block(a, d, field, words, ws), a, d, field, ws)),
-        )
+    if field.order != 2:
+        n = min(count, max(1, BLOCK_BYTES // _field_tensor_bytes(a, d, field)))
+        sizes, nbytes, kernel = _field_plan(a, d, n, field)
     else:
         n, _, (sizes, nbytes, kernel) = _gf2_plan(a, d, count, nwords)
     _check_workspace(nbytes, f"{a}^{d} sweep block of n={n} tensors")

@@ -341,13 +341,13 @@ def test_larger_field_sweep_cap_counts_its_block(capsys):
     ids=str,
 )
 def test_refused_sweep_leaves_the_arena(capsys, argv):
-    from flatrank import search
+    from flatrank import linalg
 
     assert run(["experiment", "random-semidiagonal", "--a", 4, "--d", 3, "--count", 100, "--seed", 1]) == 0
-    arena = search._arena.map
-    size = search._arena_bytes()
+    arena = linalg._arena.map
+    size = linalg._arena_bytes()
     assert run(["experiment", "random-semidiagonal", "--count", 1, "--seed", 1, *argv]) == 2
-    assert search._arena.map is arena and search._arena_bytes() == size > 0
+    assert linalg._arena.map is arena and linalg._arena_bytes() == size > 0
 
 
 @pytest.mark.parametrize(

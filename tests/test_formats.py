@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatrank import cli
+from flatrank import cli, formats, linalg, tensor
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.formats import (
     badbox_from_document,
@@ -44,6 +45,7 @@ from flatrank.rng import Rng
 from flatrank.setfam import SetFamily, TupleFamily
 from flatrank.tensor import Tensor
 
+from arena_peak import arena_peak
 from oracles import hypergraph_from_vertex_lists
 
 
@@ -289,13 +291,29 @@ LOADER_CASES = [
     tensor_document_text("[1,,0,1]"),
     tensor_document_text("[,1,0,1]"),
     tensor_document_text("[1,0,1,]"),
-    tensor_document_text("[1,0,1, ]"),  # np.fromstring reads a fourth value, 0
+    tensor_document_text("[1,0,1, ]"),  # with the space dropped, a comma ends the body
     tensor_document_text("[1,0, ]"),
     tensor_document_text("[1,0,-]"),
     tensor_document_text("[1,0,--1]"),
     tensor_document_text("[1,0,1-1]"),
     tensor_document_text("[+1,0,1]"),
     tensor_document_text("[0x1,0,1]"),
+    tensor_document_text("[9999,10000,0]"),  # the widest Horner token, and the narrowest wide one
+    tensor_document_text("[-9999,1,10]"),
+    tensor_document_text("[-10000,99999,-0]"),
+    tensor_document_text("[1000,-100,10]"),
+    tensor_document_text("[0010,1,2]"),
+    tensor_document_text("[-0010,1,2]"),
+    tensor_document_text("[12,-0,345]"),
+    tensor_document_text(" [ 12 , -345 ,\n6789 ] "),
+    tensor_document_text("[\t10,\r\n200,\n  3000\n]"),
+    tensor_document_text("[12, 345 ,67890]"),
+    tensor_document_text("[12 34,5,6]"),
+    tensor_document_text("[12,- 345,6]"),
+    tensor_document_text("[12,345\f,6]"),
+    tensor_document_text("[12,,345]"),
+    tensor_document_text("[12,345,]"),
+    tensor_document_text("[12-3,45,6]"),
     tensor_document_text("[999999999999999999,-999999999999999999,0]"),
     tensor_document_text(f"[{I64 - 1},{-I64},0]"),
     tensor_document_text(f"[{I64 - 1},{-(I64 - 1)},0]"),
@@ -429,6 +447,78 @@ def test_loader_matches_json_loads(text):
     assert_loads_like_json(text)
 
 
+# bodies read in windows of 8 bytes, each cut after its last comma, and the values the reader gives or None
+WINDOW_CASES = [
+    ("1,22,333,4444,55555,-6,-77,-888,-9999,0,-0", [1, 22, 333, 4444, 55555, -6, -77, -888, -9999, 0, 0]),
+    ("-123,4567,10000,-99999,8,9", [-123, 4567, 10000, -99999, 8, 9]),
+    ("1,2,3,45,6,7x,8", None),  # its only bad token in the second window, "45,6,7x,"
+    ("1,2,3,45,6,07,8", None),
+    ("1,2,3,45,6,7-,8", None),
+    ("123,456,,7", None),  # ",," across the edge: the first window is "123,456,"
+    ("123,456,", None),
+    ("12345678,1", None),  # no comma in a window's bytes
+]
+
+
+@pytest.mark.parametrize("body,values", WINDOW_CASES)
+def test_reader_windows(monkeypatch, body, values):
+    monkeypatch.setattr(formats, "READ_WINDOW", 8)
+    got = formats._int_array(f"[{body}]", 0)
+    if values is None:
+        assert got is None
+    else:
+        assert got[0].tolist() == values and got[1] == len(body) + 2
+    assert_loads_like_json(tensor_document_text(f"[{body}]", len(values or [0])))
+
+
+def test_reader_over_a_poisoned_arena(monkeypatch, tmp_path):
+    # a read takes nothing from its scratch that it did not write: over an
+    # arena of 0xFF bytes, whatever window, it gives the same document
+    values = np.random.default_rng(5).integers(-99999, 10**6, 5000)
+    values[::7] = 0
+    path = tmp_path / "doc.json"
+    path.write_text(tensor_document_text("[" + ",".join(map(str, values.tolist())) + "]", values.size))
+    for window in (64, 1 << 10, formats.READ_WINDOW):
+        monkeypatch.setattr(formats, "READ_WINDOW", window)
+        for poison in (False, True):
+            if poison:
+                np.frombuffer(linalg._arena.map, np.uint8).fill(0xFF)
+            assert load_document(str(path))[0]["entries"].tolist() == values.tolist()
+
+
+def test_three_digit_load_peak(tmp_path):
+    # a 2^20-entry body of 4 MiB is held three times (the bytes read, the text
+    # and its ASCII body) beside its 8 MiB of int64; the reader's scratch is one window's
+    values = np.random.default_rng(3).integers(100, 1000, 1 << 20)
+    path = tmp_path / "doc.json"
+    path.write_text(tensor_document_text("[" + ",".join(map(str, values.tolist())) + "]", values.size))
+    (doc, _), peak = arena_peak(load_document, str(path))
+    assert np.array_equal(doc["entries"], values)
+    assert peak < 24 << 20
+
+
+@pytest.mark.parametrize("key", ["entries", "sparse"])
+def test_over_cap_body_refused_before_it_is_copied(monkeypatch, tmp_path, capsys, key):
+    # a body of more numbers (pairs) than MAX_ENTRIES exits 2 before any copy of
+    # it or array of its size: the peak is the bytes read and the text
+    monkeypatch.setattr(tensor, "MAX_ENTRIES", 1000)
+    if key == "entries":
+        text = tensor_document_text("[" + ",".join(["1"] * (1 << 20)) + "]", 1 << 20)
+    else:
+        text = sparse_document_text("[" + ",".join(["[[0,1],1]"] * (1 << 18)) + "]")
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    tracemalloc.start()
+    try:
+        code = cli.main(["rank", str(path), "--max"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"'{key}' array" in capsys.readouterr().err
+    assert peak < 2 * len(text) + (1 << 20)
+
+
 @pytest.mark.parametrize(
     "pairs,dims,rows",
     [
@@ -460,6 +550,7 @@ def test_sparse_pairs_of_longer_numbers_read_as_lists(tmp_path, pairs):
 
 TOKENS = st.one_of(
     st.integers(0, 1).map(str),
+    st.integers(-99999, 99999).map(str),
     st.integers(-(10**18) + 1, 10**18 - 1).map(str),
     st.integers(-I64 - 2, I64 + 2).map(str),
     st.integers(10**19, 10**21).map(str),

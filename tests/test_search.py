@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from flatrank import linalg
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.rng import GOLDEN, MASK64, Rng, mix64, stream_words_np, sub_seeds_np
 from flatrank.formats import canonical_json
@@ -994,8 +995,6 @@ def test_sweep_maps_one_arena_per_thread(monkeypatch):
     import mmap
     import threading
 
-    import flatrank.search as search
-
     mapped = []
     real = mmap.mmap
     monkeypatch.setattr(mmap, "mmap", lambda *args: mapped.append(args) or real(*args))
@@ -1007,19 +1006,19 @@ def test_sweep_maps_one_arena_per_thread(monkeypatch):
         (GF2, 2, 4, 256, lambda: exhaustive_min_mfrank(2, 4)),  # 64 chunks
     ):
         mapped.clear()
-        search._drop_arena()
+        linalg._drop_arena()
         with monkeypatch.context() as mp:
             _budget_blocks(mp, field, a, d, n)
             sweep()
             assert len(mapped) == 1
-            arena = search._arena.map
+            arena = linalg._arena.map
             sweep()
-            assert len(mapped) == 1 and search._arena.map is arena
+            assert len(mapped) == 1 and linalg._arena.map is arena
             thread = threading.Thread(target=sweep)
             thread.start()
             thread.join(timeout=60)
         assert not thread.is_alive()
-        assert len(mapped) == 2 and search._arena.map is arena
+        assert len(mapped) == 2 and linalg._arena.map is arena
 
 
 # one sweep of each kernel, over three blocks: byte tables, exhaustive chunks,
@@ -1054,7 +1053,7 @@ def _sweep_blocks(sweep, poison: bool) -> list:
                 names = ("exact.words", "queued", "fill")
                 queue = [ws._buffers[q] for q in names if start and q in ws._buffers]
                 kept = [buf.copy() for buf in queue]
-                np.frombuffer(search._arena.map, np.uint8).fill(0xFF)
+                np.frombuffer(linalg._arena.map, np.uint8).fill(0xFF)
                 for buf, held in zip(queue, kept):
                     np.copyto(buf, held)
             for at, mfrank, sumrank in ranks(start, stop, ws):
@@ -1083,11 +1082,11 @@ def test_sweeps_read_only_what_they_wrote():
     tests = Path(__file__).resolve().parent
     code = (
         "import json, sys\n"
-        "import flatrank.search as search\n"
+        "import flatrank.linalg as linalg\n"
         "import test_search\n"
         "fresh = {}\n"
         "for name, sweep in test_search.ARENA_SWEEPS.items():\n"
-        "    search._drop_arena()\n"
+        "    linalg._drop_arena()\n"
         "    fresh[name] = test_search._sweep_blocks(sweep, poison=False)\n"
         "print(json.dumps(fresh))\n"
     )
@@ -1105,15 +1104,13 @@ def test_sweeps_read_only_what_they_wrote():
 
 def test_smaller_plan_after_a_larger_one():
     # the smaller plan's buffers lie over what the larger one left, in the same mapping
-    import flatrank.search as search
-
     small = lambda: random_semidiagonal_sweep(5, 3, 3000, seed=9)
-    search._drop_arena()
+    linalg._drop_arena()
     want = canonical_json(small().to_document())
     random_semidiagonal_sweep(4, 3, 30000, seed=9)  # the largest GF(2) plan
-    arena = search._arena.map
+    arena = linalg._arena.map
     assert canonical_json(small().to_document()) == want
-    assert search._arena.map is arena
+    assert linalg._arena.map is arena
 
 
 def test_sweep_that_raises_drops_an_arena_over_the_keep_limit():
@@ -1130,11 +1127,11 @@ def test_sweep_that_raises_drops_an_arena_over_the_keep_limit():
         return [(start, np.zeros(stop - start, np.int64), np.zeros(stop - start, np.int64))]
 
     for nbytes, kept in ((1 << 20, 1 << 20), (search.ARENA_KEEP_BYTES + 64, 0)):
-        search._drop_arena()
+        linalg._drop_arena()
         with pytest.raises(Interrupted):
             search._scan_blocks(30, 10, {"rows": (nbytes, np.uint8)}, ranks, 0)
-        assert search._arena_bytes() == kept
-    search._drop_arena()
+        assert linalg._arena_bytes() == kept
+    linalg._drop_arena()
 
 
 def test_concurrent_sweeps_keep_their_own_arenas():
@@ -1142,8 +1139,6 @@ def test_concurrent_sweeps_keep_their_own_arenas():
     # at once, switching often: every report matches its serial run
     import sys
     import threading
-
-    import flatrank.search as search
 
     gf3 = make_prime_field(3)
     sweeps = [
@@ -1159,7 +1154,7 @@ def test_concurrent_sweeps_keep_their_own_arenas():
     def work(i):
         start.wait(timeout=60)
         got[i] = [canonical_json(sweeps[i]().to_document()) for _ in range(3)]
-        arenas[i] = search._arena.map
+        arenas[i] = linalg._arena.map
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -1173,7 +1168,19 @@ def test_concurrent_sweeps_keep_their_own_arenas():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert got == {i: [report] * 3 for i, report in enumerate(want)}
-    assert len({id(arena) for arena in [*arenas.values(), search._arena.map]}) == len(sweeps) + 1
+    assert len({id(arena) for arena in [*arenas.values(), linalg._arena.map]}) == len(sweeps) + 1
+
+
+@pytest.mark.parametrize("field", [make_prime_field(3), make_prime_field(5), make_binary_field(2)], ids=str)
+def test_field_sweep_plan_is_kept(monkeypatch, field):
+    # a repeated sweep over a field of order > 2 builds no plan again, and reports the same bytes
+    import flatrank.search as search
+
+    want = canonical_json(random_semidiagonal_sweep(3, 3, 120, 7, field=field).to_document())
+    calls, sizes = [], search._field_sizes
+    monkeypatch.setattr(search, "_field_sizes", lambda *args: calls.append(args) or sizes(*args))
+    assert canonical_json(random_semidiagonal_sweep(3, 3, 120, 7, field=field).to_document()) == want
+    assert calls == []
 
 
 def test_sweep_gf3_example():
