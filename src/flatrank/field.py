@@ -21,6 +21,8 @@ from itertools import chain
 
 import numpy as np
 
+from . import caps
+
 __all__ = [
     "FieldDescriptor",
     "make_prime_field",
@@ -28,7 +30,6 @@ __all__ = [
     "GF2",
 ]
 
-MAX_PRIME = 1 << 31  # products of two residues must fit in 64-bit intermediates
 
 def _is_prime(n: int) -> bool:
     if n < 2:
@@ -101,16 +102,6 @@ class FieldDescriptor:
     def order(self) -> int:
         return self.p if self.kind == "prime" else 1 << self.k
 
-    def add(self, a: int, b: int) -> int:
-        if self.kind == "prime":
-            return (a + b) % self.p
-        return a ^ b
-
-    def sub(self, a: int, b: int) -> int:
-        if self.kind == "prime":
-            return (a - b) % self.p
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if self.kind == "prime":
             return (a * b) % self.p
@@ -129,16 +120,8 @@ class FieldDescriptor:
                 a ^= f
         return r
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError(f"0 is not invertible in {self}")
-        if self.kind == "prime":
-            return pow(a, self.p - 2, self.p)
-        return self.pow(a, self.order - 2)
-
     def pow(self, a: int, e: int) -> int:
-        if e < 0:
-            return self.pow(self.inv(a), -e)
+        """a^e for e >= 0, by squaring."""
         r = 1
         while e:
             if e & 1:
@@ -160,7 +143,7 @@ class FieldDescriptor:
 
 def make_prime_field(p: int) -> FieldDescriptor:
     """Descriptor for GF(p).  Rejects composite or oversized moduli."""
-    if type(p) is not int or p < 2 or p >= MAX_PRIME:
+    if type(p) is not int or p < 2 or p >= caps.MAX_PRIME:
         raise ValueError(f"prime modulus must satisfy 2 <= p < 2^31, got {p!r}")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -21,7 +21,7 @@ stdlib decoder, and any other text to that decoder whole.  So the documents
 accepted, their values and their syntax errors are those of ``json.loads``,
 except that an object that repeats a key is refused, at any depth, with the
 key's dotted path, and an array of more numbers or pairs than
-:data:`flatrank.tensor.MAX_ENTRIES`, which no tensor takes, is refused before
+:data:`flatrank.caps.MAX_ENTRIES`, which no tensor takes, is refused before
 it is copied.  :func:`tensor_text` writes dense entries with numpy digit
 arithmetic into the bytes ``canonical_json`` would give.
 
@@ -52,14 +52,13 @@ from json.decoder import WHITESPACE, scanstring
 
 import numpy as np
 
-from . import __version__
-from . import tensor as _tensor
+from . import __version__, caps
 from .field import FieldDescriptor, make_binary_field, make_prime_field
 from .fw import BadBoxFamily, Configuration
 from .linalg import _arena_workspace, _Workspace
 from .rainbow import ColoredHypergraph, SetPairSystem
 from .setfam import SetFamily, TupleFamily
-from .tensor import MAX_AXES, Tensor, dense_size, integer_array
+from .tensor import Tensor, integer_array
 
 __all__ = [
     "canonical_json",
@@ -98,9 +97,6 @@ DOCUMENT_KEYS = {
     "set-pair": {"base", "sizes", "members", "metadata"},
     "bad-box": {"t", "s", "k", "members_factors", "attempts", "seed", "metadata"},
 }
-
-# Largest n of a report binomial C(n, r): C(8192, 4096) has 2,464 digits, json.dumps at most 4,300.
-MAX_BINOMIAL_TOP = 8192
 
 
 def canonical_json(obj) -> str:
@@ -237,12 +233,12 @@ def _int_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
     that is exactly digit, comma, digit, ... needs no other check and no
     conversion but ``- 48``; any other, its JSON whitespace dropped, is read
     by :func:`_integers`.  A body of more numbers than
-    :data:`flatrank.tensor.MAX_ENTRIES` is refused before it is copied.
+    :data:`flatrank.caps.MAX_ENTRIES` is refused before it is copied.
     """
     if text[start : start + 1] != "[" or (stop := text.find("]", start)) < 0:
         return None
-    if stop - start > 2 * _tensor.MAX_ENTRIES:  # long enough to hold more numbers, each a digit and a comma
-        dense_size((text.count(",", start, stop) + 1,), "'entries' array")
+    if stop - start > 2 * caps.MAX_ENTRIES:  # long enough to hold more numbers, each a digit and a comma
+        caps.admit((text.count(",", start, stop) + 1,), "'entries' array", unit="entries")
     if not (text.isascii() or text[start + 1 : stop].isascii()):
         return None
     encoded = text[start + 1 : stop].encode("ascii")
@@ -394,8 +390,8 @@ def _pair_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
         if (end := _PAIRS_END.search(text, start)) is None:
             return None
         stop = end.end()
-    if stop - start > 2 * _tensor.MAX_ENTRIES:  # long enough to hold more pairs: n pairs hold 2n + 1 "]"
-        dense_size((text.count("]", start, stop) // 2,), "'sparse' array")
+    if stop - start > 2 * caps.MAX_ENTRIES:  # long enough to hold more pairs: n pairs hold 2n + 1 "]"
+        caps.admit((text.count("]", start, stop) // 2,), "'sparse' array", unit="entries")
     encoded = text[start:stop].encode("utf-8")
     skeleton = encoded.translate(_DIGITS_TO_ZERO, b" \t\n\r")
     k = (skeleton.find(b"]") - 1) // 2
@@ -523,7 +519,7 @@ def tensor_from_document(doc: dict) -> Tensor:
     if not isinstance(dims, list) or not dims or any(type(a) is not int or a < 1 for a in dims):
         raise ValueError("tensor document needs a list of positive dims")
     field = field_from_document(doc.get("field", {}))
-    size = dense_size(dims, "tensor size")
+    size = caps.admit(dims, "tensor")
     if "entries" in doc:
         entries = doc["entries"]
         if not isinstance(entries, (list, np.ndarray)) or len(entries) != size:
@@ -620,7 +616,7 @@ def configuration_to_document(cfg: Configuration) -> dict:
 
 def configuration_from_document(doc: dict) -> Configuration:
     _known_keys(doc, "configuration")
-    k = _json_int(doc.get("k"), "configuration k", 1, MAX_AXES)  # its tensor has k axes
+    k = _json_int(doc.get("k"), "configuration k", 1, caps.MAX_AXES)  # its tensor has k axes
     p = _json_int(doc.get("p"), "configuration p")
     C = _json_list(doc.get("C", []), "configuration C")
     L = _json_list(doc.get("L", []), "configuration L")
@@ -641,7 +637,7 @@ def hypergraph_to_document(h: ColoredHypergraph) -> dict:
 def hypergraph_from_document(doc: dict) -> ColoredHypergraph:
     _known_keys(doc, "hypergraph")
     n, r, t = (_json_int(doc.get(name), f"hypergraph {name}", 1) for name in ("N", "r", "t"))
-    _json_int(r * t, "hypergraph r*t", maximum=MAX_BINOMIAL_TOP)
+    caps.admit((r, t), f"rainbow matching of {t} {r}-edges", caps.MAX_BINOMIAL_TOP, "vertices")
     return ColoredHypergraph(num_vertices=n, r=r, t=t, colors=_mask_rows(doc, "hypergraph", "colors", n, "color"))
 
 
@@ -657,7 +653,7 @@ def setpair_from_document(doc: dict) -> SetPairSystem:
     _known_keys(doc, "set-pair")
     base = _json_int(doc.get("base"), "set-pair base size", 1)
     sizes = tuple(_json_int(x, "set-pair slot size", 1) for x in _json_list(doc.get("sizes"), "set-pair sizes"))
-    _json_int(sum(sizes), "set-pair sum of slot sizes", maximum=MAX_BINOMIAL_TOP)
+    caps.admit((sum(sizes),), f"set-pair member of {len(sizes)} slots", caps.MAX_BINOMIAL_TOP, "elements")
     return SetPairSystem(base_size=base, sizes=sizes, members=_mask_rows(doc, "set-pair", "members", base, "member"))
 
 

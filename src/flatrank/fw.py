@@ -24,17 +24,11 @@ from itertools import chain, combinations, repeat
 
 import numpy as np
 
+from . import caps
 from .field import FieldDescriptor, make_prime_field
 from .rng import Rng
-from .setfam import SetFamily, _checked_limbs, _grid_shape, _intersection_sizes
-from .tensor import (
-    Tensor,
-    _bounded_search,
-    dense_size,
-    flattening_ranks,
-    is_semi_diagonal,
-    semi_diagonal_faults,
-)
+from .setfam import SetFamily, _checked_limbs, _intersection_sizes
+from .tensor import Tensor, _bounded_search, flattening_ranks, is_semi_diagonal, semi_diagonal_faults
 
 __all__ = [
     "Configuration",
@@ -56,7 +50,6 @@ __all__ = [
     "SamplerExhausted",
 ]
 
-MAX_BADBOX_GROUND = 25
 # member pairs in one block of the odd-intersection adjacency: 256 KB of uint64 ANDs
 _ADJACENCY_ENTRIES = 1 << 15
 
@@ -143,7 +136,7 @@ def _h_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
     dtype that holds (p-1)^2, and reduced mod p only when the next product
     could overflow it, and at the end: over GF(2) never.
     """
-    shape = _grid_shape(len(limbs), cfg.k)
+    shape = caps.grid_shape(len(limbs), cfg.k)
     dtype = np.min_scalar_type((cfg.p - 1) ** 2)
     if not cfg.C:
         return np.ones(shape, dtype=dtype)
@@ -272,7 +265,7 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
     if len(positions) < len(fam.members):  # repeated sets: each member reads its set's cells
         slot = {fam.members[p]: j for j, p in enumerate(positions)}
         index = np.array([slot[mask] for mask in fam.members])
-        _grid_shape(len(index), cfg.k)  # raises over the dense cap, before the copy
+        caps.grid_shape(len(index), cfg.k)  # raises over the dense cap, before the copy
         grid = grid[np.ix_(*[index] * cfg.k)]
     t = fw_tensor(fam, cfg, grid)
     franks = flattening_ranks(t)
@@ -393,7 +386,7 @@ def find_odd_clique(fam: BadBoxFamily, k: int) -> tuple[int, ...] | None:
     that prunes a branch when too few common neighbours are left.  Its nodes
     are (allowed members, lowest position left), searched by
     :func:`flatrank.tensor._bounded_search`, which refuses (ValueError) a
-    search past :data:`flatrank.tensor.MAX_SEARCH_NODES` nodes.
+    search past :data:`flatrank.caps.MAX_SEARCH_NODES` nodes.
     """
     m = len(fam.members_factors)
     if m < k:
@@ -436,7 +429,7 @@ def verify_badbox_chain(fam: BadBoxFamily, k: int) -> dict:
         raise ValueError(f"bad-box clique order k must be >= 1, got {k}")
     m = len(fam.members_factors)
     if m:
-        dense_size(chain((m,), repeat(fam.t, fam.s)), f"{m} bad-box members over [{fam.t}]^{fam.s}")
+        caps.admit(chain((m,), repeat(fam.t, fam.s)), f"{m} bad-box members over [{fam.t}]^{fam.s}")
     if m < k:  # no k members to assign: only a size can fail, odd if every factor is
         satisfying = all(f.bit_count() % 2 for factors in fam.members_factors for f in factors)
     else:  # first, so that an m^k grid over the cap is refused before the clique search
@@ -485,13 +478,7 @@ def sample_badbox_family(t: int, s: int, seed: int, max_attempts: int = 1000) ->
         raise ValueError("need t >= 2 and s >= 1")
     if max_attempts < 1:
         raise ValueError(f"need max_attempts >= 1, got {max_attempts}")
-    ground = 1
-    for factor in repeat(t, s):  # never t**s: at t >= 2 the cap passes within 5 factors
-        ground *= factor
-        if ground > MAX_BADBOX_GROUND:
-            raise ValueError(
-                f"ground set {t}^{s} exceeds the desk-scale cap of {MAX_BADBOX_GROUND} cells"
-            )
+    caps.admit(repeat(t, s), f"bad-box ground set {t}^{s}", caps.MAX_BADBOX_GROUND)
     odd = 1 << (t - 1)  # odd-sized subsets of [t], drawn by their rank in mask order
     size = badbox_target_size(t, s)
     k = badbox_clique_order(t)

@@ -53,7 +53,7 @@ mapping that sweeps and document reads carve their workspaces from
   pivot row, and scales by 1.
   :func:`_check_products` refuses a call whose n r^2 c multiplications of k
   rounds, for n (r, c) matrices, add up to more than
-  :data:`MAX_SHIFT_ROUNDS`.
+  :data:`flatrank.caps.MAX_SHIFT_ROUNDS`.
 """
 
 from __future__ import annotations
@@ -66,6 +66,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import caps
 from .field import FieldDescriptor, _log_table_sizes, binary_mul_add, discrete_log_tables
 
 __all__ = [
@@ -77,10 +78,6 @@ __all__ = [
 # Entries of the rows below that one GF(2^k) clearing group covers: its intp
 # gather indices, or each of its uint64 shift-and-XOR buffers, take 256 KB.
 GATHER_ENTRIES = 1 << 15
-
-# shift-and-XOR rounds, k per GF(2^k > 16) multiplication, that one elimination
-# may run: about two seconds at most
-MAX_SHIFT_ROUNDS = 1 << 29
 
 # primes below which GF(p) pivots are inverted through a table of all p inverses
 INVERSE_TABLE_PRIMES = 1 << 16
@@ -530,18 +527,15 @@ def _rank_gf2k(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndar
 
 
 def _check_products(n: int, r: int, c: int, field: FieldDescriptor, what: str) -> None:
-    """Refuse ranking n (r, c) matrices, r <= c, over GF(2^k > 16) past :data:`MAX_SHIFT_ROUNDS`.
+    """Refuse ranking n (r, c) matrices, r <= c, over GF(2^k > 16) past the shift-round cap.
 
     ``n r^2 c`` bounds the multiplications of their elimination, each k
     rounds of shift and XOR; it is checked before anything is drawn or
     allocated.  Sweeps on A^2 skip it: a semi-diagonal tensor's flattening
     is then diagonal, so no step clears.
     """
-    if field.kind == "binary" and field.k > 16 and n * r * r * c * field.k > MAX_SHIFT_ROUNDS:
-        raise ValueError(
-            f"{what} needs about {n * r * r * c} {field} multiplications of {field.k} rounds, "
-            f"over the {MAX_SHIFT_ROUNDS}-round cap"
-        )
+    if field.kind == "binary" and field.k > 16:
+        caps.admit((n, r, r, c, field.k), what, caps.MAX_SHIFT_ROUNDS, "rounds")
 
 
 def _rank_into(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndarray:

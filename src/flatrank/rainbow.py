@@ -27,8 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
+from . import caps
 from .field import FieldDescriptor, binary_mul_add, discrete_log_tables, make_binary_field
-from .setfam import _checked_limbs, _grid_shape
+from .setfam import _checked_limbs
 from .tensor import (
     Tensor,
     _bounded_search,
@@ -86,7 +87,7 @@ def find_rainbow_matching(
     when no rainbow matching of the requested size exists.  Its nodes are
     (vertices used, lowest color left), searched by
     :func:`flatrank.tensor._bounded_search`, which refuses (ValueError) a
-    search past :data:`flatrank.tensor.MAX_SEARCH_NODES` nodes.
+    search past :data:`flatrank.caps.MAX_SEARCH_NODES` nodes.
     """
     if size < 1:
         raise ValueError("size must be positive")
@@ -176,7 +177,7 @@ def _disjoint_grid(limbs: np.ndarray) -> np.ndarray:
     the dense cap before the grid is allocated.
     """
     m, t, w = limbs.shape
-    disjoint = np.ones(_grid_shape(m, t), dtype=bool)
+    disjoint = np.ones(caps.grid_shape(m, t), dtype=bool)
     for j, l in combinations(range(t), 2):
         meet = _blocked(lambda rows: (limbs[rows, None, j] & limbs[None, :, l]).any(-1), m, m * w)
         disjoint &= ~_along(meet, (j, l), t)

@@ -29,8 +29,8 @@
   only once its guest is read.  No buffer passes :data:`BLOCK_BYTES` unless
   one tensor needs it, but an exhaustive chunk's rows and scratch, up to
   sqrt(2) times it.  A plan whose bytes, with all the sweep keeps or
-  allocates besides, pass :data:`MAX_WORKSPACE_BYTES` is refused before any
-  of it is built.
+  allocates besides, pass :data:`flatrank.caps.MAX_WORKSPACE_BYTES` is
+  refused before any of it is built.
 * Streams.  Tensor j of a sweep, and its violation witness, is drawn from the
   words of the splitmix64 stream ``Rng(Rng.sub_seed(seed, j))``, read in bulk
   (:func:`_stream_block`).  All-distinct entries are 0.  Over GF(2) the
@@ -45,10 +45,11 @@ import math
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate
 
 import numpy as np
 
+from . import caps
 from .field import GF2, FieldDescriptor, _log_table_sizes
 from .formats import tensor_to_document
 from .linalg import (
@@ -73,7 +74,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import Tensor, _axis_order, check_cube, dense_size, flattening_ranks, index_class_arrays
+from .tensor import Tensor, _axis_order, check_cube, flattening_ranks, index_class_arrays
 
 __all__ = [
     "SearchReport",
@@ -82,7 +83,6 @@ __all__ = [
     "random_cross_oddtown_search",
 ]
 
-MAX_FREE_ENTRIES = 22
 # Bytes of a sweep block's largest buffer, packed GF(2) rows or, over a larger
 # field, whichever buffer is largest: they stay in the L2 cache and under
 # glibc's mmap threshold
@@ -92,12 +92,6 @@ TABLE_MAX_COLUMNS = 32
 # Columns of each flattening a certified sweep ranks first, and the largest a it certifies
 SAMPLE_COLUMNS = 16
 SAMPLE_MAX_A = 13
-# Bytes a sweep may plan, with all it keeps or allocates besides
-MAX_WORKSPACE_BYTES = 16 << 20
-# Largest sweep arena a thread keeps mapped once its sweep ends or raises: a
-# larger one is unmapped then, so that what runs after the sweep (an
-# exhaustive sweep's witnesses, the report) is never held on top of it
-ARENA_KEEP_BYTES = 4 << 20
 
 
 @dataclass
@@ -247,12 +241,6 @@ def _largest_buffer(sizes: dict[str, tuple[int, type]]) -> int:
     return max(count * np.dtype(dtype).itemsize for count, dtype in sizes.values())
 
 
-def _check_workspace(nbytes: int, what: str) -> None:
-    """Refuse a sweep whose ``nbytes``, its plan and all it keeps or allocates besides, pass the cap."""
-    if nbytes > MAX_WORKSPACE_BYTES:
-        raise ValueError(f"{what} needs {nbytes} bytes, over the {MAX_WORKSPACE_BYTES}-byte block cap")
-
-
 def _exact_plan(a: int, d: int, n: int, nwords: int) -> tuple[int, dict, int, Callable]:
     """(block, sizes, extra, kernel) of the exact GF(2) kernel that rows on A^d take: byte tables up to
     :data:`TABLE_MAX_COLUMNS` columns, else bit-sliced.  ``block`` is n, or the fewer tensors of
@@ -307,7 +295,7 @@ def _block_plan(a: int, d: int, n: int, nwords: int, chunk: int) -> tuple[dict, 
     ``kernel(words, start, last, ws)`` yields :func:`_scan_blocks`' batches of a block from tensor
     ``start``, the sweep's ``last`` or not: the exact kernel's with ``chunk`` 0, else the certificate's,
     which queues its misses in the stream words of an exact block of ``chunk`` tensors (``exact.words``).
-    ``nbytes`` is all :func:`_check_workspace` counts, sampled tables at their largest (256 rows for each
+    ``nbytes`` is all the workspace cap counts, sampled tables at their largest (256 rows for each
     of at most ``SAMPLE_COLUMNS * a * d`` stream bytes); a certified plan over the cap is None, built
     without its tables.
     """
@@ -326,7 +314,7 @@ def _block_plan(a: int, d: int, n: int, nwords: int, chunk: int) -> tuple[dict, 
     fed = min(-(-_mixed_count(a, d) // 8), SAMPLE_COLUMNS * a * d)  # stream bytes with a table
     # 8 n: the misses' indices
     nbytes = _Workspace.nbytes(sizes) + extra + 8 * n + fed * 256 * _row_bytes(a, d, sampled=True)
-    if nbytes > MAX_WORKSPACE_BYTES:
+    if nbytes > caps.MAX_WORKSPACE_BYTES:
         return None
     tables = _row_tables(a, d, sampled=True)
     return sizes, nbytes, lambda *block: _certified_ranks(a, d, tables, exact, chunk, *block)
@@ -671,7 +659,7 @@ def _scan_blocks(
                     violations += bad.size
                     first = min(first, index(at, int(bad[0])))
     finally:  # also when ``ranks`` raises
-        if _arena_bytes() > ARENA_KEEP_BYTES:
+        if _arena_bytes() > caps.ARENA_KEEP_BYTES:
             _drop_arena()
     return best_mf, best_sum, violations, None if first == math.inf else first
 
@@ -682,16 +670,13 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     Mixed entries range over {0,1}; all-distinct entries are 0 and diagonal
     entries 1 (over GF(2) a nonzero diagonal entry is 1, so this loses no
     generality).  Assignment v sets mixed entry t to bit t of v.  Refuses
-    populations with more than 2^22 members, tensors over the dense cap and
-    chunks whose memory passes :data:`MAX_WORKSPACE_BYTES`.  Violations
-    counts assignments with mfrank < ceil(a / (d-1)).
+    populations of more than :data:`flatrank.caps.MAX_FREE_ENTRIES` free
+    entries, tensors over the dense cap and chunks whose memory passes the
+    workspace cap.  Violations counts assignments with mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
     f = _mixed_count(a, d)
-    if f > MAX_FREE_ENTRIES:
-        raise ValueError(
-            f"population too large: {f} free entries at (a={a}, d={d}) exceeds cap {MAX_FREE_ENTRIES}"
-        )
+    caps.admit((f,), f"{a}^{d} exhaustive population", caps.MAX_FREE_ENTRIES, "free entries")
     total = 1 << f
     if f:  # (2,3), (2,4) and (3,3) under the cap, rows of at most 9 columns
         dtype = _row_layout(a, d)[0]
@@ -705,7 +690,8 @@ def exhaustive_min_mfrank(a: int, d: int) -> SearchReport:
     else:  # the identity alone: d = 2, or a = 1
         chunk, sizes, extra, exact = _exact_plan(a, d, total, 1)
         ranks = lambda start, stop, ws: ((start, *exact(np.zeros((1, 1), np.uint64), ws)),)
-    _check_workspace(_Workspace.nbytes(sizes) + extra, f"{a}^{d} exhaustive chunk of n={chunk} tensors")
+    nbytes = _Workspace.nbytes(sizes) + extra
+    caps.admit((nbytes,), f"{a}^{d} exhaustive chunk of n={chunk} tensors", caps.MAX_WORKSPACE_BYTES, "bytes")
     (best_mf, at_mf), (best_sum, at_sum), violations, _ = _scan_blocks(
         total, chunk, sizes, ranks, -(-a // (d - 1))
     )
@@ -835,7 +821,7 @@ def _field_tensor_bytes(a: int, d: int, field: FieldDescriptor) -> int:
 @lru_cache(maxsize=ARENA_PLANS)
 def _field_plan(a: int, d: int, n: int, field: FieldDescriptor) -> tuple[dict, int, Callable]:
     """(sizes, nbytes, kernel) of sweep blocks of up to n tensors on A^d over ``field`` of order > 2; kept,
-    read-only, as :func:`_block_plan` keeps GF(2)'s.  ``nbytes`` is all :func:`_check_workspace` counts."""
+    read-only, as :func:`_block_plan` keeps GF(2)'s.  ``nbytes`` is all the workspace cap counts."""
     nwords = _semidiagonal_words(a, d, field)
     sizes = _field_sizes(a, d, n, field)
     # _draw_index's arrays, the elimination's temporaries and the stream's ramps
@@ -857,10 +843,11 @@ def random_semidiagonal_sweep(
 
     Tensors are drawn and ranked in blocks, as the module docstring lays out;
     the report does not depend on the block size.  Shapes over the dense
-    cap, sweeps whose memory passes :data:`MAX_WORKSPACE_BYTES`, and GF(2^k >
-    16) sweeps with d >= 3 of more than :data:`flatrank.linalg.MAX_SHIFT_ROUNDS`
-    shift-and-XOR rounds are refused before anything of their size is drawn
-    or allocated.  Violations counts tensors with mfrank < ceil(a / (d-1)).
+    cap, sweeps whose memory passes :data:`flatrank.caps.MAX_WORKSPACE_BYTES`,
+    and GF(2^k > 16) sweeps with d >= 3 of more than
+    :data:`flatrank.caps.MAX_SHIFT_ROUNDS` shift-and-XOR rounds are refused
+    before anything of their size is drawn or allocated.  Violations counts
+    tensors with mfrank < ceil(a / (d-1)).
     """
     check_cube(a, d, "tensor")
     if count < 1:
@@ -874,7 +861,7 @@ def random_semidiagonal_sweep(
         sizes, nbytes, kernel = _field_plan(a, d, n, field)
     else:
         n, _, (sizes, nbytes, kernel) = _gf2_plan(a, d, count, nwords)
-    _check_workspace(nbytes, f"{a}^{d} sweep block of n={n} tensors")
+    caps.admit((nbytes,), f"{a}^{d} sweep block of n={n} tensors", caps.MAX_WORKSPACE_BYTES, "bytes")
     if field.order != 2:
         _draw_index(a, d)  # built before the workspaces, not on top of them
     draw = lambda start, stop, ws: _stream_block(seed, start, stop, nwords, ws)
@@ -916,8 +903,8 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
         raise ValueError(f"need budget >= 0, got {budget}")
     bound = cross_oddtown_bound(n, d)
     m, width = min(budget, bound), -(-n // 64)  # limbs of every mask, all below 2^n
-    dense_size(repeat(m, d), f"grid of {m}^{d}")
-    limbs = np.empty(dense_size((m, d, width), f"limbs of {m} members"), np.uint64).reshape(m, d, width)
+    caps.grid_shape(m, d)
+    limbs = np.empty(caps.admit((m, d, width), f"limbs of {m} members"), np.uint64).reshape(m, d, width)
     singletons = repeated_singleton_family(min(n, -(-m // (d - 1))), d).members
     members: list[tuple[int, ...]] = []
     for attempt in range(budget):

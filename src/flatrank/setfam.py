@@ -24,14 +24,16 @@ holds exactly, so it is exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
+from . import caps
 from .field import GF2
-from .tensor import Tensor, dense_size, flattening_ranks, is_semi_diagonal, semi_diagonal_faults
+from .tensor import Tensor, distinct_cells, flattening_ranks, is_semi_diagonal
 
 __all__ = [
     "SetFamily",
@@ -99,12 +101,6 @@ def _mask_limbs(masks: Sequence[int], width: int | None = None) -> np.ndarray:
     return np.frombuffer(data, dtype="<u8").reshape(len(masks), w)
 
 
-def _grid_shape(m: int, k: int) -> tuple[int, ...]:
-    """(m,) * k, once the m^k cells are known to fit the dense cap."""
-    dense_size(repeat(m, k), f"grid of {m}^{k}")
-    return (m,) * k
-
-
 def _intersection_sizes(axis_limbs: Sequence[np.ndarray | None]) -> np.ndarray:
     """Intersection sizes broadcast over a k-axis grid of index tuples.
 
@@ -167,7 +163,7 @@ def oddtown_tensor(fam: TupleFamily) -> Tensor:
     m = len(fam.members)
     if m == 0:
         raise ValueError("tensor of an empty family is undefined")
-    _grid_shape(m, fam.d)  # raises over the dense cap, before any allocation
+    caps.grid_shape(m, fam.d)  # raises over the dense cap, before any allocation
     parity = _intersection_sizes([fam.limbs[:, j] for j in range(fam.d)]) & 1
     return Tensor.from_array(parity, GF2)
 
@@ -184,10 +180,8 @@ def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:
     against the dense cap before anything is allocated.
     """
     n, d, m = fam.n, fam.d, len(fam.members)
-    row = sum(
-        dense_size(repeat(m, len(slots)), f"grid of {m}^{len(slots)}") for slots in _slot_halves(d)
-    )
-    dense_size((n, d * m + row), f"certificate over {n} elements")
+    row = sum(math.prod(caps.grid_shape(m, len(slots))) for slots in _slot_halves(d))
+    caps.admit((n, d * m + row), f"certificate over {n} elements")
     bits = np.unpackbits(fam.limbs.view(np.uint8), axis=-1, count=n, bitorder="little")
     return bits.transpose(2, 1, 0)
 
@@ -238,18 +232,18 @@ def _cross_even_with(limbs: np.ndarray, new: tuple[int, ...], d: int) -> bool:
     keeps as it grows; ``new`` is split to their width.  For each slot of
     ``new``, one broadcast intersects it with every arrangement of d-1
     members over the other slots; only arrangements of pairwise-distinct
-    members count.  The c^(d-1) grid is checked against the dense cap before
-    anything is allocated.
+    members count: one :func:`flatrank.tensor.distinct_cells` grid, built once
+    a call after its c^(d-1) cells are admitted, masks each slot's parities.
     """
     c = len(limbs)
     if c + 1 < d:
         return True
-    _grid_shape(c, d - 1)  # raises over the dense cap, before any allocation
+    distinct = distinct_cells(c, d - 1)
     fresh = _slot_limbs([new], d, limbs.shape[2])
     for slot in range(d):
         others = [limbs[:, j] for j in range(d) if j != slot]
         odd = _intersection_sizes([fresh[:, slot], *others])[0] & 1
-        if semi_diagonal_faults(odd)[1] is not None:
+        if np.logical_and(odd, distinct).any():
             return False
     return True
 

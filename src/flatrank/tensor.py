@@ -16,17 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count, repeat
-from typing import Callable, Iterable
+from itertools import repeat
+from typing import Callable
 
 import numpy as np
 
+from . import caps
 from .field import FieldDescriptor
 from .linalg import entry_dtype, matrix_rank
 
 __all__ = [
     "Tensor",
-    "dense_size",
     "flattening_rank",
     "flattening_ranks",
     "max_flattening_rank",
@@ -37,31 +37,6 @@ __all__ = [
     "axis_constant_construction",
 ]
 
-MAX_ENTRIES = 1 << 24
-MAX_AXES = 64  # numpy's limit on the dimensions of an array
-# nodes one backtracking search (odd cliques, rainbow matchings) may visit,
-# about a second of search
-MAX_SEARCH_NODES = 1 << 20
-
-
-def dense_size(factors: Iterable[int], what: str) -> int:
-    """The product of ``factors``, the axis sizes of an array about to be allocated.
-
-    It is multiplied one factor at a time and refused (ValueError) as soon as
-    it passes :data:`MAX_ENTRIES`, or past :data:`MAX_AXES` factors, so a^d
-    for a huge d (``repeat(a, d)``) costs at most 64 steps, never the power.
-    """
-    size, factors = 1, iter(factors)
-    for axes, f in enumerate(factors, 1):
-        if axes > MAX_AXES:
-            raise ValueError(f"{what} has more than {MAX_AXES} axes")
-        size *= f
-        if size > MAX_ENTRIES:
-            exact = "=" if next(factors, None) is None else ">="
-            raise ValueError(f"{what} {exact} {size} cells exceeds the {MAX_ENTRIES} dense cap")
-    return size
-
-
 def _bounded_search(root, children: Callable, depth: int, what: str) -> list | None:
     """The steps of the first path ``depth`` levels down from ``root``, depth first, or None.
 
@@ -69,13 +44,12 @@ def _bounded_search(root, children: Callable, depth: int, what: str) -> list | N
     ``level`` steps below the root, in the order to try them.  Open nodes
     are kept on an explicit stack, so the depth is not bounded by Python's
     recursion limit.  A search that would visit more than
-    :data:`MAX_SEARCH_NODES` nodes, the root included, is refused
-    (ValueError, naming ``what``) when it gets there.
+    :data:`flatrank.caps.MAX_SEARCH_NODES` nodes, the root included, is
+    refused (ValueError, naming ``what``) when it gets there.
     """
     path, frames, node = [], [], root  # frames: the untried children of each open node, deepest last
-    for nodes in count(1):
-        if nodes > MAX_SEARCH_NODES:
-            raise ValueError(f"{what} passed {MAX_SEARCH_NODES} nodes")
+    cap = caps.MAX_SEARCH_NODES
+    for _ in range(cap):
         if len(path) == depth:
             return path
         frames.append(children(node, len(path)))
@@ -86,6 +60,8 @@ def _bounded_search(root, children: Callable, depth: int, what: str) -> list | N
             path.pop()
         step, node = child
         path.append(step)
+    # the search reached node cap + 1: the factor 1 left unread makes the need read "at least"
+    caps.admit((cap + 1, 1), what, cap, "nodes")
 
 
 def integer_array(values, what: str) -> np.ndarray:
@@ -142,7 +118,7 @@ class Tensor:
         dims = tuple(self.dims)
         if len(dims) < 1 or any(type(a) is not int or a < 1 for a in dims):
             raise ValueError(f"dims must be positive integers, got {dims}")
-        size = dense_size(dims, "tensor size")
+        size = caps.admit(dims, "tensor")
         entries = self.entries
         if _frozen_int64(entries):
             entries = entries.reshape(-1)
@@ -156,18 +132,6 @@ class Tensor:
         entries.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (
-            self.dims == other.dims
-            and self.field == other.field
-            and np.array_equal(self.entries, other.entries)
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.dims, self.field, self.entries.tobytes()))
 
     @property
     def ndim(self) -> int:
@@ -312,7 +276,7 @@ def check_cube(a: int, d: int, what: str) -> None:
     """Refuse the ``what`` on A^d, before any of it is allocated, unless a >= 1, d >= 2, a^d fits."""
     if a < 1 or d < 2:
         raise ValueError("need a >= 1 and d >= 2")
-    dense_size(repeat(a, d), f"{what} on {a}^{d}")
+    caps.admit(repeat(a, d), f"{what} on {a}^{d}")
 
 
 def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:
@@ -361,9 +325,8 @@ def distinct_cells(a: int, d: int) -> np.ndarray:
 
 @lru_cache(maxsize=16)
 def _distinct_cells(a: int, d: int) -> np.ndarray:
-    dense_size(repeat(a, d), f"grid of {a}^{d}")
+    grid = np.ones(caps.grid_shape(a, d), dtype=bool)
     coords = [_coordinate(a, d, j) for j in range(d)]
-    grid = np.ones((a,) * d, dtype=bool)
     for i in range(d):
         for j in range(i + 1, d):
             grid &= coords[i] != coords[j]

@@ -66,22 +66,32 @@ SWEEPS = [
 # (a, d) of the exhaustive sweeps: (2,4) in one chunk, (3,3) in 8
 EXHAUSTIVE = [(2, 4), (3, 3)]
 
-# (file, field document, dims, seed) of the rank fixtures, one per field family;
-# GF(2) uses the partition fixture
+# (file, field document, dims, seed, sparse) of the rank fixtures, one per field
+# family (GF(2) uses the partition fixture); then a tensor whose axes differ, so
+# its flattenings are ranked one axis at a time, and a document of sparse pairs
+# of one-digit integers, read by the pair reader
 RANK_FIXTURES = [
-    ("replay/gf5_5x5x5.json", {"kind": "prime", "p": 5}, (5, 5, 5), 1),
-    ("replay/gf2147483647_6x6x6.json", {"kind": "prime", "p": 2147483647}, (6, 6, 6), 2),
-    ("replay/gf2_8_4x4x4x4.json", {"kind": "binary", "k": 8}, (4, 4, 4, 4), 3),
-    ("replay/gf2_20_3x3x3.json", {"kind": "binary", "k": 20}, (3, 3, 3), 4),
+    ("replay/gf5_5x5x5.json", {"kind": "prime", "p": 5}, (5, 5, 5), 1, False),
+    ("replay/gf2147483647_6x6x6.json", {"kind": "prime", "p": 2147483647}, (6, 6, 6), 2, False),
+    ("replay/gf2_8_4x4x4x4.json", {"kind": "binary", "k": 8}, (4, 4, 4, 4), 3, False),
+    ("replay/gf2_20_3x3x3.json", {"kind": "binary", "k": 20}, (3, 3, 3), 4, False),
+    ("replay/gf3_3x4x5.json", {"kind": "prime", "p": 3}, (3, 4, 5), 5, False),
+    ("replay/gf2_sparse_6x6x6.json", {"kind": "prime", "p": 2}, (6, 6, 6), 6, True),
 ]
 
 
-def rank_fixture(field: dict, dims: tuple[int, ...], seed: int) -> dict:
-    """A dense tensor with half its entries zero and its last axis-0 slice a copy of the first."""
+def rank_fixture(field: dict, dims: tuple[int, ...], seed: int, sparse: bool) -> dict:
+    """A tensor with half its entries zero and its last axis-0 slice a copy of the first.
+
+    ``sparse`` writes its nonzero entries as ``[[i0, ..., i_{d-1}], v]`` pairs, in C order.
+    """
     order = field["p"] if field["kind"] == "prime" else 1 << field["k"]
     rng = np.random.default_rng(seed)
     entries = rng.integers(0, order, dims) * (rng.random(dims) < 0.5)
     entries[-1] = entries[0]
+    if sparse:
+        pairs = [[idx.tolist(), int(entries[tuple(idx)])] for idx in np.argwhere(entries)]
+        return {"dims": list(dims), "field": field, "sparse": pairs}
     return {"dims": list(dims), "entries": entries.reshape(-1).tolist(), "field": field}
 
 
@@ -131,6 +141,14 @@ def calls() -> list[list[str]]:
     for doc in docs:
         for mode in (["--max"], ["--sum"], ["--axis", "1"]):
             argv.append(["rank", f"{FIXTURES}/{doc}", *mode])
+    # exhaustive (5,2): the identity alone, no free entry; (2,3): one chunk that
+    # reads byte 0 of its tables only.  The rainbow chain over GF(2^20), past the
+    # log tables: its products by shift and XOR
+    argv += [
+        ["experiment", "exhaustive", "--a", "5", "--d", "2"],
+        ["experiment", "exhaustive", "--a", "2", "--d", "3"],
+        ["verify", "rainbow", f"{FIXTURES}/k4_hypergraph.json", "--field-k", "20"],
+    ]
     return argv
 
 
@@ -165,10 +183,10 @@ def replay(argv: list[str]) -> tuple[int, str]:
 
 def main() -> None:
     os.chdir(ROOT)
-    for name, field, dims, seed in RANK_FIXTURES:
+    for name, *fixture in RANK_FIXTURES:
         path = TESTS / "fixtures" / name
         path.parent.mkdir(exist_ok=True)
-        path.write_text(json.dumps(rank_fixture(field, dims, seed), separators=(",", ":")) + "\n")
+        path.write_text(json.dumps(rank_fixture(*fixture), separators=(",", ":")) + "\n")
     manifest = []
     for argv in calls():
         code, digest = replay(argv)

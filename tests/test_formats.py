@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flatrank import cli, formats, linalg, tensor
+from flatrank import caps, cli, formats, linalg
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.formats import (
     badbox_from_document,
@@ -46,7 +46,7 @@ from flatrank.setfam import SetFamily, TupleFamily
 from flatrank.tensor import Tensor
 
 from arena_peak import arena_peak
-from oracles import hypergraph_from_vertex_lists
+from oracles import hypergraph_from_vertex_lists, tensor_key
 
 
 def random_tensor(dims, field, rng):
@@ -59,8 +59,8 @@ def test_tensor_round_trip_dense_and_sparse():
         t = random_tensor((2, 3, 2), field, rng)
         dense = tensor_to_document(t)
         sparse = tensor_to_document(t, sparse=True)
-        assert tensor_from_document(dense) == t
-        assert tensor_from_document(sparse) == t
+        assert tensor_key(tensor_from_document(dense)) == tensor_key(t)
+        assert tensor_key(tensor_from_document(sparse)) == tensor_key(t)
         assert canonical_json(dense) == canonical_json(tensor_to_document(tensor_from_document(dense)))
 
 
@@ -501,7 +501,7 @@ def test_three_digit_load_peak(tmp_path):
 def test_over_cap_body_refused_before_it_is_copied(monkeypatch, tmp_path, capsys, key):
     # a body of more numbers (pairs) than MAX_ENTRIES exits 2 before any copy of
     # it or array of its size: the peak is the bytes read and the text
-    monkeypatch.setattr(tensor, "MAX_ENTRIES", 1000)
+    monkeypatch.setattr(caps, "MAX_ENTRIES", 1000)
     if key == "entries":
         text = tensor_document_text("[" + ",".join(["1"] * (1 << 20)) + "]", 1 << 20)
     else:
@@ -515,7 +515,7 @@ def test_over_cap_body_refused_before_it_is_copied(monkeypatch, tmp_path, capsys
     finally:
         tracemalloc.stop()
     assert code == 2
-    assert f"'{key}' array" in capsys.readouterr().err
+    assert f"'{key}' array needs " in capsys.readouterr().err
     assert peak < 2 * len(text) + (1 << 20)
 
 
@@ -672,7 +672,7 @@ def test_sparse_ingest_matches_per_pair_loop(doc):
         with pytest.raises(ValueError):
             tensor_from_document(doc)
     else:
-        assert tensor_from_document(doc) == expected
+        assert tensor_key(tensor_from_document(doc)) == tensor_key(expected)
 
 
 @pytest.mark.parametrize("spec", ["prime:3", "binary:8"])
@@ -693,7 +693,7 @@ def test_loaded_tensor_documents_build_without_a_copy(tmp_path, monkeypatch, spe
     copies = []
     convert = tensor_mod.integer_array
     monkeypatch.setattr(tensor_mod, "integer_array", lambda *a: copies.append(a[1]) or convert(*a))
-    assert tensor_from_document(doc) == t
+    assert tensor_key(tensor_from_document(doc)) == tensor_key(t)
     assert copies == []
     if not sparse:
         assert np.shares_memory(tensor_from_document(doc).entries, array)

@@ -31,7 +31,8 @@ from flatrank.fw import (
 )
 from flatrank.rng import Rng
 from flatrank.setfam import SetFamily, _mask_limbs, intersection_size
-from flatrank.tensor import MAX_SEARCH_NODES, flattening_rank, is_semi_diagonal
+from flatrank.caps import MAX_SEARCH_NODES
+from flatrank.tensor import flattening_rank, is_semi_diagonal
 
 from oracles import (
     _violation_grid,
@@ -338,7 +339,7 @@ def test_sampler_rejects_large_ground_set():
 
 def test_sampler_cap_before_the_power(monkeypatch):
     # 3^(10^7) would take seconds to compute and cannot be printed; the cap
-    # passes at the third factor, 27 > 25
+    # passes at the third factor, 27 > 25, and one more is drawn to tell "at least"
     import flatrank.fw as fw
 
     drawn = []
@@ -351,9 +352,9 @@ def test_sampler_cap_before_the_power(monkeypatch):
             raise AssertionError("t ** s computed")
 
     monkeypatch.setattr(fw, "repeat", counted)
-    with pytest.raises(ValueError, match=r"^ground set 3\^10000000 exceeds the desk-scale cap of 25"):
+    with pytest.raises(ValueError, match=r"^bad-box ground set 3\^10000000 needs at least 27 cells, over the cap of 25 cells$"):
         sample_badbox_family(NoPower(3), 10**7, seed=1)
-    assert drawn == [3, 3, 3]
+    assert drawn == [3, 3, 3, 3]
 
 
 def cell_masks(fam):
@@ -398,7 +399,7 @@ def test_badbox_chain_cap_before_the_masks(monkeypatch):
     monkeypatch.setattr(BadBoxFamily, "flat_masks", refuse)
     # 2 * 3^15 flat cells; the factors are never read
     fam = BadBoxFamily(t=3, s=15, k=8, members_factors=((1,), (1,)), attempts=0, seed=0)
-    with pytest.raises(ValueError, match=r"^2 bad-box members over \[3\]\^15 = 28697814 cells"):
+    with pytest.raises(ValueError, match=r"^2 bad-box members over \[3\]\^15 needs 28697814 cells, over the cap of 16777216 cells$"):
         verify_badbox_chain(fam, 8)
     # an empty family builds nothing, at any s
     empty = BadBoxFamily(t=3, s=10**7, k=8, members_factors=(), attempts=0, seed=0)
@@ -570,7 +571,7 @@ def _turan_members(parts, size):
 def test_odd_clique_search_stops_at_the_node_budget():
     members = _turan_members(11, 3)  # t = 45; 4,017,157 nodes to exhaust
     assert find_odd_clique(factor_family(members), 11) is not None
-    with pytest.raises(ValueError, match=f"odd-clique search of order 12 passed {MAX_SEARCH_NODES} nodes"):
+    with pytest.raises(ValueError, match=f"^odd-clique search of order 12 needs at least {MAX_SEARCH_NODES + 1} nodes, over the cap of {MAX_SEARCH_NODES} nodes$"):
         find_odd_clique(factor_family(members), 12)
 
 
@@ -584,18 +585,18 @@ def test_odd_clique_search_deeper_than_the_recursion_limit():
 
 
 def test_odd_clique_search_counts_every_node_once(monkeypatch):
-    import flatrank.tensor as tensor
+    from flatrank import caps
 
     members = _turan_members(4, 3)  # no 5-clique: 175 nodes to exhaust, root included
-    monkeypatch.setattr(tensor, "MAX_SEARCH_NODES", 175)
+    monkeypatch.setattr(caps, "MAX_SEARCH_NODES", 175)
     assert find_odd_clique(factor_family(members), 5) is None
-    monkeypatch.setattr(tensor, "MAX_SEARCH_NODES", 174)
-    with pytest.raises(ValueError, match="order 5 passed 174 nodes"):
+    monkeypatch.setattr(caps, "MAX_SEARCH_NODES", 174)
+    with pytest.raises(ValueError, match="order 5 needs at least 175 nodes, over the cap of 174 nodes"):
         find_odd_clique(factor_family(members), 5)
 
 
 def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):
-    import flatrank.tensor as tensor
+    from flatrank import caps
     from flatrank.cli import main
 
     # 12 members, no 5-clique: 175 nodes to exhaust.  Through the CLI the chain's
@@ -606,11 +607,11 @@ def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):
     doc.write_text(json.dumps({"t": 20, "s": 1, "k": 5, "members_factors": [list(f) for f in members]}))
     assert main(["verify", "badbox", str(doc)]) == 0
     capsys.readouterr()
-    monkeypatch.setattr(tensor, "MAX_SEARCH_NODES", 100)
+    monkeypatch.setattr(caps, "MAX_SEARCH_NODES", 100)
     assert main(["verify", "badbox", str(doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "odd-clique search of order 5 passed 100 nodes" in captured.err
+    assert "odd-clique search of order 5 needs at least 101 nodes, over the cap of 100 nodes" in captured.err
 
 
 @pytest.mark.parametrize("p", [3, 13, 251, 65521, 2**31 - 1])

@@ -9,7 +9,7 @@ from flatrank.field import discrete_log_tables, make_binary_field, make_prime_fi
 from flatrank.linalg import matrix_rank, rank_gf2_bitrows
 from flatrank.rng import Rng
 
-from oracles import _rank_generic
+from oracles import Arith, _rank_generic
 
 
 def _batched_ranks(mats, field):
@@ -27,6 +27,7 @@ def span_size_rank(rows, field):
     """Oracle: the row span of r independent rows has order^rank elements."""
     span = {0: tuple([0] * len(rows[0]))} if rows else {}
     vectors = {tuple([0] * len(rows[0]))} if rows else set()
+    field = Arith.of(field)
     for row in rows:
         new = set()
         for v in vectors:
@@ -96,7 +97,7 @@ RANK_FIELDS = [
 
 def _combine(field, coeffs, rows):
     """sum_i coeffs[i] * rows[i] over the field."""
-    out = [0] * len(rows[0])
+    out, field = [0] * len(rows[0]), Arith.of(field)
     for c, row in zip(coeffs, rows):
         out = [field.add(x, field.mul(c, y)) for x, y in zip(out, row)]
     return out

@@ -373,7 +373,7 @@ def test_bollobas_witnesses_match_enumeration():
 def test_wedge_grid_cap_before_allocation():
     # 257 members of three singleton slots: the grid would hold 257^3 = 16.97 M cells
     system = SetPairSystem(base_size=3, sizes=(1, 1, 1), members=((1, 2, 4),) * 257)
-    with pytest.raises(ValueError, match="16777216 dense cap"):
+    with pytest.raises(ValueError, match=r"^grid of 257\^3 needs 16974593 cells, over the cap of 16777216 cells$"):
         bollobas_verify(system)
 
 
@@ -389,7 +389,7 @@ def _cyclic_latin_square(n):
 
 def test_rainbow_search_over_the_node_budget_exits_2(capsys, tmp_path):
     from flatrank.cli import main
-    from flatrank.tensor import MAX_SEARCH_NODES
+    from flatrank.caps import MAX_SEARCH_NODES
 
     doc = tmp_path / "latin.json"
     doc.write_text(json.dumps(_cyclic_latin_square(6)))  # exhausted in 733 nodes
@@ -399,7 +399,7 @@ def test_rainbow_search_over_the_node_budget_exits_2(capsys, tmp_path):
     assert main(["verify", "rainbow", str(doc)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"rainbow-matching search of size 12 passed {MAX_SEARCH_NODES} nodes" in captured.err
+    assert f"rainbow-matching search of size 12 needs at least {MAX_SEARCH_NODES + 1} nodes, over the cap" in captured.err
 
 
 def test_rainbow_search_deeper_than_the_recursion_limit(tmp_path):

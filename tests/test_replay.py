@@ -3,7 +3,8 @@
 The manifest holds seeded sweeps over each sweep kernel, the exhaustive
 sweeps, a seeded bad-box sample and cross-Oddtown search, both constructions
 dense and sparse, every verify chain on passing and failing fixtures, ``verify
-fw``/``badbox`` with their options, and ranks in each field family;
+fw``/``badbox`` with their options, ranks in each field family and of a
+non-cubical and a sparse document;
 ``tests/make_replay.py`` regenerates it.  Each random sweep also draws the
 same stream words.
 """

@@ -192,7 +192,7 @@ def test_mixed_count_matches_index_classes():
 
 
 def test_exhaustive_refuses_oversized():
-    with pytest.raises(ValueError, match="population too large"):
+    with pytest.raises(ValueError, match=r"^4\^3 exhaustive population needs 36 free entries, over the cap of 22 free entries$"):
         exhaustive_min_mfrank(4, 3)
 
 
@@ -1117,6 +1117,7 @@ def test_sweep_that_raises_drops_an_arena_over_the_keep_limit():
     # a sweep interrupted partway keeps what one that ends keeps: its arena if
     # small enough, nothing over ARENA_KEEP_BYTES
     import flatrank.search as search
+    from flatrank.caps import ARENA_KEEP_BYTES
 
     class Interrupted(Exception):
         pass
@@ -1126,7 +1127,7 @@ def test_sweep_that_raises_drops_an_arena_over_the_keep_limit():
             raise Interrupted
         return [(start, np.zeros(stop - start, np.int64), np.zeros(stop - start, np.int64))]
 
-    for nbytes, kept in ((1 << 20, 1 << 20), (search.ARENA_KEEP_BYTES + 64, 0)):
+    for nbytes, kept in ((1 << 20, 1 << 20), (ARENA_KEEP_BYTES + 64, 0)):
         linalg._drop_arena()
         with pytest.raises(Interrupted):
             search._scan_blocks(30, 10, {"rows": (nbytes, np.uint8)}, ranks, 0)
