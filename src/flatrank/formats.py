@@ -55,10 +55,10 @@ import numpy as np
 from . import __version__, caps
 from .field import FieldDescriptor, make_binary_field, make_prime_field
 from .fw import BadBoxFamily, Configuration
-from .linalg import _arena_workspace, _Workspace
+from .linalg import _arena_workspace, _Workspace, entry_dtype
 from .rainbow import ColoredHypergraph, SetPairSystem
 from .setfam import SetFamily, TupleFamily
-from .tensor import Tensor, integer_array
+from .tensor import Tensor, check_entries, integer_array
 
 __all__ = [
     "canonical_json",
@@ -494,7 +494,7 @@ def tensor_text(t: Tensor, metadata: dict | None = None, sparse: bool = False) -
 
 
 def _decimals(values: np.ndarray) -> str:
-    """The non-negative int64 ``values`` in decimal, comma-separated, as ``json.dumps`` writes them."""
+    """The non-negative integer ``values`` in decimal, comma-separated, as ``json.dumps`` writes them."""
     width = len(str(int(values.max())))
     cells = np.empty((values.size, width + 1), dtype=np.uint8)  # each value's digits and a comma
     cells[:, width] = ord(",")
@@ -535,8 +535,11 @@ def tensor_from_document(doc: dict) -> Tensor:
         named[positions] = True
         if np.count_nonzero(named) != positions.size:
             raise ValueError("sparse entries name a multi-index more than once")
-        flat = np.zeros(size, dtype=np.int64)
-        flat[positions] = integer_array(values, "sparse values")
+        if isinstance(values, list):
+            values = integer_array(values, "sparse values")
+        check_entries(values, field)  # before the cast into the entries' dtype
+        flat = np.zeros(size, dtype=entry_dtype(field))
+        flat[positions] = values
         flat.flags.writeable = False  # the Tensor keeps it without a copy
         return Tensor(tuple(dims), field, flat)
     raise ValueError("tensor document needs 'entries' or 'sparse'")

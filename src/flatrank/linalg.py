@@ -3,18 +3,21 @@
 :func:`matrix_rank` is the one exact-rank entry point.  It takes a single
 ``(r, c)`` matrix or a batch ``(N, r, c)`` of integer representatives in any
 integer dtype, never modifies it, and eliminates along the short side (rank
-is transpose-invariant), so its pivot loop runs ``min(r, c)`` times.  Off
-the byte-row path below, it copies the input once, in the kernel's own
-dtype, into a :class:`_Workspace` of its own, and ranks the copy in place
-with :func:`_rank_into`, which the sweeps call on stacks they build in
-theirs.  :func:`_elimination_sizes` is the plan of that workspace and
-:func:`_unplanned_bytes` bounds what the kernels allocate besides, so a
+is transpose-invariant), so its pivot loop runs ``min(r, c)`` times.  A
+GF(2) batch is read as it is, with no workspace.  Off that path and the
+byte-row path below, it copies the input once, in the kernel's own dtype,
+into a :class:`_Workspace` of its own, and ranks the copy in place with
+:func:`_rank_into`, which the sweeps over larger fields call on stacks they
+build in theirs.  :func:`_elimination_sizes` is the plan of that workspace
+and :func:`_unplanned_bytes` bounds what the kernels allocate besides, so a
 caller's cap counts both.  Each thread keeps one arena, an anonymous
 mapping that sweeps and document reads carve their workspaces from
 (:func:`_arena_workspace`).
 
-* GF(2): entries mod 2, rows packed with numpy into ints used as bit-vectors,
-  reduced per matrix by :func:`rank_gf2_bitrows` (word-wide XOR).
+* GF(2): entries mod 2, rows packed with numpy into ints used as bit-vectors
+  straight from the caller's array (:func:`_rank_gf2`), reduced per matrix by
+  :func:`rank_gf2_bitrows` (word-wide XOR).  The GF(2) sweeps rank with
+  kernels of their own (:mod:`flatrank.search`).
 * GF(p), 3 <= p <= 127, and GF(2^k), 2 <= k <= 8, in a batch of at most
   :data:`BYTE_ROW_ENTRIES` entries and :data:`BYTE_ROW_ROWS` rows: each
   matrix is reduced on its own by :func:`_rank_byte_rows`, the same loop on
@@ -302,24 +305,21 @@ def _rank_gf2(m: np.ndarray) -> np.ndarray:
 
 
 def _elimination_sizes(n: int, r: int, c: int, field: FieldDescriptor) -> dict[str, tuple[int, type]]:
-    """Workspace of :func:`_rank_into` for n (r, c) matrices over ``field``, r <= c.
+    """Workspace of :func:`_rank_into` for n (r, c) matrices over ``field`` of order > 2, r <= c.
 
     ``work`` holds the matrices, in the dtype they are eliminated in; what
     the kernels allocate besides is :func:`_unplanned_bytes`.
     """
-    prime = field.kind == "prime" and field.order > 2
+    prime = field.kind == "prime"
     dtype = _lazy_plan(field.p, r)[0] if prime else entry_dtype(field)
-    sizes = {"work": (n * r * c, dtype), "rank": (n, np.int64)}
-    if field.order == 2:
-        return sizes
-    sizes["mask"] = (n * c, np.bool_)
+    sizes = {"work": (n * r * c, dtype), "rank": (n, np.int64), "mask": (n * c, np.bool_)}
     if prime:
         return sizes | {"prod": (n * max(r - 1, 1) * c, dtype)}
     return sizes | _gf2k_sizes(n, r, c, field)
 
 
 def _unplanned_bytes(n: int, r: int) -> int:
-    """At most the bytes :func:`_rank_into` allocates outside its plan, order > 2.
+    """At most the bytes :func:`_rank_into` allocates outside its plan.
 
     Each step's pivot columns, pivots and factors are at most four (N, r)
     arrays of 8-byte items at a time.  A numpy call that casts buffers up to
@@ -539,19 +539,14 @@ def _check_products(n: int, r: int, c: int, field: FieldDescriptor, what: str) -
 
 
 def _rank_into(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndarray:
-    """int64 ranks, in ``ws``, of an (N, r, c) batch of canonical entries, 1 <= r <= c.
+    """int64 ranks, in ``ws``, of an (N, r, c) batch of canonical entries, 1 <= r <= c, order > 2.
 
     ``ws`` holds :func:`_elimination_sizes` for that shape, and ``m`` is its
     ``work``, eliminated in place.
     """
-    rank = ws.take("rank", m.shape[0])
-    if field.order == 2:
-        rank[:] = _rank_gf2(m)
-    elif field.kind == "prime":
-        _rank_mod_p(m, field.p, ws)
-    else:
-        _rank_gf2k(m, field, ws)
-    return rank
+    if field.kind == "prime":
+        return _rank_mod_p(m, field.p, ws)
+    return _rank_gf2k(m, field, ws)
 
 
 def matrix_rank(mats, field: FieldDescriptor):
@@ -561,7 +556,8 @@ def matrix_rank(mats, field: FieldDescriptor):
     int, or an ``(N, r, c)`` array, giving an int64 array of N ranks.  GF(p)
     entries may be any integers and are taken mod p; GF(2^k) entries must lie
     in [0, 2^k).  Integer arrays are used in their own dtype, and ``mats`` is
-    left unmodified: it is copied into a workspace of its own.
+    left unmodified: GF(2) only reads it, other fields copy it into a
+    workspace of their own.
     """
     if isinstance(mats, np.ndarray) and mats.dtype.kind in "iu":
         m = mats
@@ -587,6 +583,8 @@ def matrix_rank(mats, field: FieldDescriptor):
     n, r, c = m.shape
     if m.size == 0:
         ranks = np.zeros(n, dtype=np.int64)
+    elif field.order == 2:
+        ranks = _rank_gf2(m)
     elif m.size <= BYTE_ROW_ENTRIES and n * r <= BYTE_ROW_ROWS and _byte_row_field(field):
         ranks = _rank_byte_rows(m, field)
     else:

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import caps
 from .field import FieldDescriptor, binary_mul_add, discrete_log_tables, make_binary_field
+from .linalg import entry_dtype
 from .setfam import _checked_limbs
 from .tensor import (
     Tensor,
@@ -191,7 +192,7 @@ def _wedge_grid(
     num_vertices: int,
     field: FieldDescriptor,
 ) -> np.ndarray:
-    """Wedge-tensor entries over the grid of :func:`_disjoint_grid`, as an integer array.
+    """Wedge-tensor entries over the grid of :func:`_disjoint_grid`, in the field's entry dtype.
 
     A cell's entry is the product of x_u ^ x_v over the pairs of its picked
     vertices (slot j has sizes[j] of them).  Over GF(2^k <= 16) the factors
@@ -233,7 +234,7 @@ def _wedge_grid(
     terms = [_along(slot_terms[j], (j,), t) for j in range(t)]
     terms += [_along(pair_terms[:, p], axes, t) for p, axes in enumerate(combinations(range(t), 2))]
     total = reduce(combine, terms)
-    entries = exp[total % (field.order - 1)] if field.k <= 16 else total.astype(np.int64)
+    entries = exp[total % (field.order - 1)] if field.k <= 16 else total.astype(entry_dtype(field))
     entries *= disjoint
     return entries
 

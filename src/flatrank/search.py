@@ -74,7 +74,7 @@ from .setfam import (
     repeated_singleton_family,
     try_extend_cross_oddtown,
 )
-from .tensor import Tensor, _axis_order, check_cube, flattening_ranks, index_class_arrays
+from .tensor import Tensor, _axis_order, check_cube, distinct_cells, flattening_ranks, index_class_arrays
 
 __all__ = [
     "SearchReport",
@@ -797,8 +797,9 @@ def _block_ranks(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of each A^d tensor in an (N, a^d) block, one rank call for all axes.
 
-    Its d flattenings are stacked into ``ws`` (:func:`_field_sizes`), or a
-    workspace of their own, and ranked there in place.
+    The field's order is above 2.  Its d flattenings are stacked into ``ws``
+    (:func:`_field_sizes`), or a workspace of their own, and ranked there in
+    place.
     """
     n = entries.shape[0]
     ws = ws or _Workspace(_field_sizes(a, d, n, field))
@@ -897,7 +898,8 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
     The reported size can therefore reach, and never exceeds, (d-1)*n.  The
     family reaches m = min(budget, (d-1)n) members, so the m^d grid of its
     final check and its m*d*ceil(n/64) limbs are checked against the dense
-    cap before any tuple is tested.
+    cap before any tuple is tested.  The pairwise-distinct m^(d-1) grid
+    that every test reads a corner of is built once.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -905,12 +907,13 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
     m, width = min(budget, bound), -(-n // 64)  # limbs of every mask, all below 2^n
     caps.grid_shape(m, d)
     limbs = np.empty(caps.admit((m, d, width), f"limbs of {m} members"), np.uint64).reshape(m, d, width)
+    distinct = distinct_cells(m, d - 1)  # each test reads the corner of its members
     singletons = repeated_singleton_family(min(n, -(-m // (d - 1))), d).members
     members: list[tuple[int, ...]] = []
     for attempt in range(budget):
         draw = attempt >= len(singletons)
         tup = tuple(rng.next_below(1 << n) for _ in range(d)) if draw else singletons[attempt]
-        if try_extend_cross_oddtown(limbs[: len(members)], tup, d):
+        if try_extend_cross_oddtown(limbs[: len(members)], tup, d, distinct):
             limbs[len(members)] = _slot_limbs([tup], d, width)[0]
             members.append(tup)
     fam = TupleFamily(n=n, d=d, members=tuple(members))

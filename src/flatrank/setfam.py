@@ -33,7 +33,7 @@ import numpy as np
 
 from . import caps
 from .field import GF2
-from .tensor import Tensor, distinct_cells, flattening_ranks, is_semi_diagonal
+from .tensor import Tensor, flattening_ranks, is_semi_diagonal
 
 __all__ = [
     "SetFamily",
@@ -225,37 +225,38 @@ def repeated_singleton_family(n: int, d: int) -> TupleFamily:
     return TupleFamily(n=n, d=d, members=tuple((1 << i,) * d for i in range(n) for _ in range(d - 1)))
 
 
-def _cross_even_with(limbs: np.ndarray, new: tuple[int, ...], d: int) -> bool:
+def _cross_even_with(limbs: np.ndarray, new: tuple[int, ...], d: int, distinct: np.ndarray) -> bool:
     """Can ``new`` join the members of ``limbs`` keeping all distinct-position d-tuples even?
 
     ``limbs`` are the members' :func:`_slot_limbs`, which the greedy search
     keeps as it grows; ``new`` is split to their width.  For each slot of
     ``new``, one broadcast intersects it with every arrangement of d-1
     members over the other slots; only arrangements of pairwise-distinct
-    members count: one :func:`flatrank.tensor.distinct_cells` grid, built once
-    a call after its c^(d-1) cells are admitted, masks each slot's parities.
+    members count: the leading c^(d-1) corner of ``distinct``, a
+    :func:`flatrank.tensor.distinct_cells` grid of d-1 axes on at least the
+    c members, masks each slot's parities.
     """
     c = len(limbs)
     if c + 1 < d:
         return True
-    distinct = distinct_cells(c, d - 1)
+    corner = distinct[(slice(c),) * (d - 1)]
     fresh = _slot_limbs([new], d, limbs.shape[2])
     for slot in range(d):
         others = [limbs[:, j] for j in range(d) if j != slot]
         odd = _intersection_sizes([fresh[:, slot], *others])[0] & 1
-        if np.logical_and(odd, distinct).any():
+        if np.logical_and(odd, corner).any():
             return False
     return True
 
 
-def try_extend_cross_oddtown(limbs: np.ndarray, new: tuple[int, ...], d: int) -> bool:
+def try_extend_cross_oddtown(limbs: np.ndarray, new: tuple[int, ...], d: int, distinct: np.ndarray) -> bool:
     """Incremental validity test used by greedy growth; members stay valid.
 
-    ``limbs`` are the members' :func:`_slot_limbs`, as for :func:`_cross_even_with`.
+    ``limbs`` and ``distinct`` are as for :func:`_cross_even_with`.
     """
     if intersection_size(new) % 2 == 0:
         return False
-    return _cross_even_with(limbs, new, d)
+    return _cross_even_with(limbs, new, d, distinct)
 
 
 def verify_oddtown_chain(fam: TupleFamily) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import caps
 from .field import FieldDescriptor
-from .linalg import entry_dtype, matrix_rank
+from .linalg import _canonical, entry_dtype, matrix_rank
 
 __all__ = [
     "Tensor",
@@ -65,49 +65,37 @@ def _bounded_search(root, children: Callable, depth: int, what: str) -> list | N
 
 
 def integer_array(values, what: str) -> np.ndarray:
-    """``values`` as a fresh int64 array; anything but integers is rejected, never coerced.
+    """The sequence ``values`` as a fresh int64 array; anything but integers is rejected, never coerced.
 
     Booleans, floats, strings and nulls raise ValueError, as do integers
     outside the int64 range.
     """
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind not in "iu":
-            raise ValueError(f"{what} must be integers, got dtype {values.dtype}")
-        if values.dtype.kind == "u" and values.size and values.max() > np.iinfo(np.int64).max:
-            raise ValueError(f"{what} exceed the int64 range")
-    else:
-        bad = {
-            t.__name__
-            for t in set(map(type, values))
-            if t is bool or not issubclass(t, (int, np.integer))
-        }
-        if bad:
-            raise ValueError(f"{what} must be integers, got {', '.join(sorted(bad))}")
+    bad = {t.__name__ for t in set(map(type, values)) if t is bool or not issubclass(t, (int, np.integer))}
+    if bad:
+        raise ValueError(f"{what} must be integers, got {', '.join(sorted(bad))}")
     try:
         return np.array(values, dtype=np.int64).reshape(-1)
     except OverflowError:
         raise ValueError(f"{what} exceed the int64 range") from None
 
 
-def _frozen_int64(values) -> bool:
-    """True for an int64 array that owns its data and is read-only: nothing writes it."""
-    return (
-        isinstance(values, np.ndarray)
-        and values.dtype == np.int64
-        and values.base is None
-        and not values.flags.writeable
-    )
+def check_entries(values: np.ndarray, field: FieldDescriptor) -> None:
+    """Refuse an integer array with an entry outside [0, field order), read in its own dtype."""
+    if not _canonical(values, field.order):
+        bad = values.reshape(-1)[np.flatnonzero((values < 0) | (values >= field.order))[0]]
+        raise ValueError(f"entry {int(bad)} is not canonical in {field}")
 
 
 @dataclass(frozen=True, eq=False)
 class Tensor:
     """Immutable dense tensor; ``entries[flat]`` with row-major flat indexing.
 
-    ``entries`` is a read-only 1-D int64 array of canonical representatives,
-    validated once at construction.  An int64 array that owns its data and is
-    already read-only, as :func:`flatrank.formats.load_document` returns them,
-    is validated and kept as it is; anything else is copied, so no caller's
-    array turns read-only or can change the tensor.
+    ``entries`` is a read-only 1-D array of canonical representatives in the
+    field's narrowest dtype (:func:`flatrank.linalg.entry_dtype`), the dtype
+    every rank kernel reads.  An integer array is checked once, in its own
+    dtype; one that is already in that dtype, owns its data and is read-only,
+    as the constructions build them, is kept as it is.  Anything else is
+    cast once, so no caller's array turns read-only or can change the tensor.
     """
 
     dims: tuple[int, ...]
@@ -120,15 +108,17 @@ class Tensor:
             raise ValueError(f"dims must be positive integers, got {dims}")
         size = caps.admit(dims, "tensor")
         entries = self.entries
-        if _frozen_int64(entries):
-            entries = entries.reshape(-1)
-        else:
+        if not isinstance(entries, np.ndarray):
             entries = integer_array(entries, "tensor entries")
+        elif entries.dtype.kind not in "iu":
+            raise ValueError(f"tensor entries must be integers, got dtype {entries.dtype}")
         if entries.size != size:
             raise ValueError(f"expected {size} entries, got {entries.size}")
-        bad = np.flatnonzero((entries < 0) | (entries >= self.field.order))
-        if bad.size:
-            raise ValueError(f"entry {int(entries[bad[0]])} is not canonical in {self.field}")
+        check_entries(entries, self.field)
+        dtype = entry_dtype(self.field)
+        if entries.dtype != dtype or entries.base is not None or entries.flags.writeable:
+            entries = entries.astype(dtype)
+        entries = entries.reshape(-1)
         entries.flags.writeable = False
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "entries", entries)
@@ -152,11 +142,6 @@ def _check_axis(t: Tensor, axis: int) -> None:
         raise IndexError(f"axis {axis} out of range for a {t.ndim}-dimensional tensor")
 
 
-def _narrow_array(t: Tensor) -> np.ndarray:
-    """The entries with shape ``dims``, in the field's narrowest dtype."""
-    return t.array.astype(entry_dtype(t.field))
-
-
 @lru_cache(maxsize=None)
 def _axis_order(ndim: int, source: int, destination: int = 0) -> tuple[int, ...]:
     """Axes that ``transpose`` takes to move axis ``source`` of ``ndim`` to ``destination``.
@@ -172,11 +157,11 @@ def _axis_order(ndim: int, source: int, destination: int = 0) -> tuple[int, ...]
 
 def _flattening(t: Tensor, axis: int) -> np.ndarray:
     _check_axis(t, axis)
-    return _narrow_array(t).transpose(_axis_order(t.ndim, axis)).reshape(t.dims[axis], -1)
+    return t.array.transpose(_axis_order(t.ndim, axis)).reshape(t.dims[axis], -1)
 
 
 def _stack_ranks(stack: np.ndarray, field: FieldDescriptor) -> list[int]:
-    """Ranks of an ``(N, r, c)`` stack of flattenings, in the field's narrowest dtype.
+    """Ranks of an ``(N, r, c)`` stack of flattenings.
 
     Over a field of order > 2, the columns that are zero in every matrix of
     the stack are dropped first, if that drops at least half of them: a zero
@@ -202,17 +187,17 @@ def flattening_ranks(t: Tensor) -> list[int]:
 
     A matrix's two flattenings are transposes, so one is ranked.  The d
     flattenings of a cubical tensor share one shape and are ranked as one
-    ``(d, a, a^(d-1))`` batch, in the field's narrowest dtype, without the
-    columns that are zero in all of them (:func:`_stack_ranks`).
+    ``(d, a, a^(d-1))`` batch, without the columns that are zero in all of
+    them (:func:`_stack_ranks`), while its d a^d entries are within the dense
+    cap; past it, and for other shapes, one axis at a time.
     """
     if t.ndim == 2:
         return [flattening_rank(t, 0)] * 2
-    if any(a != t.dims[0] for a in t.dims):
+    if any(a != t.dims[0] for a in t.dims) or t.ndim * t.entries.size > caps.MAX_ENTRIES:
         return [flattening_rank(t, i) for i in range(t.ndim)]
-    arr = _narrow_array(t)
-    stack = np.empty((t.ndim, t.dims[0], arr.size // t.dims[0]), dtype=arr.dtype)
+    stack = np.empty((t.ndim, t.dims[0], t.entries.size // t.dims[0]), dtype=t.entries.dtype)
     for i in range(t.ndim):  # copied once, into a view of the flattening's rows
-        np.copyto(stack[i].reshape(t.dims), arr.transpose(_axis_order(t.ndim, i)))
+        np.copyto(stack[i].reshape(t.dims), t.array.transpose(_axis_order(t.ndim, i)))
     return _stack_ranks(stack, t.field)
 
 
@@ -288,7 +273,7 @@ def partition_construction(a: int, d: int, field: FieldDescriptor) -> Tensor:
     """
     check_cube(a, d, "construction")
     blocks = [_coordinate(a, d, j) // (d - 1) for j in range(d)]
-    return Tensor.from_array(_frozen(_all_equal(blocks, a, d).astype(np.int64)), field)
+    return Tensor.from_array(_frozen(_all_equal(blocks, a, d).astype(entry_dtype(field))), field)
 
 
 def axis_constant_construction(a: int, d: int, axis: int, field: FieldDescriptor) -> Tensor:
@@ -302,7 +287,7 @@ def axis_constant_construction(a: int, d: int, axis: int, field: FieldDescriptor
     if not 0 <= axis < d:
         raise IndexError(f"axis {axis} out of range")
     rest = [_coordinate(a, d, j) for j in range(d) if j != axis]
-    return Tensor.from_array(_frozen(_all_equal(rest, a, d).astype(np.int64)), field)
+    return Tensor.from_array(_frozen(_all_equal(rest, a, d).astype(entry_dtype(field))), field)
 
 
 # cells up to which a pairwise-distinct grid is kept for its shape: 64 KB of bools

@@ -163,7 +163,7 @@ def add_tensors(s: Tensor, t: Tensor) -> Tensor:
     if f.kind == "binary":
         entries = s.entries ^ t.entries
     else:
-        entries = (s.entries + t.entries) % f.p
+        entries = (s.entries.astype(np.int64) + t.entries) % f.p
     return Tensor(s.dims, f, entries)
 
 

@@ -175,6 +175,18 @@ def dense_document(tmp_path, spec, seed=1):
     return path
 
 
+def test_rank_past_the_stacked_cap_ranks_axis_by_axis(tmp_path, capsys):
+    # a 2^20-cell GF(2) document on 20 axes: its 20 stacked flattenings would hold
+    # 20 * 2^20 entries, past the dense cap, so each axis is ranked on its own (the
+    # stack, with a copy of it, took the call to 56.7 MB traced)
+    values = np.random.default_rng(20).integers(0, 2, 1 << 20)
+    path = tmp_path / "axes-20.json"
+    path.write_text(tensor_text(Tensor((2,) * 20, _parse_field("gf2"), values)))
+    code, peak = arena_peak(run, ["rank", path, "--max"])
+    assert code == 0 and json.loads(capsys.readouterr().out)["results"]["mfrank"] == 2
+    assert peak < 24 << 20
+
+
 @pytest.mark.parametrize("spec", ["gf2", "prime:3", "binary:8"])
 def test_rank_pretty_printed_document_same_results(tmp_path, capsys, spec):
     canonical = dense_document(tmp_path, spec)

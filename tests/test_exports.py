@@ -47,6 +47,8 @@ REMOVED = {
         "subtensor",
         "add_tensors",
         "sum_flattening_ranks",
+        "_narrow_array",
+        "_frozen_int64",
     ],
     "flatrank.fw": [
         "max_odd_pairwise_odd_family",

@@ -678,10 +678,11 @@ def test_sparse_ingest_matches_per_pair_loop(doc):
 @pytest.mark.parametrize("spec", ["prime:3", "binary:8"])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_loaded_tensor_documents_build_without_a_copy(tmp_path, monkeypatch, spec, sparse):
-    # the arrays load_document and tensor_from_document build are frozen and kept:
-    # no second int64 copy of the a^d entries
+    # load_document's arrays are frozen; the Tensor casts a dense body once, into
+    # the field's entry dtype, and the sparse reader fills its cells in that dtype:
+    # no int64 copy of the a^d entries, and no cast between the Tensor and its ranks
     import flatrank.tensor as tensor_mod
-    from flatrank.tensor import partition_construction
+    from flatrank.tensor import flattening_ranks, partition_construction
 
     field = cli._parse_field(spec)
     t = partition_construction(6, 4, field)
@@ -690,13 +691,14 @@ def test_loaded_tensor_documents_build_without_a_copy(tmp_path, monkeypatch, spe
     doc = load_document(str(path))[0]
     array = doc["sparse" if sparse else "entries"]
     assert isinstance(array, np.ndarray) and not array.flags.writeable
-    copies = []
-    convert = tensor_mod.integer_array
+    copies, stacks = [], []
+    convert, rank = tensor_mod.integer_array, tensor_mod.matrix_rank
     monkeypatch.setattr(tensor_mod, "integer_array", lambda *a: copies.append(a[1]) or convert(*a))
-    assert tensor_key(tensor_from_document(doc)) == tensor_key(t)
-    assert copies == []
-    if not sparse:
-        assert np.shares_memory(tensor_from_document(doc).entries, array)
+    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: stacks.append(m.dtype) or rank(m, f))
+    loaded = tensor_from_document(doc)
+    assert tensor_key(loaded) == tensor_key(t)
+    assert copies == [] and loaded.entries.dtype == linalg.entry_dtype(field)
+    assert flattening_ranks(loaded) == flattening_ranks(t) and stacks == [loaded.entries.dtype] * 2
 
 
 def test_caller_arrays_in_documents_stay_writeable():

@@ -13,10 +13,13 @@ from oracles import Arith, _rank_generic
 
 
 def _batched_ranks(mats, field):
-    """Ranks of an (N, r, c) batch, r <= c, through the batched kernel, whatever its size."""
-    from flatrank.linalg import _elimination_sizes, _rank_into, _Workspace
+    """Ranks of an (N, r, c) batch, r <= c, through the batched kernel, whatever its size;
+    over GF(2), which has none, through the bit rows."""
+    from flatrank.linalg import _elimination_sizes, _rank_gf2, _rank_into, _Workspace
 
     mats = np.asarray(mats)
+    if field.order == 2:
+        return _rank_gf2(mats % 2).tolist()
     ws = _Workspace(_elimination_sizes(*mats.shape, field))
     work = ws.take("work", *mats.shape)
     np.copyto(work, mats % field.order if field.kind == "prime" else mats, casting="unsafe")
@@ -483,11 +486,11 @@ def _byte_row_batch(rng, field, n, r, c):
 
 
 def _kernels_called(monkeypatch):
-    """Record which kernel each matrix_rank call reaches: 'bytes' or 'batched'."""
+    """Record which kernel each matrix_rank call reaches: 'bits', 'bytes' or 'batched'."""
     import flatrank.linalg as linalg
 
     calls = []
-    for name, label in (("_rank_byte_rows", "bytes"), ("_rank_into", "batched")):
+    for name, label in (("_rank_gf2", "bits"), ("_rank_byte_rows", "bytes"), ("_rank_into", "batched")):
         real = getattr(linalg, name)
         monkeypatch.setattr(
             linalg, name, lambda *a, real=real, label=label: calls.append(label) or real(*a)
@@ -544,7 +547,29 @@ def test_fields_past_a_byte_stay_off_byte_rows(field, monkeypatch):
     mats = rng.integers(0, field.order, (3, 5, 6))
     want = [_rank_generic(m.tolist(), field) for m in mats]
     assert matrix_rank(mats, field).tolist() == want
-    assert calls == ["batched"]
+    assert calls == ["bits" if field.order == 2 else "batched"]
+
+
+def test_gf2_ranks_build_no_workspace(monkeypatch):
+    # a GF(2) batch goes to the bit rows as it is, or once reduced mod 2: no
+    # elimination workspace, which only the other fields' kernels read
+    import flatrank.linalg as linalg
+
+    def refused(*args):
+        raise AssertionError("a workspace was built")
+
+    monkeypatch.setattr(linalg, "_Workspace", refused)
+    rng = np.random.default_rng(2)
+    for field in (make_prime_field(2), make_binary_field(1)):
+        for shape in [(1, 10, 10), (5, 8, 4096), (3, 20, 400), (4, 9, 3)]:
+            mats = rng.integers(0, 2, shape, dtype=np.uint8)
+            mats[:, -1] = mats[:, 0]  # rank-deficient
+            want = [_rank_generic(m.tolist(), field) for m in mats]
+            assert matrix_rank(mats, field).tolist() == want, shape
+            assert matrix_rank(mats.astype(np.int64) - 2, field).tolist() == want
+        assert matrix_rank([[1, 3], [5, 7]], field) == 1
+    with pytest.raises(AssertionError, match="workspace"):
+        matrix_rank(rng.integers(0, 3, (3, 20, 100)), make_prime_field(3))  # past byte rows
 
 
 @pytest.mark.parametrize("field", BYTE_ROW_FIELDS, ids=str)

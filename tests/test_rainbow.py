@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from flatrank.field import make_binary_field
+from flatrank.linalg import entry_dtype
 from flatrank.rainbow import (
     SetPairSystem,
     _disjoint_grid,
@@ -348,7 +349,7 @@ def test_wedge_grid_over_large_fields_matches_field_mul(k):
         system = random_setpair_system(rng, t, sizes, base, 1 + rng.next_below(4), skew=False)
         limbs = _slot_limbs(system.members, t)
         entries = _wedge_grid(limbs, sizes, _disjoint_grid(limbs), base, field)
-        assert entries.dtype == np.int64
+        assert entries.dtype == entry_dtype(field)  # the dtype its Tensor keeps
         assert entries.reshape(-1).tolist() == _pair_product_oracle(system, field)
 
 

@@ -196,6 +196,15 @@ def test_exhaustive_refuses_oversized():
         exhaustive_min_mfrank(4, 3)
 
 
+def _gf2_block_ranks(entries, a, d):
+    """(mfrank, sum_franks) of each GF(2) tensor on A^d in an (N, a^d) block, the oracle of
+    the GF(2) sweep kernels: ``matrix_rank`` of each axis's stacked flattenings."""
+    n = entries.shape[0]
+    grid = entries.reshape((n,) + (a,) * d)
+    ranks = np.stack([linalg.matrix_rank(np.moveaxis(grid, ax + 1, 1).reshape(n, a, -1), GF2) for ax in range(d)])
+    return ranks.max(axis=0), ranks.sum(axis=0)
+
+
 @pytest.mark.parametrize("field", [GF2, make_prime_field(3), make_binary_field(8)], ids=str)
 def test_block_ranks_match_moveaxis(field):
     # the stacked flattenings are copied from transpose views, which must
@@ -210,7 +219,11 @@ def test_block_ranks_match_moveaxis(field):
             [_rank_generic(np.moveaxis(g, ax, 0).reshape(a, -1).tolist(), field) for ax in range(d)]
             for g in grid
         ]
-        mfrank, sumrank = _block_ranks(grid.reshape(n, -1).astype(entry_dtype(field)), a, d, field)
+        entries = grid.reshape(n, -1).astype(entry_dtype(field))
+        if field.order == 2:  # the oracle of the GF(2) sweep kernels
+            mfrank, sumrank = _gf2_block_ranks(entries, a, d)
+        else:
+            mfrank, sumrank = _block_ranks(entries, a, d, field)
         assert (mfrank.tolist(), sumrank.tolist()) == ([max(r) for r in franks], [sum(r) for r in franks])
 
 
@@ -344,7 +357,7 @@ def test_exhaustive_chunks_match_matrix_rank(monkeypatch, a, d):
 
     total = 1 << len(index_class_arrays(a, d)[2])
     words = np.arange(total, dtype=np.uint64)[:, None]
-    oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    oracle = _gf2_block_ranks(_semidiagonal_block(a, d, GF2, words), a, d)
     if total == 1:
         _, sizes, _, kernel = search._exact_plan(a, d, total, 1)
         for got, want in zip(kernel(words, _Workspace(sizes)), oracle):
@@ -382,7 +395,7 @@ def test_exhaustive_chunk_ranks_alone(a, d):
             sizes = _exhaustive_sizes(a, d, n)
             ws = _Workspace(sizes, bytearray(b"\xff") * _Workspace.nbytes(sizes))
             words = np.arange(start, start + n, dtype=np.uint64)[:, None]
-            want = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+            want = _gf2_block_ranks(_semidiagonal_block(a, d, GF2, words), a, d)
             got = _exhaustive_ranks(a, d, tables, int(start), int(start) + n, ws)
             assert [r.tolist() for r in got] == [r.tolist() for r in want], (n, start)
 
@@ -470,7 +483,7 @@ def _assert_packed_matches_matrix_rank(a, d, words):
     else:
         ws = _Workspace(_sliced_sizes(a, d, n, words.shape[1]))
         packed = _sliced_ranks(a, d, words, ws)
-    oracle = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    oracle = _gf2_block_ranks(_semidiagonal_block(a, d, GF2, words), a, d)
     for got, want in zip(packed, oracle):
         assert got.tolist() == want.tolist()
 
@@ -528,7 +541,7 @@ def test_population_kernels_match_matrix_rank(monkeypatch, a, d):
         _assert_packed_matches_matrix_rank(a, d, np.zeros_like(hard[:n]))
     # blocks of 64 over 150 tensors: the last, of 22, leaves lanes of its word empty
     words = _stream_block(23, 0, 150, _semidiagonal_words(a, d, GF2))
-    mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    mfrank, sumrank = _gf2_block_ranks(_semidiagonal_block(a, d, GF2, words), a, d)
     _budget_blocks(monkeypatch, GF2, a, d, 64)
     rep = random_semidiagonal_sweep(a, d, 150, seed=23)
     assert (rep.min_mfrank, rep.min_sum_franks) == (mfrank.min(), sumrank.min())
@@ -605,7 +618,7 @@ def test_certificate_matches_matrix_rank(monkeypatch, a, d):
         (np.zeros((70, nwords), np.uint64), (None,)),
         (_stream_block(29, 0, 3000, nwords), (None,)),
     ):
-        want = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+        want = _gf2_block_ranks(_semidiagonal_block(a, d, GF2, words), a, d)
         short = int((want[1] < a * d).sum())  # tensors that are not of full rank
         for chunk in chunks:
             got, sent = _certify(monkeypatch, a, d, words, chunk)
@@ -647,7 +660,7 @@ def test_certificate_left_to_exact_kernels(monkeypatch, a, d):
     monkeypatch.setattr(search, "BLOCK_BYTES", _certified_block_bytes(a, d, 10))
     rep = random_semidiagonal_sweep(a, d, 100, seed=3)
     words = _stream_block(3, 0, 100, nwords)
-    mfrank, sumrank = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+    mfrank, sumrank = _gf2_block_ranks(_semidiagonal_block(a, d, GF2, words), a, d)
     assert (rep.min_mfrank, rep.min_sum_franks) == (mfrank.min(), sumrank.min())
 
 
@@ -708,7 +721,7 @@ def test_queued_misses_rank_exactly(monkeypatch, a, d):
     words = words[np.random.default_rng(a * d).permutation(len(words))]
     total, nwords, lower = len(words), words.shape[1], -(-a // (d - 1))
     misses = _sampled_misses(a, d, words)
-    want = [r.tolist() for r in _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)]
+    want = [r.tolist() for r in _gf2_block_ranks(_semidiagonal_block(a, d, GF2, words), a, d)]
     bad = [j for j, v in enumerate(want[0]) if v < lower]
     want_scan = (
         min((v, j) for j, v in enumerate(want[0])),
@@ -865,7 +878,7 @@ def test_wide_rows_match_matrix_rank(monkeypatch, a, d, sampled):
             _assert_packed_matches_matrix_rank(a, d, words)
             continue
         got, _ = _certify(monkeypatch, a, d, words)
-        want = _block_ranks(_semidiagonal_block(a, d, GF2, words), a, d, GF2)
+        want = _gf2_block_ranks(_semidiagonal_block(a, d, GF2, words), a, d)
         assert [r.tolist() for r in got] == [r.tolist() for r in want]
 
 
@@ -1212,6 +1225,22 @@ def test_oddtown_search_never_exceeds_bound():
     for seed in range(5):
         rep = random_cross_oddtown_search(4, 3, 300, Rng(seed))
         assert rep.extra["largest_size"] <= rep.extra["bound"]
+
+
+def test_oddtown_search_builds_its_distinct_grid_once(monkeypatch):
+    # a pairwise-distinct grid past 2^16 cells is built on every call, not cached: at
+    # d = 4 each test of a family past 40 members needs one.  The search builds its
+    # 64^3 grid once and hands each test the corner of its members.  (At d = 3 the
+    # dense cap keeps the family within 256 members, whose 255^2 grid is cached.)
+    import flatrank.tensor as tensor_mod
+
+    builds, cached = [], tensor_mod._distinct_cells
+    grids = lambda a, d: cached(a, d)
+    grids.__wrapped__ = lambda a, d: builds.append((a, d)) or cached.__wrapped__(a, d)
+    monkeypatch.setattr(tensor_mod, "_distinct_cells", grids)
+    rep = random_cross_oddtown_search(32, 4, 64, Rng(1))
+    assert rep.extra["largest_size"] == 64
+    assert builds == [(64, 3), (64, 4)]  # and the 64^4 grid of the final check
 
 
 def test_packed_sum_exact_at_numpy_dimension_cap():

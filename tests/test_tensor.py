@@ -8,7 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatrank.field import GF2, make_binary_field, make_prime_field
+from flatrank.formats import canonical_json, load_document, tensor_from_document, tensor_to_document
+from flatrank.fw import Configuration, fw_tensor
+from flatrank.linalg import entry_dtype
+from flatrank.rainbow import SetPairSystem, bollobas_verify, rainbow_tensor
 from flatrank.rng import Rng
+from flatrank.setfam import SetFamily, oddtown_tensor, repeated_singleton_family
 from flatrank.tensor import (
     Tensor,
     _axis_order,
@@ -23,7 +28,14 @@ from flatrank.tensor import (
     semi_diagonal_faults,
 )
 
-from oracles import _rank_generic, add_tensors, semi_diagonal_faults_naive, subtensor, tensor_key
+from oracles import (
+    _rank_generic,
+    add_tensors,
+    hypergraph_from_vertex_lists,
+    semi_diagonal_faults_naive,
+    subtensor,
+    tensor_key,
+)
 
 GF3 = make_prime_field(3)
 GF5 = make_prime_field(5)
@@ -259,7 +271,7 @@ def test_add_tensors_identities():
     t = random_tensor((2, 2, 2), GF5, rng)
     zero = zeros((2, 2, 2), GF5)
     assert tensor_key(add_tensors(t, zero)) == tensor_key(t)
-    summed = add_tensors(t, Tensor(t.dims, GF5, -t.entries % 5))
+    summed = add_tensors(t, Tensor(t.dims, GF5, (5 - t.entries) % 5))
     assert not summed.entries.any() and max_flattening_rank(summed) == 0
     with pytest.raises(ValueError):
         add_tensors(t, zeros((2, 2), GF5))
@@ -378,7 +390,7 @@ def test_document_cap_and_validation():
     t = Tensor((2, 2), GF5, np.array([0, 1, 2, 3], dtype=np.uint8))
     with pytest.raises(ValueError):
         t.entries[0] = 4  # entries are read-only
-    assert t.entries.dtype == np.int64 and t.array[1, 1] == 3
+    assert t.entries.dtype == np.uint8 and t.array[1, 1] == 3
 
 
 def _scaled_permutation(dims, field, rng, terms):
@@ -459,6 +471,28 @@ def test_compaction_keeps_only_live_columns(monkeypatch):
     assert flattening_rank(Tensor((4, 4), GF3, one[:16]), 0) == 0 and shapes[-1] == (1, 4, 0)
 
 
+@pytest.mark.parametrize("field", [GF2, GF3, make_binary_field(8)], ids=str)
+def test_cubical_ranks_stack_only_within_the_dense_cap(field, monkeypatch):
+    # the d flattenings of a^d are stacked while their d a^d entries fit the dense
+    # cap; one entry past it, each axis is ranked on its own, to the same ranks
+    import flatrank.tensor as tensor_mod
+    from flatrank import caps
+
+    shapes = []
+    rank = tensor_mod.matrix_rank
+    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: shapes.append(m.shape[0]) or rank(m, f))
+    rng = np.random.default_rng(field.order)
+    for t in (Tensor((3,) * 4, field, rng.integers(0, field.order, 81)), partition_construction(3, 4, field)):
+        stacked = flattening_ranks(t)
+        monkeypatch.setattr(caps, "MAX_ENTRIES", 4 * 81 - 1)
+        shapes.clear()
+        assert flattening_ranks(t) == stacked == [_rank_generic(_flattening(t, ax).tolist(), field) for ax in range(4)]
+        assert shapes == [1] * 4
+        monkeypatch.setattr(caps, "MAX_ENTRIES", 4 * 81)
+        shapes.clear()
+        assert flattening_ranks(t) == stacked and shapes == [4]
+
+
 def test_scaled_permutation_ranks_without_a_clear(monkeypatch):
     # the full-rank 8^5 tensor of the benchmark's rank documents over GF(2^8): its
     # flattenings keep at most 5 * 8 live columns, few enough for byte rows, and
@@ -490,27 +524,106 @@ def test_tensor_keeps_only_frozen_owned_arrays(monkeypatch):
     import flatrank.tensor as tensor_mod
 
     # a caller's writeable array is copied and stays writeable
-    arr = np.array([0, 1, 2, 3], dtype=np.int64)
+    arr = np.array([0, 1, 2, 3], dtype=np.uint8)
     t = Tensor((2, 2), GF5, arr)
     assert arr.flags.writeable and not np.shares_memory(arr, t.entries)
     # a read-only view of a writeable array could still change: copied
     view = arr.view()
     view.flags.writeable = False
     assert not np.shares_memory(Tensor((2, 2), GF5, view).entries, arr)
-    # an owned read-only int64 array cannot change: validated and kept
+    # an owned read-only array in the field's entry dtype cannot change: checked and kept
     frozen = arr.copy()
     frozen.flags.writeable = False
     assert np.shares_memory(Tensor((2, 2), GF5, frozen).entries, frozen)
-    bad = np.array([0, 1, 2, 5], dtype=np.int64)
-    bad.flags.writeable = False
-    with pytest.raises(ValueError, match="not canonical"):
-        Tensor((2, 2), GF5, bad)
+    # in any other dtype it is cast once, after its range is checked in its own
+    wide = frozen.astype(np.int64)
+    wide.flags.writeable = False
+    assert Tensor((2, 2), GF5, wide).entries.dtype == np.uint8
+    for bad, entry in [([0, 1, 2, 5], 5), ([0, 1, 2, 259], 259), ([0, -1, 2, 3], -1)]:
+        bad = np.array(bad, dtype=np.int64)
+        bad.flags.writeable = False
+        with pytest.raises(ValueError, match=f"^entry {entry} is not canonical"):
+            Tensor((2, 2), GF5, bad)
     # the constructions hand over the arrays they build, uncopied
+    built, frozen_by = [], tensor_mod._frozen
+    monkeypatch.setattr(tensor_mod, "_frozen", lambda a: built.append(frozen_by(a)) or built[-1])
+    made = [partition_construction(4, 3, GF3), axis_constant_construction(3, 3, 1, GF3)]
+    assert [np.shares_memory(t.entries, grid) for t, grid in zip(made, built)] == [True, True]
+    # only sequences go through the int64 conversion
     copies = []
     convert = tensor_mod.integer_array
     monkeypatch.setattr(tensor_mod, "integer_array", lambda *a: copies.append(a[1]) or convert(*a))
-    partition_construction(4, 3, GF3)
-    axis_constant_construction(3, 3, 1, GF3)
-    assert copies == []
     Tensor.from_array(np.ones((2, 2), dtype=np.int64), GF3)
+    assert copies == []
+    Tensor((2, 2), GF3, [1, 1, 1, 1])
     assert copies == ["tensor entries"]
+
+
+
+def _read_document(t, sparse, tmp_path):
+    """``t`` written as a dense or sparse document, and read back from the file."""
+    path = tmp_path / "t.json"
+    path.write_text(canonical_json(tensor_to_document(t, sparse=sparse)))
+    return tensor_from_document(load_document(str(path))[0])
+
+
+def _violation_witness(field, monkeypatch):
+    """A 4^3 sweep over ``field`` whose kernel is made to rank tensor 5 low, so it builds a witness."""
+    import flatrank.search as search
+
+    kernel = "_packed_population_ranks" if field.order == 2 else "_block_ranks"
+    real = getattr(search, kernel)
+
+    def faked(*args):
+        mfrank, sumrank = real(*args)
+        mfrank = mfrank.copy()
+        mfrank[5] = 0
+        return mfrank, sumrank
+
+    monkeypatch.setattr(search, kernel, faked)
+    assert search.random_semidiagonal_sweep(4, 3, 9, seed=41, field=field).violations == 1
+
+
+# name -> a call, given a field, a temporary directory and monkeypatch, that builds tensors
+# over that field
+PRODUCERS = {
+    "partition": lambda f, tmp, mp: partition_construction(4, 3, f),
+    "axis-constant": lambda f, tmp, mp: axis_constant_construction(3, 3, 1, f),
+    "dense-document": lambda f, tmp, mp: _read_document(partition_construction(4, 3, f), False, tmp),
+    "sparse-document": lambda f, tmp, mp: _read_document(partition_construction(4, 3, f), True, tmp),
+    "violation-witness": lambda f, tmp, mp: _violation_witness(f, mp),
+}
+# name -> a call that builds tensors over a field of its own
+OWN_FIELD = {
+    "oddtown": lambda: oddtown_tensor(repeated_singleton_family(3, 3)),
+    "fw": lambda: fw_tensor(
+        SetFamily(n=4, members=(0b0011, 0b0101, 0b1110)), Configuration(k=2, p=17, C=(0b11, 0b01), L=(0,))
+    ),
+    "rainbow": lambda: rainbow_tensor(
+        hypergraph_from_vertex_lists(6, 2, 2, [[[0, 1], [2, 3]], [[4, 5], [0, 2]]])
+    ),
+    "bollobas": lambda: bollobas_verify(
+        SetPairSystem(base_size=4, sizes=(1, 1, 2), members=((0b0001, 0b0010, 0b1100), (0b0010, 0b0100, 0b1001)))
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "name,field",
+    [(name, f) for name in PRODUCERS for f in (GF2, GF5, make_binary_field(8))]
+    + [(name, None) for name in OWN_FIELD],
+    ids=str,
+)
+def test_every_producer_keeps_the_entry_dtype(name, field, monkeypatch, tmp_path):
+    # every tensor a producer builds holds its entries read-only, in the dtype the rank
+    # kernels read: nothing casts them again before ranking
+    built, init = [], Tensor.__post_init__
+    monkeypatch.setattr(Tensor, "__post_init__", lambda self: init(self) or built.append(self))
+    if field is None:
+        OWN_FIELD[name]()
+    else:
+        PRODUCERS[name](field, tmp_path, monkeypatch)
+    assert built
+    for t in built:
+        assert t.entries.dtype == entry_dtype(t.field) and t.entries.ndim == 1
+        assert not t.entries.flags.writeable
