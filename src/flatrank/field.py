@@ -31,7 +31,9 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=None)
 def _is_prime(n: int) -> bool:
+    """Trial division, kept per n: a tensor document's field is built by its reader and again by its tensor."""
     if n < 2:
         return False
     if n < 4:

@@ -13,17 +13,26 @@ byte format for reports, so identical inputs and seeds reproduce identical
 bytes.  Timing never enters a report.
 
 Dense tensor entries, and the sparse pairs of one-digit numbers the CLI
-writes on small axes, never pass through one Python object each:
-:func:`load_document` walks the top-level object of a document that names
-``"entries"`` or ``"sparse"`` and reads those arrays with numpy
-(:func:`_int_array`, :func:`_pair_array`).  Any other value goes to one
-stdlib decoder, and any other text to that decoder whole.  So the documents
-accepted, their values and their syntax errors are those of ``json.loads``,
-except that an object that repeats a key is refused, at any depth, with the
-key's dotted path, and an array of more numbers or pairs than
-:data:`flatrank.caps.MAX_ENTRIES`, which no tensor takes, is refused before
-it is copied.  :func:`tensor_text` writes dense entries with numpy digit
-arithmetic into the bytes ``canonical_json`` would give.
+writes on small axes, never pass through one Python object each, and are
+read field first.  :func:`load_document` walks the top-level object of a
+document that names ``"entries"`` or ``"sparse"`` and leaves each of those
+arrays as the span of bytes it takes, so the document's ``"field"`` is known
+when the walk ends (canonical documents sort ``entries`` before ``field``).
+The text is then dropped, and each body goes once from the file's bytes
+into an array: a dense body into the field's entry dtype
+(:func:`flatrank.linalg.entry_dtype`), each value checked against the
+field's order as it is read, which the ``Tensor`` keeps uncopied
+(:func:`_int_array`); sparse pairs into uint8 rows (:func:`_pair_array`).
+A dense body whose field is missing or invalid, or that holds a value not
+canonical in it, is read into int64 instead: its tensor then names the
+fault.  Any other value goes to one stdlib decoder, and any other text, or
+a body that no reader takes, sends the whole document to that decoder.  So
+the documents accepted, their values and their syntax errors are those of
+``json.loads``, except that an object that repeats a key is refused, at any
+depth, with the key's dotted path, and an array of more numbers or pairs
+than :data:`flatrank.caps.MAX_ENTRIES`, which no tensor takes, is refused
+before it is copied.  :func:`tensor_text` writes dense entries with numpy
+digit arithmetic into the bytes ``canonical_json`` would give.
 
 A dense body that is not digit, comma, digit, ... is read by one reader
 (:func:`_read_window`), in windows of :data:`READ_WINDOW` bytes cut after a
@@ -58,7 +67,7 @@ from .fw import BadBoxFamily, Configuration
 from .linalg import _arena_workspace, _Workspace, entry_dtype
 from .rainbow import ColoredHypergraph, SetPairSystem
 from .setfam import SetFamily, TupleFamily
-from .tensor import Tensor, check_entries, integer_array
+from .tensor import Tensor, _frozen, check_entries, integer_array
 
 __all__ = [
     "canonical_json",
@@ -128,20 +137,22 @@ def write_atomic(path: str, text: str) -> None:
 def load_document(path: str) -> tuple[dict, str]:
     """The JSON object in ``path`` and the SHA-256 digest of the bytes parsed.
 
-    A top-level ``"entries"`` array of integers is an int64 array, and a
-    top-level ``"sparse"`` array of same-arity ``[[i0, ..., i_{k-1}], v]``
-    pairs of one-digit integers an (n, k + 1) int64 array of rows
-    ``[i0, ..., i_{k-1}, v]``; both arrays are read-only.  Every other value
-    is what ``json.loads`` gives.  An object that repeats a key is refused.
+    A top-level ``"entries"`` array of integers is read last, from the
+    file's bytes, once the document's ``"field"`` is known: into
+    ``entry_dtype(field)`` when the field is valid and every value is
+    canonical in it, else into int64.  A top-level ``"sparse"`` array of
+    same-arity ``[[i0, ..., i_{k-1}], v]`` pairs of one-digit integers is
+    an (n, k + 1) uint8 array of rows ``[i0, ..., i_{k-1}, v]``.  Both
+    arrays are read-only.  Every other value is what ``json.loads`` gives.
+    An object that repeats a key is refused.
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    text = data.decode("utf-8")
     try:
         try:
-            doc = _decode(text)
+            doc = _decode(data)
         except _RepeatedKey:  # decoded again, only to name the key
-            key = _repeated_path(json.loads(text, object_pairs_hook=tuple))
+            key = _repeated_path(json.loads(data.decode("utf-8"), object_pairs_hook=tuple))
             raise ValueError(f"document repeats the key {key}") from None
     except RecursionError:
         raise ValueError("document nested too deeply to parse") from None
@@ -175,12 +186,21 @@ def _repeated_path(value, path: str = "") -> str | None:
     return None
 
 
-def _decode(text: str):
-    """``json.loads(text)``, with the arrays of :func:`_object_with_arrays`; a repeated key raises."""
-    if '"entries"' in text or '"sparse"' in text:  # else one call of the decoder is faster than the walk
-        with contextlib.suppress(json.JSONDecodeError):
-            if (doc := _object_with_arrays(text)) is not None:
-                return doc
+def _decode(data: bytes):
+    """``json.loads`` of the UTF-8 ``data``, with the arrays of :func:`load_document`; a repeated key raises.
+
+    The text is dropped once it is walked, before the bodies the walk left
+    as slices of ``data`` are read.  A body that no reader takes sends the
+    whole document to the decoder, which gives its values or its verdict.
+    """
+    text = data.decode("utf-8")
+    if ('"entries"' in text or '"sparse"' in text) and (doc := _object_with_arrays(text)) is not None:
+        del text
+        for key, span in [(key, value) for key, value in doc.items() if type(value) is slice]:
+            if (array := _pair_array(data[span]) if key == "sparse" else _int_array(data, span, doc)) is None:
+                return _DECODER.decode(data.decode("utf-8"))
+            doc[key] = _frozen(array)  # fresh: a Tensor keeps it without a copy
+        return doc
     if text.startswith("\ufeff"):  # json.loads refuses a BOM before it decodes
         raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
     return _DECODER.decode(text)  # not an object the walk takes: the decoder gives the verdict
@@ -191,66 +211,131 @@ def _skip(text: str, idx: int) -> int:
 
 
 def _object_with_arrays(text: str) -> dict | None:
-    """``json.loads(text)``, ``"entries"`` and ``"sparse"`` read as arrays, or None if it is no well-formed object."""
-    idx = _skip(text, 0)
-    if text[idx : idx + 1] != "{":
-        return None
-    doc: dict = {}
-    idx = _skip(text, idx + 1)
-    while text[idx : idx + 1] == '"':
-        key, idx = scanstring(text, idx + 1)
-        if key in doc:
-            raise _RepeatedKey
-        idx = _skip(text, idx)
-        if text[idx : idx + 1] != ":":
+    """``json.loads(text)``, or None if it is no well-formed object (the decoder gives the verdict).
+
+    An ``"entries"`` or ``"sparse"`` array that :data:`_BODY_ENDS` spans is
+    left undecoded: its value is the slice of the UTF-8 bytes it spans.
+    """
+    with contextlib.suppress(json.JSONDecodeError, RecursionError):  # a body read later may hold the first fault
+        idx = _skip(text, 0)
+        if text[idx : idx + 1] != "{":
             return None
+        doc: dict = {}
         idx = _skip(text, idx + 1)
-        reader = _ARRAY_READERS.get(key)
-        doc[key], idx = (reader and reader(text, idx)) or _DECODER.raw_decode(text, idx)
-        if isinstance(doc[key], np.ndarray):  # fresh: a Tensor keeps it without a copy
-            doc[key].flags.writeable = False
-        idx = _skip(text, idx)
-        sep = text[idx : idx + 1]
-        idx = _skip(text, idx + 1)
-        if sep == "}":
-            return doc if idx == len(text) else None
-        if sep != ",":
-            return None
+        while text[idx : idx + 1] == '"':
+            key, idx = scanstring(text, idx + 1)
+            if key in doc:
+                raise _RepeatedKey
+            idx = _skip(text, idx)
+            if text[idx : idx + 1] != ":":
+                return None
+            idx = _skip(text, idx + 1)
+            if end := key in _BODY_ENDS and _BODY_ENDS[key](text, idx):  # the body is ASCII if a reader takes it
+                shift = 0 if text.isascii() else len(text[:idx].encode("utf-8")) - idx
+                doc[key], idx = slice(idx + shift, end + shift), end
+            else:
+                doc[key], idx = _DECODER.raw_decode(text, idx)
+            idx = _skip(text, idx)
+            sep = text[idx : idx + 1]
+            idx = _skip(text, idx + 1)
+            if sep == "}":
+                return doc if idx == len(text) else None
+            if sep != ",":
+                return None
     return None
 
 
-def _one_digit(digits: np.ndarray) -> np.ndarray:
-    """The values of single ASCII digit bytes, as int64."""
-    values = digits.astype(np.int64)
-    values -= ord("0")
-    return values
+# A span ends at the body's first "]" ("]]" for pairs).  When that is not the
+# array's end, the walk resumes at a comma or bracket inside it and stops, unless
+# a string there reads as a key: a body that holds one is decoded at once.
 
 
-def _int_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
-    """The flat array of JSON integers at ``text[start]`` as int64, and the index past it.
+def _flat_end(text: str, start: int) -> int | None:
+    """The index past the ``"entries"`` array at ``text[start]``; None if there is none or it holds a string.
 
-    None unless every element is an integer of at most 18 digits.  A body
-    that is exactly digit, comma, digit, ... needs no other check and no
-    conversion but ``- 48``; any other, its JSON whitespace dropped, is read
-    by :func:`_integers`.  A body of more numbers than
-    :data:`flatrank.caps.MAX_ENTRIES` is refused before it is copied.
+    A body of more numbers than :data:`flatrank.caps.MAX_ENTRIES` is
+    refused before it is copied.
     """
     if text[start : start + 1] != "[" or (stop := text.find("]", start)) < 0:
         return None
     if stop - start > 2 * caps.MAX_ENTRIES:  # long enough to hold more numbers, each a digit and a comma
         caps.admit((text.count(",", start, stop) + 1,), "'entries' array", unit="entries")
-    if not (text.isascii() or text[start + 1 : stop].isascii()):
+    return None if text.find('"', start, stop) >= 0 else stop + 1
+
+
+_PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
+
+
+def _pairs_end(text: str, start: int) -> int | None:
+    """The index past the ``"sparse"`` array at ``text[start]``; None if there is none or it holds a string.
+
+    A body of more pairs than :data:`flatrank.caps.MAX_ENTRIES` is refused
+    before it is copied.
+    """
+    if text[start : start + 1] != "[":
         return None
-    encoded = text[start + 1 : stop].encode("ascii")
-    raw = np.frombuffer(encoded, dtype=np.uint8)
-    if raw.size % 2 and (raw[1::2] == ord(",")).all() and ((raw[::2] - ord("0")) < 10).all():
-        return _one_digit(raw[::2]), stop + 1
-    if raw.size and raw.min() <= ord(" "):  # JSON whitespace, or a control byte no window takes
-        if _SPACE_IN_NUMBER.search(encoded):
+    stop = text.find("]]", start) + 2
+    if stop == 1 or any(text.find(space, start, stop) >= 0 for space in " \t\n\r"):
+        if (end := _PAIRS_END.search(text, start)) is None:
             return None
-        encoded = encoded.translate(None, b" \t\n\r")
-    values = _integers(encoded)
-    return None if values is None else (values, stop + 1)
+        stop = end.end()
+    if stop - start > 2 * caps.MAX_ENTRIES:  # long enough to hold more pairs: n pairs hold 2n + 1 "]"
+        caps.admit((text.count("]", start, stop) // 2,), "'sparse' array", unit="entries")
+    return None if text.find('"', start, stop) >= 0 else stop
+
+
+_BODY_ENDS = {"entries": _flat_end, "sparse": _pairs_end}
+
+
+def _int_array(data: bytes, span: slice, doc: dict) -> np.ndarray | None:
+    """The flat array of JSON integers ``data[span]``, fresh, in the entry dtype of the field of ``doc``.
+
+    None unless every element is an integer of at most 18 digits.  A body
+    with a value outside [0, order) (``-0`` is in), or whose field is
+    missing or invalid, is read into int64: a document that exits 2, on the
+    first bad value.  A body that is exactly digit, comma, digit, ... needs
+    no other check and no conversion but ``- 48``.  Any other, its JSON
+    whitespace dropped, is read by :func:`_read_window` in windows of whole
+    tokens, each cut after the last comma of its :data:`READ_WINDOW` bytes,
+    into a workspace carved from the thread's arena, so the scratch never
+    passes one window's plan.
+    """
+    dtype, order = np.int64, None
+    with contextlib.suppress(ValueError):
+        field = field_from_document(doc.get("field"))
+        dtype, order = entry_dtype(field), field.order
+    buf, lo, hi = data, span.start + 1, span.stop - 1  # between the brackets
+    raw = np.frombuffer(buf, np.uint8, hi - lo, lo)
+    commas = raw[1::2]
+    if raw.size % 2 and commas.min(initial=ord(",")) == commas.max(initial=ord(",")) == ord(","):
+        values = np.subtract(raw[::2], ord("0"))  # a byte that is no digit wraps past 9
+        if (top := values.max()) < 10:
+            return _int_array(data, span, {}) if order and top >= order else values.astype(dtype, copy=False)
+    if raw.size and raw.min() <= ord(" "):  # JSON whitespace, or a control byte no window takes
+        if _SPACE_IN_NUMBER.search(buf, lo, hi):
+            return None
+        buf = buf[lo:hi].translate(None, b" \t\n\r")
+        lo, raw = 0, np.frombuffer(buf, np.uint8)
+    if not raw.size:
+        return np.zeros(0, dtype)
+    window = READ_WINDOW
+    ws = _arena_workspace(_reader_sizes(window))
+    check = ws.take("check", window)
+    count = sum(
+        np.count_nonzero(np.equal(raw[i : i + window], ord(","), out=check[: min(window, raw.size - i)]))
+        for i in range(0, raw.size, window)
+    )
+    values = np.empty(count + 1, dtype)
+    start = done = 0
+    while start < raw.size:
+        stop = raw.size if raw.size - start <= window else buf.rfind(b",", lo + start, lo + start + window) + 1 - lo
+        if stop <= start or (read := _read_window(raw[start:stop], stop == raw.size, ws)) is None:
+            return None  # a token no window takes, or one longer than a window: the decoder reads it
+        if order and (read.min() < 0 or read.max() >= order):
+            return _int_array(data, span, {})
+        values[done : done + read.size] = read
+        start, done = stop, done + read.size
+    return values
 
 
 _SPACE_IN_NUMBER = re.compile(rb"[0-9-][ \t\n\r]+[0-9-]")
@@ -276,37 +361,8 @@ def _reader_sizes(window: int) -> dict[str, tuple]:
     }
 
 
-def _integers(encoded: bytes) -> np.ndarray | None:
-    """The comma-separated integers of ``encoded``, which holds no whitespace, as a fresh int64 array.
-
-    None unless each is a JSON integer of at most 18 digits.  The body is
-    read in windows of whole tokens, each cut after the last comma of its
-    :data:`READ_WINDOW` bytes, into a workspace carved from the thread's
-    arena, so the scratch never passes one window's plan.
-    """
-    if not encoded:
-        return np.zeros(0, np.int64)
-    raw, window = np.frombuffer(encoded, dtype=np.uint8), READ_WINDOW
-    ws = _arena_workspace(_reader_sizes(window))
-    check = ws.take("check", window)
-    commas = sum(
-        np.count_nonzero(np.equal(raw[i : i + window], ord(","), out=check[: min(window, raw.size - i)]))
-        for i in range(0, raw.size, window)
-    )
-    values = np.empty(commas + 1, np.int64)
-    start = done = 0
-    while start < raw.size:
-        stop = raw.size if raw.size - start <= window else encoded.rfind(b",", start, start + window) + 1
-        if stop <= start:  # no comma in a window's bytes: the decoder reads a token that long
-            return None
-        if (done := _read_window(raw[start:stop], stop == raw.size, values, done, ws)) is None:
-            return None
-        start = stop
-    return values
-
-
-def _read_window(w: np.ndarray, last: bool, values: np.ndarray, done: int, ws: _Workspace) -> int | None:
-    """Check window ``w`` and write its integers to ``values[done:]``; the count written so far, or None.
+def _read_window(w: np.ndarray, last: bool, ws: _Workspace) -> np.ndarray | None:
+    """The integers of window ``w``, checked, as an int16 view of ``ws`` or a fresh int64 array; or None.
 
     ``w`` holds whole tokens: a window but the ``last`` ends in its comma.
     One pass of byte masks checks the JSON-integer grammar.  Tokens of at
@@ -346,10 +402,7 @@ def _read_window(w: np.ndarray, last: bool, values: np.ndarray, done: int, ws: _
             if np.logical_and(sixteen[:-3], sixteen[3:], out=check[: m - 16]).any():
                 return None  # 19 digits or more may not fit int64
         wide = np.fromstring(w[: m - (not last)].tobytes(), dtype=np.int64, sep=",")
-        if wide.size != count:
-            return None
-        values[done : done + count] = wide
-        return done + count
+        return wide if wide.size == count else None
     value, scale = ws.take("value", m), ws.take("scale", m)
     np.copyto(value, x)
     np.multiply(digit[:-2], np.uint16(10), out=scale)  # 10 after a digit; a token's first digit starts afresh
@@ -359,51 +412,32 @@ def _read_window(w: np.ndarray, last: bool, values: np.ndarray, done: int, ws: _
         np.multiply(src[:-1], scale[1:], out=acc[1:])
         acc[1:] += value[1:]
         src = acc
-    read = np.compress(comma[2:], src, out=ws.take("prev", count))  # at each token's last digit
-    ends = values[done : done + count]
-    np.copyto(ends, read)
+    read = np.compress(comma[2:], src, out=ws.take("prev", count)).view(np.int16)  # at each token's last digit
     if signs:
         negative = np.equal(np.compress(comma[:-2], w, out=x[:count]), ord("-"), out=check[:count])
-        np.negative(ends, out=ends, where=negative)
-    return done + count
+        np.negative(read, out=read, where=negative)
+    return read
 
 
-_PAIRS_END = re.compile(r"\][ \t\n\r]*\]")
 _DIGITS_TO_ZERO = bytes.maketrans(b"123456789", b"0" * 9)
 
 
-def _pair_array(text: str, start: int) -> tuple[np.ndarray, int] | None:
-    """The pairs ``[[i0, ..., i_{k-1}], v]`` at ``text[start]`` as (n, k + 1) int64 rows.
+def _pair_array(body: bytes) -> np.ndarray | None:
+    """The pairs ``[[i0, ..., i_{k-1}], v]`` of ``body`` as (n, k + 1) uint8 rows ``[i0, ..., i_{k-1}, v]``.
 
-    Also returns the index past the array.  None unless n >= 1, every pair
-    has arity k and every number is one digit, as in the GF(2) and GF(3)
-    documents the CLI writes on small axes.  The first ``]]`` (whitespace
-    allowed between) closes a well-formed array.  With whitespace dropped
-    and every digit mapped to ``0``, its bytes must then be exactly n copies
-    of ``[[0,...,0],0]``: a byte there that was not a digit, or ``00`` (a
-    number of two digits), does not match.
+    None unless every pair has arity k and every number is one digit, as in
+    the GF(2) and GF(3) documents the CLI writes on small axes.  With
+    whitespace dropped and every digit mapped to ``0``, the bytes must be
+    exactly n copies of ``[[0,...,0],0]``: a byte there that was not a
+    digit, or ``00`` (a number of two digits), does not match.
     """
-    if text[start : start + 1] != "[":
-        return None
-    stop = text.find("]]", start) + 2
-    if stop == 1 or any(text.find(space, start, stop) >= 0 for space in " \t\n\r"):
-        if (end := _PAIRS_END.search(text, start)) is None:
-            return None
-        stop = end.end()
-    if stop - start > 2 * caps.MAX_ENTRIES:  # long enough to hold more pairs: n pairs hold 2n + 1 "]"
-        caps.admit((text.count("]", start, stop) // 2,), "'sparse' array", unit="entries")
-    encoded = text[start:stop].encode("utf-8")
-    skeleton = encoded.translate(_DIGITS_TO_ZERO, b" \t\n\r")
+    skeleton = body.translate(_DIGITS_TO_ZERO, b" \t\n\r")
     k = (skeleton.find(b"]") - 1) // 2
     pair = b"[[" + b",".join([b"0"] * k) + b"],0]"
     n = (len(skeleton) - 1) // (len(pair) + 1)
     if skeleton != b"[" + b",".join([pair] * n) + b"]":
         return None
-    values = _one_digit(np.frombuffer(encoded.translate(None, b"[], \t\n\r"), dtype=np.uint8))
-    return values.reshape(n, k + 1), stop
-
-
-_ARRAY_READERS = {"entries": _int_array, "sparse": _pair_array}
+    return (np.frombuffer(body.translate(None, b"[], \t\n\r"), np.uint8) - ord("0")).reshape(n, k + 1)
 
 
 def make_report(command: str, inputs_digest: str, results: dict, seed: int | None = None) -> dict:
@@ -540,20 +574,19 @@ def tensor_from_document(doc: dict) -> Tensor:
         check_entries(values, field)  # before the cast into the entries' dtype
         flat = np.zeros(size, dtype=entry_dtype(field))
         flat[positions] = values
-        flat.flags.writeable = False  # the Tensor keeps it without a copy
-        return Tensor(tuple(dims), field, flat)
+        return Tensor(tuple(dims), field, _frozen(flat))  # the Tensor keeps it without a copy
     raise ValueError("tensor document needs 'entries' or 'sparse'")
 
 
 def _sparse_pairs(pairs, arity: int) -> tuple[np.ndarray, np.ndarray | list]:
-    """A sparse document's (n, arity) int64 multi-indices and its n values.
+    """A sparse document's (n, arity) integer multi-indices and its n values.
 
-    :func:`load_document` reads well-formed pair arrays as int64 rows
+    :func:`load_document` reads well-formed pair arrays as uint8 rows
     ``[i0, ..., i_{arity-1}, v]``.  Of a list of pairs, the shape and the
     indices are checked here; the values are left as they are, to be checked
     once the indices have been.
     """
-    if isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.dtype == np.int64:
+    if isinstance(pairs, np.ndarray) and pairs.ndim == 2 and pairs.dtype == np.uint8:
         if len(pairs) and pairs.shape[1] != arity + 1:
             raise ValueError(f"sparse index {pairs[0, :-1].tolist()!r} has wrong arity")
         rows = pairs.reshape(-1, arity + 1)

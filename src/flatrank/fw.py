@@ -28,7 +28,8 @@ from . import caps
 from .field import FieldDescriptor, make_prime_field
 from .rng import Rng
 from .setfam import SetFamily, _checked_limbs, _intersection_sizes
-from .tensor import Tensor, _bounded_search, flattening_ranks, is_semi_diagonal, semi_diagonal_faults
+from .linalg import entry_dtype
+from .tensor import Tensor, _bounded_search, _frozen, flattening_ranks, is_semi_diagonal, semi_diagonal_faults
 
 __all__ = [
     "Configuration",
@@ -132,14 +133,15 @@ def _h_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
     This is the chain's one grid.  It is the fw tensor's entries, and, p
     being prime, a cell is nonzero exactly when every C-indexed intersection
     of its members avoids L.  Its m^k cells are checked against the dense
-    cap before anything is allocated.  It is kept in the narrowest unsigned
+    cap before anything is allocated.  It is built in the narrowest unsigned
     dtype that holds (p-1)^2, and reduced mod p only when the next product
-    could overflow it, and at the end: over GF(2) never.
+    could overflow it, and at the end: over GF(2) never.  It is returned
+    read-only, in the field's entry dtype, so a Tensor keeps it uncopied.
     """
     shape = caps.grid_shape(len(limbs), cfg.k)
     dtype = np.min_scalar_type((cfg.p - 1) ** 2)
     if not cfg.C:
-        return np.ones(shape, dtype=dtype)
+        return _frozen(np.ones(shape, dtype=entry_dtype(cfg.field)))
     top = _largest_size(limbs)
     residues = _h_table_np(cfg, top).tolist()
     h = np.array([residues[x % cfg.p] for x in range(top + 1)], dtype=dtype)  # at every size
@@ -154,14 +156,14 @@ def _h_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
         bound *= cfg.p - 1
     if bound >= cfg.p:
         np.remainder(grid, cfg.p, out=grid)
-    return grid
+    return _frozen(grid.astype(entry_dtype(cfg.field), copy=False))
 
 
 def fw_tensor(fam: SetFamily, cfg: Configuration, grid: np.ndarray | None = None) -> Tensor:
     """|F|^k tensor over GF(p): product over C of h(intersection size mod p).
 
     ``grid`` is the family's :func:`_h_grid` over every member, when the
-    caller has built it.
+    caller has built it; the tensor keeps it uncopied.
     """
     if not fam.members:
         raise ValueError("fw_tensor needs a nonempty family")
@@ -266,7 +268,7 @@ def verify_fw_chain(fam: SetFamily, cfg: Configuration, distinct: str = "sets") 
         slot = {fam.members[p]: j for j, p in enumerate(positions)}
         index = np.array([slot[mask] for mask in fam.members])
         caps.grid_shape(len(index), cfg.k)  # raises over the dense cap, before the copy
-        grid = grid[np.ix_(*[index] * cfg.k)]
+        grid = _frozen(grid[np.ix_(*[index] * cfg.k)])
     t = fw_tensor(fam, cfg, grid)
     franks = flattening_ranks(t)
     report.update(

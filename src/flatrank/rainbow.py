@@ -34,6 +34,7 @@ from .setfam import _checked_limbs
 from .tensor import (
     Tensor,
     _bounded_search,
+    _frozen,
     is_semi_diagonal,
     max_flattening_rank,
     semi_diagonal_faults,
@@ -192,7 +193,7 @@ def _wedge_grid(
     num_vertices: int,
     field: FieldDescriptor,
 ) -> np.ndarray:
-    """Wedge-tensor entries over the grid of :func:`_disjoint_grid`, in the field's entry dtype.
+    """Wedge-tensor entries over the grid of :func:`_disjoint_grid`, read-only, in the field's entry dtype.
 
     A cell's entry is the product of x_u ^ x_v over the pairs of its picked
     vertices (slot j has sizes[j] of them).  Over GF(2^k <= 16) the factors
@@ -236,7 +237,7 @@ def _wedge_grid(
     total = reduce(combine, terms)
     entries = exp[total % (field.order - 1)] if field.k <= 16 else total.astype(entry_dtype(field))
     entries *= disjoint
-    return entries
+    return _frozen(entries)
 
 
 def rainbow_tensor(h: ColoredHypergraph, field: FieldDescriptor | None = None) -> Tensor:

@@ -33,7 +33,8 @@ import numpy as np
 
 from . import caps
 from .field import GF2
-from .tensor import Tensor, flattening_ranks, is_semi_diagonal
+from .linalg import entry_dtype
+from .tensor import Tensor, _frozen, flattening_ranks, is_semi_diagonal
 
 __all__ = [
     "SetFamily",
@@ -165,7 +166,7 @@ def oddtown_tensor(fam: TupleFamily) -> Tensor:
         raise ValueError("tensor of an empty family is undefined")
     caps.grid_shape(m, fam.d)  # raises over the dense cap, before any allocation
     parity = _intersection_sizes([fam.limbs[:, j] for j in range(fam.d)]) & 1
-    return Tensor.from_array(parity, GF2)
+    return Tensor.from_array(_frozen(parity.astype(entry_dtype(GF2), copy=False)), GF2)
 
 
 def oddtown_rank1_certificate(fam: TupleFamily) -> np.ndarray:

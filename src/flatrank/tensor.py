@@ -94,8 +94,9 @@ class Tensor:
     field's narrowest dtype (:func:`flatrank.linalg.entry_dtype`), the dtype
     every rank kernel reads.  An integer array is checked once, in its own
     dtype; one that is already in that dtype, owns its data and is read-only,
-    as the constructions build them, is kept as it is.  Anything else is
-    cast once, so no caller's array turns read-only or can change the tensor.
+    as the constructions, the chain grids and the document reader build
+    them, is kept as it is.  Anything else is cast once, so no caller's
+    array turns read-only or can change the tensor.
     """
 
     dims: tuple[int, ...]
@@ -117,11 +118,9 @@ class Tensor:
         check_entries(entries, self.field)
         dtype = entry_dtype(self.field)
         if entries.dtype != dtype or entries.base is not None or entries.flags.writeable:
-            entries = entries.astype(dtype)
-        entries = entries.reshape(-1)
-        entries.flags.writeable = False
+            entries = _frozen(entries.astype(dtype))
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", entries.reshape(-1))  # a view, read-only as its base is
 
     @property
     def ndim(self) -> int:
@@ -326,7 +325,4 @@ def index_class_arrays(a: int, d: int) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """
     diag = _all_equal([_coordinate(a, d, j) for j in range(d)], a, d)
     distinct = distinct_cells(a, d)
-    classes = tuple(np.flatnonzero(c) for c in (diag, distinct, ~(diag | distinct)))
-    for c in classes:
-        c.flags.writeable = False
-    return classes
+    return tuple(_frozen(np.flatnonzero(c)) for c in (diag, distinct, ~(diag | distinct)))

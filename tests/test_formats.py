@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import re
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flatrank import caps, cli, formats, linalg
-from flatrank.field import GF2, make_binary_field, make_prime_field
+from flatrank.field import GF2, _is_prime, make_binary_field, make_prime_field
 from flatrank.formats import (
     badbox_from_document,
     badbox_to_document,
@@ -271,11 +272,17 @@ def tensor_document_text(entries: str, size: int = 3, before: str = "", after: s
     )
 
 
+def canonical_document_text(entries: str, size: int = 3, field: str = '{"kind":"prime","p":2}') -> str:
+    """A dense document with its keys in canonical order: ``"entries"`` before ``"field"``."""
+    return f'{{"dims":[{size}],"entries":{entries},"field":{field}}}'
+
+
 def sparse_document_text(pairs: str, dims: str = "[2,2]", before: str = "", after: str = "") -> str:
     return f'{{{before}"dims":{dims},"field":{{"kind":"prime","p":3}},"sparse":{pairs}{after}}}'
 
 
 I64 = 2**63
+P251, B8 = '{"kind":"prime","p":251}', '{"kind":"binary","k":8}'
 LOADER_CASES = [
     tensor_document_text("[1,0,1]"),
     tensor_document_text(" [ 1 , 0 ,\n1 ] "),
@@ -357,6 +364,34 @@ LOADER_CASES = [
     tensor_document_text("[1,0,1]", before='"metadata":{"entries":[]},').replace(
         '"entries":[1', '"\\u0065ntries":[1'
     ),
+    canonical_document_text("[1,0,1]"),
+    canonical_document_text("[1,0,2]"),
+    canonical_document_text("[-0,1,-0]"),
+    canonical_document_text("[-0,-1,0]"),
+    canonical_document_text("[1, 0 ,\n1]"),
+    canonical_document_text("[250,-0,17]", field=P251),
+    canonical_document_text("[250,251,17]", field=P251),
+    canonical_document_text("[-0,123456,0]", field='{"kind":"prime","p":1000003}'),
+    canonical_document_text("[-0,-123456,0]", field='{"kind":"prime","p":1000003}'),
+    canonical_document_text("[1,0,1]", field="7"),
+    canonical_document_text("[1,0,1]", field='{"kind":"prime","p":4}'),
+    canonical_document_text("[1,0,1]", field='{"kind":"binary","k":0}'),
+    canonical_document_text("[1,0,1]", field='{"kind":"prime","p":2,"k":1}'),
+    '{"dims":[3],"entries":[1,0,1]}',
+    '{"dims":[3],"entries":[1,0,7]}',
+    # a body read after the walk: a fault the walk meets later does not hide its syntax error
+    canonical_document_text("[1,,1]")[:-1] + ',"dims":[3]}',
+    canonical_document_text("[1,,1]")[:-1] + ',"metadata":' + "[" * 5000 + "]" * 5000 + "}",
+    canonical_document_text("[1,0,1]")[:-1] + ',"metadata":' + "[" * 5000 + "]" * 5000 + "}",
+    # a value equal to the order in the second window of a multi-digit body
+    canonical_document_text("[" + "250," * 9000 + "251]", 9001, P251),
+    canonical_document_text("[" + "250," * 9000 + "250]", 9001, P251),
+    canonical_document_text("[" + "255," * 9000 + "256]", 9001, B8),
+    canonical_document_text("[" + "255," * 9000 + "255]", 9001, B8),
+    # a non-ASCII key before a multi-digit body: its bytes lie past its characters
+    canonical_document_text("[250,0,17]", field=P251).replace('{"dims"', '{"metadata":{"\u00e9t\u00e9":"\u2014"},"dims"'),
+    canonical_document_text("[250,0,17]", field=P251).replace('{"dims"', '{"\u00e9":"\u00fc","dims"'),
+    canonical_document_text("[250,\u00e9,17]", field=P251).replace('{"dims"', '{"metadata":"\u00e9","dims"'),
     "{}",
     "{ }",
     '{ } "entries"',
@@ -451,6 +486,9 @@ def test_loader_matches_json_loads(text):
 WINDOW_CASES = [
     ("1,22,333,4444,55555,-6,-77,-888,-9999,0,-0", [1, 22, 333, 4444, 55555, -6, -77, -888, -9999, 0, 0]),
     ("-123,4567,10000,-99999,8,9", [-123, 4567, 10000, -99999, 8, 9]),
+    ("1,22,-0,333,4444,0,5", [1, 22, 0, 333, 4444, 0, 5]),  # the largest in the third window
+    ("7,10000,-0,99999,0,12", [7, 10000, 0, 99999, 0, 12]),  # and in a window of a longer token
+    ("1,0,7,3,5", [1, 0, 7, 3, 5]),  # one digit each: read as raw[::2] - 48, in no window
     ("1,2,3,45,6,7x,8", None),  # its only bad token in the second window, "45,6,7x,"
     ("1,2,3,45,6,07,8", None),
     ("1,2,3,45,6,7-,8", None),
@@ -463,11 +501,23 @@ WINDOW_CASES = [
 @pytest.mark.parametrize("body,values", WINDOW_CASES)
 def test_reader_windows(monkeypatch, body, values):
     monkeypatch.setattr(formats, "READ_WINDOW", 8)
-    got = formats._int_array(f"[{body}]", 0)
+    text = f"[{body}]"
+    assert formats._flat_end(text, 0) == len(body) + 2
+    data, span = text.encode(), slice(0, len(text))
+    got = formats._int_array(data, span, {})  # no field: int64
     if values is None:
         assert got is None
     else:
-        assert got[0].tolist() == values and got[1] == len(body) + 2
+        assert got.tolist() == values and got.dtype == np.int64
+        # over a prime above the largest value, a body of no negative value is read in the
+        # field's entry dtype; over one at most the largest, it is read again into int64
+        top = max(values)
+        above = next(p for p in itertools.count(top + 1) if _is_prime(p))
+        below = next(p for p in range(top, 1, -1) if _is_prime(p))
+        for p, canonical in ((above, min(values) >= 0), (below, False)):
+            got = formats._int_array(data, span, {"field": {"kind": "prime", "p": p}})
+            assert got.tolist() == values
+            assert got.dtype == (linalg.entry_dtype(make_prime_field(p)) if canonical else np.int64)
     assert_loads_like_json(tensor_document_text(f"[{body}]", len(values or [0])))
 
 
@@ -487,14 +537,38 @@ def test_reader_over_a_poisoned_arena(monkeypatch, tmp_path):
 
 
 def test_three_digit_load_peak(tmp_path):
-    # a 2^20-entry body of 4 MiB is held three times (the bytes read, the text
-    # and its ASCII body) beside its 8 MiB of int64; the reader's scratch is one window's
+    # values 100-999 are not canonical in GF(2): the 2^20-entry body of 4 MiB is read
+    # again into 8 MiB of int64, beside the bytes read; the reader's scratch is one window's
     values = np.random.default_rng(3).integers(100, 1000, 1 << 20)
     path = tmp_path / "doc.json"
     path.write_text(tensor_document_text("[" + ",".join(map(str, values.tolist())) + "]", values.size))
     (doc, _), peak = arena_peak(load_document, str(path))
     assert np.array_equal(doc["entries"], values)
     assert peak < 24 << 20
+
+
+def test_three_digit_canonical_load_peak(tmp_path):
+    # the same body over GF(2^10), where it is canonical, goes from the bytes straight
+    # into 2 MiB of uint16 once the text is dropped: the peak is the bytes read and their text
+    values = np.random.default_rng(3).integers(100, 1000, 1 << 20)
+    path = tmp_path / "doc.json"
+    body = "[" + ",".join(map(str, values.tolist())) + "]"
+    path.write_text(canonical_document_text(body, values.size, '{"kind":"binary","k":10}'))
+    (doc, _), peak = arena_peak(load_document, str(path))
+    assert doc["entries"].dtype == np.uint16 and np.array_equal(doc["entries"], values)
+    assert peak <= 2 * path.stat().st_size + (1 << 20)
+
+
+def test_gf2_rank_peak(tmp_path, capsys):
+    # an in-process rank --max of a random 2^22-cell GF(2) document of 8 MiB: the peak
+    # is the bytes read and the text walked for the field; the body goes from the
+    # bytes into 4 MiB of uint8 once the text is dropped, and the ranks take less
+    values = np.random.default_rng(4).integers(0, 2, 1 << 22).astype(np.uint8)
+    path = tmp_path / "doc.json"
+    path.write_text(tensor_text(Tensor((2,) * 22, GF2, values)))
+    assert cli.main(["rank", str(path), "--max"]) == 0  # the first call in a process costs more
+    code, peak = arena_peak(cli.main, ["rank", str(path), "--max"])
+    assert code == 0 and peak <= 2 * path.stat().st_size + (1 << 20)
 
 
 @pytest.mark.parametrize("key", ["entries", "sparse"])
@@ -533,7 +607,7 @@ def test_sparse_pairs_read_as_rows(tmp_path, pairs, dims, rows):
     path = tmp_path / "doc.json"
     path.write_text(sparse_document_text(pairs, dims, after=',"note":[[1]]'))
     doc = load_document(str(path))[0]
-    assert isinstance(doc["sparse"], np.ndarray) and doc["sparse"].dtype == np.int64
+    assert isinstance(doc["sparse"], np.ndarray) and doc["sparse"].dtype == np.uint8
     assert doc["sparse"].tolist() == rows
     assert doc["note"] == [[1]]
 
@@ -546,6 +620,22 @@ def test_sparse_pairs_of_longer_numbers_read_as_lists(tmp_path, pairs):
     path = tmp_path / "doc.json"
     path.write_text(sparse_document_text(pairs, "[2,11]"))
     assert load_document(str(path))[0]["sparse"] == json.loads(pairs)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        canonical_document_text("[250,0,17]", field=P251).replace('{"dims"', '{"\u00e9":"\u2014","dims"'),
+        sparse_document_text("[[[0,1],1]]", before='"note":"\u00e9t\u00e9",'),
+    ],
+)
+def test_bodies_after_non_ascii_text_read_as_arrays(tmp_path, text):
+    # the walk spans a body in characters and the reader in bytes, which differ past "é"
+    path = tmp_path / "doc.json"
+    path.write_bytes(text.encode("utf-8"))
+    doc = load_document(str(path))[0]
+    assert isinstance(doc.get("entries", doc.get("sparse")), np.ndarray)
+    assert plain(doc) == json.loads(text)
 
 
 TOKENS = st.one_of(
@@ -678,9 +768,9 @@ def test_sparse_ingest_matches_per_pair_loop(doc):
 @pytest.mark.parametrize("spec", ["prime:3", "binary:8"])
 @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
 def test_loaded_tensor_documents_build_without_a_copy(tmp_path, monkeypatch, spec, sparse):
-    # load_document's arrays are frozen; the Tensor casts a dense body once, into
-    # the field's entry dtype, and the sparse reader fills its cells in that dtype:
-    # no int64 copy of the a^d entries, and no cast between the Tensor and its ranks
+    # load_document's arrays are frozen; a dense body is read in the field's entry
+    # dtype, which the Tensor keeps, and the sparse reader's uint8 rows fill cells in
+    # that dtype: no int64 copy of the a^d entries, and no cast from the body to the ranks
     import flatrank.tensor as tensor_mod
     from flatrank.tensor import flattening_ranks, partition_construction
 
@@ -691,6 +781,7 @@ def test_loaded_tensor_documents_build_without_a_copy(tmp_path, monkeypatch, spe
     doc = load_document(str(path))[0]
     array = doc["sparse" if sparse else "entries"]
     assert isinstance(array, np.ndarray) and not array.flags.writeable
+    assert array.dtype == (np.uint8 if sparse else linalg.entry_dtype(field))
     copies, stacks = [], []
     convert, rank = tensor_mod.integer_array, tensor_mod.matrix_rank
     monkeypatch.setattr(tensor_mod, "integer_array", lambda *a: copies.append(a[1]) or convert(*a))
@@ -698,6 +789,7 @@ def test_loaded_tensor_documents_build_without_a_copy(tmp_path, monkeypatch, spe
     loaded = tensor_from_document(doc)
     assert tensor_key(loaded) == tensor_key(t)
     assert copies == [] and loaded.entries.dtype == linalg.entry_dtype(field)
+    assert sparse or np.shares_memory(loaded.entries, array)
     assert flattening_ranks(loaded) == flattening_ranks(t) and stacks == [loaded.entries.dtype] * 2
 
 

@@ -32,6 +32,7 @@ from flatrank.fw import (
 from flatrank.rng import Rng
 from flatrank.setfam import SetFamily, _mask_limbs, intersection_size
 from flatrank.caps import MAX_SEARCH_NODES
+from flatrank.linalg import entry_dtype
 from flatrank.tensor import flattening_rank, is_semi_diagonal
 
 from oracles import (
@@ -616,14 +617,15 @@ def test_badbox_search_over_the_budget_exits_2(monkeypatch, capsys, tmp_path):
 
 @pytest.mark.parametrize("p", [3, 13, 251, 65521, 2**31 - 1])
 def test_h_grid_reduces_before_a_product_overflows(p):
-    # every nonempty slot subset of k = 4 is in C: 15 factors, so the narrow grid
-    # (uint8 for p <= 13, uint16, uint32, uint64) must be reduced along the way
+    # every nonempty slot subset of k = 4 is in C: 15 factors, so the narrow working
+    # grid (uint8 for p <= 13, uint16, uint32, uint64) must be reduced along the way;
+    # it is handed over read-only in the entry dtype
     import flatrank.fw as fw
 
     cfg = Configuration(k=4, p=p, C=tuple(range(1, 16)), L=(p - 1,))
     rng = Rng(p)
     fam = SetFamily(n=9, members=tuple(rng.next_below(1 << 9) for _ in range(5)))
     grid = fw._h_grid(_mask_limbs(fam.members), cfg)
-    assert grid.dtype == np.min_scalar_type((p - 1) ** 2)
+    assert grid.dtype == entry_dtype(cfg.field) and not grid.flags.writeable
     assert grid.reshape(-1).tolist() == _naive_fw_entries(fam, cfg)
     assert 0 < np.count_nonzero(grid) and grid.max() < p

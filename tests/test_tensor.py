@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.formats import canonical_json, load_document, tensor_from_document, tensor_to_document
-from flatrank.fw import Configuration, fw_tensor
+from flatrank.fw import Configuration, fw_tensor, verify_fw_chain
 from flatrank.linalg import entry_dtype
 from flatrank.rainbow import SetPairSystem, bollobas_verify, rainbow_tensor
 from flatrank.rng import Rng
@@ -599,6 +599,8 @@ OWN_FIELD = {
     "fw": lambda: fw_tensor(
         SetFamily(n=4, members=(0b0011, 0b0101, 0b1110)), Configuration(k=2, p=17, C=(0b11, 0b01), L=(0,))
     ),
+    # a family that repeats a set: the chain's tensor reads the grid of its distinct sets
+    "fw-chain": lambda: verify_fw_chain(SetFamily(n=2, members=(1, 2, 1)), Configuration(k=2, p=2, C=(3,), L=(0,))),
     "rainbow": lambda: rainbow_tensor(
         hypergraph_from_vertex_lists(6, 2, 2, [[[0, 1], [2, 3]], [[4, 5], [0, 2]]])
     ),
@@ -616,14 +618,16 @@ OWN_FIELD = {
 )
 def test_every_producer_keeps_the_entry_dtype(name, field, monkeypatch, tmp_path):
     # every tensor a producer builds holds its entries read-only, in the dtype the rank
-    # kernels read: nothing casts them again before ranking
+    # kernels read: nothing casts them again before ranking.  Every producer but a
+    # sweep's witness hands over an array the tensor keeps: it shares that memory
     built, init = [], Tensor.__post_init__
-    monkeypatch.setattr(Tensor, "__post_init__", lambda self: init(self) or built.append(self))
+    monkeypatch.setattr(Tensor, "__post_init__", lambda self: built.append((self.entries, self)) or init(self))
     if field is None:
         OWN_FIELD[name]()
     else:
         PRODUCERS[name](field, tmp_path, monkeypatch)
     assert built
-    for t in built:
+    for handed, t in built:
         assert t.entries.dtype == entry_dtype(t.field) and t.entries.ndim == 1
         assert not t.entries.flags.writeable
+        assert name == "violation-witness" or np.shares_memory(handed, t.entries)
