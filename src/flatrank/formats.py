@@ -80,15 +80,10 @@ __all__ = [
     "tensor_text",
     "field_from_document",
     "tensor_from_document",
-    "tuple_family_to_document",
     "tuple_family_from_document",
-    "set_family_to_document",
     "set_family_from_document",
-    "configuration_to_document",
     "configuration_from_document",
-    "hypergraph_to_document",
     "hypergraph_from_document",
-    "setpair_to_document",
     "setpair_from_document",
     "badbox_to_document",
     "badbox_from_document",
@@ -603,10 +598,6 @@ def _sparse_pairs(pairs, arity: int) -> tuple[np.ndarray, np.ndarray | list]:
     return coords, [pair[1] for pair in pairs]
 
 
-def tuple_family_to_document(fam: TupleFamily) -> dict:
-    return {"n": fam.n, "d": fam.d, "members": [list(tup) for tup in fam.members]}
-
-
 def _mask_rows(doc: dict, kind: str, key: str, n: int, what: str) -> tuple[tuple[int, ...], ...]:
     """``doc[key]``, a list (empty when left out) of lists of masks over [n], as tuples; row i is ``what`` i."""
     rows = _json_list(doc.get(key, []), f"{kind} {key}")
@@ -630,24 +621,11 @@ def tuple_family_from_document(doc: dict) -> TupleFamily:
     return TupleFamily(n=n, d=_json_int(d, "tuple-family d", 2), members=members)
 
 
-def set_family_to_document(fam: SetFamily) -> dict:
-    return {"n": fam.n, "members": list(fam.members)}
-
-
 def set_family_from_document(doc: dict) -> SetFamily:
     _known_keys(doc, "set-family")
     n = _json_int(doc.get("n"), "set-family n", 1)
     members = _json_list(doc.get("members", []), "set-family members")
     return SetFamily(n=n, members=tuple(_mask_from(m, n, f"member {i}") for i, m in enumerate(members)))
-
-
-def configuration_to_document(cfg: Configuration) -> dict:
-    return {
-        "k": cfg.k,
-        "p": cfg.p,
-        "L": list(cfg.L),
-        "C": [[i for i, bit in enumerate(reversed(bin(x))) if bit == "1"] for x in cfg.C],
-    }
 
 
 def configuration_from_document(doc: dict) -> Configuration:
@@ -660,29 +638,11 @@ def configuration_from_document(doc: dict) -> Configuration:
     return Configuration(k=k, p=p, C=c_masks, L=tuple(_json_int(r, "residue in L") for r in L))
 
 
-def hypergraph_to_document(h: ColoredHypergraph) -> dict:
-    return {
-        "N": h.num_vertices,
-        "r": h.r,
-        "t": h.t,
-        # each edge read off its binary digits, not tested at every vertex of [N]
-        "colors": [[[v for v, bit in enumerate(reversed(bin(e))) if bit == "1"] for e in cls] for cls in h.colors],
-    }
-
-
 def hypergraph_from_document(doc: dict) -> ColoredHypergraph:
     _known_keys(doc, "hypergraph")
     n, r, t = (_json_int(doc.get(name), f"hypergraph {name}", 1) for name in ("N", "r", "t"))
     caps.admit((r, t), f"rainbow matching of {t} {r}-edges", caps.MAX_BINOMIAL_TOP, "vertices")
     return ColoredHypergraph(num_vertices=n, r=r, t=t, colors=_mask_rows(doc, "hypergraph", "colors", n, "color"))
-
-
-def setpair_to_document(s: SetPairSystem) -> dict:
-    return {
-        "base": s.base_size,
-        "sizes": list(s.sizes),
-        "members": [list(tup) for tup in s.members],
-    }
 
 
 def setpair_from_document(doc: dict) -> SetPairSystem:

@@ -33,10 +33,8 @@ from .tensor import Tensor, _bounded_search, _frozen, flattening_ranks, is_semi_
 
 __all__ = [
     "Configuration",
-    "IntersectionPolynomial",
     "config_degree",
     "config_max_degree",
-    "eval_h",
     "is_config_satisfying",
     "find_config_witness",
     "fw_tensor",
@@ -79,21 +77,6 @@ class Configuration:
         return make_prime_field(self.p)
 
 
-@dataclass(frozen=True)
-class IntersectionPolynomial:
-    """h(x) = prod_{l in L} (x - l) over GF(p); zero exactly on L."""
-
-    p: int
-    L: tuple[int, ...]
-
-
-def eval_h(poly: IntersectionPolynomial, x: int) -> int:
-    acc = 1
-    for root in poly.L:
-        acc = (acc * (x - root)) % poly.p
-    return acc % poly.p
-
-
 def config_degree(cfg: Configuration, a: int) -> int:
     """Number of members of C containing slot ``a`` (0-based)."""
     if not 0 <= a < cfg.k:
@@ -107,14 +90,17 @@ def config_max_degree(cfg: Configuration) -> int:
 
 
 def _h_table_np(cfg: Configuration, top: int) -> np.ndarray:
-    """h at the sizes 0..top, indexed by size mod p.
+    """h(x) = prod_{l in L} (x - l) mod p, zero exactly on L, at the sizes 0..top, indexed by size mod p.
 
     No member size or intersection size passes the largest member's, so the
     table holds at most that many entries plus one, not one per residue: p
     may be close to 2^31.
     """
-    poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
-    return np.asarray([eval_h(poly, x) for x in range(min(top + 1, cfg.p))], dtype=np.int64)
+    sizes = np.arange(min(top + 1, cfg.p), dtype=np.int64)
+    h = np.ones_like(sizes)
+    for root in cfg.L:  # each factor and product below p^2 < 2^62
+        h = h * ((sizes - root) % cfg.p) % cfg.p
+    return h
 
 
 def _largest_size(limbs: np.ndarray) -> int:
@@ -159,16 +145,12 @@ def _h_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
     return _frozen(grid.astype(entry_dtype(cfg.field), copy=False))
 
 
-def fw_tensor(fam: SetFamily, cfg: Configuration, grid: np.ndarray | None = None) -> Tensor:
+def fw_tensor(fam: SetFamily, cfg: Configuration, grid: np.ndarray) -> Tensor:
     """|F|^k tensor over GF(p): product over C of h(intersection size mod p).
 
-    ``grid`` is the family's :func:`_h_grid` over every member, when the
-    caller has built it; the tensor keeps it uncopied.
+    ``grid`` is the nonempty family's :func:`_h_grid` over every member; the
+    tensor keeps it uncopied.
     """
-    if not fam.members:
-        raise ValueError("fw_tensor needs a nonempty family")
-    if grid is None:
-        grid = _h_grid(fam.limbs[:, 0], cfg)
     return Tensor.from_array(grid, cfg.field)
 
 

@@ -1,12 +1,15 @@
 """Exact rank kernels over finite fields.
 
-:func:`matrix_rank` is the one exact-rank entry point.  It takes a single
-``(r, c)`` matrix or a batch ``(N, r, c)`` of integer representatives in any
-integer dtype, never modifies it, and eliminates along the short side (rank
-is transpose-invariant), so its pivot loop runs ``min(r, c)`` times.  A
-GF(2) batch is read as it is, with no workspace.  Off that path and the
-byte-row path below, it copies the input once, in the kernel's own dtype,
-into a :class:`_Workspace` of its own, and ranks the copy in place with
+:func:`matrix_rank` is the one exact-rank entry point.  It takes an
+``(N, r, c)`` stack of canonical entries, as :mod:`flatrank.tensor` builds
+it from a :class:`~flatrank.tensor.Tensor`, which has already checked them,
+and never modifies it.  Over a field of order > 2 it first drops the columns
+that are zero in every matrix of the stack, if that drops at least half of
+them; then it eliminates along the short side (rank is
+transpose-invariant), so its pivot loop runs ``min(r, c)`` times.  A GF(2)
+stack is read as it is, with no workspace.  Off that path and the byte-row
+path below, it copies the stack once, in the kernel's own dtype, into a
+:class:`_Workspace` of its own, and ranks the copy in place with
 :func:`_rank_into`, which the sweeps over larger fields call on stacks they
 build in theirs.  :func:`_elimination_sizes` is the plan of that workspace
 and :func:`_unplanned_bytes` bounds what the kernels allocate besides, so a
@@ -14,7 +17,7 @@ caller's cap counts both.  Each thread keeps one arena, an anonymous
 mapping that sweeps and document reads carve their workspaces from
 (:func:`_arena_workspace`).
 
-* GF(2): entries mod 2, rows packed with numpy into ints used as bit-vectors
+* GF(2): rows packed with numpy into ints used as bit-vectors
   straight from the caller's array (:func:`_rank_gf2`), reduced per matrix by
   :func:`rank_gf2_bitrows` (word-wide XOR).  The GF(2) sweeps rank with
   kernels of their own (:mod:`flatrank.search`).
@@ -286,14 +289,6 @@ def entry_dtype(field: FieldDescriptor) -> np.dtype:
     return np.min_scalar_type(field.order - 1)
 
 
-def _canonical(m: np.ndarray, order: int) -> bool:
-    """True iff every entry of the integer array ``m`` lies in [0, order)."""
-    info = np.iinfo(m.dtype)
-    return m.size == 0 or not (
-        (info.min < 0 and m.min() < 0) or (info.max >= order and m.max() >= order)
-    )
-
-
 def _rank_gf2(m: np.ndarray) -> np.ndarray:
     """0/1 rows packed with numpy into ints (bit c = column c), then XOR-reduced per matrix."""
     n, r, _ = m.shape
@@ -549,47 +544,31 @@ def _rank_into(m: np.ndarray, field: FieldDescriptor, ws: _Workspace) -> np.ndar
     return _rank_gf2k(m, field, ws)
 
 
-def matrix_rank(mats, field: FieldDescriptor):
-    """Exact rank over ``field`` of one matrix of representatives, or of a batch.
+def matrix_rank(stack: np.ndarray, field: FieldDescriptor) -> np.ndarray:
+    """int64 ranks over ``field`` of an ``(N, r, c)`` integer stack of canonical entries.
 
-    ``mats`` is an ``(r, c)`` matrix (nested sequences or an array), giving an
-    int, or an ``(N, r, c)`` array, giving an int64 array of N ranks.  GF(p)
-    entries may be any integers and are taken mod p; GF(2^k) entries must lie
-    in [0, 2^k).  Integer arrays are used in their own dtype, and ``mats`` is
-    left unmodified: GF(2) only reads it, other fields copy it into a
-    workspace of their own.
+    Over a field of order > 2, the columns that are zero in every matrix of
+    the stack are dropped first, if that drops at least half of them: a zero
+    column never changes a rank, and a sparse tensor's flattenings have few
+    live columns (a scaled permutation tensor on A^d, at most d a of
+    a^(d-1)).  The GF(2) kernel packs rows into bits, where the check costs
+    more than it saves.
     """
-    if isinstance(mats, np.ndarray) and mats.dtype.kind in "iu":
-        m = mats
-    else:
-        m = np.asarray(mats, dtype=np.int64)
-    if m.ndim == 1 and m.size == 0:  # an empty list of rows
-        return 0
-    single = m.ndim == 2
-    if single:
-        m = m[None]
-    elif m.ndim != 3:
-        raise ValueError(f"expected an (r, c) matrix or an (N, r, c) batch, got shape {m.shape}")
-    if m.shape[1] > m.shape[2]:
-        m = m.transpose(0, 2, 1)
-    _check_products(*m.shape, field, f"rank of {m.shape[0]} {m.shape[1]}x{m.shape[2]} matrices")
-    if not _canonical(m, field.order):
-        if field.kind == "binary" and field.order > 2:
-            raise ValueError(f"matrix entries must be canonical in {field}")
-        # residues, in a dtype holding both the entries and p (GF(2^1) has p 0)
-        wide = m.dtype if np.iinfo(m.dtype).max >= field.order else np.promote_types(m.dtype, np.uint32)
-        m = m.astype(wide)
-        _reduce(m, field.order, np.empty_like(m))
-    n, r, c = m.shape
-    if m.size == 0:
-        ranks = np.zeros(n, dtype=np.int64)
-    elif field.order == 2:
-        ranks = _rank_gf2(m)
-    elif m.size <= BYTE_ROW_ENTRIES and n * r <= BYTE_ROW_ROWS and _byte_row_field(field):
-        ranks = _rank_byte_rows(m, field)
-    else:
-        ws = _Workspace(_elimination_sizes(n, r, c, field))
-        work = ws.take("work", n, r, c)
-        np.copyto(work, m, casting="unsafe")
-        ranks = _rank_into(work, field, ws).copy()
-    return int(ranks[0]) if single else ranks
+    if field.order > 2:
+        live = np.bitwise_or.reduce(stack, axis=(0, 1)) > 0
+        if 2 * np.count_nonzero(live) <= live.size:
+            stack = np.compress(live, stack, axis=2)
+    if stack.shape[1] > stack.shape[2]:
+        stack = stack.transpose(0, 2, 1)
+    n, r, c = stack.shape
+    _check_products(n, r, c, field, f"rank of {n} {r}x{c} matrices")
+    if stack.size == 0:
+        return np.zeros(n, dtype=np.int64)
+    if field.order == 2:
+        return _rank_gf2(stack)
+    if stack.size <= BYTE_ROW_ENTRIES and n * r <= BYTE_ROW_ROWS and _byte_row_field(field):
+        return _rank_byte_rows(stack, field)
+    ws = _Workspace(_elimination_sizes(n, r, c, field))
+    work = ws.take("work", n, r, c)
+    np.copyto(work, stack, casting="unsafe")
+    return _rank_into(work, field, ws).copy()

@@ -793,16 +793,14 @@ def _semidiagonal_block(
 
 
 def _block_ranks(
-    entries: np.ndarray, a: int, d: int, field: FieldDescriptor, ws: _Workspace | None = None
+    entries: np.ndarray, a: int, d: int, field: FieldDescriptor, ws: _Workspace
 ) -> tuple[np.ndarray, np.ndarray]:
     """(mfrank, sum_franks) of each A^d tensor in an (N, a^d) block, one rank call for all axes.
 
     The field's order is above 2.  Its d flattenings are stacked into ``ws``
-    (:func:`_field_sizes`), or a workspace of their own, and ranked there in
-    place.
+    (:func:`_field_sizes`) and ranked there in place.
     """
     n = entries.shape[0]
-    ws = ws or _Workspace(_field_sizes(a, d, n, field))
     grid = entries.reshape((n,) + (a,) * d)
     stack = ws.take("work", d, n, a, a ** (d - 1))
     for ax in range(d):
@@ -895,11 +893,12 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
 
     The first growth pass walks the repeated-singleton members (the known
     extremal family), the remaining budget proposes uniform random tuples.
-    The reported size can therefore reach, and never exceeds, (d-1)*n.  The
-    family reaches m = min(budget, (d-1)n) members, so the m^d grid of its
-    final check and its m*d*ceil(n/64) limbs are checked against the dense
-    cap before any tuple is tested.  The pairwise-distinct m^(d-1) grid
-    that every test reads a corner of is built once.
+    The reported size can therefore reach, and never exceeds, (d-1)*n: once
+    it is reached every further tuple would be refused, so none is drawn.
+    The family reaches m = min(budget, (d-1)n) members, so the m^d grid of
+    its final check and its m*d*ceil(n/64) limbs are checked against the
+    dense cap before any tuple is tested.  The pairwise-distinct m^(d-1)
+    grid that every test reads a corner of is built once.
     """
     if budget < 0:
         raise ValueError(f"need budget >= 0, got {budget}")
@@ -911,6 +910,8 @@ def random_cross_oddtown_search(n: int, d: int, budget: int, rng: Rng) -> Search
     singletons = repeated_singleton_family(min(n, -(-m // (d - 1))), d).members
     members: list[tuple[int, ...]] = []
     for attempt in range(budget):
+        if len(members) == bound:
+            break
         draw = attempt >= len(singletons)
         tup = tuple(rng.next_below(1 << n) for _ in range(d)) if draw else singletons[attempt]
         if try_extend_cross_oddtown(limbs[: len(members)], tup, d, distinct):

@@ -61,9 +61,6 @@ class SetFamily:
     def __post_init__(self) -> None:
         _checked_limbs(self, tuple(zip(self.members)), 1, self.n)  # rows of one mask
 
-    def __len__(self) -> int:
-        return len(self.members)
-
 
 @dataclass(frozen=True)
 class TupleFamily:

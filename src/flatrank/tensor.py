@@ -23,7 +23,7 @@ import numpy as np
 
 from . import caps
 from .field import FieldDescriptor
-from .linalg import _canonical, entry_dtype, matrix_rank
+from .linalg import entry_dtype, matrix_rank
 
 __all__ = [
     "Tensor",
@@ -81,8 +81,9 @@ def integer_array(values, what: str) -> np.ndarray:
 
 def check_entries(values: np.ndarray, field: FieldDescriptor) -> None:
     """Refuse an integer array with an entry outside [0, field order), read in its own dtype."""
-    if not _canonical(values, field.order):
-        bad = values.reshape(-1)[np.flatnonzero((values < 0) | (values >= field.order))[0]]
+    info, order = np.iinfo(values.dtype), field.order
+    if values.size and ((info.min < 0 and values.min() < 0) or (info.max >= order and values.max() >= order)):
+        bad = values.reshape(-1)[np.flatnonzero((values < 0) | (values >= order))[0]]
         raise ValueError(f"entry {int(bad)} is not canonical in {field}")
 
 
@@ -159,26 +160,9 @@ def _flattening(t: Tensor, axis: int) -> np.ndarray:
     return t.array.transpose(_axis_order(t.ndim, axis)).reshape(t.dims[axis], -1)
 
 
-def _stack_ranks(stack: np.ndarray, field: FieldDescriptor) -> list[int]:
-    """Ranks of an ``(N, r, c)`` stack of flattenings.
-
-    Over a field of order > 2, the columns that are zero in every matrix of
-    the stack are dropped first, if that drops at least half of them: a zero
-    column never changes a rank.  A sparse tensor's flattenings have few live
-    columns (a scaled permutation tensor on A^d, at most d a of a^(d-1)).
-    The GF(2) kernel packs rows into bits, where the check costs more than
-    it saves.
-    """
-    if field.order > 2:
-        live = np.bitwise_or.reduce(stack, axis=(0, 1)) > 0
-        if 2 * np.count_nonzero(live) <= live.size:
-            stack = np.compress(live, stack, axis=2)
-    return matrix_rank(stack, field).tolist()
-
-
 def flattening_rank(t: Tensor, axis: int) -> int:
     """Exact rank of the axis-``axis`` flattening over the tensor's field."""
-    return _stack_ranks(_flattening(t, axis)[None], t.field)[0]
+    return int(matrix_rank(_flattening(t, axis)[None], t.field)[0])
 
 
 def flattening_ranks(t: Tensor) -> list[int]:
@@ -186,8 +170,7 @@ def flattening_ranks(t: Tensor) -> list[int]:
 
     A matrix's two flattenings are transposes, so one is ranked.  The d
     flattenings of a cubical tensor share one shape and are ranked as one
-    ``(d, a, a^(d-1))`` batch, without the columns that are zero in all of
-    them (:func:`_stack_ranks`), while its d a^d entries are within the dense
+    ``(d, a, a^(d-1))`` batch, while its d a^d entries are within the dense
     cap; past it, and for other shapes, one axis at a time.
     """
     if t.ndim == 2:
@@ -197,7 +180,7 @@ def flattening_ranks(t: Tensor) -> list[int]:
     stack = np.empty((t.ndim, t.dims[0], t.entries.size // t.dims[0]), dtype=t.entries.dtype)
     for i in range(t.ndim):  # copied once, into a view of the flattening's rows
         np.copyto(stack[i].reshape(t.dims), t.array.transpose(_axis_order(t.ndim, i)))
-    return _stack_ranks(stack, t.field)
+    return matrix_rank(stack, t.field).tolist()
 
 
 def max_flattening_rank(t: Tensor) -> int:

@@ -17,8 +17,9 @@ checked against, and the seeded generators of test inputs.
   certificate that its float64 sum must equal.
 * The pair-by-pair odd-intersection adjacency of product sets, checked
   against the parity grid of :func:`flatrank.fw._odd_adjacency`.
-* The (C, L) violation grid, one boolean test per member of C, which the
-  chain's product grid of :func:`flatrank.fw._h_grid` must agree with.
+* The (C, L) violation grid, read off the masks alone, one intersection per
+  member of C and cell, which the chain's product grid of
+  :func:`flatrank.fw._h_grid` must agree with.
 * Generators of random configurations, (C, L)-satisfying families and colored
   hypergraphs, all drawn from :class:`flatrank.rng.Rng`, so every seeded input
   is the same from run to run.
@@ -37,17 +38,10 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from flatrank.field import FieldDescriptor
-from flatrank.fw import (
-    Configuration,
-    IntersectionPolynomial,
-    _grid_sizes,
-    _h_table_np,
-    _largest_size,
-    eval_h,
-)
+from flatrank.fw import Configuration
 from flatrank.rainbow import ColoredHypergraph
 from flatrank.rng import Rng
-from flatrank.setfam import SetFamily, TupleFamily, _mask_limbs, intersection_size
+from flatrank.setfam import SetFamily, TupleFamily, intersection_size
 from flatrank.tensor import Tensor
 
 
@@ -345,14 +339,24 @@ def random_configuration(rng: Rng, max_k: int = 3, min_k: int = 2) -> Configurat
     return Configuration(k=k, p=p, C=C, L=L)
 
 
-def _violation_grid(limbs: np.ndarray, cfg: Configuration) -> np.ndarray:
-    """Boolean grid over k axes of the members of ``limbs``: True where every
-    C-indexed intersection avoids L."""
-    h = _h_table_np(cfg, _largest_size(limbs))
-    ok = np.ones((len(limbs),) * cfg.k, dtype=bool)
+def _avoids(cfg: Configuration, masks: Sequence[int], cell: Sequence[int]) -> bool:
+    """True when every C-indexed intersection of the members ``masks[i]`` at ``cell`` avoids L:
+    its size mod p is not in L."""
     for x in cfg.C:
-        sizes = _grid_sizes(limbs, cfg, x)
-        ok &= h[sizes % cfg.p] != 0
+        meet = -1  # every element: each x names at least one slot
+        for slot, i in enumerate(cell):
+            if x >> slot & 1:
+                meet &= masks[i]
+        if meet.bit_count() % cfg.p in cfg.L:
+            return False
+    return True
+
+
+def _violation_grid(masks: Sequence[int], cfg: Configuration) -> np.ndarray:
+    """Boolean grid over k axes of ``masks``: True where every C-indexed intersection avoids L."""
+    ok = np.zeros((len(masks),) * cfg.k, dtype=bool)
+    for cell in product(range(len(masks)), repeat=cfg.k):
+        ok[cell] = _avoids(cfg, masks, cell)
     return ok
 
 
@@ -365,25 +369,19 @@ def grow_config_satisfying_family(
     are discarded; a candidate that would complete a forbidden k-assignment is
     rejected.  The result is always satisfying (under set semantics).
     """
-    poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
     members: list[int] = []
     for _ in range(candidate_budget):
         cand = rng.next_below(1 << n)
-        if cand in members:
+        if cand in members or cand.bit_count() % cfg.p in cfg.L:
             continue
-        if eval_h(poly, cand.bit_count() % cfg.p) == 0:
+        trial, new = members + [cand], len(members)
+        # only assignments of distinct members using the new one can be newly violating
+        if any(
+            _avoids(cfg, trial, (*rest[:slot], new, *rest[slot:]))
+            for rest in permutations(range(new), cfg.k - 1)
+            for slot in range(cfg.k)
+        ):
             continue
-        trial = members + [cand]
-        if len(trial) >= cfg.k:
-            ok = _violation_grid(_mask_limbs(trial), cfg)
-            # only assignments of distinct members using the new one can be newly violating
-            new = len(members)
-            if any(
-                ok[(*rest[:slot], new, *rest[slot:])]
-                for rest in permutations(range(new), cfg.k - 1)
-                for slot in range(cfg.k)
-            ):
-                continue
         members.append(cand)
     return SetFamily(n=n, members=tuple(members))
 

@@ -17,6 +17,7 @@ from flatrank.fw import (
     complete_graph_config,
     fw_flattening_bound,
     fw_size_bound,
+    _h_grid,
     fw_tensor,
     is_config_satisfying,
     sample_badbox_family,
@@ -165,7 +166,7 @@ def test_criterion_5_configuration_chain():
         cfg, fam = _fw_instance(index)
         assert fam.n <= 6 and cfg.k <= 3 and cfg.p in (2, 3) and len(cfg.L) <= 2
         assert is_config_satisfying(fam, cfg)
-        tensor = fw_tensor(fam, cfg)
+        tensor = fw_tensor(fam, cfg, _h_grid(fam.limbs[:, 0], cfg))
         assert is_semi_diagonal(tensor), (index, cfg, fam)
         franks = [flattening_rank(tensor, j) for j in range(cfg.k)]
         assert max(franks) * (cfg.k - 1) >= len(fam.members)  # semi-diagonal lower bound

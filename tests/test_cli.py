@@ -1306,6 +1306,26 @@ def test_badbox_sample_rejects_nonpositive_attempts_exit_two(capsys, attempts):
     assert captured.out == "" and captured.err.startswith("flatrank: error: need max_attempts >= 1")
 
 
+def test_badbox_sample_out_of_attempts_exits_one(monkeypatch, capsys):
+    # no admitted (t, s) samples k members, so no attempt can fail; with k patched to 1
+    # every sampled family holds a 1-clique, and each of the attempts is used up
+    from flatrank import fw
+
+    monkeypatch.setattr(fw, "badbox_clique_order", lambda t: 1)
+    args = ["experiment", "badbox-sample", "--t", "3", "--s", "2", "--seed", "7", "--max-attempts", "3"]
+    assert run(args) == 1
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["results"] == {"failed_attempts": 3, "family": None}
+    assert captured.err == "flatrank: verification failed: bad-box sampler failed 3 attempts\n"
+
+
+def test_unknown_field_spec_exits_two(capsys):
+    assert run(["construct", "partition", "--a", "3", "--d", "3", "--field", "gf7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "flatrank: error: unknown field spec 'gf7'; use gf2, prime:P, or binary:K\n"
+
+
 def test_experiment_csv_summary(tmp_path):
     csv_path = tmp_path / "sum.csv"
     assert run(

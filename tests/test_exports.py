@@ -41,6 +41,8 @@ REMOVED = {
         "_check_workspace",
     ],
     "flatrank.tensor": [
+        "_canonical",
+        "_stack_ranks",
         "dense_size",
         "classify_indices",
         "negate_tensor",
@@ -55,8 +57,17 @@ REMOVED = {
         "odd_subsets",
         "grow_config_satisfying_family",
         "verify_badbox_free",
+        "IntersectionPolynomial",
+        "eval_h",
     ],
-    "flatrank.linalg": ["rank_bytes", "_log_tables_np", "_rank_generic", "MAX_GENERIC_PRODUCTS"],
+    "flatrank.formats": [
+        "configuration_to_document",
+        "hypergraph_to_document",
+        "set_family_to_document",
+        "setpair_to_document",
+        "tuple_family_to_document",
+    ],
+    "flatrank.linalg": ["rank_bytes", "_log_tables_np", "_rank_generic", "MAX_GENERIC_PRODUCTS", "_canonical"],
     "flatrank.setfam": [
         "enumerate_cross_oddtown",
         "odd_tuple_candidates",
@@ -77,15 +88,16 @@ def test_removed_names_stay_removed(module):
 
 def test_removed_methods_stay_removed():
     from flatrank.field import FieldDescriptor
-    from flatrank.fw import Configuration, IntersectionPolynomial
+    from flatrank.fw import Configuration
     from flatrank.rng import Rng
+    from flatrank.setfam import SetFamily
     from flatrank.tensor import Tensor
 
     gone = [
         (FieldDescriptor, name)
         for name in ("element", "neg", "validate", "characteristic", "add", "sub", "inv")
     ]
-    gone += [(IntersectionPolynomial, "table"), (Configuration, "is_slot_symmetric")]
+    gone += [(Configuration, "is_slot_symmetric"), (SetFamily, "__len__")]
     gone += [(Rng, name) for name in ("derive", "shuffle", "sample_without_replacement")]
     gone += [(Tensor, name) for name in ("get", "flat_index", "from_function", "zeros", "is_zero")]
     assert [f"{cls.__name__}.{name}" for cls, name in gone if hasattr(cls, name)] == []
@@ -118,16 +130,6 @@ def test_exterior_algebra_module_is_gone():
         importlib.import_module("flatrank.extalg")
 
 
-# the format's writers with no CLI caller: the round-trip tests need them
-UNREACHED_WRITERS = {
-    "configuration_to_document",
-    "hypergraph_to_document",
-    "set_family_to_document",
-    "setpair_to_document",
-    "tuple_family_to_document",
-}
-
-
 def _unreached_definitions() -> list[str]:
     """Top-level defs and classes of the package that no CLI path names.
 
@@ -155,7 +157,7 @@ def _unreached_definitions() -> list[str]:
                 todo += [definition for _, definition in definitions[name]]
     return sorted(
         f"{module}.{name}"
-        for name in definitions.keys() - reached - UNREACHED_WRITERS
+        for name in definitions.keys() - reached
         for module, _ in definitions[name]
     )
 
@@ -164,11 +166,15 @@ def test_every_definition_is_reached_from_the_cli():
     assert _unreached_definitions() == []
 
 
-# parameters that no caller set, deleted: each function takes exactly these, and the
-# README's "Removed API" names what to use instead
+# parameters and defaults that no caller set, deleted: each function takes exactly
+# these, a trailing "=" marking a default, and the README's "Removed API" names what
+# to use instead
 PARAMETERS = {
     "flatrank.search.exhaustive_min_mfrank": ["a", "d"],
-    "flatrank.search.random_semidiagonal_sweep": ["a", "d", "count", "seed", "field"],
+    "flatrank.search.random_semidiagonal_sweep": ["a", "d", "count", "seed", "field="],
+    "flatrank.search._block_ranks": ["entries", "a", "d", "field", "ws"],
+    "flatrank.fw.fw_tensor": ["fam", "cfg", "grid"],
+    "flatrank.linalg.matrix_rank": ["stack", "field"],
     "flatrank.rainbow.bollobas_verify": ["system"],
     "flatrank.fw.complete_graph_config": ["k"],
     "flatrank.setfam.oddtown_tensor": ["fam"],
@@ -180,7 +186,8 @@ PARAMETERS = {
 def test_removed_parameters_stay_removed(name):
     module, function = name.rsplit(".", 1)
     signature = inspect.signature(getattr(importlib.import_module(module), function))
-    assert list(signature.parameters) == PARAMETERS[name]
+    params = signature.parameters.values()
+    assert [p.name + "=" * (p.default is not p.empty) for p in params] == PARAMETERS[name]
 
 
 # a measurement is cited as ``BENCH_NN.json`` ``dotted.key`` (single backticks in

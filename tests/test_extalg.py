@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -137,7 +138,7 @@ def test_wedge_nonzero_iff_independent():
         k = 1 + rng.next_below(4)
         n = k + rng.next_below(3)
         rows = [[rng.next_below(GF4.order) for _ in range(n)] for _ in range(k)]
-        assert (not wedge_of_vectors(rows, GF4).is_zero()) == (matrix_rank(rows, GF4) == len(rows))
+        assert (not wedge_of_vectors(rows, GF4).is_zero()) == (matrix_rank(np.array([rows]), GF4)[0] == len(rows))
 
 
 def test_top_coefficient_grade_guard():

@@ -12,13 +12,11 @@ import pytest
 from flatrank.fw import (
     BadBoxFamily,
     Configuration,
-    IntersectionPolynomial,
     badbox_clique_order,
     badbox_target_size,
     complete_graph_config,
     config_degree,
     config_max_degree,
-    eval_h,
     find_config_witness,
     find_odd_clique,
     fw_flattening_bound,
@@ -47,6 +45,13 @@ from oracles import (
 FW_CFG = Configuration(k=2, p=2, C=(0b11,), L=(0,))
 
 
+def _fw_tensor(fam, cfg):
+    """The fw tensor of a nonempty family, on the grid of every member that the chain builds."""
+    from flatrank.fw import _h_grid
+
+    return fw_tensor(fam, cfg, _h_grid(fam.limbs[:, 0], cfg))
+
+
 def test_config_degree_examples():
     assert config_degree(FW_CFG, 0) == 1
     k4 = complete_graph_config(4)
@@ -68,13 +73,13 @@ def test_configuration_validation():
         Configuration(k=2, p=2, C=(0b11,), L=(0, 0))
 
 
-def test_eval_h_examples():
-    h01 = IntersectionPolynomial(p=2, L=(0,))
-    assert eval_h(h01, 1) == 1 and eval_h(h01, 0) == 0
-    h = IntersectionPolynomial(p=5, L=(1, 2))
-    assert eval_h(h, 3) == 2
-    for root in h.L:
-        assert eval_h(h, root) == 0
+def test_h_table_examples():
+    # h(x) = prod_{l in L} (x - l) mod p, at the sizes up to the largest, below p
+    from flatrank.fw import _h_table_np
+
+    assert _h_table_np(FW_CFG, 1).tolist() == [0, 1]
+    assert _h_table_np(Configuration(k=1, p=5, C=(1,), L=(1, 2)), 9).tolist() == [2, 0, 0, 2, 1]
+    assert _h_table_np(Configuration(k=1, p=5, C=(1,), L=()), 2).tolist() == [1, 1, 1]
 
 
 def test_is_config_satisfying_singletons():
@@ -126,7 +131,7 @@ def test_fw_chain_builds_its_grid_once(monkeypatch, members, satisfying, witness
     assert report["satisfying"] is satisfying
     assert report.get("witness") == witness and ("witness" in report) is not satisfying
     if satisfying:  # the tensor ranked is the one fw_tensor builds over every member
-        assert report["franks"] == [flattening_rank(fw_tensor(fam, FW_CFG), j) for j in range(2)]
+        assert report["franks"] == [flattening_rank(_fw_tensor(fam, FW_CFG), j) for j in range(2)]
 
 
 def test_witness_distinct_semantics():
@@ -153,14 +158,13 @@ def test_witness_search_is_ordered_for_asymmetric_c():
 
 def test_fw_tensor_diagonal_and_identity():
     fam = SetFamily(n=4, members=tuple(1 << i for i in range(4)))
-    t = fw_tensor(fam, FW_CFG)
+    t = _fw_tensor(fam, FW_CFG)
     assert t.entries.tolist() == [1 if i == j else 0 for i in range(4) for j in range(4)]
     assert is_semi_diagonal(t)
 
 
 def _naive_fw_entries(fam, cfg):
     """The fw tensor's entries in C order, cell by cell: product over C of h(intersection size)."""
-    poly = IntersectionPolynomial(p=cfg.p, L=cfg.L)
     entries = []
     for idx in itertools.product(range(len(fam.members)), repeat=cfg.k):
         expected = 1
@@ -169,7 +173,7 @@ def _naive_fw_entries(fam, cfg):
             for slot in range(cfg.k):
                 if x >> slot & 1:
                     acc &= fam.members[idx[slot]]
-            expected = (expected * eval_h(poly, acc.bit_count() % cfg.p)) % cfg.p
+            expected = expected * math.prod(acc.bit_count() - root for root in cfg.L) % cfg.p
         entries.append(expected)
     return entries
 
@@ -190,7 +194,7 @@ def test_fw_tensor_matches_naive_oracle():
         cfg = Configuration(k=k, p=p, C=tuple(c_masks), L=tuple(range(lsize)))
         m = 1 + rng.next_below(4)
         fam = SetFamily(n=n, members=tuple(rng.next_below(1 << n) for _ in range(m)))
-        assert fw_tensor(fam, cfg).entries.tolist() == _naive_fw_entries(fam, cfg)
+        assert _fw_tensor(fam, cfg).entries.tolist() == _naive_fw_entries(fam, cfg)
 
 
 @pytest.mark.parametrize("distinct", ["sets", "positions"])
@@ -212,7 +216,7 @@ def test_fw_chain_agrees_with_the_violation_grid_oracle(monkeypatch, distinct):
         positions = list(range(len(fam.members)))
         if distinct == "sets":
             positions = sorted({mask: pos for pos, mask in reversed(list(enumerate(fam.members)))}.values())
-        ok = _violation_grid(_mask_limbs([fam.members[p] for p in positions]), cfg)
+        ok = _violation_grid([fam.members[p] for p in positions], cfg)
         # permutations yields the pairwise-distinct cells in C order
         hit = next((c for c in itertools.permutations(range(len(positions)), cfg.k) if ok[c]), None)
         want = None if hit is None else [positions[i] for i in hit]
@@ -243,7 +247,7 @@ def test_flattening_bound_holds_dynamically():
     fam = grow_config_satisfying_family(cfg, 5, rng, candidate_budget=80)
     assert is_config_satisfying(fam, cfg)
     if fam.members:
-        t = fw_tensor(fam, cfg)
+        t = _fw_tensor(fam, cfg)
         for j in range(cfg.k):
             assert flattening_rank(t, j) <= fw_flattening_bound(cfg, fam.n, j)
         assert len(fam.members) <= fw_size_bound(cfg, fam.n)
@@ -427,15 +431,15 @@ def test_h_is_evaluated_only_at_sizes_that_occur(monkeypatch):
     # 46 MB at p = 1000003, even for an empty family
     import flatrank.fw as fw
 
-    points = []
-    h = fw.eval_h
-    monkeypatch.setattr(fw, "eval_h", lambda poly, x: points.append(x) or h(poly, x))
+    tables = []
+    h = fw._h_table_np
+    monkeypatch.setattr(fw, "_h_table_np", lambda cfg, top: tables.append(h(cfg, top)) or tables[-1])
     cfg = Configuration(k=2, p=1000003, C=(0b11,), L=(0, 3))
     reports = [
         verify_fw_chain(SetFamily(n=40, members=members), cfg)
         for members in ((), (0b111,), (0b011, 0b110, 0b101), (0b1111 << 36, 1))
     ]
-    assert max(points) == 4
+    assert max(map(len, tables)) == 5  # h at the sizes 0..4
     assert [r["satisfying"] for r in reports] == [True, False, False, True]
     assert [(r["size_violations"], r["witness"]) for r in reports[1:3]] == [([0], None), ([], [0, 1])]
     assert reports[3]["verified"]

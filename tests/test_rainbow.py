@@ -414,3 +414,22 @@ def test_rainbow_search_deeper_than_the_recursion_limit(tmp_path):
     doc.write_text(json.dumps({"N": n, "r": 1, "t": n, "colors": [[[v] for v in range(n)]] * n}))
     assert main(["verify", "rainbow", str(doc), "--out", str(out)]) == 1
     assert json.loads(out.read_text())["results"]["rainbow_matching"] == [[c, c] for c in range(n)]
+
+
+@pytest.mark.parametrize("k", [8, 20])
+def test_blocked_grids_match_one_block(k, monkeypatch):
+    # with _BLOCK 1 every grid is built one member row at a time, and concatenated to
+    # the grid of one block, over the log tables and over shift and XOR
+    import flatrank.rainbow as rainbow
+
+    field = make_binary_field(k)
+    h = random_colored_hypergraph(12, 2, 3, 7, Rng(k))
+    whole = rainbow_tensor(h, field).entries
+    assert whole.any()
+    pieces, blocked = [], rainbow._blocked
+    monkeypatch.setattr(rainbow, "_BLOCK", 1)
+    monkeypatch.setattr(
+        rainbow, "_blocked", lambda fn, rows, per_row: blocked(lambda s: pieces.append(s) or fn(s), rows, per_row)
+    )
+    assert np.array_equal(rainbow_tensor(h, field).entries, whole)
+    assert slice(6, 7) in pieces and slice(None) not in pieces

@@ -16,6 +16,7 @@ from flatrank.search import (
     _block_ranks,
     _exhaustive_ranks,
     _exhaustive_sizes,
+    _field_sizes,
     _mixed_count,
     _packed_population_ranks,
     _row_bytes,
@@ -205,6 +206,11 @@ def _gf2_block_ranks(entries, a, d):
     return ranks.max(axis=0), ranks.sum(axis=0)
 
 
+def _field_block_ranks(entries, a, d, field):
+    """:func:`_block_ranks` of an (N, a^d) block over a field of order > 2, in a workspace of its own."""
+    return _block_ranks(entries, a, d, field, _Workspace(_field_sizes(a, d, entries.shape[0], field)))
+
+
 @pytest.mark.parametrize("field", [GF2, make_prime_field(3), make_binary_field(8)], ids=str)
 def test_block_ranks_match_moveaxis(field):
     # the stacked flattenings are copied from transpose views, which must
@@ -223,7 +229,7 @@ def test_block_ranks_match_moveaxis(field):
         if field.order == 2:  # the oracle of the GF(2) sweep kernels
             mfrank, sumrank = _gf2_block_ranks(entries, a, d)
         else:
-            mfrank, sumrank = _block_ranks(entries, a, d, field)
+            mfrank, sumrank = _field_block_ranks(entries, a, d, field)
         assert (mfrank.tolist(), sumrank.tolist()) == ([max(r) for r in franks], [sum(r) for r in franks])
 
 
@@ -1227,6 +1233,34 @@ def test_oddtown_search_never_exceeds_bound():
         assert rep.extra["largest_size"] <= rep.extra["bound"]
 
 
+def test_oddtown_search_stops_drawing_at_the_bound(monkeypatch):
+    # a family of (d-1) n members refuses every tuple, so none is drawn past it: a
+    # budget of 10^7 returns, apart from its count, the results of a budget of
+    # 200,000 that drew every tuple
+    draws = []
+    next_below = Rng.next_below
+
+    def counted(rng, n):
+        draws.append(n)
+        assert len(draws) <= 1000, "the search went on drawing past the bound"
+        return next_below(rng, n)
+
+    monkeypatch.setattr(Rng, "next_below", counted)
+    results = random_cross_oddtown_search(4, 3, 10**7, Rng(1)).to_document()
+    assert results == {
+        "bound": 8,
+        "count": 10**7,
+        "largest_size": 8,
+        "min_mfrank": None,
+        "min_sum_franks": None,
+        "population": "random cross-Oddtown growth, n=4, d=3",
+        "seed": 1,
+        "violations": 0,
+        "witnesses": [{"kind": "largest_family", "members": [[1 << i] * 3 for i in range(4) for _ in range(2)]}],
+    }
+    assert draws == []
+
+
 def test_oddtown_search_builds_its_distinct_grid_once(monkeypatch):
     # a pairwise-distinct grid past 2^16 cells is built on every call, not cached: at
     # d = 4 each test of a family past 40 members needs one.  The search builds its
@@ -1255,9 +1289,28 @@ def test_short_last_block_fits_the_plan():
     gf256 = make_binary_field(8)
     rep = random_semidiagonal_sweep(4, 3, 655, 1, field=gf256)
     words = _stream_block(1, 0, 655, _semidiagonal_words(4, 3, gf256))
-    mfrank, sumrank = _block_ranks(_semidiagonal_block(4, 3, gf256, words), 4, 3, gf256)
+    mfrank, sumrank = _field_block_ranks(_semidiagonal_block(4, 3, gf256, words), 4, 3, gf256)
     assert (rep.min_mfrank, rep.min_sum_franks) == (int(mfrank.min()), int(sumrank.min()))
     assert rep.violations == int((mfrank < 2).sum())
+
+
+def test_certified_plan_over_the_cap_falls_back_to_the_exact_plan(monkeypatch):
+    # a (4,4) sweep of 10,000 certifies blocks of 8,192 in 3.1 MB of workspace; under
+    # a cap of 2.5 MB it ranks exact blocks, in 1.8 MB, to the same report
+    import flatrank.search as search
+    from flatrank import caps
+
+    nwords = _semidiagonal_words(4, 4, GF2)
+    want = random_semidiagonal_sweep(4, 4, 10_000, 3).to_document()
+    assert search._gf2_plan(4, 4, 10_000, nwords)[1] > 0  # a certified chunk
+    search._block_plan.cache_clear()  # plans are kept, with the cap they were built under
+    monkeypatch.setattr(caps, "MAX_WORKSPACE_BYTES", 2_500_000)
+    try:
+        _, chunk, (_, nbytes, _) = search._gf2_plan(4, 4, 10_000, nwords)
+        assert chunk == 0 and nbytes <= 2_500_000
+        assert random_semidiagonal_sweep(4, 4, 10_000, 3).to_document() == want
+    finally:
+        search._block_plan.cache_clear()
 
 
 def test_block_ranks_one_rank_call_per_block(monkeypatch):
@@ -1274,7 +1327,7 @@ def test_block_ranks_one_rank_call_per_block(monkeypatch):
     assert calls == [(3 * 4, 3, 9), (3 * 4, 3, 9), (3 * 2, 3, 9)]  # all 3 axes of a block at once
     calls.clear()
     words = _stream_block(5, 0, 10, _semidiagonal_words(3, 3, gf3))
-    mfrank, sumrank = _block_ranks(_semidiagonal_block(3, 3, gf3, words), 3, 3, gf3)
+    mfrank, sumrank = _field_block_ranks(_semidiagonal_block(3, 3, gf3, words), 3, 3, gf3)
     assert len(calls) == 1
     assert (int(mfrank.min()), int(sumrank.min())) == (rep.min_mfrank, rep.min_sum_franks)
     for j in range(10):

@@ -24,6 +24,7 @@ from flatrank.setfam import (
     oddtown_tensor,
     reconstruct_from_certificate,
     repeated_singleton_family,
+    try_extend_cross_oddtown,
     verify_oddtown_chain,
 )
 from flatrank.tensor import (
@@ -365,6 +366,16 @@ def test_greedy_step_matches_arrangement_loop():
             assert _cross_even_with(limbs, new, d, grid) == want, (members, new, d)
         answers.append(want)
     assert answers.count(True) > 50 and answers.count(False) > 50
+
+
+def test_greedy_step_refuses_an_even_diagonal():
+    # a tuple whose own intersection is even would put a zero on the diagonal: it is
+    # refused even where every arrangement with the members is even
+    limbs, grid = _slot_limbs([(0b001,) * 3], 3), distinct_cells(2, 2)
+    new = (0b110,) * 3
+    assert _cross_even_with(limbs, new, 3, grid)
+    assert not try_extend_cross_oddtown(limbs, new, 3, grid)
+    assert try_extend_cross_oddtown(limbs, (0b010,) * 3, 3, grid)
 
 
 def test_empty_family_is_cross_oddtown():

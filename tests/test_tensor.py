@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from flatrank.field import GF2, make_binary_field, make_prime_field
 from flatrank.formats import canonical_json, load_document, tensor_from_document, tensor_to_document
-from flatrank.fw import Configuration, fw_tensor, verify_fw_chain
+from flatrank.fw import Configuration, _h_grid, fw_tensor, verify_fw_chain
 from flatrank.linalg import entry_dtype
 from flatrank.rainbow import SetPairSystem, bollobas_verify, rainbow_tensor
 from flatrank.rng import Rng
@@ -418,17 +418,23 @@ def _sparse_tensors(dims, field, rng):
     return tensors
 
 
+def _ranked_shapes(monkeypatch) -> list:
+    """Record each rank call's (N, r, c), r <= c, once its dead columns are dropped."""
+    import flatrank.linalg as linalg
+
+    shapes = []
+    check = linalg._check_products
+    monkeypatch.setattr(linalg, "_check_products", lambda *args: shapes.append(args[:3]) or check(*args))
+    return shapes
+
+
 @pytest.mark.parametrize(
     "field",
     [GF2, GF3, make_prime_field(7), make_binary_field(8), make_binary_field(16)],
     ids=str,
 )
 def test_sparse_flattening_ranks_match_generic(field, monkeypatch):
-    import flatrank.tensor as tensor_mod
-
-    shapes = []
-    rank = tensor_mod.matrix_rank
-    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: shapes.append(m.shape) or rank(m, f))
+    shapes = _ranked_shapes(monkeypatch)
     rng = np.random.default_rng(field.order)
     for dims in [(4, 4), (3, 5), (4, 4, 4), (3, 3, 3, 3), (2, 3, 4), (5, 2, 2)]:
         for t in _sparse_tensors(dims, field, rng):
@@ -436,24 +442,20 @@ def test_sparse_flattening_ranks_match_generic(field, monkeypatch):
             want = [_rank_generic(_flattening(t, ax).tolist(), field) for ax in range(t.ndim)]
             assert flattening_ranks(t) == want, (dims, t.entries.tolist())
             assert [flattening_rank(t, ax) for ax in range(t.ndim)] == want
-            full = [math.prod(dims) // dims[ax] for ax in range(t.ndim)]
             if field.order == 2:  # never compacted
-                assert all(s[-1] in full for s in shapes)
+                assert all(r * c == math.prod(dims) for _, r, c in shapes)
 
 
 def test_compaction_keeps_only_live_columns(monkeypatch):
-    import flatrank.tensor as tensor_mod
-
-    shapes = []
-    rank = tensor_mod.matrix_rank
-    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: shapes.append(m.shape) or rank(m, f))
+    shapes = _ranked_shapes(monkeypatch)
     rng = np.random.default_rng(4)
-    # one entry: one live column of 16, fewer than the 4 rows
+    # one entry: one live column of 16 in each flattening, 3 in the stack, fewer
+    # than the 4 rows, so the stack is ranked on its columns
     one = np.zeros(64, dtype=np.int64)
     one[39] = 2  # (2, 1, 3): column 7, 11 and 9 of the three flattenings
     assert flattening_ranks(Tensor((4, 4, 4), GF3, one)) == [1, 1, 1]
-    assert shapes[-1] == (3, 4, 3)
-    assert flattening_ranks(zeros((4, 4, 4), GF3)) == [0, 0, 0] and shapes[-1] == (3, 4, 0)
+    assert shapes[-1] == (3, 3, 4)
+    assert flattening_ranks(zeros((4, 4, 4), GF3)) == [0, 0, 0] and shapes[-1] == (3, 0, 4)
     # a dense tensor keeps every column, and GF(2) is never compacted
     flattening_ranks(random_tensor((3, 3, 3), GF3, Rng(2)))
     assert shapes[-1] == (3, 3, 9)
@@ -467,8 +469,8 @@ def test_compaction_keeps_only_live_columns(monkeypatch):
         flattening_ranks(Tensor.from_array(m, GF3))
         assert shapes[-1] == (1, 4, kept)
     # the single-axis path compacts its one flattening
-    assert flattening_rank(Tensor((4, 4, 4), GF3, one), 1) == 1 and shapes[-1] == (1, 4, 1)
-    assert flattening_rank(Tensor((4, 4), GF3, one[:16]), 0) == 0 and shapes[-1] == (1, 4, 0)
+    assert flattening_rank(Tensor((4, 4, 4), GF3, one), 1) == 1 and shapes[-1] == (1, 1, 4)
+    assert flattening_rank(Tensor((4, 4), GF3, one[:16]), 0) == 0 and shapes[-1] == (1, 0, 4)
 
 
 @pytest.mark.parametrize("field", [GF2, GF3, make_binary_field(8)], ids=str)
@@ -502,9 +504,9 @@ def test_scaled_permutation_ranks_without_a_clear(monkeypatch):
 
     field = make_binary_field(8)
     t = _scaled_permutation((8,) * 5, field, np.random.default_rng(8), 8)
-    stacks, clears = [], []
-    rank = tensor_mod.matrix_rank
-    monkeypatch.setattr(tensor_mod, "matrix_rank", lambda m, f: stacks.append(m.copy()) or rank(m, f))
+    stacks, clears = [], []  # the stack that reaches the byte rows, its dead columns dropped
+    byte_rows = linalg._rank_byte_rows
+    monkeypatch.setattr(linalg, "_rank_byte_rows", lambda m, f: stacks.append(m.copy()) or byte_rows(m, f))
     eliminate = linalg._eliminate
     monkeypatch.setattr(
         linalg,
@@ -593,10 +595,14 @@ PRODUCERS = {
     "sparse-document": lambda f, tmp, mp: _read_document(partition_construction(4, 3, f), True, tmp),
     "violation-witness": lambda f, tmp, mp: _violation_witness(f, mp),
 }
+def _fw_tensor(fam, cfg):
+    return fw_tensor(fam, cfg, _h_grid(fam.limbs[:, 0], cfg))
+
+
 # name -> a call that builds tensors over a field of its own
 OWN_FIELD = {
     "oddtown": lambda: oddtown_tensor(repeated_singleton_family(3, 3)),
-    "fw": lambda: fw_tensor(
+    "fw": lambda: _fw_tensor(
         SetFamily(n=4, members=(0b0011, 0b0101, 0b1110)), Configuration(k=2, p=17, C=(0b11, 0b01), L=(0,))
     ),
     # a family that repeats a set: the chain's tensor reads the grid of its distinct sets
